@@ -24,8 +24,8 @@ from cld2_ray import native
 from .extract import extract_text, valid_utf8_prefix
 from . import hints as hints_mod
 from .hints import hints_from_page
-from .repeats import SQUEEZE_TEST_THRESH, remove_repeated_words, squeeze, \
-    squeeze_trigger
+from .repeats import SQUEEZE_TEST_THRESH, remove_repeated_words_batch, \
+    squeeze, squeeze_trigger
 from cld2_ray.state.model import unpack_langprobs
 
 
@@ -560,6 +560,22 @@ class Detector:
             is_reliable=is_rel and rel2,
         )
 
+    @staticmethod
+    def _repeats_spans(doc_spans: list[list[spans.ScriptSpan]]):
+        """Spans of the Repeats retry: each span with its predicted
+        words dropped (CheapRepWords, impl.cc:610-692), all docs' spans
+        in one native pass. Returns (spans, per-doc bytes, at least 1).
+        The new spans keep the original script, offset and text_bytes."""
+        outs = iter(remove_repeated_words_batch(
+            [sp.text_utf8 for sl in doc_spans for sp in sl]))
+        spans2 = [[spans.ScriptSpan(text_utf8=next(outs), script=sp.script,
+                                    offset=sp.offset,
+                                    text_bytes=sp.text_bytes)
+                   for sp in sl] for sl in doc_spans]
+        totals2 = [max(sum(len(sp.text_utf8) for sp in sl), 1)
+                   for sl in spans2]
+        return spans2, totals2
+
     def _detect_spans(self, span_list: list[spans.ScriptSpan],
                       total_letter_bytes: int,
                       best_effort: bool,
@@ -630,39 +646,26 @@ class Detector:
             out.append(res)
         if retry:
             # Repeats retry (impl.cc:1979-2106) for every not-good doc
-            # in ONE more batch pass. texts[] is already squeezed, so
-            # this equals per-doc detect() — except the rare doc where
-            # squeeze_trigger fires AGAIN on its own output; those take
-            # the per-doc path to stay bit-identical.
-            batched: list[int] = []
-            for i in retry:
-                t = texts[i] or ""
-                if len(t) > SQUEEZE_TEST_THRESH and squeeze_trigger(t):
-                    out[i] = self.detect(t, best_effort, hints_list[i],
-                                         default_to_english,
-                                         declared_list[i])
-                else:
-                    batched.append(i)
-            if batched:
-                spans2 = [[spans.ScriptSpan(remove_repeated_words(sp.text),
-                                            sp.script, sp.offset,
-                                            sp.text_bytes)
-                           for sp in doc_spans[i]] for i in batched]
-                totals2 = [max(sum(len(sp.text_utf8) for sp in sl), 1)
-                           for sl in spans2]
-                totes2 = self._fill_totes(
-                    spans2, [hints_list[i] for i in batched])
-                for k, i in enumerate(batched):
-                    res2 = self._finalize(totes2[k], totals2[k],
-                                          best_effort, declared_list[i])
-                    res = out[i]
-                    res = res2 if (res2.summary_lang != langs.UNKNOWN
-                                   or res.summary_lang == langs.UNKNOWN) \
-                        else res
-                    if default_to_english and \
-                            res.summary_lang == langs.UNKNOWN:
-                        res.summary_lang = langs.ENGLISH
-                    out[i] = res
+            # in ONE more batch pass over the spans the first pass
+            # scored. Those come from the squeezed texts[], and per-doc
+            # detect() also squeezes once and retries on the same spans,
+            # so the two agree (squeeze_trigger is not re-run). Retry
+            # spans keep the original text_bytes, which the RTYPE_ONE
+            # tote and the CJK chunk lens consume.
+            spans2, totals2 = self._repeats_spans(
+                [doc_spans[i] for i in retry])
+            totes2 = self._fill_totes(spans2,
+                                      [hints_list[i] for i in retry])
+            for k, i in enumerate(retry):
+                res2 = self._finalize(totes2[k], totals2[k], best_effort,
+                                      declared_list[i])
+                res = out[i]
+                res = res2 if (res2.summary_lang != langs.UNKNOWN
+                               or res.summary_lang == langs.UNKNOWN) \
+                    else res
+                if default_to_english and res.summary_lang == langs.UNKNOWN:
+                    res.summary_lang = langs.ENGLISH
+                out[i] = res
         if with_ranges:
             rng = [self.detect_ranges(orig_texts[i] or "")
                    if squeezed[i]
@@ -703,11 +706,8 @@ class Detector:
             if default_to_english and res.summary_lang == langs.UNKNOWN:
                 res.summary_lang = langs.ENGLISH
             return res
-        squeezed = [spans.ScriptSpan(remove_repeated_words(sp.text),
-                                     sp.script, sp.offset, sp.text_bytes)
-                    for sp in span_list]
-        total2 = sum(len(sp.text_utf8) for sp in squeezed)
-        res2 = self._detect_spans(squeezed, max(total2, 1), best_effort,
+        spans2, totals2 = self._repeats_spans([span_list])
+        res2 = self._detect_spans(spans2[0], totals2[0], best_effort,
                                   hint_langs, declared)
         # keep the retry result if it reached a conclusion (impl.cc accepts
         # the second-pass answer unconditionally)

@@ -365,8 +365,10 @@ def apply_rules(texts: pd.Series,
 
         n_sentences = _count("[.!?。！？]", regex=True)
         symbols = _count("#") + _count(r"\.\.\.", regex=True) + _count("…")
+        # lowercase, then match exactly: ignore_case=True folds fully
+        # ('lorem ipſum' would match), unlike lower() and the C scan
         has_lorem = pd.Series(
-            pc.match_substring(arr, "lorem ipsum", ignore_case=True)
+            pc.match_substring(pc.utf8_lower(arr), "lorem ipsum")
             .to_numpy(zero_copy_only=False), index=t.index)
         has_brace = pd.Series(
             pc.match_substring(arr, "{").to_numpy(zero_copy_only=False),
@@ -492,7 +494,9 @@ def c4_line_filter(texts: pd.Series) -> pd.DataFrame:
 
     n_sent = pc.count_substring_regex(kept_arr, "[.!?]") \
         .to_numpy(zero_copy_only=False).astype(np.int64)
-    has_lorem = pc.match_substring(arr, "lorem ipsum", ignore_case=True) \
+    # on the lowered text, like the oracle's lower(): ignore_case=True
+    # folds fully, so 'lorem ipſum' (long s) would match
+    has_lorem = pc.match_substring(pc.utf8_lower(arr), "lorem ipsum") \
         .to_numpy(zero_copy_only=False)
     has_brace = pc.match_substring(arr, "{").to_numpy(zero_copy_only=False)
 

@@ -6,12 +6,24 @@ CountPredictedBytes, :610-692 CheapRepWordsInplace, :785-865
 CheapSqueezeInplace, :952-971 CheapSqueezeTriggerTest; constants
 :206-214).
 
-Vectorization note: the reference's predictor is a sequential loop
-``hash = ((hash << 4) ^ c) & 0xfff`` with a 4096-entry last-value
-table. Because the hash keeps only the last ~3 chars, the predicate
-"char equals the value last stored under its hash" is exactly
-"char equals the char that followed the previous occurrence of the
-same 3-char context" — computable vectorized with a pandas
+Runtime path: the Repeats retry drops predicted words from every span
+of a batch with ONE native call (``remove_repeated_words_batch`` ->
+quadscan.c ``rep_words_multi``), and the squeeze family runs the
+native per-char ``predict_mask``. The numpy code here is the fallback
+when the C kernel is missing and the bit-equality oracle of
+tests/test_native.py.
+
+Word rule (CheapRepWords): a word is a space plus the non-space chars
+up to the next space; a span's first word may have no space. It is
+dropped when 2 x its predicted bytes > its length, where the predicted
+bytes include the leading space's (if the predictor guessed it) but
+the length counts only the non-space bytes.
+
+Numpy predictor: the reference's loop ``hash = ((hash << 4) ^ c) &
+0xfff`` with a 4096-entry last-value table keeps only the last ~3
+chars in the hash, so "char equals the value last stored under its
+hash" is exactly "char equals the char that followed the previous
+occurrence of the same 3-char context" — a pandas
 groupby(context).shift(1). Same thresholds, same chunk sizes.
 """
 
@@ -145,6 +157,20 @@ def remove_repeated_words(span_text: str) -> str:
     if not out.endswith(" "):
         out += " "
     return out
+
+
+def remove_repeated_words_batch(spans_utf8: list[bytes]) -> list[bytes]:
+    """remove_repeated_words over many spans given as UTF-8 bytes, in
+    one native pass over their concatenation (the predictor restarts
+    per span). Bit-equal to the per-span function."""
+    from cld2_ray import native
+    if not native.AVAILABLE:
+        return [remove_repeated_words(b.decode("utf-8")).encode("utf-8")
+                for b in spans_utf8]
+    bounds = np.cumsum([len(b) for b in spans_utf8], dtype=np.int64)
+    out, out_bounds = native.rep_words_multi(b"".join(spans_utf8), bounds)
+    starts = [0, *out_bounds[:-1].tolist()]
+    return [out[a:b].tobytes() for a, b in zip(starts, out_bounds.tolist())]
 
 
 def squeeze(text: str) -> str:

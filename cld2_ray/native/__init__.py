@@ -48,6 +48,7 @@ _FN = None
 _LK = None
 _ACC = None
 _PM = None
+_RW = None
 _PP = None
 _CS = None
 _CJ = None
@@ -125,6 +126,9 @@ def _load() -> None:
     pm = lib.predict_mask
     pm.argtypes = [u8p, ctypes.c_int64, i64p, u8op, u8op]
     pm.restype = ctypes.c_int64
+    rw = lib.rep_words_multi
+    rw.argtypes = [u8p, i64p, ctypes.c_int64, i64p, u8op, i64p]
+    rw.restype = ctypes.c_int64
     f64p = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     pp = lib.ppl_score
     pp.argtypes = [u8p, i64p, ctypes.c_int64, i64p,
@@ -236,10 +240,11 @@ def _load() -> None:
     b2.restype = ctypes.c_int
     global _B2B
     _B2B = b2
-    global _LK, _ACC, _PM, _PP, _CS
+    global _LK, _ACC, _PM, _RW, _PP, _CS
     _LK = lk
     _ACC = acc
     _PM = pm
+    _RW = rw
     _PP = pp
     _CS = cs
     _FN = fn
@@ -687,6 +692,24 @@ def predict_mask(data: bytes):
     nb = np.empty(len(data) + 1, dtype=np.uint8)
     nc = _PM(buf, len(buf), _pm_tbl, mask, nb)
     return mask[:nc].astype(bool), nb[:nc]
+
+
+def rep_words_multi(cat: bytes, bounds: np.ndarray):
+    """CheapRepWords over concatenated space-framed UTF-8 spans
+    (``bounds``: cumulative span ends), the predictor restarting per
+    span. Returns (out uint8[], out_bounds int64[n]): span i's result
+    is out[out_bounds[i-1]:out_bounds[i]], bit-equal to
+    repeats.remove_repeated_words on that span."""
+    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+    if len(bounds) and (bounds[-1] > len(cat)
+                        or (np.diff(bounds, prepend=0) < 0).any()):
+        raise ValueError("bounds must be non-decreasing ends within cat")
+    out = np.empty(len(cat) + 2 * len(bounds) + 1, dtype=np.uint8)
+    out_bounds = np.empty(len(bounds), dtype=np.int64)
+    tbl = np.empty(4096, dtype=np.int64)   # refilled per span in C
+    n = _RW(np.frombuffer(cat, dtype=np.uint8), bounds, len(bounds),
+            tbl, out, out_bounds)
+    return out[:n], out_bounds
 
 
 def fastlangid_score(cat: bytes, bounds: np.ndarray, idx: np.ndarray,

@@ -169,6 +169,67 @@ int64_t predict_mask(const uint8_t *b, int64_t n, int64_t *tbl,
     return ci;
 }
 
+/* CheapRepWords (cld2_ray/functions/repeats.py remove_repeated_words,
+ * reference CheapRepWordsInplace compact_lang_det_impl.cc:610-692)
+ * over concatenated spans: span s is cat[bounds[s-1], bounds[s]).
+ * Per span the predictor restarts (tbl refilled with -1, hash 0).  A
+ * word is a space plus the non-space chars up to the next space (the
+ * span's first word may lack the space); it is dropped when twice its
+ * predicted bytes, the leading space's included, exceed its non-space
+ * bytes.  Spaces are kept, runs of spaces collapse to one, and a
+ * non-empty span comes out framed by single spaces.  out needs
+ * bounds[n-1] + 2 * n bytes; out_bounds gets the cumulative output
+ * ends.  Returns the output length. */
+int64_t rep_words_multi(const uint8_t *cat, const int64_t *bounds,
+                        int64_t n_spans, int64_t *tbl, uint8_t *out,
+                        int64_t *out_bounds) {
+    int64_t start = 0, o = 0;
+    for (int64_t s = 0; s < n_spans; s++) {
+        int64_t end = bounds[s];
+        if (end > start) {
+            for (int k = 0; k < 4096; k++) tbl[k] = -1;
+            uint32_t h = 0;
+            int64_t ws = start, pred = 0, len = 0;
+            out[o++] = ' ';
+            for (int64_t i = start; i <= end;) {
+                int64_t c = 0;
+                int n = 0;
+                if (i < end) {
+                    uint8_t c0 = cat[i];
+                    n = c0 < 0x80 ? 1 : (c0 < 0xE0 ? 2 : (c0 < 0xF0 ? 3 : 4));
+                    if (i + n > end) n = (int)(end - i);
+                    for (int k = 0; k < n; k++) c = (c << 8) | cat[i + k];
+                }
+                if (i == end || c == ' ') {
+                    /* close the word [ws, i); a space after a space is
+                     * dropped (dropped words leave doubled spaces) */
+                    int64_t p = ws;
+                    if (p < i && cat[p] == ' ') {
+                        if (out[o - 1] != ' ') out[o++] = ' ';
+                        p++;
+                    }
+                    if (pred * 2 <= len)
+                        for (; p < i; p++) out[o++] = cat[p];
+                    if (i == end) break;
+                    ws = i;
+                    pred = 0;
+                    len = 0;
+                } else {
+                    len += n;
+                }
+                if (tbl[h] == c) pred += n;
+                tbl[h] = c;
+                h = ((h << 4) ^ (uint32_t)c) & 0xFFF;
+                i += n;
+            }
+            if (out[o - 1] != ' ') out[o++] = ' ';
+        }
+        out_bounds[s] = o;
+        start = end;
+    }
+    return o;
+}
+
 #include <math.h>
 
 /* Character-trigram LM scoring (cld2_ray/functions/perplexity.py):

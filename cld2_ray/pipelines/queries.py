@@ -3122,13 +3122,16 @@ def q_incremental_dedup_bloom(sf_dir, mod: int = 7):
     # incremental_dedup never hits it because its left side is the
     # whole corpus). doc_id == -1 marks the prior side; buckets key
     # off the md5's first 64-bit half, so both sides co-locate.
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
+    # (an Arrow table, not pandas: a bucket with only prior rows gives
+    # an empty object column, whose size Ray's estimator cannot take)
+    def anti(g: pd.DataFrame) -> pa.Table:
         prior_keys_ = set(g.loc[g["doc_id"] < 0, "content_md5"])
         keep = g[(g["doc_id"] >= 0)
                  & ~g["content_md5"].isin(prior_keys_)]
-        return pd.DataFrame({
-            "doc_id": keep["doc_id"].to_numpy(np.int64),
-            "content_md5": keep["content_md5"].to_numpy(object)})
+        return pa.table({
+            "doc_id": pa.array(keep["doc_id"].to_numpy(np.int64)),
+            "content_md5": pa.array(keep["content_md5"].tolist(),
+                                    pa.string())})
 
     # coalesce before the sort shuffle: the two key tables arrive as
     # one tiny block per input row-group (~600 rows each here), and

@@ -148,6 +148,45 @@ def test_frozen_goldens(det):
         assert r.text_bytes == want["text_bytes"], code
 
 
+class TestRetryGoldens:
+    """Documents that take the Repeats retry (three languages each, CJK
+    and Greek/Thai among them; two re-trigger the squeeze test on
+    their squeezed text), frozen from per-doc detect():
+    tests/retry_goldens.json, built by scripts/make_retry_goldens.py.
+    detect_batch and detect() must both reproduce every field."""
+
+    @pytest.fixture(scope="class")
+    def docs(self):
+        import json
+        import os
+        path = os.path.join(os.path.dirname(__file__), "retry_goldens.json")
+        with open(path) as f:
+            return json.load(f)
+
+    @staticmethod
+    def _fields(r):
+        return {"summary": r.summary_code,
+                "language3": [langs.lang_code(l) for l in r.language3],
+                "percent3": list(r.percent3),
+                "normalized_score3": list(r.normalized_score3),
+                "text_bytes": r.text_bytes,
+                "is_reliable": r.is_reliable}
+
+    def test_fixture_takes_the_retry(self, docs):
+        assert sum(d["retry"] for d in docs) >= 25
+        assert any(d["retrigger"] for d in docs)
+
+    def test_detect(self, det, docs):
+        for d in docs:
+            assert self._fields(det.detect(d["text"])) == d["want"], \
+                d["codes"]
+
+    def test_detect_batch(self, det, docs):
+        got = det.detect_batch([d["text"] for d in docs])
+        for d, r in zip(docs, got):
+            assert self._fields(r) == d["want"], d["codes"]
+
+
 class TestFlagsSurface:
     """Public-use flags parity (compact_lang_det.h:342-349)."""
 

@@ -32,6 +32,21 @@ class TestQualityRules:
         q = apply_rules(pd.Series(["Lorem Ipsum dolor " + GOOD]))
         assert q.drop_reason[0] == "lorem_ipsum"
 
+    def test_lorem_long_s_not_folded(self):
+        """'lorem ipſum' (U+017F long s) is not 'lorem ipsum' under
+        lower(): the C scan and the pyarrow branch agree on that."""
+        from cld2_ray import native
+        texts = pd.Series(["Lorem ipſum dolor " + GOOD,
+                           "LOREM IPSUM dolor " + GOOD])
+        avail = native.AVAILABLE
+        try:
+            native.AVAILABLE = False
+            q_arrow = apply_rules(texts)
+        finally:
+            native.AVAILABLE = avail
+        for q in (q_arrow, apply_rules(texts)):
+            assert q.drop_reason.tolist() == ["", "lorem_ipsum"]
+
     def test_dup_lines_dropped(self):
         text = "\n".join(["the same line here again ok now"] * 10)
         q = apply_rules(pd.Series([text]))
@@ -117,6 +132,11 @@ class TestC4LineFilter:
         import pandas as pd
         from cld2_ray.functions.quality import c4_line_filter
         return c4_line_filter(pd.Series(docs, dtype=object))
+
+    def test_lorem_long_s_not_folded(self):
+        r = self._run(["Lorem ipſum dolor sit amet consectetur.\n" * 3,
+                       "LOREM IPSUM dolor sit amet consectetur.\n" * 3])
+        assert r.drop_reason.tolist() == ["", "lorem_ipsum"]
 
     def test_line_rules_priority(self):
         """javascript beats few_words beats no_punct; counters are
@@ -349,7 +369,8 @@ class TestQualityFuzz:
         # words alone can never spell the 10-char trigger
         word = st.one_of(word, st.sampled_from(
             ["javascript", "JavaScript", "JAVASCRIPT", "xjavascript",
-             "javascripty", "(javascript)", "ſjavascript"]))
+             "javascripty", "(javascript)", "ſjavascript",
+             "lorem ipsum", "Lorem Ipsum", "lorem ipſum", "ſ"]))
         line = st.lists(word, max_size=9).map(" ".join)
         return st.lists(
             st.lists(line, max_size=6).map("\n".join), max_size=8)

@@ -3,10 +3,11 @@
 A from-scratch rebuild of the data-processing capabilities of CLD2
 (Compact Language Detector 2, reference at /root/reference) as an
 idiomatic Ray Data pipeline: `ray.data.Dataset` -> vectorized
-`map_batches` over zero-copy Arrow batches, stateful actor pools for the
-stages that hold immutable model tables (quadgram/unigram Naive-Bayes
-scoring tables, char-n-gram LM, hashed-n-gram classifier), and
-groupby/aggregate shuffles only for the wide metric/eval steps.
+`map_batches` over zero-copy Arrow batches, one fused task function for
+the quality filter whose immutable model tables (quadgram/unigram
+Naive-Bayes scoring tables, char-n-gram LM, hashed-n-gram classifier)
+load lazily once per worker process, and groupby/aggregate shuffles
+only for the wide metric/eval steps.
 
 Layout:
   functions/  pure vectorized kernels (no Ray imports)

@@ -1,13 +1,12 @@
 """The flagship quality-filter pipeline (north rule end-to-end).
 
-read/generate pages -> extract (tasks) -> langid (actor pool) ->
-quality+scrub (actor pool) -> [write kept docs + metrics groupby].
+read/generate pages -> fused_batch (Ray tasks: extract, langid, hints,
+aux langid, perplexity, rules, scrub, keep/drop) -> [write kept docs +
+metrics groupby].
 
 Sizing notes for the 100 TB case (see also state/checkpoint.py):
-- extraction is stateless tasks so it elastically fills whatever CPUs
-  the actor pools leave free;
-- the two actor pools use ``concurrency=(min, max)`` autoscaling with
-  1 CPU each; model load is once per actor;
+- the kernel runs as plain Ray tasks with lazy per-worker models, so
+  it elastically fills whatever CPUs are free;
 - giant pages are bounded by the extractor itself (the 160KB letter
   scan cap) so per-row cost is capped — no special skew handling needed
   beyond Ray's dynamic block splitting;
@@ -17,9 +16,7 @@ Sizing notes for the 100 TB case (see also state/checkpoint.py):
 
 from __future__ import annotations
 
-from cld2_ray.stages.core import (
-    FusedPipelineStage, LangidStage, QualityScrubStage, combine_metrics,
-    extract_batch, fused_batch, partial_metrics)
+from cld2_ray.stages.core import combine_metrics, fused_batch, partial_metrics
 
 OUT_COLUMNS = [
     "url", "warc_ts", "lang", "extracted_text", "utf8_valid",
@@ -29,49 +26,20 @@ OUT_COLUMNS = [
     "has_toxicity", "keep", "drop_reason",
 ]
 
+BATCH_SIZE = 256
 
-def build(pages_ds, langid_concurrency=(1, 8), quality_concurrency=(1, 8),
-          batch_size: int = 256, with_chunks: bool = False):
-    """pages Dataset -> fully annotated Dataset (lazy).
 
-    ``with_chunks=True`` (opt-in: computes a second ranged detection
-    pass per page) adds a ``chunks`` list<struct{offset,bytes,lang}>
+def build_fused(pages_ds, with_chunks: bool = False):
+    """pages Dataset -> fully annotated Dataset (lazy), one map_batches
+    of stages/core.fused_batch.
+
+    ``with_chunks=True`` adds a ``chunks`` list<struct{offset,bytes,lang}>
     column — per-page language ranges in RAW page byte offsets, the
     ResultChunkVector analogue (reference public/compact_lang_det.h:
     146-153 via ExtDetectLanguageSummary's vector output)."""
-    ds = pages_ds.map_batches(extract_batch, batch_format="pyarrow",
-                              batch_size=batch_size)
-    ds = ds.map_batches(LangidStage, batch_format="pyarrow",
-                        batch_size=batch_size,
-                        concurrency=langid_concurrency, num_cpus=1,
-                        fn_constructor_kwargs={"with_chunks": with_chunks})
-    ds = ds.map_batches(QualityScrubStage, batch_format="pyarrow",
-                        batch_size=batch_size,
-                        concurrency=quality_concurrency, num_cpus=1)
-    cols = OUT_COLUMNS + (["chunks"] if with_chunks else [])
-    return ds.select_columns(cols)
-
-
-def build_fused(pages_ds, concurrency: int | None = None,
-                batch_size: int = 256, with_chunks: bool = False):
-    """Single-stage fused pipeline (see FusedPipelineStage): best
-    utilization / scaling; same row-level semantics as build().
-
-    ``concurrency=None`` (default) runs the fused kernel as plain Ray
-    TASKS with a lazy per-worker model cache (stages/core.fused_batch):
-    worker processes are reused across executions, so model setup is
-    paid once per worker per session and the stage elastically fills
-    every free CPU — no pool sizing.  Pass an int to pin a fixed actor
-    pool instead (needed when the stage must reserve >1 CPU or GPUs)."""
-    if concurrency is None:
-        ds = pages_ds.map_batches(fused_batch, batch_format="pyarrow",
-                                  batch_size=batch_size,
-                                  fn_kwargs={"with_chunks": with_chunks})
-    else:
-        ds = pages_ds.map_batches(
-            FusedPipelineStage, batch_format="pyarrow",
-            batch_size=batch_size, concurrency=concurrency, num_cpus=1,
-            fn_constructor_kwargs={"with_chunks": with_chunks})
+    ds = pages_ds.map_batches(fused_batch, batch_format="pyarrow",
+                              batch_size=BATCH_SIZE,
+                              fn_kwargs={"with_chunks": with_chunks})
     cols = OUT_COLUMNS + (["chunks"] if with_chunks else [])
     return ds.select_columns(cols)
 
@@ -116,19 +84,3 @@ def metrics(annotated_ds):
         return partial_metrics(slim.limit(0).to_pandas())
     return combine_metrics(pd.concat(buf, ignore_index=True))
 
-
-def run(pages_ds, out_dir: str | None = None, **kw):
-    """Execute: returns (annotated_ds, metrics pandas DataFrame) on
-    BOTH paths. If out_dir is given, kept docs are additionally
-    written as partitioned parquet and the returned Dataset is the
-    written copy (so downstream consumers read the sink, not a
-    recompute); metrics fold over the annotated stream either way."""
-    ds = build(pages_ds, **kw)
-    if out_dir is not None:
-        kept = ds.filter(expr="keep == True")
-        kept.write_parquet(out_dir)
-        import ray
-        m = metrics(ds)
-        return ray.data.read_parquet(out_dir), m
-    m = metrics(ds)
-    return ds, m

@@ -2469,7 +2469,7 @@ def q_flagship_pages(sf_dir):
     n_docs = pq.read_metadata(
         os.path.join(sf_dir, "documents.parquet")).num_rows
     ds = pages_dataset(min(n_docs, 500), seed=42)
-    return flagship.build(ds).drop_columns(["warc_ts"])
+    return flagship.build_fused(ds).drop_columns(["warc_ts"])
 
 
 def q_eval_confusion(sf_dir):

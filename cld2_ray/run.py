@@ -30,7 +30,6 @@ def main(argv=None) -> int:
     ap.add_argument("--partitions", type=int, default=16)
     ap.add_argument("--num-cpus", type=int, default=None,
                     help="local mode CPU count (omit on a cluster)")
-    ap.add_argument("--min-pct1", type=int, default=50)
     ap.add_argument("--debug-html", type=int, default=0, metavar="N",
                     help="also write N per-document HTML debug pages "
                          "(the reference's stderr debug stream, S4) "

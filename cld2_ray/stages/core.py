@@ -1,20 +1,17 @@
-"""Ray Data stages for the quality-filter pipeline.
+"""The flagship quality filter's row-level kernel.
 
-Stage layout (SURVEY.md §3.1 "Ray shape"):
-
-  read/generate pages
-    -> ExtractStage        (stateless tasks: UTF-8 gate + HTML->text)
-    -> LangidStage         (ACTOR POOL: holds the LangModel tables)
-    -> QualityScrubStage   (ACTOR POOL: aux langid + char-LM + rules + PII)
-    -> write_parquet + metrics groupby
-
-Batch formats: extraction and langid run on pyarrow batches (zero-copy
-binary/html columns); quality/scrub run on pandas (string kernels).
-All per-row logic calls the same functions the single-process oracle
-uses, so pipeline == oracle per url.
+One Ray Data task function, ``fused_batch``, runs every layer on a
+pyarrow batch of pages: UTF-8 gate + HTML->text, page hints, CLD2-style
+langid, Gopher/C4 rules, PII/toxicity scrub, fastText-style aux langid
+and char-LM perplexity, then the keep/drop decision. Each document's
+text is materialized once as a Python string and shared by every
+layer. All per-row logic calls the same functions the single-process
+oracle uses, so pipeline == oracle per url.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pandas as pd
@@ -69,193 +66,146 @@ def _compose_chunks(htmls, valid, ok, todo, rng_list) -> pa.Array:
     return pa.array(rows, type=CHUNKS_TYPE)
 
 
-def extract_batch(batch: pa.Table) -> pa.Table:
-    """Stateless map_batches kernel: html -> extracted_text (+ gate)."""
+# keep/drop: a page whose top language covers less than this percent
+# of its text is dropped as lang_filter
+MIN_PCT1 = 50
+
+
+@lru_cache(maxsize=1)
+def _detector():
+    from cld2_ray.functions.langid import Detector
+    return Detector()
+
+
+def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
+    """pages batch (url, warc_ts, lang, html) -> annotated batch.
+
+    Runs as plain Ray tasks with lazy process-global models (the
+    Detector here, ``fastlangid.weights()`` and ``perplexity.models()``
+    behind their own caches): Ray reuses task worker processes across
+    Dataset executions, so the one-time setup (imports, mmap'd table
+    load — see state/mmapcache) is paid once per worker per node
+    lifetime, and the stage fills every CPU the scheduler offers.
+
+    ``with_chunks=True`` adds the ``chunks`` column (see
+    _compose_chunks) from the same scoring pass."""
+    from cld2_ray.functions import fastlangid, perplexity
+    from cld2_ray.functions.hints import MAX_SCAN_BYTES, page_hints
+    from cld2_ray.functions.quality import apply_rules
+    from cld2_ray.functions.scrub import scrub_series
+
     htmls = batch["html"].to_pylist()
-    texts = []
-    valid = np.empty(len(htmls), dtype=np.int64)
-    ok = np.empty(len(htmls), dtype=bool)
+    urls = batch["url"].to_pylist()
+    n = len(htmls)
+
+    # 1. extract (text materialized once)
+    texts = [""] * n
+    valid = np.empty(n, dtype=np.int64)
+    ok = np.empty(n, dtype=bool)
     for j, h in enumerate(htmls):
         h = h or b""
         vp = valid_utf8_prefix(h)
         valid[j] = vp
         ok[j] = vp == len(h)
-        texts.append(extract_text(h[:vp]) if vp else "")
-    return batch.append_column(
-        "extracted_text", pa.array(texts, type=pa.large_string())
-    ).append_column(
-        "utf8_valid", pa.array(ok)
-    ).append_column(
-        "valid_prefix", pa.array(valid)
-    )
+        if vp:
+            texts[j] = extract_text(h[:vp])
 
+    # 2. langid (batch-vectorized) — every row that yielded text,
+    # including the salvaged valid prefix of bad-UTF-8 pages (the
+    # keep/drop gate below still drops those as utf8_invalid). One hint
+    # scan per page: priors feed detection, declared languages protect
+    # the boilerplate summary flip, and declared/TLD give the metadata
+    # fallback. The valid-prefix slice is capped at the hint scan
+    # window so it never copies a whole page body.
+    todo = [j for j in range(n) if texts[j]]
+    ph = [page_hints(urls[j] or "",
+                     (htmls[j] or b"")[:min(int(valid[j]), MAX_SCAN_BYTES)])
+          for j in range(n)]
+    hints = [[lid for lid, w in ph[j][0] if w > 0] for j in todo]
+    declared = [frozenset(ph[j][1]) or None for j in todo]
+    if with_chunks:
+        # ranges ride along on the SAME scoring pass (results are
+        # bit-identical to the plain call — tested)
+        results, rng_list = _detector().detect_batch(
+            [texts[j] for j in todo], hints,
+            declared_list=declared, with_ranges=True)
+    else:
+        results = _detector().detect_batch(
+            [texts[j] for j in todo], hints, declared_list=declared)
+    lang1 = ["un"] * n
+    lang2 = ["un"] * n
+    lang3 = ["un"] * n
+    summary = ["un"] * n
+    pct = np.zeros((n, 3), dtype=np.int8)
+    nscore1 = np.zeros(n, dtype=np.float32)
+    reliable = np.zeros(n, dtype=bool)
+    text_bytes = np.zeros(n, dtype=np.int32)
+    for j, r in zip(todo, results):
+        summary[j] = r.summary_code
+        lang1[j] = langs.lang_code(r.language3[0])
+        lang2[j] = langs.lang_code(r.language3[1])
+        lang3[j] = langs.lang_code(r.language3[2])
+        pct[j] = np.clip(r.percent3, 0, 100)
+        nscore1[j] = r.normalized_score3[0]
+        reliable[j] = r.is_reliable
+        text_bytes[j] = min(r.text_bytes, 2**31 - 1)
+    # Metadata fallback: when the content carries no language signal
+    # at all (empty pages, repeated-token junk), attribute the page's
+    # declared language, else the TLD prior's language, else English —
+    # the reference's own plain-DetectLanguage default (M25,
+    # compact_lang_det.h DetectLanguage returns ENGLISH when nothing is
+    # detected). lang_reliable stays False, so keep/drop is unchanged —
+    # this only improves the attribution column.
+    for j in range(n):
+        if summary[j] == "un" and not reliable[j]:
+            _, dec, tld = ph[j]
+            fb = dec[0] if dec else tld
+            summary[j] = langs.lang_code(fb) if fb else "en"
 
-class LangidStage:
-    """Actor-pool stage: immutable scoring tables loaded once per actor
-    (__init__), vectorized detection per batch (__call__)."""
+    # 3. quality + scrub + aux models on the SAME strings
+    tser = pd.Series(texts)
+    sser = pd.Series(summary)
+    q = apply_rules(tser, sser)
+    sc = scrub_series(tser)
+    aux_lang, aux_conf = fastlangid.classify_batch(texts)
+    ppl, gibberish = perplexity.score_batch(texts, summary)
 
-    def __init__(self, with_chunks: bool = False):
-        from cld2_ray.functions.langid import Detector
-        self.det = Detector()
-        self.with_chunks = with_chunks
+    reason = q["drop_reason"].copy()
+    reason = reason.mask(pd.Series(~ok), "utf8_invalid")
+    lang_bad = ((sser == "un") | ~pd.Series(reliable)
+                | (pd.Series(pct[:, 0].astype(int)) < MIN_PCT1))
+    reason = reason.mask((reason == "") & lang_bad, "lang_filter")
+    reason = reason.mask((reason == "") & pd.Series(gibberish),
+                         "perplexity")
+    reason = reason.mask((reason == "") & sc["has_toxicity"], "toxicity")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from cld2_ray.functions.hints import page_hints
-        texts = batch["extracted_text"].to_pylist()
-        urls = batch["url"].to_pylist()
-        htmls = batch["html"].to_pylist()
-        vp = batch["valid_prefix"].to_numpy(zero_copy_only=False)
-        n = len(texts)
-        lang1 = ["un"] * n
-        lang2 = ["un"] * n
-        lang3 = ["un"] * n
-        pct = np.zeros((n, 3), dtype=np.int8)
-        nscore1 = np.zeros(n, dtype=np.float32)
-        reliable = np.zeros(n, dtype=bool)
-        text_bytes = np.zeros(n, dtype=np.int32)
-        summary = ["un"] * n
-        # One hint scan per page: priors feed detection, declared
-        # languages protect the boilerplate summary flip, and
-        # declared/TLD provide the metadata fallback for zero-signal
-        # pages (all per-page metadata — see calc_summary_lang and
-        # the fallback loop below). Hints scan only the valid prefix.
-        # cap the valid-prefix slice at the hint scan window so the
-        # slice never copies a whole page body (page_hints reads only
-        # the first MAX_SCAN_BYTES anyway)
-        from cld2_ray.functions.hints import MAX_SCAN_BYTES
-        ph = [page_hints(urls[j] or "",
-                         (htmls[j] or b"")[:min(int(vp[j]),
-                                                MAX_SCAN_BYTES)])
-              for j in range(n)]
-        # detect every row that yielded text — including truncated
-        # bad-UTF-8 pages (the extractor already salvaged the longest
-        # valid prefix; keep/drop still drops them as utf8_invalid, but
-        # the language columns carry the prefix's language).
-        todo = [j for j in range(n) if texts[j]]
-        batch_texts = [texts[j] for j in todo]
-        batch_hints = [[lid for lid, w in ph[j][0] if w > 0]
-                       for j in todo]
-        batch_declared = [frozenset(ph[j][1]) or None for j in todo]
-        if self.with_chunks:
-            # ranges ride along on the SAME scoring pass (results are
-            # bit-identical to the plain call — tested)
-            results, rng_list = self.det.detect_batch(
-                batch_texts, batch_hints, declared_list=batch_declared,
-                with_ranges=True)
-        else:
-            results = self.det.detect_batch(
-                batch_texts, batch_hints, declared_list=batch_declared)
-        for j, r in zip(todo, results):
-            summary[j] = r.summary_code
-            lang1[j] = langs.lang_code(r.language3[0])
-            lang2[j] = langs.lang_code(r.language3[1])
-            lang3[j] = langs.lang_code(r.language3[2])
-            pct[j] = np.clip(r.percent3, 0, 100)
-            nscore1[j] = r.normalized_score3[0]
-            reliable[j] = r.is_reliable
-            text_bytes[j] = min(r.text_bytes, 2**31 - 1)
-        # Metadata fallback: when the content carries no language
-        # signal at all (empty pages, repeated-token junk), attribute
-        # the page's declared language, else the TLD prior's language,
-        # else English — the reference's own plain-DetectLanguage
-        # default (M25, compact_lang_det.h DetectLanguage returns
-        # ENGLISH when nothing is detected). lang_reliable stays
-        # False, so keep/drop is unchanged — this only improves the
-        # attribution column, the standard move in web-corpus
-        # pipelines when content signal is absent.
-        for j in range(n):
-            if summary[j] == "un" and not reliable[j]:
-                _, dec, tld = ph[j]
-                fb = dec[0] if dec else tld
-                summary[j] = langs.lang_code(fb) if fb else "en"
-        for name, arr in [
-            ("lang_summary", pa.array(summary)),
-            ("lang1", pa.array(lang1)), ("lang2", pa.array(lang2)),
-            ("lang3", pa.array(lang3)),
-            ("pct1", pa.array(pct[:, 0])), ("pct2", pa.array(pct[:, 1])),
-            ("pct3", pa.array(pct[:, 2])),
-            ("nscore1", pa.array(nscore1)),
-            ("lang_reliable", pa.array(reliable)),
-            ("text_bytes", pa.array(text_bytes)),
-        ]:
-            batch = batch.append_column(name, arr)
-        if self.with_chunks:
-            ok = batch["utf8_valid"].to_numpy(zero_copy_only=False)
-            batch = batch.append_column(
-                "chunks", _compose_chunks(htmls, vp, ok, todo,
-                                          rng_list))
-        return batch
-
-
-class QualityScrubStage:
-    """Actor-pool stage: Gopher/C4 rules + fastText-style aux langid +
-    char-LM perplexity + PII/toxicity scrub. Arrow in, Arrow out — the
-    block never round-trips through a pandas block format (the string
-    payloads would be pickled into the object store); only the columns
-    the string kernels need are materialized as Series."""
-
-    def __init__(self, allow_langs: frozenset[str] | None = None,
-                 min_pct1: int = 50):
-        from cld2_ray.functions import fastlangid, perplexity
-        fastlangid.weights()          # build once per actor
-        perplexity.models()
-        self.fastlangid = fastlangid
-        self.perplexity = perplexity
-        self.allow = allow_langs      # None = all known languages
-        self.min_pct1 = min_pct1
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from cld2_ray.functions.quality import apply_rules
-        from cld2_ray.functions.scrub import scrub_series
-
-        texts = pd.Series(batch["extracted_text"].to_pylist()).fillna("")
-        summary = pd.Series(batch["lang_summary"].to_pylist())
-        q = apply_rules(texts, summary)
-        s = scrub_series(texts)
-        aux_lang, aux_conf = self.fastlangid.classify_batch(texts.tolist())
-        ppl, gibberish = self.perplexity.score_batch(
-            texts.tolist(), summary.tolist())
-
-        utf8_ok = batch["utf8_valid"].to_numpy(zero_copy_only=False)
-        reliable = batch["lang_reliable"].to_numpy(zero_copy_only=False)
-        pct1 = batch["pct1"].to_numpy(zero_copy_only=False).astype(int)
-
-        reason = q["drop_reason"].copy()
-        reason = reason.mask(pd.Series(~utf8_ok.astype(bool)),
-                             "utf8_invalid")
-        lang_bad = ((summary == "un") | ~reliable.astype(bool)
-                    | pd.Series(pct1 < self.min_pct1))
-        if self.allow is not None:
-            lang_bad |= ~summary.isin(self.allow)
-        reason = reason.mask((reason == "") & lang_bad, "lang_filter")
-        reason = reason.mask((reason == "") & pd.Series(gibberish),
-                             "perplexity")
-        reason = reason.mask((reason == "") & s["has_toxicity"], "toxicity")
-
-        # the raw html payload is no longer needed downstream — dropping
-        # it here halves the block bytes that cross the object store
-        if "html" in batch.column_names:
-            batch = batch.drop_columns(["html"])
-        for col in ("n_words", "n_chars"):
-            batch = batch.append_column(col, pa.array(q[col].to_numpy()))
-        for name, arr in [
-            ("mean_word_len", pa.array(q["mean_word_len"].to_numpy())),
-            ("alpha_ratio", pa.array(q["alpha_ratio"].to_numpy())),
-            ("n_stopwords", pa.array(q["n_stopwords"].to_numpy())),
-            ("n_lines", pa.array(q["n_lines"].to_numpy())),
-            ("dup_line_ratio", pa.array(q["dup_line_ratio"].to_numpy())),
-            ("aux_lang", pa.array(aux_lang)),
-            ("aux_conf", pa.array(np.asarray(aux_conf, dtype=np.float32))),
-            ("ppl", pa.array(np.asarray(ppl, dtype=np.float32))),
-            ("scrubbed_text", pa.array(s["scrubbed_text"].tolist(),
-                                       type=pa.large_string())),
-            ("n_pii", pa.array(s["n_pii"].to_numpy())),
-            ("has_toxicity", pa.array(s["has_toxicity"].to_numpy())),
-            ("drop_reason", pa.array(reason.tolist())),
-            ("keep", pa.array((reason == "").to_numpy())),
-        ]:
-            batch = batch.append_column(name, arr)
-        return batch
+    return pa.table({
+        "url": batch["url"],
+        "warc_ts": batch["warc_ts"],
+        "lang": batch["lang"],
+        "extracted_text": pa.array(texts, type=pa.large_string()),
+        "utf8_valid": pa.array(ok),
+        "lang_summary": pa.array(summary),
+        "lang1": pa.array(lang1), "lang2": pa.array(lang2),
+        "lang3": pa.array(lang3),
+        "pct1": pa.array(pct[:, 0]), "pct2": pa.array(pct[:, 1]),
+        "pct3": pa.array(pct[:, 2]),
+        "nscore1": pa.array(nscore1),
+        "lang_reliable": pa.array(reliable),
+        "text_bytes": pa.array(text_bytes),
+        "n_words": pa.array(q["n_words"].to_numpy()),
+        "n_chars": pa.array(q["n_chars"].to_numpy()),
+        "aux_lang": pa.array(aux_lang),
+        "aux_conf": pa.array(np.asarray(aux_conf, dtype=np.float32)),
+        "ppl": pa.array(np.asarray(ppl, dtype=np.float32)),
+        "scrubbed_text": pa.array(sc["scrubbed_text"].tolist(),
+                                  type=pa.large_string()),
+        "n_pii": pa.array(sc["n_pii"].to_numpy()),
+        "has_toxicity": pa.array(sc["has_toxicity"].to_numpy()),
+        "keep": pa.array((reason == "").to_numpy()),
+        "drop_reason": pa.array(reason.tolist()),
+    } | ({"chunks": _compose_chunks(htmls, valid, ok, todo, rng_list)}
+         if with_chunks else {}))
 
 
 def partial_metrics(df: pd.DataFrame) -> pd.DataFrame:
@@ -275,167 +225,3 @@ def combine_metrics(df: pd.DataFrame) -> pd.DataFrame:
                  n_pii=("n_pii", "sum"))
 
 
-class FusedPipelineStage:
-    """extract + langid + quality/scrub fused into ONE actor pool.
-
-    Beyond removing inter-stage imbalance, the fused kernel
-    materializes each document's text exactly ONCE as a Python string
-    and shares it across extraction, detection, rules, aux models and
-    scrubbing — the modular build crosses the Arrow/pandas boundary
-    per stage, which at web scale is pure memory-bandwidth tax.
-    Row-level results are identical to build() (tested).
-    """
-
-    def __init__(self, allow_langs: frozenset[str] | None = None,
-                 min_pct1: int = 50, with_chunks: bool = False):
-        from cld2_ray.functions import fastlangid, perplexity
-        from cld2_ray.functions.langid import Detector
-        self.det = Detector()
-        fastlangid.weights()
-        perplexity.models()
-        self.fastlangid = fastlangid
-        self.perplexity = perplexity
-        self.allow = allow_langs
-        self.min_pct1 = min_pct1
-        self.with_chunks = with_chunks
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from cld2_ray.functions.hints import page_hints
-        from cld2_ray.functions.quality import apply_rules
-        from cld2_ray.functions.scrub import scrub_series
-
-        htmls = batch["html"].to_pylist()
-        urls = batch["url"].to_pylist()
-        n = len(htmls)
-
-        # 1. extract (text materialized once)
-        texts = [""] * n
-        valid = np.empty(n, dtype=np.int64)
-        ok = np.empty(n, dtype=bool)
-        for j, h in enumerate(htmls):
-            h = h or b""
-            vp = valid_utf8_prefix(h)
-            valid[j] = vp
-            ok[j] = vp == len(h)
-            if vp:
-                texts[j] = extract_text(h[:vp])
-
-        # 2. langid (batch-vectorized) — every row that yielded text,
-        # including the salvaged valid prefix of bad-UTF-8 pages (the
-        # keep/drop gate below still drops those as utf8_invalid)
-        todo = [j for j in range(n) if texts[j]]
-        from cld2_ray.functions.hints import MAX_SCAN_BYTES
-        ph = [page_hints(urls[j] or "",
-                         (htmls[j] or b"")[:min(int(valid[j]),
-                                                MAX_SCAN_BYTES)])
-              for j in range(n)]
-        hints = [[lid for lid, w in ph[j][0] if w > 0] for j in todo]
-        declared = [frozenset(ph[j][1]) or None for j in todo]
-        if self.with_chunks:
-            results, rng_list = self.det.detect_batch(
-                [texts[j] for j in todo], hints,
-                declared_list=declared, with_ranges=True)
-        else:
-            results = self.det.detect_batch(
-                [texts[j] for j in todo], hints,
-                declared_list=declared)
-        lang1 = ["un"] * n
-        lang2 = ["un"] * n
-        lang3 = ["un"] * n
-        summary = ["un"] * n
-        pct = np.zeros((n, 3), dtype=np.int8)
-        nscore1 = np.zeros(n, dtype=np.float32)
-        reliable = np.zeros(n, dtype=bool)
-        text_bytes = np.zeros(n, dtype=np.int32)
-        for j, r in zip(todo, results):
-            summary[j] = r.summary_code
-            lang1[j] = langs.lang_code(r.language3[0])
-            lang2[j] = langs.lang_code(r.language3[1])
-            lang3[j] = langs.lang_code(r.language3[2])
-            pct[j] = np.clip(r.percent3, 0, 100)
-            nscore1[j] = r.normalized_score3[0]
-            reliable[j] = r.is_reliable
-            text_bytes[j] = min(r.text_bytes, 2**31 - 1)
-        # metadata fallback for zero-signal pages (see LangidStage):
-        # declared lang, else TLD prior, else the reference's
-        # DetectLanguage English default (M25)
-        for j in range(n):
-            if summary[j] == "un" and not reliable[j]:
-                _, dec, tld = ph[j]
-                fb = dec[0] if dec else tld
-                summary[j] = langs.lang_code(fb) if fb else "en"
-
-        # 3. quality + scrub + aux models on the SAME strings
-        tser = pd.Series(texts)
-        sser = pd.Series(summary)
-        q = apply_rules(tser, sser)
-        sc = scrub_series(tser)
-        aux_lang, aux_conf = self.fastlangid.classify_batch(texts)
-        ppl, gibberish = self.perplexity.score_batch(texts, summary)
-
-        reason = q["drop_reason"].copy()
-        reason = reason.mask(pd.Series(~ok), "utf8_invalid")
-        lang_bad = (sser == "un") | ~pd.Series(reliable)             | (pd.Series(pct[:, 0].astype(int)) < self.min_pct1)
-        if self.allow is not None:
-            lang_bad |= ~sser.isin(self.allow)
-        reason = reason.mask((reason == "") & lang_bad, "lang_filter")
-        reason = reason.mask((reason == "") & pd.Series(gibberish),
-                             "perplexity")
-        reason = reason.mask((reason == "") & sc["has_toxicity"], "toxicity")
-
-        return pa.table({
-            "url": batch["url"],
-            "warc_ts": batch["warc_ts"],
-            "lang": batch["lang"],
-            "extracted_text": pa.array(texts, type=pa.large_string()),
-            "utf8_valid": pa.array(ok),
-            "lang_summary": pa.array(summary),
-            "lang1": pa.array(lang1), "lang2": pa.array(lang2),
-            "lang3": pa.array(lang3),
-            "pct1": pa.array(pct[:, 0]), "pct2": pa.array(pct[:, 1]),
-            "pct3": pa.array(pct[:, 2]),
-            "nscore1": pa.array(nscore1),
-            "lang_reliable": pa.array(reliable),
-            "text_bytes": pa.array(text_bytes),
-            "n_words": pa.array(q["n_words"].to_numpy()),
-            "n_chars": pa.array(q["n_chars"].to_numpy()),
-            "aux_lang": pa.array(aux_lang),
-            "aux_conf": pa.array(np.asarray(aux_conf, dtype=np.float32)),
-            "ppl": pa.array(np.asarray(ppl, dtype=np.float32)),
-            "scrubbed_text": pa.array(sc["scrubbed_text"].tolist(),
-                                      type=pa.large_string()),
-            "n_pii": pa.array(sc["n_pii"].to_numpy()),
-            "has_toxicity": pa.array(sc["has_toxicity"].to_numpy()),
-            "keep": pa.array((reason == "").to_numpy()),
-            "drop_reason": pa.array(reason.tolist()),
-        } | ({"chunks": _compose_chunks(htmls, valid, ok, todo,
-                                        rng_list)}
-             if self.with_chunks else {}))
-
-
-_FUSED_SINGLETON: "FusedPipelineStage | None" = None
-
-
-def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
-    """Task-form of FusedPipelineStage: identical semantics, but runs
-    as plain Ray tasks with a lazy process-global model cache instead
-    of a fixed actor pool.
-
-    Ray reuses task worker processes across Dataset executions, so the
-    one-time setup (imports, mmap'd table load — see state/mmapcache)
-    is paid once per worker per NODE lifetime, not once per actor per
-    execution, and the stage elastically fills every CPU the scheduler
-    offers rather than a pre-sized pool.  Use the class form when the
-    stage needs per-actor resources (num_cpus>1, GPUs); use this form
-    for the common 1-CPU case."""
-    global _FUSED_SINGLETON
-    if _FUSED_SINGLETON is None:
-        _FUSED_SINGLETON = FusedPipelineStage()
-    # with_chunks only changes per-call output (the model state is
-    # shared), so the flag is applied per batch, not per singleton
-    want = _FUSED_SINGLETON.with_chunks
-    try:
-        _FUSED_SINGLETON.with_chunks = with_chunks
-        return _FUSED_SINGLETON(batch)
-    finally:
-        _FUSED_SINGLETON.with_chunks = want

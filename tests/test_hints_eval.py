@@ -94,7 +94,7 @@ class TestEvaluate:
         from cld2_ray.pipelines import flagship
         from cld2_ray.pipelines.evaluate import evaluate
         from cld2_ray.sources.pages import pages_dataset
-        ann = flagship.build(pages_dataset(100, seed=42))
+        ann = flagship.build_fused(pages_dataset(100, seed=42))
         out = evaluate(ann)
         tot = out[out.lang == "_Totals_Known"].iloc[0]
         assert tot.f1 > 0.75  # junk/bad-utf8 pages depress this by design

@@ -275,7 +275,7 @@ class TestDeclaredAndFallback:
         prior's lang, else the reference's DetectLanguage English
         default (M25), with lang_reliable=False (stages/core.py)."""
         import pyarrow as pa
-        from cld2_ray.stages.core import LangidStage, extract_batch
+        from cld2_ray.stages.core import fused_batch
         junk = " ".join(f"img{i % 9}.jpg" for i in range(300)).encode()
         rows = pa.table({
             "url": ["https://a.example.ru/1",      # TLD fallback
@@ -285,8 +285,10 @@ class TestDeclaredAndFallback:
                      b"<html lang='tr'><body><p>" + junk
                      + b"</p></body></html>",
                      b"<html><body><p>" + junk + b"</p></body></html>"],
+            "warc_ts": [0] * 3,          # passthrough columns
+            "lang": [""] * 3,
         })
-        out = LangidStage()(extract_batch(rows))
+        out = fused_batch(rows)
         assert out["lang_summary"].to_pylist() == ["ru", "tr", "en"]
         assert out["lang_reliable"].to_pylist() == [False, False, False]
 

@@ -1,9 +1,11 @@
-"""End-to-end pipeline tests: Ray pipeline vs single-process oracle
-equality (the keep/drop + byte-identical extracted text invariant),
-metrics, and checkpoint resume."""
+"""End-to-end pipeline tests: the flagship pipeline (flagship.build_fused
+-> stages/core.fused_batch) vs the single-process per-document oracle on
+every computed output column, metrics, checkpoint resume and the opt-in
+chunks column."""
 
 import os
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -31,32 +33,44 @@ def oracle_rows(n):
         ok = vp == len(h)
         text = extract_text(h[:vp]) if vp else ""
         priors, declared, tld = page_hints(p["url"], h[:vp])
+        row = {"url": p["url"], "extracted_text": text, "utf8_valid": ok,
+               "lang_summary": "un", "lang1": "un", "lang2": "un",
+               "lang3": "un", "pct1": 0, "pct2": 0, "pct3": 0,
+               "nscore1": 0.0, "lang_reliable": False, "text_bytes": 0}
         if text:
             r = det.detect(text,
                            hint_langs=[lid for lid, w in priors if w > 0],
                            declared=frozenset(declared) or None)
-            summary = r.summary_code
-            reliable = r.is_reliable
-            pct1 = r.percent3[0]
-        else:
-            summary, reliable, pct1 = "un", False, 0
-        if summary == "un" and not reliable:
+            for k in range(3):
+                row[f"lang{k + 1}"] = langs.lang_code(r.language3[k])
+                row[f"pct{k + 1}"] = min(max(r.percent3[k], 0), 100)
+            row.update(lang_summary=r.summary_code,
+                       nscore1=r.normalized_score3[0],
+                       lang_reliable=r.is_reliable,
+                       text_bytes=min(r.text_bytes, 2**31 - 1))
+        if row["lang_summary"] == "un" and not row["lang_reliable"]:
             fb = declared[0] if declared else tld
-            summary = langs.lang_code(fb) if fb else "en"
-        rows.append({"url": p["url"], "extracted_text": text,
-                     "utf8_valid": ok, "lang_summary": summary,
-                     "lang_reliable": reliable, "pct1": pct1})
+            row["lang_summary"] = langs.lang_code(fb) if fb else "en"
+        (row["aux_lang"],), (row["aux_conf"],) = \
+            fastlangid.classify_batch([text])
+        (row["ppl"],), (row["gibberish"],) = \
+            perplexity.score_batch([text], [row["lang_summary"]])
+        rows.append(row)
     df = pd.DataFrame(rows)
+    for col in ("nscore1", "aux_conf", "ppl"):
+        df[col] = df[col].astype(np.float32)
     q = apply_rules(df.extracted_text, df.lang_summary)
     s = scrub_series(df.extracted_text)
     reason = q.drop_reason.mask(~df.utf8_valid, "utf8_invalid")
     lang_bad = (df.lang_summary == "un") | ~df.lang_reliable | (df.pct1 < 50)
     reason = reason.mask((reason == "") & lang_bad, "lang_filter")
-    ppl, gib = perplexity.score_batch(df.extracted_text.tolist(),
-                                      df.lang_summary.tolist())
-    reason = reason.mask((reason == "") & pd.Series(gib), "perplexity")
+    reason = reason.mask((reason == "") & df.pop("gibberish"), "perplexity")
     reason = reason.mask((reason == "") & s.has_toxicity, "toxicity")
+    df["n_words"] = q.n_words
+    df["n_chars"] = q.n_chars
     df["scrubbed_text"] = s.scrubbed_text
+    df["n_pii"] = s.n_pii
+    df["has_toxicity"] = s.has_toxicity
     df["drop_reason"] = reason
     df["keep"] = reason == ""
     return df
@@ -66,7 +80,8 @@ def oracle_rows(n):
 def pipeline_df(ray_session):
     from cld2_ray.pipelines import flagship
     ds = pages_dataset(N_PAGES, seed=42)
-    return flagship.build(ds).to_pandas().sort_values("url").reset_index(drop=True)
+    return flagship.build_fused(ds).to_pandas().sort_values("url") \
+        .reset_index(drop=True)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +102,24 @@ class TestOracleEquality:
 
     def test_langs_identical(self, pipeline_df, oracle_df):
         assert list(pipeline_df.lang_summary) == list(oracle_df.lang_summary)
+
+    def test_oracle_covers_every_column(self, oracle_df):
+        from cld2_ray.pipelines.flagship import OUT_COLUMNS
+        passthrough = {"url", "warc_ts", "lang"}
+        assert set(oracle_df.columns) == set(OUT_COLUMNS) - passthrough \
+            | {"url"}
+
+    @pytest.mark.parametrize("col", [
+        "utf8_valid", "lang1", "lang2", "lang3", "pct1", "pct2", "pct3",
+        "nscore1", "lang_reliable", "text_bytes", "n_words", "n_chars",
+        "aux_lang", "aux_conf", "ppl", "n_pii", "has_toxicity"])
+    def test_column_identical(self, pipeline_df, oracle_df, col):
+        got, want = pipeline_df[col].to_numpy(), oracle_df[col].to_numpy()
+        if want.dtype.kind == "f":
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            assert list(got) == list(want)
 
 
 class TestPipelineShape:
@@ -117,7 +150,7 @@ class TestPipelineShape:
     def test_metrics_sum_to_total(self, ray_session):
         from cld2_ray.pipelines import flagship
         ds = pages_dataset(60, seed=7)
-        m = flagship.metrics(flagship.build(ds))
+        m = flagship.metrics(flagship.build_fused(ds))
         assert int(m.n_docs.sum()) == 60
 
 
@@ -131,14 +164,14 @@ class TestResume:
         def make_part(pid):
             return pages_dataset(30, seed=100 + pid)
 
-        r1 = cp.run_resumable(make_part, 2, out, flagship.build)
+        r1 = cp.run_resumable(make_part, 2, out, flagship.build_fused)
         assert r1 == {"done": 2, "skipped": 0, "new_rows": 60}
         # second run skips everything
-        r2 = cp.run_resumable(make_part, 2, out, flagship.build)
+        r2 = cp.run_resumable(make_part, 2, out, flagship.build_fused)
         assert r2 == {"done": 0, "skipped": 2, "new_rows": 0}
         # removing one manifest redoes exactly that partition
         os.remove(os.path.join(cp.partition_dir(out, 1), "MANIFEST.json"))
-        r3 = cp.run_resumable(make_part, 2, out, flagship.build)
+        r3 = cp.run_resumable(make_part, 2, out, flagship.build_fused)
         assert r3 == {"done": 1, "skipped": 1, "new_rows": 30}
 
     @pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
@@ -160,18 +193,6 @@ class TestResume:
                 "scripts", "resume_scale.py")],
             env=env, capture_output=True, text=True, timeout=1200)
         assert out.returncode == 0, out.stdout + out.stderr
-
-
-class TestFusedEqualsModular:
-    def test_row_identical(self, ray_session):
-        from cld2_ray.pipelines import flagship
-        a = flagship.build(pages_dataset(80, seed=42)).to_pandas() \
-            .sort_values("url").reset_index(drop=True)
-        b = flagship.build_fused(pages_dataset(80, seed=42)).to_pandas() \
-            .sort_values("url").reset_index(drop=True)
-        assert list(a.columns) == list(b.columns)
-        for col in a.columns:
-            assert list(a[col]) == list(b[col]), f"column {col} differs"
 
 
 class TestChunksColumn:
@@ -212,15 +233,18 @@ class TestChunksColumn:
         from cld2_ray.pipelines.flagship import OUT_COLUMNS
         ds = pages_dataset(8, seed=42)
         assert flagship.build_fused(ds).schema().names == OUT_COLUMNS
-        assert flagship.build(
+        assert flagship.build_fused(
             ds, with_chunks=True).schema().names == OUT_COLUMNS + ["chunks"]
 
-    def test_modular_equals_fused_chunks(self, ray_session):
-        import ray.data as rd
-        from cld2_ray.pipelines import flagship
-        ds = rd.from_items([{"url": "http://x.example/en-fr",
-                             "warc_ts": 0, "lang": "en",
-                             "html": self.HTML}])
-        a = flagship.build(ds, with_chunks=True).take_all()[0]["chunks"]
-        b = flagship.build_fused(ds, with_chunks=True).take_all()[0]["chunks"]
-        assert a == b
+    def test_chunks_only_add_a_column(self):
+        """with_chunks is a per-call flag of the one kernel: it adds the
+        chunks column and changes nothing else, and a later plain call
+        in the same process has no chunks column."""
+        from cld2_ray.sources.pages import page_batch
+        from cld2_ray.stages.core import fused_batch
+        t = page_batch(0, N_PAGES)
+        plain = fused_batch(t)
+        chunked = fused_batch(t, with_chunks=True)
+        assert sum(len(c) > 0 for c in chunked["chunks"].to_pylist()) > 100
+        assert chunked.drop_columns(["chunks"]).equals(plain)
+        assert "chunks" not in fused_batch(t).column_names

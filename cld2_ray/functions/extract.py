@@ -272,8 +272,8 @@ def extract_text(html: bytes, is_plain_text: bool = False) -> str:
 
     Returns the processed text (no artificial leading/trailing span
     framing). Input must be valid UTF-8 — gate with
-    ``valid_utf8_prefix`` first. One C pass when the native kernel is
-    available (bit-equal to the Python path below — tested)."""
+    ``valid_utf8_prefix`` first. One C pass (native.extract_scan;
+    _extract_text_py below is its test oracle)."""
     b = html
     if b.find(b"\r") >= 0:
         b = b.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -281,15 +281,12 @@ def extract_text(html: bytes, is_plain_text: bool = False) -> str:
         out = _WS_RUN.sub(rb"\1", b)
         return out.decode("utf-8")
     from cld2_ray import native
-    if native.AVAILABLE and b:
-        keys, vals, low = _ent_table()
-        return native.extract_scan(b, keys, vals, low).decode("utf-8")
-    return _extract_text_py(b)
+    return native.extract_scan(b, *_ent_table()).decode("utf-8")
 
 
 def _extract_text_py(b: bytes) -> str:
-    """Python fallback + cross-check reference for the C extractor.
-    Input is already \\r-normalized."""
+    """Python extractor: the tests' oracle for the C extractor. Input is
+    already \\r-normalized."""
     n = len(b)
     pieces: list[bytes] = []
     seg = bytearray()

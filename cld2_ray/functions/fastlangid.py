@@ -29,8 +29,7 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 # pipeline (73 floats per distinct gram).  The analogue of the
 # reference's own scan cap (FLAGS_cld_textlimit = 160KB of letters,
 # reference: internal/compact_lang_det_impl.cc:192) at the scale this
-# classifier needs.  Applied before BOTH the native and numpy paths so
-# they stay bit-identical.  r4 re-measured the cap on the 4000-page
+# classifier needs.  r4 re-measured the cap on the 4000-page
 # corpus: 512 agrees with truth SLIGHTLY better than 1024 (0.9639 vs
 # 0.9631 — the tail of a page adds noise, not signal, to a char-ngram
 # model) at 62% of the scoring cost; 256 loses 0.8pt.
@@ -131,16 +130,13 @@ def _train() -> np.ndarray:
     return table
 
 
-def _features_batch(texts: list[str], prelowered: bool = False):
+def _features_batch(texts: list[str]):
     """Batch _features: one concatenated byte buffer, windows crossing
     document boundaries masked out. Per-document feature values AND
     order are identical to _features (2-grams, then 3-, then 4-grams,
     each by position). Returns (feat_bucket int64[], doc_of int64[]).
-    ``prelowered=True`` skips the lowercase pass (caller already did)."""
-    if prelowered:
-        framed = [(" " + t + " ").encode("utf-8") for t in texts]
-    else:
-        framed = [(" " + t.lower() + " ").encode("utf-8") for t in texts]
+    The tests' numpy oracle for native.fastlangid_score's features."""
+    framed = [(" " + t.lower() + " ").encode("utf-8") for t in texts]
     lens = np.array([len(b) for b in framed], dtype=np.int64)
     bounds = np.cumsum(lens)
     cat = b"".join(framed)
@@ -168,9 +164,8 @@ def _features_batch(texts: list[str], prelowered: bool = False):
 
 
 def classify_batch(texts) -> tuple[list[str], list[float]]:
-    """Vectorized batch scoring: one feature pass over the whole batch,
-    per-document accumulation in C (numpy add.at fallback — same
-    accumulation order, same results)."""
+    """Vectorized batch scoring: one C pass hashes every document's
+    features and accumulates its weight rows (native.fastlangid_score)."""
     from cld2_ray import native
     from . import uscript as us
     texts = [_cap_text(t) if t else "" for t in texts]
@@ -211,22 +206,11 @@ def classify_batch(texts) -> tuple[list[str], list[float]]:
 
     w = weights()
     idx = weights.bucket_index  # type: ignore[attr-defined]
-    if native.AVAILABLE:
-        framed = [(" " + lowered[i] + " ").encode("utf-8")
-                  for i in todo]
-        bounds = np.cumsum([len(b) for b in framed]).astype(np.int64)
-        scores, nf, n_rows = native.fastlangid_score(
-            b"".join(framed), bounds, idx, w)
-        has_row = n_rows > 0
-    else:
-        feats, doc_of = _features_batch([lowered[i] for i in todo],
-                                        prelowered=True)
-        nf = np.bincount(doc_of, minlength=len(todo)).astype(np.int64)
-        rows = idx[feats]
-        nz = rows > 0
-        has_row = np.bincount(doc_of[nz], minlength=len(todo)) > 0
-        scores = np.zeros((len(todo), w.shape[1]), dtype=np.float32)
-        np.add.at(scores, doc_of[nz], w[rows[nz]])
+    framed = [(" " + lowered[i] + " ").encode("utf-8") for i in todo]
+    bounds = np.cumsum([len(b) for b in framed]).astype(np.int64)
+    scores, nf, n_rows = native.fastlangid_score(
+        b"".join(framed), bounds, idx, w)
+    has_row = n_rows > 0
     col_langs = weights.col_langs  # type: ignore[attr-defined]
     order = np.argsort(scores, axis=1)
     top = order[:, -1]

@@ -91,6 +91,18 @@ def _bulk_tote_add(totes: list, doc_of_chunk: np.ndarray,
         t.rel[li] = t.rel.get(li, 0) + int(r_sum[j])
 
 
+def _hint_csr(hl_list: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-span hint payloads -> the kernels' CSR form (csr int64[n+1],
+    flat int64[]): span k's payload is flat[csr[k]:csr[k+1]]."""
+    csr = np.zeros(len(hl_list) + 1, dtype=np.int64)
+    flat: list[int] = []
+    for k, hl in enumerate(hl_list):
+        if hl:
+            flat.extend(hl)
+        csr[k + 1] = len(flat)
+    return csr, np.asarray(flat, dtype=np.int64)
+
+
 def _one_range(sp, lid: int):
     """Whole-span (start_char, end_char, lid) numpy triple — the
     single-range form non-MANY spans and hitless MANY spans emit."""
@@ -270,7 +282,6 @@ class Detector:
         if many:
             bufs = [b for _, b, _, _ in many]
             lens = np.array([len(b) for b in bufs], dtype=np.int64)
-            starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
             bounds = np.cumsum(lens)
             cat = b"".join(bufs)
             script_of_span = np.array([sc for _, _, _, sc in many],
@@ -278,36 +289,15 @@ class Detector:
             hl_list = [hl[0 if sc == us.LATIN else 1] if hl else None
                        for _, _, hl, sc in many]
             latin_of_span = script_of_span == us.LATIN
-            script4_of_span = us.LSCRIPT4[script_of_span]
-            if native.AVAILABLE:
-                # fused scan + chunk scoring: per-hit arrays never
-                # materialize (they are ~1 per 2 text bytes and were
-                # the pipeline's dominant memory traffic)
-                hint_csr = np.zeros(len(bufs) + 1, dtype=np.int64)
-                flat: list[int] = []
-                for k, hl in enumerate(hl_list):
-                    if hl:
-                        flat.extend(hl)
-                    hint_csr[k + 1] = len(flat)
-                c = native.quad_octa_chunk_score(
-                    cat, bounds, self.model.quad, self.model.socta,
-                    self.model.docta, self.model.xocta, latin_of_span,
-                    score.CHUNKSIZE_QUADS, self.model.expected_quad,
-                    langs.CLOSE_SET, hint_csr,
-                    np.asarray(flat, dtype=np.int64),
-                    script4_of_span)
-            else:
-                all_vals, all_off, all_dist = self._many_hits(
-                    cat, bounds, latin_of_span)
-                l3, q3 = unpack_langprobs(all_vals)
-                span_of = np.searchsorted(bounds, all_off, side="right")
-                c = score.score_chunks_multi(
-                    l3, q3, all_off, span_of, starts, lens,
-                    np.full(len(bufs), score.CHUNKSIZE_QUADS,
-                            dtype=np.int64),
-                    self.model.expected_quad, hl_list,
-                    distinct_mask=all_dist,
-                    script4_of_span=script4_of_span)
+            # fused scan + chunk scoring: per-hit arrays never
+            # materialize (they are ~1 per 2 text bytes and were the
+            # pipeline's dominant memory traffic)
+            c = native.quad_octa_chunk_score(
+                cat, bounds, self.model.quad, self.model.socta,
+                self.model.docta, self.model.xocta, latin_of_span,
+                score.CHUNKSIZE_QUADS, self.model.expected_quad,
+                langs.CLOSE_SET, *_hint_csr(hl_list),
+                us.LSCRIPT4[script_of_span])
             lang1, cbytes, s1, rel, span_of_chunk = c
             docs_of_span = np.array([di for di, _, _, _ in many])
             doc_of_chunk = docs_of_span[span_of_chunk]
@@ -317,46 +307,12 @@ class Detector:
             hl_list = [hl[1] if hl else None for _, _, hl in cjk]
             lens = np.array([sp.text_bytes for _, sp, _ in cjk],
                             dtype=np.int64)
-            if native.AVAILABLE:
-                bufs = [sp.text_utf8 for _, sp, _ in cjk]
-                blens = np.array([len(b) for b in bufs], dtype=np.int64)
-                bounds = np.cumsum(blens)
-                cat = b"".join(bufs)
-                hint_csr = np.zeros(len(bufs) + 1, dtype=np.int64)
-                flat: list[int] = []
-                for k, hl in enumerate(hl_list):
-                    if hl:
-                        flat.extend(hl)
-                    hint_csr[k + 1] = len(flat)
-                c = native.cjk_chunk_score(
-                    cat, bounds, lens, self.model.uni, self.model.cjkbi,
-                    score.CHUNKSIZE_UNIS, self.model.expected_uni,
-                    langs.CLOSE_SET, hint_csr,
-                    np.asarray(flat, dtype=np.int64))
-            else:
-                keys_parts, pos_parts, span_idx_parts = [], [], []
-                starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-                for k, (di, sp, hl) in enumerate(cjk):
-                    uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
-                    uvals = self.model.uni.lookup(uni)
-                    bvals = self.model.cjkbi.lookup(bi, False)
-                    um, bm = uvals != 0, bvals != 0
-                    av = np.concatenate([uvals[um], bvals[bm]])
-                    ap = np.concatenate([upos[um], bpos[bm]])
-                    o = np.argsort(ap, kind="stable")
-                    keys_parts.append(av[o])
-                    pos_parts.append(ap[o] * 3 + starts[k])
-                    span_idx_parts.append(np.full(len(o), k,
-                                                  dtype=np.int64))
-                all_vals = np.concatenate(keys_parts)
-                all_off = np.concatenate(pos_parts)
-                span_of = np.concatenate(span_idx_parts)
-                l3, q3 = unpack_langprobs(all_vals)
-                c = score.score_chunks_multi(
-                    l3, q3, all_off, span_of, starts, lens,
-                    np.full(len(cjk), score.CHUNKSIZE_UNIS,
-                            dtype=np.int64),
-                    self.model.expected_uni, hl_list)
+            bufs = [sp.text_utf8 for _, sp, _ in cjk]
+            c = native.cjk_chunk_score(
+                b"".join(bufs), np.cumsum([len(b) for b in bufs]), lens,
+                self.model.uni, self.model.cjkbi, score.CHUNKSIZE_UNIS,
+                self.model.expected_uni, langs.CLOSE_SET,
+                *_hint_csr(hl_list))
             lang1, cbytes, s1, rel, span_of_chunk = c
             docs_of_span = np.array([di for di, _, _ in cjk])
             doc_of_chunk = docs_of_span[span_of_chunk]
@@ -372,9 +328,8 @@ class Detector:
         Returns (totes, raw_ranges) where raw_ranges[di] is the doc's
         unmerged [(start_char, end_char, code)] list in span order —
         feed through _merge_ranges. Totes are bit-identical to
-        _fill_totes (native: same kernel family, first-five outputs
-        pinned equal in tests; numpy: the documented span-aware
-        score_chunks identity).
+        _fill_totes (same kernel family, first-five outputs pinned
+        equal in tests).
 
         Documented deviation from the standalone detect_ranges API:
         chunk scoring here sees the same per-span hint priors the
@@ -415,107 +370,36 @@ class Detector:
             hl_list = [hl[0 if sc == us.LATIN else 1] if hl else None
                        for (_, _, sp, hl), sc
                        in zip(many, script_of_span)]
-            latin_of_span = script_of_span == us.LATIN
-            script4_of_span = us.LSCRIPT4[script_of_span]
-            if native.AVAILABLE:
-                hint_csr = np.zeros(len(bufs) + 1, dtype=np.int64)
-                flat: list[int] = []
-                for k, hl in enumerate(hl_list):
-                    if hl:
-                        flat.extend(hl)
-                    hint_csr[k + 1] = len(flat)
-                (lang1, cbytes, s1, rel, span_of_chunk, rel_delta,
-                 cstart) = native.quad_octa_chunk_score_ranges(
-                    cat, bounds, self.model.quad, self.model.socta,
-                    self.model.docta, self.model.xocta, latin_of_span,
-                    score.CHUNKSIZE_QUADS, self.model.expected_quad,
-                    langs.CLOSE_SET, hint_csr,
-                    np.asarray(flat, dtype=np.int64),
-                    script4_of_span)
-                docs_of_span = np.array([di for di, _, _, _ in many])
-                _bulk_tote_add(totes, docs_of_span[span_of_chunk],
-                               lang1, cbytes, s1, rel)
-                for k, (di, pos, sp, _) in enumerate(many):
-                    lo, hi = np.searchsorted(span_of_chunk, [k, k + 1])
-                    if lo == hi:
-                        ranges[di][pos] = _one_range(sp, langs.UNKNOWN)
-                    else:
-                        ranges[di][pos] = self._many_span_ranges(
-                            sp, lang1[lo:hi], rel_delta[lo:hi],
-                            cstart[lo:hi])
-            else:
-                zeros_exp = np.zeros_like(self.model.expected_quad)
-                for k, (di, pos, sp, hl) in enumerate(many):
-                    sb = sp.text_utf8
-                    hp = hl_list[k]
-                    vals, offs, rdist = self._many_hits(
-                        sb, np.array([len(sb)], dtype=np.int64),
-                        np.array([latin_of_span[k]]))
-                    if len(vals) == 0:
-                        ranges[di][pos] = _one_range(sp, langs.UNKNOWN)
-                        continue
-                    l3, q3 = unpack_langprobs(vals)
-                    s4 = int(script4_of_span[k])
-                    c = score.score_chunks(
-                        l3, q3, offs, len(sb), score.CHUNKSIZE_QUADS,
-                        self.model.expected_quad, hp,
-                        distinct_mask=rdist, script4=s4)
-                    totes[di].add_chunks(*c)
-                    lang1, _cb, _s1, rel_d = score.score_chunks(
-                        l3, q3, offs, len(sb), score.CHUNKSIZE_QUADS,
-                        zeros_exp, hp, distinct_mask=rdist,
-                        script4=s4)
-                    bidx = self._sharpen_boundaries(
-                        lang1, l3, q3, score.CHUNKSIZE_QUADS,
-                        len(offs))
+            (lang1, cbytes, s1, rel, span_of_chunk, rel_delta,
+             cstart) = native.quad_octa_chunk_score_ranges(
+                cat, bounds, self.model.quad, self.model.socta,
+                self.model.docta, self.model.xocta,
+                script_of_span == us.LATIN,
+                score.CHUNKSIZE_QUADS, self.model.expected_quad,
+                langs.CLOSE_SET, *_hint_csr(hl_list),
+                us.LSCRIPT4[script_of_span])
+            docs_of_span = np.array([di for di, _, _, _ in many])
+            _bulk_tote_add(totes, docs_of_span[span_of_chunk],
+                           lang1, cbytes, s1, rel)
+            for k, (di, pos, sp, _) in enumerate(many):
+                lo, hi = np.searchsorted(span_of_chunk, [k, k + 1])
+                if lo == hi:
+                    ranges[di][pos] = _one_range(sp, langs.UNKNOWN)
+                else:
                     ranges[di][pos] = self._many_span_ranges(
-                        sp, lang1, rel_d, offs[bidx])
+                        sp, lang1[lo:hi], rel_delta[lo:hi],
+                        cstart[lo:hi])
 
         if cjk:
             hl_list = [hl[1] if hl else None for _, _, _, hl in cjk]
             lens = np.array([sp.text_bytes for _, _, sp, _ in cjk],
                             dtype=np.int64)
-            if native.AVAILABLE:
-                bufs = [sp.text_utf8 for _, _, sp, _ in cjk]
-                blens = np.array([len(b) for b in bufs],
-                                 dtype=np.int64)
-                bounds = np.cumsum(blens)
-                cat = b"".join(bufs)
-                hint_csr = np.zeros(len(bufs) + 1, dtype=np.int64)
-                flat2: list[int] = []
-                for k, hl in enumerate(hl_list):
-                    if hl:
-                        flat2.extend(hl)
-                    hint_csr[k + 1] = len(flat2)
-                c = native.cjk_chunk_score(
-                    cat, bounds, lens, self.model.uni,
-                    self.model.cjkbi, score.CHUNKSIZE_UNIS,
-                    self.model.expected_uni, langs.CLOSE_SET,
-                    hint_csr, np.asarray(flat2, dtype=np.int64))
-            else:
-                keys_parts, pos_parts, span_idx_parts = [], [], []
-                starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-                for k, (_, _, sp, _) in enumerate(cjk):
-                    uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
-                    uvals = self.model.uni.lookup(uni)
-                    bvals = self.model.cjkbi.lookup(bi, False)
-                    um, bm = uvals != 0, bvals != 0
-                    av = np.concatenate([uvals[um], bvals[bm]])
-                    ap = np.concatenate([upos[um], bpos[bm]])
-                    o = np.argsort(ap, kind="stable")
-                    keys_parts.append(av[o])
-                    pos_parts.append(ap[o] * 3 + starts[k])
-                    span_idx_parts.append(np.full(len(o), k,
-                                                  dtype=np.int64))
-                all_vals = np.concatenate(keys_parts)
-                all_off = np.concatenate(pos_parts)
-                span_of = np.concatenate(span_idx_parts)
-                l3, q3 = unpack_langprobs(all_vals)
-                c = score.score_chunks_multi(
-                    l3, q3, all_off, span_of, starts, lens,
-                    np.full(len(cjk), score.CHUNKSIZE_UNIS,
-                            dtype=np.int64),
-                    self.model.expected_uni, hl_list)
+            bufs = [sp.text_utf8 for _, _, sp, _ in cjk]
+            c = native.cjk_chunk_score(
+                b"".join(bufs), np.cumsum([len(b) for b in bufs]), lens,
+                self.model.uni, self.model.cjkbi, score.CHUNKSIZE_UNIS,
+                self.model.expected_uni, langs.CLOSE_SET,
+                *_hint_csr(hl_list))
             lang1, cbytes, s1, rel, span_of_chunk = c
             docs_of_span = np.array([di for di, _, _, _ in cjk])
             _bulk_tote_add(totes, docs_of_span[span_of_chunk],

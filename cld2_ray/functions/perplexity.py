@@ -16,6 +16,7 @@ one hash + two lookups + one log, no per-char Python loop.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
 
@@ -129,46 +130,48 @@ def _train() -> _PplModel:
 
 
 def score(text: str, lang_code: str) -> tuple[float, bool]:
-    """(perplexity under lang's LM, is_gibberish flag)."""
-    m = models()
-    lid = langs.lang_id(lang_code)
-    if lid == langs.UNKNOWN or not np.isfinite(m.thresholds[lid]):
-        return 0.0, False
-    ppl = 2.0 ** m.bits_per_char(text, lid)
-    return float(ppl), bool(ppl > m.thresholds[lid])
+    """(perplexity under lang's LM, is_gibberish flag). Single-doc
+    entry of score_batch (one code path, identical results)."""
+    ppl, flags = score_batch([text], [lang_code])
+    return ppl[0], flags[0]
 
 
 def score_batch(texts, lang_codes) -> tuple[list[float], list[bool]]:
-    """Whole-batch vectorization: one concatenated key array, one table
-    lookup, per-document means via bincount segments. With the C
-    kernel (cld2_ray/native.ppl_score) the whole walk — UTF-8 decode,
-    char hashing, trigram/bigram lookups, log-prob accumulation — is
-    one pass with no intermediate arrays."""
+    """One C pass (native.ppl_score) over the concatenated framed
+    lowered docs: UTF-8 decode, char hashing, trigram/bigram lookups
+    and log-prob accumulation, no intermediate arrays. Docs with no
+    trigram, or whose language has no LM, score (0.0, False)."""
     from cld2_ray import native
     m = models()
     n = len(texts)
-    if native.AVAILABLE:
-        lids = np.full(n, -1, dtype=np.int64)
-        framed = []
-        for i, (t, lc) in enumerate(zip(texts, lang_codes)):
-            lid = langs.lang_id(lc)
-            if lid != langs.UNKNOWN and np.isfinite(m.thresholds[lid]):
-                lids[i] = lid
-                framed.append((" " + (t or "").lower() + " ")
-                              .encode("utf-8"))
-            else:
-                framed.append(b"")
-        bounds = np.cumsum([len(b) for b in framed]).astype(np.int64)
-        bits, cnt = native.ppl_score(b"".join(framed), bounds, lids,
-                                     m.table, m.uni)
-        ok = cnt > 0
-        means = np.where(ok, bits / np.maximum(cnt, 1), 0.0)
-        ppl = np.where(ok, 2.0 ** means, 0.0)
-        thr = np.where((lids >= 0) & np.isfinite(m.thresholds
-                                                 [np.maximum(lids, 0)]),
-                       m.thresholds[np.maximum(lids, 0)], np.inf)
-        flags = (ppl > thr) & ok
-        return [float(x) for x in ppl], [bool(x) for x in flags]
+    lids = np.full(n, -1, dtype=np.int64)
+    framed = []
+    for i, (t, lc) in enumerate(zip(texts, lang_codes)):
+        lid = langs.lang_id(lc)
+        if lid != langs.UNKNOWN and np.isfinite(m.thresholds[lid]):
+            lids[i] = lid
+            framed.append((" " + (t or "").lower() + " ").encode("utf-8"))
+        else:
+            framed.append(b"")
+    bounds = np.cumsum([len(b) for b in framed]).astype(np.int64)
+    bits, cnt = native.ppl_score(b"".join(framed), bounds, lids,
+                                 m.table, m.uni)
+    ok = cnt > 0
+    means = np.where(ok, bits / np.maximum(cnt, 1), 0.0)
+    ppl = np.where(ok, 2.0 ** means, 0.0)
+    thr = np.where((lids >= 0) & np.isfinite(m.thresholds
+                                             [np.maximum(lids, 0)]),
+                   m.thresholds[np.maximum(lids, 0)], np.inf)
+    flags = (ppl > thr) & ok
+    return [float(x) for x in ppl], [bool(x) for x in flags]
+
+
+def _score_batch_numpy(texts, lang_codes) -> tuple[list[float], list[bool]]:
+    """numpy score_batch: one concatenated key array, one table lookup,
+    per-document means via bincount segments. The tests' bit-equality
+    oracle for native.ppl_score."""
+    m = models()
+    n = len(texts)
     doc_tri: list[np.ndarray] = []
     doc_bi: list[np.ndarray] = []
     doc_uni: list[np.ndarray] = []
@@ -195,10 +198,12 @@ def score_batch(texts, lang_codes) -> tuple[list[float], list[bool]]:
     tri = np.concatenate(doc_tri)
     bi = np.concatenate(doc_bi)
     uni_p = np.concatenate(doc_uni)
-    ct = m.table.lookup(tri).astype(np.float64)
-    cb = m.table.lookup(bi).astype(np.float64)
+    ct = m.table.lookup_numpy(tri).astype(np.float64)
+    cb = m.table.lookup_numpy(bi).astype(np.float64)
     p = np.where(cb > 0, (ct + 0.1) / (cb + 0.1 * 64), uni_p * 0.1)
-    bits = -np.log2(p)
+    # libm log2, as the C kernel calls it: numpy's SIMD log2 differs
+    # from it in the last ulp on ~15% of inputs
+    bits = -np.fromiter(map(math.log2, p.tolist()), np.float64, len(p))
     seg_arr = np.asarray(seg)
     doc_of = np.repeat(np.arange(n), seg_arr)
     sums = np.bincount(doc_of, weights=bits, minlength=n)

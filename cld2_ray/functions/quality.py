@@ -7,10 +7,12 @@ bounds, mean word length, symbol/word ratios, bullet/ellipsis line
 ratios, alpha-word ratio, stopword evidence, duplicate-line fractions,
 brace/lorem-ipsum markers.
 
-Everything is computed vectorized per batch (pandas str ops / numpy
-over token counts); each rule has a stable name used as ``drop_reason``
-(first failing rule wins, in the declared order). The same function is
-both the Ray `map_batches` kernel body and the single-process oracle.
+Every document statistic comes from one C pass per batch
+(native.quality_scan) and the rules run on numpy arrays; each rule has
+a stable name used as ``drop_reason`` (first failing rule wins, in the
+declared order). The same function is both the Ray `map_batches` kernel
+body and the single-process oracle. The Arrow/pandas form
+(_apply_rules_arrow) is kept only as the tests' reference for the scan.
 
 Tokenization contract: words = regexp split on whitespace — chosen so
 that every rule below is expressible in DuckDB SQL for the driver's
@@ -20,6 +22,7 @@ oracle comparison (string_split_regex(text, '\\s+')).
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 import numpy as np
 import pandas as pd
@@ -47,11 +50,6 @@ STOPWORDS = (
     "и в не на с что он как по это"
 ).split()
 
-
-
-_TOKEN = re.compile(r"\S+")
-# a token containing at least one Unicode letter ([^\W\d_] with re.UNICODE)
-_ALPHA_TOKEN = re.compile(r"(?<!\S)\S*[^\W\d_]")
 _STOP_WORDS_ALT = "|".join(
     "the of and to in a is that for it with as was on be at by this "
     "le la de et les des un une du en que est pour dans "
@@ -83,9 +81,6 @@ def _stopword_counts_arrow(arr) -> np.ndarray:
     return csum[offsets[1:]] - csum[offsets[:-1]]
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=1)
 def _letter_lut():
     """uint8[0x30000]: 1 where unicodedata category is L* — the \\pL
@@ -105,7 +100,7 @@ def _fold_lut():
     """uint32[0x30000]: fold each codepoint onto its stopword-alphabet
     representative, derived FROM RE2 itself (one anchored `(?i)` match
     per alphabet letter over all codepoints), so the C scan and the
-    Arrow/RE2 fallback agree by construction on the whole fold domain
+    Arrow/RE2 reference agree by construction on the whole fold domain
     — including orbits outside Latin-1/Cyrillic-proper (ſ→s U+017F,
     ᲀ→в U+1C80, ᲂ→о, ᲃ→с, ᲄ/ᲅ→т in Cyrillic Extended-C). Codepoints
     whose orbit has no alphabet member keep identity; they can never
@@ -145,15 +140,11 @@ def _stop_table():
     return tbl
 
 
-def _scan_stats(stripped: pd.Series) -> np.ndarray | None:
-    """(n, 9) int64 [n_words, n_chars, n_ws, alpha_words, n_stop,
-    n_sentences, symbols, has_lorem, has_brace] via ONE C pass over
-    the concatenated stripped texts; None when the native kernel is
-    unavailable (callers then use the Arrow/RE2 kernels — equality
-    between the two paths is pinned by tests)."""
+def _scan_stats(stripped: pd.Series) -> np.ndarray:
+    """(n, 13) int64 stats (see native.quality_scan) via ONE C pass over
+    the concatenated stripped texts. Line stats are invariant to
+    whole-doc strip(): per-line strip + empty-line drop subsume it."""
     from cld2_ray import native
-    if not native.AVAILABLE:
-        return None
     bufs = [t.encode("utf-8") for t in stripped]
     bounds = np.cumsum(np.array([len(b) for b in bufs], dtype=np.int64))
     cat = b"".join(bufs)
@@ -161,39 +152,29 @@ def _scan_stats(stripped: pd.Series) -> np.ndarray | None:
                                _stop_table())
 
 
-def word_stats(texts: pd.Series,
-               _scan: np.ndarray | None = None) -> pd.DataFrame:
-    """Vectorized word-level statistics per document. With the native
-    kernel, everything comes from the single-pass C scan; the fallback
-    runs Arrow compute kernels (C++/RE2 — also what DuckDB uses, which
-    keeps the SQL oracle aligned). The two paths are equal (tested)."""
+def _word_stats_arrow(texts: pd.Series) -> pd.DataFrame:
+    """Word-level statistics per document from Arrow compute kernels
+    (C++/RE2 — also what DuckDB uses). The tests' reference for the
+    word columns of the C scan in apply_rules."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
     stripped = texts.fillna("").str.strip()
-    scan = _scan if _scan is not None else _scan_stats(stripped)
-    if scan is not None:
-        n_words = pd.Series(scan[:, 0], index=texts.index)
-        n_chars = pd.Series(scan[:, 1], index=texts.index)
-        n_ws = pd.Series(scan[:, 2], index=texts.index)
-        alpha_words = pd.Series(scan[:, 3], index=texts.index)
-        n_stop = pd.Series(scan[:, 4], index=texts.index)
-    else:
-        import pyarrow as pa
-        import pyarrow.compute as pc
-        arr = pa.Array.from_pandas(stripped)
-        n_words = pd.Series(
-            pc.count_substring_regex(arr, r"\S+")
-            .to_numpy(zero_copy_only=False),
-            index=texts.index).astype(np.int64)
-        n_chars = pd.Series(
-            pc.utf8_length(arr).to_numpy(zero_copy_only=False),
-            index=texts.index).astype(np.int64)
-        n_ws = pd.Series(
-            pc.count_substring_regex(arr, r"\s")
-            .to_numpy(zero_copy_only=False),
-            index=texts.index).astype(np.int64)
-        alpha_words = pd.Series(
-            pc.count_substring_regex(arr, r"(^|\s)\S*\pL")
-            .to_numpy(zero_copy_only=False), index=texts.index)
-        n_stop = pd.Series(_stopword_counts_arrow(arr), index=texts.index)
+    arr = pa.Array.from_pandas(stripped)
+    n_words = pd.Series(
+        pc.count_substring_regex(arr, r"\S+")
+        .to_numpy(zero_copy_only=False),
+        index=texts.index).astype(np.int64)
+    n_chars = pd.Series(
+        pc.utf8_length(arr).to_numpy(zero_copy_only=False),
+        index=texts.index).astype(np.int64)
+    n_ws = pd.Series(
+        pc.count_substring_regex(arr, r"\s")
+        .to_numpy(zero_copy_only=False),
+        index=texts.index).astype(np.int64)
+    alpha_words = pd.Series(
+        pc.count_substring_regex(arr, r"(^|\s)\S*\pL")
+        .to_numpy(zero_copy_only=False), index=texts.index)
+    n_stop = pd.Series(_stopword_counts_arrow(arr), index=texts.index)
     word_chars = n_chars - n_ws
     mean_wl = (word_chars / n_words.replace(0, np.nan)).fillna(0.0)
     return pd.DataFrame({
@@ -205,24 +186,9 @@ def word_stats(texts: pd.Series,
     })
 
 
-def line_stats(texts: pd.Series,
-               _scan: np.ndarray | None = None) -> pd.DataFrame:
-    """Per-document line statistics. The native path reads them from
-    the same single C pass as word_stats (scan cols 9-12); the pandas
-    path below is the semantic pin (tested equal). Line stats are
-    invariant to whole-doc strip(), so the stripped scan input is fine:
-    per-line strip + empty-line drop subsume the outer strip."""
-    scan = _scan
-    if scan is None:
-        scan = _scan_stats(texts.fillna("").str.strip())
-    if scan is not None:
-        n_lines = np.maximum(scan[:, 9], 1)
-        return pd.DataFrame({
-            "n_lines": n_lines,
-            "bullet_ratio": scan[:, 10] / n_lines,
-            "ellipsis_ratio": scan[:, 11] / n_lines,
-            "dup_line_ratio": scan[:, 12] / n_lines,
-        }, index=texts.index)
+def _line_stats_pandas(texts: pd.Series) -> pd.DataFrame:
+    """Per-document line statistics in pandas: the semantic pin and
+    the tests' reference for the line columns of the C scan."""
     lines = texts.fillna("").str.split("\n")
     lines = lines.map(lambda ls: [l.strip() for l in ls if l.strip()])
     n_lines = lines.map(len).replace(0, 1)
@@ -239,9 +205,6 @@ def line_stats(texts: pd.Series,
     })
 
 
-_SENT_END = re.compile(r"[.!?。！？]")
-
-
 # languages written without inter-word spaces: word-shape rules do not
 # apply; word count is approximated by character count
 SPACELESS_LANGS = frozenset(["zh", "zh-Hant", "ja", "th", "km", "lo", "my"])
@@ -253,12 +216,20 @@ SPACELESS_LANGS = frozenset(["zh", "zh-Hant", "ja", "th", "km", "lo", "my"])
 STOPWORD_LANGS = frozenset(["en", "fr", "de", "es", "pt", "ru"])
 
 
-def _apply_rules_scan(t: pd.Series, scan: np.ndarray,
-                      lang_codes: pd.Series | None) -> pd.DataFrame:
-    """apply_rules fast path: every stat already sits in the single C
-    scan, so the rule cascade runs on plain numpy arrays (the pandas
-    Series/mask machinery was ~70% of apply_rules' wall time). Output
-    is equal to the pandas path — pinned by tests/test_native.py."""
+def apply_rules(texts: pd.Series,
+                lang_codes: pd.Series | None = None) -> pd.DataFrame:
+    """Returns keep: bool, drop_reason: str ('' if kept) + the stats.
+
+    Rule order is the drop_reason priority order (first failure wins).
+    ``lang_codes`` (optional, aligned) marks spaceless-script documents,
+    whose word-shape rules are evaluated on characters instead.
+
+    Every stat comes from the single C scan, so the rule cascade runs on
+    plain numpy arrays (the pandas Series/mask machinery was ~70% of
+    the time). Output equals _apply_rules_arrow, pinned by
+    tests/test_native.py."""
+    t = texts.fillna("")
+    scan = _scan_stats(t.str.strip())
     n = len(t)
     n_words = scan[:, 0]
     n_chars = scan[:, 1]
@@ -322,20 +293,15 @@ def _apply_rules_scan(t: pd.Series, scan: np.ndarray,
         "drop_reason": reason}, index=t.index)
 
 
-def apply_rules(texts: pd.Series,
-                lang_codes: pd.Series | None = None) -> pd.DataFrame:
-    """Returns keep: bool, drop_reason: str ('' if kept) + the stats.
-
-    Rule order is the drop_reason priority order (first failure wins).
-    ``lang_codes`` (optional, aligned) marks spaceless-script documents,
-    whose word-shape rules are evaluated on characters instead.
-    """
+def _apply_rules_arrow(texts: pd.Series,
+                       lang_codes: pd.Series | None = None) -> pd.DataFrame:
+    """apply_rules from Arrow/RE2 kernels and pandas masks: the tests'
+    reference for the C scan and the numpy rule cascade."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
     t = texts.fillna("")
-    scan = _scan_stats(t.str.strip())
-    if scan is not None:
-        return _apply_rules_scan(t, scan, lang_codes)
-    ws = word_stats(texts, _scan=scan)
-    ls = line_stats(texts, _scan=scan)
+    ws = _word_stats_arrow(texts)
+    ls = _line_stats_pandas(texts)
     if lang_codes is not None:
         lc = lang_codes.reset_index(drop=True)
         lc.index = t.index
@@ -348,31 +314,23 @@ def apply_rules(texts: pd.Series,
     # effective word count: chars/2.5 for spaceless scripts
     eff_words = ws.n_words.mask(spaceless,
                                 (ws.n_chars / 2.5).astype(np.int64))
-    if scan is not None:
-        n_sentences = pd.Series(scan[:, 5], index=t.index)
-        symbols = pd.Series(scan[:, 6], index=t.index)
-        has_lorem = pd.Series(scan[:, 7] != 0, index=t.index)
-        has_brace = pd.Series(scan[:, 8] != 0, index=t.index)
-    else:
-        import pyarrow as pa
-        import pyarrow.compute as pc
-        arr = pa.Array.from_pandas(t)
+    arr = pa.Array.from_pandas(t)
 
-        def _count(pattern, regex=False):
-            f = pc.count_substring_regex if regex else pc.count_substring
-            return pd.Series(f(arr, pattern).to_numpy(zero_copy_only=False),
-                             index=t.index).astype(np.int64)
+    def _count(pattern, regex=False):
+        f = pc.count_substring_regex if regex else pc.count_substring
+        return pd.Series(f(arr, pattern).to_numpy(zero_copy_only=False),
+                         index=t.index).astype(np.int64)
 
-        n_sentences = _count("[.!?。！？]", regex=True)
-        symbols = _count("#") + _count(r"\.\.\.", regex=True) + _count("…")
-        # lowercase, then match exactly: ignore_case=True folds fully
-        # ('lorem ipſum' would match), unlike lower() and the C scan
-        has_lorem = pd.Series(
-            pc.match_substring(pc.utf8_lower(arr), "lorem ipsum")
-            .to_numpy(zero_copy_only=False), index=t.index)
-        has_brace = pd.Series(
-            pc.match_substring(arr, "{").to_numpy(zero_copy_only=False),
-            index=t.index)
+    n_sentences = _count("[.!?。！？]", regex=True)
+    symbols = _count("#") + _count(r"\.\.\.", regex=True) + _count("…")
+    # lowercase, then match exactly: ignore_case=True folds fully
+    # ('lorem ipſum' would match), unlike lower() and the C scan
+    has_lorem = pd.Series(
+        pc.match_substring(pc.utf8_lower(arr), "lorem ipsum")
+        .to_numpy(zero_copy_only=False), index=t.index)
+    has_brace = pd.Series(
+        pc.match_substring(arr, "{").to_numpy(zero_copy_only=False),
+        index=t.index)
 
     rules = [
         ("too_few_words", eff_words < MIN_WORDS),

@@ -9,9 +9,9 @@ CheapSqueezeInplace, :952-971 CheapSqueezeTriggerTest; constants
 Runtime path: the Repeats retry drops predicted words from every span
 of a batch with ONE native call (``remove_repeated_words_batch`` ->
 quadscan.c ``rep_words_multi``), and the squeeze family runs the
-native per-char ``predict_mask``. The numpy code here is the fallback
-when the C kernel is missing and the bit-equality oracle of
-tests/test_native.py.
+native per-char ``predict_mask``. ``_predicted_bytes_mask_numpy`` and
+``remove_repeated_words`` are numpy oracles: tests/test_native.py checks
+the two C kernels against them bit for bit.
 
 Word rule (CheapRepWords): a word is a space plus the non-space chars
 up to the next space; a span's first word may have no space. It is
@@ -68,9 +68,13 @@ def predicted_bytes_mask(text: str) -> tuple[np.ndarray, np.ndarray]:
     """(mask of chars predicted by the 12-bit context hash, byte length
     per char). mask[i] True == the reference's ``c == tbl[hash]`` hit."""
     from cld2_ray import native
-    if native.AVAILABLE:
-        mask, nb = native.predict_mask(text.encode("utf-8"))
-        return mask, nb.astype(np.int64)
+    mask, nb = native.predict_mask(text.encode("utf-8"))
+    return mask, nb.astype(np.int64)
+
+
+def _predicted_bytes_mask_numpy(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """numpy predicted_bytes_mask (the pandas groupby form described in
+    the module docstring): the tests' oracle for native.predict_mask."""
     v, nbytes = _char_values(text)
     if len(v) == 0:
         return np.zeros(0, dtype=bool), nbytes
@@ -91,26 +95,6 @@ def count_predicted_bytes(text: str) -> int:
     return int(nbytes[mask].sum())
 
 
-def _count_predicted_short(text: str) -> int:
-    """Plain-Python predictor for short probes (a 256-char probe runs
-    ~10x faster here than through the pandas groupby machinery)."""
-    tbl: dict[int, int] = {}
-    h = 0
-    count = 0
-    for ch in text:
-        cp = ord(ch)
-        nb = 1 + (cp >= 0x80) + (cp >= 0x800) + (cp >= 0x10000)
-        if nb == 1:
-            c = cp
-        else:
-            c = int.from_bytes(ch.encode("utf-8"), "big")
-        if tbl.get(h) == c:
-            count += nb
-        tbl[h] = c
-        h = ((h << 4) ^ c) & 0xFFF
-    return count
-
-
 def squeeze_trigger(text: str) -> bool:
     """CheapSqueezeTriggerTest (impl.cc:952-971): look at the first 256
     bytes; trigger if >=25% spaces or >=67% predicted bytes."""
@@ -121,20 +105,15 @@ def squeeze_trigger(text: str) -> bool:
     n_sp = probe.count(" ")
     if n_sp * 100 >= SPACES_TRIGGER_PERCENT * n:
         return True
-    from cld2_ray import native
-    if native.AVAILABLE:
-        mask, nb = native.predict_mask(probe.encode("utf-8"))
-        pred = int(nb[mask].sum())
-    else:
-        pred = _count_predicted_short(probe)
-    return pred * 100 >= PREDICT_TRIGGER_PERCENT * n
+    return count_predicted_bytes(probe) * 100 >= PREDICT_TRIGGER_PERCENT * n
 
 
 def remove_repeated_words(span_text: str) -> str:
     """CheapRepWordsInplace (impl.cc:610-692): drop words whose bytes
     are more than half predicted. Operates on a space-framed span,
-    returns a space-framed span."""
-    mask, nbytes = predicted_bytes_mask(span_text)
+    returns a space-framed span. Pure numpy: the tests' oracle for
+    native.rep_words_multi (the runtime's remove_repeated_words_batch)."""
+    mask, nbytes = _predicted_bytes_mask_numpy(span_text)
     if len(mask) == 0:
         return span_text
     cps = np.frombuffer(span_text.encode("utf-32-le"), dtype="<u4")
@@ -164,9 +143,6 @@ def remove_repeated_words_batch(spans_utf8: list[bytes]) -> list[bytes]:
     one native pass over their concatenation (the predictor restarts
     per span). Bit-equal to the per-span function."""
     from cld2_ray import native
-    if not native.AVAILABLE:
-        return [remove_repeated_words(b.decode("utf-8")).encode("utf-8")
-                for b in spans_utf8]
     bounds = np.cumsum([len(b) for b in spans_utf8], dtype=np.int64)
     out, out_bounds = native.rep_words_multi(b"".join(spans_utf8), bounds)
     starts = [0, *out_bounds[:-1].tolist()]

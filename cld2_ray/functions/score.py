@@ -240,6 +240,9 @@ def score_chunks_multi(lang3: np.ndarray, qprob3: np.ndarray,
     expected_1kb: int32[NUM_LANGS] or int32[NUM_LANGS, 4]; in the 2-D
     (kAvgDeltaOctaScore) layout each chunk reads its span's LScript4
     slot from ``script4_of_span`` (slot 3 when omitted).
+
+    The tests' numpy oracle for native.quad_octa_chunk_score and
+    native.cjk_chunk_score, which run this chain in the runtime.
     """
     nspans = len(span_lens)
     nh = len(offsets)

@@ -115,32 +115,38 @@ def _absorb_single_foreign(letter_sc: np.ndarray,
     return eff
 
 
+def _spans_of_meta(meta: np.ndarray, out_buf: np.ndarray,
+                   lt_idx: np.ndarray) -> list[ScriptSpan]:
+    """ScriptSpans from the C segmenter's meta rows (see
+    native.script_spans_scan)."""
+    out: list[ScriptSpan] = []
+    for r in range(meta.shape[0]):
+        sc_id, c0, c1, os_, ob, lp0, lp1 = (int(x) for x in meta[r])
+        out.append(ScriptSpan(
+            text_utf8=bytes(out_buf[os_:os_ + ob]),
+            script=sc_id, offset=c0, text_bytes=ob,
+            end_offset=c1,
+            letter_pos=lt_idx[lp0:lp1],
+        ))
+    return out
+
+
 def script_spans(text: str, text_limit: int = TEXT_LIMIT) -> list[ScriptSpan]:
-    """Split extracted text into same-script letter spans. One C pass
-    when the native kernel is available (bit-equal to the numpy path
-    below — cross-checked in tests)."""
+    """Split extracted text into same-script letter spans in one C pass
+    (native.script_spans_scan; _script_spans_numpy is its test oracle)."""
     from cld2_ray import native
-    if native.AVAILABLE and text:
-        meta, out_buf, lt_idx = native.script_spans_scan(
-            text.encode("utf-8"), us.script_lut(), us.lower_lut(),
-            text_limit, MAX_SCRIPT_BYTES)
-        # the native lt_idx is a REUSED scratch buffer (overwritten by
-        # the next scan call): bulk-copy the used prefix once so every
-        # span's letter_pos views private memory. One memcpy per call
-        # vs the per-span slice copies this replaced (~5% of
-        # detect_batch on span-dense batches).
-        lt_idx = lt_idx[:int(meta[:, 6].max()) if len(meta) else 0].copy()
-        out: list[ScriptSpan] = []
-        for r in range(meta.shape[0]):
-            sc_id, c0, c1, os_, ob, lp0, lp1 = (int(x) for x in meta[r])
-            out.append(ScriptSpan(
-                text_utf8=bytes(out_buf[os_:os_ + ob]),
-                script=sc_id, offset=c0, text_bytes=ob,
-                end_offset=c1,
-                letter_pos=lt_idx[lp0:lp1],
-            ))
-        return out
-    return _script_spans_numpy(text, text_limit)
+    if not text:
+        return []
+    meta, out_buf, lt_idx = native.script_spans_scan(
+        text.encode("utf-8"), us.script_lut(), us.lower_lut(),
+        text_limit, MAX_SCRIPT_BYTES)
+    # the native lt_idx is a REUSED scratch buffer (overwritten by the
+    # next scan call): bulk-copy the used prefix once so every span's
+    # letter_pos views private memory. One memcpy per call vs the
+    # per-span slice copies this replaced (~5% of detect_batch on
+    # span-dense batches).
+    lt_idx = lt_idx[:int(meta[:, 6].max()) if len(meta) else 0].copy()
+    return _spans_of_meta(meta, out_buf, lt_idx)
 
 
 def script_spans_batch(texts: list[str],
@@ -150,40 +156,22 @@ def script_spans_batch(texts: list[str],
     ctypes marshaling was ~15% of the fused stage). Bit-equal to
     [script_spans(t) for t in texts] — cross-checked in tests."""
     from cld2_ray import native
-    if not native.AVAILABLE:
-        return [script_spans(t, text_limit) for t in texts]
     bufs = [t.encode("utf-8") for t in texts]
     bounds = np.cumsum(np.array([len(b) for b in bufs], dtype=np.int64))
     cat = b"".join(bufs)
     meta, ns_doc, out_buf, lt_idx = native.script_spans_scan_multi(
         cat, bounds, us.script_lut(), us.lower_lut(),
         text_limit, MAX_SCRIPT_BYTES)
-    # the native lt_idx is a REUSED scratch buffer (overwritten by the
-    # next scan call): bulk-copy the used prefix once so every span's
-    # letter_pos views private memory — keeps the bit-equal contract
-    # above while avoiding the per-span slice copies this replaced
-    # (~5% of detect_batch on span-dense batches)
+    # private copy of the reused lt_idx scratch, as in script_spans
     lt_idx = lt_idx[:int(meta[:, 6].max()) if len(meta) else 0].copy()
-    out: list[list[ScriptSpan]] = []
-    row = 0
-    for d in range(len(texts)):
-        spans_d: list[ScriptSpan] = []
-        for r in range(row, row + int(ns_doc[d])):
-            sc_id, c0, c1, os_, ob, lp0, lp1 = (int(x) for x in meta[r])
-            spans_d.append(ScriptSpan(
-                text_utf8=bytes(out_buf[os_:os_ + ob]),
-                script=sc_id, offset=c0, text_bytes=ob,
-                end_offset=c1,
-                letter_pos=lt_idx[lp0:lp1],
-            ))
-        row += int(ns_doc[d])
-        out.append(spans_d)
-    return out
+    ends = np.cumsum(ns_doc).tolist()
+    return [_spans_of_meta(meta[a:b], out_buf, lt_idx)
+            for a, b in zip([0, *ends[:-1]], ends)]
 
 
 def _script_spans_numpy(text: str,
                         text_limit: int = TEXT_LIMIT) -> list[ScriptSpan]:
-    """Numpy fallback + cross-check reference for the C segmenter."""
+    """numpy segmenter: the tests' oracle for the C segmenter."""
     cps = us.codepoints(text)
     if cps.size == 0:
         return []

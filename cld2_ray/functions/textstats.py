@@ -12,7 +12,6 @@ DuckDB-SQL equivalent for the driver's oracle comparison:
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 import numpy as np
@@ -51,42 +50,21 @@ def count_tokens(texts: pd.Series) -> pd.DataFrame:
 
 
 def fingerprint(texts: pd.Series) -> pd.Series:
-    """Stable content fingerprint (md5 hex) per document. One
-    GIL-released C pass per batch (native.md5_batch) with a
-    bit-identical hashlib fallback."""
+    """Stable content fingerprint (md5 hex) per document: one
+    GIL-released C pass per batch (native.md5_batch)."""
     from cld2_ray import native
     t = texts.fillna("")
-    if native.AVAILABLE and len(t):
-        data, offs = native.utf8_cat(t.tolist())
-        hx = np.asarray(native.hex_digest(native.md5_batch(data, offs)))
-        return pd.Series(hx.astype("U32"), index=t.index)
-    return t.map(lambda s: hashlib.md5(s.encode("utf-8")).hexdigest())
+    data, offs = native.utf8_cat(t.tolist())
+    hx = np.asarray(native.hex_digest(native.md5_batch(data, offs)))
+    return pd.Series(hx.astype("U32"), index=t.index)
 
 
-def token_hashes(toks: list[str], memo: dict | None = None) -> np.ndarray:
-    """Per-token 64-bit blake2b hashes: one C pass over the whole
-    token list when the native kernel is available (bit-identical —
-    LE uint64 of the 8-byte digest), else a hashlib loop optionally
-    memoized across calls (corpus vocabularies are tiny relative to
-    token occurrences, so with a per-worker memo nearly every lookup
-    is a dict hit)."""
+def token_hashes(toks: list[str]) -> np.ndarray:
+    """Per-token 64-bit blake2b hashes (LE uint64 of the 8-byte
+    digest): one C pass over the whole token list."""
     from cld2_ray import native
-    if native.AVAILABLE:
-        data, offs = native.utf8_cat(toks)
-        return native.blake2b_batch(data, offs, 8).view(np.uint64) \
-            .ravel()
-    out = np.empty(len(toks), dtype=np.uint64)
-    if memo is None:
-        memo = {}
-    for i, t in enumerate(toks):
-        h = memo.get(t)
-        if h is None:
-            h = int.from_bytes(
-                hashlib.blake2b(t.encode(), digest_size=8).digest(),
-                "little")
-            memo[t] = h
-        out[i] = h
-    return out
+    data, offs = native.utf8_cat(toks)
+    return native.blake2b_batch(data, offs, 8).view(np.uint64).ravel()
 
 
 def shingle_hashes(tok_hashes: np.ndarray, window: int) -> np.ndarray:

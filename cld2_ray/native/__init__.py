@@ -1,14 +1,13 @@
-"""ctypes shim for the C hot-loop kernel (quadscan.c).
+"""ctypes shim for the C hot-loop kernels (quadscan.c).
 
 Compiles the kernel on first import (cached ``quadscan.so`` next to the
-source, atomic rename so concurrent Ray actors race safely) and exposes
-``quad_octa_scan``. If no compiler is available the module degrades to
-``AVAILABLE = False`` and callers use the bit-equal numpy path
-(cld2_ray/functions/hits.py) — the tests cross-check the two.
+source, atomic rename so concurrent Ray workers race safely). The
+kernel is required: if ``cc`` fails or the library does not load, the
+import raises ``ImportError`` carrying the compiler's stderr. Every hot
+kernel has this one runtime implementation; the tests check each entry
+point against an independent numpy/hashlib oracle.
 
-The C call releases the GIL (plain ctypes), so actor-pool threads
-overlap fully.
-"""
+The C call releases the GIL (plain ctypes), so threads overlap fully."""
 
 from __future__ import annotations
 
@@ -43,57 +42,45 @@ _DIR = os.path.dirname(__file__)
 _SRC = os.path.join(_DIR, "quadscan.c")
 _SO = os.path.join(_DIR, "quadscan.so")
 
-AVAILABLE = False
-_FN = None
-_LK = None
-_ACC = None
-_PM = None
-_RW = None
-_PP = None
-_CS = None
-_CJ = None
-_QS = None
-_SS = None
-_SSM = None
-_EX = None
-_MD5 = None
-_MDW = None
-_B2B = None
-_CSR = None
-_EXM = None
+# The kernel is required: importing this module either loads it or
+# raises ImportError. The constant stays for callers that report it.
+AVAILABLE = True
 
 
-def _compile() -> str | None:
-    try:
-        if (os.path.exists(_SO)
-                and os.path.getmtime(_SO) >= os.path.getmtime(_SRC)):
-            return _SO
-        tmp = f"{_SO}.tmp.{os.getpid()}"
-        # -O3 autovectorizes the elementwise float loops (fastlangid's
-        # 73-wide weight-row accumulation is ~90% of its kernel time as
-        # scalar adds). -ffp-contract=off forbids FMA contraction so
-        # float results stay bit-identical to the numpy fallbacks; -O3
-        # never reassociates float reductions without -ffast-math.
-        subprocess.run(
-            ["cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC",
-             _SRC, "-o", tmp, "-lm"],
-            check=True, capture_output=True, timeout=120)
-        os.replace(tmp, _SO)
+def _compile() -> str:
+    if (os.path.exists(_SO)
+            and os.path.getmtime(_SO) >= os.path.getmtime(_SRC)):
         return _SO
-    except Exception:
-        return None
+    tmp = f"{_SO}.tmp.{os.getpid()}"
+    # -O3 autovectorizes the elementwise float loops (fastlangid's
+    # 73-wide weight-row accumulation is ~90% of its kernel time as
+    # scalar adds). -ffp-contract=off forbids FMA contraction so float
+    # results stay bit-identical to the numpy test oracles; -O3 never
+    # reassociates float reductions without -ffast-math.
+    cmd = ["cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+           _SRC, "-o", tmp, "-lm"]
+    try:
+        subprocess.run(cmd, check=True, capture_output=True, timeout=120)
+    except subprocess.CalledProcessError as e:
+        raise ImportError(
+            f"cld2_ray.native: `{' '.join(cmd)}` failed:\n"
+            f"{e.stderr.decode(errors='replace')}") from e
+    except (OSError, subprocess.TimeoutExpired) as e:
+        raise ImportError(
+            f"cld2_ray.native: cannot run `{' '.join(cmd)}`: {e}") from e
+    os.replace(tmp, _SO)
+    return _SO
 
 
 def _load() -> None:
-    global AVAILABLE, _FN
+    global _FN, _LK, _ACC, _PM, _RW, _PP, _CS, _CSR, _CJ, _QS, _SS, _SSM
+    global _EX, _EXM, _MD5, _MDW, _B2B
     so = _compile()
-    if so is None:
-        return
     try:
         lib = ctypes.CDLL(so)
-    except OSError:
-        return
-    fn = lib.quad_octa_scan
+    except OSError as e:
+        raise ImportError(f"cld2_ray.native: cannot load {so}: {e}") from e
+    _FN = lib.quad_octa_scan
     u8p = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     u64p = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
     i64p = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -104,7 +91,7 @@ def _load() -> None:
     _bt = [u32bp, ctypes.c_int64, ctypes.c_uint32, u64p, u64p]
     u8wp0 = np.ctypeslib.ndpointer(np.uint8,
                                    flags="C_CONTIGUOUS,WRITEABLE")
-    fn.argtypes = [
+    _FN.argtypes = [
         u8p, ctypes.c_int64, i64p, ctypes.c_int64,
         u64p, u64p, ctypes.c_uint64,
         u64p, u64p, ctypes.c_uint64,
@@ -112,33 +99,33 @@ def _load() -> None:
         u64p, i64p, ctypes.POINTER(ctypes.c_int64),
         u64p, i64p, u8wp0, ctypes.POINTER(ctypes.c_int64),
     ]
-    fn.restype = ctypes.c_int
-    lk = lib.table_lookup_batch
-    lk.argtypes = [u64p, u64p, ctypes.c_uint64, u64p, ctypes.c_int64, u64p]
-    lk.restype = ctypes.c_int
+    _FN.restype = ctypes.c_int
+    _LK = lib.table_lookup_batch
+    _LK.argtypes = [u64p, u64p, ctypes.c_uint64, u64p, ctypes.c_int64, u64p]
+    _LK.restype = ctypes.c_int
     i32p = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     f32p = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
-    acc = lib.fastlangid_score
-    acc.argtypes = [u8p, i64p, ctypes.c_int64, i32p, f32p, ctypes.c_int64,
-                    i32p, i32p, f32p, i64p, i64p]
-    acc.restype = ctypes.c_int
+    _ACC = lib.fastlangid_score
+    _ACC.argtypes = [u8p, i64p, ctypes.c_int64, i32p, f32p, ctypes.c_int64,
+                     i32p, i32p, f32p, i64p, i64p]
+    _ACC.restype = ctypes.c_int
     u8op = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
-    pm = lib.predict_mask
-    pm.argtypes = [u8p, ctypes.c_int64, i64p, u8op, u8op]
-    pm.restype = ctypes.c_int64
-    rw = lib.rep_words_multi
-    rw.argtypes = [u8p, i64p, ctypes.c_int64, i64p, u8op, i64p]
-    rw.restype = ctypes.c_int64
+    _PM = lib.predict_mask
+    _PM.argtypes = [u8p, ctypes.c_int64, i64p, u8op, u8op]
+    _PM.restype = ctypes.c_int64
+    _RW = lib.rep_words_multi
+    _RW.argtypes = [u8p, i64p, ctypes.c_int64, i64p, u8op, i64p]
+    _RW.restype = ctypes.c_int64
     f64p = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    pp = lib.ppl_score
-    pp.argtypes = [u8p, i64p, ctypes.c_int64, i64p,
-                   u64p, u64p, ctypes.c_uint64,
-                   f64p, ctypes.c_int64, f64p, i64p]
-    pp.restype = ctypes.c_int
+    _PP = lib.ppl_score
+    _PP.argtypes = [u8p, i64p, ctypes.c_int64, i64p,
+                    u64p, u64p, ctypes.c_uint64,
+                    f64p, ctypes.c_int64, f64p, i64p]
+    _PP.restype = ctypes.c_int
     i16p = np.ctypeslib.ndpointer(np.int16, flags="C_CONTIGUOUS")
     i8p = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
-    cs = lib.quad_octa_chunk_score
-    cs.argtypes = [
+    _CS = lib.quad_octa_chunk_score
+    _CS.argtypes = [
         u8p, ctypes.c_int64, i64p, ctypes.c_int64,
         u64p, u64p, ctypes.c_uint64,
         u64p, u64p, ctypes.c_uint64,
@@ -148,9 +135,9 @@ def _load() -> None:
         u64p, i64p, u64p, i64p, u8wp0, i64p,
         i16p, i64p, i64p, i64p, i64p,
     ]
-    cs.restype = ctypes.c_int64
-    csr_ = lib.quad_octa_chunk_score_ranges
-    csr_.argtypes = [
+    _CS.restype = ctypes.c_int64
+    _CSR = lib.quad_octa_chunk_score_ranges
+    _CSR.argtypes = [
         u8p, ctypes.c_int64, i64p, ctypes.c_int64,
         u64p, u64p, ctypes.c_uint64,
         u64p, u64p, ctypes.c_uint64,
@@ -162,11 +149,9 @@ def _load() -> None:
         i16p, i64p, i64p, i64p, i64p,
         i64p, i64p,
     ]
-    csr_.restype = ctypes.c_int64
-    global _CSR
-    _CSR = csr_
-    cj = lib.cjk_chunk_score
-    cj.argtypes = [
+    _CSR.restype = ctypes.c_int64
+    _CJ = lib.cjk_chunk_score
+    _CJ.argtypes = [
         u8p, ctypes.c_int64, i64p, ctypes.c_int64, i64p,
         u64p, u64p, ctypes.c_uint64,
         u32bp, ctypes.c_int64, ctypes.c_uint32, u64p,
@@ -175,80 +160,51 @@ def _load() -> None:
         u64p, i64p, u64p, i64p, i64p,
         i16p, i64p, i64p, i64p, i64p,
     ]
-    cj.restype = ctypes.c_int64
-    global _CJ
-    _CJ = cj
+    _CJ.restype = ctypes.c_int64
     u32p = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
-    qs = lib.quality_scan
-    qs.argtypes = [u8p, i64p, ctypes.c_int64,
-                   u8p, ctypes.c_int64,
-                   u32p, ctypes.c_int64,
-                   u64p, ctypes.c_int64, i64p]
-    qs.restype = ctypes.c_int
-    global _QS
-    _QS = qs
+    _QS = lib.quality_scan
+    _QS.argtypes = [u8p, i64p, ctypes.c_int64,
+                    u8p, ctypes.c_int64,
+                    u32p, ctypes.c_int64,
+                    u64p, ctypes.c_int64, i64p]
+    _QS.restype = ctypes.c_int
     u8wp = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
-    u32wp = np.ctypeslib.ndpointer(np.uint32,
-                                   flags="C_CONTIGUOUS,WRITEABLE")
     # the two hottest per-PAGE entry points take raw void* pointers:
     # ndpointer.from_param validation costs ~5us/arg/call, which at
     # ~11 array args x 2 calls/page is ~6% of the whole fused kernel
     vp = ctypes.c_void_p
-    ss = lib.script_spans_scan
-    ss.argtypes = [vp, ctypes.c_int64,
-                   vp, vp, ctypes.c_int64,
-                   ctypes.c_int64, ctypes.c_int64,
-                   vp, vp, vp, vp,
-                   vp, vp]
-    ss.restype = ctypes.c_int64
-    global _SS
-    _SS = ss
-    ssm = lib.script_spans_scan_multi
-    ssm.argtypes = [vp, vp, ctypes.c_int64,
+    _SS = lib.script_spans_scan
+    _SS.argtypes = [vp, ctypes.c_int64,
                     vp, vp, ctypes.c_int64,
                     ctypes.c_int64, ctypes.c_int64,
                     vp, vp, vp, vp,
-                    vp, vp, vp]
-    ssm.restype = ctypes.c_int64
-    global _SSM
-    _SSM = ssm
-    ex = lib.extract_scan
-    ex.argtypes = [vp, ctypes.c_int64,
-                   vp, vp, ctypes.c_int64, vp, vp]
-    ex.restype = ctypes.c_int64
-    global _EX
-    _EX = ex
-    exm = lib.extract_scan_map
-    exm.argtypes = [vp, ctypes.c_int64,
-                    vp, vp, ctypes.c_int64, vp, vp, vp]
-    exm.restype = ctypes.c_int64
-    global _EXM
-    _EXM = exm
-    m5 = lib.md5_batch
-    m5.argtypes = [u8p, i64p, ctypes.c_int64, u8wp]
-    m5.restype = ctypes.c_int
-    global _MD5
-    _MD5 = m5
-    mw = lib.md5_windows
-    mw.argtypes = [u8p, i64p, i64p, ctypes.c_int64, ctypes.c_int64,
-                   u8wp]
-    mw.restype = ctypes.c_int64
-    global _MDW
-    _MDW = mw
-    b2 = lib.blake2b_batch
-    b2.argtypes = [u8p, i64p, ctypes.c_int64, ctypes.c_int64, u8wp]
-    b2.restype = ctypes.c_int
-    global _B2B
-    _B2B = b2
-    global _LK, _ACC, _PM, _RW, _PP, _CS
-    _LK = lk
-    _ACC = acc
-    _PM = pm
-    _RW = rw
-    _PP = pp
-    _CS = cs
-    _FN = fn
-    AVAILABLE = True
+                    vp, vp]
+    _SS.restype = ctypes.c_int64
+    _SSM = lib.script_spans_scan_multi
+    _SSM.argtypes = [vp, vp, ctypes.c_int64,
+                     vp, vp, ctypes.c_int64,
+                     ctypes.c_int64, ctypes.c_int64,
+                     vp, vp, vp, vp,
+                     vp, vp, vp]
+    _SSM.restype = ctypes.c_int64
+    _EX = lib.extract_scan
+    _EX.argtypes = [vp, ctypes.c_int64,
+                    vp, vp, ctypes.c_int64, vp, vp]
+    _EX.restype = ctypes.c_int64
+    _EXM = lib.extract_scan_map
+    _EXM.argtypes = [vp, ctypes.c_int64,
+                     vp, vp, ctypes.c_int64, vp, vp, vp]
+    _EXM.restype = ctypes.c_int64
+    _MD5 = lib.md5_batch
+    _MD5.argtypes = [u8p, i64p, ctypes.c_int64, u8wp]
+    _MD5.restype = ctypes.c_int
+    _MDW = lib.md5_windows
+    _MDW.argtypes = [u8p, i64p, i64p, ctypes.c_int64, ctypes.c_int64,
+                     u8wp]
+    _MDW.restype = ctypes.c_int64
+    _B2B = lib.blake2b_batch
+    _B2B.argtypes = [u8p, i64p, ctypes.c_int64, ctypes.c_int64, u8wp]
+    _B2B.restype = ctypes.c_int
 
 
 _load()
@@ -651,7 +607,7 @@ def quality_scan(cat: bytes, bounds: np.ndarray, letter_lut: np.ndarray,
 
 def table_lookup(keys: np.ndarray, vals: np.ndarray, mask: int,
                  queries: np.ndarray) -> np.ndarray:
-    """C probe loop for HashTable.lookup (bit-equal to the numpy path)."""
+    """C probe loop for HashTable.lookup (bit-equal to lookup_numpy)."""
     q = np.ascontiguousarray(queries, dtype=np.uint64)
     out = np.empty(len(q), dtype=np.uint64)
     _LK(keys, vals, int(mask), q, len(q), out)

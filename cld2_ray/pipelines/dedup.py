@@ -40,31 +40,17 @@ from cld2_ray.pipelines.shuffle import exchange_blocks as _exchange_blocks
 _M61 = (1 << 61) - 1
 
 
-def _shingle_hashes(text: str, k: int = 3,
-                    memo: dict | None = None) -> np.ndarray:
-    """Hashes of word k-shingles (uint64): one blake2b per DISTINCT
-    token, then a vectorized positional polynomial mix per window —
-    O(distinct tokens) strong hashes instead of O(shingles), with the
-    windowing itself numpy. Pass a shared ``memo`` dict to amortize
-    token hashing across a whole batch (corpus vocabularies repeat)."""
+def _shingle_hashes(text: str, k: int = 3) -> np.ndarray:
+    """Hashes of word k-shingles (uint64): one C blake2b pass over the
+    tokens (native.blake2b_batch), then a vectorized positional
+    polynomial mix per window — O(tokens) strong hashes instead of
+    O(shingles), with the windowing itself numpy."""
     from cld2_ray import native
     words = text.split()
     if len(words) < k:
         words = words + ["<pad>"] * (k - len(words))
-    if native.AVAILABLE:
-        data, offs = native.utf8_cat(words)
-        th = native.blake2b_batch(data, offs, 8).view(np.uint64).ravel()
-    else:
-        uniq: dict[str, int] = memo if memo is not None else {}
-        th = np.empty(len(words), dtype=np.uint64)
-        for i, w in enumerate(words):
-            h = uniq.get(w)
-            if h is None:
-                h = int.from_bytes(
-                    hashlib.blake2b(w.encode(), digest_size=8).digest(),
-                    "little")
-                uniq[w] = h
-            th[i] = h
+    data, offs = native.utf8_cat(words)
+    th = native.blake2b_batch(data, offs, 8).view(np.uint64).ravel()
     n_sh = len(words) - k + 1
     with np.errstate(over="ignore"):
         out = np.zeros(n_sh, dtype=np.uint64)
@@ -187,26 +173,16 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     def add_hash(df: pd.DataFrame):
         # Arrow block out: the part-keyed shuffle is ~14x slower on
         # pandas blocks. One GIL-released C md5 pass per batch
-        # (native.md5_batch) with the bit-identical hashlib fallback.
+        # (native.md5_batch).
         import pyarrow as _pa
 
         from cld2_ray import native
-        if native.AVAILABLE:
-            data, offs = native.utf8_cat(
-                df[text_col].fillna("").tolist())
-            dig = native.md5_batch(data, offs)
-            md5_col = native.hex_digest_arrow(dig)
-            part = (dig[:, 0] % 64).astype(np.int64)
-        else:
-            md5s = df[text_col].fillna("").map(
-                lambda t: hashlib.md5(t.encode()).hexdigest()) \
-                .to_numpy(dtype=object)
-            md5_col = _pa.array(md5s, _pa.string())
-            part = np.array([int(m[:2], 16) % 64 for m in md5s],
-                            dtype=np.int64)
+        data, offs = native.utf8_cat(df[text_col].fillna("").tolist())
+        dig = native.md5_batch(data, offs)
         return _pa.table({id_col: df[id_col].to_numpy(),
-                          "content_md5": md5_col,
-                          "part": _pa.array(part)})
+                          "content_md5": native.hex_digest_arrow(dig),
+                          "part": _pa.array((dig[:, 0] % 64)
+                                            .astype(np.int64))})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("content_md5", as_index=False).agg(
@@ -227,16 +203,9 @@ _SEG_ENC = 1 << 20  # doc_id * _SEG_ENC + seg encodes (doc_id, seg) ordering
 
 def _md5_digests(strings: list[str]) -> np.ndarray:
     """(n, 16) uint8 md5 digests — one GIL-released C pass
-    (native.md5_batch) with the bit-identical hashlib fallback."""
+    (native.md5_batch)."""
     from cld2_ray import native
-    if native.AVAILABLE:
-        data, offs = native.utf8_cat(strings)
-        return native.md5_batch(data, offs)
-    if not strings:
-        return np.empty((0, 16), dtype=np.uint8)
-    return np.frombuffer(
-        b"".join(hashlib.md5(s.encode()).digest() for s in strings),
-        dtype=np.uint8).reshape(-1, 16).copy()
+    return native.md5_batch(*native.utf8_cat(strings))
 
 
 def segment_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -493,32 +462,9 @@ def _mix_pair(tl: np.ndarray, th: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _win_fast_pair(words: list[str], window: int,
-                   memo: dict) -> np.ndarray:
-    """Structured (a, b) uint64 pair per stride-1 window: one blake2b
-    per DISTINCT token (memoized across a batch), then two vectorized
-    positional polynomial mixes — O(n) numpy per doc. (The batched
-    paths use _win_pairs_batch's C kernel instead; this stays as the
-    no-compiler fallback and parity anchor.)"""
-    if len(words) < window:
-        return np.empty(0, dtype=_WPAIR)
-    tl = np.empty(len(words), dtype=np.uint64)
-    th = np.empty(len(words), dtype=np.uint64)
-    for i, w in enumerate(words):
-        v = memo.get(w)
-        if v is None:
-            d = hashlib.blake2b(w.encode(), digest_size=16).digest()
-            v = (int.from_bytes(d[:8], "little"),
-                 int.from_bytes(d[8:], "little"))
-            memo[w] = v
-        tl[i], th[i] = v
-    return _mix_pair(tl, th, window)
-
-
 def _win_pairs_batch(texts, window: int, fast: bool) -> list[np.ndarray]:
     """Per-text _WPAIR window keys for a whole batch in (at most) one
-    GIL-released C hash pass (native.blake2b_batch / md5_windows;
-    hashlib fallbacks are bit-identical — tested).
+    GIL-released C hash pass (native.blake2b_batch / md5_windows).
 
     fast=True: keys are two independent polynomial mixes over the two
     halves of blake2b-128 token hashes (O(tokens) hashing).
@@ -530,48 +476,30 @@ def _win_pairs_batch(texts, window: int, fast: bool) -> list[np.ndarray]:
     docs_words = [(t or "").split(" ") for t in texts]
     if not docs_words:
         return []
+    data, offs = native.utf8_cat([w for ws in docs_words for w in ws])
     if fast:
-        if native.AVAILABLE:
-            flat = [w for ws in docs_words for w in ws]
-            data, offs = native.utf8_cat(flat)
-            dig = native.blake2b_batch(data, offs, 16)
-            tl = dig[:, :8].copy().view(np.uint64).ravel()
-            th = dig[:, 8:].copy().view(np.uint64).ravel()
-            # ONE mix over the whole concatenation (8 numpy ops per
-            # BATCH, not per doc); windows crossing a doc boundary
-            # are computed but sliced away below
-            allp = _mix_pair(tl, th, window) if len(tl) >= window \
-                else np.empty(0, _WPAIR)
-            out, pos = [], 0
-            for ws in docs_words:
-                n = len(ws)
-                cnt = max(n - window + 1, 0)
-                out.append(allp[pos:pos + cnt] if cnt
-                           else np.empty(0, _WPAIR))
-                pos += n
-            return out
-        memo: dict = {}
-        return [_win_fast_pair(ws, window, memo) for ws in docs_words]
-    if native.AVAILABLE:
-        flat = [w for ws in docs_words for w in ws]
-        data, offs = native.utf8_cat(flat)
-        bounds = np.cumsum([len(ws) for ws in docs_words])
-        dig = native.md5_windows(data, offs, bounds, window)
-        pairs = np.ascontiguousarray(dig).view(_WPAIR).ravel()
-        counts = [max(len(ws) - window + 1, 0) for ws in docs_words]
-        splits = np.cumsum(counts[:-1])
-        return [np.ascontiguousarray(p)
-                for p in np.split(pairs, splits)]
-    out = []
-    for ws in docs_words:
-        if len(ws) < window:
-            out.append(np.empty(0, _WPAIR))
-            continue
-        digs = b"".join(
-            hashlib.md5(" ".join(ws[i:i + window]).encode()).digest()
-            for i in range(len(ws) - window + 1))
-        out.append(np.frombuffer(digs, dtype=_WPAIR))
-    return out
+        dig = native.blake2b_batch(data, offs, 16)
+        tl = dig[:, :8].copy().view(np.uint64).ravel()
+        th = dig[:, 8:].copy().view(np.uint64).ravel()
+        # ONE mix over the whole concatenation (8 numpy ops per BATCH,
+        # not per doc); windows crossing a doc boundary are computed
+        # but sliced away below
+        allp = _mix_pair(tl, th, window) if len(tl) >= window \
+            else np.empty(0, _WPAIR)
+        out, pos = [], 0
+        for ws in docs_words:
+            n = len(ws)
+            cnt = max(n - window + 1, 0)
+            out.append(allp[pos:pos + cnt] if cnt
+                       else np.empty(0, _WPAIR))
+            pos += n
+        return out
+    bounds = np.cumsum([len(ws) for ws in docs_words])
+    dig = native.md5_windows(data, offs, bounds, window)
+    pairs = np.ascontiguousarray(dig).view(_WPAIR).ravel()
+    counts = [max(len(ws) - window + 1, 0) for ws in docs_words]
+    splits = np.cumsum(counts[:-1])
+    return [np.ascontiguousarray(p) for p in np.split(pairs, splits)]
 
 
 def substring_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -632,7 +560,7 @@ def substring_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     over blake2b-128 token-hash halves, O(tokens) hashing. Both
     select the same duplicate windows (tested). Hashing is one
     GIL-released C pass per batch (native.md5_windows /
-    blake2b_batch) with bit-identical hashlib fallbacks.
+    blake2b_batch).
     """
     import pyarrow as _pa
     import ray
@@ -872,7 +800,6 @@ def minhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
     def to_bands(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
-        memo: dict = {}    # token hashes shared across the batch
         for did, text in zip(df[id_col], df[text_col].fillna("")):
             if variant == "sql":
                 sh_raw = _shingle_hashes_md5(text) % np.uint64(MH_M61)
@@ -880,7 +807,7 @@ def minhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
                 keys = ["_".join(str(int(v)) for v in sig[b * 4:b * 4 + 4])
                         for b in range(4)]
             else:
-                sh_raw = _shingle_hashes(text, memo=memo)
+                sh_raw = _shingle_hashes(text)
                 sig = minhash_signature_from(sh_raw)
                 keys = minhash_bands(sig)
             sh = np.unique(sh_raw)

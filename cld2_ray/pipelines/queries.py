@@ -1554,25 +1554,14 @@ def q_kmv_distinct(sf_dir, k: int = _KMV_K):
         toks = pc.split_pattern(
             pc.coalesce(t["text"].combine_chunks(), pa.scalar("")), " ")
         words = pc.unique(pc.list_flatten(toks))
-        if native.AVAILABLE:
-            # one C md5 pass over the distinct tokens, bottom-k via
-            # np.partition on the fixed-width hex (lexicographic ==
-            # numeric for fixed-width hex)
-            data, offs = native.utf8_cat(words)
-            hx = np.asarray(native.hex_digest(
-                native.md5_batch(data, offs)))
-            if len(hx) > k:
-                hx = np.partition(hx, k - 1)[:k]
-            hs = [h.decode() for h in np.sort(hx)]
-        else:
-            import hashlib
-            import heapq
-
-            # words is already distinct (pc.unique); bottom-k in
-            # O(V log k), not a full O(V log V) sort
-            hs = heapq.nsmallest(
-                k, (hashlib.md5(w.encode()).hexdigest()
-                    for w in words.to_pylist()))
+        # one C md5 pass over the distinct tokens, bottom-k via
+        # np.partition on the fixed-width hex (lexicographic ==
+        # numeric for fixed-width hex)
+        data, offs = native.utf8_cat(words)
+        hx = np.asarray(native.hex_digest(native.md5_batch(data, offs)))
+        if len(hx) > k:
+            hx = np.partition(hx, k - 1)[:k]
+        hs = [h.decode() for h in np.sort(hx)]
         return pa.table({"h": pa.array(hs, pa.string())})
 
     small = ds.map_batches(partial, batch_format="pyarrow",
@@ -1768,24 +1757,16 @@ def q_stratified_sample(sf_dir):
     pure hash of doc_id — reproducible across runs, cluster sizes and
     partitionings, with no shuffle (a stateless filter map). The md5
     recipe is shared bit-for-bit with the SQL oracle."""
-    import hashlib
     RATE_EN, RATE_OTHER = 0.1, 0.5
     ds = _read(sf_dir, "documents", ["doc_id", "lang"])
 
     def f(df: pd.DataFrame) -> pd.DataFrame:
         from cld2_ray import native
         keys = [f"{int(d)}:strat" for d in df["doc_id"]]
-        if native.AVAILABLE:
-            data, offs = native.utf8_cat(keys)
-            dig = native.md5_batch(data, offs)
-            # hexdigest[:8] == first 4 digest bytes big-endian
-            u = dig[:, :4].copy().view(">u4").ravel() \
-                .astype(np.float64) / 4294967296.0
-        else:
-            u = np.fromiter(
-                (int(hashlib.md5(s.encode()).hexdigest()[:8], 16)
-                 for s in keys),
-                dtype=np.float64, count=len(df)) / 4294967296.0
+        dig = native.md5_batch(*native.utf8_cat(keys))
+        # hexdigest[:8] == first 4 digest bytes big-endian
+        u = dig[:, :4].copy().view(">u4").ravel() \
+            .astype(np.float64) / 4294967296.0
         rate = np.where(df["lang"].to_numpy() == "en", RATE_EN,
                         RATE_OTHER)
         return df[u < rate]
@@ -2659,9 +2640,8 @@ def q_decontaminate(sf_dir, n: int = 4, mod: int = 97):
     bench_parts = ds.map_batches(bench_shingles, batch_format="pyarrow",
                                  batch_size=None).take_all()
     bench_set = {r["sh"] for r in bench_parts}
-    memo0: dict = {}
     bench_hashes = np.unique(np.concatenate([
-        shingle_hashes(token_hashes(s.split(" "), memo0), n)
+        shingle_hashes(token_hashes(s.split(" ")), n)
         for s in bench_set]) if bench_set else
         np.empty(0, np.uint64))
     bench_ref = ray.put((bench_hashes, bench_set))
@@ -2669,12 +2649,11 @@ def q_decontaminate(sf_dir, n: int = 4, mod: int = 97):
     class Flag:
         def __init__(self):
             self.hashes, self.strings = ray.get(bench_ref)
-            self.memo: dict = {}
 
         def __call__(self, t: pa.Table) -> pa.Table:
             # fully batch-vectorized: one Arrow tokenize over the
             # batch, token hashes computed once per DISTINCT token
-            # (factorize + per-worker memo), shingle hashes rolled
+            # (factorize + one C pass), shingle hashes rolled
             # over the flat token stream with doc-boundary masking,
             # one searchsorted prefilter — the per-doc Python loop
             # cost 87us/doc at the 200k stress scale
@@ -2701,7 +2680,7 @@ def q_decontaminate(sf_dir, n: int = 4, mod: int = 97):
             enc = pc.list_flatten(toks).dictionary_encode()
             codes = enc.indices.to_numpy()
             uniq = enc.dictionary.to_pylist()
-            uh = token_hashes(uniq, self.memo)
+            uh = token_hashes(uniq)
             sh_all = shingle_hashes(uh[codes], n)
             if not len(sh_all):
                 return empty
@@ -2993,27 +2972,16 @@ def q_incremental_dedup(sf_dir, mod: int = 7):
 def _md5_h64(texts) -> tuple:
     """(hex_md5: list[str], h1: uint64[], h2: uint64[]) per text —
     the two independent 64-bit halves of the md5 digest drive the
-    Bloom filter's double hashing. One C pass when native is built."""
-    import hashlib
-
+    Bloom filter's double hashing. One C md5 pass."""
     from cld2_ray import native
-    if native.AVAILABLE and len(texts):
-        data, offs = native.utf8_cat([t or "" for t in texts])
-        dig = np.asarray(native.md5_batch(data, offs), dtype=np.uint8)
-        raw = dig.reshape(-1, 16)
-        # pin LITTLE-endian like the fallback below — a platform-
-        # endian view would set bloom bits under one interpretation
-        # and probe under another on mixed-endian clusters
-        h = raw.view(np.dtype("<u8")).reshape(-1, 2) \
-            .astype(np.uint64, copy=True)
-        hexes = np.asarray(native.hex_digest(raw)).astype("U32")
-        return hexes.tolist(), h[:, 0].copy(), h[:, 1].copy()
-    digs = [hashlib.md5((t or "").encode()).digest() for t in texts]
-    h1 = np.array([int.from_bytes(d[:8], "little") for d in digs],
-                  dtype=np.uint64)
-    h2 = np.array([int.from_bytes(d[8:], "little") for d in digs],
-                  dtype=np.uint64)
-    return [d.hex() for d in digs], h1, h2
+    raw = native.md5_batch(*native.utf8_cat([t or "" for t in texts]))
+    # pin LITTLE-endian: a platform-endian view would set bloom bits
+    # under one interpretation and probe under another on mixed-endian
+    # clusters
+    h = raw.view(np.dtype("<u8")).reshape(-1, 2) \
+        .astype(np.uint64, copy=True)
+    hexes = np.asarray(native.hex_digest(raw)).astype("U32")
+    return hexes.tolist(), h[:, 0].copy(), h[:, 1].copy()
 
 
 BLOOM_BITS_PER_KEY = 16

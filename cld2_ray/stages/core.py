@@ -35,10 +35,8 @@ def _compose_chunks(htmls, valid, ok, todo, rng_list) -> pa.Array:
     (scoreonescriptspan.cc:1099-1111), not by re-detecting.
     Invalid-UTF-8 pages get an empty list, like the UNKNOWN result."""
     from cld2_ray import native
-    from cld2_ray.functions.extract import extract_text_with_map
-    if native.AVAILABLE:
-        from cld2_ray.functions.extract import _ent_table
-        ent = _ent_table()
+    from cld2_ray.functions.extract import _ent_table
+    ent = _ent_table()
     rng_of = dict(zip(todo, rng_list))
     rows = []
     for j, h in enumerate(htmls):
@@ -49,17 +47,10 @@ def _compose_chunks(htmls, valid, ok, todo, rng_list) -> pa.Array:
         h = (h or b"")[:int(valid[j])]
         starts = np.array([x[0] for x in r], dtype=np.int64)
         ends = np.array([x[0] + x[1] for x in r], dtype=np.int64)
-        if native.AVAILABLE:
-            _text, src = native.extract_scan_map(h, *ent)
-            m = len(src)
-            o_s = np.where(starts < m,
-                           src[np.minimum(starts, m - 1)], len(h))
-            o_e = np.where(ends < m,
-                           src[np.minimum(ends, m - 1)], len(h))
-        else:
-            _text, om = extract_text_with_map(h)
-            o_s = om.to_original(starts)
-            o_e = om.to_original(ends)
+        _text, src = native.extract_scan_map(h, *ent)
+        m = len(src)
+        o_s = np.where(starts < m, src[np.minimum(starts, m - 1)], len(h))
+        o_e = np.where(ends < m, src[np.minimum(ends, m - 1)], len(h))
         rows.append([{"offset": int(a), "bytes": int(b - a),
                       "lang": x[2]}
                      for a, b, x in zip(o_s, o_e, r)])

@@ -10,7 +10,7 @@ mmapping one read-only data file per node
 
 This helper is the Ray-side analogue: the first process to load an
 artifact extracts each array to ``<artifact>.d/<name>.npy``
-(atomically, guarded by the npz mtime), and every process then maps
+(atomically, keyed on the npz content), and every process then maps
 the SAME files with ``np.load(mmap_mode='r')``.  The kernel pages live
 once in the page cache per node, so the hot subset of the tables is
 shared in LLC no matter how many workers probe it.
@@ -23,8 +23,18 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 
 import numpy as np
+
+
+def _content_stamp(npz_path: str) -> str:
+    """``name:CRC:size`` of every npz member, from the zip central
+    directory (no decompression, ~1 ms): changes exactly when the
+    arrays do, never on a checkout or touch of the same bytes."""
+    with zipfile.ZipFile(npz_path) as z:
+        return "\n".join(f"{i.filename}:{i.CRC:08x}:{i.file_size}"
+                         for i in z.infolist())
 
 
 def load_shared(npz_path: str) -> dict[str, np.ndarray]:
@@ -32,13 +42,12 @@ def load_shared(npz_path: str) -> dict[str, np.ndarray]:
 
     Extracts to ``<npz_path>.d/`` on first use (safe under concurrent
     callers: each array is written to a temp file and ``os.replace``d
-    into place, and a ``.stamp`` file carrying the npz mtime+size marks
-    the cache complete).  Falls back to a plain in-heap ``np.load``
-    when the cache directory is unwritable.
+    into place, and a ``.stamp`` file carrying the npz content stamp
+    marks the cache complete).  Falls back to a plain in-heap
+    ``np.load`` when the cache directory is unwritable.
     """
     cache = npz_path + ".d"
-    st = os.stat(npz_path)
-    stamp_want = f"{st.st_mtime_ns}:{st.st_size}"
+    stamp_want = _content_stamp(npz_path)
     stamp_path = os.path.join(cache, ".stamp")
 
     def _read_stamp() -> str | None:

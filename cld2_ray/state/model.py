@@ -88,19 +88,13 @@ class HashTable:
         return cls(keys, vals, np.uint64(mask))
 
     def lookup(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorized open-addressed lookup. Returns uint64 values
-        (0 = miss). Uses the C probe loop when available (bit-equal;
-        cld2_ray/native)."""
-        if len(queries) == 0:
-            return np.empty(0, dtype=np.uint64)
+        """Open-addressed lookup through the C probe loop
+        (native.table_lookup). Returns uint64 values (0 = miss)."""
         from cld2_ray import native
-        if native.AVAILABLE:
-            return native.table_lookup(self.keys, self.vals, self.mask,
-                                       queries)
-        return self.lookup_numpy(queries)
+        return native.table_lookup(self.keys, self.vals, self.mask, queries)
 
     def lookup_numpy(self, queries: np.ndarray) -> np.ndarray:
-        """Pure-numpy probe loop (fallback + cross-check reference)."""
+        """Pure-numpy probe loop: the tests' oracle for lookup."""
         if len(queries) == 0:
             return np.empty(0, dtype=np.uint64)
         q = queries.astype(np.uint64)

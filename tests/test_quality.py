@@ -34,17 +34,11 @@ class TestQualityRules:
 
     def test_lorem_long_s_not_folded(self):
         """'lorem ipſum' (U+017F long s) is not 'lorem ipsum' under
-        lower(): the C scan and the pyarrow branch agree on that."""
-        from cld2_ray import native
+        lower(): the C scan and the Arrow reference agree on that."""
+        from cld2_ray.functions.quality import _apply_rules_arrow
         texts = pd.Series(["Lorem ipſum dolor " + GOOD,
                            "LOREM IPSUM dolor " + GOOD])
-        avail = native.AVAILABLE
-        try:
-            native.AVAILABLE = False
-            q_arrow = apply_rules(texts)
-        finally:
-            native.AVAILABLE = avail
-        for q in (q_arrow, apply_rules(texts)):
+        for q in (_apply_rules_arrow(texts), apply_rules(texts)):
             assert q.drop_reason.tolist() == ["", "lorem_ipsum"]
 
     def test_dup_lines_dropped(self):
@@ -102,6 +96,17 @@ class TestPerplexity:
         assert p_good < p_junk
         assert not flag_good
         assert flag_junk
+
+    @pytest.mark.parametrize("text,code", [
+        ("", "en"), ("a", "en"), ("ab", "fr"), (None, "en"),
+        (HELDOUT["en"], "en"), (HELDOUT["de"], "xx-unknown")])
+    def test_single_equals_batch(self, text, code):
+        """score is element 0 of score_batch: one code path, so the
+        empty text scores (0.0, False) on both."""
+        ppl, flags = perplexity.score_batch([text], [code])
+        assert perplexity.score(text, code) == (ppl[0], flags[0])
+        if not text:
+            assert perplexity.score(text, code) == (0.0, False)
 
 
 class TestRepeats:

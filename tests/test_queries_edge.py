@@ -53,14 +53,13 @@ def test_decontaminate_self_overlap_excluded(ray_session):
 
 def test_shingle_hash_matches_string_equality():
     """The 64-bit prefilter hash is a pure function of the shingle
-    string: equal shingles hash equal regardless of which memo dict
-    or surrounding tokens produced them."""
+    string: equal shingles hash equal regardless of which surrounding
+    tokens produced them."""
     from cld2_ray.functions.textstats import shingle_hashes, token_hashes
     a = "the quick brown fox jumps over the lazy dog".split()
     b = ("PAD " * 3 + "quick brown fox jumps").split()
-    memo_a, memo_b = {}, {}
-    ha = shingle_hashes(token_hashes(a, memo_a), 4)
-    hb = shingle_hashes(token_hashes(b, memo_b), 4)
+    ha = shingle_hashes(token_hashes(a), 4)
+    hb = shingle_hashes(token_hashes(b), 4)
     # a[1:5] == b[3:7] == "quick brown fox jumps"
     assert ha[1] == hb[3]
     assert len(set(ha)) == len(ha)  # distinct shingles hash apart here

@@ -284,6 +284,23 @@ def extract_text(html: bytes, is_plain_text: bool = False) -> str:
     return native.extract_scan(b, *_ent_table()).decode("utf-8")
 
 
+def text_to_raw_ranges(html: bytes, ranges) -> list[tuple[int, int, str]]:
+    """Map (byte_offset, byte_len, code) ranges of extract_text(html)
+    back to RAW html byte offsets through the C extractor's per-byte
+    source map (native.extract_scan_map) — the reference's
+    map2original chain. A range end at the text's end maps to
+    len(html). extract_text_with_map's OffsetMap is the test oracle."""
+    if not ranges:
+        return []
+    import numpy as np
+    from cld2_ray import native
+    _text, src = native.extract_scan_map(html, *_ent_table())
+    m = len(src)
+    pos = np.array([[a, a + n] for a, n, _ in ranges], dtype=np.int64)
+    raw = np.where(pos < m, src[np.minimum(pos, m - 1)], len(html))
+    return [(int(a), int(b - a), r[2]) for (a, b), r in zip(raw, ranges)]
+
+
 def _extract_text_py(b: bytes) -> str:
     """Python extractor: the tests' oracle for the C extractor. Input is
     already \\r-normalized."""
@@ -333,7 +350,8 @@ def _extract_text_py(b: bytes) -> str:
 def extract_text_with_map(html: bytes, is_plain_text: bool = False):
     """extract_text + an OffsetMap from extracted-text BYTE positions
     back to ORIGINAL html byte positions (the reference's map2original,
-    getonescriptspan.cc Advance/offsetmap composition). The text is
+    getonescriptspan.cc Advance/offsetmap composition) — the test
+    oracle of native.extract_scan_map's source map. The text is
     byte-identical to extract_text(html) (tested); the map composes the
     CRLF canonicalization with the tag/entity/whitespace edits."""
     from .offsetmap import OffsetMap

@@ -1,20 +1,19 @@
-"""N-gram hit candidate extraction from script spans.
+"""N-gram hit candidate extraction from script spans — the numpy
+walks that model training uses and the C kernel (native/quadscan.c)
+is tested against.
 
 Reimplements the reference's sampling walks:
 
-* ``quad_candidates`` — GetQuadHits (reference: internal/cldutil.cc:
-  315-405): groups of up to 4 letters not crossing spaces, advancing 2
-  letters (or to the next word), skipping one ASCII vowel mid-word
-  (kAdvanceOneCharSpaceVowel, cldutil_shared.h:476-486), with pre/post
-  space indicators; repeats filtered with a last-2 ring,
-* ``octa_candidates`` — GetOctaHits (cldutil.cc:416-533): one hash per
-  word (up to 24 bytes) with OctaHash40,
+* ``quad_hits_dense`` — quadgram hashes at every letter alignment, the
+  engine's documented dense deviation from GetQuadHits (reference:
+  internal/cldutil.cc:315-405), repeats filtered with a last-2 ring,
+* ``octa_word_and_pair_hits`` — GetOctaHits (cldutil.cc:416-533): one
+  OctaHash40 per word plus the word-pair hashes,
 * ``cjk_candidates`` — GetUniHits/GetBiHits (cldutil.cc:201-310):
   per-char unigram keys plus adjacent-pair bigram keys.
 
 Windows are hashed in bulk by cld2_ray.functions.ngram; only the
-data-dependent position walk is a Python loop (a handful of steps per
-word over precomputed numpy-derived lists).
+octa ring walk is a Python loop (a few ops per word).
 """
 
 from __future__ import annotations
@@ -23,66 +22,16 @@ import numpy as np
 
 from . import ngram
 
-_VOWELS = frozenset(b"aeiouAEIOU")
-
 
 def _char_structure(b: bytes):
-    """Byte-level char starts + per-char space/vowel flags for a
-    space-framed span byte string."""
+    """Byte-level char starts, per-char space flags and first bytes
+    for a space-framed span byte string."""
     arr = np.frombuffer(b, dtype=np.uint8)
     is_start = (arr & 0xC0) != 0x80
     cstart = np.flatnonzero(is_start)
     first = arr[cstart]
     is_space = first == 0x20
     return arr, cstart, is_space, first
-
-
-def quad_candidates(span_bytes: bytes):
-    """Return (starts, bytecounts, pre, post) byte positions of quadgram
-    candidates in a space-framed span (b" w1 w2 ")."""
-    arr, cstart, is_space, first = _char_structure(span_bytes)
-    n = len(cstart)
-    if n == 0:
-        return (np.empty(0, np.int64),) * 2 + (np.empty(0, bool),) * 2
-
-    # next space char-index at or after each char
-    space_pos = np.flatnonzero(is_space)
-    nxt = np.searchsorted(space_pos, np.arange(n))
-    nxt = np.clip(nxt, 0, len(space_pos) - 1)
-    next_space = space_pos[nxt]  # for trailing chars: last space (frame)
-
-    cstart_l = cstart.tolist()
-    next_space_l = next_space.tolist()
-    is_vowel = np.isin(first, np.frombuffer(b"aeiouAEIOU", np.uint8))
-    is_vowel_l = is_vowel.tolist()
-    is_space_l = is_space.tolist()
-
-    starts: list[int] = []
-    bcs: list[int] = []
-    limit = n - 1  # last char is frame space
-    i = 1 if is_space_l[0] else 0
-    while i < limit:
-        w_end = next_space_l[i]
-        e = min(i + 4, w_end)
-        mid = min(i + 2, w_end)
-        sb = cstart_l[i]
-        bc = cstart_l[e] - sb
-        if bc > 0:
-            starts.append(sb)
-            bcs.append(min(bc, 12))
-        if e == w_end:
-            i = w_end + 1  # skip the space to next word start
-        else:
-            i = mid
-            if i < limit and is_vowel_l[i]:
-                i += 1
-    if not starts:
-        return (np.empty(0, np.int64),) * 2 + (np.empty(0, bool),) * 2
-    s = np.array(starts, dtype=np.int64)
-    c = np.array(bcs, dtype=np.int64)
-    pre = arr[s - 1] == 0x20
-    post = arr[np.minimum(s + c, len(arr) - 1)] == 0x20
-    return s, c, pre, post
 
 
 def quad_hits_dense(span_bytes: bytes, span_bounds=None):
@@ -98,7 +47,6 @@ def quad_hits_dense(span_bytes: bytes, span_bounds=None):
     is a speed optimization for its large trained tables; with small
     seed-trained tables, dense sampling doubles per-document evidence
     and is *cheaper* here because it removes the per-word Python loop.
-    ``quad_candidates`` keeps the faithful walk for parity experiments.
     """
     arr, cstart, is_space, first = _char_structure(span_bytes)
     n = len(cstart)
@@ -154,18 +102,6 @@ def dedupe_ring2(hashes: np.ndarray,
             same &= span_ids[2:] == span_ids[:-2]
         keep[2:] &= ~same
     return keep
-
-
-def quad_hits(span_bytes: bytes):
-    """(hashes uint32->uint64, byte offsets) of deduped quad candidates."""
-    s, c, pre, post = quad_candidates(span_bytes)
-    if len(s) == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    buf = np.frombuffer(span_bytes + b" " * 16, dtype=np.uint8)
-    wins = ngram.gather_windows(buf, s, 12)
-    h = ngram.quad_hash(wins, c, pre, post)
-    keep = dedupe_ring2(h)
-    return h[keep].astype(np.uint64), s[keep]
 
 
 def octa_candidates(span_bytes: bytes):
@@ -254,14 +190,6 @@ def octa_word_and_pair_hits(span_bytes: bytes, span_bounds=None):
             np.array(w_off, dtype=np.int64),
             np.array(p_h, dtype=np.uint64),
             np.array(p_off, dtype=np.int64))
-
-
-def octa_hits(span_bytes: bytes, max_bytes: int | None = None,
-              span_bounds=None):
-    """(hashes uint64, byte offsets) of ring-filtered word hits
-    (word stream only; see octa_word_and_pair_hits)."""
-    h, s, _, _ = octa_word_and_pair_hits(span_bytes, span_bounds)
-    return h, s
 
 
 def cjk_candidates(span_text: str):

@@ -1,16 +1,20 @@
 """Document-level language detection — the DetectLanguageSummaryV2
 analogue (reference: internal/compact_lang_det_impl.cc:1707-2106).
 
-Chain per document:
-  UTF-8 gate -> extract (HTML) -> script spans -> per-span hit
-  extraction + table lookup -> chunk scoring -> DocTote -> close-pair
-  refinement -> unreliable removal -> top-3 + percents -> summary
-  language calculus -> optional second pass with repeat-word removal
-  (the Repeats retry, impl.cc:1979-2106).
+Every scoring call runs one batch pass, ``Detector.detect_batch``
+(detect() is a batch of one; detect_ranges reads the same pass's
+ranges output):
+  CheapSqueeze pre-pass -> script spans -> one fused C hit-scan +
+  chunk-score call per script class (_fill_totes) -> DocTote ->
+  close-pair refinement -> unreliable removal -> top-3 + percents ->
+  summary language calculus -> one more pass with repeat-word removal
+  for every doc that is not good (the Repeats retry,
+  impl.cc:1979-2106).
 
-This is the single-process oracle AND the kernel the Ray actor stage
-runs per row — same code, which is what makes pipeline-vs-oracle
-equality exact.
+The flagship kernel (stages.core.fused_batch) and the single-process
+oracle call the same Detector, which is what makes pipeline-vs-oracle
+equality exact. The numpy chain at the end of the class
+(_detect_ranges_numpy and its helpers) is a test oracle only.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ import numpy as np
 
 from . import hits, langs, score, spans, uscript as us
 from cld2_ray import native
-from .extract import extract_text, valid_utf8_prefix
+from .extract import extract_text, text_to_raw_ranges, valid_utf8_prefix
 from . import hints as hints_mod
-from .hints import hints_from_page
 from .repeats import SQUEEZE_TEST_THRESH, remove_repeated_words_batch, \
     squeeze, squeeze_trigger
 from cld2_ray.state.model import unpack_langprobs
@@ -111,9 +114,19 @@ def _one_range(sp, lid: int):
             np.array([lid], dtype=np.int64))
 
 
+def _tote_range_lang(tote: score.DocTote) -> int:
+    """A whole-span range's language: the span tote's top language by
+    bytes (ties -> smaller id), UNKNOWN below 41% reliability."""
+    if not tote.bytes_:
+        return langs.UNKNOWN
+    lid = max(tote.bytes_, key=lambda k: (tote.bytes_[k], -k))
+    rp = tote.rel[lid] // max(tote.bytes_[lid], 1)
+    return lid if rp >= score.MIN_RELIABLE_KEEP_PERCENT else langs.UNKNOWN
+
+
 class Detector:
-    """Holds the immutable LangModel; one instance per Ray actor
-    (stateful-stage pattern, SURVEY.md §2.3)."""
+    """Holds the immutable LangModel; one instance per worker process
+    (stages.core keeps it behind an lru_cache)."""
 
     def __init__(self, model=None, score_as_quads: bool = False,
                  echo: bool = False):
@@ -159,187 +172,29 @@ class Detector:
             return us.RTYPE_MANY
         return rt
 
-    # -- span scoring -------------------------------------------------------
-
-    def _octa_stream(self, cat: bytes, bounds: np.ndarray,
-                     latin_of_span: np.ndarray):
-        """Word-table hit stream over concatenated MANY spans: the
-        GetOctaHits triple per word — distinct-octa word, delta-octa
-        word, distinct-octa PairHash at the prior word's offset
-        (cldutil.cc:416-533) — decoded per span script class, plus the
-        seed-trained word table (model.socta). Emission order at equal
-        offsets is [distinct word, delta word, seed word, pair], the
-        reference's walk order with the seed stream appended.
-
-        Distinct hits (word + pair) are flagged in the returned mask:
-        the chunk scorer re-adds the last <= 4 of them to every
-        chunk's tote (the AddDistinctBoost2/ScoreBoosts ring,
-        scoreonescriptspan.cc:112-152; ring scoped to the span — the
-        reference carries it across a document's scriptspans via
-        ScoringContext, a documented deviation)."""
-        wh, woff, ph, poff = hits.octa_word_and_pair_hits(
-            cat, span_bounds=bounds)
-        latw = latin_of_span[np.searchsorted(bounds, woff, side="right")]
-        latp = latin_of_span[np.searchsorted(bounds, poff, side="right")]
-        xv = self.model.xocta.lookup(wh, latw)
-        dv = self.model.docta.lookup(wh, latw)
-        sv = self.model.socta.lookup(wh)
-        pv = self.model.xocta.lookup(ph, latp)
-        vals = np.concatenate([xv, dv, sv, pv])
-        offs = np.concatenate([woff, woff, woff, poff])
-        rank = np.concatenate([
-            np.zeros(len(wh), np.int8), np.ones(len(wh), np.int8),
-            np.full(len(wh), 2, np.int8), np.full(len(ph), 3, np.int8)])
-        # distinct-octa hits (word + pair) feed the boost ring
-        dist = np.concatenate([
-            np.ones(len(wh), bool), np.zeros(2 * len(wh), bool),
-            np.ones(len(ph), bool)])
-        m = vals != 0
-        vals, offs, rank, dist = vals[m], offs[m], rank[m], dist[m]
-        order = np.lexsort((rank, offs))
-        return vals[order], offs[order], dist[order]
-
-    def _many_hits(self, cat: bytes, bounds: np.ndarray,
-                   latin_of_span: np.ndarray):
-        """Quad+word table hits over concatenated MANY spans, merged by
-        offset (quads before word hits at equal offset)."""
-        h, off = hits.quad_hits_dense(cat, span_bounds=bounds)
-        vals = self.model.quad.lookup(h)
-        m = vals != 0
-        qv, qo = vals[m], off[m]
-        ov, oo, od = self._octa_stream(cat, bounds, latin_of_span)
-        all_vals = np.concatenate([qv, ov])
-        all_off = np.concatenate([qo, oo])
-        all_dist = np.concatenate([np.zeros(len(qv), bool), od])
-        order = np.argsort(all_off, kind="stable")
-        return all_vals[order], all_off[order], all_dist[order]
-
-    def _score_span(self, sp: spans.ScriptSpan, tote: score.DocTote,
-                    hints=None) -> None:
-        hints = self._norm_hints(hints)
-        rt = self._rtype(sp.script)
-        if rt == us.RTYPE_MANY:
-            latin = sp.script == us.LATIN
-            hp = hints[0 if latin else 1] if hints else None
-            sb = sp.text_utf8
-            all_vals, all_off, all_dist = self._many_hits(
-                sb, np.array([len(sb)], dtype=np.int64),
-                np.array([latin]))
-            l3, q3 = unpack_langprobs(all_vals)
-            c = score.score_chunks(l3, q3, all_off, len(sb),
-                                   score.CHUNKSIZE_QUADS,
-                                   self.model.expected_quad, hp,
-                                   distinct_mask=all_dist,
-                                   script4=int(us.LSCRIPT4[sp.script]))
-            tote.add_chunks(*c)
-        elif rt == us.RTYPE_CJK:
-            uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
-            uvals = self.model.uni.lookup(uni)
-            bvals = self.model.cjkbi.lookup(bi, False)
-            all_vals = np.concatenate([uvals[uvals != 0], bvals[bvals != 0]])
-            all_pos = np.concatenate([upos[uvals != 0], bpos[bvals != 0]])
-            order = np.argsort(all_pos, kind="stable")
-            l3, q3 = unpack_langprobs(all_vals[order])
-            # positions are char indices; scale to bytes via span length
-            c = score.score_chunks(l3, q3, all_pos[order] * 3,
-                                   sp.text_bytes, score.CHUNKSIZE_UNIS,
-                                   self.model.expected_uni,
-                                   hints[1] if hints else None)
-            tote.add_chunks(*c)
-        elif rt == us.RTYPE_ONE:
-            # script implies the language: score = bytes, reliability 100
-            # (scoreonescriptspan.cc:1132-1160)
-            lid = int(langs.SCRIPT_DEFAULT_LANG[sp.script])
-            tote.add(lid, sp.text_bytes, sp.text_bytes, 100)
-        # RTYPE_NONE: unsupported script -> ignored
+    # -- scoring pass -------------------------------------------------------
 
     def _fill_totes(self, doc_spans: list[list[spans.ScriptSpan]],
-                    hints_list: list[list[int] | None]) -> list[score.DocTote]:
+                    hints_list: list[list[int] | None],
+                    with_ranges: bool = False):
         """Batch span scorer: all documents' MANY spans score through ONE
-        concatenated hit-extraction + table-lookup + chunk pass (same for
-        CJK spans). Bit-identical to per-span scoring (the dedupe ring
-        and chunking are span-aware), so single-doc detect() routes
-        through here too — one code path, oracle == pipeline == batch.
-        """
-        n_docs = len(doc_spans)
-        totes = [score.DocTote() for _ in range(n_docs)]
+        fused C hit-scan + chunk-score call, all CJK spans through
+        another; RTYPE_ONE spans add their bytes at reliability 100
+        (scoreonescriptspan.cc:1132-1160), RTYPE_NONE spans are ignored.
+        Returns the per-doc DocTotes.
 
-        many: list[tuple[int, bytes, object, bool]] = []
-        cjk: list[tuple[int, spans.ScriptSpan, object]] = []
-        hints_list = [self._norm_hints(h) for h in hints_list]
-        for di, sl in enumerate(doc_spans):
-            hl = hints_list[di]
-            for sp in sl:
-                rt = self._rtype(sp.script)
-                if rt == us.RTYPE_MANY:
-                    many.append((di, sp.text_utf8, hl, sp.script))
-                elif rt == us.RTYPE_CJK:
-                    cjk.append((di, sp, hl))
-                elif rt == us.RTYPE_ONE:
-                    lid = int(langs.SCRIPT_DEFAULT_LANG[sp.script])
-                    totes[di].add(lid, sp.text_bytes, sp.text_bytes, 100)
-
-        if many:
-            bufs = [b for _, b, _, _ in many]
-            lens = np.array([len(b) for b in bufs], dtype=np.int64)
-            bounds = np.cumsum(lens)
-            cat = b"".join(bufs)
-            script_of_span = np.array([sc for _, _, _, sc in many],
-                                      dtype=np.int64)
-            hl_list = [hl[0 if sc == us.LATIN else 1] if hl else None
-                       for _, _, hl, sc in many]
-            latin_of_span = script_of_span == us.LATIN
-            # fused scan + chunk scoring: per-hit arrays never
-            # materialize (they are ~1 per 2 text bytes and were the
-            # pipeline's dominant memory traffic)
-            c = native.quad_octa_chunk_score(
-                cat, bounds, self.model.quad, self.model.socta,
-                self.model.docta, self.model.xocta, latin_of_span,
-                score.CHUNKSIZE_QUADS, self.model.expected_quad,
-                langs.CLOSE_SET, *_hint_csr(hl_list),
-                us.LSCRIPT4[script_of_span])
-            lang1, cbytes, s1, rel, span_of_chunk = c
-            docs_of_span = np.array([di for di, _, _, _ in many])
-            doc_of_chunk = docs_of_span[span_of_chunk]
-            _bulk_tote_add(totes, doc_of_chunk, lang1, cbytes, s1, rel)
-
-        if cjk:
-            hl_list = [hl[1] if hl else None for _, _, hl in cjk]
-            lens = np.array([sp.text_bytes for _, sp, _ in cjk],
-                            dtype=np.int64)
-            bufs = [sp.text_utf8 for _, sp, _ in cjk]
-            c = native.cjk_chunk_score(
-                b"".join(bufs), np.cumsum([len(b) for b in bufs]), lens,
-                self.model.uni, self.model.cjkbi, score.CHUNKSIZE_UNIS,
-                self.model.expected_uni, langs.CLOSE_SET,
-                *_hint_csr(hl_list))
-            lang1, cbytes, s1, rel, span_of_chunk = c
-            docs_of_span = np.array([di for di, _, _ in cjk])
-            doc_of_chunk = docs_of_span[span_of_chunk]
-            _bulk_tote_add(totes, doc_of_chunk, lang1, cbytes, s1, rel)
-        return totes
-
-    def _fill_totes_ranges(self, doc_spans: list[list[spans.ScriptSpan]],
-                           hints_list: list[list[int] | None]):
-        """_fill_totes PLUS per-doc raw char ranges from the SAME hit
-        scan — the single-pass ResultChunkVector path (the reference
-        emits the vector in the same scoring pass it totes,
-        scoreonescriptspan.cc:1099-1111, instead of re-detecting).
-        Returns (totes, raw_ranges) where raw_ranges[di] is the doc's
-        unmerged [(start_char, end_char, code)] list in span order —
-        feed through _merge_ranges. Totes are bit-identical to
-        _fill_totes (same kernel family, first-five outputs pinned
-        equal in tests).
-
-        Documented deviation from the standalone detect_ranges API:
-        chunk scoring here sees the same per-span hint priors the
-        document scoring uses (detect_ranges scores hint-free), so a
-        page's chunk vector is consistent with its summary — the
-        reference's vector comes from the same hinted pass too."""
-        n_docs = len(doc_spans)
-        totes = [score.DocTote() for _ in range(n_docs)]
-        ranges: list[list] = [[None] * len(sl) for sl in doc_spans]
-
+        with_ranges=True returns (totes, raw_ranges) from the SAME pass —
+        the ResultChunkVector path (the reference emits the vector in
+        the scoring pass that fills the tote,
+        scoreonescriptspan.cc:1099-1111). raw_ranges[di] is the doc's
+        unmerged list of (start_char, end_char, lid) numpy triples in
+        span order, for _merge_ranges; the totes do not change. Chunk
+        scoring sees the per-span hint priors the document scoring uses,
+        so a hinted page's chunk vector agrees with its summary
+        (detect_ranges passes no hints)."""
+        totes = [score.DocTote() for _ in doc_spans]
+        ranges = ([[None] * len(sl) for sl in doc_spans]
+                  if with_ranges else None)
         many: list[tuple[int, int, spans.ScriptSpan, object]] = []
         cjk: list[tuple[int, int, spans.ScriptSpan, object]] = []
         hints_list = [self._norm_hints(h) for h in hints_list]
@@ -353,75 +208,64 @@ class Detector:
                     cjk.append((di, pos, sp, hl))
                 elif rt == us.RTYPE_ONE:
                     lid = int(langs.SCRIPT_DEFAULT_LANG[sp.script])
-                    totes[di].add(lid, sp.text_bytes, sp.text_bytes,
-                                  100)
-                    ranges[di][pos] = _one_range(sp, lid)
-                else:
+                    totes[di].add(lid, sp.text_bytes, sp.text_bytes, 100)
+                    if with_ranges:
+                        ranges[di][pos] = _one_range(sp, lid)
+                elif with_ranges:
                     ranges[di][pos] = _one_range(sp, langs.UNKNOWN)
 
         if many:
             bufs = [sp.text_utf8 for _, _, sp, _ in many]
-            lens = np.array([len(b) for b in bufs], dtype=np.int64)
-            bounds = np.cumsum(lens)
-            cat = b"".join(bufs)
-            script_of_span = np.array([sp.script
-                                       for _, _, sp, _ in many],
+            script_of_span = np.array([sp.script for _, _, sp, _ in many],
                                       dtype=np.int64)
-            hl_list = [hl[0 if sc == us.LATIN else 1] if hl else None
-                       for (_, _, sp, hl), sc
-                       in zip(many, script_of_span)]
-            (lang1, cbytes, s1, rel, span_of_chunk, rel_delta,
-             cstart) = native.quad_octa_chunk_score_ranges(
-                cat, bounds, self.model.quad, self.model.socta,
-                self.model.docta, self.model.xocta,
-                script_of_span == us.LATIN,
+            hl_list = [hl[0 if sp.script == us.LATIN else 1] if hl else None
+                       for _, _, sp, hl in many]
+            c = native.quad_octa_chunk_score(
+                b"".join(bufs), np.cumsum([len(b) for b in bufs]),
+                self.model.quad, self.model.socta, self.model.docta,
+                self.model.xocta, script_of_span == us.LATIN,
                 score.CHUNKSIZE_QUADS, self.model.expected_quad,
                 langs.CLOSE_SET, *_hint_csr(hl_list),
-                us.LSCRIPT4[script_of_span])
+                us.LSCRIPT4[script_of_span], with_ranges=with_ranges)
+            lang1, cbytes, s1, rel, span_of_chunk = c[:5]
             docs_of_span = np.array([di for di, _, _, _ in many])
             _bulk_tote_add(totes, docs_of_span[span_of_chunk],
                            lang1, cbytes, s1, rel)
-            for k, (di, pos, sp, _) in enumerate(many):
-                lo, hi = np.searchsorted(span_of_chunk, [k, k + 1])
-                if lo == hi:
-                    ranges[di][pos] = _one_range(sp, langs.UNKNOWN)
-                else:
-                    ranges[di][pos] = self._many_span_ranges(
-                        sp, lang1[lo:hi], rel_delta[lo:hi],
-                        cstart[lo:hi])
+            if with_ranges:
+                # the "un" gate reads the zeros-expected reliability
+                # (see _detect_ranges_numpy)
+                rel_delta, cstart = c[5:]
+                for k, (di, pos, sp, _) in enumerate(many):
+                    lo, hi = np.searchsorted(span_of_chunk, [k, k + 1])
+                    ranges[di][pos] = (
+                        self._many_span_ranges(sp, lang1[lo:hi],
+                                               rel_delta[lo:hi],
+                                               cstart[lo:hi])
+                        if lo < hi else _one_range(sp, langs.UNKNOWN))
 
         if cjk:
-            hl_list = [hl[1] if hl else None for _, _, _, hl in cjk]
-            lens = np.array([sp.text_bytes for _, _, sp, _ in cjk],
-                            dtype=np.int64)
             bufs = [sp.text_utf8 for _, _, sp, _ in cjk]
             c = native.cjk_chunk_score(
-                b"".join(bufs), np.cumsum([len(b) for b in bufs]), lens,
+                b"".join(bufs), np.cumsum([len(b) for b in bufs]),
+                np.array([sp.text_bytes for _, _, sp, _ in cjk],
+                         dtype=np.int64),
                 self.model.uni, self.model.cjkbi, score.CHUNKSIZE_UNIS,
                 self.model.expected_uni, langs.CLOSE_SET,
-                *_hint_csr(hl_list))
+                *_hint_csr([hl[1] if hl else None for _, _, _, hl in cjk]))
             lang1, cbytes, s1, rel, span_of_chunk = c
             docs_of_span = np.array([di for di, _, _, _ in cjk])
             _bulk_tote_add(totes, docs_of_span[span_of_chunk],
                            lang1, cbytes, s1, rel)
-            # per-span majority language for the range (detect_ranges'
-            # fresh-tote-per-span semantics, exact incl. the 24-slot
-            # eviction rule)
-            for k, (di, pos, sp, _) in enumerate(cjk):
-                lo, hi = np.searchsorted(span_of_chunk, [k, k + 1])
-                t = score.DocTote()
-                t.add_chunks(lang1[lo:hi], cbytes[lo:hi], s1[lo:hi],
-                             rel[lo:hi])
-                if t.bytes_:
-                    lid = max(t.bytes_,
-                              key=lambda x: (t.bytes_[x], -x))
-                    rp = t.rel[lid] // max(t.bytes_[lid], 1)
-                    lid = lid if rp >= 41 else langs.UNKNOWN
-                else:
-                    lid = langs.UNKNOWN
-                ranges[di][pos] = _one_range(sp, lid)
-
-        return totes, ranges
+            if with_ranges:
+                # one range per CJK span: the majority language of a
+                # fresh per-span tote (exact incl. the 24-slot eviction)
+                for k, (di, pos, sp, _) in enumerate(cjk):
+                    lo, hi = np.searchsorted(span_of_chunk, [k, k + 1])
+                    t = score.DocTote()
+                    t.add_chunks(lang1[lo:hi], cbytes[lo:hi], s1[lo:hi],
+                                 rel[lo:hi])
+                    ranges[di][pos] = _one_range(sp, _tote_range_lang(t))
+        return (totes, ranges) if with_ranges else totes
 
     def _finalize(self, tote: score.DocTote, total_letter_bytes: int,
                   best_effort: bool,
@@ -460,15 +304,6 @@ class Detector:
                    for sl in spans2]
         return spans2, totals2
 
-    def _detect_spans(self, span_list: list[spans.ScriptSpan],
-                      total_letter_bytes: int,
-                      best_effort: bool,
-                      hint_langs: list[int] | None = None,
-                      declared=None) -> score.DetectResult:
-        tote = self._fill_totes([span_list], [hint_langs])[0]
-        return self._finalize(tote, total_letter_bytes, best_effort,
-                              declared)
-
     # -- public API ---------------------------------------------------------
 
     def detect_batch(self, texts: list[str],
@@ -477,8 +312,11 @@ class Detector:
                      default_to_english: bool = False,
                      declared_list=None, with_ranges: bool = False):
         """Batch detection: one concatenated scoring pass for the whole
-        batch (same results as per-document detect()).
+        batch — the one scoring path every public call runs.
 
+        hints_list: per-doc language-prior hints (see functions/hints.py
+        and _norm_hints). default_to_english: the non-Ext entry-point
+        behavior (UNKNOWN -> ENGLISH, compact_lang_det.cc:90-94).
         declared_list: per-doc sets of page-declared lang ids (see
         calc_summary_lang); None = reference-exact summaries.
 
@@ -487,20 +325,18 @@ class Detector:
         scoring pass (results, ranges) — the single-pass
         ResultChunkVector path; results are bit-identical to
         with_ranges=False. Squeeze-triggered docs (rare junk pages)
-        fall back to the standalone detect_ranges on the raw text,
-        since the main pass scores their squeezed rewrite whose
-        offsets don't map back."""
+        get detect_ranges' unhinted ranges of the raw text instead,
+        since the main pass scores their squeezed rewrite whose offsets
+        don't map back."""
         n = len(texts)
         if hints_list is None:
             hints_list = [None] * n
         if declared_list is None:
             declared_list = [None] * n
-        if self.echo:
-            import sys
-            for t in texts:
-                print(f"[cld2_ray echo] {(t or '')[:80]!r}",
-                      file=sys.stderr)
+        self._echo(texts)
         orig_texts = texts
+        # CheapSqueeze pre-pass (impl.cc:1867-1901): long repetitive
+        # documents are squeezed before scoring
         squeezed = [bool(t and len(t) > SQUEEZE_TEST_THRESH
                          and squeeze_trigger(t)) for t in texts]
         texts = [squeeze(t) if sq else (t or "")
@@ -508,8 +344,8 @@ class Detector:
         doc_spans = spans.script_spans_batch(texts)
         totals = [sum(sp.text_bytes for sp in sl) for sl in doc_spans]
         if with_ranges:
-            totes, raw_ranges = self._fill_totes_ranges(doc_spans,
-                                                        hints_list)
+            totes, raw_ranges = self._fill_totes(doc_spans, hints_list,
+                                                 with_ranges=True)
         else:
             totes = self._fill_totes(doc_spans, hints_list)
         out: list[score.DetectResult] = []
@@ -517,13 +353,7 @@ class Detector:
         for i in range(n):
             res = self._finalize(totes[i], totals[i], best_effort,
                                  declared_list[i])
-            good = (totals[i] <= score.SHORT_TEXT_THRESH
-                    or (res.is_reliable
-                        and res.percent3[0] >= score.GOOD_LANG1_PERCENT)
-                    or (res.is_reliable
-                        and res.percent3[0] + res.percent3[1]
-                        >= score.GOOD_LANG1AND2_PERCENT))
-            if not good:
+            if not score.is_good(res, totals[i]):
                 retry.append(i)
             elif default_to_english and res.summary_lang == langs.UNKNOWN:
                 res.summary_lang = langs.ENGLISH
@@ -531,11 +361,9 @@ class Detector:
         if retry:
             # Repeats retry (impl.cc:1979-2106) for every not-good doc
             # in ONE more batch pass over the spans the first pass
-            # scored. Those come from the squeezed texts[], and per-doc
-            # detect() also squeezes once and retries on the same spans,
-            # so the two agree (squeeze_trigger is not re-run). Retry
-            # spans keep the original text_bytes, which the RTYPE_ONE
-            # tote and the CJK chunk lens consume.
+            # scored (squeeze_trigger is not re-run). Retry spans keep
+            # the original text_bytes, which the RTYPE_ONE tote and the
+            # CJK chunk lens consume.
             spans2, totals2 = self._repeats_spans(
                 [doc_spans[i] for i in retry])
             totes2 = self._fill_totes(spans2,
@@ -543,6 +371,9 @@ class Detector:
             for k, i in enumerate(retry):
                 res2 = self._finalize(totes2[k], totals2[k], best_effort,
                                       declared_list[i])
+                # keep the retry result if it reached a conclusion
+                # (impl.cc accepts the second-pass answer
+                # unconditionally)
                 res = out[i]
                 res = res2 if (res2.summary_lang != langs.UNKNOWN
                                or res.summary_lang == langs.UNKNOWN) \
@@ -551,7 +382,7 @@ class Detector:
                     res.summary_lang = langs.ENGLISH
                 out[i] = res
         if with_ranges:
-            rng = [self.detect_ranges(orig_texts[i] or "")
+            rng = [self._unhinted_ranges(orig_texts[i] or "")
                    if squeezed[i]
                    else self._merge_ranges(texts[i], raw_ranges[i])
                    for i in range(n)]
@@ -562,104 +393,19 @@ class Detector:
                hint_langs: list[int] | None = None,
                default_to_english: bool = False,
                declared=None) -> score.DetectResult:
-        """Detect language(s) of already-extracted plain text.
+        """Detect language(s) of already-extracted plain text:
+        detect_batch on a batch of one (see there for the arguments;
+        hint_langs and declared are this document's entries)."""
+        return self.detect_batch([text], [hint_langs], best_effort,
+                                 default_to_english, [declared])[0]
 
-        hint_langs: language-prior hints (see functions/hints.py).
-        default_to_english: the non-Ext entry-point behavior
-        (UNKNOWN -> ENGLISH, compact_lang_det.cc:90-94).
-        declared: page-declared lang ids (see calc_summary_lang);
-        None = reference-exact summary.
-        """
-        # CheapSqueeze pre-pass (impl.cc:1867-1901): long repetitive
-        # documents are squeezed before scoring
-        if len(text) > SQUEEZE_TEST_THRESH and squeeze_trigger(text):
-            text = squeeze(text)
-        span_list = spans.script_spans(text)
-        total = sum(sp.text_bytes for sp in span_list)
-        res = self._detect_spans(span_list, total, best_effort, hint_langs,
-                                 declared)
-
-        # Retry controller (impl.cc:1979-2106): accept if short, or
-        # reliable & dominant; else one more pass with repeat-word
-        # removal (the Repeats flag path).
-        good = (total <= score.SHORT_TEXT_THRESH
-                or (res.is_reliable and res.percent3[0] >= score.GOOD_LANG1_PERCENT)
-                or (res.is_reliable and res.percent3[0] + res.percent3[1]
-                    >= score.GOOD_LANG1AND2_PERCENT))
-        if good:
-            if default_to_english and res.summary_lang == langs.UNKNOWN:
-                res.summary_lang = langs.ENGLISH
-            return res
-        spans2, totals2 = self._repeats_spans([span_list])
-        res2 = self._detect_spans(spans2[0], totals2[0], best_effort,
-                                  hint_langs, declared)
-        # keep the retry result if it reached a conclusion (impl.cc accepts
-        # the second-pass answer unconditionally)
-        res = res2 if res2.summary_lang != langs.UNKNOWN or \
-            res.summary_lang == langs.UNKNOWN else res
-        if default_to_english and res.summary_lang == langs.UNKNOWN:
-            res.summary_lang = langs.ENGLISH
-        return res
-
-    @staticmethod
-    def _sharpen_boundaries(lang1: np.ndarray, l3: np.ndarray,
-                            q3: np.ndarray, chunk_size: int,
-                            nh: int) -> np.ndarray:
-        """SharpenBoundaries / BetterBoundary port (reference:
-        scoreonescriptspan.cc:671-774 + :781-845): for each chunk whose
-        top language differs from the previous chunk's (and is not in
-        the same close set), slide an 8-hit window of per-hit
-        score(lang0)-score(lang1) differences over
-        [prior_start, next_start) and move the boundary to the point
-        maximizing (first-4 diffs) - (last-4 diffs), requiring both
-        positive and negative diffs in the window.
-
-        Returns the per-chunk boundary HIT index (default k*chunk_size).
-        """
-        nch = len(lang1)
-        bidx = np.minimum(np.arange(nch) * chunk_size, nh - 1)
-        prior_linear = 0
-        for k in range(1, nch):
-            this_linear = k * chunk_size
-            next_linear = (k + 1) * chunk_size if k + 1 < nch else nh
-            lang0, langk = int(lang1[k - 1]), int(lang1[k])
-            if langk == lang0:
-                prior_linear = this_linear
-                continue
-            cs0 = int(langs.CLOSE_SET[lang0])
-            if cs0 > 0 and cs0 == int(langs.CLOSE_SET[langk]):
-                prior_linear = this_linear
-                continue
-            linear0, linear2 = prior_linear, next_linear
-            if linear2 - linear0 > 8:
-                # per-hit score difference lang0 - lang1 from the
-                # decoded langprob lanes (GetLangScore analogue)
-                sl3 = l3[linear0:linear2]
-                sq3 = q3[linear0:linear2]
-                d = ((sq3 * (sl3 == lang0)).sum(axis=1)
-                     - (sq3 * (sl3 == langk)).sum(axis=1)).astype(np.int64)
-                c = np.concatenate([[0], np.cumsum(d)])
-                n = len(d)
-                # running[i] = sum(d[i:i+4]) - sum(d[i+4:i+8]),
-                # window start i in [0, n-8)
-                i_arr = np.arange(0, n - 8)
-                running = (c[i_arr + 4] - c[i_arr]) \
-                    - (c[i_arr + 8] - c[i_arr + 4])
-                pos = d > 0
-                neg = d < 0
-                cp = np.concatenate([[0], np.cumsum(pos)])
-                cn = np.concatenate([[0], np.cumsum(neg)])
-                has_pm = ((cp[i_arr + 8] - cp[i_arr]) > 0) \
-                    & ((cn[i_arr + 8] - cn[i_arr]) > 0)
-                # first strictly-better maximum, matching the
-                # sequential scan's "<" update rule
-                cand = np.where(has_pm, running, np.iinfo(np.int64).min)
-                best = int(np.argmax(cand))
-                if cand[best] > 0:
-                    this_linear = linear0 + best + 4
-            bidx[k] = this_linear
-            prior_linear = this_linear
-        return bidx
+    def _echo(self, texts) -> None:
+        """kCLDFlagEcho: each input's first 80 chars to stderr."""
+        if self.echo:
+            import sys
+            for t in texts:
+                print(f"[cld2_ray echo] {(t or '')[:80]!r}",
+                      file=sys.stderr)
 
     @staticmethod
     def _many_span_ranges(sp, lang1, rel, starts_b):
@@ -667,12 +413,12 @@ class Detector:
         triple for one MANY span: back boundaries up to the start of
         their word (ItemToVector semantics,
         scoreonescriptspan.cc:323-360) and gate unreliable chunks to
-        UNKNOWN. Shared by detect_ranges and the single-pass batch
-        ranges path. ``starts_b`` are span-local byte offsets of each
+        UNKNOWN. Shared by the ranges pass of _fill_totes and its numpy
+        oracle. ``starts_b`` are span-local byte offsets of each
         chunk's (sharpened) first hit; the triples stay numpy until
         _merge_ranges converts the few MERGED ranges to tuples."""
         nch = len(lang1)
-        lids = np.where(np.asarray(rel) >= 41,
+        lids = np.where(np.asarray(rel) >= score.MIN_RELIABLE_KEEP_PERCENT,
                         np.asarray(lang1, dtype=np.int64),
                         langs.UNKNOWN)
         if nch == 1:
@@ -735,20 +481,199 @@ class Detector:
         return [(int(a), int(e - a), langs.lang_code(int(li)))
                 for a, e, li in zip(out_b[:k], out_b[k:], lids[ki])]
 
+    def _unhinted_ranges(self, text: str) -> list[tuple[int, int, str]]:
+        """The ranges pass of _fill_totes on one text, hint-free."""
+        _, raw = self._fill_totes([spans.script_spans(text)], [None],
+                                  with_ranges=True)
+        return self._merge_ranges(text, raw[0])
+
     def detect_ranges(self, text: str) -> list[tuple[int, int, str]]:
         """Per-document language ranges in ORIGINAL text BYTE offsets —
         the ResultChunkVector analogue (reference: SummaryBufferToVector,
         scoreonescriptspan.cc:389-509 + offset back-mapping
-        getonescriptspan.cc:1076-1078).
+        getonescriptspan.cc:1076-1078), from the ranges pass of
+        _fill_totes with no hints and no squeeze.
 
         MANY-script spans split at chunk granularity, then boundaries
         between different-language chunks are refined with the 8-hit
-        BetterBoundary slide (_sharpen_boundaries) and backed up to the
-        start of their word (ItemToVector semantics). Adjacent
-        same-language ranges merge; unreliable chunks report "un".
+        BetterBoundary slide and backed up to the start of their word
+        (ItemToVector semantics). Adjacent same-language ranges merge;
+        unreliable chunks report "un".
 
         Returns [(byte_offset, byte_len, lang_code), ...].
         """
+        self._echo([text])
+        return self._unhinted_ranges(text)
+
+    def detect_ranges_html(self, html: bytes) -> list[tuple[int, int, str]]:
+        """Language ranges in RAW PAGE byte offsets: detect_ranges on
+        the extracted text of the valid UTF-8 prefix, mapped back
+        through the extractor's source map (text_to_raw_ranges) — the
+        reference's map2original chain."""
+        h = html[:valid_utf8_prefix(html)]
+        return text_to_raw_ranges(h, self.detect_ranges(extract_text(h)))
+
+    def detect_html(self, html: bytes,
+                    url: str = "") -> tuple[score.DetectResult, str, int]:
+        """UTF-8 gate + extraction + detection for raw page bytes.
+        Hints (lang= attrs, Content-Language, TLD) are derived from the
+        raw page. Returns (result, extracted_text, valid_prefix_bytes)."""
+        vp = valid_utf8_prefix(html)
+        if vp < len(html):
+            # invalid UTF-8 input -> UNKNOWN, like
+            # ExtDetectLanguageSummaryCheckUTF8 (compact_lang_det.cc:317-334)
+            text = extract_text(html[:vp]) if vp else ""
+            return (score.DetectResult(langs.UNKNOWN,
+                                       (langs.UNKNOWN,) * 3, (0, 0, 0),
+                                       (0.0, 0.0, 0.0), vp, False),
+                    text, vp)
+        text = extract_text(html)
+        hl = (hints_mod.priors_from_page(url, html)
+              if (url or html) else None)
+        return self.detect(text, hint_langs=hl), text, vp
+
+    # -- numpy oracles (tests only) -----------------------------------------
+
+    def _octa_stream(self, cat: bytes, bounds: np.ndarray,
+                     latin_of_span: np.ndarray):
+        """Word-table hit stream over concatenated MANY spans: the
+        GetOctaHits triple per word — distinct-octa word, delta-octa
+        word, distinct-octa PairHash at the prior word's offset
+        (cldutil.cc:416-533) — decoded per span script class, plus the
+        seed-trained word table (model.socta). Emission order at equal
+        offsets is [distinct word, delta word, seed word, pair], the
+        reference's walk order with the seed stream appended.
+
+        Distinct hits (word + pair) are flagged in the returned mask:
+        the chunk scorer re-adds the last <= 4 of them to every
+        chunk's tote (the AddDistinctBoost2/ScoreBoosts ring,
+        scoreonescriptspan.cc:112-152; ring scoped to the span — the
+        reference carries it across a document's scriptspans via
+        ScoringContext, a documented deviation)."""
+        wh, woff, ph, poff = hits.octa_word_and_pair_hits(
+            cat, span_bounds=bounds)
+        latw = latin_of_span[np.searchsorted(bounds, woff, side="right")]
+        latp = latin_of_span[np.searchsorted(bounds, poff, side="right")]
+        xv = self.model.xocta.lookup(wh, latw)
+        dv = self.model.docta.lookup(wh, latw)
+        sv = self.model.socta.lookup(wh)
+        pv = self.model.xocta.lookup(ph, latp)
+        vals = np.concatenate([xv, dv, sv, pv])
+        offs = np.concatenate([woff, woff, woff, poff])
+        rank = np.concatenate([
+            np.zeros(len(wh), np.int8), np.ones(len(wh), np.int8),
+            np.full(len(wh), 2, np.int8), np.full(len(ph), 3, np.int8)])
+        # distinct-octa hits (word + pair) feed the boost ring
+        dist = np.concatenate([
+            np.ones(len(wh), bool), np.zeros(2 * len(wh), bool),
+            np.ones(len(ph), bool)])
+        m = vals != 0
+        vals, offs, rank, dist = vals[m], offs[m], rank[m], dist[m]
+        order = np.lexsort((rank, offs))
+        return vals[order], offs[order], dist[order]
+
+    def _many_hits(self, cat: bytes, bounds: np.ndarray,
+                   latin_of_span: np.ndarray):
+        """Quad+word table hits over concatenated MANY spans, merged by
+        offset (quads before word hits at equal offset)."""
+        h, off = hits.quad_hits_dense(cat, span_bounds=bounds)
+        vals = self.model.quad.lookup(h)
+        m = vals != 0
+        qv, qo = vals[m], off[m]
+        ov, oo, od = self._octa_stream(cat, bounds, latin_of_span)
+        all_vals = np.concatenate([qv, ov])
+        all_off = np.concatenate([qo, oo])
+        all_dist = np.concatenate([np.zeros(len(qv), bool), od])
+        order = np.argsort(all_off, kind="stable")
+        return all_vals[order], all_off[order], all_dist[order]
+
+    def _score_span(self, sp: spans.ScriptSpan, tote: score.DocTote) -> None:
+        """One CJK or RTYPE_ONE span into ``tote`` (numpy chain)."""
+        rt = self._rtype(sp.script)
+        if rt == us.RTYPE_CJK:
+            uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
+            uvals = self.model.uni.lookup(uni)
+            bvals = self.model.cjkbi.lookup(bi, False)
+            all_vals = np.concatenate([uvals[uvals != 0], bvals[bvals != 0]])
+            all_pos = np.concatenate([upos[uvals != 0], bpos[bvals != 0]])
+            order = np.argsort(all_pos, kind="stable")
+            l3, q3 = unpack_langprobs(all_vals[order])
+            # positions are char indices; scale to bytes via span length
+            c = _score_one_span(l3, q3, all_pos[order] * 3, sp.text_bytes,
+                                score.CHUNKSIZE_UNIS,
+                                self.model.expected_uni)
+            tote.add_chunks(*c)
+        elif rt == us.RTYPE_ONE:
+            # script implies the language: score = bytes, reliability 100
+            # (scoreonescriptspan.cc:1132-1160)
+            lid = int(langs.SCRIPT_DEFAULT_LANG[sp.script])
+            tote.add(lid, sp.text_bytes, sp.text_bytes, 100)
+        # RTYPE_NONE: unsupported script -> ignored
+
+    @staticmethod
+    def _sharpen_boundaries(lang1: np.ndarray, l3: np.ndarray,
+                            q3: np.ndarray, chunk_size: int,
+                            nh: int) -> np.ndarray:
+        """SharpenBoundaries / BetterBoundary port (reference:
+        scoreonescriptspan.cc:671-774 + :781-845): for each chunk whose
+        top language differs from the previous chunk's (and is not in
+        the same close set), slide an 8-hit window of per-hit
+        score(lang0)-score(lang1) differences over
+        [prior_start, next_start) and move the boundary to the point
+        maximizing (first-4 diffs) - (last-4 diffs), requiring both
+        positive and negative diffs in the window.
+
+        Returns the per-chunk boundary HIT index (default k*chunk_size).
+        """
+        nch = len(lang1)
+        bidx = np.minimum(np.arange(nch) * chunk_size, nh - 1)
+        prior_linear = 0
+        for k in range(1, nch):
+            this_linear = k * chunk_size
+            next_linear = (k + 1) * chunk_size if k + 1 < nch else nh
+            lang0, langk = int(lang1[k - 1]), int(lang1[k])
+            if langk == lang0:
+                prior_linear = this_linear
+                continue
+            cs0 = int(langs.CLOSE_SET[lang0])
+            if cs0 > 0 and cs0 == int(langs.CLOSE_SET[langk]):
+                prior_linear = this_linear
+                continue
+            linear0, linear2 = prior_linear, next_linear
+            if linear2 - linear0 > 8:
+                # per-hit score difference lang0 - lang1 from the
+                # decoded langprob lanes (GetLangScore analogue)
+                sl3 = l3[linear0:linear2]
+                sq3 = q3[linear0:linear2]
+                d = ((sq3 * (sl3 == lang0)).sum(axis=1)
+                     - (sq3 * (sl3 == langk)).sum(axis=1)).astype(np.int64)
+                c = np.concatenate([[0], np.cumsum(d)])
+                n = len(d)
+                # running[i] = sum(d[i:i+4]) - sum(d[i+4:i+8]),
+                # window start i in [0, n-8)
+                i_arr = np.arange(0, n - 8)
+                running = (c[i_arr + 4] - c[i_arr]) \
+                    - (c[i_arr + 8] - c[i_arr + 4])
+                pos = d > 0
+                neg = d < 0
+                cp = np.concatenate([[0], np.cumsum(pos)])
+                cn = np.concatenate([[0], np.cumsum(neg)])
+                has_pm = ((cp[i_arr + 8] - cp[i_arr]) > 0) \
+                    & ((cn[i_arr + 8] - cn[i_arr]) > 0)
+                # first strictly-better maximum, matching the
+                # sequential scan's "<" update rule
+                cand = np.where(has_pm, running, np.iinfo(np.int64).min)
+                best = int(np.argmax(cand))
+                if cand[best] > 0:
+                    this_linear = linear0 + best + 4
+            bidx[k] = this_linear
+            prior_linear = this_linear
+        return bidx
+
+    def _detect_ranges_numpy(self, text: str) -> list[tuple[int, int, str]]:
+        """detect_ranges by the numpy chain, span by span: MANY spans
+        through _many_hits -> zeros-expected chunk scoring ->
+        _sharpen_boundaries, other spans through _score_span."""
         if us.codepoints(text).size == 0:
             return []
 
@@ -771,7 +696,7 @@ class Detector:
                 # high cutoff and would shred one-language documents
                 # into un fragments (expected=0 means "no estimate"
                 # -> rel_e=100 -> rel=rel_delta)
-                lang1, _cb, _s1, rel = score.score_chunks(
+                lang1, _cb, _s1, rel = _score_one_span(
                     l3, q3, offs, len(sb), score.CHUNKSIZE_QUADS,
                     np.zeros_like(self.model.expected_quad),
                     distinct_mask=rdist,
@@ -783,48 +708,18 @@ class Detector:
             else:
                 tote = score.DocTote()
                 self._score_span(sp, tote)
-                if tote.bytes_:
-                    lid = max(tote.bytes_,
-                              key=lambda k: (tote.bytes_[k], -k))
-                    rp = tote.rel[lid] // max(tote.bytes_[lid], 1)
-                    lid = lid if rp >= 41 else langs.UNKNOWN
-                else:
-                    lid = langs.UNKNOWN
-                raw.append(_one_range(sp, lid))
+                raw.append(_one_range(sp, _tote_range_lang(tote)))
         return self._merge_ranges(text, raw)
 
-    def detect_ranges_html(self, html: bytes) -> list[tuple[int, int, str]]:
-        """Language ranges in RAW PAGE byte offsets: extraction builds
-        an OffsetMap (extract_text_with_map) and the text-level ranges
-        compose through it — the reference's map2original chain."""
-        from .extract import extract_text_with_map
-        vp = valid_utf8_prefix(html)
-        text, om = extract_text_with_map(html[:vp])
-        ranges = self.detect_ranges(text)
-        if not ranges:
-            return []
-        starts = np.array([r[0] for r in ranges], dtype=np.int64)
-        ends = np.array([r[0] + r[1] for r in ranges], dtype=np.int64)
-        o_start = om.to_original(starts)
-        o_end = om.to_original(ends)
-        return [(int(a), int(b - a), r[2])
-                for a, b, r in zip(o_start, o_end, ranges)]
 
-    def detect_html(self, html: bytes,
-                    url: str = "") -> tuple[score.DetectResult, str, int]:
-        """UTF-8 gate + extraction + detection for raw page bytes.
-        Hints (lang= attrs, Content-Language, TLD) are derived from the
-        raw page. Returns (result, extracted_text, valid_prefix_bytes)."""
-        vp = valid_utf8_prefix(html)
-        if vp < len(html):
-            # invalid UTF-8 input -> UNKNOWN, like
-            # ExtDetectLanguageSummaryCheckUTF8 (compact_lang_det.cc:317-334)
-            text = extract_text(html[:vp]) if vp else ""
-            return (score.DetectResult(langs.UNKNOWN,
-                                       (langs.UNKNOWN,) * 3, (0, 0, 0),
-                                       (0.0, 0.0, 0.0), vp, False),
-                    text, vp)
-        text = extract_text(html)
-        hl = (hints_mod.priors_from_page(url, html)
-              if (url or html) else None)
-        return self.detect(text, hint_langs=hl), text, vp
+def _score_one_span(l3, q3, offsets, span_len: int, chunk_size: int,
+                    expected_1kb, distinct_mask=None, script4: int = 3):
+    """score.score_chunks_multi on one span: per-chunk (lang1, cbytes,
+    s1, rel) — the numpy oracles' chunk scorer."""
+    return score.score_chunks_multi(
+        l3, q3, offsets, np.zeros(len(offsets), dtype=np.int64),
+        np.zeros(1, dtype=np.int64), np.array([span_len], dtype=np.int64),
+        np.array([chunk_size], dtype=np.int64), expected_1kb,
+        distinct_mask=distinct_mask,
+        script4_of_span=np.array([script4], dtype=np.int64))[:4]
+

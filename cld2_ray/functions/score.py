@@ -156,73 +156,6 @@ def _ring_add(scores: np.ndarray, lang3: np.ndarray, qprob3: np.ndarray,
     scores[:, langs.UNKNOWN] = 0
 
 
-def score_chunks(lang3: np.ndarray, qprob3: np.ndarray,
-                 offsets: np.ndarray, span_end: int, chunk_size: int,
-                 expected_1kb: np.ndarray,
-                 hint_payload: list[int] | None = None,
-                 distinct_mask: np.ndarray | None = None,
-                 script4: int = 3):
-    """Score a span's hits in fixed-size chunks.
-
-    lang3/qprob3: (n_hits, lanes) decoded langprobs (4 lanes). offsets: byte offset of
-    each hit in the span. Returns arrays (lang1, bytes, score1, rel) per
-    chunk — exactly what SummaryBufferToDocTote feeds the DocTote
-    (scoreonescriptspan.cc:305-315).
-
-    expected_1kb: either int32[NUM_LANGS] (legacy / CJK unigram rates)
-    or int32[NUM_LANGS, 4] indexed by the span's LScript4 slot
-    ``script4`` (the kAvgDeltaOctaScore layout, see uscript.LSCRIPT4).
-    """
-    nh = len(offsets)
-    if nh == 0:
-        return (np.empty(0, np.int16), np.empty(0, np.int64),
-                np.empty(0, np.int64), np.empty(0, np.int64))
-    nchunks = max(1, nh // chunk_size)
-    chunk_of = np.minimum(np.arange(nh) // chunk_size, nchunks - 1)
-
-    flat = (np.repeat(chunk_of, lang3.shape[1]) * langs.NUM_LANGS
-            + lang3.ravel().astype(np.int64))
-    scores = np.bincount(flat, weights=qprob3.ravel(),
-                         minlength=nchunks * langs.NUM_LANGS) \
-        .reshape(nchunks, langs.NUM_LANGS).astype(np.int64)
-    scores[:, langs.UNKNOWN] = 0  # slot 0 holds empty decode lanes
-    chunk_hi = np.minimum((np.arange(nchunks) + 1) * chunk_size, nh)
-    chunk_hi[-1] = nh
-    _ring_add(scores, lang3, qprob3, chunk_hi,
-              np.zeros(nchunks, np.int64), distinct_mask)
-    grams = np.bincount(chunk_of, minlength=nchunks)
-    if hint_payload:
-        # per-chunk language priors (ScoreBoosts, scoreonescriptspan.cc:
-        # 126-152): each packed boost entry adds its parsed per-entry
-        # weight to every chunk unconditionally; whack entries then
-        # zero their close-set rival (ZeroPSLang). Encoding:
-        # boost = lid | (w << 16), whack = -lid (functions/hints.py)
-        for v in hint_payload:
-            if v >= 0:
-                scores[:, v & 0xFFFF] += (v >> 16)
-            else:
-                scores[:, -v] = 0
-
-    top1, top2, s1, s2 = _top2(scores)
-
-    starts = offsets[::chunk_size][:nchunks]
-    ends = np.append(starts[1:], span_end)
-    cbytes = np.maximum(ends - starts, 1)
-
-    rel_d = reliability_delta(s1, s2, grams)
-    # lang1/lang2 in the same close set -> fully reliable delta
-    # (scoreonescriptspan.cc:91-93)
-    cs1 = langs.CLOSE_SET[top1]
-    same_set = (cs1 > 0) & (cs1 == langs.CLOSE_SET[top2])
-    rel_d = np.where(same_set, 100, rel_d)
-    actual_1kb = (s1 << 10) // cbytes
-    exp = expected_1kb[top1, script4] if expected_1kb.ndim == 2 \
-        else expected_1kb[top1]
-    rel_e = reliability_expected(actual_1kb, exp)
-    rel = np.minimum(rel_d, rel_e)
-    return top1.astype(np.int16), cbytes, s1, rel
-
-
 def score_chunks_multi(lang3: np.ndarray, qprob3: np.ndarray,
                        offsets: np.ndarray, span_of: np.ndarray,
                        span_starts: np.ndarray, span_lens: np.ndarray,
@@ -230,19 +163,21 @@ def score_chunks_multi(lang3: np.ndarray, qprob3: np.ndarray,
                        hint_payload_per_span: list | None = None,
                        distinct_mask: np.ndarray | None = None,
                        script4_of_span: np.ndarray | None = None):
-    """Batch version of score_chunks over MANY concatenated spans.
+    """Score concatenated spans' hits in fixed-size chunks, per span.
 
-    Hits must be sorted by (span, offset) with quad-before-octa tie
-    order — then the per-span chunking, scores, and reliabilities are
-    bit-identical to calling score_chunks span by span. Returns
-    (lang1, cbytes, s1, rel, span_of_chunk).
+    lang3/qprob3: (n_hits, lanes) decoded langprobs (4 lanes); offsets:
+    byte offset of each hit, sorted by (span, offset) with
+    quad-before-octa tie order; span_of: each hit's span. Returns per
+    chunk (lang1, cbytes, s1, rel, span_of_chunk) — exactly what
+    SummaryBufferToDocTote feeds the DocTote
+    (scoreonescriptspan.cc:305-315).
 
     expected_1kb: int32[NUM_LANGS] or int32[NUM_LANGS, 4]; in the 2-D
     (kAvgDeltaOctaScore) layout each chunk reads its span's LScript4
     slot from ``script4_of_span`` (slot 3 when omitted).
 
-    The tests' numpy oracle for native.quad_octa_chunk_score and
-    native.cjk_chunk_score, which run this chain in the runtime.
+    The numpy oracle of native.quad_octa_chunk_score and
+    native.cjk_chunk_score, which run this chain at runtime.
     """
     nspans = len(span_lens)
     nh = len(offsets)
@@ -324,6 +259,17 @@ def score_chunks_multi(lang3: np.ndarray, qprob3: np.ndarray,
     rel_e = reliability_expected(actual_1kb, exp)
     rel = np.minimum(rel_d, rel_e)
     return top1.astype(np.int16), cbytes, s1, rel, span_of_chunk
+
+
+def is_good(res: "DetectResult", total_text_bytes: int) -> bool:
+    """The Repeats-retry accept rule (compact_lang_det_impl.cc:
+    1979-2106): a first-pass result stands when the text is short, or
+    when it is reliable and its top language (or top two) dominate."""
+    return (total_text_bytes <= SHORT_TEXT_THRESH
+            or (res.is_reliable
+                and (res.percent3[0] >= GOOD_LANG1_PERCENT
+                     or res.percent3[0] + res.percent3[1]
+                     >= GOOD_LANG1AND2_PERCENT)))
 
 
 @dataclass

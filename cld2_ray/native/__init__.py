@@ -73,7 +73,7 @@ def _compile() -> str:
 
 
 def _load() -> None:
-    global _FN, _LK, _ACC, _PM, _RW, _PP, _CS, _CSR, _CJ, _QS, _SS, _SSM
+    global _FN, _LK, _ACC, _PM, _RW, _PP, _CS, _CJ, _QS, _SS, _SSM
     global _EX, _EXM, _MD5, _MDW, _B2B
     so = _compile()
     try:
@@ -125,6 +125,9 @@ def _load() -> None:
     i16p = np.ctypeslib.ndpointer(np.int16, flags="C_CONTIGUOUS")
     i8p = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
     _CS = lib.quad_octa_chunk_score
+    # the merge scratch and the ranges outputs are NULL in the plain
+    # pass, hence c_void_p
+    vp = ctypes.c_void_p
     _CS.argtypes = [
         u8p, ctypes.c_int64, i64p, ctypes.c_int64,
         u64p, u64p, ctypes.c_uint64,
@@ -132,24 +135,13 @@ def _load() -> None:
         *_bt, *_bt, u8p, u8p,
         ctypes.c_int64, i32p, i8p, ctypes.c_int64,
         i64p, i64p,
-        u64p, i64p, u64p, i64p, u8wp0, i64p,
+        u64p, i64p, u64p, i64p, u8wp0,
+        vp, vp, vp,
+        i64p,
         i16p, i64p, i64p, i64p, i64p,
+        vp, vp,
     ]
     _CS.restype = ctypes.c_int64
-    _CSR = lib.quad_octa_chunk_score_ranges
-    _CSR.argtypes = [
-        u8p, ctypes.c_int64, i64p, ctypes.c_int64,
-        u64p, u64p, ctypes.c_uint64,
-        u64p, u64p, ctypes.c_uint64,
-        *_bt, *_bt, u8p, u8p,
-        ctypes.c_int64, i32p, i8p, ctypes.c_int64,
-        i64p, i64p,
-        u64p, i64p, u64p, i64p, u8wp0,
-        u64p, i64p, u8wp0, i64p,
-        i16p, i64p, i64p, i64p, i64p,
-        i64p, i64p,
-    ]
-    _CSR.restype = ctypes.c_int64
     _CJ = lib.cjk_chunk_score
     _CJ.argtypes = [
         u8p, ctypes.c_int64, i64p, ctypes.c_int64, i64p,
@@ -172,7 +164,6 @@ def _load() -> None:
     # the two hottest per-PAGE entry points take raw void* pointers:
     # ndpointer.from_param validation costs ~5us/arg/call, which at
     # ~11 array args x 2 calls/page is ~6% of the whole fused kernel
-    vp = ctypes.c_void_p
     _SS = lib.script_spans_scan
     _SS.argtypes = [vp, ctypes.c_int64,
                     vp, vp, ctypes.c_int64,
@@ -252,8 +243,9 @@ def quad_octa_scan(cat: bytes, bounds: np.ndarray, quad_table,
                    socta, docta, xocta, latin_of_span: np.ndarray):
     """One C pass: quad walk + the GetOctaHits word/pair walk with
     bucket probes. Returns (qvals, qoffs, ovals, ooffs) — table HITS
-    only, ascending offsets, bit-equal to hits.quad_hits_dense +
-    HashTable.lookup / Detector._octa_stream."""
+    only, ascending offsets, bit-equal to the numpy oracles
+    hits.quad_hits_dense + HashTable.lookup_numpy and
+    Detector._octa_stream."""
     n = len(cat)
     buf = np.frombuffer(cat, dtype=np.uint8)
     bounds = np.ascontiguousarray(bounds, dtype=np.int64)
@@ -314,11 +306,18 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
                           chunk_size: int,
                           expected_1kb: np.ndarray, close_set: np.ndarray,
                           hint_csr: np.ndarray, hint_flat: np.ndarray,
-                          script4_of_span: np.ndarray | None = None):
-    """Fused scan + chunk scoring: the whole _many_hits ->
-    score_chunks_multi chain in one C pass, per-hit arrays never
-    materialized. Returns per-chunk (lang1 i16, cbytes i64, s1 i64,
-    rel i64, span_of_chunk i64) — bit-equal to the numpy chain.
+                          script4_of_span: np.ndarray | None = None,
+                          with_ranges: bool = False):
+    """Fused scan + chunk scoring over concatenated MANY-script spans
+    in one C pass, per-hit arrays never materialized. Returns per-chunk
+    (lang1 i16, cbytes i64, s1 i64, rel i64, span_of_chunk i64) —
+    bit-equal to the numpy oracle chain Detector._many_hits ->
+    score.score_chunks_multi.
+
+    with_ranges=True appends (rel_delta, cstart): rel_delta is the
+    zeros-expected reliability (the ranges "un" gate) and cstart the
+    BetterBoundary-sharpened chunk start in span-LOCAL bytes. The first
+    five outputs do not change; the pass costs a hit-stream merge.
 
     expected_1kb: int32[NUM_LANGS, 4] in the kAvgDeltaOctaScore layout
     (per-span LScript4 slot from ``script4_of_span``; slot 3 when
@@ -332,6 +331,23 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
     sc = _cs_scratch
     num_langs = expected_1kb.shape[0]
     _cs_grow(sc, max_span, n, nb, chunk_size, num_langs)
+    ranges_args = (None,) * 5
+    if with_ranges:
+        if sc.get("m_cap", 0) < sc["span_cap"]:
+            mcap = sc["span_cap"]
+            sc["mvals"] = np.empty(mcap, dtype=np.uint64)
+            sc["moffs"] = np.empty(mcap, dtype=np.int64)
+            sc["mdist"] = np.empty(mcap, dtype=np.uint8)
+            _prefault(sc["mvals"], sc["moffs"], sc["mdist"])
+            sc["m_cap"] = mcap
+        if sc.get("r_cap", 0) < sc["out_cap"]:
+            rcap = sc["out_cap"]
+            sc["rel_delta"] = np.empty(rcap, dtype=np.int64)
+            sc["cstart"] = np.empty(rcap, dtype=np.int64)
+            _prefault(sc["rel_delta"], sc["cstart"])
+            sc["r_cap"] = rcap
+        ranges_args = tuple(sc[k].ctypes.data for k in (
+            "mvals", "moffs", "mdist", "rel_delta", "cstart"))
     if expected_1kb.ndim == 1:
         expected_1kb = np.repeat(expected_1kb[:, None], 4, axis=1)
     exp = np.ascontiguousarray(expected_1kb, dtype=np.int32)
@@ -350,79 +366,13 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
               chunk_size, exp, cset, num_langs,
               csr, flat,
               sc["qvals"], sc["qoffs"], sc["ovals"], sc["ooffs"],
-              sc["odist"],
+              sc["odist"], *ranges_args[:3],
               sc["scores"],
-              sc["lang1"], sc["cbytes"], sc["s1"], sc["rel"], sc["span"])
-    return (sc["lang1"][:nch].copy(), sc["cbytes"][:nch].copy(),
-            sc["s1"][:nch].copy(), sc["rel"][:nch].copy(),
-            sc["span"][:nch].copy())
-
-
-def quad_octa_chunk_score_ranges(cat: bytes, bounds: np.ndarray,
-                                 quad_table, socta, docta, xocta,
-                                 latin_of_span: np.ndarray,
-                                 chunk_size: int,
-                                 expected_1kb: np.ndarray,
-                                 close_set: np.ndarray,
-                                 hint_csr: np.ndarray,
-                                 hint_flat: np.ndarray,
-                                 script4_of_span: np.ndarray
-                                 | None = None):
-    """quad_octa_chunk_score PLUS the per-chunk ranges outputs:
-    (lang1, cbytes, s1, rel, span_of_chunk, rel_delta, cstart) where
-    rel_delta is the zeros-expected reliability (the detect_ranges
-    un-gate) and cstart the BetterBoundary-sharpened chunk start in
-    span-LOCAL bytes. The first five outputs are bit-equal to
-    quad_octa_chunk_score (same scan, same chunk scorer)."""
-    n = len(cat)
-    buf = np.frombuffer(cat, dtype=np.uint8)
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-    lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
-    nb = len(bounds)
-    max_span = int(np.diff(np.concatenate([[0], bounds])).max(initial=0))
-    sc = _cs_scratch
-    num_langs = expected_1kb.shape[0]
-    _cs_grow(sc, max_span, n, nb, chunk_size, num_langs)
-    if sc.get("m_cap", 0) < sc["span_cap"]:
-        mcap = sc["span_cap"]
-        sc["mvals"] = np.empty(mcap, dtype=np.uint64)
-        sc["moffs"] = np.empty(mcap, dtype=np.int64)
-        sc["mdist"] = np.empty(mcap, dtype=np.uint8)
-        _prefault(sc["mvals"], sc["moffs"], sc["mdist"])
-        sc["m_cap"] = mcap
-    if sc.get("r_cap", 0) < sc["out_cap"]:
-        rcap = sc["out_cap"]
-        sc["rel_delta"] = np.empty(rcap, dtype=np.int64)
-        sc["cstart"] = np.empty(rcap, dtype=np.int64)
-        _prefault(sc["rel_delta"], sc["cstart"])
-        sc["r_cap"] = rcap
-    if expected_1kb.ndim == 1:
-        expected_1kb = np.repeat(expected_1kb[:, None], 4, axis=1)
-    exp = np.ascontiguousarray(expected_1kb, dtype=np.int32)
-    s4 = (np.ascontiguousarray(script4_of_span, dtype=np.uint8)
-          if script4_of_span is not None
-          else np.full(nb, 3, dtype=np.uint8))
-    cset = np.ascontiguousarray(close_set, dtype=np.int8)
-    csr = np.ascontiguousarray(hint_csr, dtype=np.int64)
-    flat = np.ascontiguousarray(hint_flat, dtype=np.int64)
-    if len(flat) == 0:
-        flat = np.zeros(1, dtype=np.int64)
-    nch = _CSR(buf, n, bounds, nb,
-               quad_table.keys, quad_table.vals, int(quad_table.mask),
-               socta.keys, socta.vals, int(socta.mask),
-               *_bt_args(docta), *_bt_args(xocta), lat, s4,
-               chunk_size, exp, cset, num_langs,
-               csr, flat,
-               sc["qvals"], sc["qoffs"], sc["ovals"], sc["ooffs"],
-               sc["odist"],
-               sc["mvals"], sc["moffs"], sc["mdist"],
-               sc["scores"],
-               sc["lang1"], sc["cbytes"], sc["s1"], sc["rel"],
-               sc["span"], sc["rel_delta"], sc["cstart"])
-    return (sc["lang1"][:nch].copy(), sc["cbytes"][:nch].copy(),
-            sc["s1"][:nch].copy(), sc["rel"][:nch].copy(),
-            sc["span"][:nch].copy(), sc["rel_delta"][:nch].copy(),
-            sc["cstart"][:nch].copy())
+              sc["lang1"], sc["cbytes"], sc["s1"], sc["rel"], sc["span"],
+              *ranges_args[3:])
+    keys = ("lang1", "cbytes", "s1", "rel", "span") \
+        + (("rel_delta", "cstart") if with_ranges else ())
+    return tuple(sc[k][:nch].copy() for k in keys)
 
 
 def cjk_chunk_score(cat: bytes, bounds: np.ndarray,

@@ -1,17 +1,17 @@
 /* Hot-loop kernel: quadgram + octagram candidate extraction, hashing,
  * last-2 ring dedupe and open-addressed table probe in ONE C pass.
  *
- * Semantics are bit-equal to the numpy reference path
- * (cld2_ray/functions/hits.py quad_hits_dense/octa_hits +
- * cld2_ray/state/model.py HashTable.lookup); the Python shim
- * (cld2_ray/native/__init__.py) cross-checks them in tests.  The
+ * Semantics are bit-equal to the numpy test oracles
+ * (cld2_ray/functions/hits.py quad_hits_dense/octa_word_and_pair_hits
+ * + cld2_ray/state/model.py HashTable.lookup_numpy), cross-checked in
+ * tests/test_native.py.  The
  * n-gram walk and hashes mirror the reference engine's GetQuadHits /
  * GetOctaHits / QuadHashV2 / OctaHash40 (reference:
  * internal/cldutil.cc:315-533, internal/cldutil_shared.cc:167-358)
  * with this engine's documented dense-sampling deviation.
  *
- * Build: cc -O2 -shared -fPIC quadscan.c -o quadscan.so  (done by the
- * package shim, cached next to this file).
+ * Build: cc -O3 -ffp-contract=off -shared -fPIC quadscan.c -o
+ * quadscan.so (done by the package shim, cached next to this file).
  */
 
 #include <stdint.h>
@@ -923,29 +923,6 @@ int quad_octa_scan(const uint8_t *buf, int64_t n,
     return 0;
 }
 
-/* Fused scan + chunk scoring: the whole _many_hits ->
- * score_chunks_multi chain (cld2_ray/functions/langid.py:_fill_totes,
- * score.py:score_chunks_multi) in ONE C pass per span, emitting only
- * per-CHUNK results — per-hit arrays never exist, which removes the
- * ~100x memory-traffic amplification the numpy path pays (hits are
- * ~1 per 2 text bytes; each flowed through concat/argsort/unpack/
- * bincount as multiple int64 lanes).
- *
- * Bit-equal to the numpy chain (cross-checked in tests/test_native.py):
- *  - quads before octas at equal offset (stable concat order)
- *  - nchunks = max(1, nh/chunk_size); hit i -> chunk min(i/cs, nch-1)
- *  - per-chunk lang scores = sum of decoded qprob lanes; UNKNOWN (0)
- *    lane suppressed
- *  - hint boost 12 + grams*12/16 to hinted langs with evidence
- *  - deterministic top-2 (ties -> smaller lang id, = score.py _top2)
- *  - ReliabilityDelta integer math + the reference's exact
- *    ReliabilityExpected ramp in double (same expressions, same
- *    truncation as score.reliability_expected_exact)
- *
- * hint_csr: nb+1 offsets into hint_flat (per-span hinted lang ids).
- * Scratch: sc_qvals/sc_qoffs/sc_ovals/sc_ooffs sized >= max span len+8;
- * sc_scores int64[num_langs] ZEROED by caller (left zeroed on return).
- * Outputs sized >= n/chunk_size + nb + 8. Returns chunk count. */
 /* Chunk-score ONE span's merged hit stream (primary a = quads/unis,
  * secondary b = octas/bis; a-before-b at equal offsets — the stable
  * concat order). Appends per-chunk rows at *nchunks_io; returns the
@@ -1113,6 +1090,122 @@ static int64_t chunk_score_merged(
     return nch;
 }
 
+static int64_t merge_hits(
+        const uint64_t *av, const int64_t *ao, int64_t na,
+        const uint64_t *bv, const int64_t *bo, const uint8_t *bd,
+        int64_t nb_, uint64_t *mv, int64_t *mo, uint8_t *md) {
+    int64_t ai = 0, bi = 0, k = 0;
+    while (ai < na || bi < nb_) {
+        if (ai < na && (bi >= nb_ || ao[ai] <= bo[bi])) {
+            mv[k] = av[ai]; mo[k] = ao[ai]; md[k] = 0; ai++;
+        } else {
+            mv[k] = bv[bi]; mo[k] = bo[bi];
+            md[k] = bd ? bd[bi] : 0; bi++;
+        }
+        k++;
+    }
+    return k;
+}
+
+static inline int64_t lang_score(uint64_t v, int64_t lang) {
+    int64_t s = 0;
+    for (int lane = 0; lane < 4; lane++) {
+        int64_t l = (int64_t)((v >> (16 * lane)) & 0xFF);
+        if (l == lang) s += (int64_t)((v >> (16 * lane + 8)) & 0xFF);
+    }
+    return s;
+}
+
+/* BetterBoundary port (bit-equal to the numpy oracle
+ * Detector._sharpen_boundaries): per chunk k the sharpened boundary
+ * HIT index mapped to its span-local byte offset. lang1 points at
+ * this span's nch chunk langs. */
+static void sharpen_starts(
+        const uint64_t *mv, const int64_t *mo, int64_t nh,
+        const int16_t *lang1, int64_t nch, int64_t chunk_size,
+        const int8_t *close_set, int64_t *out_start) {
+    int64_t bidx0 = 0 < nh - 1 ? 0 : nh - 1;
+    out_start[0] = mo[bidx0 < 0 ? 0 : bidx0];
+    int64_t prior_linear = 0;
+    for (int64_t k = 1; k < nch; k++) {
+        int64_t this_linear = k * chunk_size;
+        int64_t bidx = this_linear < nh - 1 ? this_linear : nh - 1;
+        int64_t next_linear = (k + 1 < nch) ? (k + 1) * chunk_size : nh;
+        int64_t lang0 = lang1[k - 1], langk = lang1[k];
+        int skip = (langk == lang0);
+        if (!skip) {
+            int8_t cs0 = close_set[lang0];
+            if (cs0 > 0 && cs0 == close_set[langk]) skip = 1;
+        }
+        if (skip) {
+            out_start[k] = mo[bidx];
+            prior_linear = this_linear;
+            continue;
+        }
+        int64_t linear0 = prior_linear, linear2 = next_linear;
+        if (linear2 - linear0 > 8) {
+            /* first strictly-better max ("<" update rule) of the
+             * 8-hit sliding window (first-4 diffs) - (last-4 diffs),
+             * requiring both positive and negative diffs present.
+             * Windows are 8 hits over <= 2*chunk_size hits — the
+             * direct O(8n) recompute is fine. */
+            int64_t n = linear2 - linear0;
+            int64_t best_val = INT64_MIN;
+            int64_t best = -1;
+            for (int64_t s = 0; s < n - 8; s++) {
+                int64_t run = 0, pm_p = 0, pm_n = 0;
+                for (int64_t j = 0; j < 8; j++) {
+                    int64_t d = lang_score(mv[linear0 + s + j], lang0)
+                              - lang_score(mv[linear0 + s + j], langk);
+                    run += (j < 4) ? d : -d;
+                    if (d > 0) pm_p = 1;
+                    if (d < 0) pm_n = 1;
+                }
+                int64_t cand = (pm_p && pm_n) ? run : INT64_MIN;
+                if (cand > best_val) { best_val = cand; best = s; }
+            }
+            if (best >= 0 && best_val > 0)
+                this_linear = linear0 + best + 4;
+        }
+        out_start[k] = mo[this_linear < nh - 1 ? this_linear : nh - 1];
+        prior_linear = this_linear;
+    }
+}
+
+/* Fused scan + chunk scoring over concatenated MANY-script spans
+ * (functions/langid.py Detector._fill_totes) in ONE C pass per span,
+ * emitting only per-CHUNK results: per-hit arrays never exist (hits
+ * are ~1 per 2 text bytes).
+ *
+ * Bit-equal to the numpy oracle chain Detector._many_hits ->
+ * score.score_chunks_multi (cross-checked in tests/test_native.py):
+ *  - quads before octas at equal offset (stable concat order)
+ *  - nchunks = max(1, nh/chunk_size); hit i -> chunk min(i/cs, nch-1)
+ *  - per-chunk lang scores = sum of decoded qprob lanes; UNKNOWN (0)
+ *    lane suppressed
+ *  - per-span hint payloads (functions/hints.py): boosts add their
+ *    weight, whacks zero their language
+ *  - deterministic top-2 (ties -> smaller lang id, = score.py _top2)
+ *  - ReliabilityDelta integer math + the reference's exact
+ *    ReliabilityExpected ramp in double (same expressions, same
+ *    truncation as score.reliability_expected_exact)
+ *
+ * The merge scratch (sc_mvals/sc_moffs/sc_mdist) and the ranges
+ * outputs (out_rel_delta, out_cstart) are all NULL or all set.
+ * NULL: each span's quad and octa streams are chunk-scored directly.
+ * Set: the ResultChunkVector pass (reference scoreonescriptspan.cc:
+ * 389-509 + SharpenBoundaries :671-774) — the streams are merged once
+ * so sharpening has random access, and the merged stream is
+ * chunk-scored (a-before-b at equal offsets == the merged order, so
+ * the first five outputs do not change). Per chunk it adds the
+ * zeros-expected reliability (out_rel_delta) and the
+ * BetterBoundary-sharpened start (out_cstart, span-local bytes). The
+ * merge costs ~5-17% kernel time, so the plain pass skips it.
+ *
+ * hint_csr: nb+1 offsets into hint_flat (per-span hint payloads).
+ * Scratch: sc_* hit arrays sized >= max span len+8; sc_scores
+ * int64[num_langs] ZEROED by caller (left zeroed on return).
+ * Outputs sized >= n/chunk_size + nb + 8. Returns chunk count. */
 int64_t quad_octa_chunk_score(
         const uint8_t *buf, int64_t n,
         const int64_t *bounds, int64_t nb,
@@ -1129,9 +1222,11 @@ int64_t quad_octa_chunk_score(
         const int64_t *hint_csr, const int64_t *hint_flat,
         uint64_t *sc_qvals, int64_t *sc_qoffs,
         uint64_t *sc_ovals, int64_t *sc_ooffs, uint8_t *sc_odist,
+        uint64_t *sc_mvals, int64_t *sc_moffs, uint8_t *sc_mdist,
         int64_t *sc_scores,
         int16_t *out_lang1, int64_t *out_cbytes, int64_t *out_s1,
-        int64_t *out_rel, int64_t *out_span) {
+        int64_t *out_rel, int64_t *out_span,
+        int64_t *out_rel_delta, int64_t *out_cstart) {
     int64_t nchunks_total = 0;
     int64_t span_start = 0;
     uint64_t dbmask = (uint64_t)(dnb - 1);
@@ -1144,6 +1239,8 @@ int64_t quad_octa_chunk_score(
         int64_t nq = 0, no = 0;
         const uint64_t *dpacked = span_latin[span_i] ? dpl : dpo;
         const uint64_t *xpacked = span_latin[span_i] ? xpl : xpo;
+        const int64_t *hints = hint_flat + hint_csr[span_i];
+        int64_t nhints = hint_csr[span_i + 1] - hint_csr[span_i];
         scan_one_span(sp, len, 0, qkeys, qvals, qmask,
                       skeys, svals, smask,
                       db, dbmask, dkeymask, dpacked,
@@ -1151,16 +1248,31 @@ int64_t quad_octa_chunk_score(
                       sc_qvals, sc_qoffs, &nq, sc_ovals, sc_ooffs,
                       sc_odist, &no);
         span_start = span_end;
-        chunk_score_merged(sc_qvals, sc_qoffs, nq, sc_ovals, sc_ooffs,
-                           sc_odist, no,
-                           len, chunk_size, expected_1kb,
-                           (int32_t)span_script4[span_i], close_set,
-                           num_langs,
-                           hint_flat + hint_csr[span_i],
-                           hint_csr[span_i + 1] - hint_csr[span_i],
-                           sc_scores, span_i,
-                           out_lang1, out_cbytes, out_s1, out_rel,
-                           out_span, &nchunks_total, NULL);
+        if (!out_cstart) {
+            chunk_score_merged(sc_qvals, sc_qoffs, nq, sc_ovals, sc_ooffs,
+                               sc_odist, no,
+                               len, chunk_size, expected_1kb,
+                               (int32_t)span_script4[span_i], close_set,
+                               num_langs, hints, nhints, sc_scores, span_i,
+                               out_lang1, out_cbytes, out_s1, out_rel,
+                               out_span, &nchunks_total, NULL);
+            continue;
+        }
+        int64_t nh = merge_hits(sc_qvals, sc_qoffs, nq,
+                                sc_ovals, sc_ooffs, sc_odist, no,
+                                sc_mvals, sc_moffs, sc_mdist);
+        int64_t base = nchunks_total;
+        int64_t nch = chunk_score_merged(
+            NULL, NULL, 0, sc_mvals, sc_moffs, sc_mdist, nh,
+            len, chunk_size, expected_1kb,
+            (int32_t)span_script4[span_i], close_set, num_langs,
+            hints, nhints, sc_scores, span_i,
+            out_lang1, out_cbytes, out_s1, out_rel,
+            out_span, &nchunks_total, out_rel_delta);
+        if (nch > 0)
+            sharpen_starts(sc_mvals, sc_moffs, nh,
+                           out_lang1 + base, nch, chunk_size,
+                           close_set, out_cstart + base);
     }
     return nchunks_total;
 }
@@ -1961,172 +2073,17 @@ int blake2b_batch(const uint8_t *data, const int64_t *offsets,
     return 0;
 }
 
-/* ====================================================================
- * Ranges variant of the fused kernel: same scan + chunk scoring as
- * quad_octa_chunk_score (bit-equal totes feed), PLUS the per-chunk
- * outputs the ResultChunkVector path needs (functions/langid.py
- * detect_ranges; reference scoreonescriptspan.cc:389-509 +
- * SharpenBoundaries :671-774): the zeros-expected reliability
- * (out_rel_delta) and the BetterBoundary-sharpened chunk start
- * offset (out_cstart, span-local bytes). The hit stream is merged
- * once into caller scratch so sharpening has random access; chunk
- * scoring consumes the SAME merged stream (a empty, b = merged with
- * distinct flags), which reproduces the two-stream merge order
- * exactly (a-before-b at equal offsets == the merged array order).
- * ================================================================ */
-
-static int64_t merge_hits(
-        const uint64_t *av, const int64_t *ao, int64_t na,
-        const uint64_t *bv, const int64_t *bo, const uint8_t *bd,
-        int64_t nb_, uint64_t *mv, int64_t *mo, uint8_t *md) {
-    int64_t ai = 0, bi = 0, k = 0;
-    while (ai < na || bi < nb_) {
-        if (ai < na && (bi >= nb_ || ao[ai] <= bo[bi])) {
-            mv[k] = av[ai]; mo[k] = ao[ai]; md[k] = 0; ai++;
-        } else {
-            mv[k] = bv[bi]; mo[k] = bo[bi];
-            md[k] = bd ? bd[bi] : 0; bi++;
-        }
-        k++;
-    }
-    return k;
-}
-
-static inline int64_t lang_score(uint64_t v, int64_t lang) {
-    int64_t s = 0;
-    for (int lane = 0; lane < 4; lane++) {
-        int64_t l = (int64_t)((v >> (16 * lane)) & 0xFF);
-        if (l == lang) s += (int64_t)((v >> (16 * lane + 8)) & 0xFF);
-    }
-    return s;
-}
-
-/* BetterBoundary port (= langid._sharpen_boundaries, bit-equal): per
- * chunk k the sharpened boundary HIT index mapped to its span-local
- * byte offset. lang1 points at this span's nch chunk langs. */
-static void sharpen_starts(
-        const uint64_t *mv, const int64_t *mo, int64_t nh,
-        const int16_t *lang1, int64_t nch, int64_t chunk_size,
-        const int8_t *close_set, int64_t *out_start) {
-    int64_t bidx0 = 0 < nh - 1 ? 0 : nh - 1;
-    out_start[0] = mo[bidx0 < 0 ? 0 : bidx0];
-    int64_t prior_linear = 0;
-    for (int64_t k = 1; k < nch; k++) {
-        int64_t this_linear = k * chunk_size;
-        int64_t bidx = this_linear < nh - 1 ? this_linear : nh - 1;
-        int64_t next_linear = (k + 1 < nch) ? (k + 1) * chunk_size : nh;
-        int64_t lang0 = lang1[k - 1], langk = lang1[k];
-        int skip = (langk == lang0);
-        if (!skip) {
-            int8_t cs0 = close_set[lang0];
-            if (cs0 > 0 && cs0 == close_set[langk]) skip = 1;
-        }
-        if (skip) {
-            out_start[k] = mo[bidx];
-            prior_linear = this_linear;
-            continue;
-        }
-        int64_t linear0 = prior_linear, linear2 = next_linear;
-        if (linear2 - linear0 > 8) {
-            /* first strictly-better max ("<" update rule) of the
-             * 8-hit sliding window (first-4 diffs) - (last-4 diffs),
-             * requiring both positive and negative diffs present.
-             * Windows are 8 hits over <= 2*chunk_size hits — the
-             * direct O(8n) recompute is fine. */
-            int64_t n = linear2 - linear0;
-            int64_t best_val = INT64_MIN;
-            int64_t best = -1;
-            for (int64_t s = 0; s < n - 8; s++) {
-                int64_t run = 0, pm_p = 0, pm_n = 0;
-                for (int64_t j = 0; j < 8; j++) {
-                    int64_t d = lang_score(mv[linear0 + s + j], lang0)
-                              - lang_score(mv[linear0 + s + j], langk);
-                    run += (j < 4) ? d : -d;
-                    if (d > 0) pm_p = 1;
-                    if (d < 0) pm_n = 1;
-                }
-                int64_t cand = (pm_p && pm_n) ? run : INT64_MIN;
-                if (cand > best_val) { best_val = cand; best = s; }
-            }
-            if (best >= 0 && best_val > 0)
-                this_linear = linear0 + best + 4;
-        }
-        out_start[k] = mo[this_linear < nh - 1 ? this_linear : nh - 1];
-        prior_linear = this_linear;
-    }
-}
-
-int64_t quad_octa_chunk_score_ranges(
-        const uint8_t *buf, int64_t n,
-        const int64_t *bounds, int64_t nb,
-        const uint64_t *qkeys, const uint64_t *qvals, uint64_t qmask,
-        const uint64_t *skeys, const uint64_t *svals, uint64_t smask,
-        const uint32_t *db, int64_t dnb, uint32_t dkeymask,
-        const uint64_t *dpl, const uint64_t *dpo,
-        const uint32_t *xb, int64_t xnb, uint32_t xkeymask,
-        const uint64_t *xpl, const uint64_t *xpo,
-        const uint8_t *span_latin, const uint8_t *span_script4,
-        int64_t chunk_size,
-        const int32_t *expected_1kb, const int8_t *close_set,
-        int64_t num_langs,
-        const int64_t *hint_csr, const int64_t *hint_flat,
-        uint64_t *sc_qvals, int64_t *sc_qoffs,
-        uint64_t *sc_ovals, int64_t *sc_ooffs, uint8_t *sc_odist,
-        uint64_t *sc_mvals, int64_t *sc_moffs, uint8_t *sc_mdist,
-        int64_t *sc_scores,
-        int16_t *out_lang1, int64_t *out_cbytes, int64_t *out_s1,
-        int64_t *out_rel, int64_t *out_span,
-        int64_t *out_rel_delta, int64_t *out_cstart) {
-    int64_t nchunks_total = 0;
-    int64_t span_start = 0;
-    uint64_t dbmask = (uint64_t)(dnb - 1);
-    uint64_t xbmask = (uint64_t)(xnb - 1);
-    (void)n;
-    for (int64_t span_i = 0; span_i < nb; span_i++) {
-        int64_t span_end = bounds[span_i];
-        int64_t len = span_end - span_start;
-        const uint8_t *sp = buf + span_start;
-        int64_t nq = 0, no = 0;
-        const uint64_t *dpacked = span_latin[span_i] ? dpl : dpo;
-        const uint64_t *xpacked = span_latin[span_i] ? xpl : xpo;
-        scan_one_span(sp, len, 0, qkeys, qvals, qmask,
-                      skeys, svals, smask,
-                      db, dbmask, dkeymask, dpacked,
-                      xb, xbmask, xkeymask, xpacked,
-                      sc_qvals, sc_qoffs, &nq, sc_ovals, sc_ooffs,
-                      sc_odist, &no);
-        span_start = span_end;
-        int64_t nh = merge_hits(sc_qvals, sc_qoffs, nq,
-                                sc_ovals, sc_ooffs, sc_odist, no,
-                                sc_mvals, sc_moffs, sc_mdist);
-        int64_t base = nchunks_total;
-        int64_t nch = chunk_score_merged(
-            NULL, NULL, 0, sc_mvals, sc_moffs, sc_mdist, nh,
-            len, chunk_size, expected_1kb,
-            (int32_t)span_script4[span_i], close_set, num_langs,
-            hint_flat + hint_csr[span_i],
-            hint_csr[span_i + 1] - hint_csr[span_i],
-            sc_scores, span_i,
-            out_lang1, out_cbytes, out_s1, out_rel,
-            out_span, &nchunks_total, out_rel_delta);
-        if (nch > 0)
-            sharpen_starts(sc_mvals, sc_moffs, nh,
-                           out_lang1 + base, nch, chunk_size,
-                           close_set, out_cstart + base);
-    }
-    return nchunks_total;
-}
-
 /* extract_scan with (a) inline CRLF canonicalization (so it runs on
  * the RAW page bytes — extract_text pre-replaces \r\n/\r with \n
  * before calling extract_scan, which would shift offsets) and (b) a
  * per-OUTPUT-byte source-offset array: src_of[k] = raw-page position
  * that produced out[k] (tag separators -> the '<', entity bytes ->
- * the '&', lone-\r newlines -> the '\r'). This replaces the Python
- * OffsetMap in the chunks path (functions/offsetmap.py stays for the
- * standalone detect_ranges_html API): mapping a text range back to
- * raw offsets is one array index. Output text is byte-identical to
- * extract_text (leftmost \r\n pairing == Python's two-pass replace).
+ * the '&', lone-\r newlines -> the '\r'). Mapping a text range back
+ * to raw offsets is one array index (extract.text_to_raw_ranges, used
+ * by the flagship chunks column and Detector.detect_ranges_html).
+ * functions/offsetmap.py + extract_text_with_map are its test oracle.
+ * Output text is byte-identical to extract_text (leftmost \r\n
+ * pairing == Python's two-pass replace).
  */
 int64_t extract_scan_map(const uint8_t *b, int64_t n,
                          const uint64_t *ekeys, const int32_t *evals,

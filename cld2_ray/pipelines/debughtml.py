@@ -141,10 +141,12 @@ def debug_page(url: str, text: str,
 
 
 def write_debug_sample(pages_ds, out_dir: str, n: int = 20) -> int:
-    """Sampling debug sink: extract + detect_ranges over the first
-    ``n`` pages, one HTML file per page under ``out_dir``. Offsets in
-    the dump are EXTRACTED-TEXT byte offsets (the buffer the chunks
-    are rendered from, like the reference's src pointer); use
+    """Sampling debug sink: extract + Detector.detect_ranges over the
+    first ``n`` pages, one HTML file per page under ``out_dir``. The
+    ranges come from the same kernel ranges pass as the flagship
+    ``chunks`` column, run without the page's hints. Offsets in the
+    dump are EXTRACTED-TEXT byte offsets (the buffer the chunks are
+    rendered from, like the reference's src pointer); use
     Detector.detect_ranges_html for raw-page offsets. A limit() on
     the Dataset keeps this to a handful of blocks regardless of input
     size — the debug surface costs nothing unless asked for."""

@@ -29,31 +29,19 @@ CHUNKS_TYPE = pa.large_list(pa.struct([
 
 def _compose_chunks(htmls, valid, ok, todo, rng_list) -> pa.Array:
     """list<struct{offset,bytes,lang}> per page from the MAIN scoring
-    pass's text-level ranges (detect_batch(with_ranges=True)) composed
-    through the extraction OffsetMap into RAW page byte offsets — the
+    pass's text-level ranges (detect_batch(with_ranges=True)) mapped
+    into RAW page byte offsets by extract.text_to_raw_ranges — the
     reference produces the vector in the same pass
     (scoreonescriptspan.cc:1099-1111), not by re-detecting.
     Invalid-UTF-8 pages get an empty list, like the UNKNOWN result."""
-    from cld2_ray import native
-    from cld2_ray.functions.extract import _ent_table
-    ent = _ent_table()
+    from cld2_ray.functions.extract import text_to_raw_ranges
     rng_of = dict(zip(todo, rng_list))
     rows = []
     for j, h in enumerate(htmls):
-        r = rng_of.get(j)
-        if not ok[j] or not r:
-            rows.append([])
-            continue
-        h = (h or b"")[:int(valid[j])]
-        starts = np.array([x[0] for x in r], dtype=np.int64)
-        ends = np.array([x[0] + x[1] for x in r], dtype=np.int64)
-        _text, src = native.extract_scan_map(h, *ent)
-        m = len(src)
-        o_s = np.where(starts < m, src[np.minimum(starts, m - 1)], len(h))
-        o_e = np.where(ends < m, src[np.minimum(ends, m - 1)], len(h))
-        rows.append([{"offset": int(a), "bytes": int(b - a),
-                      "lang": x[2]}
-                     for a, b, x in zip(o_s, o_e, r)])
+        r = rng_of.get(j) if ok[j] else None
+        rows.append([{"offset": a, "bytes": n, "lang": c}
+                     for a, n, c in text_to_raw_ranges(
+                         (h or b"")[:int(valid[j])], r)])
     return pa.array(rows, type=CHUNKS_TYPE)
 
 

@@ -112,13 +112,8 @@ def _retries(det: Detector, text: str) -> bool:
         text = squeeze(text)
     sl = spans.script_spans(text)
     total = sum(sp.text_bytes for sp in sl)
-    r = det._detect_spans(sl, total, False)
-    return not (total <= score.SHORT_TEXT_THRESH
-                or (r.is_reliable
-                    and r.percent3[0] >= score.GOOD_LANG1_PERCENT)
-                or (r.is_reliable
-                    and r.percent3[0] + r.percent3[1]
-                    >= score.GOOD_LANG1AND2_PERCENT))
+    r = det._finalize(det._fill_totes([sl], [None])[0], total, False)
+    return not score.is_good(r, total)
 
 
 def result_dict(r: score.DetectResult) -> dict:

@@ -208,11 +208,17 @@ class TestFlagsSurface:
         assert dq.detect(zh).summary_code == d0.detect(zh).summary_code
 
     def test_echo_writes_stderr(self, capfd):
+        """kCLDFlagEcho echoes every input once, whichever public call
+        scores it."""
         from cld2_ray.functions.langid import Detector
         d = Detector(echo=True)
         d.detect_batch(["hello world this is a test"])
+        d.detect("bonjour tout le monde")
+        d.detect_ranges("guten Tag alle zusammen")
         err = capfd.readouterr().err
-        assert "cld2_ray echo" in err and "hello world" in err
+        for t in ("hello world", "bonjour tout", "guten Tag"):
+            assert t in err
+        assert err.count("cld2_ray echo") == 3
 
     def test_best_effort_short_text(self):
         from cld2_ray.functions.langid import Detector
@@ -392,35 +398,43 @@ def test_reliability_expected_exact_reference_values():
 
 class TestBatchWithRanges:
     """detect_batch(with_ranges=True): results bit-identical to the
-    plain call; unhinted ranges equal the standalone detect_ranges
-    per document (hints are the documented deviation — none here)."""
+    plain call; unhinted ranges from it and from detect_ranges equal
+    the numpy oracle _detect_ranges_numpy per document (hints are the
+    documented deviation — none here), for both rtype routings."""
 
     def test_results_and_ranges_parity(self):
         import cld2_ray.sources.pages as P
         from cld2_ray.data.seeds import HELDOUT, SEEDS
         from cld2_ray.functions.extract import extract_text, \
             valid_utf8_prefix
-        d = Detector()
         texts = [SEEDS["en"][:600] + " " + SEEDS["de"][:600],
                  (HELDOUT["fr"] + " ") * 3 + (HELDOUT["ru"] + " ") * 3,
                  "", "12345 !!!", SEEDS["ja"][:400],
                  SEEDS["zh"][:300] + " hello world " * 10,
                  SEEDS["ko"][:200], SEEDS["ru"][:500],
                  SEEDS["hi"][:400], SEEDS["ar"][:400],
+                 HELDOUT["el"] + " " + HELDOUT["th"],   # RTYPE_ONE
                  "spam spam spam spam " * 40]   # squeeze-trigger path
         for h in P.page_batch(0, 150, 42)["html"].to_pylist():
             vp = valid_utf8_prefix(h or b"")
             if vp == len(h or b""):
                 texts.append(extract_text(h or b""))
-        plain = d.detect_batch(list(texts))
-        both, rngs = d.detect_batch(list(texts), with_ranges=True)
-        for a, b in zip(plain, both):
-            assert (a.summary_lang, a.language3, a.percent3,
-                    a.normalized_score3, a.is_reliable, a.text_bytes) \
-                == (b.summary_lang, b.language3, b.percent3,
-                    b.normalized_score3, b.is_reliable, b.text_bytes)
-        for t, r in zip(texts, rngs):
-            assert r == d.detect_ranges(t or "")
+        for d in (Detector(), Detector(score_as_quads=True)):
+            plain = d.detect_batch(list(texts))
+            both, rngs = d.detect_batch(list(texts), with_ranges=True)
+            for a, b in zip(plain, both):
+                assert (a.summary_lang, a.language3, a.percent3,
+                        a.normalized_score3, a.is_reliable,
+                        a.text_bytes) \
+                    == (b.summary_lang, b.language3, b.percent3,
+                        b.normalized_score3, b.is_reliable, b.text_bytes)
+            n_split = 0
+            for t, r in zip(texts, rngs):
+                want = d._detect_ranges_numpy(t or "")
+                assert r == want
+                assert d.detect_ranges(t or "") == want
+                n_split += len(want) > 1
+            assert n_split >= 3
 
 
 class TestCalibrationDriftGuard:

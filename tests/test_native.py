@@ -610,9 +610,10 @@ class TestWinPairsBatchFallback:
 
 
 class TestRangesKernel:
-    """quad_octa_chunk_score_ranges: first five outputs bit-equal to
-    quad_octa_chunk_score (same totes feed), ranges outputs bit-equal
-    to the python detect_ranges chain (zeros-expected score_chunks +
+    """quad_octa_chunk_score(with_ranges=True): first five outputs
+    bit-equal to the plain pass (same totes feed), ranges outputs
+    bit-equal to the numpy chain of Detector._detect_ranges_numpy
+    (zeros-expected score_chunks_multi on one span +
     _sharpen_boundaries)."""
 
     def test_parity_vs_python_chain(self):
@@ -634,14 +635,12 @@ class TestRangesKernel:
         s4 = us.LSCRIPT4[np.array([sp.script for sp in many])]
         csr = np.zeros(len(bufs) + 1, dtype=np.int64)
         flat = np.zeros(0, dtype=np.int64)
-        c = native.quad_octa_chunk_score_ranges(
-            cat, bounds, m.quad, m.socta, m.docta, m.xocta, latin,
-            score.CHUNKSIZE_QUADS, m.expected_quad, langs.CLOSE_SET,
-            csr, flat, s4)
-        b = native.quad_octa_chunk_score(
-            cat, bounds, m.quad, m.socta, m.docta, m.xocta, latin,
-            score.CHUNKSIZE_QUADS, m.expected_quad, langs.CLOSE_SET,
-            csr, flat, s4)
+        args = (cat, bounds, m.quad, m.socta, m.docta, m.xocta, latin,
+                score.CHUNKSIZE_QUADS, m.expected_quad, langs.CLOSE_SET,
+                csr, flat, s4)
+        c = native.quad_octa_chunk_score(*args, with_ranges=True)
+        b = native.quad_octa_chunk_score(*args)
+        assert len(c) == 7 and len(b) == 5
         for x, y in zip(c[:5], b):
             assert np.array_equal(x, y)
         l1c, _, _, _, spanc, reldc, cstartc = c
@@ -655,10 +654,13 @@ class TestRangesKernel:
                 assert sel.sum() == 0
                 continue
             l3, q3 = unpack_langprobs(vals)
-            lang1, _cb, _s1, rel = score.score_chunks(
-                l3, q3, offs, len(sb), score.CHUNKSIZE_QUADS,
+            lang1, _cb, _s1, rel, _ = score.score_chunks_multi(
+                l3, q3, offs, np.zeros(len(offs), dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
+                np.array([len(sb)], dtype=np.int64),
+                np.array([score.CHUNKSIZE_QUADS], dtype=np.int64),
                 np.zeros_like(m.expected_quad), distinct_mask=rdist,
-                script4=int(us.LSCRIPT4[sp.script]))
+                script4_of_span=us.LSCRIPT4[[sp.script]])
             bidx = det._sharpen_boundaries(
                 lang1, l3, q3, score.CHUNKSIZE_QUADS, len(offs))
             assert np.array_equal(lang1, l1c[sel].astype(lang1.dtype))
@@ -668,27 +670,48 @@ class TestRangesKernel:
 
 class TestExtractScanMap:
     """extract_scan_map: text byte-identical to extract_text on raw
-    (CRLF-bearing) pages; src offsets monotone and in range."""
+    (CRLF-bearing) pages; src equal to the OffsetMap oracle
+    (extract_text_with_map) at every text position."""
 
-    def test_text_and_map(self):
+    @staticmethod
+    def _cases():
         import cld2_ray.sources.pages as P
-        from cld2_ray.functions.extract import _ent_table, extract_text, \
-            valid_utf8_prefix
-        ent = _ent_table()
+        from cld2_ray.functions.extract import valid_utf8_prefix
         cases = [b"<p>Bonjour &eacute;t&eacute;</p><script>x</script>",
                  b"a\r\nb\rc\r\r\nd", b"x &amp; y<br>z", b"",
                  b"<!-- c --><p>hi</p>",
-                 b"&#233;t&#xE9; <b>bold</b>  many   spaces"]
+                 b"&#233;t&#xE9; <b>bold</b>  many   spaces",
+                 b"& bare <p unclosed", b"tail <b>", b"<p>\r\n x &lt;"]
         tbl = P.page_batch(0, 120, 42)
         for h in tbl["html"].to_pylist():
             if valid_utf8_prefix(h or b"") == len(h or b""):
                 cases.append(h or b"")
-        for h in cases:
+        return cases
+
+    def test_text_and_map(self):
+        from cld2_ray.functions.extract import _ent_table, extract_text
+        ent = _ent_table()
+        for h in self._cases():
             got, src = native.extract_scan_map(h, *ent)
             assert got == extract_text(h).encode("utf-8")
             if len(src):
                 assert (np.diff(src) >= 0).all()
                 assert src[0] >= 0 and src[-1] < max(len(h), 1)
+
+    def test_map_equals_offsetmap_oracle(self):
+        from cld2_ray.functions.extract import _ent_table, \
+            extract_text_with_map
+        ent = _ent_table()
+        n_pos = 0
+        for h in self._cases():
+            _got, src = native.extract_scan_map(h, *ent)
+            _text, om = extract_text_with_map(h)
+            want = om.to_original(np.arange(len(src) + 1))
+            assert np.array_equal(src, want[:-1])
+            # a range ending at the text's end maps to the page's end
+            assert want[-1] == len(h)
+            n_pos += len(src)
+        assert n_pos > 100_000
 
 
 # ASCII, 2/3/4-byte chars and runs of spaces: the predictor's packed

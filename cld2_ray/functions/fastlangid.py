@@ -7,8 +7,9 @@ the standard fastText langid architecture (bag of hashed n-grams ->
 linear layer); trained here from authored seeds because the sandbox has
 no network for pretrained weights.
 
-Runtime is an actor-pool stage: the weight matrix is built once per
-process (lru_cache) / per actor and scored vectorized per batch.
+At runtime the weight matrix is loaded once per worker process
+(lru_cache) and ``classify_batch`` scores a whole batch in one C pass
+(native.fastlangid_score).
 """
 
 from __future__ import annotations
@@ -128,39 +129,6 @@ def _train() -> np.ndarray:
     weights.bucket_index = full      # type: ignore[attr-defined]
     weights.col_langs = col_langs    # type: ignore[attr-defined]
     return table
-
-
-def _features_batch(texts: list[str]):
-    """Batch _features: one concatenated byte buffer, windows crossing
-    document boundaries masked out. Per-document feature values AND
-    order are identical to _features (2-grams, then 3-, then 4-grams,
-    each by position). Returns (feat_bucket int64[], doc_of int64[]).
-    The tests' numpy oracle for native.fastlangid_score's features."""
-    framed = [(" " + t.lower() + " ").encode("utf-8") for t in texts]
-    lens = np.array([len(b) for b in framed], dtype=np.int64)
-    bounds = np.cumsum(lens)
-    cat = b"".join(framed)
-    arr = np.frombuffer(cat, dtype=np.uint8).astype(np.uint64)
-    big_n = len(arr)
-    if big_n == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    pos_doc = np.searchsorted(bounds, np.arange(big_n), side="right")
-    feats, docs = [], []
-    with np.errstate(over="ignore"):
-        for n in (2, 3, 4):
-            if big_n < n:
-                continue
-            h = np.zeros(big_n - n + 1, dtype=np.uint64)
-            for k in range(n):
-                h = h * np.uint64(31) + arr[k: big_n - n + 1 + k]
-            h = (h * _GOLD) >> np.uint64(46)
-            d = pos_doc[:big_n - n + 1]
-            valid = (np.arange(big_n - n + 1) + n) <= bounds[d]
-            feats.append(h[valid].astype(np.int64))
-            docs.append(d[valid])
-    if not feats:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(feats), np.concatenate(docs)
 
 
 def classify_batch(texts) -> tuple[list[str], list[float]]:

@@ -13,30 +13,20 @@ ranges output):
 
 The flagship kernel (stages.core.fused_batch) and the single-process
 oracle call the same Detector, which is what makes pipeline-vs-oracle
-equality exact. The numpy chain at the end of the class
-(_detect_ranges_numpy and its helpers) is a test oracle only.
+equality exact. The numpy ranges chain in tests/oracles/langid.py is
+the tests' independent reference for this pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import hits, langs, score, spans, uscript as us
+from . import langs, score, spans, uscript as us
 from cld2_ray import native
 from .extract import extract_text, text_to_raw_ranges, valid_utf8_prefix
 from . import hints as hints_mod
 from .repeats import SQUEEZE_TEST_THRESH, remove_repeated_words_batch, \
     squeeze, squeeze_trigger
-from cld2_ray.state.model import unpack_langprobs
-
-
-@dataclass
-class Hints:
-    tld: str = ""
-    content_language: str = ""
-    language: str = ""
 
 
 def _bulk_tote_add(totes: list, doc_of_chunk: np.ndarray,
@@ -233,7 +223,7 @@ class Detector:
                            lang1, cbytes, s1, rel)
             if with_ranges:
                 # the "un" gate reads the zeros-expected reliability
-                # (see _detect_ranges_numpy)
+                # (see tests/oracles/langid.py detect_ranges_numpy)
                 rel_delta, cstart = c[5:]
                 for k, (di, pos, sp, _) in enumerate(many):
                     lo, hi = np.searchsorted(span_of_chunk, [k, k + 1])
@@ -531,195 +521,3 @@ class Detector:
         hl = (hints_mod.priors_from_page(url, html)
               if (url or html) else None)
         return self.detect(text, hint_langs=hl), text, vp
-
-    # -- numpy oracles (tests only) -----------------------------------------
-
-    def _octa_stream(self, cat: bytes, bounds: np.ndarray,
-                     latin_of_span: np.ndarray):
-        """Word-table hit stream over concatenated MANY spans: the
-        GetOctaHits triple per word — distinct-octa word, delta-octa
-        word, distinct-octa PairHash at the prior word's offset
-        (cldutil.cc:416-533) — decoded per span script class, plus the
-        seed-trained word table (model.socta). Emission order at equal
-        offsets is [distinct word, delta word, seed word, pair], the
-        reference's walk order with the seed stream appended.
-
-        Distinct hits (word + pair) are flagged in the returned mask:
-        the chunk scorer re-adds the last <= 4 of them to every
-        chunk's tote (the AddDistinctBoost2/ScoreBoosts ring,
-        scoreonescriptspan.cc:112-152; ring scoped to the span — the
-        reference carries it across a document's scriptspans via
-        ScoringContext, a documented deviation)."""
-        wh, woff, ph, poff = hits.octa_word_and_pair_hits(
-            cat, span_bounds=bounds)
-        latw = latin_of_span[np.searchsorted(bounds, woff, side="right")]
-        latp = latin_of_span[np.searchsorted(bounds, poff, side="right")]
-        xv = self.model.xocta.lookup(wh, latw)
-        dv = self.model.docta.lookup(wh, latw)
-        sv = self.model.socta.lookup(wh)
-        pv = self.model.xocta.lookup(ph, latp)
-        vals = np.concatenate([xv, dv, sv, pv])
-        offs = np.concatenate([woff, woff, woff, poff])
-        rank = np.concatenate([
-            np.zeros(len(wh), np.int8), np.ones(len(wh), np.int8),
-            np.full(len(wh), 2, np.int8), np.full(len(ph), 3, np.int8)])
-        # distinct-octa hits (word + pair) feed the boost ring
-        dist = np.concatenate([
-            np.ones(len(wh), bool), np.zeros(2 * len(wh), bool),
-            np.ones(len(ph), bool)])
-        m = vals != 0
-        vals, offs, rank, dist = vals[m], offs[m], rank[m], dist[m]
-        order = np.lexsort((rank, offs))
-        return vals[order], offs[order], dist[order]
-
-    def _many_hits(self, cat: bytes, bounds: np.ndarray,
-                   latin_of_span: np.ndarray):
-        """Quad+word table hits over concatenated MANY spans, merged by
-        offset (quads before word hits at equal offset)."""
-        h, off = hits.quad_hits_dense(cat, span_bounds=bounds)
-        vals = self.model.quad.lookup(h)
-        m = vals != 0
-        qv, qo = vals[m], off[m]
-        ov, oo, od = self._octa_stream(cat, bounds, latin_of_span)
-        all_vals = np.concatenate([qv, ov])
-        all_off = np.concatenate([qo, oo])
-        all_dist = np.concatenate([np.zeros(len(qv), bool), od])
-        order = np.argsort(all_off, kind="stable")
-        return all_vals[order], all_off[order], all_dist[order]
-
-    def _score_span(self, sp: spans.ScriptSpan, tote: score.DocTote) -> None:
-        """One CJK or RTYPE_ONE span into ``tote`` (numpy chain)."""
-        rt = self._rtype(sp.script)
-        if rt == us.RTYPE_CJK:
-            uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
-            uvals = self.model.uni.lookup(uni)
-            bvals = self.model.cjkbi.lookup(bi, False)
-            all_vals = np.concatenate([uvals[uvals != 0], bvals[bvals != 0]])
-            all_pos = np.concatenate([upos[uvals != 0], bpos[bvals != 0]])
-            order = np.argsort(all_pos, kind="stable")
-            l3, q3 = unpack_langprobs(all_vals[order])
-            # positions are char indices; scale to bytes via span length
-            c = _score_one_span(l3, q3, all_pos[order] * 3, sp.text_bytes,
-                                score.CHUNKSIZE_UNIS,
-                                self.model.expected_uni)
-            tote.add_chunks(*c)
-        elif rt == us.RTYPE_ONE:
-            # script implies the language: score = bytes, reliability 100
-            # (scoreonescriptspan.cc:1132-1160)
-            lid = int(langs.SCRIPT_DEFAULT_LANG[sp.script])
-            tote.add(lid, sp.text_bytes, sp.text_bytes, 100)
-        # RTYPE_NONE: unsupported script -> ignored
-
-    @staticmethod
-    def _sharpen_boundaries(lang1: np.ndarray, l3: np.ndarray,
-                            q3: np.ndarray, chunk_size: int,
-                            nh: int) -> np.ndarray:
-        """SharpenBoundaries / BetterBoundary port (reference:
-        scoreonescriptspan.cc:671-774 + :781-845): for each chunk whose
-        top language differs from the previous chunk's (and is not in
-        the same close set), slide an 8-hit window of per-hit
-        score(lang0)-score(lang1) differences over
-        [prior_start, next_start) and move the boundary to the point
-        maximizing (first-4 diffs) - (last-4 diffs), requiring both
-        positive and negative diffs in the window.
-
-        Returns the per-chunk boundary HIT index (default k*chunk_size).
-        """
-        nch = len(lang1)
-        bidx = np.minimum(np.arange(nch) * chunk_size, nh - 1)
-        prior_linear = 0
-        for k in range(1, nch):
-            this_linear = k * chunk_size
-            next_linear = (k + 1) * chunk_size if k + 1 < nch else nh
-            lang0, langk = int(lang1[k - 1]), int(lang1[k])
-            if langk == lang0:
-                prior_linear = this_linear
-                continue
-            cs0 = int(langs.CLOSE_SET[lang0])
-            if cs0 > 0 and cs0 == int(langs.CLOSE_SET[langk]):
-                prior_linear = this_linear
-                continue
-            linear0, linear2 = prior_linear, next_linear
-            if linear2 - linear0 > 8:
-                # per-hit score difference lang0 - lang1 from the
-                # decoded langprob lanes (GetLangScore analogue)
-                sl3 = l3[linear0:linear2]
-                sq3 = q3[linear0:linear2]
-                d = ((sq3 * (sl3 == lang0)).sum(axis=1)
-                     - (sq3 * (sl3 == langk)).sum(axis=1)).astype(np.int64)
-                c = np.concatenate([[0], np.cumsum(d)])
-                n = len(d)
-                # running[i] = sum(d[i:i+4]) - sum(d[i+4:i+8]),
-                # window start i in [0, n-8)
-                i_arr = np.arange(0, n - 8)
-                running = (c[i_arr + 4] - c[i_arr]) \
-                    - (c[i_arr + 8] - c[i_arr + 4])
-                pos = d > 0
-                neg = d < 0
-                cp = np.concatenate([[0], np.cumsum(pos)])
-                cn = np.concatenate([[0], np.cumsum(neg)])
-                has_pm = ((cp[i_arr + 8] - cp[i_arr]) > 0) \
-                    & ((cn[i_arr + 8] - cn[i_arr]) > 0)
-                # first strictly-better maximum, matching the
-                # sequential scan's "<" update rule
-                cand = np.where(has_pm, running, np.iinfo(np.int64).min)
-                best = int(np.argmax(cand))
-                if cand[best] > 0:
-                    this_linear = linear0 + best + 4
-            bidx[k] = this_linear
-            prior_linear = this_linear
-        return bidx
-
-    def _detect_ranges_numpy(self, text: str) -> list[tuple[int, int, str]]:
-        """detect_ranges by the numpy chain, span by span: MANY spans
-        through _many_hits -> zeros-expected chunk scoring ->
-        _sharpen_boundaries, other spans through _score_span."""
-        if us.codepoints(text).size == 0:
-            return []
-
-        raw: list = []   # per-span (start_char, end_char, lid) triples
-        for sp in spans.script_spans(text):
-            rt = self._rtype(sp.script)
-            if rt == us.RTYPE_MANY:
-                sb = sp.text.encode("utf-8")
-                vals, offs, rdist = self._many_hits(
-                    sb, np.array([len(sb)], dtype=np.int64),
-                    np.array([sp.script == us.LATIN]))
-                if len(vals) == 0:
-                    raw.append(_one_range(sp, langs.UNKNOWN))
-                    continue
-                l3, q3 = unpack_langprobs(vals)
-                # delta-reliability only for the per-chunk "un" gate:
-                # the expected-rate check (exact 1.5x/4.0x ramp) is a
-                # DOCUMENT-level calibration signal; at single-chunk
-                # granularity in-vocabulary text overshoots the 4x
-                # high cutoff and would shred one-language documents
-                # into un fragments (expected=0 means "no estimate"
-                # -> rel_e=100 -> rel=rel_delta)
-                lang1, _cb, _s1, rel = _score_one_span(
-                    l3, q3, offs, len(sb), score.CHUNKSIZE_QUADS,
-                    np.zeros_like(self.model.expected_quad),
-                    distinct_mask=rdist,
-                    script4=int(us.LSCRIPT4[sp.script]))
-                bidx = self._sharpen_boundaries(
-                    lang1, l3, q3, score.CHUNKSIZE_QUADS, len(offs))
-                raw.append(self._many_span_ranges(sp, lang1, rel,
-                                                  offs[bidx]))
-            else:
-                tote = score.DocTote()
-                self._score_span(sp, tote)
-                raw.append(_one_range(sp, _tote_range_lang(tote)))
-        return self._merge_ranges(text, raw)
-
-
-def _score_one_span(l3, q3, offsets, span_len: int, chunk_size: int,
-                    expected_1kb, distinct_mask=None, script4: int = 3):
-    """score.score_chunks_multi on one span: per-chunk (lang1, cbytes,
-    s1, rel) — the numpy oracles' chunk scorer."""
-    return score.score_chunks_multi(
-        l3, q3, offsets, np.zeros(len(offsets), dtype=np.int64),
-        np.zeros(1, dtype=np.int64), np.array([span_len], dtype=np.int64),
-        np.array([chunk_size], dtype=np.int64), expected_1kb,
-        distinct_mask=distinct_mask,
-        script4_of_span=np.array([script4], dtype=np.int64))[:4]
-

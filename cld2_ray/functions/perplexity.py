@@ -16,7 +16,6 @@ one hash + two lookups + one log, no per-char Python loop.
 
 from __future__ import annotations
 
-import math
 import os
 from functools import lru_cache
 
@@ -163,53 +162,4 @@ def score_batch(texts, lang_codes) -> tuple[list[float], list[bool]]:
                                              [np.maximum(lids, 0)]),
                    m.thresholds[np.maximum(lids, 0)], np.inf)
     flags = (ppl > thr) & ok
-    return [float(x) for x in ppl], [bool(x) for x in flags]
-
-
-def _score_batch_numpy(texts, lang_codes) -> tuple[list[float], list[bool]]:
-    """numpy score_batch: one concatenated key array, one table lookup,
-    per-document means via bincount segments. The tests' bit-equality
-    oracle for native.ppl_score."""
-    m = models()
-    n = len(texts)
-    doc_tri: list[np.ndarray] = []
-    doc_bi: list[np.ndarray] = []
-    doc_uni: list[np.ndarray] = []
-    seg: list[int] = []
-    lids = np.zeros(n, dtype=np.int64)
-    for i, (t, lc) in enumerate(zip(texts, lang_codes)):
-        lid = langs.lang_id(lc)
-        lids[i] = lid
-        if lid == langs.UNKNOWN or not np.isfinite(m.thresholds[lid]):
-            seg.append(0)
-            continue
-        c = _chars(t or "")
-        if len(c) < 3:
-            seg.append(0)
-            continue
-        tri_k, bi_k = _keys_tri(lid, c)
-        doc_tri.append(tri_k)
-        doc_bi.append(bi_k | np.uint64(1 << 39))
-        doc_uni.append(m.uni[lid][c[2:]])
-        seg.append(len(tri_k))
-
-    if not doc_tri:
-        return [0.0] * n, [False] * n
-    tri = np.concatenate(doc_tri)
-    bi = np.concatenate(doc_bi)
-    uni_p = np.concatenate(doc_uni)
-    ct = m.table.lookup_numpy(tri).astype(np.float64)
-    cb = m.table.lookup_numpy(bi).astype(np.float64)
-    p = np.where(cb > 0, (ct + 0.1) / (cb + 0.1 * 64), uni_p * 0.1)
-    # libm log2, as the C kernel calls it: numpy's SIMD log2 differs
-    # from it in the last ulp on ~15% of inputs
-    bits = -np.fromiter(map(math.log2, p.tolist()), np.float64, len(p))
-    seg_arr = np.asarray(seg)
-    doc_of = np.repeat(np.arange(n), seg_arr)
-    sums = np.bincount(doc_of, weights=bits, minlength=n)
-    means = sums / np.maximum(seg_arr, 1)
-    ppl = np.where(seg_arr > 0, 2.0 ** means, 0.0)
-    thr = np.where(np.isfinite(m.thresholds[lids]), m.thresholds[lids],
-                   np.inf)
-    flags = (ppl > thr) & (seg_arr > 0)
     return [float(x) for x in ppl], [bool(x) for x in flags]

@@ -11,8 +11,8 @@ Every document statistic comes from one C pass per batch
 (native.quality_scan) and the rules run on numpy arrays; each rule has
 a stable name used as ``drop_reason`` (first failing rule wins, in the
 declared order). The same function is both the Ray `map_batches` kernel
-body and the single-process oracle. The Arrow/pandas form
-(_apply_rules_arrow) is kept only as the tests' reference for the scan.
+body and the single-process oracle. The Arrow/pandas form in
+tests/oracles/quality.py is the tests' reference for the scan.
 
 Tokenization contract: words = regexp split on whitespace — chosen so
 that every rule below is expressible in DuckDB SQL for the driver's
@@ -39,17 +39,8 @@ MIN_STOPWORDS = 2
 MAX_DUP_LINE_RATIO = 0.3
 MIN_SENTENCES = 1
 
-# small cross-lingual stopword set (en/fr/de/es + universal particles);
-# evidence of running prose rather than keyword lists
-STOPWORDS = (
-    "the of and to in a is that for it with as was on be at by this "
-    "le la de et les des un une du en que est pour dans "
-    "der die das und den von zu mit sich auf ist im "
-    "el los las y o del para con una por se no "
-    "e o a os as um uma não com "
-    "и в не на с что он как по это"
-).split()
-
+# small cross-lingual stopword set (en/fr/de/es/pt/ru + universal
+# particles); evidence of running prose rather than keyword lists
 _STOP_WORDS_ALT = "|".join(
     "the of and to in a is that for it with as was on be at by this "
     "le la de et les des un une du en que est pour dans "
@@ -57,28 +48,6 @@ _STOP_WORDS_ALT = "|".join(
     "el los las y o del para con una por se no "
     "e os as um uma não com "
     "и в не на с что он как по это".split())
-_STOP_RE = re.compile(
-    r"(?<!\S)['\"(]*(?:" + _STOP_WORDS_ALT + r")[.,;:!?'\")]*(?=\s|$)",
-    re.IGNORECASE)
-# anchored whole-token form of _STOP_RE: applied to already-split
-# tokens it needs no lookarounds, so it runs on Arrow's RE2 kernels
-_STOP_TOKEN_PATTERN = \
-    r"^['\"(]*(?:" + _STOP_WORDS_ALT + r")[.,;:!?'\")]*$"
-
-
-def _stopword_counts_arrow(arr) -> np.ndarray:
-    """Per-row stopword counts, equal to str.count(_STOP_RE): split on
-    whitespace, anchored-match each token (RE2 DFA, no Python loop)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    toks = pc.split_pattern_regex(arr, r"\s+")
-    flat = pc.list_flatten(toks)
-    is_stop = pc.match_substring_regex(
-        flat, _STOP_TOKEN_PATTERN, ignore_case=True)
-    hits = is_stop.to_numpy(zero_copy_only=False).astype(np.int64)
-    offsets = toks.offsets.to_numpy(zero_copy_only=False)
-    csum = np.concatenate([[0], np.cumsum(hits)])
-    return csum[offsets[1:]] - csum[offsets[:-1]]
 
 
 @lru_cache(maxsize=1)
@@ -152,64 +121,11 @@ def _scan_stats(stripped: pd.Series) -> np.ndarray:
                                _stop_table())
 
 
-def _word_stats_arrow(texts: pd.Series) -> pd.DataFrame:
-    """Word-level statistics per document from Arrow compute kernels
-    (C++/RE2 — also what DuckDB uses). The tests' reference for the
-    word columns of the C scan in apply_rules."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    stripped = texts.fillna("").str.strip()
-    arr = pa.Array.from_pandas(stripped)
-    n_words = pd.Series(
-        pc.count_substring_regex(arr, r"\S+")
-        .to_numpy(zero_copy_only=False),
-        index=texts.index).astype(np.int64)
-    n_chars = pd.Series(
-        pc.utf8_length(arr).to_numpy(zero_copy_only=False),
-        index=texts.index).astype(np.int64)
-    n_ws = pd.Series(
-        pc.count_substring_regex(arr, r"\s")
-        .to_numpy(zero_copy_only=False),
-        index=texts.index).astype(np.int64)
-    alpha_words = pd.Series(
-        pc.count_substring_regex(arr, r"(^|\s)\S*\pL")
-        .to_numpy(zero_copy_only=False), index=texts.index)
-    n_stop = pd.Series(_stopword_counts_arrow(arr), index=texts.index)
-    word_chars = n_chars - n_ws
-    mean_wl = (word_chars / n_words.replace(0, np.nan)).fillna(0.0)
-    return pd.DataFrame({
-        "n_words": n_words,
-        "n_chars": n_chars,
-        "mean_word_len": mean_wl.astype(np.float64),
-        "alpha_ratio": (alpha_words / n_words.replace(0, np.nan)).fillna(0.0),
-        "n_stopwords": n_stop,
-    })
-
-
-def _line_stats_pandas(texts: pd.Series) -> pd.DataFrame:
-    """Per-document line statistics in pandas: the semantic pin and
-    the tests' reference for the line columns of the C scan."""
-    lines = texts.fillna("").str.split("\n")
-    lines = lines.map(lambda ls: [l.strip() for l in ls if l.strip()])
-    n_lines = lines.map(len).replace(0, 1)
-    bullet = lines.map(
-        lambda ls: sum(1 for l in ls if l.startswith(("-", "*", "•", "·"))))
-    ellipsis = lines.map(
-        lambda ls: sum(1 for l in ls if l.endswith(("...", "…"))))
-    dup = lines.map(lambda ls: len(ls) - len(set(ls)))
-    return pd.DataFrame({
-        "n_lines": n_lines.astype(np.int64),
-        "bullet_ratio": (bullet / n_lines).astype(np.float64),
-        "ellipsis_ratio": (ellipsis / n_lines).astype(np.float64),
-        "dup_line_ratio": (dup / n_lines).astype(np.float64),
-    })
-
-
 # languages written without inter-word spaces: word-shape rules do not
 # apply; word count is approximated by character count
 SPACELESS_LANGS = frozenset(["zh", "zh-Hant", "ja", "th", "km", "lo", "my"])
 
-# languages whose stopwords the STOPWORDS list actually covers — the
+# languages whose stopwords the stopword list actually covers — the
 # too_few_stopwords rule only fires for these (demanding en/fr/de/es/
 # pt/ru function words from, say, Turkish prose would drop every
 # well-formed Turkish page)
@@ -226,8 +142,8 @@ def apply_rules(texts: pd.Series,
 
     Every stat comes from the single C scan, so the rule cascade runs on
     plain numpy arrays (the pandas Series/mask machinery was ~70% of
-    the time). Output equals _apply_rules_arrow, pinned by
-    tests/test_native.py."""
+    the time). Output equals apply_rules_arrow of
+    tests/oracles/quality.py, pinned by tests/test_native.py."""
     t = texts.fillna("")
     scan = _scan_stats(t.str.strip())
     n = len(t)
@@ -291,75 +207,6 @@ def apply_rules(texts: pd.Series,
         "dup_line_ratio": dup_line_ratio,
         "n_sentences": n_sentences, "keep": ridx == len(names) - 1,
         "drop_reason": reason}, index=t.index)
-
-
-def _apply_rules_arrow(texts: pd.Series,
-                       lang_codes: pd.Series | None = None) -> pd.DataFrame:
-    """apply_rules from Arrow/RE2 kernels and pandas masks: the tests'
-    reference for the C scan and the numpy rule cascade."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    t = texts.fillna("")
-    ws = _word_stats_arrow(texts)
-    ls = _line_stats_pandas(texts)
-    if lang_codes is not None:
-        lc = lang_codes.reset_index(drop=True)
-        lc.index = t.index
-        spaceless = lc.isin(SPACELESS_LANGS)
-        stopword_gated = lc.isin(STOPWORD_LANGS)
-    else:
-        spaceless = pd.Series(False, index=t.index)
-        # language unknown -> cannot demand specific stopwords
-        stopword_gated = pd.Series(False, index=t.index)
-    # effective word count: chars/2.5 for spaceless scripts
-    eff_words = ws.n_words.mask(spaceless,
-                                (ws.n_chars / 2.5).astype(np.int64))
-    arr = pa.Array.from_pandas(t)
-
-    def _count(pattern, regex=False):
-        f = pc.count_substring_regex if regex else pc.count_substring
-        return pd.Series(f(arr, pattern).to_numpy(zero_copy_only=False),
-                         index=t.index).astype(np.int64)
-
-    n_sentences = _count("[.!?。！？]", regex=True)
-    symbols = _count("#") + _count(r"\.\.\.", regex=True) + _count("…")
-    # lowercase, then match exactly: ignore_case=True folds fully
-    # ('lorem ipſum' would match), unlike lower() and the C scan
-    has_lorem = pd.Series(
-        pc.match_substring(pc.utf8_lower(arr), "lorem ipsum")
-        .to_numpy(zero_copy_only=False), index=t.index)
-    has_brace = pd.Series(
-        pc.match_substring(arr, "{").to_numpy(zero_copy_only=False),
-        index=t.index)
-
-    rules = [
-        ("too_few_words", eff_words < MIN_WORDS),
-        ("too_many_words", eff_words > MAX_WORDS),
-        ("mean_word_len", ~spaceless & ((ws.mean_word_len < MIN_MEAN_WORD_LEN)
-         | (ws.mean_word_len > MAX_MEAN_WORD_LEN))),
-        ("symbol_ratio", (symbols / eff_words.replace(0, 1))
-         > MAX_SYMBOL_WORD_RATIO),
-        ("bullet_lines", ls.bullet_ratio > MAX_BULLET_LINE_RATIO),
-        ("ellipsis_lines", ls.ellipsis_ratio > MAX_ELLIPSIS_LINE_RATIO),
-        ("alpha_ratio", ~spaceless & (ws.alpha_ratio < MIN_ALPHA_WORD_RATIO)),
-        ("too_few_stopwords", stopword_gated
-         & (ws.n_stopwords < MIN_STOPWORDS)),
-        ("dup_lines", ls.dup_line_ratio > MAX_DUP_LINE_RATIO),
-        ("lorem_ipsum", has_lorem),
-        ("brace_source_code", has_brace),
-        ("too_few_sentences", n_sentences < MIN_SENTENCES),
-    ]
-
-    reason = pd.Series([""] * len(t), index=t.index, dtype=object)
-    for name, mask in rules:
-        mask = mask.fillna(True)
-        reason = reason.mask((reason == "") & mask, name)
-
-    out = pd.concat([ws, ls], axis=1)
-    out["n_sentences"] = n_sentences.astype(np.int64)
-    out["keep"] = reason == ""
-    out["drop_reason"] = reason
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,28 +9,20 @@ CheapSqueezeInplace, :952-971 CheapSqueezeTriggerTest; constants
 Runtime path: the Repeats retry drops predicted words from every span
 of a batch with ONE native call (``remove_repeated_words_batch`` ->
 quadscan.c ``rep_words_multi``), and the squeeze family runs the
-native per-char ``predict_mask``. ``_predicted_bytes_mask_numpy`` and
-``remove_repeated_words`` are numpy oracles: tests/test_native.py checks
-the two C kernels against them bit for bit.
+native per-char ``predict_mask``. tests/oracles/repeats.py holds their
+numpy oracles; tests/test_native.py checks the two C kernels against
+them bit for bit.
 
 Word rule (CheapRepWords): a word is a space plus the non-space chars
 up to the next space; a span's first word may have no space. It is
 dropped when 2 x its predicted bytes > its length, where the predicted
 bytes include the leading space's (if the predictor guessed it) but
 the length counts only the non-space bytes.
-
-Numpy predictor: the reference's loop ``hash = ((hash << 4) ^ c) &
-0xfff`` with a 4096-entry last-value table keeps only the last ~3
-chars in the hash, so "char equals the value last stored under its
-hash" is exactly "char equals the char that followed the previous
-occurrence of the same 3-char context" — a pandas
-groupby(context).shift(1). Same thresholds, same chunk sizes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 CHUNKSIZE = 48                    # kChunksizeDefault
 SPACES_THRESH_PERCENT = 25        # kSpacesThreshPercent
@@ -41,53 +33,12 @@ SPACES_TRIGGER_PERCENT = 25       # kSpacesTriggerPercent
 PREDICT_TRIGGER_PERCENT = 67      # kPredictTriggerPercent
 
 
-def _char_values(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-char combined byte values (the c of the reference's loop:
-    all UTF-8 bytes of the char packed big-endian) and byte lengths."""
-    cps = np.frombuffer(text.encode("utf-32-le"), dtype="<u4").astype(np.int64)
-    nbytes = 1 + (cps >= 0x80) + (cps >= 0x800) + (cps >= 0x10000)
-    # pack UTF-8 bytes big-endian into one int (matches the reference's
-    # c accumulation for 1..4-byte chars)
-    b1 = np.where(nbytes == 1, cps, 0)
-    b2m = nbytes == 2
-    b3m = nbytes == 3
-    b4m = nbytes == 4
-    v = b1.copy()
-    v[b2m] = (((0xC0 | (cps[b2m] >> 6)) << 8) | (0x80 | (cps[b2m] & 0x3F)))
-    v[b3m] = (((0xE0 | (cps[b3m] >> 12)) << 16)
-              | ((0x80 | ((cps[b3m] >> 6) & 0x3F)) << 8)
-              | (0x80 | (cps[b3m] & 0x3F)))
-    v[b4m] = (((0xF0 | (cps[b4m] >> 18)) << 24)
-              | ((0x80 | ((cps[b4m] >> 12) & 0x3F)) << 16)
-              | ((0x80 | ((cps[b4m] >> 6) & 0x3F)) << 8)
-              | (0x80 | (cps[b4m] & 0x3F)))
-    return v, nbytes
-
-
 def predicted_bytes_mask(text: str) -> tuple[np.ndarray, np.ndarray]:
     """(mask of chars predicted by the 12-bit context hash, byte length
     per char). mask[i] True == the reference's ``c == tbl[hash]`` hit."""
     from cld2_ray import native
     mask, nb = native.predict_mask(text.encode("utf-8"))
     return mask, nb.astype(np.int64)
-
-
-def _predicted_bytes_mask_numpy(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """numpy predicted_bytes_mask (the pandas groupby form described in
-    the module docstring): the tests' oracle for native.predict_mask."""
-    v, nbytes = _char_values(text)
-    if len(v) == 0:
-        return np.zeros(0, dtype=bool), nbytes
-    # rolling 12-bit context hash BEFORE consuming char i
-    h = np.zeros(len(v), dtype=np.int64)
-    c1 = np.roll(v, 1); c1[0] = 0
-    c2 = np.roll(v, 2); c2[:2] = 0
-    c3 = np.roll(v, 3); c3[:3] = 0
-    h = ((c3 << 8) ^ (c2 << 4) ^ c1) & 0xFFF
-    s = pd.Series(v)
-    prev = s.groupby(pd.Series(h)).shift(1)
-    mask = (prev.to_numpy() == v)
-    return mask, nbytes
 
 
 def count_predicted_bytes(text: str) -> int:
@@ -108,40 +59,12 @@ def squeeze_trigger(text: str) -> bool:
     return count_predicted_bytes(probe) * 100 >= PREDICT_TRIGGER_PERCENT * n
 
 
-def remove_repeated_words(span_text: str) -> str:
-    """CheapRepWordsInplace (impl.cc:610-692): drop words whose bytes
-    are more than half predicted. Operates on a space-framed span,
-    returns a space-framed span. Pure numpy: the tests' oracle for
-    native.rep_words_multi (the runtime's remove_repeated_words_batch)."""
-    mask, nbytes = _predicted_bytes_mask_numpy(span_text)
-    if len(mask) == 0:
-        return span_text
-    cps = np.frombuffer(span_text.encode("utf-32-le"), dtype="<u4")
-    is_space = cps == 32
-    word_id = np.cumsum(is_space)
-    good = np.where(mask, nbytes, 0)
-    word_pred = np.bincount(word_id, weights=good)
-    word_len = np.bincount(word_id, weights=np.where(is_space, 0, nbytes))
-    drop_word = (word_pred * 2) > word_len
-    keep = ~(drop_word[word_id] & ~is_space)
-    kept = cps[keep]
-    # collapse any doubled spaces introduced by dropped words
-    sp = kept == 32
-    dbl = np.zeros(len(kept), dtype=bool)
-    dbl[1:] = sp[1:] & sp[:-1]
-    kept = kept[~dbl]
-    out = kept.tobytes().decode("utf-32-le")
-    if not out.startswith(" "):
-        out = " " + out
-    if not out.endswith(" "):
-        out += " "
-    return out
-
-
 def remove_repeated_words_batch(spans_utf8: list[bytes]) -> list[bytes]:
-    """remove_repeated_words over many spans given as UTF-8 bytes, in
-    one native pass over their concatenation (the predictor restarts
-    per span). Bit-equal to the per-span function."""
+    """CheapRepWordsInplace (impl.cc:610-692) over many space-framed
+    spans given as UTF-8 bytes: drop words whose bytes are more than
+    half predicted, in one native pass over the spans' concatenation
+    (the predictor restarts per span). Bit-equal to the per-span
+    oracle remove_repeated_words of tests/oracles/repeats.py."""
     from cld2_ray import native
     bounds = np.cumsum([len(b) for b in spans_utf8], dtype=np.int64)
     out, out_bounds = native.rep_words_multi(b"".join(spans_utf8), bounds)

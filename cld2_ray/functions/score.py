@@ -177,7 +177,9 @@ def score_chunks_multi(lang3: np.ndarray, qprob3: np.ndarray,
     slot from ``script4_of_span`` (slot 3 when omitted).
 
     The numpy oracle of native.quad_octa_chunk_score and
-    native.cjk_chunk_score, which run this chain at runtime.
+    native.cjk_chunk_score, which run this chain at runtime. It stays
+    in this module, not tests/oracles/, because it is both the oracles'
+    chunk scorer and a patch point of perfbench/tracing.py.
     """
     nspans = len(span_lens)
     nh = len(offsets)

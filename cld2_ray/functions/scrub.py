@@ -78,10 +78,3 @@ def scrub_series(texts: pd.Series) -> pd.DataFrame:
         "n_pii": pd.Series(n_pii, index=texts.index),
         "has_toxicity": has_tox,
     })
-
-
-def scrub_text(text: str) -> str:
-    """Single-document scrub (oracle path)."""
-    for token, rx in _COMPILED:
-        text = rx.sub(token, text)
-    return text

@@ -79,15 +79,6 @@ def shingle_hashes(tok_hashes: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def rolling_fingerprints(text: str, window: int = 16) -> np.ndarray:
-    """Rolling (Rabin-Karp style) window hashes over whitespace tokens —
-    the document-fingerprinting primitive for fuzzy containment checks."""
-    toks = text.split()
-    if len(toks) < window:
-        toks = toks + ["<pad>"] * (window - len(toks))
-    return shingle_hashes(token_hashes(toks), window)
-
-
 def kmv_estimate(hashes: list[str], k: int = 64) -> float:
     """Distinct-count estimate from a KMV (bottom-k) sketch
     (queries.q_kmv_distinct's `h` column, sorted ascending).
@@ -200,86 +191,6 @@ def gopher_repetition(texts: pd.Series) -> pd.DataFrame:
          "dup3_windows": out[:, 4], "dup3_cov_tokens": out[:, 5]},
         index=texts.index)
 
-def _gopher_full_perdoc(texts: pd.Series) -> pd.DataFrame:
-    """Per-doc reference implementation of gopher_repetition_full
-    (kept as the parity oracle in tests — the production function
-    below is the batch-vectorized rewrite, pinned bit-equal).
-
-    The FULL Gopher repetition-filter signal set (Rae et al. 2021,
-    "Scaling Language Models", Table A1): for n = 2, 3, 4 the mass of
-    the most frequent word n-gram, and for n = 5..10 the characters
-    covered by duplicated n-grams (grams occurring >= 2x in the doc),
-    counting each covered token once even under overlapping windows —
-    the paper's "avoid double-counting" rule. Exact-integer outputs so
-    the DuckDB oracle hash-matches:
-
-    * ``topN_count`` — occurrences of the most frequent n-gram;
-      ``topN_chars`` — max over tied-most-frequent grams of
-      count x gram-char-length (tokens joined by one space). The
-      paper's fraction is topN_chars / total_chars.
-    * ``dupN_cov_chars`` — sum of token character lengths over the
-      union of all duplicated-n-gram windows (separators excluded —
-      a token between two duplicated grams still counts once). The
-      paper's fraction is dupN_cov_chars / total_chars.
-
-    Tokens are the shared whitespace contract
-    (string_split_regex(trim(text), '\\s+')); ``total_chars`` is the
-    length of the single-space-joined tokens. n-gram identity is
-    exact (iterated 32-bit-id packing, no hashing), extending the
-    gopher_repetition machinery above to n = 10.
-    """
-    t = texts.fillna("").str.strip(TRIM_CHARS)
-    cols = (["n_tokens", "total_chars"]
-            + [f"top{n}_{k}" for n in (2, 3, 4)
-               for k in ("count", "chars")]
-            + [f"dup{n}_cov_chars" for n in range(5, 11)])
-    out = np.zeros((len(t), len(cols)), dtype=np.int64)
-    tl = [_WS.split(s) if s else [] for s in t]
-    counts_per_doc = np.fromiter((len(x) for x in tl), np.int64, len(tl))
-    flat = pd.Series([w for ws in tl for w in ws], dtype=object)
-    ids_flat, _ = pd.factorize(flat)
-    ids_flat = ids_flat.astype(np.int64)
-    L_flat = flat.str.len().to_numpy(np.int64) if len(flat) \
-        else np.empty(0, np.int64)
-    bounds = np.concatenate([[0], np.cumsum(counts_per_doc)])
-    for r in range(len(t)):
-        lo, hi = bounds[r], bounds[r + 1]
-        n = int(hi - lo)
-        L = L_flat[lo:hi]
-        out[r, 0] = n
-        out[r, 1] = int(L.sum()) + max(n - 1, 0)
-        if n < 2:
-            continue
-        ids = ids_flat[lo:hi]
-        cs = np.concatenate([[0], np.cumsum(L)])
-        inv = ids                      # window ids for gram length 1
-        for ng in range(2, 11):
-            if n < ng:
-                break
-            # windows of length ng: extend each (ng-1)-window id with
-            # the id of its following token (both < 2^32 — exact)
-            p = (inv[:-1] << np.int64(32)) | ids[ng - 1:]
-            u, inv, c = np.unique(p, return_inverse=True,
-                                  return_counts=True)
-            cw = c[inv]
-            if ng <= 4:
-                top = int(c.max())
-                wchars = cs[ng:] - cs[:-ng] + (ng - 1)
-                sel = cw == top
-                col = 2 + (ng - 2) * 2
-                out[r, col] = top
-                out[r, col + 1] = int((cw[sel] * wchars[sel]).max())
-            else:
-                m = cw >= 2
-                if m.any():
-                    delta = np.zeros(n + ng, np.int64)
-                    starts = np.nonzero(m)[0]
-                    np.add.at(delta, starts, 1)
-                    np.add.at(delta, starts + ng, -1)
-                    covered = np.cumsum(delta[:n]) > 0
-                    out[r, 8 + (ng - 5)] = int(L[covered].sum())
-    return pd.DataFrame(
-        {c: out[:, i] for i, c in enumerate(cols)}, index=texts.index)
 
 def ws_token_table(texts: pd.Series):
     """Shared whitespace token table under the oracle contract
@@ -310,8 +221,33 @@ def ws_token_table(texts: pd.Series):
 
 
 def gopher_repetition_full(texts: pd.Series, _tok=None) -> pd.DataFrame:
-    """Batch-vectorized gopher_repetition_full: identical output to
-    _gopher_full_perdoc (pinned in tests), with three scale moves:
+    """Gopher repetition signals per document, batch-vectorized.
+
+    The FULL Gopher repetition-filter signal set (Rae et al. 2021,
+    "Scaling Language Models", Table A1): for n = 2, 3, 4 the mass of
+    the most frequent word n-gram, and for n = 5..10 the characters
+    covered by duplicated n-grams (grams occurring >= 2x in the doc),
+    counting each covered token once even under overlapping windows —
+    the paper's "avoid double-counting" rule. Exact-integer outputs so
+    the DuckDB oracle hash-matches:
+
+    * ``topN_count`` — occurrences of the most frequent n-gram;
+      ``topN_chars`` — max over tied-most-frequent grams of
+      count x gram-char-length (tokens joined by one space). The
+      paper's fraction is topN_chars / total_chars.
+    * ``dupN_cov_chars`` — sum of token character lengths over the
+      union of all duplicated-n-gram windows (separators excluded —
+      a token between two duplicated grams still counts once). The
+      paper's fraction is dupN_cov_chars / total_chars.
+
+    Tokens are the shared whitespace contract
+    (string_split_regex(trim(text), '\\s+')); ``total_chars`` is the
+    length of the single-space-joined tokens. n-gram identity is
+    exact (iterated 32-bit-id packing, no hashing), extending the
+    gopher_repetition machinery above to n = 10.
+
+    Identical output to the per-document oracle in
+    tests/oracles/textstats.py, with three scale moves:
 
     * tokenization runs on Arrow RE2 kernels (utf8_trim +
       split_pattern_regex + list_flatten — the same engine the DuckDB

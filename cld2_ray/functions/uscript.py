@@ -284,15 +284,6 @@ def _fold_arabic_presentation(lut: np.ndarray) -> np.ndarray:
     return out
 
 
-def lower_cps(cps: np.ndarray) -> np.ndarray:
-    """Vectorized pinned lowercase over a codepoint array (1:1)."""
-    lut = lower_lut()
-    out = cps.copy()
-    in_range = cps < LUT_SIZE
-    out[in_range] = lut[cps[in_range]]
-    return out
-
-
 def codepoints(text: str) -> np.ndarray:
     """Vectorized str -> int32 codepoint array (UTF-32 view)."""
     if not text:
@@ -307,8 +298,3 @@ def scripts_of(cps: np.ndarray) -> np.ndarray:
     in_range = cps < LUT_SIZE
     out[in_range] = lut[cps[in_range]]
     return out
-
-
-def utf8_len_of(cps: np.ndarray) -> np.ndarray:
-    """Per-codepoint UTF-8 encoded byte length (1..4), vectorized."""
-    return (1 + (cps >= 0x80).astype(np.int64) + (cps >= 0x800) + (cps >= 0x10000))

@@ -5,7 +5,7 @@ source, atomic rename so concurrent Ray workers race safely). The
 kernel is required: if ``cc`` fails or the library does not load, the
 import raises ``ImportError`` carrying the compiler's stderr. Every hot
 kernel has this one runtime implementation; the tests check each entry
-point against an independent numpy/hashlib oracle.
+point against an independent numpy/hashlib oracle (tests/oracles/).
 
 The C call releases the GIL (plain ctypes), so threads overlap fully."""
 
@@ -244,8 +244,8 @@ def quad_octa_scan(cat: bytes, bounds: np.ndarray, quad_table,
     """One C pass: quad walk + the GetOctaHits word/pair walk with
     bucket probes. Returns (qvals, qoffs, ovals, ooffs) — table HITS
     only, ascending offsets, bit-equal to the numpy oracles
-    hits.quad_hits_dense + HashTable.lookup_numpy and
-    Detector._octa_stream."""
+    hits.quad_hits_dense + tests/oracles/model.py lookup_numpy and
+    tests/oracles/langid.py octa_stream."""
     n = len(cat)
     buf = np.frombuffer(cat, dtype=np.uint8)
     bounds = np.ascontiguousarray(bounds, dtype=np.int64)
@@ -311,8 +311,8 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
     """Fused scan + chunk scoring over concatenated MANY-script spans
     in one C pass, per-hit arrays never materialized. Returns per-chunk
     (lang1 i16, cbytes i64, s1 i64, rel i64, span_of_chunk i64) —
-    bit-equal to the numpy oracle chain Detector._many_hits ->
-    score.score_chunks_multi.
+    bit-equal to the numpy oracle chain tests/oracles/langid.py
+    many_hits -> score.score_chunks_multi.
 
     with_ranges=True appends (rel_delta, cstart): rel_delta is the
     zeros-expected reliability (the ranges "un" gate) and cstart the
@@ -557,7 +557,8 @@ def quality_scan(cat: bytes, bounds: np.ndarray, letter_lut: np.ndarray,
 
 def table_lookup(keys: np.ndarray, vals: np.ndarray, mask: int,
                  queries: np.ndarray) -> np.ndarray:
-    """C probe loop for HashTable.lookup (bit-equal to lookup_numpy)."""
+    """C probe loop for HashTable.lookup (bit-equal to
+    tests/oracles/model.py lookup_numpy)."""
     q = np.ascontiguousarray(queries, dtype=np.uint64)
     out = np.empty(len(q), dtype=np.uint64)
     _LK(keys, vals, int(mask), q, len(q), out)
@@ -605,7 +606,7 @@ def rep_words_multi(cat: bytes, bounds: np.ndarray):
     (``bounds``: cumulative span ends), the predictor restarting per
     span. Returns (out uint8[], out_bounds int64[n]): span i's result
     is out[out_bounds[i-1]:out_bounds[i]], bit-equal to
-    repeats.remove_repeated_words on that span."""
+    tests/oracles/repeats.py remove_repeated_words on that span."""
     bounds = np.ascontiguousarray(bounds, dtype=np.int64)
     if len(bounds) and (bounds[-1] > len(cat)
                         or (np.diff(bounds, prepend=0) < 0).any()):

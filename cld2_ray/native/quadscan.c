@@ -3,7 +3,7 @@
  *
  * Semantics are bit-equal to the numpy test oracles
  * (cld2_ray/functions/hits.py quad_hits_dense/octa_word_and_pair_hits
- * + cld2_ray/state/model.py HashTable.lookup_numpy), cross-checked in
+ * + tests/oracles/model.py lookup_numpy), cross-checked in
  * tests/test_native.py.  The
  * n-gram walk and hashes mirror the reference engine's GetQuadHits /
  * GetOctaHits / QuadHashV2 / OctaHash40 (reference:
@@ -169,7 +169,7 @@ int64_t predict_mask(const uint8_t *b, int64_t n, int64_t *tbl,
     return ci;
 }
 
-/* CheapRepWords (cld2_ray/functions/repeats.py remove_repeated_words,
+/* CheapRepWords (tests/oracles/repeats.py remove_repeated_words,
  * reference CheapRepWordsInplace compact_lang_det_impl.cc:610-692)
  * over concatenated spans: span s is cat[bounds[s-1], bounds[s]).
  * Per span the predictor restarts (tbl refilled with -1, hash 0).  A
@@ -1117,9 +1117,9 @@ static inline int64_t lang_score(uint64_t v, int64_t lang) {
 }
 
 /* BetterBoundary port (bit-equal to the numpy oracle
- * Detector._sharpen_boundaries): per chunk k the sharpened boundary
- * HIT index mapped to its span-local byte offset. lang1 points at
- * this span's nch chunk langs. */
+ * tests/oracles/langid.py sharpen_boundaries): per chunk k the
+ * sharpened boundary HIT index mapped to its span-local byte offset.
+ * lang1 points at this span's nch chunk langs. */
 static void sharpen_starts(
         const uint64_t *mv, const int64_t *mo, int64_t nh,
         const int16_t *lang1, int64_t nch, int64_t chunk_size,
@@ -1177,8 +1177,9 @@ static void sharpen_starts(
  * emitting only per-CHUNK results: per-hit arrays never exist (hits
  * are ~1 per 2 text bytes).
  *
- * Bit-equal to the numpy oracle chain Detector._many_hits ->
- * score.score_chunks_multi (cross-checked in tests/test_native.py):
+ * Bit-equal to the numpy oracle chain tests/oracles/langid.py
+ * many_hits -> score.score_chunks_multi (cross-checked in
+ * tests/test_native.py):
  *  - quads before octas at equal offset (stable concat order)
  *  - nchunks = max(1, nh/chunk_size); hit i -> chunk min(i/cs, nch-1)
  *  - per-chunk lang scores = sum of decoded qprob lanes; UNKNOWN (0)
@@ -1380,7 +1381,7 @@ int64_t cjk_chunk_score(
  * 160KB letter budget, single-foreign-letter absorption, word gaps,
  * span breaks, giant-run splitting at word gaps near MAX_SCRIPT_BYTES
  * multiples, and framed " w1 w2 " utf-8 emission — bit-equal to the
- * numpy path (cross-checked in tests).
+ * numpy oracle tests/oracles/spans.py (cross-checked in tests).
  *
  * Scratch (caller-alloc, reused; capacities >= n_chars+8):
  *   lt_idx  int64  — original char index per kept letter
@@ -1448,7 +1449,8 @@ int64_t script_spans_scan(const uint8_t *text, int64_t n,
 
     /* ---- pass 2: single-foreign-letter absorption (in place) ---- */
     {
-        /* find raw runs; replicate _absorb_single_foreign */
+        /* find raw runs; replicate tests/oracles/spans.py
+         * _absorb_single_foreign */
         int64_t run_start = 0;
         uint8_t cur_s = lt_sc[0];
         int64_t cur_a = 0;
@@ -1571,12 +1573,12 @@ int64_t script_spans_scan(const uint8_t *text, int64_t n,
 }
 
 /* HTML visible-text extraction (cld2_ray/functions/extract.py
- * extract_text) in ONE C pass — bit-equal to the Python path
- * (cross-checked in tests): whitespace-run compression to the run's
- * FIRST char with cross-segment state, tag skipping with the
- * reference's comment / script / style / quoted-attribute / unmatched-
- * '<' semantics, <p|<br|<tr newline substitution, and entity
- * expansion (numeric with FixUnicodeValue via low_map, named via the
+ * extract_text) in ONE C pass — bit-equal to the Python oracle
+ * tests/oracles/extract.py (cross-checked in tests): whitespace-run
+ * compression to the run's FIRST char with cross-segment state, tag
+ * skipping with the reference's comment / script / style /
+ * quoted-attribute / unmatched-'<' semantics, <p|<br|<tr newline
+ * substitution, and entity expansion (numeric with FixUnicodeValue via low_map, named via the
  * packed-name table with the IE6 ';' rule). Input must be valid UTF-8
  * with \r already normalized to \n (the shim does both).
  *
@@ -2081,7 +2083,8 @@ int blake2b_batch(const uint8_t *data, const int64_t *offsets,
  * the '&', lone-\r newlines -> the '\r'). Mapping a text range back
  * to raw offsets is one array index (extract.text_to_raw_ranges, used
  * by the flagship chunks column and Detector.detect_ranges_html).
- * functions/offsetmap.py + extract_text_with_map are its test oracle.
+ * tests/oracles/extract.py (extract_text_with_map + OffsetMap) is its
+ * test oracle.
  * Output text is byte-identical to extract_text (leftmost \r\n
  * pairing == Python's two-pass replace).
  */

@@ -8,21 +8,23 @@ engine's chunk vectors, plus a sampling sink stage that writes one
 HTML debug page per sampled document next to the pipeline output
 (metrics/lineage cover the aggregate side — SURVEY §2 S4 note).
 
-Faithful pieces (same palette, same format strings):
+Faithful pieces (same palette and row formats):
 * 16 background / 16 text colors indexed by the REFERENCE Language
   enum number (debug.cc:148-169; low nibble -> background, bits 4-7 ->
   text color), special-cased ENGLISH / UNKNOWN exactly
   (debug.cc:171-209). Enum numbers ship in data/reflang.py, parsed
   from generated_language.cc.
 * GetHtmlEscapedText's escaping incl. newlines -> spaces
-  (debug.cc:225-249).
+  (debug.cc:225-249), which only DumpResultChunkVector applies (through
+  GetColorHtmlEscapedText).
 * DumpResultChunkVector's row format
   "[i]{offset bytes code} <span ...>text</span><br>"
   (debug.cc:464-476).
 * CLD2_Debug2's per-chunk bracket annotation: "[]" when the chunk
   matches the prior chunk's language reliably, "[code]" when reliable,
   "[code1*.s1/code2.s2]" when not (reliable == min(delta, score) >= 75,
-  debug.cc:411-459).
+  debug.cc:411-459). Its chunk text is written raw, unescaped, like
+  the reference's fprintf of the chunk (debug.cc:454).
 """
 
 from __future__ import annotations
@@ -84,11 +86,16 @@ def html_escaped(txt: str) -> str:
     return out.replace("\n", " ").replace("\r", " ")
 
 
-def color_span(code: str, txt: str) -> str:
-    """debug.cc GetColorHtmlEscapedText."""
+def _span(code: str, html_text: str) -> str:
+    """``html_text`` in the language's colored span."""
     return (f' <span style="background:#{back_color(code):06X};'
             f'color:#{text_color(code):06X};">\n'
-            f"{html_escaped(txt)}</span>")
+            f"{html_text}</span>")
+
+
+def color_span(code: str, txt: str) -> str:
+    """debug.cc GetColorHtmlEscapedText."""
+    return _span(code, html_escaped(txt))
 
 
 def dump_result_chunk_vector(src: str,
@@ -110,7 +117,8 @@ def dump_result_chunk_vector(src: str,
 def debug2_chunks(text: str, summaries) -> str:
     """debug.cc CLD2_Debug2 over per-chunk summaries:
     iterable of (offset, bytes, code1, score1, code2, score2,
-    reliability_delta, reliability_score)."""
+    reliability_delta, reliability_score). Chunk text is emitted raw
+    (debug.cc:454)."""
     sb = text.encode("utf-8")
     prior = "un"
     out = []
@@ -124,7 +132,7 @@ def debug2_chunks(text: str, summaries) -> str:
         else:
             out.append(f"[{c1}*.{int(s1)}/{c2}.{int(s2)}]")
         piece = sb[off:off + nbytes].decode("utf-8", "replace")
-        out.append(color_span(c1, piece))
+        out.append(_span(c1, piece))
         out.append(" \n")
         prior = c1
     return "".join(out)

@@ -64,11 +64,6 @@ _A = (_RNG.integers(1, _M61, size=64, dtype=np.int64)).astype(np.uint64)
 _B = (_RNG.integers(0, _M61, size=64, dtype=np.uint64))
 
 
-def minhash_signature(text: str) -> np.ndarray:
-    """64 minhashes (uint64) of the word-3-shingle set."""
-    return minhash_signature_from(_shingle_hashes(text))
-
-
 def minhash_signature_from(sh: np.ndarray) -> np.ndarray:
     """64 minhashes from precomputed shingle hashes (lets callers
     share one _shingle_hashes pass between signature and verify set)."""
@@ -135,13 +130,6 @@ def simhash64(text: str) -> int:
     v = (2 * bits - 1).sum(axis=0)
     return int(((v > 0).astype(np.uint64)
                 << np.arange(64, dtype=np.uint64)).sum())
-
-
-def jaccard(a: str, b: str) -> float:
-    sa, sb = set(_shingle_hashes(a).tolist()), set(_shingle_hashes(b).tolist())
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / max(len(sa | sb), 1)
 
 
 def _union_find(n_ids: list, edges: list[tuple]) -> dict:
@@ -1012,17 +1000,6 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             part_pairs, batch_format="pandas").to_pandas()
     return pairs.drop_duplicates(["a", "b"]).sort_values(["a", "b"]) \
         .reset_index(drop=True)
-
-
-def _token_hashes(text: str) -> np.ndarray:
-    """Sorted uint64 hashes of the distinct whitespace tokens."""
-    from cld2_ray.functions.textstats import token_hashes
-    toks = set(text.split())
-    if not toks:
-        return np.empty(0, dtype=np.uint64)
-    out = token_hashes(list(toks))
-    out.sort()
-    return out
 
 
 def jaccard_pairs_exact(ds, id_col: str = "doc_id",

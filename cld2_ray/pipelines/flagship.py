@@ -2,7 +2,7 @@
 
 read/generate pages -> fused_batch (Ray tasks: extract, langid, hints,
 aux langid, perplexity, rules, scrub, keep/drop) -> [write kept docs +
-metrics groupby].
+metrics fold].
 
 Sizing notes for the 100 TB case (see also state/checkpoint.py):
 - the kernel runs as plain Ray tasks with lazy per-worker models, so

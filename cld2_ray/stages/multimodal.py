@@ -223,11 +223,3 @@ class VideoFrameSampleStage:
                 .append_column("n_sampled", pa.array(ns))
                 .append_column("mean_luma", pa.array(luma))
                 .append_column("decode_ok", pa.array(ok)))
-
-
-def media_dataset_example(n: int = 64, seed: int = 42):
-    """A small synthetic media table: (media_id, image bytes) with REAL
-    BMP payloads whose dimensions follow media.bmp_dims_for(media_id)."""
-    del seed  # dimensions/content are a pure function of the id
-    rows = [{"media_id": i, "image": media.make_bmp(i)} for i in range(n)]
-    return pa.Table.from_pylist(rows)

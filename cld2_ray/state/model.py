@@ -93,27 +93,6 @@ class HashTable:
         from cld2_ray import native
         return native.table_lookup(self.keys, self.vals, self.mask, queries)
 
-    def lookup_numpy(self, queries: np.ndarray) -> np.ndarray:
-        """Pure-numpy probe loop: the tests' oracle for lookup."""
-        if len(queries) == 0:
-            return np.empty(0, dtype=np.uint64)
-        q = queries.astype(np.uint64)
-        np.place(q, q == 0, 1)
-        idx = (_mix(q) & self.mask).astype(np.int64)
-        out = np.zeros(len(q), dtype=np.uint64)
-        active = np.arange(len(q))
-        for _ in range(64):  # probe bound; tables are <= 50% loaded
-            k = self.keys[idx[active]]
-            hit = k == q[active]
-            out[active[hit]] = self.vals[idx[active[hit]]]
-            miss = (k != 0) & ~hit
-            if not miss.any():
-                break
-            active = active[miss]
-            idx[active] = (idx[active] + 1) & np.int64(self.mask)
-        return out
-
-
 @dataclass
 class BucketTable:
     """The reference's 4-way-associative CLD2TableSummary bucket table

@@ -259,19 +259,6 @@ def avg_delta_octa_score() -> np.ndarray:
     return arr.reshape(-1, 4)  # [ref_lang_id][lscript4]
 
 
-def expected_score_by_code() -> dict[str, tuple[int, int, int, int]]:
-    code_of, _, _ = language_tables()
-    arr = avg_delta_octa_score()
-    out = {}
-    for ref_id in range(min(len(arr), 614)):
-        code = CODE_ALIAS.get(code_of.get(ref_id, ""),
-                              code_of.get(ref_id, ""))
-        if code and not code.startswith(("zz", "xx")) \
-                and code not in ("un", "xxx", "ut"):
-            out[code] = tuple(int(x) for x in arr[ref_id])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Closest-alt correlations (compact_lang_det_impl.cc:259-427)
 # ---------------------------------------------------------------------------

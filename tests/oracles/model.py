@@ -1,0 +1,29 @@
+"""numpy open-addressed table probe: the oracle of ``native.table_lookup``
+(``HashTable.lookup``)."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cld2_ray.state.model import HashTable, _mix
+
+
+def lookup_numpy(table: HashTable, queries: np.ndarray) -> np.ndarray:
+    """HashTable.lookup as a pure-numpy probe loop."""
+    if len(queries) == 0:
+        return np.empty(0, dtype=np.uint64)
+    q = queries.astype(np.uint64)
+    np.place(q, q == 0, 1)
+    idx = (_mix(q) & table.mask).astype(np.int64)
+    out = np.zeros(len(q), dtype=np.uint64)
+    active = np.arange(len(q))
+    for _ in range(64):  # probe bound; tables are <= 50% loaded
+        k = table.keys[idx[active]]
+        hit = k == q[active]
+        out[active[hit]] = table.vals[idx[active[hit]]]
+        miss = (k != 0) & ~hit
+        if not miss.any():
+            break
+        active = active[miss]
+        idx[active] = (idx[active] + 1) & np.int64(table.mask)
+    return out

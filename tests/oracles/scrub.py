@@ -1,0 +1,12 @@
+"""Per-document PII scrub: the oracle of ``scrub.scrub_series``."""
+
+from __future__ import annotations
+
+from cld2_ray.functions.scrub import _COMPILED
+
+
+def scrub_text(text: str) -> str:
+    """scrub_series on one document: each pattern substituted in turn."""
+    for token, rx in _COMPILED:
+        text = rx.sub(token, text)
+    return text

@@ -57,6 +57,12 @@ class TestDumpFormats:
         assert "Debug2[0] [fr]" in s
         assert "Debug2[1] []" in s
         assert "Debug2[2] [de*.500/fr.400]" in s
+        # chunk text is printed raw (debug.cc:454), unlike the escaped
+        # DumpResultChunkVector rows
+        raw = debug2_chunks("""a&b <i>'q"</i>""", [
+            (0, 14, "en", 900, "fr", 100, 99, 99)])
+        assert """a&b <i>'q"</i></span>""" in raw
+        assert "&amp;" not in raw and "&lt;" not in raw
 
 
 class TestDebugSink:

@@ -244,7 +244,17 @@ class TestMinHash:
         assert not any(5 in g for g in groups)
 
     def test_signature_similarity(self):
-        from cld2_ray.pipelines.dedup import jaccard, minhash_signature
+        from cld2_ray.pipelines.dedup import (_shingle_hashes,
+                                              minhash_signature_from)
+
+        def minhash_signature(text):
+            return minhash_signature_from(_shingle_hashes(text))
+
+        def jaccard(a, b):
+            sa = set(_shingle_hashes(a).tolist())
+            sb = set(_shingle_hashes(b).tolist())
+            return len(sa & sb) / max(len(sa | sb), 1)
+
         a = "one two three four five six seven eight nine ten"
         b = "one two three four five six seven eight nine eleven"
         sa, sb = minhash_signature(a), minhash_signature(b)
@@ -304,13 +314,21 @@ class TestEmbeddingOps:
 
 
 class TestMultimodal:
+    @staticmethod
+    def media_dataset_example(n):
+        """(media_id, image bytes) rows with REAL BMP payloads whose
+        dimensions follow media.bmp_dims_for(media_id)."""
+        import pyarrow as pa
+        from cld2_ray.functions.media import make_bmp
+        return pa.Table.from_pylist(
+            [{"media_id": i, "image": make_bmp(i)} for i in range(n)])
+
     def test_media_stages(self, ray_session):
         import ray.data as rd
         from cld2_ray.stages.multimodal import (
-            AudioFrameStage, ImageDecodeStage, ImageEmbedStage,
-            media_dataset_example)
+            AudioFrameStage, ImageDecodeStage, ImageEmbedStage)
         from cld2_ray.functions.media import bmp_dims_for, make_wav
-        ds = rd.from_arrow(media_dataset_example(16))
+        ds = rd.from_arrow(self.media_dataset_example(16))
         out = ds.map_batches(ImageDecodeStage, batch_format="pyarrow",
                              batch_size=8, concurrency=1).to_pandas()
         # REAL decode: parsed dimensions match the fixture contract

@@ -1,10 +1,9 @@
 """Extraction semantics tests — each case exercises a cited reference
 behavior (see FIXTURES.md §1 and cld2_ray/functions/extract.py)."""
 
-from cld2_ray.functions.extract import (
-    extract_text, read_entity, scan_tag_end, valid_utf8_prefix,
-    fix_unicode_value,
-)
+from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
+from tests.oracles.extract import (
+    extract_text_with_map, fix_unicode_value, read_entity, scan_tag_end)
 
 
 def x(html: str) -> str:
@@ -192,8 +191,6 @@ class TestHelpers:
 
 class TestOffsetMap:
     def test_text_identical_to_plain_extract(self):
-        from cld2_ray.functions.extract import (extract_text,
-                                                extract_text_with_map)
         cases = [
             b"<p>Bonjour &eacute;t&eacute;</p><script>j()</script> fin",
             b"A\r\nB\rC  D   E&#233;&amp;x > y <a href='q\"z'>l</a>",
@@ -206,7 +203,6 @@ class TestOffsetMap:
 
     def test_map_monotone_and_exact_on_copied_bytes(self):
         import numpy as np
-        from cld2_ray.functions.extract import extract_text_with_map
         html = (b"<html><body><p>Hello &amp; world</p>\r\n"
                 b"<div>seconde   ligne</div></body></html>")
         text, om = extract_text_with_map(html)

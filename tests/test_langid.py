@@ -9,6 +9,7 @@ import pytest
 from cld2_ray.data.seeds import HELDOUT
 from cld2_ray.functions import langs
 from cld2_ray.functions.langid import Detector
+from tests.oracles.langid import detect_ranges_numpy
 
 
 @pytest.fixture(scope="module")
@@ -399,7 +400,7 @@ def test_reliability_expected_exact_reference_values():
 class TestBatchWithRanges:
     """detect_batch(with_ranges=True): results bit-identical to the
     plain call; unhinted ranges from it and from detect_ranges equal
-    the numpy oracle _detect_ranges_numpy per document (hints are the
+    the numpy oracle detect_ranges_numpy per document (hints are the
     documented deviation — none here), for both rtype routings."""
 
     def test_results_and_ranges_parity(self):
@@ -430,7 +431,7 @@ class TestBatchWithRanges:
                         b.normalized_score3, b.is_reliable, b.text_bytes)
             n_split = 0
             for t, r in zip(texts, rngs):
-                want = d._detect_ranges_numpy(t or "")
+                want = detect_ranges_numpy(d, t or "")
                 assert r == want
                 assert d.detect_ranges(t or "") == want
                 n_split += len(want) > 1

@@ -8,15 +8,21 @@ from hypothesis import given, settings, strategies as st
 from cld2_ray import native
 from cld2_ray.functions import hits, spans, uscript as us
 from cld2_ray.state.model import default_model
+from tests.oracles import (
+    extract as extract_oracle, fastlangid as fastlangid_oracle,
+    langid as langid_oracle, perplexity as perplexity_oracle,
+    quality as quality_oracle, repeats as repeats_oracle,
+    spans as spans_oracle)
+from tests.oracles.model import lookup_numpy
 
 
 def _numpy_path(model, cat, bounds, latin_of_span):
     from cld2_ray.functions.langid import Detector
     h, off = hits.quad_hits_dense(cat, span_bounds=bounds)
-    vals = model.quad.lookup_numpy(h)
+    vals = lookup_numpy(model.quad, h)
     m = vals != 0
     d = Detector(model)
-    ov, oo, od = d._octa_stream(cat, bounds, latin_of_span)
+    ov, oo, od = langid_oracle.octa_stream(d, cat, bounds, latin_of_span)
     return vals[m], off[m], ov, oo, od.astype(np.uint8)
 
 
@@ -73,7 +79,7 @@ class TestTableLookup:
         q = np.concatenate([
             rng.choice(present, 2000),
             rng.integers(0, 2**63, 2000, dtype=np.int64).astype(np.uint64)])
-        a = model.quad.lookup_numpy(q)
+        a = lookup_numpy(model.quad, q)
         b = native.table_lookup(model.quad.keys, model.quad.vals,
                                 model.quad.mask, q)
         assert np.array_equal(a, b)
@@ -88,7 +94,7 @@ class TestFastlangidScore:
                  *SEEDS.values(), *HELDOUT.values()]
         w = fastlangid.weights()
         idx = fastlangid.weights.bucket_index
-        feats, doc_of = fastlangid._features_batch(texts)
+        feats, doc_of = fastlangid_oracle.features_batch(texts)
         nf_np = np.bincount(doc_of, minlength=len(texts))
         framed = [(" " + t.lower() + " ").encode("utf-8") for t in texts]
         bounds = np.cumsum([len(b) for b in framed]).astype(np.int64)
@@ -158,7 +164,7 @@ class TestKernelRequired:
 
 class TestPplScore:
     """native.ppl_score (perplexity.score_batch) must be bit-equal to
-    the numpy batch scorer perplexity._score_batch_numpy."""
+    the numpy batch scorer of tests/oracles/perplexity.py."""
 
     def test_pages_langs_and_edges(self):
         from cld2_ray.functions import perplexity
@@ -166,7 +172,7 @@ class TestPplScore:
         codes = ["en", "fr", "de", "ru", "es", "ja", "xx-unknown", "un"]
         for k in range(len(codes)):
             lcs = [codes[(i + k) % len(codes)] for i in range(len(texts))]
-            want = perplexity._score_batch_numpy(texts, lcs)
+            want = perplexity_oracle.score_batch_numpy(texts, lcs)
             got = perplexity.score_batch(texts, lcs)
             assert got == want
         assert any(p > 0 for p in got[0])
@@ -186,7 +192,7 @@ def _page_texts(n=300):
 
 class TestFusedChunkScore:
     """quad_octa_chunk_score / cjk_chunk_score must be bit-equal to the
-    numpy chain (_many_hits -> unpack -> score_chunks_multi)."""
+    numpy chain (many_hits -> unpack -> score_chunks_multi)."""
 
     def test_many_spans_vs_numpy(self):
         from cld2_ray.functions import langs, score
@@ -211,7 +217,8 @@ class TestFusedChunkScore:
         cat = b"".join(bufs)
         hl_list = [None] * len(bufs)
         hl_list[2] = [5, 9]  # exercise the hint-boost path
-        all_vals, all_off, all_dist = det._many_hits(cat, bounds, latin)
+        all_vals, all_off, all_dist = langid_oracle.many_hits(
+            det, cat, bounds, latin)
         l3, q3 = unpack_langprobs(all_vals)
         span_of = np.searchsorted(bounds, all_off, side="right")
         c_np = score.score_chunks_multi(
@@ -253,7 +260,7 @@ class TestFusedChunkScore:
         starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
         for k, sp in enumerate(cjk):
             uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
-            uvals = det.model.uni.lookup_numpy(uni)
+            uvals = lookup_numpy(det.model.uni, uni)
             bvals = det.model.cjkbi.lookup(bi, False)
             um, bm = uvals != 0, bvals != 0
             av = np.concatenate([uvals[um], bvals[bm]])
@@ -290,8 +297,8 @@ class TestFusedChunkScore:
 
 class TestQualityScan:
     """apply_rules (C quality_scan + numpy rule cascade) must equal the
-    Arrow/RE2 + pandas reference (quality._apply_rules_arrow and its
-    _word_stats_arrow / _line_stats_pandas parts) exactly."""
+    Arrow/RE2 + pandas reference (apply_rules_arrow and its
+    word_stats_arrow / line_stats_pandas parts) exactly."""
 
     @staticmethod
     def _eq(ref, got, text=None):
@@ -328,7 +335,7 @@ class TestQualityScan:
         texts = _page_texts() + self.EDGE
         tser = pd.Series(texts)
         lang = pd.Series(["en"] * len(texts))
-        q_a = quality._apply_rules_arrow(tser, lang)
+        q_a = quality_oracle.apply_rules_arrow(tser, lang)
         q_c = quality.apply_rules(tser, lang)
         assert list(q_a.columns) == list(q_c.columns)
         self._eq(q_a, q_c)
@@ -343,8 +350,8 @@ class TestQualityScan:
         import pandas as pd
         from cld2_ray.functions import quality
         tser = pd.Series([text, "the la de", ""])
-        self._eq(quality._word_stats_arrow(tser), quality.apply_rules(tser),
-                 text)
+        self._eq(quality_oracle.word_stats_arrow(tser),
+                 quality.apply_rules(tser), text)
 
     @settings(deadline=None, max_examples=150)
     @given(st.text(
@@ -357,8 +364,8 @@ class TestQualityScan:
         import pandas as pd
         from cld2_ray.functions import quality
         tser = pd.Series([text, "a\nb\na", ""])
-        self._eq(quality._line_stats_pandas(tser), quality.apply_rules(tser),
-                 text)
+        self._eq(quality_oracle.line_stats_pandas(tser),
+                 quality.apply_rules(tser), text)
 
 
 class TestScriptSpansScan:
@@ -374,7 +381,7 @@ class TestScriptSpansScan:
     def _eq(t):
         from cld2_ray.functions import spans
         c = spans.script_spans(t)
-        n = spans._script_spans_numpy(t)
+        n = spans_oracle.script_spans_numpy(t)
         assert len(c) == len(n), t[:60]
         for x, y in zip(c, n):
             assert x.text == y.text
@@ -393,7 +400,7 @@ class TestScriptSpansScan:
         from cld2_ray.functions import spans
         t = "word " * 50000  # > 160KB of letters
         c = spans.script_spans(t)
-        n = spans._script_spans_numpy(t)
+        n = spans_oracle.script_spans_numpy(t)
         assert len(c) == len(n)
         assert sum(s.text_bytes for s in c) == sum(s.text_bytes for s in n)
 
@@ -479,7 +486,8 @@ class TestExtractScan:
     @staticmethod
     def _eq(h):
         from cld2_ray.functions import extract as E
-        assert E.extract_text(h) == E._extract_text_py(h), h[:80]
+        assert E.extract_text(h) == \
+            extract_oracle.extract_text_with_map(h)[0], h[:80]
 
     def test_edges_and_corpus(self):
         from cld2_ray.functions import extract as E
@@ -612,14 +620,15 @@ class TestWinPairsBatchFallback:
 class TestRangesKernel:
     """quad_octa_chunk_score(with_ranges=True): first five outputs
     bit-equal to the plain pass (same totes feed), ranges outputs
-    bit-equal to the numpy chain of Detector._detect_ranges_numpy
+    bit-equal to the numpy chain of detect_ranges_numpy
     (zeros-expected score_chunks_multi on one span +
-    _sharpen_boundaries)."""
+    sharpen_boundaries)."""
 
     def test_parity_vs_python_chain(self):
         from cld2_ray.data.seeds import HELDOUT, SEEDS
         from cld2_ray.functions import langs, score, spans, uscript as us
-        from cld2_ray.functions.langid import Detector, unpack_langprobs
+        from cld2_ray.functions.langid import Detector
+        from cld2_ray.state.model import unpack_langprobs
         det = Detector()
         m = det.model
         texts = [SEEDS["en"][:600] + " " + SEEDS["de"][:600],
@@ -646,8 +655,8 @@ class TestRangesKernel:
         l1c, _, _, _, spanc, reldc, cstartc = c
         for i, sp in enumerate(many):
             sb = sp.text_utf8
-            vals, offs, rdist = det._many_hits(
-                sb, np.array([len(sb)], dtype=np.int64),
+            vals, offs, rdist = langid_oracle.many_hits(
+                det, sb, np.array([len(sb)], dtype=np.int64),
                 np.array([sp.script == us.LATIN]))
             sel = spanc == i
             if len(vals) == 0:
@@ -661,7 +670,7 @@ class TestRangesKernel:
                 np.array([score.CHUNKSIZE_QUADS], dtype=np.int64),
                 np.zeros_like(m.expected_quad), distinct_mask=rdist,
                 script4_of_span=us.LSCRIPT4[[sp.script]])
-            bidx = det._sharpen_boundaries(
+            bidx = langid_oracle.sharpen_boundaries(
                 lang1, l3, q3, score.CHUNKSIZE_QUADS, len(offs))
             assert np.array_equal(lang1, l1c[sel].astype(lang1.dtype))
             assert np.array_equal(rel, reldc[sel])
@@ -699,13 +708,12 @@ class TestExtractScanMap:
                 assert src[0] >= 0 and src[-1] < max(len(h), 1)
 
     def test_map_equals_offsetmap_oracle(self):
-        from cld2_ray.functions.extract import _ent_table, \
-            extract_text_with_map
+        from cld2_ray.functions.extract import _ent_table
         ent = _ent_table()
         n_pos = 0
         for h in self._cases():
             _got, src = native.extract_scan_map(h, *ent)
-            _text, om = extract_text_with_map(h)
+            _text, om = extract_oracle.extract_text_with_map(h)
             want = om.to_original(np.arange(len(src) + 1))
             assert np.array_equal(src, want[:-1])
             # a range ending at the text's end maps to the page's end
@@ -724,24 +732,22 @@ _REP_SPAN = st.lists(_REP_ALPHABET, max_size=80).map("".join)
 
 class TestRepeatsKernels:
     """predict_mask and rep_words_multi (quadscan.c) against the numpy
-    predictor and word rule of functions/repeats.py."""
+    predictor and word rule of tests/oracles/repeats.py."""
 
     @staticmethod
     def _rep_words(texts):
-        from cld2_ray.functions.repeats import remove_repeated_words
         bufs = [t.encode("utf-8") for t in texts]
         bounds = np.cumsum([len(b) for b in bufs], dtype=np.int64)
         out, ob = native.rep_words_multi(b"".join(bufs), bounds)
         got = [out[a:b].tobytes().decode("utf-8")
                for a, b in zip([0, *ob[:-1].tolist()], ob.tolist())]
-        want = [remove_repeated_words(t) for t in texts]
+        want = [repeats_oracle.remove_repeated_words(t) for t in texts]
         assert got == want
 
     @staticmethod
     def _mask(text):
-        from cld2_ray.functions.repeats import _predicted_bytes_mask_numpy
         mask, nb = native.predict_mask(text.encode("utf-8"))
-        m_np, nb_np = _predicted_bytes_mask_numpy(text)
+        m_np, nb_np = repeats_oracle.predicted_bytes_mask_numpy(text)
         assert np.array_equal(mask, m_np), text
         assert np.array_equal(nb.astype(np.int64), nb_np), text
 
@@ -763,11 +769,10 @@ class TestRepeatsKernels:
 
     def test_rep_words_multi_cases(self):
         from cld2_ray.data.seeds import SEEDS
-        from cld2_ray.functions.repeats import _predicted_bytes_mask_numpy
         # the leading space of the last word is predicted: its byte
         # counts toward the word's predicted bytes but not its length,
         # which tips " a" (0 of 1 bytes predicted) into a drop
-        mask, _ = _predicted_bytes_mask_numpy("b b a")
+        mask, _ = repeats_oracle.predicted_bytes_mask_numpy("b b a")
         assert mask.tolist() == [False, False, False, True, False]
         assert native.rep_words_multi(b"b b a", np.array([5]))[0] \
             .tobytes() == b" b b "

@@ -1,0 +1,103 @@
+"""The runtime package holds only runtime code: the test oracles live in
+tests/oracles/, cld2_ray/ never imports them, and every oracle has a
+test that calls it. Checked on the source with ``ast``."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RUNTIME = sorted((ROOT / "cld2_ray").rglob("*.py"))
+ORACLES = sorted((ROOT / "tests" / "oracles").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("test_*.py"))
+
+# oracles that moved to tests/oracles/ (names they had in cld2_ray/),
+# and caller-less or test-only code deleted from cld2_ray/
+MOVED_OR_DELETED = {
+    "extract_text_with_map", "OffsetMap", "ComposedMap", "read_entity",
+    "scan_tag_end", "fix_unicode_value", "_is_newline_tag",
+    "_script_spans_numpy", "_absorb_single_foreign", "lower_cps",
+    "utf8_len_of", "_apply_rules_arrow", "_word_stats_arrow",
+    "_line_stats_pandas", "_stopword_counts_arrow",
+    "_detect_ranges_numpy", "_sharpen_boundaries", "_octa_stream",
+    "_score_span", "_many_hits", "_score_one_span", "_score_batch_numpy",
+    "_features_batch", "remove_repeated_words",
+    "_predicted_bytes_mask_numpy", "_char_values", "scrub_text",
+    "lookup_numpy", "_gopher_full_perdoc",
+    "_extract_text_py", "_token_hashes", "minhash_signature", "jaccard",
+    "media_dataset_example", "expected_score_by_code",
+    "rolling_fingerprints",
+}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _defined(tree):
+    """Every function, method and class name defined in the module."""
+    return {n.name for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))}
+
+
+def _top_level(tree, kinds=(ast.FunctionDef, ast.AsyncFunctionDef)):
+    return [n.name for n in tree.body if isinstance(n, kinds)]
+
+
+def _referenced(tree):
+    """Names a module uses: bare names, attributes and imported names."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_runtime_defines_no_oracle():
+    oracle_names = set()
+    for p in ORACLES:
+        oracle_names.update(_top_level(
+            _tree(p), (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    assert oracle_names, "tests/oracles/ defines no oracle"
+    banned = MOVED_OR_DELETED | oracle_names
+    found = {f"{p.relative_to(ROOT)}: {name}"
+             for p in RUNTIME for name in _defined(_tree(p)) & banned}
+    assert not found, sorted(found)
+
+
+def test_runtime_imports_no_test_code():
+    found = []
+    for p in RUNTIME:
+        for n in ast.walk(_tree(p)):
+            if isinstance(n, ast.Import):
+                mods = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom) and n.module:
+                mods = [n.module]
+            else:
+                continue
+            found += [f"{p.relative_to(ROOT)}:{n.lineno} {m}" for m in mods
+                      if m.split(".")[0] in ("tests", "oracles")]
+    assert not found, found
+
+
+def test_every_oracle_has_a_caller():
+    """Public oracle functions are called by a test module; private
+    helpers by another oracle or a test."""
+    test_refs = set()
+    for p in TESTS:
+        test_refs |= _referenced(_tree(p))
+    oracle_refs = set()
+    for p in ORACLES:
+        oracle_refs |= _referenced(_tree(p))
+    missing = []
+    for p in ORACLES:
+        for name in _top_level(_tree(p)):
+            refs = test_refs | oracle_refs if name.startswith("_") \
+                else test_refs
+            if name not in refs:
+                missing.append(f"{p.name}: {name}")
+    assert ORACLES and not missing, missing

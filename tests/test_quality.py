@@ -7,8 +7,11 @@ from cld2_ray.data.seeds import HELDOUT
 from cld2_ray.functions import fastlangid, perplexity
 from cld2_ray.functions.quality import apply_rules
 from cld2_ray.functions.repeats import (
-    count_predicted_bytes, remove_repeated_words, squeeze, squeeze_trigger)
-from cld2_ray.functions.scrub import scrub_series, scrub_text
+    count_predicted_bytes, squeeze, squeeze_trigger)
+from cld2_ray.functions.scrub import scrub_series
+from tests.oracles.quality import apply_rules_arrow
+from tests.oracles.repeats import remove_repeated_words
+from tests.oracles.scrub import scrub_text
 
 GOOD = (HELDOUT["en"] + " ") * 5
 
@@ -35,10 +38,9 @@ class TestQualityRules:
     def test_lorem_long_s_not_folded(self):
         """'lorem ipſum' (U+017F long s) is not 'lorem ipsum' under
         lower(): the C scan and the Arrow reference agree on that."""
-        from cld2_ray.functions.quality import _apply_rules_arrow
         texts = pd.Series(["Lorem ipſum dolor " + GOOD,
                            "LOREM IPSUM dolor " + GOOD])
-        for q in (_apply_rules_arrow(texts), apply_rules(texts)):
+        for q in (apply_rules_arrow(texts), apply_rules(texts)):
             assert q.drop_reason.tolist() == ["", "lorem_ipsum"]
 
     def test_dup_lines_dropped(self):

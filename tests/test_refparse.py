@@ -13,6 +13,22 @@ pytestmark = pytest.mark.skipif(not os.path.isdir(REF),
                                 reason="reference tree not present")
 
 
+def _expected_score_by_code() -> dict[str, tuple[int, int, int, int]]:
+    """kAvgDeltaOctaScore rows keyed by language code."""
+    from cld2_ray.state.refparse import (CODE_ALIAS, avg_delta_octa_score,
+                                         language_tables)
+    code_of, _, _ = language_tables()
+    arr = avg_delta_octa_score()
+    out = {}
+    for ref_id in range(min(len(arr), 614)):
+        code = CODE_ALIAS.get(code_of.get(ref_id, ""),
+                              code_of.get(ref_id, ""))
+        if code and not code.startswith(("zz", "xx")) \
+                and code not in ("un", "xxx", "ut"):
+            out[code] = tuple(int(x) for x in arr[ref_id])
+    return out
+
+
 class TestParsedTables:
     def test_langprob_decode_matches_file_comments(self):
         """deltaocta0527.cc annotates Ind entries with their decode
@@ -76,8 +92,7 @@ class TestParsedTables:
         assert top_lang("Ж") == "" and top_lang("é") == ""
 
     def test_expected_score_table_parses(self):
-        from cld2_ray.state.refparse import expected_score_by_code
-        exp = expected_score_by_code()
+        exp = _expected_score_by_code()
         # spot values from cld_generated_score_quad_octa_2.cc comments
         assert exp["en"][0] == 1163      # ENGLISH Latn
         assert exp["ja"][3] == 3100      # Japanese Other

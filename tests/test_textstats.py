@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 
 from cld2_ray.functions.textstats import (
-    count_tokens, fingerprint, rolling_fingerprints, stopword_counts)
+    count_tokens, fingerprint, stopword_counts)
 
 
 class TestTokens:
@@ -19,14 +19,6 @@ class TestTokens:
         f = fingerprint(s)
         assert f[0] == f[1] != f[2]
         assert len(f[0]) == 32
-
-    def test_rolling_fingerprints(self):
-        a = rolling_fingerprints("a b c d e f g h i j k l m n o p q r")
-        b = rolling_fingerprints("a b c d e f g h i j k l m n o p q r")
-        assert np.array_equal(a, b)
-        # shared window between overlapping docs
-        c = rolling_fingerprints("x y a b c d e f g h i j k l m n o p q r")
-        assert len(set(a.tolist()) & set(c.tolist())) > 0
 
     def test_stopword_counts(self):
         out = stopword_counts(pd.Series(["the cat and the dog", "no stops"]),
@@ -189,8 +181,8 @@ class TestGopherFull:
         show) plus the unicode/whitespace edges."""
         import numpy as np
         import pandas as pd
-        from cld2_ray.functions.textstats import (
-            _gopher_full_perdoc, gopher_repetition_full)
+        from cld2_ray.functions.textstats import gopher_repetition_full
+        from tests.oracles.textstats import gopher_full_perdoc
         rng = np.random.default_rng(11)
         vocab = np.array(["w%d" % i for i in range(12)])
         docs = [" ".join(rng.choice(vocab, rng.integers(0, 80)))
@@ -199,4 +191,4 @@ class TestGopherFull:
                  "héé wörld héé wörld", " ".join(["u v w x y z"] * 4)]
         s = pd.Series(docs)
         pd.testing.assert_frame_equal(
-            gopher_repetition_full(s), _gopher_full_perdoc(s))
+            gopher_repetition_full(s), gopher_full_perdoc(s))

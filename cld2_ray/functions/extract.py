@@ -25,9 +25,11 @@ The function is the single source of truth for ``extracted_text``: both
 the single-process oracle and the Ray pipeline call it, which is what
 makes the per-url byte-identical invariant hold.
 
-Implementation note: the extraction itself is one C pass per page
-(``native.extract_scan``, the reference's table-driven byte loop);
-this module holds its entity / low-codepoint tables. The Python
+Implementation note: the extraction itself is one C call per batch
+of pages (``native.extract_scan_batch``, the reference's table-driven
+byte loop per page); ``extract_batch`` returns its output as an Arrow
+``large_string`` column and ``extract_text`` is that call on one page.
+This module holds the entity / low-codepoint tables. The Python
 extractor in tests/oracles/extract.py is the tests' reference for it.
 """
 
@@ -105,21 +107,35 @@ def _ent_table():
     return keys, vals, low
 
 
+def extract_batch(htmls: list[bytes]):
+    """extract_text of every page in one C pass -> pyarrow
+    LargeStringArray built on the kernel's output buffers (no copy).
+
+    Pages must be valid UTF-8 (gate with ``valid_utf8_prefix``); the
+    kernel normalizes \\r\\n and lone \\r to \\n itself. Decoding the
+    column (``to_pylist``) raises UnicodeDecodeError if the output
+    were ever invalid UTF-8."""
+    import numpy as np
+    import pyarrow as pa
+    from cld2_ray import native
+    ends = np.cumsum([len(h) for h in htmls], dtype=np.int64)
+    data, offsets = native.extract_scan_batch(b"".join(htmls), ends,
+                                              *_ent_table())
+    return pa.LargeStringArray.from_buffers(
+        len(htmls), pa.py_buffer(offsets), pa.py_buffer(data))
+
+
 def extract_text(html: bytes, is_plain_text: bool = False) -> str:
     """Extract visible text from HTML bytes per the reference semantics.
 
     Returns the processed text (no artificial leading/trailing span
     framing). Input must be valid UTF-8 — gate with
-    ``valid_utf8_prefix`` first. One C pass (native.extract_scan;
-    tests/oracles/extract.py is its test oracle)."""
-    b = html
-    if b.find(b"\r") >= 0:
-        b = b.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    ``valid_utf8_prefix`` first. ``extract_batch`` on one page
+    (tests/oracles/extract.py is its test oracle)."""
     if is_plain_text:
-        out = _WS_RUN.sub(rb"\1", b)
-        return out.decode("utf-8")
-    from cld2_ray import native
-    return native.extract_scan(b, *_ent_table()).decode("utf-8")
+        b = html.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return _WS_RUN.sub(rb"\1", b).decode("utf-8")
+    return extract_batch([html]).to_pylist()[0]
 
 
 def text_to_raw_ranges(html: bytes, ranges) -> list[tuple[int, int, str]]:

@@ -109,7 +109,7 @@ def _stop_table():
     return tbl
 
 
-def _scan_stats(stripped: pd.Series) -> np.ndarray:
+def _scan_stats(stripped: list[str]) -> np.ndarray:
     """(n, 13) int64 stats (see native.quality_scan) via ONE C pass over
     the concatenated stripped texts. Line stats are invariant to
     whole-doc strip(): per-line strip + empty-line drop subsume it."""
@@ -132,21 +132,20 @@ SPACELESS_LANGS = frozenset(["zh", "zh-Hant", "ja", "th", "km", "lo", "my"])
 STOPWORD_LANGS = frozenset(["en", "fr", "de", "es", "pt", "ru"])
 
 
-def apply_rules(texts: pd.Series,
-                lang_codes: pd.Series | None = None) -> pd.DataFrame:
-    """Returns keep: bool, drop_reason: str ('' if kept) + the stats.
+def rule_columns(texts, lang_codes=None) -> dict[str, np.ndarray]:
+    """The quality rules on a batch: keep (bool), drop_reason (str, ''
+    if kept) and the stats, one numpy array each.
 
-    Rule order is the drop_reason priority order (first failure wins).
+    ``texts`` is a sequence of str (None counts as ""). Rule order is
+    the drop_reason priority order (first failure wins).
     ``lang_codes`` (optional, aligned) marks spaceless-script documents,
     whose word-shape rules are evaluated on characters instead.
 
     Every stat comes from the single C scan, so the rule cascade runs on
-    plain numpy arrays (the pandas Series/mask machinery was ~70% of
-    the time). Output equals apply_rules_arrow of
+    plain numpy arrays. Output equals apply_rules_arrow of
     tests/oracles/quality.py, pinned by tests/test_native.py."""
-    t = texts.fillna("")
-    scan = _scan_stats(t.str.strip())
-    n = len(t)
+    scan = _scan_stats([t.strip() if t else "" for t in texts])
+    n = len(scan)
     n_words = scan[:, 0]
     n_chars = scan[:, 1]
     word_chars = n_chars - scan[:, 2]
@@ -198,15 +197,21 @@ def apply_rules(texts: pd.Series,
     ridx = np.full(n, len(names) - 1, dtype=np.int64)  # default: kept
     for i in range(len(masks) - 1, -1, -1):            # first match wins
         ridx[masks[i]] = i
-    reason = names[ridx]
-    return pd.DataFrame({
+    return {
         "n_words": n_words, "n_chars": n_chars, "mean_word_len": mean_wl,
         "alpha_ratio": alpha_ratio, "n_stopwords": n_stop,
         "n_lines": n_lines, "bullet_ratio": bullet_ratio,
         "ellipsis_ratio": ellipsis_ratio,
         "dup_line_ratio": dup_line_ratio,
         "n_sentences": n_sentences, "keep": ridx == len(names) - 1,
-        "drop_reason": reason}, index=t.index)
+        "drop_reason": names[ridx]}
+
+
+def apply_rules(texts: pd.Series,
+                lang_codes: pd.Series | None = None) -> pd.DataFrame:
+    """rule_columns as a DataFrame on the index of ``texts``."""
+    return pd.DataFrame(rule_columns(texts.fillna("").tolist(), lang_codes),
+                        index=texts.index)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """PII / toxicity scrubbing — regex redaction stage (north rule).
 
 New code (not in the reference). Patterns are compiled once per process
-(module import) / per actor, applied vectorized with pandas
-``str.replace`` per batch. Replacement tokens are stable strings so
-scrubbed output is deterministic and SQL-reproducible
-(``regexp_replace(..., 'g')`` in the DuckDB oracle).
+(module import) and applied per batch with Arrow's RE2 kernels on the
+text column (``scrub_arrow``; ``scrub_series`` is its pandas form).
+Replacement tokens are stable strings so scrubbed output is
+deterministic and SQL-reproducible (``regexp_replace(..., 'g')`` in the
+DuckDB oracle).
 
 Order matters and is fixed: EMAIL -> IPV4 -> SSN -> CREDIT_CARD ->
 PHONE (phone last: its pattern is the loosest).
@@ -43,17 +44,17 @@ _TOX = re.compile("|".join(re.escape(w) for w in TOXICITY_WORDS),
 _ANY_PII = "(?:" + ")|(?:".join(p for _, p in PII_PATTERNS) + ")"
 
 
-def scrub_series(texts: pd.Series) -> pd.DataFrame:
-    """Vectorized scrub on Arrow compute kernels (C++/RE2 — the patterns
-    are RE2-safe by construction and verified equal to Python re).
-    Returns scrubbed_text, n_pii, has_toxicity."""
+def scrub_arrow(arr):
+    """Scrub a pyarrow string / large_string array without nulls.
+    Returns (scrubbed array of the same type, n_pii int64 ndarray,
+    has_toxicity bool ndarray); with no PII hit the scrubbed array is
+    ``arr`` itself. Arrow compute kernels (C++/RE2 — the patterns are
+    RE2-safe by construction and verified equal to Python re)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    filled = texts.fillna("")
-    arr = pa.Array.from_pandas(filled)
-    n_pii = np.zeros(len(filled), dtype=np.int64)
+    n_pii = np.zeros(len(arr), dtype=np.int64)
     hit = pc.match_substring_regex(arr, _ANY_PII) \
         .to_numpy(zero_copy_only=False)
     hit_idx = np.flatnonzero(hit)
@@ -66,15 +67,17 @@ def scrub_series(texts: pd.Series) -> pd.DataFrame:
             sub = pc.replace_substring_regex(sub, pattern=pat,
                                              replacement=token)
         n_pii[hit_idx] = n_sub
-        scrubbed = filled.to_numpy(copy=True)
-        scrubbed[hit_idx] = sub.to_pandas().values
-        arr = pa.array(scrubbed)
-    has_tox = pd.Series(
-        pc.match_substring_regex(arr, _TOX.pattern, ignore_case=True)
-        .to_numpy(zero_copy_only=False), index=texts.index)
-    return pd.DataFrame({
-        "scrubbed_text": pd.Series(arr.to_pandas().values,
-                                   index=texts.index),
-        "n_pii": pd.Series(n_pii, index=texts.index),
-        "has_toxicity": has_tox,
-    })
+        arr = pc.replace_with_mask(arr, pa.array(hit), sub)
+    has_tox = pc.match_substring_regex(arr, _TOX.pattern, ignore_case=True) \
+        .to_numpy(zero_copy_only=False)
+    return arr, n_pii, has_tox
+
+
+def scrub_series(texts: pd.Series) -> pd.DataFrame:
+    """scrub_arrow on a Series -> DataFrame of scrubbed_text, n_pii,
+    has_toxicity on the index of ``texts``."""
+    import pyarrow as pa
+    arr, n_pii, has_tox = scrub_arrow(pa.array(texts.fillna(""),
+                                               type=pa.string()))
+    return pd.DataFrame({"scrubbed_text": arr.to_pylist(), "n_pii": n_pii,
+                         "has_toxicity": has_tox}, index=texts.index)

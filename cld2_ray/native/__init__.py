@@ -47,18 +47,37 @@ _SO = os.path.join(_DIR, "quadscan.so")
 AVAILABLE = True
 
 
+# -O3 autovectorizes the elementwise float loops (fastlangid's 73-wide
+# weight-row accumulation is ~90% of its kernel time as scalar adds).
+# -ffp-contract=off forbids FMA contraction so float results stay
+# bit-identical to the numpy test oracles; -O3 never reassociates float
+# reductions without -ffast-math. The output path is appended per build.
+_CMD = ["cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC", _SRC, "-lm",
+        "-o"]
+
+
+def _build_key() -> str:
+    """Hash of the source and the compile command: the cached .so is
+    reused only while both are unchanged."""
+    import hashlib
+    h = hashlib.sha256()
+    with open(_SRC, "rb") as f:
+        h.update(f.read())
+    h.update("\0".join(_CMD).encode())
+    return h.hexdigest()
+
+
 def _compile() -> str:
-    if (os.path.exists(_SO)
-            and os.path.getmtime(_SO) >= os.path.getmtime(_SRC)):
-        return _SO
+    key = _build_key()
+    stamp = _SO + ".key"
+    try:
+        with open(stamp) as f:
+            if f.read() == key and os.path.exists(_SO):
+                return _SO
+    except FileNotFoundError:
+        pass
     tmp = f"{_SO}.tmp.{os.getpid()}"
-    # -O3 autovectorizes the elementwise float loops (fastlangid's
-    # 73-wide weight-row accumulation is ~90% of its kernel time as
-    # scalar adds). -ffp-contract=off forbids FMA contraction so float
-    # results stay bit-identical to the numpy test oracles; -O3 never
-    # reassociates float reductions without -ffast-math.
-    cmd = ["cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC",
-           _SRC, "-o", tmp, "-lm"]
+    cmd = [*_CMD, tmp]
     try:
         subprocess.run(cmd, check=True, capture_output=True, timeout=120)
     except subprocess.CalledProcessError as e:
@@ -69,12 +88,15 @@ def _compile() -> str:
         raise ImportError(
             f"cld2_ray.native: cannot run `{' '.join(cmd)}`: {e}") from e
     os.replace(tmp, _SO)
+    with open(f"{stamp}.tmp.{os.getpid()}", "w") as f:
+        f.write(key)
+    os.replace(f.name, stamp)
     return _SO
 
 
 def _load() -> None:
     global _FN, _LK, _ACC, _PM, _RW, _PP, _CS, _CJ, _QS, _SS, _SSM
-    global _EX, _EXM, _MD5, _MDW, _B2B
+    global _EXB, _EXM, _MD5, _MDW, _B2B
     so = _compile()
     try:
         lib = ctypes.CDLL(so)
@@ -178,10 +200,10 @@ def _load() -> None:
                      vp, vp, vp, vp,
                      vp, vp, vp]
     _SSM.restype = ctypes.c_int64
-    _EX = lib.extract_scan
-    _EX.argtypes = [vp, ctypes.c_int64,
-                    vp, vp, ctypes.c_int64, vp, vp]
-    _EX.restype = ctypes.c_int64
+    _EXB = lib.extract_scan_batch
+    _EXB.argtypes = [u8p, i64p, ctypes.c_int64,
+                     u64p, i32p, ctypes.c_int64, u32p, u8op, i64p]
+    _EXB.restype = ctypes.c_int64
     _EXM = lib.extract_scan_map
     _EXM.argtypes = [vp, ctypes.c_int64,
                      vp, vp, ctypes.c_int64, vp, vp, vp]
@@ -416,24 +438,26 @@ def cjk_chunk_score(cat: bytes, bounds: np.ndarray,
 _ex_scratch: dict[str, np.ndarray] = {}
 
 
-def extract_scan(html: bytes, ent_keys: np.ndarray, ent_vals: np.ndarray,
-                 low_map: np.ndarray) -> bytes:
-    """One C pass of extract_text's tag-skip / ws-compress / entity
-    chain over \\r-normalized valid-UTF-8 html. Returns the extracted
-    utf-8 bytes (bit-equal to the Python path — tested)."""
-    n = len(html)
-    sc = _ex_scratch
-    if sc.get("cap", 0) < n + 8:
-        cap = max(2 * (n + 8), 1 << 16)
-        sc["out"] = np.empty(cap, dtype=np.uint8)
-        _prefault(sc["out"])
-        sc["out_ptr"] = sc["out"].ctypes.data
-        sc["cap"] = cap
-    # bytes objects pass as raw const pointers; arrays by .ctypes.data
-    # (argtypes are c_void_p - no per-call ndpointer validation)
-    m = _EX(html, n, ent_keys.ctypes.data, ent_vals.ctypes.data,
-            len(ent_keys), low_map.ctypes.data, sc["out_ptr"])
-    return sc["out"][:m].tobytes()
+def extract_scan_batch(cat: bytes, ends: np.ndarray, ent_keys: np.ndarray,
+                       ent_vals: np.ndarray, low_map: np.ndarray):
+    """extract_text over a batch in one C pass: page d is
+    cat[ends[d-1]:ends[d]], valid UTF-8 with its \\r not yet
+    normalized. Returns (data uint8, offsets int64[n+1]), both fresh:
+    page d's text is data[offsets[d]:offsets[d+1]], the buffers of an
+    Arrow large_string column."""
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
+    n = len(ends)
+    if n and (ends[0] < 0 or ends[-1] > len(cat)
+              or (np.diff(ends) < 0).any()):
+        raise ValueError("extract_scan_batch: ends must be ascending "
+                         "offsets into cat")
+    out = np.empty(len(cat) + 8, dtype=np.uint8)
+    offsets = np.empty(n + 1, dtype=np.int64)
+    m = _EXB(np.frombuffer(cat, dtype=np.uint8), ends, n,
+             ent_keys, ent_vals, len(ent_keys), low_map, out, offsets)
+    if m < 0:
+        raise MemoryError("extract_scan_batch: no scratch for \\r pages")
+    return out[:m], offsets
 
 
 def extract_scan_map(html: bytes, ent_keys: np.ndarray,

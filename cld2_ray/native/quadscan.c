@@ -17,6 +17,7 @@
 #include <stdint.h>
 #include <stddef.h>
 #include <stdlib.h>
+#include <string.h>
 
 static const uint32_t kWordMask0[4] = {0xFFFFFFFFu, 0x000000FFu,
                                        0x0000FFFFu, 0x00FFFFFFu};
@@ -322,6 +323,20 @@ int table_lookup_batch(const uint64_t *keys, const uint64_t *vals,
  *   nfeats  : out per-doc total feature count (incl. absent buckets)
  *   nrows   : out per-doc distinct present-row count
  */
+/* fastlangid_score is compute-bound on its 73-wide row adds: one
+ * build carries an AVX-512, an AVX2 and a baseline copy and the loader
+ * picks one for the CPU (GCC function multi-versioning). The adds stay
+ * elementwise in row order and -ffp-contract=off forbids FMA, so every
+ * copy gives the same bits. Other compilers and targets build the
+ * plain function. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && __GNUC__ >= 11
+#define FL_CLONES __attribute__((target_clones( \
+    "arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define FL_CLONES
+#endif
+FL_CLONES
 int fastlangid_score(const uint8_t *cat, const int64_t *bounds,
                      int64_t n_docs, const int32_t *idx, const float *w,
                      int64_t k_langs, int32_t *cnt, int32_t *touched,
@@ -1580,7 +1595,7 @@ int64_t script_spans_scan(const uint8_t *text, int64_t n,
  * quoted-attribute / unmatched-'<' semantics, <p|<br|<tr newline
  * substitution, and entity expansion (numeric with FixUnicodeValue via low_map, named via the
  * packed-name table with the IE6 ';' rule). Input must be valid UTF-8
- * with \r already normalized to \n (the shim does both).
+ * with \r already normalized to \n (extract_scan_batch does that).
  *
  * ent table: open-addressed uint64 keys (name bytes LE, <= 8) with
  * int32 values; low_map: uint32[256] FixUnicodeValue low mapping.
@@ -1764,10 +1779,10 @@ static inline int ext_newline_tag(const uint8_t *b, int64_t n, int64_t i) {
     return 0;
 }
 
-int64_t extract_scan(const uint8_t *b, int64_t n,
-                     const uint64_t *ekeys, const int32_t *evals,
-                     int64_t ecap, const uint32_t *low_map,
-                     uint8_t *out) {
+static int64_t extract_scan(const uint8_t *b, int64_t n,
+                            const uint64_t *ekeys, const int32_t *evals,
+                            int64_t ecap, const uint32_t *low_map,
+                            uint8_t *out) {
     int64_t op = 0;
     int last_ws = 0;
     int64_t pos = 0;
@@ -1812,6 +1827,51 @@ int64_t extract_scan(const uint8_t *b, int64_t n,
             pos++;
         }
     }
+    return op;
+}
+
+/* extract_text over a whole batch of pages in ONE call (a ctypes call
+ * per page cost ~9.5 us, more than the extraction of a short page).
+ * Page d is cat[ends[d-1]:ends[d]] (ends[-1] = 0), valid UTF-8. A page
+ * holding a '\r' is first copied to a scratch buffer with \r\n -> \n
+ * and lone \r -> \n (== Python's replace(b"\r\n", b"\n")
+ * .replace(b"\r", b"\n")). Page d's text is written to
+ * out[offsets[d]:offsets[d+1]], offsets[0] = 0: the data and offsets
+ * buffers of an Arrow large_string column. No page grows (every
+ * entity is at least as long as its UTF-8 encoding), so out cap >=
+ * ends[n_docs-1] + 8. Returns the total text length, or -1 when the
+ * scratch cannot be allocated. */
+int64_t extract_scan_batch(const uint8_t *cat, const int64_t *ends,
+                           int64_t n_docs, const uint64_t *ekeys,
+                           const int32_t *evals, int64_t ecap,
+                           const uint32_t *low_map, uint8_t *out,
+                           int64_t *offsets) {
+    uint8_t *norm = NULL;
+    int64_t norm_cap = 0, op = 0, start = 0;
+    offsets[0] = 0;
+    for (int64_t d = 0; d < n_docs; d++) {
+        const uint8_t *b = cat + start;
+        int64_t n = ends[d] - start;
+        start = ends[d];
+        if (n > 0 && memchr(b, '\r', (size_t)n)) {
+            if (norm_cap < n) {
+                uint8_t *p = realloc(norm, (size_t)n);
+                if (!p) { free(norm); return -1; }
+                norm = p;
+                norm_cap = n;
+            }
+            int64_t m = 0;
+            for (int64_t i = 0; i < n; i++) {
+                if (b[i] != '\r') norm[m++] = b[i];
+                else if (i + 1 == n || b[i + 1] != '\n') norm[m++] = '\n';
+            }
+            b = norm;
+            n = m;
+        }
+        op += extract_scan(b, n, ekeys, evals, ecap, low_map, out + op);
+        offsets[d + 1] = op;
+    }
+    free(norm);
     return op;
 }
 
@@ -2076,7 +2136,7 @@ int blake2b_batch(const uint8_t *data, const int64_t *offsets,
 }
 
 /* extract_scan with (a) inline CRLF canonicalization (so it runs on
- * the RAW page bytes — extract_text pre-replaces \r\n/\r with \n
+ * the RAW page bytes — extract_scan_batch replaces \r\n/\r with \n
  * before calling extract_scan, which would shift offsets) and (b) a
  * per-OUTPUT-byte source-offset array: src_of[k] = raw-page position
  * that produced out[k] (tag separators -> the '<', entity bytes ->

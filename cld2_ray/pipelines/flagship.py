@@ -7,16 +7,20 @@ metrics fold].
 Sizing notes for the 100 TB case (see also state/checkpoint.py):
 - the kernel runs as plain Ray tasks with lazy per-worker models, so
   it elastically fills whatever CPUs are free;
-- giant pages are bounded by the extractor itself (the 160KB letter
-  scan cap) so per-row cost is capped — no special skew handling needed
-  beyond Ray's dynamic block splitting;
+- per-page cost is NOT capped: the 160KB cap bounds only the letters
+  langid scans, while extraction (and the rules, scrub and aux models
+  on its output) read the whole page, so a giant page costs time in
+  proportion to its size (a per-page byte cap is an open item);
 - metrics pre-aggregate per batch (partial_metrics) before the tiny
-  keyed shuffle.
+  driver-side fold.
 """
 
 from __future__ import annotations
 
-from cld2_ray.stages.core import combine_metrics, fused_batch, partial_metrics
+import pyarrow as pa
+
+from cld2_ray.stages.core import (METRIC_KEYS, combine_metrics, fused_batch,
+                                  partial_metrics)
 
 OUT_COLUMNS = [
     "url", "warc_ts", "lang", "extracted_text", "utf8_valid",
@@ -27,6 +31,16 @@ OUT_COLUMNS = [
 ]
 
 BATCH_SIZE = 256
+
+# partial_metrics' output schema: the fold's starting value, so an empty
+# dataset still gives the six columns
+_EMPTY_METRICS = pa.table({
+    "lang_summary": pa.array([], pa.string()),
+    "keep": pa.array([], pa.bool_()),
+    "drop_reason": pa.array([], pa.string()),
+    "n_docs": pa.array([], pa.int64()),
+    "bytes": pa.array([], pa.int64()),
+    "n_pii": pa.array([], pa.int64())})
 
 
 def build_fused(pages_ds, with_chunks: bool = False):
@@ -45,12 +59,15 @@ def build_fused(pages_ds, with_chunks: bool = False):
 
 
 def metrics(annotated_ds):
-    """Per-language / per-outcome metrics -> pandas DataFrame.
+    """Per-language / per-outcome metrics -> pandas DataFrame with
+    columns lang_summary, keep, drop_reason, n_docs, bytes, n_pii, one
+    row per group, sorted by the group key.
 
-    Shape: per-batch partial aggregation (partial_metrics, FUSED by Ray
-    Data into the main map op — its input never leaves the worker),
-    then a streaming driver-side fold of the tiny pre-aggregated
-    blocks.  The group-key cardinality is small (languages x outcomes,
+    Shape: per-batch partial aggregation (partial_metrics, a pyarrow
+    ``group_by`` FUSED by Ray Data into the main map op — its input
+    never leaves the worker), then a streaming driver-side fold of the
+    tiny pre-aggregated Arrow blocks, converted to pandas once at the
+    end. The group-key cardinality is small (languages x outcomes,
     ~100 rows), so any distributed combine is pure overhead here:
     - a sort-based ``groupby().aggregate()`` shuffle costs ~65 s of
       CPU for 8,794 partial rows and its all-to-all reservation
@@ -66,21 +83,17 @@ def metrics(annotated_ds):
     driver memory is bounded by groups + 64k rows regardless of
     corpus size (at 100 TB / ~1M blocks: ~45M tiny rows trickle to
     the driver over the life of the job — a few KB/s)."""
-    import pandas as pd
-
     slim = annotated_ds.select_columns(
         ["url", "lang_summary", "keep", "drop_reason", "text_bytes",
          "n_pii"])
-    partial = slim.map_batches(partial_metrics, batch_format="pandas")
-    buf: list[pd.DataFrame] = []
+    partial = slim.map_batches(partial_metrics, batch_format="pyarrow")
+    buf: list[pa.Table] = [_EMPTY_METRICS]
     buffered = 0
-    for b in partial.iter_batches(batch_format="pandas", batch_size=None):
+    for b in partial.iter_batches(batch_format="pyarrow", batch_size=None):
         buf.append(b)
         buffered += len(b)
         if buffered >= 65536:
-            buf = [combine_metrics(pd.concat(buf, ignore_index=True))]
+            buf = [combine_metrics(pa.concat_tables(buf))]
             buffered = len(buf[0])
-    if not buf:
-        return partial_metrics(slim.limit(0).to_pandas())
-    return combine_metrics(pd.concat(buf, ignore_index=True))
-
+    return combine_metrics(pa.concat_tables(buf)) \
+        .sort_by([(k, "ascending") for k in METRIC_KEYS]).to_pandas()

@@ -2988,6 +2988,21 @@ BLOOM_BITS_PER_KEY = 16
 BLOOM_K = 8
 
 
+def _bloom_bits(sf_dir, mod: int) -> int:
+    """Bloom filter size m (bits, a multiple of 64) for the prior
+    snapshot of q_incremental_dedup_bloom: BLOOM_BITS_PER_KEY per
+    prior key (doc_id % mod == 0), counted from the doc_id column
+    alone — doc_ids need not be dense, so n_rows / mod can be far off."""
+    def count(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        return pa.table({"n": [int(np.count_nonzero(ids % mod == 0))]})
+
+    n_prior = sum(r["n"] for r in _read(sf_dir, "documents", ["doc_id"])
+                  .map_batches(count, batch_format="pyarrow",
+                               batch_size=None).take_all())
+    return max(64, ((n_prior * BLOOM_BITS_PER_KEY + 63) // 64) * 64)
+
+
 def q_incremental_dedup_bloom(sf_dir, mod: int = 7):
     """Bloom-accelerated incremental dedup — EXACT same output as
     q_incremental_dedup (same oracle SQL): the corpus side is pruned
@@ -3006,14 +3021,9 @@ def q_incremental_dedup_bloom(sf_dir, mod: int = 7):
     at 10^12 prior keys shard the filter by key-bucket (one object
     per shard, tasks probe their bucket's shard) instead of one
     global array; one shard suffices at any test scale here."""
-    import pyarrow.parquet as pq
     import ray
-    import ray.data as rd
 
-    n_rows = pq.read_metadata(
-        os.path.join(sf_dir, "documents.parquet")).num_rows
-    n_prior = n_rows // mod + 1
-    m = max(64, ((n_prior * BLOOM_BITS_PER_KEY + 63) // 64) * 64)
+    m = _bloom_bits(sf_dir, mod)
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     # ONE pass over the prior snapshot emits BOTH the anti-join key

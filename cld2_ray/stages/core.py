@@ -3,10 +3,13 @@
 One Ray Data task function, ``fused_batch``, runs every layer on a
 pyarrow batch of pages: UTF-8 gate + HTML->text, page hints, CLD2-style
 langid, Gopher/C4 rules, PII/toxicity scrub, fastText-style aux langid
-and char-LM perplexity, then the keep/drop decision. Each document's
-text is materialized once as a Python string and shared by every
-layer. All per-row logic calls the same functions the single-process
-oracle uses, so pipeline == oracle per url.
+and char-LM perplexity, then the keep/drop decision. Extraction is one
+C call per batch whose output buffer is the ``extracted_text`` column;
+the layers that still take Python strings share one ``to_pylist`` of
+it, scrub runs on the column itself, and the per-document results are
+unpacked column-wise into numpy. All per-row logic calls the same
+functions the single-process oracle uses, so pipeline == oracle per
+url.
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from cld2_ray.functions import langs
-from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
+# extract_text is not called here; it stays a module global because
+# perfbench's tracer wraps core.extract_text (and core.valid_utf8_prefix)
+from cld2_ray.functions.extract import (extract_batch, extract_text,  # noqa: F401
+                                        valid_utf8_prefix)
 
 # ResultChunkVector analogue (reference: public/compact_lang_det.h:146-153
 # ResultChunk {offset, bytes, lang1}): per-document list of language
@@ -56,6 +62,10 @@ def _detector():
     return Detector()
 
 
+# lang id -> code (langs.lang_code of every id as one Arrow take)
+_CODE_OF = pa.array(langs.CODES)
+
+
 def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
     """pages batch (url, warc_ts, lang, html) -> annotated batch.
 
@@ -70,24 +80,19 @@ def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
     _compose_chunks) from the same scoring pass."""
     from cld2_ray.functions import fastlangid, perplexity
     from cld2_ray.functions.hints import MAX_SCAN_BYTES, page_hints
-    from cld2_ray.functions.quality import apply_rules
-    from cld2_ray.functions.scrub import scrub_series
+    from cld2_ray.functions.quality import rule_columns
+    from cld2_ray.functions.scrub import scrub_arrow
 
-    htmls = batch["html"].to_pylist()
+    htmls = [h or b"" for h in batch["html"].to_pylist()]
     urls = batch["url"].to_pylist()
     n = len(htmls)
 
-    # 1. extract (text materialized once)
-    texts = [""] * n
-    valid = np.empty(n, dtype=np.int64)
-    ok = np.empty(n, dtype=bool)
-    for j, h in enumerate(htmls):
-        h = h or b""
-        vp = valid_utf8_prefix(h)
-        valid[j] = vp
-        ok[j] = vp == len(h)
-        if vp:
-            texts[j] = extract_text(h[:vp])
+    # 1. extract: UTF-8 gate per page, then one C pass over the valid
+    # prefixes; its output buffer is the extracted_text column
+    valid = np.array([valid_utf8_prefix(h) for h in htmls], dtype=np.int64)
+    ok = valid == np.array([len(h) for h in htmls], dtype=np.int64)
+    text_col = extract_batch([h[:v] for h, v in zip(htmls, valid.tolist())])
+    texts = text_col.to_pylist()
 
     # 2. langid (batch-vectorized) — every row that yielded text,
     # including the salvaged valid prefix of bad-UTF-8 pages (the
@@ -96,9 +101,9 @@ def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
     # the boilerplate summary flip, and declared/TLD give the metadata
     # fallback. The valid-prefix slice is capped at the hint scan
     # window so it never copies a whole page body.
-    todo = [j for j in range(n) if texts[j]]
-    ph = [page_hints(urls[j] or "",
-                     (htmls[j] or b"")[:min(int(valid[j]), MAX_SCAN_BYTES)])
+    todo = np.flatnonzero(pc.binary_length(text_col).to_numpy())
+    ph = [page_hints(urls[j] or "", htmls[j][:min(int(valid[j]),
+                                                  MAX_SCAN_BYTES)])
           for j in range(n)]
     hints = [[lid for lid, w in ph[j][0] if w > 0] for j in todo]
     declared = [frozenset(ph[j][1]) or None for j in todo]
@@ -111,23 +116,20 @@ def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
     else:
         results = _detector().detect_batch(
             [texts[j] for j in todo], hints, declared_list=declared)
-    lang1 = ["un"] * n
-    lang2 = ["un"] * n
-    lang3 = ["un"] * n
-    summary = ["un"] * n
+    lang3 = np.zeros((n, 3), dtype=np.int64)
+    summary = np.zeros(n, dtype=np.int64)
     pct = np.zeros((n, 3), dtype=np.int8)
     nscore1 = np.zeros(n, dtype=np.float32)
     reliable = np.zeros(n, dtype=bool)
     text_bytes = np.zeros(n, dtype=np.int32)
-    for j, r in zip(todo, results):
-        summary[j] = r.summary_code
-        lang1[j] = langs.lang_code(r.language3[0])
-        lang2[j] = langs.lang_code(r.language3[1])
-        lang3[j] = langs.lang_code(r.language3[2])
-        pct[j] = np.clip(r.percent3, 0, 100)
-        nscore1[j] = r.normalized_score3[0]
-        reliable[j] = r.is_reliable
-        text_bytes[j] = min(r.text_bytes, 2**31 - 1)
+    if results:
+        lang3[todo] = [r.language3 for r in results]
+        summary[todo] = [r.summary_lang for r in results]
+        pct[todo] = np.clip([r.percent3 for r in results], 0, 100)
+        nscore1[todo] = [r.normalized_score3[0] for r in results]
+        reliable[todo] = [r.is_reliable for r in results]
+        text_bytes[todo] = np.minimum([r.text_bytes for r in results],
+                                      2**31 - 1)
     # Metadata fallback: when the content carries no language signal
     # at all (empty pages, repeated-token junk), attribute the page's
     # declared language, else the TLD prior's language, else English —
@@ -135,72 +137,80 @@ def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
     # compact_lang_det.h DetectLanguage returns ENGLISH when nothing is
     # detected). lang_reliable stays False, so keep/drop is unchanged —
     # this only improves the attribution column.
-    for j in range(n):
-        if summary[j] == "un" and not reliable[j]:
-            _, dec, tld = ph[j]
-            fb = dec[0] if dec else tld
-            summary[j] = langs.lang_code(fb) if fb else "en"
+    for j in np.flatnonzero((summary == langs.UNKNOWN) & ~reliable):
+        _, dec, tld = ph[j]
+        fb = dec[0] if dec else tld
+        summary[j] = fb if fb else langs.ENGLISH
+    summary_col = _CODE_OF.take(summary)
+    summary_codes = summary_col.to_numpy(zero_copy_only=False)
 
-    # 3. quality + scrub + aux models on the SAME strings
-    tser = pd.Series(texts)
-    sser = pd.Series(summary)
-    q = apply_rules(tser, sser)
-    sc = scrub_series(tser)
+    # 3. quality + scrub + aux models on the SAME text
+    q = rule_columns(texts, summary_codes)
+    scrubbed, n_pii, toxic = scrub_arrow(text_col)
     aux_lang, aux_conf = fastlangid.classify_batch(texts)
-    ppl, gibberish = perplexity.score_batch(texts, summary)
+    ppl, gibberish = perplexity.score_batch(texts, summary_codes)
 
-    reason = q["drop_reason"].copy()
-    reason = reason.mask(pd.Series(~ok), "utf8_invalid")
-    lang_bad = ((sser == "un") | ~pd.Series(reliable)
-                | (pd.Series(pct[:, 0].astype(int)) < MIN_PCT1))
-    reason = reason.mask((reason == "") & lang_bad, "lang_filter")
-    reason = reason.mask((reason == "") & pd.Series(gibberish),
-                         "perplexity")
-    reason = reason.mask((reason == "") & sc["has_toxicity"], "toxicity")
+    # drop_reason: utf8_invalid overrides the quality rule's reason;
+    # the later gates only name pages no earlier one dropped
+    lang_bad = ((summary == langs.UNKNOWN) | ~reliable
+                | (pct[:, 0] < MIN_PCT1))
+    reason = np.select(
+        [~ok, q["drop_reason"] != "", lang_bad, np.asarray(gibberish),
+         toxic],
+        ["utf8_invalid", q["drop_reason"], "lang_filter", "perplexity",
+         "toxicity"], "")
 
     return pa.table({
         "url": batch["url"],
         "warc_ts": batch["warc_ts"],
         "lang": batch["lang"],
-        "extracted_text": pa.array(texts, type=pa.large_string()),
+        "extracted_text": text_col,
         "utf8_valid": pa.array(ok),
-        "lang_summary": pa.array(summary),
-        "lang1": pa.array(lang1), "lang2": pa.array(lang2),
-        "lang3": pa.array(lang3),
+        "lang_summary": summary_col,
+        "lang1": _CODE_OF.take(lang3[:, 0]),
+        "lang2": _CODE_OF.take(lang3[:, 1]),
+        "lang3": _CODE_OF.take(lang3[:, 2]),
         "pct1": pa.array(pct[:, 0]), "pct2": pa.array(pct[:, 1]),
         "pct3": pa.array(pct[:, 2]),
         "nscore1": pa.array(nscore1),
         "lang_reliable": pa.array(reliable),
         "text_bytes": pa.array(text_bytes),
-        "n_words": pa.array(q["n_words"].to_numpy()),
-        "n_chars": pa.array(q["n_chars"].to_numpy()),
+        "n_words": pa.array(q["n_words"]),
+        "n_chars": pa.array(q["n_chars"]),
         "aux_lang": pa.array(aux_lang),
         "aux_conf": pa.array(np.asarray(aux_conf, dtype=np.float32)),
         "ppl": pa.array(np.asarray(ppl, dtype=np.float32)),
-        "scrubbed_text": pa.array(sc["scrubbed_text"].tolist(),
-                                  type=pa.large_string()),
-        "n_pii": pa.array(sc["n_pii"].to_numpy()),
-        "has_toxicity": pa.array(sc["has_toxicity"].to_numpy()),
-        "keep": pa.array((reason == "").to_numpy()),
-        "drop_reason": pa.array(reason.tolist()),
+        "scrubbed_text": scrubbed,
+        "n_pii": pa.array(n_pii),
+        "has_toxicity": pa.array(toxic),
+        "keep": pa.array(reason == ""),
+        "drop_reason": pa.array(reason, type=pa.string()),
     } | ({"chunks": _compose_chunks(htmls, valid, ok, todo, rng_list)}
          if with_chunks else {}))
 
 
-def partial_metrics(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-batch partial aggregation for the metrics groupby (combine
-    inside map_batches before the shuffle — SURVEY.md §2.5 A4)."""
-    g = df.groupby(["lang_summary", "keep", "drop_reason"], as_index=False)
-    out = g.agg(n_docs=("url", "count"), bytes=("text_bytes", "sum"),
-                n_pii=("n_pii", "sum"))
-    return out
+# metrics group key and value columns, in output order
+METRIC_KEYS = ["lang_summary", "keep", "drop_reason"]
+_METRIC_VALUES = ["n_docs", "bytes", "n_pii"]
 
 
-def combine_metrics(df: pd.DataFrame) -> pd.DataFrame:
-    """Merge partial_metrics outputs (associative; used at every level
-    of the tree combine in pipelines/flagship.metrics)."""
-    g = df.groupby(["lang_summary", "keep", "drop_reason"], as_index=False)
-    return g.agg(n_docs=("n_docs", "sum"), bytes=("bytes", "sum"),
-                 n_pii=("n_pii", "sum"))
+def _group(table: pa.Table, aggs: list[tuple[str, str]]) -> pa.Table:
+    """METRIC_KEYS + _METRIC_VALUES from one group_by; aggs are the
+    (column, function) pairs of the three values, in order."""
+    out = table.group_by(METRIC_KEYS).aggregate(aggs)
+    return out.select(METRIC_KEYS + [f"{c}_{f}" for c, f in aggs]) \
+        .rename_columns(METRIC_KEYS + _METRIC_VALUES)
 
 
+def partial_metrics(batch: pa.Table) -> pa.Table:
+    """Per-batch partial aggregation for the metrics fold (combine
+    inside map_batches before the driver fold — SURVEY.md §2.5 A4):
+    n_docs, bytes (sum of text_bytes) and n_pii per METRIC_KEYS group."""
+    return _group(batch, [("url", "count"), ("text_bytes", "sum"),
+                          ("n_pii", "sum")])
+
+
+def combine_metrics(table: pa.Table) -> pa.Table:
+    """Merge partial_metrics outputs (associative; the driver fold of
+    pipelines/flagship.metrics)."""
+    return _group(table, [(c, "sum") for c in _METRIC_VALUES])

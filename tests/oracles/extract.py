@@ -4,7 +4,8 @@
 between the rare "interesting" bytes (``< > &``), following the
 reference extraction chain (getonescriptspan.cc; the module docstring
 of ``cld2_ray.functions.extract`` lists the rules). Its text is the
-oracle of ``native.extract_scan`` (``extract.extract_text``) and its
+oracle of ``native.extract_scan_batch`` (``extract.extract_batch`` /
+``extract.extract_text``) and its
 ``OffsetMap`` the oracle of ``native.extract_scan_map``'s per-byte
 source map (``extract.text_to_raw_ranges``).
 """

@@ -101,16 +101,21 @@ class TestFastlangidScore:
         scores, nf_c, n_rows = native.fastlangid_score(
             b"".join(framed), bounds, idx, w)
         assert np.array_equal(nf_np, nf_c)
-        # each doc's scores row equals the float64 sum of its gathered
-        # weight rows, to float32 accumulation error (1e-4 of the row's
-        # largest |score|)
+        # each doc's scores row is bit-equal to a float32 accumulation
+        # of count * weight row, one distinct row at a time in
+        # first-seen order: any build (or multi-versioned clone) that
+        # reorders or fuses the float adds fails here
         rows = idx[feats]
         for d in range(len(texts)):
             r = rows[(doc_of == d) & (rows > 0)]
-            assert (n_rows[d] > 0) == (len(r) > 0)
-            want = w[r].astype(np.float64).sum(axis=0)
-            tol = 1e-4 * np.abs(want).max(initial=0.0)
-            assert np.abs(scores[d] - want).max() <= tol, d
+            uniq, first, count = np.unique(r, return_index=True,
+                                           return_counts=True)
+            order = np.argsort(first)
+            assert n_rows[d] == len(uniq)
+            want = np.zeros(w.shape[1], dtype=np.float32)
+            for row, c in zip(uniq[order], count[order]):
+                want += np.float32(c) * w[row]
+            assert np.array_equal(scores[d], want), d
 
     def test_single_equals_batch(self):
         from cld2_ray.functions import fastlangid
@@ -141,10 +146,37 @@ class TestKernelRequired:
         if src_suffix:
             with open(pkg / "quadscan.c", "a") as fh:
                 fh.write(src_suffix)
+        return TestKernelRequired._import(tmp_path, env)
+
+    @staticmethod
+    def _import(tmp_path, env):
+        import subprocess
+        import sys
         return subprocess.run(
             [sys.executable, "-c", "import native_copy"],
             cwd=tmp_path, env=env, capture_output=True, text=True,
             timeout=300)
+
+    def test_changed_command_rebuilds(self, tmp_path):
+        """The cached .so is keyed on the source AND the cc command: an
+        import with both unchanged reuses it, a flag changed only in
+        __init__.py rebuilds it."""
+        import os
+        env = dict(os.environ)
+        assert self._import_copy(tmp_path, env).returncode == 0
+        pkg = tmp_path / "native_copy"
+        so, key = pkg / "quadscan.so", pkg / "quadscan.so.key"
+        built = (os.stat(so).st_ino, key.read_text())
+        assert self._import(tmp_path, env).returncode == 0
+        assert (os.stat(so).st_ino, key.read_text()) == built
+        init = pkg / "__init__.py"
+        src = init.read_text()
+        assert '"-fPIC",' in src
+        init.write_text(src.replace('"-fPIC",', '"-fPIC", "-g",', 1))
+        r = self._import(tmp_path, env)
+        assert r.returncode == 0, r.stderr
+        assert os.stat(so).st_ino != built[0]
+        assert key.read_text() != built[1]
 
     def test_no_compiler_raises_import_error(self, tmp_path):
         r = self._import_copy(tmp_path, {"PATH": ""})
@@ -461,7 +493,8 @@ class TestScriptSpansScan:
 
 
 class TestExtractScan:
-    """C extract_scan must be byte-equal to the Python extractor."""
+    """The C extractor (extract_text) must be byte-equal to the Python
+    extractor."""
 
     EDGES = [b"", b"<", b">", b"&", b"&amp", b"&amp;x", b"&lt",
              b"&Aacute", b"&Aacute;", b"&#65;&#x41;&#;&#x;",
@@ -508,6 +541,85 @@ class TestExtractScan:
     def test_fuzz_htmlish(self, t):
         h = t.encode("utf-8").replace(b"\r", b"\n")
         self._eq(h)
+
+
+def _crlf_normalized(h: bytes) -> bytes:
+    return h.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+class TestExtractBatch:
+    """extract_batch (one native.extract_scan_batch call per batch)
+    equals extract_text of each page's valid-UTF-8 prefix and the Python
+    extractor oracle, page by page; the kernel does the \\r
+    normalization itself."""
+
+    CRLF = [b"a\r\nb\rc\r\r\nd", b"\r", b"\r\n\r\n", b"x\r", b"\r\rx",
+            b"<p a='1\r\n2'>t</p>\r<br\r>z", b"&amp;\r\n&lt\r",
+            b"<tag a='q\rline>after", b"<p\r>x"]
+    BAD = [b"caf\xc3\xa9 \xff tail", b"\xff\xfe", b"ok \xe2\x82",
+           b"<p>x</p>\xc3", None, b""]
+    ENTITIES = [("&amp;&lt;&gt;&quot;&#65;&#x42;&eacute;&frac12;"
+                 "&thetasym;&#x1F600;&#128;&#x9f;&nbsp&copy x "
+                 * 200).encode(), b"&" * 500 + b"&#" * 300]
+
+    @staticmethod
+    def _check(pages):
+        from cld2_ray.functions.extract import (extract_batch,
+                                                extract_text,
+                                                valid_utf8_prefix)
+        pre = [(h or b"")[:valid_utf8_prefix(h or b"")] for h in pages]
+        col = extract_batch(pre)
+        assert len(col) == len(pre)
+        got = col.to_pylist()
+        for h, t in zip(pre, got):
+            assert t == extract_text(h), h[:80]
+            assert t == extract_oracle.extract_text_with_map(
+                _crlf_normalized(h))[0], h[:80]
+        return col
+
+    def test_edges_crlf_bad_utf8_entities(self):
+        import pyarrow as pa
+        col = self._check(TestExtractScan.EDGES + self.CRLF + self.BAD
+                          + self.ENTITIES)
+        assert col.type == pa.large_string() and col.null_count == 0
+
+    def test_corpus_pages(self):
+        from cld2_ray.sources.pages import page_batch
+        self._check(page_batch(0, 200, seed=42)["html"].to_pylist())
+
+    def test_giant_page_in_batch(self):
+        from cld2_ray.functions.extract import extract_batch, extract_text
+        big = (b"<p>" + b"lorem &amp; ipsum <b>dolor</b> sit\r\n" * 150_000
+               + b"</p>")
+        assert len(big) > 5_000_000
+        pre = [b"<p>before</p>", big, b"after &eacute;", b""]
+        assert extract_batch(pre).to_pylist() == \
+            [extract_text(h) for h in pre]
+
+    def test_empty_batch(self):
+        from cld2_ray.functions.extract import extract_batch
+        assert extract_batch([]).to_pylist() == []
+
+    def test_bad_ends_rejected(self):
+        from cld2_ray.functions.extract import _ent_table
+        for ends in ([2, 1], [-1, 3], [1, 4]):
+            with pytest.raises(ValueError):
+                native.extract_scan_batch(b"abc", np.array(ends),
+                                          *_ent_table())
+
+    def test_invalid_utf8_output_fails_decode(self):
+        """Input outside the valid-UTF-8 contract gives invalid output,
+        and decoding the column raises instead of passing it on."""
+        from cld2_ray.functions.extract import extract_batch
+        with pytest.raises(UnicodeDecodeError):
+            extract_batch([b"ok", b"bad \xff"]).to_pylist()
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.text(alphabet=st.sampled_from(
+        list("<>&;#x09aAzZ '\"\n\r\t-!/=pbrstyle&amp.é漢")),
+        max_size=80).map(lambda t: t.encode("utf-8")), max_size=8))
+    def test_fuzz_batches(self, pages):
+        self._check(pages)
 
 
 class TestHashKernels:

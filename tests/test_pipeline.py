@@ -153,6 +153,64 @@ class TestPipelineShape:
         m = flagship.metrics(flagship.build_fused(ds))
         assert int(m.n_docs.sum()) == 60
 
+    def test_fused_batch_schema(self):
+        """Output column names and Arrow types, with and without chunks,
+        also for a batch where no page yields text."""
+        import pyarrow as pa
+        from cld2_ray.sources.pages import SCHEMA, page_batch
+        from cld2_ray.stages.core import CHUNKS_TYPE, fused_batch
+        s, i8, b = pa.string(), pa.int8(), pa.bool_()
+        want = [("url", s), ("warc_ts", pa.timestamp("us")), ("lang", s),
+                ("extracted_text", pa.large_string()), ("utf8_valid", b),
+                ("lang_summary", s), ("lang1", s), ("lang2", s),
+                ("lang3", s), ("pct1", i8), ("pct2", i8), ("pct3", i8),
+                ("nscore1", pa.float32()), ("lang_reliable", b),
+                ("text_bytes", pa.int32()), ("n_words", pa.int64()),
+                ("n_chars", pa.int64()), ("aux_lang", s),
+                ("aux_conf", pa.float32()), ("ppl", pa.float32()),
+                ("scrubbed_text", pa.large_string()),
+                ("n_pii", pa.int64()), ("has_toxicity", b), ("keep", b),
+                ("drop_reason", s)]
+        no_text = pa.Table.from_pylist(
+            [{"url": f"https://x.example/{i}", "warc_ts": 0, "html": h,
+              "text": "", "lang": "en"}
+             for i, h in enumerate([None, b"", b"\xff", b"<p></p>"])],
+            schema=SCHEMA)
+        for t in (page_batch(0, 40), no_text):
+            assert [(f.name, f.type) for f in fused_batch(t).schema] == want
+            chunked = fused_batch(t, with_chunks=True).schema
+            assert [(f.name, f.type) for f in chunked] == \
+                want + [("chunks", CHUNKS_TYPE)]
+
+
+class TestMetrics:
+    """flagship.metrics (pyarrow partial group_by + driver fold) equals
+    a pandas groupby of the whole annotated table."""
+
+    KEYS = ["lang_summary", "keep", "drop_reason"]
+
+    def test_equals_pandas_groupby(self, ray_session):
+        from cld2_ray.pipelines import flagship
+        ann = flagship.build_fused(pages_dataset(600, seed=11)) \
+            .repartition(4).materialize()
+        assert ann.num_blocks() == 4
+        want = ann.to_pandas().groupby(self.KEYS, as_index=False).agg(
+            n_docs=("url", "count"), bytes=("text_bytes", "sum"),
+            n_pii=("n_pii", "sum"))
+        # pandas keeps an int32 sum as int32 until it overflows; the
+        # Arrow fold always sums into int64
+        want["bytes"] = want["bytes"].astype(np.int64)
+        pd.testing.assert_frame_equal(flagship.metrics(ann), want)
+
+    def test_empty_dataset(self, ray_session):
+        from cld2_ray.pipelines import flagship
+        m = flagship.metrics(
+            flagship.build_fused(pages_dataset(8, seed=1)).limit(0))
+        assert len(m) == 0
+        assert m.dtypes.to_dict() == {
+            "lang_summary": object, "keep": bool, "drop_reason": object,
+            "n_docs": np.int64, "bytes": np.int64, "n_pii": np.int64}
+
 
 class TestResume:
     def test_checkpoint_resume(self, ray_session, tmp_path):

@@ -228,3 +228,33 @@ class TestIncrementalDedupBloom:
         # every kept doc's text is genuinely absent from the prior set
         prior = {texts[i] for i in range(0, n, 7)}
         assert all(texts[i] not in prior for i in got["doc_id"])
+
+    def test_sparse_doc_ids(self, ray_session, tmp_path):
+        """doc_ids far from dense (10^9 + 1000 i, odd i shifted by 1):
+        with mod=1000 half the rows are prior keys, not n_rows/mod + 1,
+        and the filter is sized from that true count."""
+        import pandas as pd
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import cld2_ray.pipelines.queries as Q
+        n, mod = 700, 1000
+        ids = [10**9 + 1000 * i + i % 2 for i in range(n)]
+        texts = [f"doc body {i % 150}" for i in range(n)]
+        t = pa.table({"doc_id": pa.array(ids, pa.int64()),
+                      "text": pa.array(texts, pa.string()),
+                      "lang": pa.array(["en"] * n),
+                      "source": pa.array(["s"] * n),
+                      "n_chars": pa.array([len(x) for x in texts],
+                                          pa.int64())})
+        d = tmp_path / "sf"
+        d.mkdir()
+        pq.write_table(t, str(d / "documents.parquet"), row_group_size=200)
+        n_prior = sum(1 for x in ids if x % mod == 0)
+        assert n_prior == n // 2
+        assert Q._bloom_bits(str(d), mod) >= Q.BLOOM_BITS_PER_KEY * n_prior
+        got = Q.q_incremental_dedup_bloom(str(d), mod=mod).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        want = Q.q_incremental_dedup(str(d), mod=mod).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(got[want.columns], want)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from cld2_ray.stages.core import (METRIC_KEYS, combine_metrics, fused_batch,
+from cld2_ray.stages.core import (EMPTY_METRICS, METRIC_KEYS,
+                                  combine_metrics, fused_batch,
                                   partial_metrics)
 
 OUT_COLUMNS = [
@@ -31,16 +32,6 @@ OUT_COLUMNS = [
 ]
 
 BATCH_SIZE = 256
-
-# partial_metrics' output schema: the fold's starting value, so an empty
-# dataset still gives the six columns
-_EMPTY_METRICS = pa.table({
-    "lang_summary": pa.array([], pa.string()),
-    "keep": pa.array([], pa.bool_()),
-    "drop_reason": pa.array([], pa.string()),
-    "n_docs": pa.array([], pa.int64()),
-    "bytes": pa.array([], pa.int64()),
-    "n_pii": pa.array([], pa.int64())})
 
 
 def build_fused(pages_ds, with_chunks: bool = False):
@@ -87,7 +78,7 @@ def metrics(annotated_ds):
         ["url", "lang_summary", "keep", "drop_reason", "text_bytes",
          "n_pii"])
     partial = slim.map_batches(partial_metrics, batch_format="pyarrow")
-    buf: list[pa.Table] = [_EMPTY_METRICS]
+    buf: list[pa.Table] = [EMPTY_METRICS]
     buffered = 0
     for b in partial.iter_batches(batch_format="pyarrow", batch_size=None):
         buf.append(b)

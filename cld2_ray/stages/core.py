@@ -192,6 +192,13 @@ def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
 # metrics group key and value columns, in output order
 METRIC_KEYS = ["lang_summary", "keep", "drop_reason"]
 _METRIC_VALUES = ["n_docs", "bytes", "n_pii"]
+# partial_metrics' output with no rows: the driver fold starts from it,
+# so an empty dataset still gives every column
+EMPTY_METRICS = pa.table(
+    {"lang_summary": pa.array([], pa.string()),
+     "keep": pa.array([], pa.bool_()),
+     "drop_reason": pa.array([], pa.string())}
+    | {c: pa.array([], pa.int64()) for c in _METRIC_VALUES})
 
 
 def _group(table: pa.Table, aggs: list[tuple[str, str]]) -> pa.Table:

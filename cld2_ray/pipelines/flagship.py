@@ -12,7 +12,7 @@ Sizing notes for the 100 TB case (see also state/checkpoint.py):
   on its output) read the whole page, so a giant page costs time in
   proportion to its size (a per-page byte cap is an open item);
 - metrics pre-aggregate per batch (partial_metrics) before the tiny
-  driver-side fold.
+  fold in flagship.metrics.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def metrics(annotated_ds):
 
     Shape: per-batch partial aggregation (partial_metrics, a pyarrow
     ``group_by`` FUSED by Ray Data into the main map op — its input
-    never leaves the worker), then a streaming driver-side fold of the
-    tiny pre-aggregated Arrow blocks, converted to pandas once at the
+    never leaves the worker), then a streaming fold, in the calling
+    process, of the tiny pre-aggregated Arrow blocks, converted to pandas once at the
     end. The group-key cardinality is small (languages x outcomes,
     ~100 rows), so any distributed combine is pure overhead here:
     - a sort-based ``groupby().aggregate()`` shuffle costs ~65 s of

@@ -192,8 +192,8 @@ def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
 # metrics group key and value columns, in output order
 METRIC_KEYS = ["lang_summary", "keep", "drop_reason"]
 _METRIC_VALUES = ["n_docs", "bytes", "n_pii"]
-# partial_metrics' output with no rows: the driver fold starts from it,
-# so an empty dataset still gives every column
+# partial_metrics' output with no rows: flagship.metrics' fold starts
+# from it, so an empty dataset still gives every column
 EMPTY_METRICS = pa.table(
     {"lang_summary": pa.array([], pa.string()),
      "keep": pa.array([], pa.bool_()),
@@ -211,13 +211,13 @@ def _group(table: pa.Table, aggs: list[tuple[str, str]]) -> pa.Table:
 
 def partial_metrics(batch: pa.Table) -> pa.Table:
     """Per-batch partial aggregation for the metrics fold (combine
-    inside map_batches before the driver fold — SURVEY.md §2.5 A4):
+    inside map_batches before flagship.metrics' fold — SURVEY.md §2.5 A4):
     n_docs, bytes (sum of text_bytes) and n_pii per METRIC_KEYS group."""
     return _group(batch, [("url", "count"), ("text_bytes", "sum"),
                           ("n_pii", "sum")])
 
 
 def combine_metrics(table: pa.Table) -> pa.Table:
-    """Merge partial_metrics outputs (associative; the driver fold of
+    """Merge partial_metrics outputs (associative; the fold of
     pipelines/flagship.metrics)."""
     return _group(table, [(c, "sum") for c in _METRIC_VALUES])

@@ -184,7 +184,7 @@ class TestPipelineShape:
 
 
 class TestMetrics:
-    """flagship.metrics (pyarrow partial group_by + driver fold) equals
+    """flagship.metrics (pyarrow partial group_by + one fold) equals
     a pandas groupby of the whole annotated table."""
 
     KEYS = ["lang_summary", "keep", "drop_reason"]

@@ -27,15 +27,16 @@ makes the per-url byte-identical invariant hold.
 
 Implementation note: the extraction itself is one C call per batch
 of pages (``native.extract_scan_batch``, the reference's table-driven
-byte loop per page); ``extract_batch`` returns its output as an Arrow
-``large_string`` column and ``extract_text`` is that call on one page.
-This module holds the entity / low-codepoint tables. The Python
-extractor in tests/oracles/extract.py is the tests' reference for it.
+byte loop per page, one scanner for the text and its source map);
+``extract_batch`` returns its output as an Arrow ``large_string``
+column, and ``extract_text`` and ``text_to_raw_ranges`` are that call
+on one page. This module holds the entity / low-codepoint tables. The
+Python extractor in tests/oracles/extract.py is the tests' reference
+for it.
 """
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 
 from cld2_ray.data.entities import NAME_TO_ENTITY
@@ -67,10 +68,6 @@ def _build_low_map() -> list[int]:
 
 
 _LOW_MAP = _build_low_map()
-
-
-# compress runs of space/LF to the first char of the run (plain text)
-_WS_RUN = re.compile(rb"([ \n])[ \n]+")
 
 
 def valid_utf8_prefix(b: bytes) -> int:
@@ -125,23 +122,21 @@ def extract_batch(htmls: list[bytes]):
         len(htmls), pa.py_buffer(offsets), pa.py_buffer(data))
 
 
-def extract_text(html: bytes, is_plain_text: bool = False) -> str:
+def extract_text(html: bytes) -> str:
     """Extract visible text from HTML bytes per the reference semantics.
 
     Returns the processed text (no artificial leading/trailing span
     framing). Input must be valid UTF-8 — gate with
     ``valid_utf8_prefix`` first. ``extract_batch`` on one page
     (tests/oracles/extract.py is its test oracle)."""
-    if is_plain_text:
-        b = html.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        return _WS_RUN.sub(rb"\1", b).decode("utf-8")
     return extract_batch([html]).to_pylist()[0]
 
 
 def text_to_raw_ranges(html: bytes, ranges) -> list[tuple[int, int, str]]:
     """Map (byte_offset, byte_len, code) ranges of extract_text(html)
-    back to RAW html byte offsets through the C extractor's per-byte
-    source map (native.extract_scan_map) — the reference's
+    back to RAW html byte offsets through the per-byte source map of
+    the same extractor call on this one page
+    (native.extract_scan_batch with_map) — the reference's
     map2original chain. A range end at the text's end maps to
     len(html). The OffsetMap of tests/oracles/extract.py is the test
     oracle."""
@@ -149,7 +144,8 @@ def text_to_raw_ranges(html: bytes, ranges) -> list[tuple[int, int, str]]:
         return []
     import numpy as np
     from cld2_ray import native
-    _text, src = native.extract_scan_map(html, *_ent_table())
+    _data, _offsets, src = native.extract_scan_batch(
+        html, [len(html)], *_ent_table(), with_map=True)
     m = len(src)
     pos = np.array([[a, a + n] for a, n, _ in ranges], dtype=np.int64)
     raw = np.where(pos < m, src[np.minimum(pos, m - 1)], len(html))

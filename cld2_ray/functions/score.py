@@ -67,8 +67,9 @@ def reliability_expected_exact(actual_1kb: np.ndarray,
                                expected_1kb: np.ndarray) -> np.ndarray:
     """The reference's EXACT ReliabilityExpected (cldutil.cc:586-605):
     symmetric ratio; <= 1.5 -> 100%, > 4.0 -> 0%, linear between
-    (int truncation as in the C code). Production uses this formula —
-    reliability_expected below delegates here."""
+    (int truncation as in the C code). Production uses this formula:
+    the per-cell calibration of the expected table (data/calib.py)
+    is what lets the exact 1.5..4.0 cutoffs hold."""
     a = actual_1kb.astype(np.int64)
     e = expected_1kb.astype(np.int64)
     out = np.full(len(a), 100, dtype=np.int64)
@@ -87,28 +88,6 @@ def reliability_expected_exact(actual_1kb: np.ndarray,
     out[sel] = np.where(ratio[sel] > 4.0, 0, ramp[sel])
     out[zero_act] = 0
     return out
-
-
-def reliability_expected(actual_1kb: np.ndarray,
-                         expected_1kb: np.ndarray) -> np.ndarray:
-    """Production ReliabilityExpected == the reference's EXACT ramp.
-
-    History: rounds 1-3 ran a WIDENED ramp (low side 2.0->8.0, high
-    side gently declining) because the seed-trained quad tables put
-    heldout sentences and page chunks ~2x apart in per-KB score, and a
-    GLOBAL expected scale could not hold both under the exact 1.5..4.0
-    cutoffs (r4 measurement, 1500-page eval + conformance: exact
-    k=1.0 1151/1500+185, k=2.0 1396/1500+171 vs widened 1396+189).
-    What closed it in round 4: (a) the expected table became
-    per-(lang, LScript4) like the reference's kAvgDeltaOctaScore —
-    multi-script languages' rates differ per script and the shared
-    cell was unusable for both; (b) a per-CELL calibration scale
-    (data/calib.py, learned on calibration pages seed!=42 + heldout
-    sentences) centers each cell between its two text populations.
-    With those, the exact ramp matches-or-beats the widened one
-    (measured in data/calib.py's header), so production now IS the
-    reference formula."""
-    return reliability_expected_exact(actual_1kb, expected_1kb)
 
 
 def _top2(scores: np.ndarray):
@@ -258,7 +237,7 @@ def score_chunks_multi(lang3: np.ndarray, qprob3: np.ndarray,
         exp = expected_1kb[top1, s4]
     else:
         exp = expected_1kb[top1]
-    rel_e = reliability_expected(actual_1kb, exp)
+    rel_e = reliability_expected_exact(actual_1kb, exp)
     rel = np.minimum(rel_d, rel_e)
     return top1.astype(np.int16), cbytes, s1, rel, span_of_chunk
 

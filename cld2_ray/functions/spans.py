@@ -16,9 +16,9 @@ Parity semantics (round 2):
   character is a non-letter or a letter of the span's script; two
   consecutive foreign letters break the span.
 
-One C pass segments a document (native.script_spans_scan) or a whole
-batch (native.script_spans_scan_multi); tests/oracles/spans.py is the
-numpy segmenter the tests hold it to.
+One C call segments a whole batch (native.script_spans_scan_multi);
+``script_spans`` is that call on one document. tests/oracles/spans.py
+is the numpy segmenter the tests hold it to.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class ScriptSpan:
 def _spans_of_meta(meta: np.ndarray, out_buf: np.ndarray,
                    lt_idx: np.ndarray) -> list[ScriptSpan]:
     """ScriptSpans from the C segmenter's meta rows (see
-    native.script_spans_scan)."""
+    native.script_spans_scan_multi)."""
     out: list[ScriptSpan] = []
     for r in range(meta.shape[0]):
         sc_id, c0, c1, os_, ob, lp0, lp1 = (int(x) for x in meta[r])
@@ -93,29 +93,17 @@ def _spans_of_meta(meta: np.ndarray, out_buf: np.ndarray,
 
 
 def script_spans(text: str, text_limit: int = TEXT_LIMIT) -> list[ScriptSpan]:
-    """Split extracted text into same-script letter spans in one C pass
-    (native.script_spans_scan; tests/oracles/spans.py is its test oracle)."""
-    from cld2_ray import native
-    if not text:
-        return []
-    meta, out_buf, lt_idx = native.script_spans_scan(
-        text.encode("utf-8"), us.script_lut(), us.lower_lut(),
-        text_limit, MAX_SCRIPT_BYTES)
-    # the native lt_idx is a REUSED scratch buffer (overwritten by the
-    # next scan call): bulk-copy the used prefix once so every span's
-    # letter_pos views private memory. One memcpy per call vs the
-    # per-span slice copies this replaced (~5% of detect_batch on
-    # span-dense batches).
-    lt_idx = lt_idx[:int(meta[:, 6].max()) if len(meta) else 0].copy()
-    return _spans_of_meta(meta, out_buf, lt_idx)
+    """Split extracted text into same-script letter spans:
+    ``script_spans_batch`` on one document."""
+    return script_spans_batch([text], text_limit)[0]
 
 
 def script_spans_batch(texts: list[str],
                        text_limit: int = TEXT_LIMIT
                        ) -> list[list[ScriptSpan]]:
-    """script_spans for a whole batch in ONE C call (the per-doc
-    ctypes marshaling was ~15% of the fused stage). Bit-equal to
-    [script_spans(t) for t in texts] — cross-checked in tests."""
+    """Split each text into same-script letter spans in ONE C call
+    (native.script_spans_scan_multi; a ctypes call per doc was ~15% of
+    the fused stage). tests/oracles/spans.py is its test oracle."""
     from cld2_ray import native
     bufs = [t.encode("utf-8") for t in texts]
     bounds = np.cumsum(np.array([len(b) for b in bufs], dtype=np.int64))
@@ -123,7 +111,9 @@ def script_spans_batch(texts: list[str],
     meta, ns_doc, out_buf, lt_idx = native.script_spans_scan_multi(
         cat, bounds, us.script_lut(), us.lower_lut(),
         text_limit, MAX_SCRIPT_BYTES)
-    # private copy of the reused lt_idx scratch, as in script_spans
+    # the native lt_idx is a REUSED scratch buffer (overwritten by the
+    # next scan call): bulk-copy the used prefix once so every span's
+    # letter_pos views private memory
     lt_idx = lt_idx[:int(meta[:, 6].max()) if len(meta) else 0].copy()
     ends = np.cumsum(ns_doc).tolist()
     return [_spans_of_meta(meta[a:b], out_buf, lt_idx)

@@ -95,8 +95,8 @@ def _compile() -> str:
 
 
 def _load() -> None:
-    global _FN, _LK, _ACC, _PM, _RW, _PP, _CS, _CJ, _QS, _SS, _SSM
-    global _EXB, _EXM, _MD5, _MDW, _B2B
+    global _FN, _LK, _ACC, _PM, _RW, _PP, _CS, _CJ, _QS, _SSM
+    global _EXB, _MD5, _MDW, _B2B
     so = _compile()
     try:
         lib = ctypes.CDLL(so)
@@ -183,16 +183,8 @@ def _load() -> None:
                     u64p, ctypes.c_int64, i64p]
     _QS.restype = ctypes.c_int
     u8wp = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
-    # the two hottest per-PAGE entry points take raw void* pointers:
-    # ndpointer.from_param validation costs ~5us/arg/call, which at
-    # ~11 array args x 2 calls/page is ~6% of the whole fused kernel
-    _SS = lib.script_spans_scan
-    _SS.argtypes = [vp, ctypes.c_int64,
-                    vp, vp, ctypes.c_int64,
-                    ctypes.c_int64, ctypes.c_int64,
-                    vp, vp, vp, vp,
-                    vp, vp]
-    _SS.restype = ctypes.c_int64
+    # raw void* pointers: ndpointer.from_param validation costs
+    # ~5us/arg/call
     _SSM = lib.script_spans_scan_multi
     _SSM.argtypes = [vp, vp, ctypes.c_int64,
                      vp, vp, ctypes.c_int64,
@@ -202,12 +194,8 @@ def _load() -> None:
     _SSM.restype = ctypes.c_int64
     _EXB = lib.extract_scan_batch
     _EXB.argtypes = [u8p, i64p, ctypes.c_int64,
-                     u64p, i32p, ctypes.c_int64, u32p, u8op, i64p]
+                     u64p, i32p, ctypes.c_int64, u32p, u8op, i64p, vp]
     _EXB.restype = ctypes.c_int64
-    _EXM = lib.extract_scan_map
-    _EXM.argtypes = [vp, ctypes.c_int64,
-                     vp, vp, ctypes.c_int64, vp, vp, vp]
-    _EXM.restype = ctypes.c_int64
     _MD5 = lib.md5_batch
     _MD5.argtypes = [u8p, i64p, ctypes.c_int64, u8wp]
     _MD5.restype = ctypes.c_int
@@ -328,7 +316,7 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
                           chunk_size: int,
                           expected_1kb: np.ndarray, close_set: np.ndarray,
                           hint_csr: np.ndarray, hint_flat: np.ndarray,
-                          script4_of_span: np.ndarray | None = None,
+                          script4_of_span: np.ndarray,
                           with_ranges: bool = False):
     """Fused scan + chunk scoring over concatenated MANY-script spans
     in one C pass, per-hit arrays never materialized. Returns per-chunk
@@ -341,9 +329,8 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
     BetterBoundary-sharpened chunk start in span-LOCAL bytes. The first
     five outputs do not change; the pass costs a hit-stream merge.
 
-    expected_1kb: int32[NUM_LANGS, 4] in the kAvgDeltaOctaScore layout
-    (per-span LScript4 slot from ``script4_of_span``; slot 3 when
-    omitted); a 1-D array is broadcast across the 4 slots."""
+    expected_1kb: int32[NUM_LANGS, 4] in the kAvgDeltaOctaScore layout,
+    read at each span's LScript4 slot ``script4_of_span``."""
     n = len(cat)
     buf = np.frombuffer(cat, dtype=np.uint8)
     bounds = np.ascontiguousarray(bounds, dtype=np.int64)
@@ -370,12 +357,8 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
             sc["r_cap"] = rcap
         ranges_args = tuple(sc[k].ctypes.data for k in (
             "mvals", "moffs", "mdist", "rel_delta", "cstart"))
-    if expected_1kb.ndim == 1:
-        expected_1kb = np.repeat(expected_1kb[:, None], 4, axis=1)
     exp = np.ascontiguousarray(expected_1kb, dtype=np.int32)
-    s4 = (np.ascontiguousarray(script4_of_span, dtype=np.uint8)
-          if script4_of_span is not None
-          else np.full(nb, 3, dtype=np.uint8))
+    s4 = np.ascontiguousarray(script4_of_span, dtype=np.uint8)
     cset = np.ascontiguousarray(close_set, dtype=np.int8)
     csr = np.ascontiguousarray(hint_csr, dtype=np.int64)
     flat = np.ascontiguousarray(hint_flat, dtype=np.int64)
@@ -435,16 +418,16 @@ def cjk_chunk_score(cat: bytes, bounds: np.ndarray,
             sc["span"][:nch].copy())
 
 
-_ex_scratch: dict[str, np.ndarray] = {}
-
-
 def extract_scan_batch(cat: bytes, ends: np.ndarray, ent_keys: np.ndarray,
-                       ent_vals: np.ndarray, low_map: np.ndarray):
+                       ent_vals: np.ndarray, low_map: np.ndarray,
+                       with_map: bool = False):
     """extract_text over a batch in one C pass: page d is
     cat[ends[d-1]:ends[d]], valid UTF-8 with its \\r not yet
     normalized. Returns (data uint8, offsets int64[n+1]), both fresh:
     page d's text is data[offsets[d]:offsets[d+1]], the buffers of an
-    Arrow large_string column."""
+    Arrow large_string column. with_map=True appends src int64 aligned
+    with data: src[k] = position within its raw page of the byte that
+    produced data[k]."""
     ends = np.ascontiguousarray(ends, dtype=np.int64)
     n = len(ends)
     if n and (ends[0] < 0 or ends[-1] > len(cat)
@@ -453,69 +436,15 @@ def extract_scan_batch(cat: bytes, ends: np.ndarray, ent_keys: np.ndarray,
                          "offsets into cat")
     out = np.empty(len(cat) + 8, dtype=np.uint8)
     offsets = np.empty(n + 1, dtype=np.int64)
+    src = np.empty(len(cat) + 8, dtype=np.int64) if with_map else None
     m = _EXB(np.frombuffer(cat, dtype=np.uint8), ends, n,
-             ent_keys, ent_vals, len(ent_keys), low_map, out, offsets)
+             ent_keys, ent_vals, len(ent_keys), low_map, out, offsets,
+             None if src is None else src.ctypes.data)
     if m < 0:
         raise MemoryError("extract_scan_batch: no scratch for \\r pages")
+    if with_map:
+        return out[:m], offsets, src[:m]
     return out[:m], offsets
-
-
-def extract_scan_map(html: bytes, ent_keys: np.ndarray,
-                     ent_vals: np.ndarray,
-                     low_map: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """extract_scan on RAW (un-normalized) page bytes, additionally
-    returning src_of[k] = raw position that produced output byte k —
-    the chunks path's offset map (one array index per mapped
-    position). Text is byte-identical to extract_text (tested)."""
-    n = len(html)
-    sc = _ex_scratch
-    if sc.get("mcap", 0) < n + 8:
-        mcap = max(2 * (n + 8), 1 << 16)
-        sc["mout"] = np.empty(mcap, dtype=np.uint8)
-        sc["msrc"] = np.empty(mcap, dtype=np.int64)
-        _prefault(sc["mout"], sc["msrc"])
-        sc["mout_ptr"] = sc["mout"].ctypes.data
-        sc["msrc_ptr"] = sc["msrc"].ctypes.data
-        sc["mcap"] = mcap
-    m = _EXM(html, n, ent_keys.ctypes.data, ent_vals.ctypes.data,
-             len(ent_keys), low_map.ctypes.data, sc["mout_ptr"],
-             sc["msrc_ptr"])
-    return sc["mout"][:m].tobytes(), sc["msrc"][:m].copy()
-
-
-_ss_scratch: dict[str, np.ndarray] = {}
-
-
-def script_spans_scan(utf8_text: bytes, script_lut: np.ndarray,
-                      lower_lut: np.ndarray, text_limit: int,
-                      max_span_bytes: int):
-    """One C pass for script-run segmentation (spans.script_spans
-    semantics, bit-equal — tested). Returns (meta int64[nspans, 7],
-    out_buf uint8 view, lt_idx int64 view); meta rows are
-    [script, char_off, char_end, out_start, out_bytes, lp_start,
-    lp_end] with lp_* indexing lt_idx."""
-    n = len(utf8_text)
-    sc = _ss_scratch
-    if sc.get("cap", 0) < n + 8:
-        cap = max(2 * (n + 8), 1 << 16)
-        sc["lt_idx"] = np.empty(cap, dtype=np.int64)
-        sc["lt_sc"] = np.empty(cap, dtype=np.uint8)
-        sc["lt_low"] = np.empty(cap, dtype=np.uint32)
-        sc["lt_len"] = np.empty(cap, dtype=np.uint8)
-        sc["out_buf"] = np.empty(8 * cap + 64, dtype=np.uint8)
-        sc["meta"] = np.empty((cap + 8) * 7, dtype=np.int64)
-        _prefault(sc["lt_idx"], sc["lt_sc"], sc["lt_low"], sc["lt_len"],
-                  sc["out_buf"])
-        sc["ptrs"] = tuple(sc[k].ctypes.data for k in
-                           ("lt_idx", "lt_sc", "lt_low", "lt_len",
-                            "out_buf", "meta"))
-        sc["cap"] = cap
-    # bytes objects pass as raw const pointers; arrays by .ctypes.data
-    # (argtypes are c_void_p - no per-call ndpointer validation)
-    ns = _SS(utf8_text, n, script_lut.ctypes.data, lower_lut.ctypes.data,
-             len(script_lut), text_limit, max_span_bytes, *sc["ptrs"])
-    meta = sc["meta"][:ns * 7].reshape(ns, 7)
-    return meta, sc["out_buf"], sc["lt_idx"]
 
 
 _ssm_scratch: dict[str, np.ndarray] = {}
@@ -524,11 +453,13 @@ _ssm_scratch: dict[str, np.ndarray] = {}
 def script_spans_scan_multi(cat: bytes, bounds: np.ndarray,
                             script_lut: np.ndarray, lower_lut: np.ndarray,
                             text_limit: int, max_span_bytes: int):
-    """Batched script_spans_scan: one C call for all docs. ``bounds``
-    are cumulative end offsets into ``cat``. Returns (meta, ns_doc,
-    out_buf view, lt_idx view); meta rows as in script_spans_scan with
-    out/lp indexes already rebased to the shared buffers; doc d owns
-    meta rows [sum(ns_doc[:d]), sum(ns_doc[:d+1]))."""
+    """Script-run segmentation of a batch in one C pass
+    (spans.script_spans_batch semantics, bit-equal to the numpy oracle
+    — tested). ``bounds`` are cumulative end offsets into ``cat``.
+    Returns (meta int64[nspans, 7], ns_doc, out_buf view, lt_idx view);
+    meta rows are [script, char_off, char_end, out_start, out_bytes,
+    lp_start, lp_end] with out/lp indexing the shared out_buf/lt_idx;
+    doc d owns meta rows [sum(ns_doc[:d]), sum(ns_doc[:d+1]))."""
     n = len(cat)
     n_docs = len(bounds)
     sc = _ssm_scratch

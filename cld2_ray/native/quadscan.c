@@ -1391,8 +1391,9 @@ int64_t cjk_chunk_score(
     return nchunks_total;
 }
 
-/* Script-run segmentation (cld2_ray/functions/spans.py script_spans)
- * in ONE C pass: utf-8 decode, script LUT, pinned 1:1 lowercase,
+/* Script-run segmentation of one document (cld2_ray/functions/spans.py
+ * script_spans; called per doc by script_spans_scan_multi) in ONE C
+ * pass: utf-8 decode, script LUT, pinned 1:1 lowercase,
  * 160KB letter budget, single-foreign-letter absorption, word gaps,
  * span breaks, giant-run splitting at word gaps near MAX_SCRIPT_BYTES
  * multiples, and framed " w1 w2 " utf-8 emission — bit-equal to the
@@ -1413,13 +1414,13 @@ static inline int utf8_enc_len(uint32_t cp) {
     return cp < 0x80 ? 1 : (cp < 0x800 ? 2 : (cp < 0x10000 ? 3 : 4));
 }
 
-int64_t script_spans_scan(const uint8_t *text, int64_t n,
-                          const uint8_t *script_lut,
-                          const uint32_t *lower_lut, int64_t lut_size,
-                          int64_t text_limit, int64_t max_span_bytes,
-                          int64_t *lt_idx, uint8_t *lt_sc,
-                          uint32_t *lt_low, uint8_t *lt_len,
-                          uint8_t *out_buf, int64_t *meta) {
+static int64_t script_spans_scan(const uint8_t *text, int64_t n,
+                                 const uint8_t *script_lut,
+                                 const uint32_t *lower_lut, int64_t lut_size,
+                                 int64_t text_limit, int64_t max_span_bytes,
+                                 int64_t *lt_idx, uint8_t *lt_sc,
+                                 uint32_t *lt_low, uint8_t *lt_len,
+                                 uint8_t *out_buf, int64_t *meta) {
     /* ---- pass 1: letters ---- */
     int64_t nl = 0;
     int64_t ci = 0;
@@ -1779,10 +1780,14 @@ static inline int ext_newline_tag(const uint8_t *b, int64_t n, int64_t i) {
     return 0;
 }
 
-static int64_t extract_scan(const uint8_t *b, int64_t n,
-                            const uint64_t *ekeys, const int32_t *evals,
-                            int64_t ecap, const uint32_t *low_map,
-                            uint8_t *out) {
+/* src_of, when not NULL, gets the source position of each output
+ * byte: src_of[k] = position in b that produced out[k] (tag
+ * separators -> the '<', entity bytes -> the '&'). Forced inline so
+ * the NULL call site compiles without the src_of stores. */
+static inline __attribute__((always_inline)) int64_t extract_scan(
+        const uint8_t *b, int64_t n, const uint64_t *ekeys,
+        const int32_t *evals, int64_t ecap, const uint32_t *low_map,
+        uint8_t *out, int64_t *src_of) {
     int64_t op = 0;
     int last_ws = 0;
     int64_t pos = 0;
@@ -1790,9 +1795,14 @@ static int64_t extract_scan(const uint8_t *b, int64_t n,
         uint8_t c = b[pos];
         if (c == '<') {
             uint8_t rep = ext_newline_tag(b, n, pos) ? 0x0A : 0x20;
-            if (!last_ws) { out[op++] = rep; last_ws = 1; }
+            if (!last_ws) {
+                if (src_of) src_of[op] = pos;
+                out[op++] = rep;
+                last_ws = 1;
+            }
             pos = ext_scan_tag_end(b, n, pos);
         } else if (c == '>') {
+            if (src_of) src_of[op] = pos;
             out[op++] = '>';   /* stray '>': last_ws untouched (quirk) */
             pos++;
         } else if (c == '&') {
@@ -1802,6 +1812,7 @@ static int64_t extract_scan(const uint8_t *b, int64_t n,
             if (v >= 0) {
                 /* utf-8 emit; last_ws bypassed (reference quirk) */
                 uint32_t cp = (uint32_t)v;
+                int64_t e0 = op;
                 if (cp < 0x80) out[op++] = (uint8_t)cp;
                 else if (cp < 0x800) {
                     out[op++] = 0xC0 | (cp >> 6);
@@ -1816,12 +1827,19 @@ static int64_t extract_scan(const uint8_t *b, int64_t n,
                     out[op++] = 0x80 | ((cp >> 6) & 0x3F);
                     out[op++] = 0x80 | (cp & 0x3F);
                 }
+                if (src_of)
+                    for (int64_t k = e0; k < op; k++) src_of[k] = pos;
             }
             pos += consumed;
         } else if (c == 0x20 || c == 0x0A) {
-            if (!last_ws) { out[op++] = c; last_ws = 1; }
+            if (!last_ws) {
+                if (src_of) src_of[op] = pos;
+                out[op++] = c;
+                last_ws = 1;
+            }
             pos++;
         } else {
+            if (src_of) src_of[op] = pos;
             out[op++] = c;
             last_ws = 0;
             pos++;
@@ -1839,48 +1857,79 @@ static int64_t extract_scan(const uint8_t *b, int64_t n,
  * out[offsets[d]:offsets[d+1]], offsets[0] = 0: the data and offsets
  * buffers of an Arrow large_string column. No page grows (every
  * entity is at least as long as its UTF-8 encoding), so out cap >=
- * ends[n_docs-1] + 8. Returns the total text length, or -1 when the
- * scratch cannot be allocated. */
+ * ends[n_docs-1] + 8.
+ *
+ * src_of (NULL, or cap as out) is the per-output-byte source map back
+ * to the RAW page: src_of[k] = position within its page of the byte
+ * that produced out[k]. On a normalized page the scanner's positions
+ * go through the scratch's raw positions, so \r\n maps to its \n and
+ * a lone \r to itself. Mapping a text range back to raw offsets is
+ * then one array index (extract.text_to_raw_ranges: the flagship
+ * chunks column and Detector.detect_ranges_html);
+ * tests/oracles/extract.py's OffsetMap is its test oracle.
+ * Returns the total text length, or -1 when the scratch cannot be
+ * allocated. */
 int64_t extract_scan_batch(const uint8_t *cat, const int64_t *ends,
                            int64_t n_docs, const uint64_t *ekeys,
                            const int32_t *evals, int64_t ecap,
                            const uint32_t *low_map, uint8_t *out,
-                           int64_t *offsets) {
+                           int64_t *offsets, int64_t *src_of) {
     uint8_t *norm = NULL;
+    int64_t *raw_of = NULL;
     int64_t norm_cap = 0, op = 0, start = 0;
     offsets[0] = 0;
     for (int64_t d = 0; d < n_docs; d++) {
         const uint8_t *b = cat + start;
         int64_t n = ends[d] - start;
+        int has_cr = n > 0 && memchr(b, '\r', (size_t)n);
         start = ends[d];
-        if (n > 0 && memchr(b, '\r', (size_t)n)) {
+        if (has_cr) {
             if (norm_cap < n) {
-                uint8_t *p = realloc(norm, (size_t)n);
-                if (!p) { free(norm); return -1; }
-                norm = p;
+                free(norm);
+                free(raw_of);
+                norm = malloc((size_t)n);
+                raw_of = src_of ? malloc((size_t)n * sizeof *raw_of) : NULL;
+                if (!norm || (src_of && !raw_of)) {
+                    free(norm);
+                    free(raw_of);
+                    return -1;
+                }
                 norm_cap = n;
             }
             int64_t m = 0;
             for (int64_t i = 0; i < n; i++) {
-                if (b[i] != '\r') norm[m++] = b[i];
-                else if (i + 1 == n || b[i + 1] != '\n') norm[m++] = '\n';
+                if (b[i] == '\r' && i + 1 < n && b[i + 1] == '\n')
+                    continue;
+                if (src_of) raw_of[m] = i;
+                norm[m++] = b[i] == '\r' ? '\n' : b[i];
             }
             b = norm;
             n = m;
         }
-        op += extract_scan(b, n, ekeys, evals, ecap, low_map, out + op);
+        if (src_of) {
+            int64_t k0 = op;
+            op += extract_scan(b, n, ekeys, evals, ecap, low_map,
+                               out + op, src_of + op);
+            if (has_cr)
+                for (int64_t k = k0; k < op; k++)
+                    src_of[k] = raw_of[src_of[k]];
+        } else {
+            op += extract_scan(b, n, ekeys, evals, ecap, low_map,
+                               out + op, NULL);
+        }
         offsets[d + 1] = op;
     }
     free(norm);
+    free(raw_of);
     return op;
 }
 
-/* Batched script_spans_scan: one call per BATCH instead of per doc
- * (the per-call ctypes marshaling was ~15% of the fused stage).
- * Per-doc scratch regions are pre-partitioned with the same margins
- * the single-call Python wrapper uses (lt: len+8, out: 8*len+64), so
- * the inner calls never overlap. meta rows get their out/lp indexes
- * rebased to the shared buffers; ns_doc[d] = span count of doc d. */
+/* script_spans_scan over a whole batch in ONE call (a ctypes call per
+ * doc was ~15% of the fused stage). Bounds are cumulative end offsets
+ * into cat. Per-doc scratch regions are pre-partitioned (lt: len+8,
+ * out: 8*len+64), so the inner calls never overlap. meta rows get
+ * their out/lp indexes rebased to the shared buffers; ns_doc[d] =
+ * span count of doc d. */
 int64_t script_spans_scan_multi(
         const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
         const uint8_t *script_lut, const uint32_t *lower_lut,
@@ -2133,77 +2182,4 @@ int blake2b_batch(const uint8_t *data, const int64_t *offsets,
         b2b_one(data + offsets[i], offsets[i + 1] - offsets[i], nn,
                 out + nn * i);
     return 0;
-}
-
-/* extract_scan with (a) inline CRLF canonicalization (so it runs on
- * the RAW page bytes — extract_scan_batch replaces \r\n/\r with \n
- * before calling extract_scan, which would shift offsets) and (b) a
- * per-OUTPUT-byte source-offset array: src_of[k] = raw-page position
- * that produced out[k] (tag separators -> the '<', entity bytes ->
- * the '&', lone-\r newlines -> the '\r'). Mapping a text range back
- * to raw offsets is one array index (extract.text_to_raw_ranges, used
- * by the flagship chunks column and Detector.detect_ranges_html).
- * tests/oracles/extract.py (extract_text_with_map + OffsetMap) is its
- * test oracle.
- * Output text is byte-identical to extract_text (leftmost \r\n
- * pairing == Python's two-pass replace).
- */
-int64_t extract_scan_map(const uint8_t *b, int64_t n,
-                         const uint64_t *ekeys, const int32_t *evals,
-                         int64_t ecap, const uint32_t *low_map,
-                         uint8_t *out, int64_t *src_of) {
-    int64_t op = 0;
-    int last_ws = 0;
-    int64_t pos = 0;
-    while (pos < n) {
-        uint8_t c = b[pos];
-        if (c == '\r') {
-            if (pos + 1 < n && b[pos + 1] == '\n') { pos++; continue; }
-            c = 0x0A;   /* lone \r -> \n, falls into the ws branch */
-        }
-        if (c == '<') {
-            uint8_t rep = ext_newline_tag(b, n, pos) ? 0x0A : 0x20;
-            if (!last_ws) { src_of[op] = pos; out[op++] = rep;
-                            last_ws = 1; }
-            pos = ext_scan_tag_end(b, n, pos);
-        } else if (c == '>') {
-            src_of[op] = pos;
-            out[op++] = '>';   /* stray '>': last_ws untouched */
-            pos++;
-        } else if (c == '&') {
-            int64_t consumed;
-            int64_t v = ext_read_entity(b, n, pos, ekeys, evals, ecap,
-                                        low_map, &consumed);
-            if (v >= 0) {
-                uint32_t cp = (uint32_t)v;
-                int64_t e0 = op;
-                if (cp < 0x80) out[op++] = (uint8_t)cp;
-                else if (cp < 0x800) {
-                    out[op++] = 0xC0 | (cp >> 6);
-                    out[op++] = 0x80 | (cp & 0x3F);
-                } else if (cp < 0x10000) {
-                    out[op++] = 0xE0 | (cp >> 12);
-                    out[op++] = 0x80 | ((cp >> 6) & 0x3F);
-                    out[op++] = 0x80 | (cp & 0x3F);
-                } else {
-                    out[op++] = 0xF0 | (cp >> 18);
-                    out[op++] = 0x80 | ((cp >> 12) & 0x3F);
-                    out[op++] = 0x80 | ((cp >> 6) & 0x3F);
-                    out[op++] = 0x80 | (cp & 0x3F);
-                }
-                for (int64_t k = e0; k < op; k++) src_of[k] = pos;
-            }
-            pos += consumed;
-        } else if (c == 0x20 || c == 0x0A) {
-            if (!last_ws) { src_of[op] = pos; out[op++] = c;
-                            last_ws = 1; }
-            pos++;
-        } else {
-            src_of[op] = pos;
-            out[op++] = c;
-            last_ws = 0;
-            pos++;
-        }
-    }
-    return op;
 }

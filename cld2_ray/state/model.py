@@ -509,7 +509,7 @@ def train(seed_texts: dict[str, str] | None = None) -> LangModel:
     # score the unseen second half (the reference word/CJK tables are
     # full either way), giving a realistic out-of-vocabulary rate.
     # Languages without seed corpora keep expected 0 = "no estimate",
-    # which reliability_expected treats as fully reliable.
+    # which reliability_expected_exact treats as fully reliable.
     # halve WITHIN each script section, not across the whole corpus:
     # the script-variant corpora (data/seeds.py _VARIANTS) are built
     # as "base-script text + transliterated text", and a whole-corpus

@@ -3,11 +3,11 @@
 ``extract_text_with_map`` walks the html with compiled regexes that jump
 between the rare "interesting" bytes (``< > &``), following the
 reference extraction chain (getonescriptspan.cc; the module docstring
-of ``cld2_ray.functions.extract`` lists the rules). Its text is the
-oracle of ``native.extract_scan_batch`` (``extract.extract_batch`` /
-``extract.extract_text``) and its
-``OffsetMap`` the oracle of ``native.extract_scan_map``'s per-byte
-source map (``extract.text_to_raw_ranges``).
+of ``cld2_ray.functions.extract`` lists the rules). It is the oracle
+of ``native.extract_scan_batch``: its text of the extracted text
+(``extract.extract_batch`` / ``extract.extract_text``) and its
+``OffsetMap`` of the per-byte source map (``with_map=True``, behind
+``extract.text_to_raw_ranges``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import re
 import numpy as np
 
 from cld2_ray.data.entities import NAME_TO_ENTITY
-from cld2_ray.functions.extract import _LOW_MAP, _WS_RUN
+from cld2_ray.functions.extract import _LOW_MAP
 
 
 def fix_unicode_value(uv: int) -> int:
@@ -158,6 +158,8 @@ def scan_tag_end(b: bytes, i: int) -> int:
 # --- main extraction loop ---------------------------------------------------
 
 _SPECIAL = re.compile(rb"[<>&]")
+# a run of space/LF, compressed to its first char
+_WS_RUN = re.compile(rb"([ \n])[ \n]+")
 _WS_AT = re.compile(rb"[ \n]+")   # anchored via .match(pos) (no ^ —
 #                                   ^ would not match at pos > 0)
 
@@ -185,7 +187,7 @@ def extract_text_with_map(html: bytes, is_plain_text: bool = False):
     """extract_text + an OffsetMap from extracted-text BYTE positions
     back to ORIGINAL html byte positions (the reference's map2original,
     getonescriptspan.cc Advance/offsetmap composition) — the test
-    oracle of native.extract_scan_map's source map. The text is the
+    oracle of native.extract_scan_batch's source map. The text is the
     oracle of extract_text(html); the map composes the CRLF
     canonicalization with the tag/entity/whitespace edits."""
     crlf = OffsetMap()

@@ -1,6 +1,6 @@
 """numpy script-span segmenter: the oracle of the C segmenter
-(``native.script_spans_scan``, behind ``spans.script_spans`` and
-``spans.script_spans_batch``).
+(``native.script_spans_scan_multi``, behind ``spans.script_spans_batch``
+and its one-document form ``spans.script_spans``).
 
 The document becomes one int32 codepoint array; the script LUT, run
 boundaries and word-gap spaces are computed with numpy, and only the

@@ -162,11 +162,6 @@ class TestUTF8Gate:
         assert valid_utf8_prefix(b) == 0
 
 
-class TestPlainText:
-    def test_plain_keeps_tags(self):
-        assert extract_text(b"a <b> c", is_plain_text=True) == "a <b> c"
-
-
 class TestHelpers:
     def test_read_entity_consumed(self):
         assert read_entity(b"&amp; x", 0) == (38, 5)

@@ -547,6 +547,34 @@ def _crlf_normalized(h: bytes) -> bytes:
     return h.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
+def _scan_map(pages):
+    """(text bytes, src) per page from one with_map batch call."""
+    from cld2_ray.functions.extract import _ent_table
+    ends = np.cumsum([len(h) for h in pages], dtype=np.int64)
+    data, offsets, src = native.extract_scan_batch(
+        b"".join(pages), ends, *_ent_table(), with_map=True)
+    return [(data[a:b].tobytes(), src[a:b])
+            for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def _check_map(pages):
+    """The with_map text is extract_text's and its src equals the
+    OffsetMap oracle at every text position; returns the positions
+    checked."""
+    from cld2_ray.functions.extract import extract_text
+    n_pos = 0
+    for h, (got, src) in zip(pages, _scan_map(pages)):
+        assert got == extract_text(h).encode("utf-8"), h[:80]
+        text, om = extract_oracle.extract_text_with_map(h)
+        assert got == text.encode("utf-8"), h[:80]
+        want = om.to_original(np.arange(len(src) + 1))
+        assert np.array_equal(src, want[:-1]), h[:80]
+        # a range ending at the text's end maps to the page's end
+        assert want[-1] == len(h)
+        n_pos += len(src)
+    return n_pos
+
+
 class TestExtractBatch:
     """extract_batch (one native.extract_scan_batch call per batch)
     equals extract_text of each page's valid-UTF-8 prefix and the Python
@@ -555,7 +583,8 @@ class TestExtractBatch:
 
     CRLF = [b"a\r\nb\rc\r\r\nd", b"\r", b"\r\n\r\n", b"x\r", b"\r\rx",
             b"<p a='1\r\n2'>t</p>\r<br\r>z", b"&amp;\r\n&lt\r",
-            b"<tag a='q\rline>after", b"<p\r>x"]
+            b"<tag a='q\rline>after", b"<p\r>x",
+            b'<a title="x\ry>visible" more>after', b"<p>hi<p\r\n"]
     BAD = [b"caf\xc3\xa9 \xff tail", b"\xff\xfe", b"ok \xe2\x82",
            b"<p>x</p>\xc3", None, b""]
     ENTITIES = [("&amp;&lt;&gt;&quot;&#65;&#x42;&eacute;&frac12;"
@@ -620,6 +649,7 @@ class TestExtractBatch:
         max_size=80).map(lambda t: t.encode("utf-8")), max_size=8))
     def test_fuzz_batches(self, pages):
         self._check(pages)
+        _check_map(pages)
 
 
 class TestHashKernels:
@@ -790,9 +820,9 @@ class TestRangesKernel:
 
 
 class TestExtractScanMap:
-    """extract_scan_map: text byte-identical to extract_text on raw
-    (CRLF-bearing) pages; src equal to the OffsetMap oracle
-    (extract_text_with_map) at every text position."""
+    """extract_scan_batch(with_map=True): text byte-identical to
+    extract_text on raw (CRLF-bearing) pages; src equal to the
+    OffsetMap oracle (extract_text_with_map) at every text position."""
 
     @staticmethod
     def _cases():
@@ -802,7 +832,8 @@ class TestExtractScanMap:
                  b"a\r\nb\rc\r\r\nd", b"x &amp; y<br>z", b"",
                  b"<!-- c --><p>hi</p>",
                  b"&#233;t&#xE9; <b>bold</b>  many   spaces",
-                 b"& bare <p unclosed", b"tail <b>", b"<p>\r\n x &lt;"]
+                 b"& bare <p unclosed", b"tail <b>", b"<p>\r\n x &lt;",
+                 b'<a title="x\ry>visible" more>after', b"<p>hi<p\r\n"]
         tbl = P.page_batch(0, 120, 42)
         for h in tbl["html"].to_pylist():
             if valid_utf8_prefix(h or b"") == len(h or b""):
@@ -810,28 +841,16 @@ class TestExtractScanMap:
         return cases
 
     def test_text_and_map(self):
-        from cld2_ray.functions.extract import _ent_table, extract_text
-        ent = _ent_table()
-        for h in self._cases():
-            got, src = native.extract_scan_map(h, *ent)
+        from cld2_ray.functions.extract import extract_text
+        cases = self._cases()
+        for h, (got, src) in zip(cases, _scan_map(cases)):
             assert got == extract_text(h).encode("utf-8")
             if len(src):
                 assert (np.diff(src) >= 0).all()
                 assert src[0] >= 0 and src[-1] < max(len(h), 1)
 
     def test_map_equals_offsetmap_oracle(self):
-        from cld2_ray.functions.extract import _ent_table
-        ent = _ent_table()
-        n_pos = 0
-        for h in self._cases():
-            _got, src = native.extract_scan_map(h, *ent)
-            _text, om = extract_oracle.extract_text_with_map(h)
-            want = om.to_original(np.arange(len(src) + 1))
-            assert np.array_equal(src, want[:-1])
-            # a range ending at the text's end maps to the page's end
-            assert want[-1] == len(h)
-            n_pos += len(src)
-        assert n_pos > 100_000
+        assert _check_map(self._cases()) > 100_000
 
 
 # ASCII, 2/3/4-byte chars and runs of spaces: the predictor's packed

@@ -101,3 +101,19 @@ def test_every_oracle_has_a_caller():
             if name not in refs:
                 missing.append(f"{p.name}: {name}")
     assert ORACLES and not missing, missing
+
+
+def test_one_binding_per_exported_kernel():
+    """The non-static functions of quadscan.c are exactly the entries
+    native/__init__.py binds (``X = lib.<name>``): a kernel's helpers
+    stay static, and no exported entry is left without a binding."""
+    import re
+    native = ROOT / "cld2_ray" / "native"
+    c_src = (native / "quadscan.c").read_text(encoding="utf-8")
+    exported = set(re.findall(
+        r"^(?!static\b)(?:[A-Za-z_]\w*[ \t]+\**)+(\w+)\s*\(", c_src, re.M))
+    py_src = (native / "__init__.py").read_text(encoding="utf-8")
+    bound = set(re.findall(r"=\s*lib\.(\w+)", py_src))
+    assert "extract_scan_batch" in exported
+    assert exported == bound, (sorted(exported - bound),
+                               sorted(bound - exported))

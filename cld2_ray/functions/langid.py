@@ -3,18 +3,22 @@ analogue (reference: internal/compact_lang_det_impl.cc:1707-2106).
 
 Every scoring call runs one batch pass, ``Detector.detect_batch``
 (detect() is a batch of one; detect_ranges reads the same pass's
-ranges output):
-  CheapSqueeze pre-pass -> script spans -> one fused C hit-scan +
-  chunk-score call per script class (_fill_totes) -> DocTote ->
-  close-pair refinement -> unreliable removal -> top-3 + percents ->
-  summary language calculus -> one more pass with repeat-word removal
-  for every doc that is not good (the Repeats retry,
-  impl.cc:1979-2106).
+ranges output), column-wise over the whole batch:
+  CheapSqueeze pre-pass (one native gate call) -> script spans as one
+  span table (spans.SpanTable) -> one fused C hit-scan + chunk-score
+  call per script class over the table's buffer (_fill_totes) -> the
+  document stage in one C call (_finalize: DocTote, close-pair
+  refinement, unreliable removal, top-3 + percents, summary calculus,
+  good test) -> one more pass with repeat-word removal for every doc
+  that is not good (the Repeats retry, impl.cc:1979-2106), accepted
+  by numpy over the result columns.
 
-The flagship kernel (stages.core.fused_batch) and the single-process
-oracle call the same Detector, which is what makes pipeline-vs-oracle
-equality exact. The numpy ranges chain in tests/oracles/langid.py is
-the tests' independent reference for this pass.
+detect_batch returns score.DetectColumns: numpy columns that also read
+as a sequence of DetectResult. The flagship kernel
+(stages.core.fused_batch) and the single-process oracle call the same
+Detector, which is what makes pipeline-vs-oracle equality exact.
+tests/oracles/docstage.py is the Python document stage this pass is
+held to, tests/oracles/langid.py the numpy ranges chain.
 """
 
 from __future__ import annotations
@@ -25,93 +29,46 @@ from . import langs, score, spans, uscript as us
 from cld2_ray import native
 from .extract import extract_text, text_to_raw_ranges, valid_utf8_prefix
 from . import hints as hints_mod
-from .repeats import SQUEEZE_TEST_THRESH, remove_repeated_words_batch, \
-    squeeze, squeeze_trigger
+from .repeats import squeeze, squeeze_triggers
+
+# native.doc_stage's language table: close set, closest alternative,
+# tier, 1=FIGS | 2=EFIGS
+_LANG_PROPS = np.stack([
+    langs.CLOSE_SET.astype(np.int64), langs.CLOSEST_ALT.astype(np.int64),
+    langs.TIER.astype(np.int64),
+    np.array([(lid in langs.FIGS) | 2 * (lid in langs.EFIGS)
+              for lid in range(langs.NUM_LANGS)], dtype=np.int64)], axis=1)
+_LANG_IDS = np.array([langs.UNKNOWN, langs.ENGLISH, langs.lang_id("zh"),
+                      langs.lang_id("zh-Hant")], dtype=np.int64)
 
 
-def _bulk_tote_add(totes: list, doc_of_chunk: np.ndarray,
-                   lang1: np.ndarray, cbytes: np.ndarray,
-                   s1: np.ndarray, rel: np.ndarray) -> None:
-    """Vectorized DocTote fill: chunk streams aggregate per (doc, lang)
-    with numpy, then land in each tote in first-seen order. Equivalent
-    to per-chunk DocTote.add because add() is pure accumulation until
-    the 24-slot cap; any doc whose entry count could reach the cap
-    (where eviction order matters) falls back to the sequential loop."""
-    m = lang1 != langs.UNKNOWN
-    if not m.any():
-        return
-    doc = doc_of_chunk[m].astype(np.int64)
-    lang = lang1[m].astype(np.int64)
-    nb = cbytes[m].astype(np.int64)
-    sc = s1[m].astype(np.int64)
-    rl = rel[m].astype(np.int64)
-    rb = rl * nb
-    key = doc * np.int64(langs.NUM_LANGS) + lang
-    uniq, first_idx, inv = np.unique(key, return_index=True,
-                                     return_inverse=True)
-    k = len(uniq)
-    b_sum = np.zeros(k, np.int64)
-    s_sum = np.zeros(k, np.int64)
-    r_sum = np.zeros(k, np.int64)
-    np.add.at(b_sum, inv, nb)
-    np.add.at(s_sum, inv, sc)
-    np.add.at(r_sum, inv, rb)
-    # first-seen order inside each doc (same dict insertion order as
-    # the sequential loop)
-    order = np.argsort(first_idx, kind="stable")
-    u_doc = (uniq // langs.NUM_LANGS)[order]
-    u_lang = (uniq % langs.NUM_LANGS)[order]
-    b_sum, s_sum, r_sum = b_sum[order], s_sum[order], r_sum[order]
-    n_new = np.bincount(u_doc, minlength=len(totes))
-    seq_docs = set()
-    for d in np.nonzero(n_new)[0].tolist():
-        if len(totes[d].bytes_) + int(n_new[d]) > score.DOC_TOTE_SLOTS:
-            seq_docs.add(d)
-    if seq_docs:
-        for i in range(len(doc)):
-            d = int(doc[i])
-            if d in seq_docs:
-                totes[d].add(int(lang[i]), int(nb[i]), int(sc[i]),
-                             int(rl[i]))
-    for j in range(k):
-        d = int(u_doc[j])
-        if d in seq_docs:
-            continue
-        t = totes[d]
-        li = int(u_lang[j])
-        t.bytes_[li] = t.bytes_.get(li, 0) + int(b_sum[j])
-        t.score[li] = t.score.get(li, 0) + int(s_sum[j])
-        t.rel[li] = t.rel.get(li, 0) + int(r_sum[j])
-
-
-def _hint_csr(hl_list: list) -> tuple[np.ndarray, np.ndarray]:
-    """Per-span hint payloads -> the kernels' CSR form (csr int64[n+1],
-    flat int64[]): span k's payload is flat[csr[k]:csr[k+1]]."""
-    csr = np.zeros(len(hl_list) + 1, dtype=np.int64)
+def _csr(lists: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-item int lists (None = empty) -> CSR form (csr int64[n+1],
+    flat int64[]): item k is flat[csr[k]:csr[k+1]]."""
+    csr = np.zeros(len(lists) + 1, dtype=np.int64)
     flat: list[int] = []
-    for k, hl in enumerate(hl_list):
+    for k, hl in enumerate(lists):
         if hl:
             flat.extend(hl)
         csr[k + 1] = len(flat)
     return csr, np.asarray(flat, dtype=np.int64)
 
 
-def _one_range(sp, lid: int):
+def _gather_csr(lo: np.ndarray, hi: np.ndarray, flat: np.ndarray):
+    """The kernels' per-span CSR (csr, flat) of the payload slices
+    flat[lo[k]:hi[k]]."""
+    n = hi - lo
+    csr = np.zeros(len(n) + 1, dtype=np.int64)
+    np.cumsum(n, out=csr[1:])
+    return csr, flat[np.repeat(lo - csr[:-1], n) + np.arange(csr[-1])]
+
+
+def _one_range(start: int, end: int, lid: int):
     """Whole-span (start_char, end_char, lid) numpy triple — the
     single-range form non-MANY spans and hitless MANY spans emit."""
-    return (np.array([sp.offset], dtype=np.int64),
-            np.array([sp.end_offset], dtype=np.int64),
+    return (np.array([start], dtype=np.int64),
+            np.array([end], dtype=np.int64),
             np.array([lid], dtype=np.int64))
-
-
-def _tote_range_lang(tote: score.DocTote) -> int:
-    """A whole-span range's language: the span tote's top language by
-    bytes (ties -> smaller id), UNKNOWN below 41% reliability."""
-    if not tote.bytes_:
-        return langs.UNKNOWN
-    lid = max(tote.bytes_, key=lambda k: (tote.bytes_[k], -k))
-    rp = tote.rel[lid] // max(tote.bytes_[lid], 1)
-    return lid if rp >= score.MIN_RELIABLE_KEEP_PERCENT else langs.UNKNOWN
 
 
 class Detector:
@@ -132,6 +89,8 @@ class Detector:
         self.model = model
         self.score_as_quads = score_as_quads
         self.echo = echo
+        self._rtypes = np.array([self._rtype(sc)
+                                 for sc in range(us.NUM_SCRIPTS)])
 
     @staticmethod
     def _norm_hints(hint_langs):
@@ -164,135 +123,148 @@ class Detector:
 
     # -- scoring pass -------------------------------------------------------
 
-    def _fill_totes(self, doc_spans: list[list[spans.ScriptSpan]],
+    def _fill_totes(self, table: spans.SpanTable,
                     hints_list: list[list[int] | None],
                     with_ranges: bool = False):
-        """Batch span scorer: all documents' MANY spans score through ONE
-        fused C hit-scan + chunk-score call, all CJK spans through
-        another; RTYPE_ONE spans add their bytes at reliability 100
-        (scoreonescriptspan.cc:1132-1160), RTYPE_NONE spans are ignored.
-        Returns the per-doc DocTotes.
+        """Batch span scorer over a span table (``len(table)`` documents):
+        all MANY spans score through ONE fused C hit-scan + chunk-score
+        call, all CJK spans through another, both reading the spans in
+        place in the table's buffer; RTYPE_ONE spans add their bytes at
+        reliability 100 (scoreonescriptspan.cc:1132-1160), RTYPE_NONE
+        spans are ignored. Returns the DocTote add streams for
+        _finalize: (doc, lang, bytes, score, rel) of the RTYPE_ONE
+        spans, then of the MANY chunks, then of the CJK chunks — the
+        order each document's tote takes them in.
 
-        with_ranges=True returns (totes, raw_ranges) from the SAME pass —
-        the ResultChunkVector path (the reference emits the vector in
-        the scoring pass that fills the tote,
+        with_ranges=True returns (streams, raw_ranges) from the SAME
+        pass — the ResultChunkVector path (the reference emits the
+        vector in the scoring pass that fills the tote,
         scoreonescriptspan.cc:1099-1111). raw_ranges[di] is the doc's
         unmerged list of (start_char, end_char, lid) numpy triples in
-        span order, for _merge_ranges; the totes do not change. Chunk
-        scoring sees the per-span hint priors the document scoring uses,
-        so a hinted page's chunk vector agrees with its summary
-        (detect_ranges passes no hints)."""
-        totes = [score.DocTote() for _ in doc_spans]
-        ranges = ([[None] * len(sl) for sl in doc_spans]
-                  if with_ranges else None)
-        many: list[tuple[int, int, spans.ScriptSpan, object]] = []
-        cjk: list[tuple[int, int, spans.ScriptSpan, object]] = []
-        hints_list = [self._norm_hints(h) for h in hints_list]
-        for di, sl in enumerate(doc_spans):
-            hl = hints_list[di]
-            for pos, sp in enumerate(sl):
-                rt = self._rtype(sp.script)
-                if rt == us.RTYPE_MANY:
-                    many.append((di, pos, sp, hl))
-                elif rt == us.RTYPE_CJK:
-                    cjk.append((di, pos, sp, hl))
-                elif rt == us.RTYPE_ONE:
-                    lid = int(langs.SCRIPT_DEFAULT_LANG[sp.script])
-                    totes[di].add(lid, sp.text_bytes, sp.text_bytes, 100)
-                    if with_ranges:
-                        ranges[di][pos] = _one_range(sp, lid)
-                elif with_ranges:
-                    ranges[di][pos] = _one_range(sp, langs.UNKNOWN)
+        span order, for _merge_ranges. Chunk scoring sees the per-span
+        hint priors the document scoring uses, so a hinted page's chunk
+        vector agrees with its summary (detect_ranges passes no
+        hints)."""
+        m = self.model
+        rt = self._rtypes[table.script]
+        doc, script, nbytes = table.doc, table.script, table.text_bytes
+        # per-doc hint payloads, the Latin class's then the others'
+        norm = [self._norm_hints(h) for h in hints_list]
+        csr_l, flat_l = _csr([h[0] if h else None for h in norm])
+        csr_o, flat_o = _csr([h[1] if h else None for h in norm])
+        csr_o += len(flat_l)
+        flat = np.concatenate([flat_l, flat_o])
 
-        if many:
-            bufs = [sp.text_utf8 for _, _, sp, _ in many]
-            script_of_span = np.array([sp.script for _, _, sp, _ in many],
-                                      dtype=np.int64)
-            hl_list = [hl[0 if sp.script == us.LATIN else 1] if hl else None
-                       for _, _, sp, hl in many]
+        one = np.flatnonzero(rt == us.RTYPE_ONE)
+        streams = [(doc[one], langs.SCRIPT_DEFAULT_LANG[script[one]],
+                    nbytes[one], nbytes[one], np.full(len(one), 100))]
+        span_lid = np.where(rt == us.RTYPE_ONE,
+                            langs.SCRIPT_DEFAULT_LANG[script],
+                            langs.UNKNOWN)
+        many_ranges = {}
+        many = np.flatnonzero(rt == us.RTYPE_MANY)
+        if len(many):
+            d, sc = doc[many], script[many]
+            lat = sc == us.LATIN
             c = native.quad_octa_chunk_score(
-                b"".join(bufs), np.cumsum([len(b) for b in bufs]),
-                self.model.quad, self.model.socta, self.model.docta,
-                self.model.xocta, script_of_span == us.LATIN,
-                score.CHUNKSIZE_QUADS, self.model.expected_quad,
-                langs.CLOSE_SET, *_hint_csr(hl_list),
-                us.LSCRIPT4[script_of_span], with_ranges=with_ranges)
+                table.buf, table.start[many], table.end[many], m.quad,
+                m.socta, m.docta, m.xocta, lat, score.CHUNKSIZE_QUADS,
+                m.expected_quad, langs.CLOSE_SET,
+                *_gather_csr(np.where(lat, csr_l[d], csr_o[d]),
+                             np.where(lat, csr_l[d + 1], csr_o[d + 1]),
+                             flat),
+                us.LSCRIPT4[sc], with_ranges=with_ranges)
             lang1, cbytes, s1, rel, span_of_chunk = c[:5]
-            docs_of_span = np.array([di for di, _, _, _ in many])
-            _bulk_tote_add(totes, docs_of_span[span_of_chunk],
-                           lang1, cbytes, s1, rel)
+            streams.append((d[span_of_chunk], lang1, cbytes, s1, rel))
             if with_ranges:
-                # the "un" gate reads the zeros-expected reliability
-                # (see tests/oracles/langid.py detect_ranges_numpy)
-                rel_delta, cstart = c[5:]
-                for k, (di, pos, sp, _) in enumerate(many):
-                    lo, hi = np.searchsorted(span_of_chunk, [k, k + 1])
-                    ranges[di][pos] = (
-                        self._many_span_ranges(sp, lang1[lo:hi],
-                                               rel_delta[lo:hi],
-                                               cstart[lo:hi])
-                        if lo < hi else _one_range(sp, langs.UNKNOWN))
-
-        if cjk:
-            bufs = [sp.text_utf8 for _, _, sp, _ in cjk]
-            c = native.cjk_chunk_score(
-                b"".join(bufs), np.cumsum([len(b) for b in bufs]),
-                np.array([sp.text_bytes for _, _, sp, _ in cjk],
-                         dtype=np.int64),
-                self.model.uni, self.model.cjkbi, score.CHUNKSIZE_UNIS,
-                self.model.expected_uni, langs.CLOSE_SET,
-                *_hint_csr([hl[1] if hl else None for _, _, _, hl in cjk]))
-            lang1, cbytes, s1, rel, span_of_chunk = c
-            docs_of_span = np.array([di for di, _, _, _ in cjk])
-            _bulk_tote_add(totes, docs_of_span[span_of_chunk],
-                           lang1, cbytes, s1, rel)
+                many_ranges = self._many_ranges(table, many, c)
+        cjk = np.flatnonzero(rt == us.RTYPE_CJK)
+        if len(cjk):
+            d = doc[cjk]
+            lang1, cbytes, s1, rel, span_of_chunk = native.cjk_chunk_score(
+                table.buf, table.start[cjk], table.end[cjk], nbytes[cjk],
+                m.uni, m.cjkbi,
+                score.CHUNKSIZE_UNIS, m.expected_uni, langs.CLOSE_SET,
+                *_gather_csr(csr_o[d], csr_o[d + 1], flat))
+            streams.append((d[span_of_chunk], lang1, cbytes, s1, rel))
             if with_ranges:
-                # one range per CJK span: the majority language of a
-                # fresh per-span tote (exact incl. the 24-slot eviction)
-                for k, (di, pos, sp, _) in enumerate(cjk):
-                    lo, hi = np.searchsorted(span_of_chunk, [k, k + 1])
-                    t = score.DocTote()
-                    t.add_chunks(lang1[lo:hi], cbytes[lo:hi], s1[lo:hi],
-                                 rel[lo:hi])
-                    ranges[di][pos] = _one_range(sp, _tote_range_lang(t))
-        return (totes, ranges) if with_ranges else totes
+                # one range per CJK span: the top language of a fresh
+                # per-span tote (the document stage's DS_TOTE_TOP mode)
+                span_lid[cjk] = self._doc_stage(
+                    len(cjk), [(span_of_chunk, lang1, cbytes, s1, rel)],
+                    np.zeros(len(cjk), np.int64), [None] * len(cjk),
+                    native.DS_TOTE_TOP)["summary"]
+        if not with_ranges:
+            return streams
+        parts = [many_ranges.get(k) or _one_range(o, e, lid)
+                 for k, (o, e, lid) in enumerate(zip(
+                     table.offset.tolist(), table.end_offset.tolist(),
+                     span_lid.tolist()))]
+        ptr = table.doc_ptr.tolist()
+        return streams, [parts[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
-    def _finalize(self, tote: score.DocTote, total_letter_bytes: int,
-                  best_effort: bool,
-                  declared=None) -> score.DetectResult:
-        score.refine_close_pairs(tote)
-        if not best_effort:
-            # best-effort skips unreliable-language removal
-            # (impl.cc:1998 "if (!FlagBestEffort(flags))")
-            score.remove_unreliable(tote)
-        language3, percent3, nscore3, total, is_rel = \
-            score.extract_lang_etc(tote, total_letter_bytes)
-        summary, rel2 = score.calc_summary_lang(language3, percent3, total,
-                                                best_effort, declared)
-        return score.DetectResult(
-            summary_lang=summary,
-            language3=tuple(language3),
-            percent3=tuple(percent3),
-            normalized_score3=tuple(nscore3),
-            text_bytes=total,
-            is_reliable=is_rel and rel2,
-        )
+    def _many_ranges(self, table: spans.SpanTable, many: np.ndarray,
+                     c) -> dict:
+        """Span row -> range triple (_many_span_ranges) of each MANY span
+        with chunks; ``c`` is the ranges output of
+        native.quad_octa_chunk_score over the rows ``many``. Hitless
+        spans have no entry (their range is the whole span, UNKNOWN)."""
+        lang1, _, _, _, span_of_chunk, rel_delta, cstart = c
+        bounds = np.searchsorted(span_of_chunk,
+                                 np.arange(len(many) + 1)).tolist()
+        out = {}
+        for k in np.flatnonzero(np.diff(bounds)).tolist():
+            lo, hi, r = bounds[k], bounds[k + 1], int(many[k])
+            out[r] = self._many_span_ranges(
+                int(table.offset[r]), int(table.end_offset[r]),
+                table.buf[table.start[r]:table.end[r]],
+                table.letter_pos[table.lp_start[r]:table.lp_end[r]],
+                lang1[lo:hi], rel_delta[lo:hi], cstart[lo:hi])
+        return out
 
     @staticmethod
-    def _repeats_spans(doc_spans: list[list[spans.ScriptSpan]]):
-        """Spans of the Repeats retry: each span with its predicted
-        words dropped (CheapRepWords, impl.cc:610-692), all docs' spans
-        in one native pass. Returns (spans, per-doc bytes, at least 1).
-        The new spans keep the original script, offset and text_bytes."""
-        outs = iter(remove_repeated_words_batch(
-            [sp.text_utf8 for sl in doc_spans for sp in sl]))
-        spans2 = [[spans.ScriptSpan(text_utf8=next(outs), script=sp.script,
-                                    offset=sp.offset,
-                                    text_bytes=sp.text_bytes)
-                   for sp in sl] for sl in doc_spans]
-        totals2 = [max(sum(len(sp.text_utf8) for sp in sl), 1)
-                   for sl in spans2]
-        return spans2, totals2
+    def _doc_stage(n_docs: int, streams, totals, declared_list,
+                   flags: int) -> dict:
+        """native.doc_stage with this module's language tables."""
+        return native.doc_stage(n_docs, streams, totals,
+                                *_csr(declared_list), flags,
+                                _LANG_PROPS, _LANG_IDS)
+
+    def _finalize(self, streams, totals: np.ndarray, best_effort: bool,
+                  declared_list) -> score.DetectColumns:
+        """The document stage of every document in ONE C call
+        (quadscan.c doc_stage): each DocTote filled from the add
+        ``streams`` of _fill_totes, then RefineScoredClosePairs,
+        RemoveUnreliableLanguages (not under best_effort,
+        impl.cc:1998), ExtractLangEtc, CalcSummaryLang with the
+        document's declared set, and the Repeats-retry good test on
+        ``totals`` (letter bytes per document)."""
+        return score.DetectColumns(**self._doc_stage(
+            len(totals), streams, totals, declared_list,
+            native.DS_BEST_EFFORT if best_effort else 0))
+
+    @staticmethod
+    def _repeats_spans(table: spans.SpanTable,
+                       docs: np.ndarray) -> spans.SpanTable:
+        """Span table of the Repeats retry of ``docs``: each of their
+        spans with its predicted words dropped (CheapRepWords,
+        impl.cc:610-692), all in one native pass over the table's
+        buffer. The rows keep the original script, offsets and
+        text_bytes (which the RTYPE_ONE tote adds and the CJK chunk
+        extents read); document k of the new table is docs[k]."""
+        rows = table.rows_of(docs)
+        out, out_end = native.rep_words_multi(
+            table.buf, table.start[rows], table.end[rows])
+        counts = table.doc_ptr[docs + 1] - table.doc_ptr[docs]
+        return spans.SpanTable(
+            buf=out, start=np.concatenate([[0], out_end[:-1]]),
+            end=out_end,
+            doc=np.repeat(np.arange(len(docs), dtype=np.int64), counts),
+            script=table.script[rows], text_bytes=table.text_bytes[rows],
+            offset=table.offset[rows], end_offset=table.end_offset[rows],
+            lp_start=table.lp_start[rows], lp_end=table.lp_end[rows],
+            letter_pos=table.letter_pos,
+            doc_ptr=np.concatenate([[0], np.cumsum(counts)]))
 
     # -- public API ---------------------------------------------------------
 
@@ -302,13 +274,15 @@ class Detector:
                      default_to_english: bool = False,
                      declared_list=None, with_ranges: bool = False):
         """Batch detection: one concatenated scoring pass for the whole
-        batch — the one scoring path every public call runs.
+        batch — the one scoring path every public call runs. Returns
+        score.DetectColumns (a Sequence[DetectResult]).
 
         hints_list: per-doc language-prior hints (see functions/hints.py
         and _norm_hints). default_to_english: the non-Ext entry-point
         behavior (UNKNOWN -> ENGLISH, compact_lang_det.cc:90-94).
         declared_list: per-doc sets of page-declared lang ids (see
-        calc_summary_lang); None = reference-exact summaries.
+        tests/oracles/docstage.py _calc_summary_lang); None =
+        reference-exact summaries.
 
         with_ranges=True additionally returns per-doc language ranges
         [(byte_offset, byte_len, code), ...] computed from the SAME
@@ -327,50 +301,36 @@ class Detector:
         orig_texts = texts
         # CheapSqueeze pre-pass (impl.cc:1867-1901): long repetitive
         # documents are squeezed before scoring
-        squeezed = [bool(t and len(t) > SQUEEZE_TEST_THRESH
-                         and squeeze_trigger(t)) for t in texts]
+        squeezed = squeeze_triggers(texts)
         texts = [squeeze(t) if sq else (t or "")
-                 for t, sq in zip(texts, squeezed)]
-        doc_spans = spans.script_spans_batch(texts)
-        totals = [sum(sp.text_bytes for sp in sl) for sl in doc_spans]
+                 for t, sq in zip(texts, squeezed.tolist())]
+        table = spans.script_spans_batch(texts)
         if with_ranges:
-            totes, raw_ranges = self._fill_totes(doc_spans, hints_list,
-                                                 with_ranges=True)
+            streams, raw_ranges = self._fill_totes(table, hints_list,
+                                                   with_ranges=True)
         else:
-            totes = self._fill_totes(doc_spans, hints_list)
-        out: list[score.DetectResult] = []
-        retry: list[int] = []
-        for i in range(n):
-            res = self._finalize(totes[i], totals[i], best_effort,
-                                 declared_list[i])
-            if not score.is_good(res, totals[i]):
-                retry.append(i)
-            elif default_to_english and res.summary_lang == langs.UNKNOWN:
-                res.summary_lang = langs.ENGLISH
-            out.append(res)
-        if retry:
+            streams = self._fill_totes(table, hints_list)
+        out = self._finalize(streams, table.doc_totals(table.text_bytes),
+                             best_effort, declared_list)
+        retry = np.flatnonzero(~out.good)
+        if len(retry):
             # Repeats retry (impl.cc:1979-2106) for every not-good doc
             # in ONE more batch pass over the spans the first pass
-            # scored (squeeze_trigger is not re-run). Retry spans keep
-            # the original text_bytes, which the RTYPE_ONE tote and the
-            # CJK chunk lens consume.
-            spans2, totals2 = self._repeats_spans(
-                [doc_spans[i] for i in retry])
-            totes2 = self._fill_totes(spans2,
-                                      [hints_list[i] for i in retry])
-            for k, i in enumerate(retry):
-                res2 = self._finalize(totes2[k], totals2[k], best_effort,
-                                      declared_list[i])
-                # keep the retry result if it reached a conclusion
-                # (impl.cc accepts the second-pass answer
-                # unconditionally)
-                res = out[i]
-                res = res2 if (res2.summary_lang != langs.UNKNOWN
-                               or res.summary_lang == langs.UNKNOWN) \
-                    else res
-                if default_to_english and res.summary_lang == langs.UNKNOWN:
-                    res.summary_lang = langs.ENGLISH
-                out[i] = res
+            # scored (the squeeze gate is not re-run)
+            table2 = self._repeats_spans(table, retry)
+            streams2 = self._fill_totes(table2,
+                                        [hints_list[i] for i in retry])
+            out2 = self._finalize(
+                streams2,
+                np.maximum(table2.doc_totals(table2.end - table2.start), 1),
+                best_effort, [declared_list[i] for i in retry])
+            # keep the retry result if it reached a conclusion
+            # (impl.cc accepts the second-pass answer unconditionally)
+            take = np.flatnonzero((out2.summary != langs.UNKNOWN)
+                                  | (out.summary[retry] == langs.UNKNOWN))
+            out.take_rows(retry[take], out2, take)
+        if default_to_english:
+            out.summary[out.summary == langs.UNKNOWN] = langs.ENGLISH
         if with_ranges:
             rng = [self._unhinted_ranges(orig_texts[i] or "")
                    if squeezed[i]
@@ -398,9 +358,12 @@ class Detector:
                       file=sys.stderr)
 
     @staticmethod
-    def _many_span_ranges(sp, lang1, rel, starts_b):
+    def _many_span_ranges(offset: int, end_offset: int, span_utf8,
+                          letter_pos, lang1, rel, starts_b):
         """Per-chunk arrays -> (start_char, end_char, lid) numpy
-        triple for one MANY span: back boundaries up to the start of
+        triple for one MANY span (char range [offset, end_offset),
+        framed text ``span_utf8``, document char index ``letter_pos``
+        of each of its letters): back boundaries up to the start of
         their word (ItemToVector semantics,
         scoreonescriptspan.cc:323-360) and gate unreliable chunks to
         UNKNOWN. Shared by the ranges pass of _fill_totes and its numpy
@@ -413,15 +376,14 @@ class Detector:
                         langs.UNKNOWN)
         if nch == 1:
             # single-chunk span (common): the range is the whole span
-            # — k=0 uses sp.offset and the last chunk ends at
-            # sp.end_offset, so the word-backup math is moot
-            return (np.array([sp.offset], dtype=np.int64),
-                    np.array([sp.end_offset], dtype=np.int64), lids)
-        sb = sp.text_utf8
-        arr = np.frombuffer(sb, dtype=np.uint8)
+            # — k=0 uses the span offset and the last chunk ends at
+            # end_offset, so the word-backup math is moot
+            return (np.array([offset], dtype=np.int64),
+                    np.array([end_offset], dtype=np.int64), lids)
+        arr = np.frombuffer(span_utf8, dtype=np.uint8)
         cstart = np.flatnonzero((arr & 0xC0) != 0x80)
         letter_byte_starts = cstart[arr[cstart] != 0x20]
-        lpos = np.asarray(sp.letter_pos)
+        lpos = np.asarray(letter_pos)
         li = np.searchsorted(letter_byte_starts, starts_b,
                              side="right") - 1
         li = np.clip(li, 0, len(lpos) - 1)
@@ -433,8 +395,8 @@ class Detector:
             np.where(gapmask, np.arange(len(lpos)), 0))
         chunk_char = lpos[word_start_of[li]].astype(np.int64)
         starts = chunk_char.copy()
-        starts[0] = sp.offset
-        ends = np.concatenate([chunk_char[1:], [sp.end_offset]])
+        starts[0] = offset
+        ends = np.concatenate([chunk_char[1:], [end_offset]])
         return starts, ends, lids
 
     @staticmethod
@@ -473,7 +435,7 @@ class Detector:
 
     def _unhinted_ranges(self, text: str) -> list[tuple[int, int, str]]:
         """The ranges pass of _fill_totes on one text, hint-free."""
-        _, raw = self._fill_totes([spans.script_spans(text)], [None],
+        _, raw = self._fill_totes(spans.script_spans_batch([text]), [None],
                                   with_ranges=True)
         return self._merge_ranges(text, raw[0])
 

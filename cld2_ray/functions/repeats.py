@@ -6,12 +6,13 @@ CountPredictedBytes, :610-692 CheapRepWordsInplace, :785-865
 CheapSqueezeInplace, :952-971 CheapSqueezeTriggerTest; constants
 :206-214).
 
-Runtime path: the Repeats retry drops predicted words from every span
-of a batch with ONE native call (``remove_repeated_words_batch`` ->
-quadscan.c ``rep_words_multi``), and the squeeze family runs the
-native per-char ``predict_mask``. tests/oracles/repeats.py holds their
-numpy oracles; tests/test_native.py checks the two C kernels against
-them bit for bit.
+Runtime path: the Repeats retry of ``Detector.detect_batch`` drops
+predicted words from every span of a batch with ONE native call
+(quadscan.c ``rep_words_multi``), ``squeeze_triggers`` gates the
+CheapSqueeze pre-pass for a batch with one more
+(``squeeze_test_multi``), and ``squeeze`` runs the native per-char
+``predict_mask``. tests/oracles/repeats.py holds their numpy oracles;
+tests/test_native.py checks the C kernels against them bit for bit.
 
 Word rule (CheapRepWords): a word is a space plus the non-space chars
 up to the next space; a span's first word may have no space. It is
@@ -41,35 +42,23 @@ def predicted_bytes_mask(text: str) -> tuple[np.ndarray, np.ndarray]:
     return mask, nb.astype(np.int64)
 
 
-def count_predicted_bytes(text: str) -> int:
-    mask, nbytes = predicted_bytes_mask(text)
-    return int(nbytes[mask].sum())
-
-
-def squeeze_trigger(text: str) -> bool:
-    """CheapSqueezeTriggerTest (impl.cc:952-971): look at the first 256
-    bytes; trigger if >=25% spaces or >=67% predicted bytes."""
-    probe = text[:SQUEEZE_TEST_LEN]
-    if not probe:
-        return False
-    n = len(probe.encode("utf-8"))
-    n_sp = probe.count(" ")
-    if n_sp * 100 >= SPACES_TRIGGER_PERCENT * n:
-        return True
-    return count_predicted_bytes(probe) * 100 >= PREDICT_TRIGGER_PERCENT * n
-
-
-def remove_repeated_words_batch(spans_utf8: list[bytes]) -> list[bytes]:
-    """CheapRepWordsInplace (impl.cc:610-692) over many space-framed
-    spans given as UTF-8 bytes: drop words whose bytes are more than
-    half predicted, in one native pass over the spans' concatenation
-    (the predictor restarts per span). Bit-equal to the per-span
-    oracle remove_repeated_words of tests/oracles/repeats.py."""
+def squeeze_triggers(texts: list[str]) -> np.ndarray:
+    """CheapSqueeze pre-pass gate (impl.cc:1867-1901): bool[n], True
+    where a text is longer than 4096 chars and its first 256 chars pass
+    CheapSqueezeTriggerTest (impl.cc:952-971: >=25% spaces or >=67%
+    predicted bytes). One native call for the batch
+    (native.squeeze_test_multi); tests/oracles/repeats.py
+    squeeze_trigger is the per-text oracle."""
     from cld2_ray import native
-    bounds = np.cumsum([len(b) for b in spans_utf8], dtype=np.int64)
-    out, out_bounds = native.rep_words_multi(b"".join(spans_utf8), bounds)
-    starts = [0, *out_bounds[:-1].tolist()]
-    return [out[a:b].tobytes() for a, b in zip(starts, out_bounds.tolist())]
+    out = np.zeros(len(texts), dtype=bool)
+    long = [i for i, t in enumerate(texts)
+            if t and len(t) > SQUEEZE_TEST_THRESH]
+    if long:
+        probes = [texts[i][:SQUEEZE_TEST_LEN].encode("utf-8") for i in long]
+        out[long] = native.squeeze_test_multi(
+            b"".join(probes), np.cumsum([len(p) for p in probes]),
+            SPACES_TRIGGER_PERCENT, PREDICT_TRIGGER_PERCENT)
+    return out
 
 
 def squeeze(text: str) -> str:

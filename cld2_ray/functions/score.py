@@ -1,4 +1,4 @@
-"""Chunk and document scoring — the Naive-Bayes summarization chain.
+"""Chunk scoring and the detection result types.
 
 Reimplements, with the reference's exact integer math:
 
@@ -6,21 +6,21 @@ Reimplements, with the reference's exact integer math:
   scoreonescriptspan.cc:978-1031 ChunkAll, :208-259 ScoreOneChunk;
   chunk sizes kChunksizeQuads=20 / kChunksizeUnis=50,
   scoreonescriptspan.h:91-92),
-* ReliabilityDelta / ReliabilityExpected (cldutil.cc:553-605),
-* DocTote accumulation with the 24-slot cap (tote.h:67-108),
-* RefineScoredClosePairs (compact_lang_det_impl.cc:1152-1203),
-* RemoveUnreliableLanguages with closest-alt merging
-  (compact_lang_det_impl.cc:981-1101, threshold 41%),
-* ExtractLangEtc percent rounding fix + normalized score
-  (compact_lang_det_impl.cc:1268-1384),
-* CalcSummaryLang — English/FIGS boilerplate rules, 26%/51%/20%
-  thresholds, Tier-3 128-byte second-language rule
-  (compact_lang_det_impl.cc:1414-1522).
+* ReliabilityDelta / ReliabilityExpected (cldutil.cc:553-605).
+
+The document stage that turns chunk scores into a result (DocTote with
+its 24-slot cap, RefineScoredClosePairs, RemoveUnreliableLanguages,
+ExtractLangEtc, CalcSummaryLang; compact_lang_det_impl.cc:981-1522)
+runs for a whole batch in one C call, quadscan.c ``doc_stage``; its
+Python oracle is tests/oracles/docstage.py. ``DetectColumns`` holds
+that call's per-document columns and reads as a sequence of
+``DetectResult``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +33,6 @@ CHUNKSIZE_UNIS = 50
 MIN_GRAM_COUNT = 3
 MAX_GRAM_COUNT = 16
 MIN_RELIABLE_KEEP_PERCENT = 41
-DOC_TOTE_SLOTS = 24
-
-GOOD_LANG1_PERCENT = 70
-GOOD_LANG1AND2_PERCENT = 93
-SHORT_TEXT_THRESH = 256
-NON_EN_BOILERPLATE_MIN_PERCENT = 17
-NON_FIGS_BOILERPLATE_MIN_PERCENT = 20
-GOOD_FIRST_MIN_PERCENT = 26
-GOOD_FIRST_RELIABLE_MIN_PERCENT = 51
-IGNORE_MAX_PERCENT = 20
-KEEP_MIN_PERCENT = 2
-GOOD_SECOND_T1T2_MIN_BYTES = 15
-GOOD_SECOND_T3_MIN_BYTES = 128
 
 
 def reliability_delta(value1: np.ndarray, value2: np.ndarray,
@@ -242,112 +229,6 @@ def score_chunks_multi(lang3: np.ndarray, qprob3: np.ndarray,
     return top1.astype(np.int16), cbytes, s1, rel, span_of_chunk
 
 
-def is_good(res: "DetectResult", total_text_bytes: int) -> bool:
-    """The Repeats-retry accept rule (compact_lang_det_impl.cc:
-    1979-2106): a first-pass result stands when the text is short, or
-    when it is reliable and its top language (or top two) dominate."""
-    return (total_text_bytes <= SHORT_TEXT_THRESH
-            or (res.is_reliable
-                and (res.percent3[0] >= GOOD_LANG1_PERCENT
-                     or res.percent3[0] + res.percent3[1]
-                     >= GOOD_LANG1AND2_PERCENT)))
-
-
-@dataclass
-class DocTote:
-    """Per-document accumulator: lang -> (bytes, score, reliability*bytes)
-    with the reference's 24-slot cap (tote.h:67-108, evict smallest)."""
-    bytes_: dict[int, int] = field(default_factory=dict)
-    score: dict[int, int] = field(default_factory=dict)
-    rel: dict[int, int] = field(default_factory=dict)
-
-    def add(self, lang: int, nbytes: int, score: int, reliability: int) -> None:
-        if lang in self.bytes_:
-            self.bytes_[lang] += nbytes
-            self.score[lang] += score
-            self.rel[lang] += reliability * nbytes
-            return
-        if len(self.bytes_) >= DOC_TOTE_SLOTS:
-            smallest = min(self.bytes_, key=lambda k: self.bytes_[k])
-            if self.bytes_[smallest] >= nbytes:
-                return
-            del self.bytes_[smallest], self.score[smallest], self.rel[smallest]
-        self.bytes_[lang] = nbytes
-        self.score[lang] = score
-        self.rel[lang] = reliability * nbytes
-
-    def add_chunks(self, lang1, cbytes, s1, rel) -> None:
-        for i in range(len(lang1)):
-            li = int(lang1[i])
-            if li != langs.UNKNOWN:
-                self.add(li, int(cbytes[i]), int(s1[i]), int(rel[i]))
-
-    def merge(self, src: int, dst: int, new_rel_percent: int | None = None) -> None:
-        nb = self.bytes_.pop(src, 0)
-        ns = self.score.pop(src, 0)
-        nr = self.rel.pop(src, 0)
-        if dst in self.bytes_:
-            self.bytes_[dst] += nb
-            self.score[dst] += ns
-            self.rel[dst] += nr
-        else:
-            self.bytes_[dst] = nb
-            self.score[dst] = ns
-            self.rel[dst] = nr
-        if new_rel_percent is not None:
-            self.rel[dst] = new_rel_percent * self.bytes_[dst]
-
-
-def refine_close_pairs(tote: DocTote) -> None:
-    """RefineScoredClosePairs (compact_lang_det_impl.cc:1152-1203):
-    within a statistically-close set, move the loser's bytes/score to
-    the winner."""
-    by_set: dict[int, list[int]] = {}
-    for lid in list(tote.bytes_):
-        cs = langs.language_close_set(lid)
-        if cs:
-            by_set.setdefault(cs, []).append(lid)
-    for members in by_set.values():
-        if len(members) < 2:
-            continue
-        members.sort(key=lambda lid: (-tote.score.get(lid, 0), lid))
-        winner = members[0]
-        for loser in members[1:]:
-            tote.merge(loser, winner)
-
-
-def remove_unreliable(tote: DocTote) -> None:
-    """RemoveUnreliableLanguages (compact_lang_det_impl.cc:997-1101):
-    languages with reliability% < 41 are merged into their closest-alt
-    language if it is present, else deleted. zh/zh-Hant pair is never
-    fully deleted — both merge into zh."""
-    zh, zht = langs.lang_id("zh"), langs.lang_id("zh-Hant")
-
-    def rel_pct(lid: int) -> int:
-        b = tote.bytes_.get(lid, 0)
-        return tote.rel.get(lid, 0) // b if b else 0
-
-    for lid in sorted(tote.bytes_):
-        if lid not in tote.bytes_ or rel_pct(lid) >= MIN_RELIABLE_KEEP_PERCENT:
-            continue
-        alt = int(langs.CLOSEST_ALT[lid])
-        if alt and alt in tote.bytes_:
-            rp, ra = rel_pct(lid), rel_pct(alt)
-            # merge into the more reliable of the two
-            src, dst = (lid, alt) if (ra > rp or (ra == rp and alt < lid)) else (alt, lid)
-            newpct = max(rp, ra, MIN_RELIABLE_KEEP_PERCENT)
-            tote.merge(src, dst, newpct)
-
-    both_zh = zh in tote.bytes_ and zht in tote.bytes_
-    for lid in sorted(tote.bytes_):
-        if lid in tote.bytes_ and rel_pct(lid) < MIN_RELIABLE_KEEP_PERCENT:
-            if both_zh and lid in (zh, zht):
-                if lid == zht:
-                    tote.merge(zht, zh, MIN_RELIABLE_KEEP_PERCENT)
-                continue
-            del tote.bytes_[lid], tote.score[lid], tote.rel[lid]
-
-
 @dataclass
 class DetectResult:
     summary_lang: int
@@ -362,138 +243,45 @@ class DetectResult:
         return langs.lang_code(self.summary_lang)
 
 
-def extract_lang_etc(tote: DocTote, total_text_bytes: int):
-    """ExtractLangEtc (compact_lang_det_impl.cc:1277-1384) — top-3 by
-    bytes, cumulative-difference percent rounding, normalized scores."""
-    top = sorted(tote.bytes_, key=lambda k: (-tote.bytes_[k], k))[:3]
-    language3 = [langs.UNKNOWN] * 3
-    bytecount = [0, 0, 0]
-    nscore = [0.0, 0.0, 0.0]
-    relpct = [0, 0, 0]
-    for i, lid in enumerate(top):
-        language3[i] = lid
-        bytecount[i] = tote.bytes_[lid]
-        b = bytecount[i] or 1
-        relpct[i] = tote.rel[lid] // b
-        nscore[i] = float((tote.score[lid] << 10) // b) if bytecount[i] > 0 else 0.0
+@dataclass(eq=False)
+class DetectColumns(Sequence):
+    """Per-document detection results of a batch as numpy columns (the
+    outputs of native.doc_stage), readable as a Sequence[DetectResult].
 
-    total12 = bytecount[0] + bytecount[1]
-    total123 = total12 + bytecount[2]
-    total = max(total_text_bytes, total123)
-    div = max(1, total)
-    p0 = (bytecount[0] * 100) // div
-    p1 = (total12 * 100) // div
-    p2 = (total123 * 100) // div
-    p2 -= p1
-    p1 -= p0
-    # explicit roundoff fix (impl.cc:1353-1362)
-    if p1 < p2:
-        p1 += 1
-        p2 -= 1
-    if p0 < p1:
-        p0 += 1
-        p1 -= 1
-    percent3 = [p0, p1, p2]
+    summary int64[n]; lang3, pct3 int64[n, 3]; nscore3 float64[n, 3];
+    text_bytes int64[n]; reliable bool[n]; good bool[n] is the first
+    scoring pass's Repeats-retry test (False: the document was
+    re-scored)."""
+    summary: np.ndarray
+    lang3: np.ndarray
+    pct3: np.ndarray
+    nscore3: np.ndarray
+    text_bytes: np.ndarray
+    reliable: np.ndarray
+    good: np.ndarray
 
-    is_reliable = False
-    if language3[0] != langs.UNKNOWN:
-        is_reliable = relpct[0] >= MIN_RELIABLE_KEEP_PERCENT
-    ignore_percent = 100 - sum(percent3)
-    if ignore_percent > IGNORE_MAX_PERCENT:
-        is_reliable = False
-    return language3, percent3, nscore, total, is_reliable
+    _RESULT = ("summary", "lang3", "pct3", "nscore3", "text_bytes",
+               "reliable")
 
+    def __len__(self) -> int:
+        return len(self.summary)
 
-def calc_summary_lang(language3, percent3, total_text_bytes,
-                      best_effort: bool = False, declared=None):
-    """CalcSummaryLang (compact_lang_det_impl.cc:1414-1522).
+    def __getitem__(self, i: int) -> DetectResult:
+        return self._result(*(getattr(self, k)[i].tolist()
+                              for k in self._RESULT))
 
-    ``declared`` (optional, a set of lang ids; default None = exact
-    reference behavior): languages the PAGE explicitly declares
-    (content-language meta / lang= attribute — not TLD or charset).
-    The En/FIGS boilerplate flips below exist to discount navigation
-    boilerplate in the top language (impl.cc:1452-1455 "assume the
-    English is boilerplate"); when the page explicitly declares the
-    top language, that premise is contradicted, so the flip is
-    suppressed. Pipeline-level refinement, OFF by default — the
-    per-document public API keeps reference-exact summaries."""
-    slot = [0, 1, 2]
-    ignore_percent = 0
-    return_percent = percent3[0]
-    summary = language3[0]
-    reliable = True
-    if percent3[0] < KEEP_MIN_PERCENT:
-        reliable = False
-    # (TG_UNKNOWN removal does not apply: this engine has no "ignore"
-    # pseudo-language in its doc tote)
+    def __iter__(self):
+        return map(self._result,
+                   *(getattr(self, k).tolist() for k in self._RESULT))
 
-    second = language3[slot[1]]
-    second_bytes = (total_text_bytes * percent3[slot[1]]) // 100
-    minbytes = (GOOD_SECOND_T3_MIN_BYTES
-                if langs.TIER[second] == 3 else GOOD_SECOND_T1T2_MIN_BYTES)
+    @staticmethod
+    def _result(summary, lang3, pct3, nscore3, text_bytes, reliable):
+        return DetectResult(summary, tuple(lang3), tuple(pct3),
+                            tuple(nscore3), text_bytes, reliable)
 
-    first = language3[slot[0]]
-    first_declared = bool(declared) and first in declared
-    if (first == langs.ENGLISH and second != langs.ENGLISH
-            and second != langs.UNKNOWN
-            and not first_declared
-            and percent3[slot[1]] >= NON_EN_BOILERPLATE_MIN_PERCENT
-            and second_bytes >= minbytes):
-        ignore_percent += percent3[slot[0]]
-        return_percent = (percent3[slot[1]] * 100) // (101 - ignore_percent)
-        summary = second
-        if percent3[slot[1]] < KEEP_MIN_PERCENT:
-            reliable = False
-    elif (first in langs.FIGS and second not in langs.EFIGS
-            and second != langs.UNKNOWN
-            and not first_declared
-            and percent3[slot[1]] >= NON_FIGS_BOILERPLATE_MIN_PERCENT
-            and second_bytes >= minbytes):
-        ignore_percent += percent3[slot[0]]
-        return_percent = (percent3[slot[1]] * 100) // (101 - ignore_percent)
-        summary = second
-        if percent3[slot[1]] < KEEP_MIN_PERCENT:
-            reliable = False
-    elif second == langs.ENGLISH and first != langs.ENGLISH:
-        ignore_percent += percent3[slot[1]]
-        return_percent = (percent3[slot[0]] * 100) // (101 - ignore_percent)
-    elif second in langs.FIGS and first not in langs.EFIGS:
-        ignore_percent += percent3[slot[1]]
-        return_percent = (percent3[slot[0]] * 100) // (101 - ignore_percent)
-
-    if return_percent < GOOD_FIRST_MIN_PERCENT and not best_effort:
-        summary = langs.UNKNOWN
-        reliable = False
-    if return_percent < GOOD_FIRST_RELIABLE_MIN_PERCENT:
-        reliable = False
-    ignore = 100 - sum(percent3)
-    if ignore > IGNORE_MAX_PERCENT:
-        reliable = False
-
-    # Declared-language preference (pipeline-level, opt-in like the
-    # flip suppression above; None = reference-exact): when the page
-    # explicitly declares one of the DETECTED languages and the
-    # calculus chose a different one, the declaration outweighs a
-    # byte-majority from an embedded foreign-language section (the
-    # common mixed-page case: a site-language page quoting a long CJK
-    # passage, where 3-byte chars win the byte count). Applied after
-    # the reliability gates with `reliable` untouched, so keep/drop
-    # and the reliability column are unchanged — only the summary
-    # attribution moves, and only to a language that carries at least
-    # the boilerplate-grade share of the page.
-    if declared and summary not in declared and summary != langs.UNKNOWN:
-        for s in range(3):
-            lid = language3[s]
-            if lid == langs.UNKNOWN or lid not in declared:
-                continue
-            thresh = (NON_EN_BOILERPLATE_MIN_PERCENT
-                      if lid == langs.ENGLISH
-                      else NON_FIGS_BOILERPLATE_MIN_PERCENT)
-            lbytes = (total_text_bytes * percent3[s]) // 100
-            if percent3[s] >= thresh and lbytes >= GOOD_SECOND_T1T2_MIN_BYTES:
-                summary = lid
-                break
-            # a declared lang below ITS threshold doesn't end the
-            # search: a later declared ENGLISH slot has a lower
-            # threshold (17 vs 20) and can still qualify
-    return summary, reliable
+    def take_rows(self, rows: np.ndarray, src: "DetectColumns",
+                  src_rows: np.ndarray) -> None:
+        """Overwrite the result columns of ``rows`` with ``src``'s
+        ``src_rows`` (``good`` keeps the first pass's test)."""
+        for k in self._RESULT:
+            getattr(self, k)[rows] = getattr(src, k)[src_rows]

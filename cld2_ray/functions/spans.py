@@ -16,12 +16,18 @@ Parity semantics (round 2):
   character is a non-letter or a letter of the span's script; two
   consecutive foreign letters break the span.
 
-One C call segments a whole batch (native.script_spans_scan_multi);
-``script_spans`` is that call on one document. tests/oracles/spans.py
-is the numpy segmenter the tests hold it to.
+One C call segments a whole batch (native.script_spans_scan_multi)
+into a ``SpanTable``: the spans' framed texts back to back in one
+buffer plus numpy columns per span, which the langid kernels read in
+place. ``script_spans`` is that call on one document, handed out as
+``ScriptSpan`` objects for the per-document callers (state/model.py,
+the tests). tests/oracles/spans.py is the numpy segmenter the tests
+hold it to.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,45 +82,83 @@ class ScriptSpan:
                 f"end_offset={self.end_offset})")
 
 
-def _spans_of_meta(meta: np.ndarray, out_buf: np.ndarray,
-                   lt_idx: np.ndarray) -> list[ScriptSpan]:
-    """ScriptSpans from the C segmenter's meta rows (see
-    native.script_spans_scan_multi)."""
-    out: list[ScriptSpan] = []
-    for r in range(meta.shape[0]):
-        sc_id, c0, c1, os_, ob, lp0, lp1 = (int(x) for x in meta[r])
-        out.append(ScriptSpan(
-            text_utf8=bytes(out_buf[os_:os_ + ob]),
-            script=sc_id, offset=c0, text_bytes=ob,
-            end_offset=c1,
-            letter_pos=lt_idx[lp0:lp1],
-        ))
-    return out
+@dataclass
+class SpanTable:
+    """The script spans of a batch of documents, one row per span in
+    document order (the C segmenter's output as numpy columns).
+
+    Span k's framed text is buf[start[k]:end[k]]; doc[k] is its
+    document, script[k] its script, text_bytes[k] its UTF-8 length
+    (kept from the original span on Repeats-retry tables, whose texts
+    are shorter), offset/end_offset[k] the char range of its letters in
+    the document, and letter_pos[lp_start[k]:lp_end[k]] the document
+    char index of each of its letters. Document d owns rows
+    doc_ptr[d]:doc_ptr[d+1]; ``len()`` is the number of documents."""
+
+    buf: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    doc: np.ndarray
+    script: np.ndarray
+    text_bytes: np.ndarray
+    offset: np.ndarray
+    end_offset: np.ndarray
+    lp_start: np.ndarray
+    lp_end: np.ndarray
+    letter_pos: np.ndarray
+    doc_ptr: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.doc_ptr) - 1
+
+    def doc_totals(self, col: np.ndarray) -> np.ndarray:
+        """Per-document sum of the int64 span column ``col``."""
+        c = np.concatenate([[0], np.cumsum(col, dtype=np.int64)])
+        return c[self.doc_ptr[1:]] - c[self.doc_ptr[:-1]]
+
+    def rows_of(self, docs: np.ndarray) -> np.ndarray:
+        """Row indexes of the spans of ``docs``, in order."""
+        lo, hi = self.doc_ptr[docs], self.doc_ptr[docs + 1]
+        n = hi - lo
+        first = np.concatenate([[0], np.cumsum(n)[:-1]])
+        return np.repeat(lo - first, n) + np.arange(int(n.sum()))
 
 
 def script_spans(text: str, text_limit: int = TEXT_LIMIT) -> list[ScriptSpan]:
     """Split extracted text into same-script letter spans:
-    ``script_spans_batch`` on one document."""
-    return script_spans_batch([text], text_limit)[0]
+    ``script_spans_batch`` on one document, as ScriptSpan objects."""
+    t = script_spans_batch([text], text_limit)
+    return [ScriptSpan(text_utf8=t.buf[a:b].tobytes(), script=int(sc),
+                       offset=int(o), text_bytes=int(nb),
+                       end_offset=int(e), letter_pos=t.letter_pos[p:q])
+            for a, b, sc, o, nb, e, p, q in zip(
+                t.start.tolist(), t.end.tolist(), t.script.tolist(),
+                t.offset.tolist(), t.text_bytes.tolist(),
+                t.end_offset.tolist(), t.lp_start.tolist(),
+                t.lp_end.tolist())]
 
 
 def script_spans_batch(texts: list[str],
-                       text_limit: int = TEXT_LIMIT
-                       ) -> list[list[ScriptSpan]]:
+                       text_limit: int = TEXT_LIMIT) -> SpanTable:
     """Split each text into same-script letter spans in ONE C call
     (native.script_spans_scan_multi; a ctypes call per doc was ~15% of
     the fused stage). tests/oracles/spans.py is its test oracle."""
     from cld2_ray import native
     bufs = [t.encode("utf-8") for t in texts]
     bounds = np.cumsum(np.array([len(b) for b in bufs], dtype=np.int64))
-    cat = b"".join(bufs)
     meta, ns_doc, out_buf, lt_idx = native.script_spans_scan_multi(
-        cat, bounds, us.script_lut(), us.lower_lut(),
+        b"".join(bufs), bounds, us.script_lut(), us.lower_lut(),
         text_limit, MAX_SCRIPT_BYTES)
-    # the native lt_idx is a REUSED scratch buffer (overwritten by the
-    # next scan call): bulk-copy the used prefix once so every span's
-    # letter_pos views private memory
-    lt_idx = lt_idx[:int(meta[:, 6].max()) if len(meta) else 0].copy()
-    ends = np.cumsum(ns_doc).tolist()
-    return [_spans_of_meta(meta[a:b], out_buf, lt_idx)
-            for a, b in zip([0, *ends[:-1]], ends)]
+    # the native outputs are REUSED scratch (overwritten by the next
+    # scan call), packed span after span: copy the used prefixes once
+    meta = meta.T.copy()
+    start = meta[3]
+    end = start + meta[4]
+    return SpanTable(
+        buf=out_buf[:int(end[-1]) if len(end) else 0].copy(),
+        start=start, end=end,
+        doc=np.repeat(np.arange(len(texts), dtype=np.int64), ns_doc),
+        script=meta[0], text_bytes=meta[4], offset=meta[1],
+        end_offset=meta[2], lp_start=meta[5], lp_end=meta[6],
+        letter_pos=lt_idx[:int(meta[6, -1]) if len(end) else 0].copy(),
+        doc_ptr=np.concatenate([[0], np.cumsum(ns_doc)]).astype(np.int64))

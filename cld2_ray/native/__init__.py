@@ -95,7 +95,7 @@ def _compile() -> str:
 
 
 def _load() -> None:
-    global _FN, _LK, _ACC, _PM, _RW, _PP, _CS, _CJ, _QS, _SSM
+    global _FN, _LK, _ACC, _PM, _RW, _SQ, _PP, _CS, _CJ, _DS, _QS, _SSM
     global _EXB, _MD5, _MDW, _B2B
     so = _compile()
     try:
@@ -136,8 +136,12 @@ def _load() -> None:
     _PM.argtypes = [u8p, ctypes.c_int64, i64p, u8op, u8op]
     _PM.restype = ctypes.c_int64
     _RW = lib.rep_words_multi
-    _RW.argtypes = [u8p, i64p, ctypes.c_int64, i64p, u8op, i64p]
+    _RW.argtypes = [u8p, i64p, i64p, ctypes.c_int64, i64p, u8op, i64p]
     _RW.restype = ctypes.c_int64
+    _SQ = lib.squeeze_test_multi
+    _SQ.argtypes = [u8p, i64p, ctypes.c_int64, ctypes.c_int64,
+                    ctypes.c_int64, i64p, u8op]
+    _SQ.restype = ctypes.c_int64
     f64p = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     _PP = lib.ppl_score
     _PP.argtypes = [u8p, i64p, ctypes.c_int64, i64p,
@@ -151,7 +155,7 @@ def _load() -> None:
     # pass, hence c_void_p
     vp = ctypes.c_void_p
     _CS.argtypes = [
-        u8p, ctypes.c_int64, i64p, ctypes.c_int64,
+        u8p, ctypes.c_int64, i64p, i64p, ctypes.c_int64,
         u64p, u64p, ctypes.c_uint64,
         u64p, u64p, ctypes.c_uint64,
         *_bt, *_bt, u8p, u8p,
@@ -166,7 +170,7 @@ def _load() -> None:
     _CS.restype = ctypes.c_int64
     _CJ = lib.cjk_chunk_score
     _CJ.argtypes = [
-        u8p, ctypes.c_int64, i64p, ctypes.c_int64, i64p,
+        u8p, ctypes.c_int64, i64p, i64p, ctypes.c_int64, i64p,
         u64p, u64p, ctypes.c_uint64,
         u32bp, ctypes.c_int64, ctypes.c_uint32, u64p,
         ctypes.c_int64, i32p, i8p, ctypes.c_int64,
@@ -175,6 +179,15 @@ def _load() -> None:
         i16p, i64p, i64p, i64p, i64p,
     ]
     _CJ.restype = ctypes.c_int64
+    i64wp = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
+    f64wp = np.ctypeslib.ndpointer(np.float64,
+                                   flags="C_CONTIGUOUS,WRITEABLE")
+    _DS = lib.doc_stage
+    _DS.argtypes = [ctypes.c_int64, i64p, ctypes.c_int64,
+                    i64p, i64p, i64p, i64p, i64p,
+                    i64p, i64p, i64p, ctypes.c_int64, i64p, i64p,
+                    i64wp, i64wp, i64wp, f64wp, i64wp, u8op, u8op]
+    _DS.restype = ctypes.c_int64
     u32p = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
     _QS = lib.quality_scan
     _QS.argtypes = [u8p, i64p, ctypes.c_int64,
@@ -310,7 +323,23 @@ def _cs_grow(sc: dict, max_span: int, n: int, nb: int, chunk_size: int,
         sc["out_cap"] = out_cap
 
 
-def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
+def _span_bounds(cat, starts, ends):
+    """(uint8 view of cat, int64 starts, int64 ends) of the spans
+    cat[starts[i]:ends[i]]. Raises ValueError unless
+    0 <= starts <= ends <= len(cat)."""
+    buf = np.frombuffer(cat, dtype=np.uint8)
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    if len(starts) != len(ends) or (len(ends) and (
+            starts.min() < 0 or ends.max() > len(buf)
+            or (ends < starts).any())):
+        raise ValueError("spans must satisfy 0 <= starts <= ends <= "
+                         "len(cat)")
+    return buf, starts, ends
+
+
+def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
+                          quad_table,
                           socta, docta, xocta,
                           latin_of_span: np.ndarray,
                           chunk_size: int,
@@ -318,8 +347,10 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
                           hint_csr: np.ndarray, hint_flat: np.ndarray,
                           script4_of_span: np.ndarray,
                           with_ranges: bool = False):
-    """Fused scan + chunk scoring over concatenated MANY-script spans
-    in one C pass, per-hit arrays never materialized. Returns per-chunk
+    """Fused scan + chunk scoring over MANY-script spans in one C
+    pass, per-hit arrays never materialized. Span i is
+    cat[starts[i]:bounds[i]] (cat: bytes or a uint8 array). Returns
+    per-chunk
     (lang1 i16, cbytes i64, s1 i64, rel i64, span_of_chunk i64) —
     bit-equal to the numpy oracle chain tests/oracles/langid.py
     many_hits -> score.score_chunks_multi.
@@ -331,12 +362,11 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
 
     expected_1kb: int32[NUM_LANGS, 4] in the kAvgDeltaOctaScore layout,
     read at each span's LScript4 slot ``script4_of_span``."""
-    n = len(cat)
-    buf = np.frombuffer(cat, dtype=np.uint8)
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+    buf, starts, bounds = _span_bounds(cat, starts, bounds)
+    n = len(buf)
     lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
     nb = len(bounds)
-    max_span = int(np.diff(np.concatenate([[0], bounds])).max(initial=0))
+    max_span = int((bounds - starts).max(initial=0))
     sc = _cs_scratch
     num_langs = expected_1kb.shape[0]
     _cs_grow(sc, max_span, n, nb, chunk_size, num_langs)
@@ -364,7 +394,7 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
     flat = np.ascontiguousarray(hint_flat, dtype=np.int64)
     if len(flat) == 0:
         flat = np.zeros(1, dtype=np.int64)
-    nch = _CS(buf, n, bounds, nb,
+    nch = _CS(buf, n, starts, bounds, nb,
               quad_table.keys, quad_table.vals, int(quad_table.mask),
               socta.keys, socta.vals, int(socta.mask),
               *_bt_args(docta), *_bt_args(xocta), lat, s4,
@@ -380,22 +410,21 @@ def quad_octa_chunk_score(cat: bytes, bounds: np.ndarray, quad_table,
     return tuple(sc[k][:nch].copy() for k in keys)
 
 
-def cjk_chunk_score(cat: bytes, bounds: np.ndarray,
+def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
                     pseudo_lens: np.ndarray, uni_table, cjkbi,
                     chunk_size: int, expected_1kb: np.ndarray,
                     close_set: np.ndarray, hint_csr: np.ndarray,
                     hint_flat: np.ndarray):
     """Fused CJK uni+bi scan + chunk scoring (the cjk_candidates ->
-    lookup -> score_chunks_multi chain) in one C pass. bounds are END
-    byte offsets into cat; pseudo_lens are the per-span text_bytes used
-    for chunk extents (char positions scale x3, as in the numpy path).
-    cjkbi is a BucketTable probed with BiHashV2 (othr decode)."""
-    n = len(cat)
-    buf = np.frombuffer(cat, dtype=np.uint8)
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+    lookup -> score_chunks_multi chain) in one C pass over the spans
+    cat[starts[i]:bounds[i]]; pseudo_lens are the per-span text_bytes used for chunk extents
+    (char positions scale x3, as in the numpy path). cjkbi is a
+    BucketTable probed with BiHashV2 (othr decode)."""
+    buf, starts, bounds = _span_bounds(cat, starts, bounds)
+    n = len(buf)
     plens = np.ascontiguousarray(pseudo_lens, dtype=np.int64)
     nb = len(bounds)
-    max_span = int(np.diff(np.concatenate([[0], bounds])).max(initial=0))
+    max_span = int((bounds - starts).max(initial=0))
     sc = _cs_scratch
     _cs_grow(sc, max_span, n, nb, chunk_size, len(expected_1kb))
     exp = np.ascontiguousarray(expected_1kb, dtype=np.int32)
@@ -404,7 +433,7 @@ def cjk_chunk_score(cat: bytes, bounds: np.ndarray,
     flat = np.ascontiguousarray(hint_flat, dtype=np.int64)
     if len(flat) == 0:
         flat = np.zeros(1, dtype=np.int64)
-    nch = _CJ(buf, n, bounds, nb, plens,
+    nch = _CJ(buf, n, starts, bounds, nb, plens,
               uni_table.keys, uni_table.vals, int(uni_table.mask),
               cjkbi.buckets, cjkbi.buckets.shape[0], int(cjkbi.keymask),
               cjkbi.packed_othr,
@@ -458,8 +487,10 @@ def script_spans_scan_multi(cat: bytes, bounds: np.ndarray,
     — tested). ``bounds`` are cumulative end offsets into ``cat``.
     Returns (meta int64[nspans, 7], ns_doc, out_buf view, lt_idx view);
     meta rows are [script, char_off, char_end, out_start, out_bytes,
-    lp_start, lp_end] with out/lp indexing the shared out_buf/lt_idx;
-    doc d owns meta rows [sum(ns_doc[:d]), sum(ns_doc[:d+1]))."""
+    lp_start, lp_end] with out/lp indexing the shared out_buf/lt_idx,
+    where the spans' texts and letters are packed back to back in
+    document order; doc d owns meta rows [sum(ns_doc[:d]),
+    sum(ns_doc[:d+1])). The views are scratch the next call reuses."""
     n = len(cat)
     n_docs = len(bounds)
     sc = _ssm_scratch
@@ -556,22 +587,95 @@ def predict_mask(data: bytes):
     return mask[:nc].astype(bool), nb[:nc]
 
 
-def rep_words_multi(cat: bytes, bounds: np.ndarray):
-    """CheapRepWords over concatenated space-framed UTF-8 spans
-    (``bounds``: cumulative span ends), the predictor restarting per
-    span. Returns (out uint8[], out_bounds int64[n]): span i's result
-    is out[out_bounds[i-1]:out_bounds[i]], bit-equal to
-    tests/oracles/repeats.py remove_repeated_words on that span."""
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-    if len(bounds) and (bounds[-1] > len(cat)
-                        or (np.diff(bounds, prepend=0) < 0).any()):
-        raise ValueError("bounds must be non-decreasing ends within cat")
-    out = np.empty(len(cat) + 2 * len(bounds) + 1, dtype=np.uint8)
+def rep_words_multi(cat, starts: np.ndarray, bounds: np.ndarray):
+    """CheapRepWords over space-framed UTF-8 spans cat[starts[i]:
+    bounds[i]], the predictor restarting per span. Returns (out uint8[], out_bounds int64[n]):
+    span i's result is out[out_bounds[i-1]:out_bounds[i]], bit-equal
+    to tests/oracles/repeats.py remove_repeated_words on that span."""
+    buf, starts, bounds = _span_bounds(cat, starts, bounds)
+    out = np.empty(int((bounds - starts).sum()) + 2 * len(bounds) + 1,
+                   dtype=np.uint8)
     out_bounds = np.empty(len(bounds), dtype=np.int64)
     tbl = np.empty(4096, dtype=np.int64)   # refilled per span in C
-    n = _RW(np.frombuffer(cat, dtype=np.uint8), bounds, len(bounds),
-            tbl, out, out_bounds)
+    n = _RW(buf, starts, bounds, len(bounds), tbl, out, out_bounds)
     return out[:n], out_bounds
+
+
+def squeeze_test_multi(cat: bytes, bounds: np.ndarray, spaces_pct: int,
+                       pred_pct: int) -> np.ndarray:
+    """CheapSqueezeTriggerTest of each probe cat[bounds[p-1]:bounds[p]]
+    (back to back): bool[n], True where spaces are >= spaces_pct% of
+    the probe's bytes or the predictor guesses >= pred_pct% of them."""
+    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+    buf, _, bounds = _span_bounds(cat, bounds - np.diff(bounds, prepend=0),
+                                  bounds)
+    out = np.empty(len(bounds), dtype=np.uint8)
+    tbl = np.empty(4096, dtype=np.int64)   # refilled per probe in C
+    _SQ(buf, bounds, len(bounds), spaces_pct, pred_pct, tbl, out)
+    return out.view(bool)
+
+
+# doc_stage flags (quadscan.c DS_*)
+DS_BEST_EFFORT = 1
+DS_TOTE_TOP = 2
+
+
+def doc_stage(n_docs: int, streams, totals: np.ndarray,
+              decl_csr: np.ndarray, decl_flat: np.ndarray, flags: int,
+              lang_props: np.ndarray, ids: np.ndarray) -> dict:
+    """CLD2's document stage for a batch in one C pass (quadscan.c
+    doc_stage): per-document DocTote from the tote add ``streams``, then
+    close-pair refinement, unreliable removal (not under
+    DS_BEST_EFFORT), top-3 + percents, the summary calculus and the
+    Repeats-retry good test.
+
+    streams: list of (doc, lang, bytes, score, rel) array tuples; a
+    document takes its adds from each stream in turn, in stream order,
+    so each stream's ``doc`` must be non-decreasing. totals: int64[n]
+    letter bytes per document; declared languages of doc d are
+    decl_flat[decl_csr[d]:decl_csr[d+1]]. lang_props: int64[num_langs,
+    4] (close set, closest alt, tier, 1=FIGS|2=EFIGS); ids: unknown,
+    english, zh, zh-Hant. DS_TOTE_TOP reports the raw tote's top
+    language as ``summary`` (UNKNOWN below 41% reliability) with no
+    refinement or summary calculus.
+
+    Returns a dict of numpy columns: summary, lang3 (n,3), pct3 (n,3),
+    nscore3 (n,3) float64, text_bytes, reliable bool, good bool."""
+    cols = [np.concatenate([np.asarray(st[k], dtype=np.int64)
+                            for st in streams]) if streams
+            else np.zeros(0, dtype=np.int64) for k in range(5)]
+    ends = np.cumsum([len(st[0]) for st in streams], dtype=np.int64)
+    for st in streams:
+        d = np.asarray(st[0])
+        if len(d) and (d[0] < 0 or d[-1] >= n_docs
+                       or (np.diff(d) < 0).any()):
+            raise ValueError("doc_stage: each stream's docs must be "
+                             "non-decreasing ids below n_docs")
+    if len(cols[1]) and (cols[1].min() < 0
+                         or cols[1].max() >= len(lang_props)):
+        raise ValueError("doc_stage: language ids outside lang_props")
+    totals = np.ascontiguousarray(totals, dtype=np.int64)
+    decl_csr = np.ascontiguousarray(decl_csr, dtype=np.int64)
+    decl_flat = np.ascontiguousarray(decl_flat, dtype=np.int64)
+    if len(totals) != n_docs or len(decl_csr) != n_docs + 1:
+        raise ValueError("doc_stage: totals/decl_csr do not match n_docs")
+    if len(decl_flat) == 0:
+        decl_flat = np.zeros(1, dtype=np.int64)
+    out = {"summary": np.empty(n_docs, dtype=np.int64),
+           "lang3": np.empty((n_docs, 3), dtype=np.int64),
+           "pct3": np.empty((n_docs, 3), dtype=np.int64),
+           "nscore3": np.empty((n_docs, 3), dtype=np.float64),
+           "text_bytes": np.empty(n_docs, dtype=np.int64),
+           "reliable": np.empty(n_docs, dtype=np.uint8),
+           "good": np.empty(n_docs, dtype=np.uint8)}
+    if _DS(n_docs, ends, len(streams), *cols, totals, decl_csr, decl_flat,
+           flags, np.ascontiguousarray(lang_props, dtype=np.int64),
+           np.ascontiguousarray(ids, dtype=np.int64),
+           *out.values()) < 0:
+        raise ValueError("doc_stage: at most 16 streams")
+    out["reliable"] = out["reliable"].view(bool)
+    out["good"] = out["good"].view(bool)
+    return out
 
 
 def fastlangid_score(cat: bytes, bounds: np.ndarray, idx: np.ndarray,

@@ -172,21 +172,21 @@ int64_t predict_mask(const uint8_t *b, int64_t n, int64_t *tbl,
 
 /* CheapRepWords (tests/oracles/repeats.py remove_repeated_words,
  * reference CheapRepWordsInplace compact_lang_det_impl.cc:610-692)
- * over concatenated spans: span s is cat[bounds[s-1], bounds[s]).
+ * over spans of one buffer: span s is cat[starts[s], ends[s]).
  * Per span the predictor restarts (tbl refilled with -1, hash 0).  A
  * word is a space plus the non-space chars up to the next space (the
  * span's first word may lack the space); it is dropped when twice its
  * predicted bytes, the leading space's included, exceed its non-space
  * bytes.  Spaces are kept, runs of spaces collapse to one, and a
- * non-empty span comes out framed by single spaces.  out needs
- * bounds[n-1] + 2 * n bytes; out_bounds gets the cumulative output
- * ends.  Returns the output length. */
-int64_t rep_words_multi(const uint8_t *cat, const int64_t *bounds,
-                        int64_t n_spans, int64_t *tbl, uint8_t *out,
-                        int64_t *out_bounds) {
-    int64_t start = 0, o = 0;
+ * non-empty span comes out framed by single spaces.  out needs the
+ * spans' total length + 2 * n bytes; out_bounds gets the cumulative
+ * output ends.  Returns the output length. */
+int64_t rep_words_multi(const uint8_t *cat, const int64_t *starts,
+                        const int64_t *ends, int64_t n_spans,
+                        int64_t *tbl, uint8_t *out, int64_t *out_bounds) {
+    int64_t o = 0;
     for (int64_t s = 0; s < n_spans; s++) {
-        int64_t end = bounds[s];
+        int64_t start = starts[s], end = ends[s];
         if (end > start) {
             for (int k = 0; k < 4096; k++) tbl[k] = -1;
             uint32_t h = 0;
@@ -226,7 +226,6 @@ int64_t rep_words_multi(const uint8_t *cat, const int64_t *bounds,
             if (out[o - 1] != ' ') out[o++] = ' ';
         }
         out_bounds[s] = o;
-        start = end;
     }
     return o;
 }
@@ -1224,7 +1223,7 @@ static void sharpen_starts(
  * Outputs sized >= n/chunk_size + nb + 8. Returns chunk count. */
 int64_t quad_octa_chunk_score(
         const uint8_t *buf, int64_t n,
-        const int64_t *bounds, int64_t nb,
+        const int64_t *starts, const int64_t *ends, int64_t nb,
         const uint64_t *qkeys, const uint64_t *qvals, uint64_t qmask,
         const uint64_t *skeys, const uint64_t *svals, uint64_t smask,
         const uint32_t *db, int64_t dnb, uint32_t dkeymask,
@@ -1244,14 +1243,12 @@ int64_t quad_octa_chunk_score(
         int64_t *out_rel, int64_t *out_span,
         int64_t *out_rel_delta, int64_t *out_cstart) {
     int64_t nchunks_total = 0;
-    int64_t span_start = 0;
     uint64_t dbmask = (uint64_t)(dnb - 1);
     uint64_t xbmask = (uint64_t)(xnb - 1);
     (void)n;
     for (int64_t span_i = 0; span_i < nb; span_i++) {
-        int64_t span_end = bounds[span_i];
-        int64_t len = span_end - span_start;
-        const uint8_t *sp = buf + span_start;
+        int64_t len = ends[span_i] - starts[span_i];
+        const uint8_t *sp = buf + starts[span_i];
         int64_t nq = 0, no = 0;
         const uint64_t *dpacked = span_latin[span_i] ? dpl : dpo;
         const uint64_t *xpacked = span_latin[span_i] ? xpl : xpo;
@@ -1263,7 +1260,6 @@ int64_t quad_octa_chunk_score(
                       xb, xbmask, xkeymask, xpacked,
                       sc_qvals, sc_qoffs, &nq, sc_ovals, sc_ooffs,
                       sc_odist, &no);
-        span_start = span_end;
         if (!out_cstart) {
             chunk_score_merged(sc_qvals, sc_qoffs, nq, sc_ovals, sc_ooffs,
                                sc_odist, no,
@@ -1297,8 +1293,8 @@ int64_t quad_octa_chunk_score(
  * lookup -> score_chunks_multi chain (hits.py cjk_candidates,
  * langid.py:_fill_totes cjk branch) in one C pass per span.
  *
- * cat: concatenated utf-8 of the CJK span texts; bounds: END byte
- * offsets per span; pseudo_lens: per-span "byte length" used for
+ * cat: utf-8 buffer holding the CJK span texts, span i at
+ * [starts[i], ends[i]); pseudo_lens: per-span "byte length" used for
  * chunk extents (sp.text_bytes — positions are char indices scaled
  * x3, per the numpy path). Unigram key = codepoint, open-address
  * table enumerated from the reference CjkUni trie; bigram = BiHashV2
@@ -1308,7 +1304,7 @@ int64_t quad_octa_chunk_score(
  * reference walks have none); unis before bis at equal position. */
 int64_t cjk_chunk_score(
         const uint8_t *cat, int64_t n,
-        const int64_t *bounds, int64_t nb,
+        const int64_t *starts, const int64_t *ends, int64_t nb,
         const int64_t *pseudo_lens,
         const uint64_t *ukeys, const uint64_t *uvals, uint64_t umask,
         const uint32_t *bb, int64_t bnb, uint32_t bkeymask,
@@ -1323,14 +1319,11 @@ int64_t cjk_chunk_score(
         int16_t *out_lang1, int64_t *out_cbytes, int64_t *out_s1,
         int64_t *out_rel, int64_t *out_span) {
     int64_t nchunks_total = 0;
-    int64_t span_start = 0;
     uint32_t bbmask = (uint32_t)(bnb - 1);
     (void)n;
     for (int64_t span_i = 0; span_i < nb; span_i++) {
-        int64_t span_end = bounds[span_i];
-        const uint8_t *sp = cat + span_start;
-        int64_t len = span_end - span_start;
-        span_start = span_end;
+        const uint8_t *sp = cat + starts[span_i];
+        int64_t len = ends[span_i] - starts[span_i];
 
         int64_t nu = 0, nbi = 0;
         int64_t char_idx = 0;
@@ -1389,6 +1382,410 @@ int64_t cjk_chunk_score(
                            out_span, &nchunks_total, NULL);
     }
     return nchunks_total;
+}
+
+/* CheapSqueezeTriggerTest (compact_lang_det_impl.cc:952-971) for a
+ * batch of probes: probe p is cat[bounds[p-1], bounds[p]), the UTF-8
+ * of a document's first kCheapSqueezeTestLen chars.  It triggers when
+ * spaces make up >= spaces_pct of its bytes or the 12-bit next-char
+ * predictor (predict_mask, restarted per probe) guesses >= pred_pct of
+ * them.  tests/oracles/repeats.py squeeze_trigger is the oracle. */
+int64_t squeeze_test_multi(const uint8_t *cat, const int64_t *bounds,
+                           int64_t n_probes, int64_t spaces_pct,
+                           int64_t pred_pct, int64_t *tbl, uint8_t *out) {
+    int64_t start = 0;
+    for (int64_t p = 0; p < n_probes; p++) {
+        int64_t end = bounds[p], n = end - start;
+        int64_t n_sp = 0, pred = 0;
+        uint32_t h = 0;
+        for (int k = 0; k < 4096; k++) tbl[k] = -1;
+        for (int64_t i = start; i < end;) {
+            uint8_t c0 = cat[i];
+            int len = c0 < 0x80 ? 1 : (c0 < 0xE0 ? 2 : (c0 < 0xF0 ? 3 : 4));
+            if (i + len > end) len = (int)(end - i);
+            int64_t c = 0;
+            for (int k = 0; k < len; k++) c = (c << 8) | cat[i + k];
+            if (c == ' ') n_sp++;
+            if (tbl[h] == c) pred += len;
+            tbl[h] = c;
+            h = ((h << 4) ^ (uint32_t)c) & 0xFFF;
+            i += len;
+        }
+        out[p] = n > 0 && (n_sp * 100 >= spaces_pct * n
+                           || pred * 100 >= pred_pct * n);
+        start = end;
+    }
+    return n_probes;
+}
+
+/* ====================================================================
+ * CLD2's document stage (compact_lang_det_impl.cc:981-1522) for a
+ * batch: per document a DocTote with the 24-slot cap (tote.h:67-108),
+ * RefineScoredClosePairs, RemoveUnreliableLanguages, ExtractLangEtc,
+ * CalcSummaryLang and the Repeats-retry "good" test.  Integer math and
+ * tie orders follow the Python chain in tests/oracles/docstage.py,
+ * which the tests hold this to.
+ * ================================================================ */
+
+#define DS_SLOTS 24                 /* DocTote slots */
+#define DS_MIN_RELIABLE 41          /* kMinReliableKeepPercent */
+#define DS_GOOD_LANG1 70            /* kGoodLang1Percent */
+#define DS_GOOD_LANG1AND2 93        /* kGoodLang1and2Percent */
+#define DS_SHORT_TEXT 256           /* kShortTextThresh */
+#define DS_NON_EN_BOILER 17         /* kNonEnBoilerplateMinPercent */
+#define DS_NON_FIGS_BOILER 20       /* kNonFIGSBoilerplateMinPercent */
+#define DS_GOOD_FIRST 26            /* kGoodFirstMinPercent */
+#define DS_GOOD_FIRST_RELIABLE 51   /* kGoodFirstReliableMinPercent */
+#define DS_IGNORE_MAX 20            /* kIgnoreMaxPercent */
+#define DS_KEEP_MIN 2               /* kKeepMinPercent */
+#define DS_SECOND_T1T2_BYTES 15     /* kGoodSecondT1T2MinBytes */
+#define DS_SECOND_T3_BYTES 128      /* kGoodSecondT3MinBytes */
+
+/* flags */
+#define DS_BEST_EFFORT 1   /* no unreliable removal, no 26% floor */
+#define DS_TOTE_TOP 2      /* raw tote: top language if >= 41% reliable */
+
+/* lang_props columns (int64[num_langs, 4]) */
+#define LP_CLOSE_SET 0
+#define LP_CLOSEST_ALT 1
+#define LP_TIER 2
+#define LP_FLAGS 3         /* 1 = FIGS, 2 = EFIGS */
+
+typedef struct {
+    int64_t n;
+    int64_t lang[DS_SLOTS], bytes[DS_SLOTS], score[DS_SLOTS], rel[DS_SLOTS];
+} doc_tote;
+
+/* Python's floor division (the oracle's //) */
+static inline int64_t floordiv(int64_t a, int64_t b) {
+    int64_t q = a / b;
+    return (a % b != 0 && ((a < 0) != (b < 0))) ? q - 1 : q;
+}
+
+static inline int64_t tote_find(const doc_tote *t, int64_t lang) {
+    for (int64_t i = 0; i < t->n; i++)
+        if (t->lang[i] == lang) return i;
+    return -1;
+}
+
+/* remove slot i, keeping insertion order */
+static void tote_del(doc_tote *t, int64_t i) {
+    for (int64_t j = i + 1; j < t->n; j++) {
+        t->lang[j - 1] = t->lang[j];
+        t->bytes[j - 1] = t->bytes[j];
+        t->score[j - 1] = t->score[j];
+        t->rel[j - 1] = t->rel[j];
+    }
+    t->n--;
+}
+
+static void tote_append(doc_tote *t, int64_t lang, int64_t nbytes,
+                        int64_t score, int64_t rel_bytes) {
+    int64_t i = t->n++;
+    t->lang[i] = lang;
+    t->bytes[i] = nbytes;
+    t->score[i] = score;
+    t->rel[i] = rel_bytes;
+}
+
+/* DocTote::Add: a full tote evicts its entry with the fewest bytes
+ * (the earliest inserted on a tie) unless that has at least nbytes,
+ * in which case the new language is dropped */
+static void tote_add(doc_tote *t, int64_t lang, int64_t nbytes,
+                     int64_t score, int64_t reliability) {
+    int64_t i = tote_find(t, lang);
+    if (i >= 0) {
+        t->bytes[i] += nbytes;
+        t->score[i] += score;
+        t->rel[i] += reliability * nbytes;
+        return;
+    }
+    if (t->n >= DS_SLOTS) {
+        int64_t s = 0;
+        for (int64_t j = 1; j < t->n; j++)
+            if (t->bytes[j] < t->bytes[s]) s = j;
+        if (t->bytes[s] >= nbytes) return;
+        tote_del(t, s);
+    }
+    tote_append(t, lang, nbytes, score, reliability * nbytes);
+}
+
+/* move src's totals onto dst; new_rel_pct >= 0 resets dst's
+ * reliability to that percent of its bytes */
+static void tote_merge(doc_tote *t, int64_t src, int64_t dst,
+                       int64_t new_rel_pct) {
+    int64_t nb = 0, ns = 0, nr = 0;
+    int64_t i = tote_find(t, src);
+    if (i >= 0) {
+        nb = t->bytes[i];
+        ns = t->score[i];
+        nr = t->rel[i];
+        tote_del(t, i);
+    }
+    int64_t j = tote_find(t, dst);
+    if (j >= 0) {
+        t->bytes[j] += nb;
+        t->score[j] += ns;
+        t->rel[j] += nr;
+    } else {
+        tote_append(t, dst, nb, ns, nr);
+        j = t->n - 1;
+    }
+    if (new_rel_pct >= 0) t->rel[j] = new_rel_pct * t->bytes[j];
+}
+
+static inline int64_t tote_rel_pct(const doc_tote *t, int64_t lang) {
+    int64_t i = tote_find(t, lang);
+    return (i >= 0 && t->bytes[i]) ? floordiv(t->rel[i], t->bytes[i]) : 0;
+}
+
+/* the tote's languages, ascending */
+static int64_t tote_sorted_langs(const doc_tote *t, int64_t *out) {
+    for (int64_t i = 0; i < t->n; i++) {
+        int64_t v = t->lang[i], j = i;
+        for (; j > 0 && out[j - 1] > v; j--) out[j] = out[j - 1];
+        out[j] = v;
+    }
+    return t->n;
+}
+
+/* RefineScoredClosePairs (impl.cc:1152-1203): within each close set
+ * the top scorer (smaller id on a tie) absorbs the other members */
+static void refine_close_pairs(doc_tote *t, const int64_t *props) {
+    for (int64_t i = 0; i < t->n; i++) {
+        int64_t cs = props[t->lang[i] * 4 + LP_CLOSE_SET];
+        if (cs == 0) continue;
+        int64_t w = i, members = 0;
+        for (int64_t j = 0; j < t->n; j++) {
+            if (props[t->lang[j] * 4 + LP_CLOSE_SET] != cs) continue;
+            members++;
+            if (t->score[j] > t->score[w]
+                    || (t->score[j] == t->score[w]
+                        && t->lang[j] < t->lang[w]))
+                w = j;
+        }
+        if (members < 2) continue;
+        int64_t winner = t->lang[w];
+        for (int64_t j = t->n - 1; j >= 0; j--)
+            if (t->lang[j] != winner
+                    && props[t->lang[j] * 4 + LP_CLOSE_SET] == cs)
+                tote_merge(t, t->lang[j], winner, -1);
+        i = -1;    /* slots moved: rescan; merged sets have one member */
+    }
+}
+
+/* RemoveUnreliableLanguages (impl.cc:997-1101): a language under 41%
+ * reliability merges with its closest alternative when that is in the
+ * tote (into the more reliable one, the smaller id on a tie), else is
+ * deleted; when both zh and zh-Hant are there, an unreliable zh-Hant
+ * merges into zh and zh stays */
+static void remove_unreliable(doc_tote *t, const int64_t *props,
+                              int64_t zh, int64_t zht) {
+    int64_t order[DS_SLOTS];
+    int64_t n = tote_sorted_langs(t, order);
+    for (int64_t k = 0; k < n; k++) {
+        int64_t lid = order[k];
+        if (tote_find(t, lid) < 0
+                || tote_rel_pct(t, lid) >= DS_MIN_RELIABLE)
+            continue;
+        int64_t alt = props[lid * 4 + LP_CLOSEST_ALT];
+        if (alt && tote_find(t, alt) >= 0) {
+            int64_t rp = tote_rel_pct(t, lid), ra = tote_rel_pct(t, alt);
+            int into_alt = ra > rp || (ra == rp && alt < lid);
+            int64_t pct = rp > ra ? rp : ra;
+            if (pct < DS_MIN_RELIABLE) pct = DS_MIN_RELIABLE;
+            if (into_alt) tote_merge(t, lid, alt, pct);
+            else tote_merge(t, alt, lid, pct);
+        }
+    }
+    int both_zh = tote_find(t, zh) >= 0 && tote_find(t, zht) >= 0;
+    n = tote_sorted_langs(t, order);
+    for (int64_t k = 0; k < n; k++) {
+        int64_t lid = order[k];
+        int64_t i = tote_find(t, lid);
+        if (i < 0 || tote_rel_pct(t, lid) >= DS_MIN_RELIABLE) continue;
+        if (both_zh && (lid == zh || lid == zht)) {
+            if (lid == zht) tote_merge(t, zht, zh, DS_MIN_RELIABLE);
+            continue;
+        }
+        tote_del(t, i);
+    }
+}
+
+static inline int in_declared(const int64_t *decl, int64_t nd,
+                              int64_t lang) {
+    for (int64_t k = 0; k < nd; k++)
+        if (decl[k] == lang) return 1;
+    return 0;
+}
+
+/* The document stage of n_docs documents.
+ *
+ * Tote adds come as n_streams streams back to back in the add_*
+ * arrays; stream s is [stream_ends[s-1], stream_ends[s]) and lists
+ * its adds in order with add_doc non-decreasing.  Document d takes
+ * its adds from stream 0, then stream 1, ... (the caller's RTYPE_ONE
+ * spans, MANY chunks, CJK chunks); adds of the unknown language are
+ * skipped.  add_rel is a reliability percent.
+ *
+ * totals[d]: the document's letter bytes (ExtractLangEtc's
+ * total_text_bytes and the good test's).  Declared languages of doc
+ * d: decl_flat[decl_csr[d], decl_csr[d+1]).  ids: unknown, english,
+ * zh, zh-Hant.  Outputs per doc: summary, lang3[3], pct3[3],
+ * nscore3[3], text_bytes, reliable, good. */
+int64_t doc_stage(
+        int64_t n_docs, const int64_t *stream_ends, int64_t n_streams,
+        const int64_t *add_doc, const int64_t *add_lang,
+        const int64_t *add_bytes, const int64_t *add_score,
+        const int64_t *add_rel,
+        const int64_t *totals, const int64_t *decl_csr,
+        const int64_t *decl_flat, int64_t flags,
+        const int64_t *props, const int64_t *ids,
+        int64_t *out_summary, int64_t *out_lang3, int64_t *out_pct3,
+        double *out_nscore3, int64_t *out_text_bytes,
+        uint8_t *out_reliable, uint8_t *out_good) {
+    const int64_t unknown = ids[0], english = ids[1];
+    int64_t pos[16];
+    if (n_streams > 16) return -1;
+    for (int64_t s = 0; s < n_streams; s++)
+        pos[s] = s ? stream_ends[s - 1] : 0;
+    for (int64_t d = 0; d < n_docs; d++) {
+        doc_tote t;
+        t.n = 0;
+        for (int64_t s = 0; s < n_streams; s++) {
+            int64_t p = pos[s];
+            for (; p < stream_ends[s] && add_doc[p] == d; p++)
+                if (add_lang[p] != unknown)
+                    tote_add(&t, add_lang[p], add_bytes[p], add_score[p],
+                             add_rel[p]);
+            pos[s] = p;
+        }
+        int tote_top = (flags & DS_TOTE_TOP) != 0;
+        int best_effort = (flags & DS_BEST_EFFORT) != 0;
+        if (!tote_top) {
+            refine_close_pairs(&t, props);
+            if (!best_effort) remove_unreliable(&t, props, ids[2], ids[3]);
+        }
+
+        /* ExtractLangEtc (impl.cc:1277-1384): top 3 by bytes (smaller
+         * id on a tie), cumulative-difference percents */
+        int64_t top[3] = {-1, -1, -1};
+        for (int64_t i = 0; i < t.n; i++) {
+            for (int r = 0; r < 3; r++) {
+                int64_t c = top[r];
+                if (c < 0 || t.bytes[i] > t.bytes[c]
+                        || (t.bytes[i] == t.bytes[c]
+                            && t.lang[i] < t.lang[c])) {
+                    for (int q = 2; q > r; q--) top[q] = top[q - 1];
+                    top[r] = i;
+                    break;
+                }
+            }
+        }
+        int64_t lang3[3], bc[3], relpct[3];
+        double nscore[3];
+        for (int r = 0; r < 3; r++) {
+            int64_t i = top[r];
+            lang3[r] = i >= 0 ? t.lang[i] : unknown;
+            bc[r] = i >= 0 ? t.bytes[i] : 0;
+            int64_t b = bc[r] ? bc[r] : 1;
+            relpct[r] = i >= 0 ? floordiv(t.rel[i], b) : 0;
+            nscore[r] = (i >= 0 && bc[r] > 0)
+                ? (double)floordiv(t.score[i] * 1024, b) : 0.0;
+        }
+        int64_t total12 = bc[0] + bc[1], total123 = total12 + bc[2];
+        int64_t total = totals[d] > total123 ? totals[d] : total123;
+        int64_t div = total > 1 ? total : 1;
+        int64_t p0 = floordiv(bc[0] * 100, div);
+        int64_t p1 = floordiv(total12 * 100, div);
+        int64_t p2 = floordiv(total123 * 100, div);
+        p2 -= p1;
+        p1 -= p0;
+        if (p1 < p2) { p1++; p2--; }
+        if (p0 < p1) { p0++; p1--; }
+        int64_t pct[3] = {p0, p1, p2};
+        int is_rel = lang3[0] != unknown && relpct[0] >= DS_MIN_RELIABLE;
+        if (100 - (p0 + p1 + p2) > DS_IGNORE_MAX) is_rel = 0;
+
+        int64_t summary = lang3[0];
+        int reliable = is_rel;
+        if (tote_top) {
+            summary = (t.n && relpct[0] >= DS_MIN_RELIABLE)
+                ? lang3[0] : unknown;
+        } else {
+            /* CalcSummaryLang (impl.cc:1414-1522) plus the declared-
+             * language refinements (see tests/oracles/docstage.py) */
+            const int64_t *decl = decl_flat + decl_csr[d];
+            int64_t nd = decl_csr[d + 1] - decl_csr[d];
+            int64_t ignore_pct = 0, ret_pct = pct[0];
+            int rel2 = pct[0] >= DS_KEEP_MIN;
+            int64_t first = lang3[0], second = lang3[1];
+            int64_t second_bytes = floordiv(total * pct[1], 100);
+            int64_t minbytes = props[second * 4 + LP_TIER] == 3
+                ? DS_SECOND_T3_BYTES : DS_SECOND_T1T2_BYTES;
+            int first_declared = nd > 0 && in_declared(decl, nd, first);
+            int64_t ff = props[first * 4 + LP_FLAGS];
+            int64_t sf = props[second * 4 + LP_FLAGS];
+            if (first == english && second != english
+                    && second != unknown && !first_declared
+                    && pct[1] >= DS_NON_EN_BOILER
+                    && second_bytes >= minbytes) {
+                ignore_pct += pct[0];
+                ret_pct = floordiv(pct[1] * 100, 101 - ignore_pct);
+                summary = second;
+                if (pct[1] < DS_KEEP_MIN) rel2 = 0;
+            } else if ((ff & 1) && !(sf & 2) && second != unknown
+                       && !first_declared
+                       && pct[1] >= DS_NON_FIGS_BOILER
+                       && second_bytes >= minbytes) {
+                ignore_pct += pct[0];
+                ret_pct = floordiv(pct[1] * 100, 101 - ignore_pct);
+                summary = second;
+                if (pct[1] < DS_KEEP_MIN) rel2 = 0;
+            } else if (second == english && first != english) {
+                ignore_pct += pct[1];
+                ret_pct = floordiv(pct[0] * 100, 101 - ignore_pct);
+            } else if ((sf & 1) && !(ff & 2)) {
+                ignore_pct += pct[1];
+                ret_pct = floordiv(pct[0] * 100, 101 - ignore_pct);
+            }
+            if (ret_pct < DS_GOOD_FIRST && !best_effort) {
+                summary = unknown;
+                rel2 = 0;
+            }
+            if (ret_pct < DS_GOOD_FIRST_RELIABLE) rel2 = 0;
+            if (100 - (pct[0] + pct[1] + pct[2]) > DS_IGNORE_MAX) rel2 = 0;
+            if (nd > 0 && summary != unknown
+                    && !in_declared(decl, nd, summary)) {
+                for (int r = 0; r < 3; r++) {
+                    int64_t lid = lang3[r];
+                    if (lid == unknown || !in_declared(decl, nd, lid))
+                        continue;
+                    int64_t th = lid == english ? DS_NON_EN_BOILER
+                                                : DS_NON_FIGS_BOILER;
+                    if (pct[r] >= th
+                            && floordiv(total * pct[r], 100)
+                               >= DS_SECOND_T1T2_BYTES) {
+                        summary = lid;
+                        break;
+                    }
+                }
+            }
+            reliable = is_rel && rel2;
+        }
+        out_summary[d] = summary;
+        for (int r = 0; r < 3; r++) {
+            out_lang3[d * 3 + r] = lang3[r];
+            out_pct3[d * 3 + r] = pct[r];
+            out_nscore3[d * 3 + r] = nscore[r];
+        }
+        out_text_bytes[d] = total;
+        out_reliable[d] = (uint8_t)reliable;
+        out_good[d] = totals[d] <= DS_SHORT_TEXT
+            || (reliable && (pct[0] >= DS_GOOD_LANG1
+                             || pct[0] + pct[1] >= DS_GOOD_LANG1AND2));
+    }
+    return n_docs;
 }
 
 /* Script-run segmentation of one document (cld2_ray/functions/spans.py
@@ -1926,9 +2323,12 @@ int64_t extract_scan_batch(const uint8_t *cat, const int64_t *ends,
 
 /* script_spans_scan over a whole batch in ONE call (a ctypes call per
  * doc was ~15% of the fused stage). Bounds are cumulative end offsets
- * into cat. Per-doc scratch regions are pre-partitioned (lt: len+8,
- * out: 8*len+64), so the inner calls never overlap. meta rows get
- * their out/lp indexes rebased to the shared buffers; ns_doc[d] =
+ * into cat. The outputs are packed: doc d's span texts follow doc
+ * d-1's in out_buf and its letters follow in lt_idx, so the batch's
+ * spans are one back-to-back buffer.  Doc d is scanned at the packed
+ * ends, which never pass the sum of the earlier docs' worst cases
+ * (lt: len+8, out: 8*len+64) that the capacities cover.  meta rows
+ * get their out/lp indexes rebased to the shared buffers; ns_doc[d] =
  * span count of doc d. */
 int64_t script_spans_scan_multi(
         const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
@@ -1952,10 +2352,13 @@ int64_t script_spans_scan_multi(
             m[5] += lt_base;
             m[6] += lt_base;
         }
+        if (ns > 0) {
+            const int64_t *last = meta + (meta_total + ns - 1) * 7;
+            out_base = last[3] + last[4];
+            lt_base = last[6];
+        }
         meta_total += ns;
         ns_doc[d] = ns;
-        lt_base += len + 8;
-        out_base += 8 * len + 64;
         prev = bounds[d];
     }
     return meta_total;

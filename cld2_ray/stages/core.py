@@ -6,10 +6,10 @@ langid, Gopher/C4 rules, PII/toxicity scrub, fastText-style aux langid
 and char-LM perplexity, then the keep/drop decision. Extraction is one
 C call per batch whose output buffer is the ``extracted_text`` column;
 the layers that still take Python strings share one ``to_pylist`` of
-it, scrub runs on the column itself, and the per-document results are
-unpacked column-wise into numpy. All per-row logic calls the same
-functions the single-process oracle uses, so pipeline == oracle per
-url.
+it, scrub runs on the column itself, and langid hands back numpy
+columns (score.DetectColumns) that land in the output as they are.
+All per-row logic calls the same functions the single-process oracle
+uses, so pipeline == oracle per url.
 """
 
 from __future__ import annotations
@@ -122,14 +122,12 @@ def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
     nscore1 = np.zeros(n, dtype=np.float32)
     reliable = np.zeros(n, dtype=bool)
     text_bytes = np.zeros(n, dtype=np.int32)
-    if results:
-        lang3[todo] = [r.language3 for r in results]
-        summary[todo] = [r.summary_lang for r in results]
-        pct[todo] = np.clip([r.percent3 for r in results], 0, 100)
-        nscore1[todo] = [r.normalized_score3[0] for r in results]
-        reliable[todo] = [r.is_reliable for r in results]
-        text_bytes[todo] = np.minimum([r.text_bytes for r in results],
-                                      2**31 - 1)
+    lang3[todo] = results.lang3
+    summary[todo] = results.summary
+    pct[todo] = np.clip(results.pct3, 0, 100)
+    nscore1[todo] = results.nscore3[:, 0]
+    reliable[todo] = results.reliable
+    text_bytes[todo] = np.minimum(results.text_bytes, 2**31 - 1)
     # Metadata fallback: when the content carries no language signal
     # at all (empty pages, repeated-token junk), attribute the page's
     # declared language, else the TLD prior's language, else English —

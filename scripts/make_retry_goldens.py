@@ -29,10 +29,9 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from cld2_ray.data.seeds import HELDOUT, SEEDS  # noqa: E402
 from cld2_ray.data.seeds_extra import EXTRA  # noqa: E402
-from cld2_ray.functions import langs, score, spans  # noqa: E402
+from cld2_ray.functions import langs, score  # noqa: E402
 from cld2_ray.functions.langid import Detector  # noqa: E402
-from cld2_ray.functions.repeats import (  # noqa: E402
-    SQUEEZE_TEST_THRESH, squeeze, squeeze_trigger)
+from cld2_ray.functions.repeats import squeeze, squeeze_triggers  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tests", "retry_goldens.json")
@@ -106,16 +105,6 @@ def retrigger_doc(rng: np.random.Generator,
     return prefix[:288] + "".join(body), codes
 
 
-def _retries(det: Detector, text: str) -> bool:
-    """Whether detect() takes the Repeats retry on this text."""
-    if len(text) > SQUEEZE_TEST_THRESH and squeeze_trigger(text):
-        text = squeeze(text)
-    sl = spans.script_spans(text)
-    total = sum(sp.text_bytes for sp in sl)
-    r = det._finalize(det._fill_totes([sl], [None])[0], total, False)
-    return not score.is_good(r, total)
-
-
 def result_dict(r: score.DetectResult) -> dict:
     return {
         "summary": r.summary_code,
@@ -133,13 +122,16 @@ def main() -> None:
     docs += [retrigger_doc(rng, ["en", "fr", "el"]),
              retrigger_doc(rng, ["de", "en", "zh"])]
     det = Detector()
+    texts = [text for text, _ in docs]
+    # good is the first pass's Repeats-retry test
+    res = det.detect_batch(texts)
+    squeezed = [squeeze(t) if sq else ""
+                for t, sq in zip(texts, squeeze_triggers(texts).tolist())]
     entries = []
-    for text, codes in docs:
-        sq = squeeze(text) if (len(text) > SQUEEZE_TEST_THRESH
-                               and squeeze_trigger(text)) else ""
-        retrigger = bool(len(sq) > SQUEEZE_TEST_THRESH
-                         and squeeze_trigger(sq))
-        entries.append({"codes": codes, "retry": _retries(det, text),
+    for (text, codes), good, sq, retrigger in zip(
+            docs, res.good.tolist(), squeezed,
+            squeeze_triggers(squeezed).tolist()):
+        entries.append({"codes": codes, "retry": not good,
                         "retrigger": retrigger, "text": text,
                         "want": result_dict(det.detect(text))})
     n_retry = sum(e["retry"] for e in entries)

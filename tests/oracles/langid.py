@@ -14,8 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from cld2_ray.functions import hits, langs, score, spans, uscript as us
-from cld2_ray.functions.langid import _one_range, _tote_range_lang
+from cld2_ray.functions.langid import _one_range
 from cld2_ray.state.model import unpack_langprobs
+from tests.oracles.docstage import DocTote, _tote_range_lang
 
 
 def octa_stream(det, cat: bytes, bounds: np.ndarray,
@@ -73,7 +74,7 @@ def many_hits(det, cat: bytes, bounds: np.ndarray,
     return all_vals[order], all_off[order], all_dist[order]
 
 
-def _score_span(det, sp: spans.ScriptSpan, tote: score.DocTote) -> None:
+def _score_span(det, sp: spans.ScriptSpan, tote: DocTote) -> None:
     """One CJK or RTYPE_ONE span into ``tote`` (numpy chain)."""
     rt = det._rtype(sp.script)
     if rt == us.RTYPE_CJK:
@@ -172,7 +173,8 @@ def detect_ranges_numpy(det, text: str) -> list[tuple[int, int, str]]:
                 det, sb, np.array([len(sb)], dtype=np.int64),
                 np.array([sp.script == us.LATIN]))
             if len(vals) == 0:
-                raw.append(_one_range(sp, langs.UNKNOWN))
+                raw.append(_one_range(sp.offset, sp.end_offset,
+                                      langs.UNKNOWN))
                 continue
             l3, q3 = unpack_langprobs(vals)
             # delta-reliability only for the per-chunk "un" gate:
@@ -189,11 +191,14 @@ def detect_ranges_numpy(det, text: str) -> list[tuple[int, int, str]]:
                 script4=int(us.LSCRIPT4[sp.script]))
             bidx = sharpen_boundaries(
                 lang1, l3, q3, score.CHUNKSIZE_QUADS, len(offs))
-            raw.append(det._many_span_ranges(sp, lang1, rel, offs[bidx]))
+            raw.append(det._many_span_ranges(
+                sp.offset, sp.end_offset, sp.text_utf8, sp.letter_pos,
+                lang1, rel, offs[bidx]))
         else:
-            tote = score.DocTote()
+            tote = DocTote()
             _score_span(det, sp, tote)
-            raw.append(_one_range(sp, _tote_range_lang(tote)))
+            raw.append(_one_range(sp.offset, sp.end_offset,
+                                  _tote_range_lang(tote)))
     return det._merge_ranges(text, raw)
 
 

@@ -1,5 +1,6 @@
-"""numpy cheap-predictor kernels: the oracles of ``native.predict_mask``
-and ``native.rep_words_multi`` (``repeats.remove_repeated_words_batch``).
+"""numpy cheap-predictor kernels: the oracles of ``native.predict_mask``,
+``native.rep_words_multi`` (the Repeats retry of ``Detector.detect_batch``)
+and ``native.squeeze_test_multi`` (``repeats.squeeze_triggers``).
 
 The reference's loop ``hash = ((hash << 4) ^ c) & 0xfff`` with a
 4096-entry last-value table keeps only the last ~3 chars in the hash,
@@ -12,6 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+
+from cld2_ray.functions.repeats import (PREDICT_TRIGGER_PERCENT,
+                                        SPACES_TRIGGER_PERCENT,
+                                        SQUEEZE_TEST_LEN)
 
 
 def _char_values(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -53,6 +58,26 @@ def predicted_bytes_mask_numpy(text: str) -> tuple[np.ndarray, np.ndarray]:
     prev = s.groupby(pd.Series(h)).shift(1)
     mask = (prev.to_numpy() == v)
     return mask, nbytes
+
+
+def count_predicted_bytes(text: str) -> int:
+    """Bytes of the chars the 12-bit predictor guesses."""
+    mask, nbytes = predicted_bytes_mask_numpy(text)
+    return int(nbytes[mask].sum())
+
+
+def squeeze_trigger(text: str) -> bool:
+    """CheapSqueezeTriggerTest (impl.cc:952-971) on one text: look at
+    the first 256 chars; trigger if >=25% of their bytes are spaces or
+    >=67% are predicted."""
+    probe = text[:SQUEEZE_TEST_LEN]
+    if not probe:
+        return False
+    n = len(probe.encode("utf-8"))
+    n_sp = probe.count(" ")
+    if n_sp * 100 >= SPACES_TRIGGER_PERCENT * n:
+        return True
+    return count_predicted_bytes(probe) * 100 >= PREDICT_TRIGGER_PERCENT * n
 
 
 def remove_repeated_words(span_text: str) -> str:

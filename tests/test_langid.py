@@ -451,3 +451,58 @@ class TestCalibrationDriftGuard:
             "seed corpora / scoring constants / expected tables moved "
             "since CALIB_K was calibrated — rerun "
             "scripts/calibrate_expected.py (then --stamp)")
+
+
+class TestDocStageOracle:
+    """detect_batch's columns against the Python document stage one
+    document at a time (tests/oracles/docstage.py detect_oracle: squeeze
+    gate, ScriptSpans, DocTote, finalize, Repeats retry) on the
+    tests/goldens.json texts, the retry goldens and sources.pages pages
+    with the hints and declared sets stages.core.fused_batch passes."""
+
+    @staticmethod
+    def _check(det, texts, hints, declared, **flags):
+        from tests.oracles.docstage import detect_oracle
+        got = det.detect_batch(texts, hints, declared_list=declared,
+                               **flags)
+        assert len(got) == len(texts)
+        for k, (t, h, dec) in enumerate(zip(texts, hints, declared)):
+            want = detect_oracle(det, t, h, declared=dec, **flags)
+            assert got[k] == want, (k, (t or "")[:80])
+            assert got.summary[k] == want.summary_lang
+            assert tuple(got.pct3[k].tolist()) == want.percent3
+        return got
+
+    def test_goldens_and_retry_texts(self, det):
+        import json
+        import os
+        here = os.path.dirname(__file__)
+        with open(os.path.join(here, "goldens.json")) as f:
+            texts = [HELDOUT[code] for code in json.load(f)]
+        with open(os.path.join(here, "retry_goldens.json")) as f:
+            texts += [d["text"] for d in json.load(f)]
+        texts += ["", None, "12345 !!!", "spam spam spam spam " * 300]
+        n = len(texts)
+        for flags in ({}, {"best_effort": True},
+                      {"default_to_english": True}):
+            got = self._check(det, texts, [None] * n, [None] * n, **flags)
+            assert (~got.good).sum() >= 25
+
+    def test_pages_with_hints_and_declared(self, det):
+        import cld2_ray.sources.pages as P
+        from cld2_ray.functions.extract import extract_text, \
+            valid_utf8_prefix
+        from cld2_ray.functions.hints import page_hints
+        b = P.page_batch(0, 300, seed=17)
+        texts, hints, declared = [], [], []
+        for url, h in zip(b["url"].to_pylist(), b["html"].to_pylist()):
+            h = (h or b"")[:valid_utf8_prefix(h or b"")]
+            pri, dec, _ = page_hints(url or "", h)
+            texts.append(extract_text(h))
+            hints.append([lid for lid, w in pri if w > 0])
+            declared.append(frozenset(dec) or None)
+        assert sum(d is not None for d in declared) >= 10
+        assert sum(bool(h) for h in hints) >= 10
+        for flags in ({}, {"best_effort": True}):
+            self._check(det, texts, hints, declared, **flags)
+        self._check(Detector(score_as_quads=True), texts, hints, declared)

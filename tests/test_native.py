@@ -265,7 +265,7 @@ class TestFusedChunkScore:
                 flat.extend(hl)
             hint_csr[k + 1] = len(flat)
         c_c = native.quad_octa_chunk_score(
-            cat, bounds, det.model.quad, det.model.socta,
+            cat, starts, bounds, det.model.quad, det.model.socta,
             det.model.docta, det.model.xocta, latin,
             score.CHUNKSIZE_QUADS, det.model.expected_quad,
             langs.CLOSE_SET, hint_csr, np.asarray(flat, dtype=np.int64),
@@ -320,7 +320,7 @@ class TestFusedChunkScore:
                 flat.extend(hl)
             hint_csr[k + 1] = len(flat)
         c_c = native.cjk_chunk_score(
-            cat, bounds, lens, det.model.uni, det.model.cjkbi,
+            cat, bounds - lens, bounds, lens, det.model.uni, det.model.cjkbi,
             score.CHUNKSIZE_UNIS, det.model.expected_uni,
             langs.CLOSE_SET, hint_csr, np.asarray(flat, dtype=np.int64))
         for x, y in zip(c_np, c_c):
@@ -437,23 +437,30 @@ class TestScriptSpansScan:
         assert sum(s.text_bytes for s in c) == sum(s.text_bytes for s in n)
 
     def test_batched_equals_per_doc(self):
-        """script_spans_batch (one C call per batch, rebased shared
+        """script_spans_batch (one C call per batch, packed shared
         buffers) must reproduce per-doc script_spans exactly —
-        including empty docs between non-empty ones."""
+        including empty docs between non-empty ones — with the spans
+        back to back in the table's buffer."""
         from cld2_ray.functions import spans
         texts = self.CASES + _page_texts(150) + [""]
-        batch = spans.script_spans_batch(texts)
-        assert len(batch) == len(texts)
-        for t, got in zip(texts, batch):
-            ref = spans.script_spans(t)
-            assert len(got) == len(ref), t[:60]
-            for x, y in zip(got, ref):
-                assert x.text_utf8 == y.text_utf8
-                assert (x.script, x.offset, x.end_offset,
-                        x.text_bytes) == (y.script, y.offset,
-                                          y.end_offset, y.text_bytes)
-                assert np.array_equal(np.asarray(x.letter_pos),
-                                      np.asarray(y.letter_pos))
+        t = spans.script_spans_batch(texts)
+        assert len(t) == len(texts)
+        assert t.start[0] == 0 and np.array_equal(t.start[1:], t.end[:-1])
+        assert t.end[-1] == len(t.buf)
+        assert np.array_equal(t.text_bytes, t.end - t.start)
+        for d, text in enumerate(texts):
+            ref = spans.script_spans(text)
+            rows = range(t.doc_ptr[d], t.doc_ptr[d + 1])
+            assert len(rows) == len(ref), text[:60]
+            for r, y in zip(rows, ref):
+                assert t.doc[r] == d
+                assert t.buf[t.start[r]:t.end[r]].tobytes() == y.text_utf8
+                assert (t.script[r], t.offset[r], t.end_offset[r],
+                        t.text_bytes[r]) == (y.script, y.offset,
+                                             y.end_offset, y.text_bytes)
+                assert np.array_equal(
+                    t.letter_pos[t.lp_start[r]:t.lp_end[r]],
+                    np.asarray(y.letter_pos))
 
     @settings(deadline=None, max_examples=150)
     @given(st.text(alphabet=st.characters(max_codepoint=0x2FFF),
@@ -485,11 +492,10 @@ class TestScriptSpansScan:
             assert np.array_equal(s, np.asarray(sp.letter_pos))
         b = spans.script_spans_batch(["hello world " * 30,
                                       "привет мир " * 30])
-        flat = [sp for d in b for sp in d]
-        snap2 = [np.asarray(sp.letter_pos).copy() for sp in flat]
+        snap2 = (b.buf.copy(), b.letter_pos.copy(), b.start.copy())
         spans.script_spans_batch(["qqqq " * 300, "wwww " * 300])
-        for s, sp in zip(snap2, flat):
-            assert np.array_equal(s, np.asarray(sp.letter_pos))
+        for s, x in zip(snap2, (b.buf, b.letter_pos, b.start)):
+            assert np.array_equal(s, x)
 
 
 class TestExtractScan:
@@ -786,7 +792,8 @@ class TestRangesKernel:
         s4 = us.LSCRIPT4[np.array([sp.script for sp in many])]
         csr = np.zeros(len(bufs) + 1, dtype=np.int64)
         flat = np.zeros(0, dtype=np.int64)
-        args = (cat, bounds, m.quad, m.socta, m.docta, m.xocta, latin,
+        args = (cat, bounds - np.diff(bounds, prepend=0), bounds, m.quad,
+                m.socta, m.docta, m.xocta, latin,
                 score.CHUNKSIZE_QUADS, m.expected_quad, langs.CLOSE_SET,
                 csr, flat, s4)
         c = native.quad_octa_chunk_score(*args, with_ranges=True)
@@ -869,7 +876,8 @@ class TestRepeatsKernels:
     def _rep_words(texts):
         bufs = [t.encode("utf-8") for t in texts]
         bounds = np.cumsum([len(b) for b in bufs], dtype=np.int64)
-        out, ob = native.rep_words_multi(b"".join(bufs), bounds)
+        out, ob = native.rep_words_multi(
+            b"".join(bufs), bounds - np.diff(bounds, prepend=0), bounds)
         got = [out[a:b].tobytes().decode("utf-8")
                for a, b in zip([0, *ob[:-1].tolist()], ob.tolist())]
         want = [repeats_oracle.remove_repeated_words(t) for t in texts]
@@ -905,19 +913,221 @@ class TestRepeatsKernels:
         # which tips " a" (0 of 1 bytes predicted) into a drop
         mask, _ = repeats_oracle.predicted_bytes_mask_numpy("b b a")
         assert mask.tolist() == [False, False, False, True, False]
-        assert native.rep_words_multi(b"b b a", np.array([5]))[0] \
+        assert native.rep_words_multi(b"b b a", [0], [5])[0] \
             .tobytes() == b" b b "
         # dropped first word (unframed), dropped last word
         first = "aaaaaaaaaa bcd "
         last = " qrs tuv aaaaaaaaaa "
         out, _ = native.rep_words_multi((first + last).encode(),
-                                        np.array([15, 35]))
+                                        [0, 15], [15, 35])
         assert out.tobytes() == b" bcd  qrs tuv "
         self._rep_words([first, last, "", "    a", " ", "", "x", "  ",
                          "b b a", " " + "selva " * 40 + "fox jumps "])
         self._rep_words([" " + s + " " for s in SEEDS.values()])
         self._rep_words([])
         with pytest.raises(ValueError):
-            native.rep_words_multi(b"ab", np.array([3]))
+            native.rep_words_multi(b"ab", [0], [3])
         with pytest.raises(ValueError):
-            native.rep_words_multi(b"abc", np.array([2, 1]))
+            native.rep_words_multi(b"abc", [0, 2], [2, 1])
+
+
+class TestSqueezeTriggers:
+    """repeats.squeeze_triggers (native.squeeze_test_multi, one call
+    per batch) against the per-text oracle squeeze_trigger of
+    tests/oracles/repeats.py on every text longer than 4096 chars."""
+
+    PAD = "q" * 4200
+
+    @staticmethod
+    def _check(texts):
+        from cld2_ray.functions.repeats import squeeze_triggers
+        got = squeeze_triggers(texts).tolist()
+        want = [bool(t) and len(t) > 4096
+                and repeats_oracle.squeeze_trigger(t) for t in texts]
+        assert got == want
+        return want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_REP_SPAN, st.sampled_from(
+        ["q", "ab ", "é", "中", "😀", " "])), max_size=6))
+    def test_fuzz(self, parts):
+        self._check([head + pad * 4200 for head, pad in parts])
+
+    def test_multibyte_at_the_cut(self):
+        """The probe is 256 CHARS of multi-byte text: a space at char
+        255 tips it over the 25% spaces threshold, one at char 256
+        (past the cut) does not."""
+        rng = np.random.default_rng(3)
+        texts = []
+        for lo, nbytes in ((0x4E00, 3), (0x1F300, 4)):
+            pool = [chr(c) for c in range(lo, lo + 512)]
+            # j spaces of 256 chars: 100 j >= 25 (j + nbytes (256 - j))
+            need = -(-25 * nbytes * 256 // (100 + 25 * (nbytes - 1)))
+            for j in (need - 1, need - 2):
+                head = list(rng.choice(pool, 255 - j)) + [" "] * j
+                rng.shuffle(head)
+                head = "".join(head)
+                c = str(rng.choice(pool))
+                texts += [head + c + " " + self.PAD,
+                          head + " " + c + self.PAD]
+        assert self._check(texts) == [False, True, False, False] * 2
+
+    def test_either_side_of_the_thresholds(self):
+        """Spaces around 25% of the probe bytes (unpredictable CJK and
+        ASCII letters around them) and predicted bytes around 67% (a
+        run of unique chars, then a repeated pattern)."""
+        rng = np.random.default_rng(11)
+        pool = [chr(c) for c in range(0x4E00, 0x5E00)]
+        texts = []
+        for k in range(54, 74):
+            chars = list(rng.choice(list("bcdfghjklmnpqrstvwxz"), 256))
+            for i in rng.choice(256, size=k, replace=False):
+                chars[i] = " "
+            texts.append("".join(chars) + self.PAD)
+        for k in range(10, 40):
+            chars = list(rng.choice(pool, 256))
+            for i in rng.choice(256, size=k, replace=False):
+                chars[i] = " "
+            texts.append("".join(chars) + self.PAD)
+        want_sp = self._check(texts)
+        assert True in want_sp and False in want_sp
+        texts = []
+        for u in range(0, 256, 4):
+            uniq = "".join(rng.choice(pool, u, replace=False))
+            texts.append(uniq + ("abcd" * 64)[:256 - u] + self.PAD)
+        want_pred = self._check(texts)
+        assert True in want_pred and False in want_pred
+
+    def test_short_and_empty(self):
+        """Texts of at most 4096 chars are never squeezed."""
+        assert not any(self._check(["", "abc.jpg " * 512, "a" * 4096]))
+        assert self._check(["abc.jpg " * 513]) == [True]
+
+
+# document-stage fuzz: languages from close sets, closest-alt pairs,
+# zh/zh-Hant, English/FIGS and tier-3 (plus the unknown language, whose
+# adds are skipped); few byte sizes, so the 24-slot cap fills with ties
+def _doc_stage_langs():
+    from cld2_ray.functions import langs
+    ids = set(range(0, 30)) | set(np.flatnonzero(langs.CLOSE_SET).tolist())
+    ids |= set(np.flatnonzero(langs.CLOSEST_ALT).tolist())
+    ids |= set(langs.CLOSEST_ALT[np.flatnonzero(langs.CLOSEST_ALT)].tolist())
+    return sorted(ids)
+
+
+_DS_ADD = st.tuples(
+    st.integers(0, 2),                                 # stream
+    st.sampled_from(_doc_stage_langs()),               # lang
+    st.sampled_from([1, 2, 3, 5, 40, 300]),            # bytes
+    st.integers(0, 3000),                              # score
+    st.sampled_from([0, 10, 40, 41, 60, 100]))         # reliability %
+_DS_DOC = st.tuples(
+    st.lists(_DS_ADD, max_size=70),
+    st.integers(0, 3000),                              # letter bytes
+    st.one_of(st.none(), st.sets(st.sampled_from(
+        [1, 2, 3, 4, 5, 6, 69, 70]), max_size=3)))     # declared
+
+
+@st.composite
+def _ds_full_doc(draw):
+    """A document whose first stream fills the 24-slot cap with adds
+    of equal bytes (ties), then later streams add to those languages
+    again: which tied entry was evicted shows in the result."""
+    pool = draw(st.permutations(_doc_stage_langs()[1:]))
+    k = draw(st.integers(24, 32))
+    nb = draw(st.sampled_from([1, 5, 40]))
+    adds = [(0, lid, nb, draw(st.integers(0, 3000)),
+             draw(st.sampled_from([0, 41, 100]))) for lid in pool[:k]]
+    adds += draw(st.lists(st.tuples(
+        st.integers(1, 2), st.sampled_from(pool[:k + 4]),
+        st.sampled_from([1, 2, 5, 40, 300]), st.integers(0, 3000),
+        st.sampled_from([0, 41, 100])), max_size=12))
+    return adds, draw(st.integers(0, 3000)), None
+
+
+class TestDocStage:
+    """native.doc_stage (Detector._finalize's one C call per batch)
+    against the Python document stage of tests/oracles/docstage.py:
+    DocTote adds in stream order with the 24-slot cap, close-pair
+    refinement, unreliable removal (not under best_effort),
+    ExtractLangEtc, CalcSummaryLang with the declared set, the good
+    test, and the DS_TOTE_TOP mode of the ranges pass."""
+
+    @staticmethod
+    def _run(docs, flags):
+        from cld2_ray.functions import langs
+        from cld2_ray.functions.langid import Detector
+        from tests.oracles import docstage
+        streams = []
+        for s in range(3):
+            rows = [(d, *a[1:]) for d, (adds, _, _) in enumerate(docs)
+                    for a in adds if a[0] == s]
+            streams.append(tuple(np.array([r[k] for r in rows],
+                                          dtype=np.int64)
+                                 for k in range(5)))
+        got = Detector._doc_stage(
+            len(docs), streams, np.array([t for _, t, _ in docs]),
+            [dec for _, _, dec in docs], flags)
+        best_effort = bool(flags & native.DS_BEST_EFFORT)
+        for d, (adds, total, dec) in enumerate(docs):
+            tote = docstage.DocTote()
+            for _, lang, nb, sc, rel in sorted(adds, key=lambda a: a[0]):
+                if lang != langs.UNKNOWN:
+                    tote.add(lang, nb, sc, rel)
+            if flags & native.DS_TOTE_TOP:
+                assert got["summary"][d] == docstage._tote_range_lang(tote)
+                continue
+            r = docstage.finalize(tote, total, best_effort, dec)
+            assert got["summary"][d] == r.summary_lang, d
+            assert tuple(got["lang3"][d].tolist()) == r.language3
+            assert tuple(got["pct3"][d].tolist()) == r.percent3
+            assert tuple(got["nscore3"][d].tolist()) == r.normalized_score3
+            assert got["text_bytes"][d] == r.text_bytes
+            assert got["reliable"][d] == r.is_reliable
+            assert got["good"][d] == docstage.is_good(r, total)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_DS_DOC, _ds_full_doc()), min_size=1,
+                    max_size=5),
+           st.sampled_from([0, native.DS_BEST_EFFORT, native.DS_TOTE_TOP]))
+    def test_fuzz(self, docs, flags):
+        self._run(docs, flags)
+
+    def test_full_tote_evicts_the_earliest_smallest(self):
+        """30 languages of equal bytes: each new one is dropped (the
+        smallest entry is not smaller); then bigger adds evict the
+        earliest-inserted of the tied smallest entries, in order."""
+        langs_ = _doc_stage_langs()[1:40]
+        adds = [(1, lid, 5, 100, 100) for lid in langs_[:30]]
+        adds += [(2, lid, 6, 100, 100) for lid in langs_[30:]]
+        for flags in (0, native.DS_BEST_EFFORT, native.DS_TOTE_TOP):
+            self._run([(adds, 0, None), (adds[::-1], 500, None)], flags)
+
+    def test_rejects_bad_streams(self):
+        from cld2_ray.functions.langid import Detector
+        one = np.ones(2, dtype=np.int64)
+        for doc, lang in (([1, 0], [1, 1]), ([0, 2], [1, 1]),
+                          ([0, 1], [1, 10_000]), ([0, 1], [-1, 1])):
+            with pytest.raises(ValueError):
+                Detector._doc_stage(2, [(np.array(doc), np.array(lang),
+                                         one, one, one)],
+                                    np.zeros(2), [None, None], 0)
+
+    def test_close_pairs_unreliable_and_zh(self):
+        from cld2_ray.functions import langs
+        L = langs.lang_id
+        cases = [
+            [(0, L("es"), 300, 900, 60), (1, L("pt"), 300, 901, 60),
+             (1, L("gl"), 40, 10, 10)],
+            [(0, L("cs"), 300, 900, 30), (1, L("sk"), 300, 900, 30)],
+            [(0, L("zh"), 300, 900, 20), (2, L("zh-Hant"), 290, 800, 30),
+             (2, L("en"), 40, 40, 100)],
+            [(0, L("zh-Hant"), 300, 900, 20), (2, L("ja"), 30, 30, 20)],
+            [(1, L("en"), 300, 900, 100), (1, L("fr"), 120, 500, 100),
+             (2, L("sco"), 10, 9, 5)],
+            [(1, L("de"), 300, 900, 100), (1, L("ja"), 150, 500, 100)],
+        ]
+        for flags in (0, native.DS_BEST_EFFORT, native.DS_TOTE_TOP):
+            for total in (0, 256, 900):
+                for dec in (None, {L("en")}, {L("fr"), L("ja")}):
+                    self._run([(c, total, dec) for c in cases], flags)

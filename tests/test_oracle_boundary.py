@@ -26,6 +26,9 @@ MOVED_OR_DELETED = {
     "_extract_text_py", "_token_hashes", "minhash_signature", "jaccard",
     "media_dataset_example", "expected_score_by_code",
     "rolling_fingerprints",
+    "refine_close_pairs", "remove_unreliable", "extract_lang_etc",
+    "calc_summary_lang", "add_chunks", "remove_repeated_words_batch",
+    "_spans_of_meta", "_hint_csr",
 }
 
 

@@ -27,10 +27,10 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 # Score only the first 1KB of each document: hashed-n-gram LID
 # converges within a few hundred bytes, and per-gram weight-row
 # accumulation is the single most bandwidth-hungry part of the fused
-# pipeline (73 floats per distinct gram).  The analogue of the
-# reference's own scan cap (FLAGS_cld_textlimit = 160KB of letters,
-# reference: internal/compact_lang_det_impl.cc:192) at the scale this
-# classifier needs.  r4 re-measured the cap on the 4000-page
+# pipeline (one 456-byte row of 114 floats per distinct gram).  The
+# analogue of the reference's own scan cap (FLAGS_cld_textlimit = 160KB
+# of letters, reference: internal/compact_lang_det_impl.cc:192) at the
+# scale this classifier needs.  r4 re-measured the cap on the 4000-page
 # corpus: 512 agrees with truth SLIGHTLY better than 1024 (0.9639 vs
 # 0.9631 — the tail of a page adds noise, not signal, to a char-ngram
 # model) at 62% of the scoring cost; 256 loses 0.8pt.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import os
 import subprocess
+import threading
 
 import numpy as np
 
@@ -47,8 +48,8 @@ _SO = os.path.join(_DIR, "quadscan.so")
 AVAILABLE = True
 
 
-# -O3 autovectorizes the elementwise float loops (fastlangid's 73-wide
-# weight-row accumulation is ~90% of its kernel time as scalar adds).
+# -O3 autovectorizes the elementwise float loops (fastlangid's 114-wide
+# weight-row adds; the kernel is bound by streaming those rows from L3).
 # -ffp-contract=off forbids FMA contraction so float results stay
 # bit-identical to the numpy test oracles; -O3 never reassociates float
 # reductions without -ffast-math. The output path is appended per build.
@@ -143,10 +144,13 @@ def _load() -> None:
                     ctypes.c_int64, i64p, u8op]
     _SQ.restype = ctypes.c_int64
     f64p = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    u64wp = np.ctypeslib.ndpointer(np.uint64,
+                                   flags="C_CONTIGUOUS,WRITEABLE")
     _PP = lib.ppl_score
     _PP.argtypes = [u8p, i64p, ctypes.c_int64, i64p,
                     u64p, u64p, ctypes.c_uint64,
-                    f64p, ctypes.c_int64, f64p, i64p]
+                    f64p, ctypes.c_int64, f64p, i64p,
+                    u64wp, ctypes.c_int64]
     _PP.restype = ctypes.c_int
     i16p = np.ctypeslib.ndpointer(np.int16, flags="C_CONTIGUOUS")
     i8p = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
@@ -159,7 +163,7 @@ def _load() -> None:
         u64p, u64p, ctypes.c_uint64,
         u64p, u64p, ctypes.c_uint64,
         *_bt, *_bt, u8p, u8p,
-        ctypes.c_int64, i32p, i8p, ctypes.c_int64,
+        ctypes.c_int64, i32p, i8p,
         i64p, i64p,
         u64p, i64p, u64p, i64p, u8wp0,
         vp, vp, vp,
@@ -173,7 +177,7 @@ def _load() -> None:
         u8p, ctypes.c_int64, i64p, i64p, ctypes.c_int64, i64p,
         u64p, u64p, ctypes.c_uint64,
         u32bp, ctypes.c_int64, ctypes.c_uint32, u64p,
-        ctypes.c_int64, i32p, i8p, ctypes.c_int64,
+        ctypes.c_int64, i32p, i8p,
         i64p, i64p,
         u64p, i64p, u64p, i64p, i64p,
         i16p, i64p, i64p, i64p, i64p,
@@ -398,8 +402,7 @@ def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
               quad_table.keys, quad_table.vals, int(quad_table.mask),
               socta.keys, socta.vals, int(socta.mask),
               *_bt_args(docta), *_bt_args(xocta), lat, s4,
-              chunk_size, exp, cset, num_langs,
-              csr, flat,
+              chunk_size, exp, cset, csr, flat,
               sc["qvals"], sc["qoffs"], sc["ovals"], sc["ooffs"],
               sc["odist"], *ranges_args[:3],
               sc["scores"],
@@ -437,8 +440,7 @@ def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
               uni_table.keys, uni_table.vals, int(uni_table.mask),
               cjkbi.buckets, cjkbi.buckets.shape[0], int(cjkbi.keymask),
               cjkbi.packed_othr,
-              chunk_size, exp, cset, len(exp),
-              csr, flat,
+              chunk_size, exp, cset, csr, flat,
               sc["qvals"], sc["qoffs"], sc["ovals"], sc["ooffs"],
               sc["scores"],
               sc["lang1"], sc["cbytes"], sc["s1"], sc["rel"], sc["span"])
@@ -554,19 +556,34 @@ def table_lookup(keys: np.ndarray, vals: np.ndarray, mask: int,
 _fl_scratch: dict[str, np.ndarray] = {}
 
 
+# ppl_score's trigram memo: 2^PPL_MEMO_BITS (key, bits) slots, 1 MB.
+# One per thread, since the C call releases the GIL; the kernel resets
+# it on every call.
+PPL_MEMO_BITS = 16
+_ppl_tls = threading.local()
+
+
 def ppl_score(cat: bytes, bounds: np.ndarray, lang_ids: np.ndarray,
               table, uni: np.ndarray):
     """Per-doc char-trigram LM bits over concatenated framed lowered
-    docs. Returns (bits float64[n], n_trigrams int64[n])."""
+    docs. Returns (bits float64[n], n_trigrams int64[n]). The char
+    hash buckets are ``uni.shape[1]``, which must be a power of two."""
     n_docs = len(bounds)
     buf = np.frombuffer(cat, dtype=np.uint8)
     bounds = np.ascontiguousarray(bounds, dtype=np.int64)
     lang_ids = np.ascontiguousarray(lang_ids, dtype=np.int64)
     uni = np.ascontiguousarray(uni, dtype=np.float64)
+    v = uni.shape[1]
+    if v <= 0 or v & (v - 1):
+        raise ValueError(f"ppl_score: uni.shape[1] = {v} is not a power "
+                         "of two")
+    memo = getattr(_ppl_tls, "memo", None)
+    if memo is None:
+        memo = _ppl_tls.memo = np.empty(2 << PPL_MEMO_BITS, dtype=np.uint64)
     bits = np.zeros(n_docs, dtype=np.float64)
     cnt = np.zeros(n_docs, dtype=np.int64)
     _PP(buf, bounds, n_docs, lang_ids, table.keys, table.vals,
-        int(table.mask), uni, uni.shape[1], bits, cnt)
+        int(table.mask), uni, v, bits, cnt, memo, PPL_MEMO_BITS)
     return bits, cnt
 
 

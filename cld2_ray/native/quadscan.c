@@ -234,16 +234,29 @@ int64_t rep_words_multi(const uint8_t *cat, const int64_t *starts,
 
 /* Character-trigram LM scoring (cld2_ray/functions/perplexity.py):
  * per doc, walk the framed lowered UTF-8 bytes, hash each char to a
- * 4096-bucket value, and accumulate -log2 P(c3|c1c2) with add-0.1
- * smoothing and unigram*0.1 backoff — no intermediate key/prob
- * arrays.  lang_ids: per-doc LM row (<0 = skip doc).  uni: per-lang
- * 4096 float64 unigram probs.  Outputs per-doc total bits and trigram
- * count. */
+ * v-bucket value (v a power of two), and accumulate -log2 P(c3|c1c2)
+ * with add-0.1 smoothing and unigram*0.1 backoff — no intermediate
+ * key/prob arrays.  lang_ids: per-doc LM row (<0 = skip doc).  uni:
+ * per-lang v float64 unigram probs.  Outputs per-doc total bits and
+ * trigram count.
+ *
+ * memo: 2^memo_bits direct-mapped slots of (trigram key, -log2 p),
+ * caller's scratch, reset here on every call.  The key
+ * lang<<40 | (c0*v+c1)*v+c2 fixes the bigram key, both counts and the
+ * unigram backoff, so a hit adds the same double in the same order as
+ * the probes would (most trigrams of a page repeat within the call).
+ * A trigram key never sets bit 39, the bigram flag, so ~0 marks an
+ * empty slot. */
+typedef struct { uint64_t key; double bits; } ppl_slot;
+
 int ppl_score(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
               const int64_t *lang_ids,
               const uint64_t *keys, const uint64_t *vals, uint64_t mask,
               const double *uni, int64_t v,
-              double *bits_out, int64_t *n_out) {
+              double *bits_out, int64_t *n_out,
+              ppl_slot *memo, int64_t memo_bits) {
+    memset(memo, 0xFF, sizeof(ppl_slot) << memo_bits);
+    uint64_t vmask = (uint64_t)v - 1;
     int64_t start = 0;
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t end = bounds[d];
@@ -270,17 +283,23 @@ int ppl_score(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
                 else
                     cp = ((lead & 0x07u) << 18) | ((cat[i + 1] & 0x3Fu) << 12)
                          | ((cat[i + 2] & 0x3Fu) << 6) | (cat[i + 3] & 0x3Fu);
-                int64_t c2 = (int64_t)(((uint64_t)cp * 2654435761ull) % v);
+                int64_t c2 = (int64_t)(((uint64_t)cp * 2654435761ull) & vmask);
                 if (c0 >= 0 && c1 >= 0) {
                     uint64_t b = (uint64_t)(c0 * v + c1);
                     uint64_t tri = base | (b * (uint64_t)v + (uint64_t)c2);
-                    uint64_t bi = base | bflag | b;
-                    uint64_t ct = table_lookup(keys, vals, mask, tri);
-                    uint64_t cb = table_lookup(keys, vals, mask, bi);
-                    double p = cb > 0
-                        ? ((double)ct + 0.1) / ((double)cb + 0.1 * 64)
-                        : urow[c2] * 0.1;
-                    bits += -log2(p);
+                    ppl_slot *m = memo + ((tri * 0x9E3779B97F4A7C15ull)
+                                          >> (64 - memo_bits));
+                    if (m->key != tri) {
+                        uint64_t bi = base | bflag | b;
+                        uint64_t ct = table_lookup(keys, vals, mask, tri);
+                        uint64_t cb = table_lookup(keys, vals, mask, bi);
+                        double p = cb > 0
+                            ? ((double)ct + 0.1) / ((double)cb + 0.1 * 64)
+                            : urow[c2] * 0.1;
+                        m->key = tri;
+                        m->bits = -log2(p);
+                    }
+                    bits += m->bits;
                     cnt++;
                 }
                 c0 = c1;
@@ -322,9 +341,13 @@ int table_lookup_batch(const uint64_t *keys, const uint64_t *vals,
  *   nfeats  : out per-doc total feature count (incl. absent buckets)
  *   nrows   : out per-doc distinct present-row count
  */
-/* fastlangid_score is compute-bound on its 73-wide row adds: one
- * build carries an AVX-512, an AVX2 and a baseline copy and the loader
- * picks one for the CPU (GCC function multi-versioning). The adds stay
+/* fastlangid_score is bound by memory bandwidth, not by its adds: each
+ * distinct n-gram of a document adds one 456-byte weight row (114
+ * float32) from a 25 MB table that fits L3 but not the 2 MB L2, ~1M
+ * rows (~470 MB) per 2048 snippet pages; a full-row prefetch made it
+ * slower. The wide adds still vectorize: one build carries an AVX-512,
+ * an AVX2 and a baseline copy and the loader picks one for the CPU
+ * (GCC function multi-versioning). The adds stay
  * elementwise in row order and -ffp-contract=off forbids FMA, so every
  * copy gives the same bits. Other compilers and targets build the
  * plain function. */
@@ -942,7 +965,14 @@ int quad_octa_scan(const uint8_t *buf, int64_t n,
  * concat order). Appends per-chunk rows at *nchunks_io; returns the
  * number of chunks appended. Offsets are LOCAL to the span and already
  * in the span's byte space (CJK callers pre-scale char positions x3).
- * sc_scores: int64[num_langs] zeroed, left zeroed. */
+ * sc_scores: int64[num_langs] zeroed, left zeroed.
+ *
+ * The lane loop has no branch: an UNKNOWN (0) lane adds into
+ * sc_scores[0], which is zeroed after the chunk's hits, and the seen
+ * bytes mark the chunk's languages (branching on lane 0 or on the
+ * score slot just written made this function ~1.6x slower on long
+ * pages).  Untouched languages score 0 and every score is >= 0, so the
+ * top-2 lies among the touched languages and ids 0 and 1. */
 static int64_t chunk_score_merged(
         const uint64_t *av, const int64_t *ao, int64_t na,
         const uint64_t *bv, const int64_t *bo, const uint8_t *bd,
@@ -950,7 +980,6 @@ static int64_t chunk_score_merged(
         int64_t span_len, int64_t chunk_size,
         const int32_t *expected_1kb, int32_t exp_script4,
         const int8_t *close_set,
-        int64_t num_langs,
         const int64_t *hints, int64_t nhints,
         int64_t *sc_scores, int64_t span_i,
         int16_t *out_lang1, int64_t *out_cbytes, int64_t *out_s1,
@@ -962,6 +991,8 @@ static int64_t chunk_score_merged(
     int32_t touched[4 * 4096 + 64];   /* lanes touched per chunk */
     int64_t nh = na + nb_;
     if (nh == 0) return 0;
+    uint8_t seen[256];                /* lane ids are 8-bit */
+    memset(seen, 0, sizeof seen);
     int64_t nch = nh / chunk_size;
     if (nch < 1) nch = 1;
 
@@ -990,17 +1021,19 @@ static int64_t chunk_score_merged(
             }
             if (first_off < 0) first_off = off;
             for (int lane = 0; lane < 4; lane++) {
-                int64_t l = (int64_t)((v >> (16 * lane)) & 0xFF);
-                int64_t q = (int64_t)((v >> (16 * lane + 8)) & 0xFF);
-                if (l == 0) continue;    /* UNKNOWN lane suppressed */
-                if (sc_scores[l] == 0) touched[nt++] = (int32_t)l;
-                sc_scores[l] += q;
+                int32_t l = (int32_t)((v >> (16 * lane)) & 0xFF);
+                touched[nt] = l;
+                nt += !seen[l];
+                seen[l] = 1;
+                sc_scores[l] += (int64_t)((v >> (16 * lane + 8)) & 0xFF);
             }
             if (is_distinct) {
                 dring[dring_n & 3] = v;
                 dring_n++;
             }
         }
+        sc_scores[0] = 0;                /* UNKNOWN lanes suppressed */
+        for (int64_t t = 0; t < nt; t++) seen[touched[t]] = 0;
         /* re-add the ring (<= 4 most recent distinct hits) */
         for (int k = 0; k < 4; k++) {
             uint64_t v = dring[k];
@@ -1026,15 +1059,21 @@ static int64_t chunk_score_merged(
                 sc_scores[-v] = 0;
             }
         }
-        /* deterministic top-2 (ties -> smaller id, = score.py _top2) */
+        /* deterministic top-2 in (score desc, id asc) order, = score.py
+         * _top2's scan over all languages; touched may repeat an id */
         int64_t s1 = sc_scores[0], s2 = sc_scores[1];
         int64_t t1 = 0, t2 = 1;
         if (s2 > s1) { int64_t tmp = t1; t1 = t2; t2 = tmp;
                        int64_t ts = s1; s1 = s2; s2 = ts; }
-        for (int64_t l = 2; l < num_langs; l++) {
+        for (int64_t t = 0; t < nt; t++) {
+            int64_t l = touched[t];
+            if (l == t1 || l == t2) continue;
             int64_t s = sc_scores[l];
-            if (s > s1) { s2 = s1; t2 = t1; s1 = s; t1 = l; }
-            else if (s > s2) { s2 = s; t2 = l; }
+            if (s > s1 || (s == s1 && l < t1)) {
+                s2 = s1; t2 = t1; s1 = s; t1 = l;
+            } else if (s > s2 || (s == s2 && l < t2)) {
+                s2 = s; t2 = l;
+            }
         }
         /* chunk byte extent: patch the previous chunk's end */
         int64_t c_start = first_off;
@@ -1233,7 +1272,6 @@ int64_t quad_octa_chunk_score(
         const uint8_t *span_latin, const uint8_t *span_script4,
         int64_t chunk_size,
         const int32_t *expected_1kb, const int8_t *close_set,
-        int64_t num_langs,
         const int64_t *hint_csr, const int64_t *hint_flat,
         uint64_t *sc_qvals, int64_t *sc_qoffs,
         uint64_t *sc_ovals, int64_t *sc_ooffs, uint8_t *sc_odist,
@@ -1265,7 +1303,7 @@ int64_t quad_octa_chunk_score(
                                sc_odist, no,
                                len, chunk_size, expected_1kb,
                                (int32_t)span_script4[span_i], close_set,
-                               num_langs, hints, nhints, sc_scores, span_i,
+                               hints, nhints, sc_scores, span_i,
                                out_lang1, out_cbytes, out_s1, out_rel,
                                out_span, &nchunks_total, NULL);
             continue;
@@ -1277,7 +1315,7 @@ int64_t quad_octa_chunk_score(
         int64_t nch = chunk_score_merged(
             NULL, NULL, 0, sc_mvals, sc_moffs, sc_mdist, nh,
             len, chunk_size, expected_1kb,
-            (int32_t)span_script4[span_i], close_set, num_langs,
+            (int32_t)span_script4[span_i], close_set,
             hints, nhints, sc_scores, span_i,
             out_lang1, out_cbytes, out_s1, out_rel,
             out_span, &nchunks_total, out_rel_delta);
@@ -1311,7 +1349,6 @@ int64_t cjk_chunk_score(
         const uint64_t *bpacked,
         int64_t chunk_size,
         const int32_t *expected_1kb, const int8_t *close_set,
-        int64_t num_langs,
         const int64_t *hint_csr, const int64_t *hint_flat,
         uint64_t *sc_uvals, int64_t *sc_uoffs,
         uint64_t *sc_bvals, int64_t *sc_boffs,
@@ -1374,7 +1411,7 @@ int64_t cjk_chunk_score(
         chunk_score_merged(sc_uvals, sc_uoffs, nu, sc_bvals, sc_boffs,
                            (const uint8_t *)0, nbi,
                            pseudo_lens[span_i], chunk_size,
-                           expected_1kb, -1, close_set, num_langs,
+                           expected_1kb, -1, close_set,
                            hint_flat + hint_csr[span_i],
                            hint_csr[span_i + 1] - hint_csr[span_i],
                            sc_scores, span_i,

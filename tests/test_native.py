@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cld2_ray import native
-from cld2_ray.functions import hits, spans, uscript as us
+from cld2_ray.functions import hits, langs, spans, uscript as us
 from cld2_ray.state.model import default_model
 from tests.oracles import (
     extract as extract_oracle, fastlangid as fastlangid_oracle,
@@ -184,6 +184,15 @@ class TestKernelRequired:
         assert "ImportError" in r.stderr
         assert "`cc -O3" in r.stderr
 
+    def test_compiles_warnings_clean(self, tmp_path):
+        """quadscan.c builds with the shim's own flags plus -Wall -Wextra
+        -Werror (catches unused or uninitialized scratch)."""
+        import subprocess
+        cmd = [native._CMD[0], "-Wall", "-Wextra", "-Werror",
+               *native._CMD[1:], str(tmp_path / "quadscan.so")]
+        r = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+
     def test_compile_error_carries_stderr(self, tmp_path):
         import os
         r = self._import_copy(tmp_path, dict(os.environ),
@@ -209,6 +218,57 @@ class TestPplScore:
             assert got == want
         assert any(p > 0 for p in got[0])
 
+    def test_memo_eviction(self):
+        """One call with more distinct trigrams than the memo has slots,
+        the second half repeating the first, so evicted keys come back."""
+        from cld2_ray.functions import perplexity
+        rng = np.random.default_rng(3)
+        noise = "".join(map(chr, rng.integers(0x4E00, 0x9FA5, 100000)))
+        texts = [noise + noise, " ".join(_page_texts(40)) * 2, noise[:500]]
+        lcs = ["en", "fr", "zh"]
+        c = perplexity._chars(texts[0])
+        tri, _ = perplexity._keys_tri(langs.lang_id("en"), c)
+        assert len(np.unique(tri)) > 1 << native.PPL_MEMO_BITS
+        want = perplexity_oracle.score_batch_numpy(texts, lcs)
+        assert perplexity.score_batch(texts, lcs) == want
+
+    def test_same_text_many_languages(self):
+        """Keys that differ only in the language bits never share a
+        memo entry."""
+        from cld2_ray.functions import perplexity
+        text = " ".join(_page_texts(20))
+        codes = ["en", "fr", "de", "es", "it", "nl", "ru", "en", "fr"]
+        texts = [text] * len(codes)
+        want = perplexity_oracle.score_batch_numpy(texts, codes)
+        got = perplexity.score_batch(texts, codes)
+        assert got == want
+        assert len(set(got[0])) == len(set(codes))
+
+    def test_no_state_across_calls(self):
+        """A call on another table/uni first leaves no memo entries
+        behind: the same keys then score from the real model."""
+        from cld2_ray.functions import perplexity
+        from cld2_ray.state.model import HashTable
+        m = perplexity.models()
+        texts = _page_texts(60)
+        lcs = ["en"] * len(texts)
+        want = perplexity_oracle.score_batch_numpy(texts, lcs)
+        framed = [(" " + (t or "").lower() + " ").encode() for t in texts]
+        other = HashTable(m.table.keys, m.table.vals * 3 + 1, m.table.mask)
+        native.ppl_score(
+            b"".join(framed), np.cumsum([len(f) for f in framed]),
+            np.full(len(texts), langs.lang_id("en"), dtype=np.int64),
+            other, m.uni[::-1] * 0.5)
+        assert perplexity.score_batch(texts, lcs) == want
+
+    def test_rejects_non_power_of_two_vocab(self):
+        from cld2_ray.functions import perplexity
+        m = perplexity.models()
+        for v in (4095, 3000, 0):
+            with pytest.raises(ValueError, match="power of two"):
+                native.ppl_score(b" ab ", np.array([4]), np.array([0]),
+                                 m.table, np.ones((2, v)))
+
 
 def _page_texts(n=300):
     from cld2_ray.sources.pages import page_batch
@@ -222,9 +282,182 @@ def _page_texts(n=300):
     return out
 
 
+_FUZZ_CODES = ("en", "fr", "de", "it", "ru", "uk", "bg", "ja", "zh")
+
+
+def _fuzz_text(segments) -> str:
+    """Text from seed word pools: (code, start, count) per segment;
+    ja/zh segments are character runs (no spaces in their seeds)."""
+    from cld2_ray.data.seeds import SEEDS
+    out = []
+    for code, start, count in segments:
+        pool = SEEDS[code]
+        if code in ("ja", "zh"):
+            pool = pool.replace(" ", "")
+            k = start % len(pool)
+            out.append((pool + pool)[k:k + 3 * count])
+        else:
+            words = pool.split()
+            out.extend(words[(start + j) % len(words)] for j in range(count))
+    return " ".join(out)
+
+
+def _hint_payload():
+    """One span's hint payload: boosts (lid | w << 16) and whacks (-lid)
+    of pool-language (touched) and random (mostly untouched) ids, a
+    boost on id 0 or 1, or one weight on several ids so the top scores
+    tie across ids."""
+    pool_ids = st.sampled_from([langs.lang_id(c) for c in _FUZZ_CODES])
+    lid = st.one_of(pool_ids, st.integers(2, langs.NUM_LANGS - 1))
+    weight = st.sampled_from([0, 1, 7, 60, 500, 100000])
+    boost = st.builds(lambda l, w: [l | (w << 16)], lid, weight)
+    low_boost = st.builds(lambda l, w: [l | (w << 16)],
+                          st.sampled_from([0, 1]), weight)
+    whack = st.builds(lambda l: [-l], st.one_of(
+        pool_ids, st.integers(1, langs.NUM_LANGS - 1)))
+    tie = st.builds(lambda ls, w: [l | (w << 16) for l in ls],
+                    st.lists(st.one_of(lid, st.sampled_from([0, 1])),
+                             min_size=2, max_size=4),
+                    st.sampled_from([60, 500, 100000]))
+    return st.lists(st.one_of(boost, low_boost, whack, tie),
+                    max_size=4).map(lambda ops: sum(ops, []))
+
+
+def _hint_csr(hl_list):
+    csr = np.zeros(len(hl_list) + 1, dtype=np.int64)
+    flat = []
+    for k, hl in enumerate(hl_list):
+        flat.extend(hl or ())
+        csr[k + 1] = len(flat)
+    return csr, np.asarray(flat, dtype=np.int64)
+
+
+def _check_cjk(m, cjk, hl_list, uni_table=None):
+    """cjk_chunk_score on the CJK spans ``cjk`` == score_chunks_multi
+    over cjk_candidates' table hits (unis before bis at equal char)."""
+    from cld2_ray.functions import score
+    from cld2_ray.state.model import unpack_langprobs
+    uni_table = uni_table or m.uni
+    lens = np.array([sp.text_bytes for sp in cjk], dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    vparts, oparts, sparts = [], [], []
+    for k, sp in enumerate(cjk):
+        uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
+        uvals = lookup_numpy(uni_table, uni)
+        bvals = m.cjkbi.lookup(bi, False)
+        um, bm = uvals != 0, bvals != 0
+        av = np.concatenate([uvals[um], bvals[bm]])
+        ap = np.concatenate([upos[um], bpos[bm]])
+        o = np.argsort(ap, kind="stable")
+        vparts.append(av[o])
+        oparts.append(ap[o] * 3 + starts[k])
+        sparts.append(np.full(len(o), k, dtype=np.int64))
+    l3, q3 = unpack_langprobs(np.concatenate(vparts))
+    want = score.score_chunks_multi(
+        l3, q3, np.concatenate(oparts), np.concatenate(sparts),
+        starts, lens,
+        np.full(len(cjk), score.CHUNKSIZE_UNIS, dtype=np.int64),
+        m.expected_uni, hl_list)
+    bufs = [sp.text.encode("utf-8") for sp in cjk]
+    bounds = np.cumsum([len(b) for b in bufs]).astype(np.int64)
+    csr, flat = _hint_csr(hl_list)
+    got = native.cjk_chunk_score(
+        b"".join(bufs), bounds - [len(b) for b in bufs], bounds, lens,
+        uni_table, m.cjkbi, score.CHUNKSIZE_UNIS, m.expected_uni,
+        langs.CLOSE_SET, csr, flat)
+    for x, y in zip(want, got):
+        assert np.array_equal(np.asarray(x), y)
+    return got
+
+
 class TestFusedChunkScore:
     """quad_octa_chunk_score / cjk_chunk_score must be bit-equal to the
     numpy chain (many_hits -> unpack -> score_chunks_multi)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(_FUZZ_CODES),
+                                       st.integers(0, 10 ** 6),
+                                       st.integers(1, 90)),
+                             min_size=1, max_size=4),
+                    min_size=1, max_size=3),
+           st.data())
+    def test_fuzz_vs_numpy(self, docs, data):
+        """Both chunk kernels, MANY with and without with_ranges,
+        against score_chunks_multi under random per-span hint payloads
+        (boosts, whacks of touched and untouched languages, ids 0 and 1,
+        tied top scores)."""
+        from cld2_ray.functions import score
+        from cld2_ray.functions.langid import Detector
+        from cld2_ray.state.model import unpack_langprobs
+        det = Detector()
+        m = det.model
+        sps = [sp for segs in docs for sp in spans.script_spans(
+            _fuzz_text(segs))]
+        many = [sp for sp in sps if us.script_rtype(sp.script)
+                == us.RTYPE_MANY]
+        cjk = [sp for sp in sps if us.script_rtype(sp.script)
+               == us.RTYPE_CJK]
+        if many:
+            bufs = [sp.text_utf8 for sp in many]
+            lens = np.array([len(b) for b in bufs], dtype=np.int64)
+            bounds = np.cumsum(lens)
+            starts = bounds - lens
+            cat = b"".join(bufs)
+            latin = np.array([sp.script == us.LATIN for sp in many])
+            s4 = us.LSCRIPT4[np.array([sp.script for sp in many])]
+            hl_list = [data.draw(_hint_payload()) for _ in many]
+            csr, flat = _hint_csr(hl_list)
+            vals, offs, dist = langid_oracle.many_hits(det, cat, bounds,
+                                                       latin)
+            l3, q3 = unpack_langprobs(vals)
+            span_of = np.searchsorted(bounds, offs, side="right")
+            sizes = np.full(len(bufs), score.CHUNKSIZE_QUADS,
+                            dtype=np.int64)
+            want = score.score_chunks_multi(
+                l3, q3, offs, span_of, starts, lens, sizes,
+                m.expected_quad, hl_list, distinct_mask=dist,
+                script4_of_span=s4)
+            args = (cat, starts, bounds, m.quad, m.socta, m.docta,
+                    m.xocta, latin, score.CHUNKSIZE_QUADS,
+                    m.expected_quad, langs.CLOSE_SET, csr, flat, s4)
+            got = native.quad_octa_chunk_score(*args)
+            ranged = native.quad_octa_chunk_score(*args, with_ranges=True)
+            for x, y, z in zip(want, got, ranged):
+                assert np.array_equal(np.asarray(x), y)
+                assert np.array_equal(y, z)
+            # ranges outputs: the zeros-expected rel and the sharpened
+            # chunk starts of the hinted top languages
+            rel0 = score.score_chunks_multi(
+                l3, q3, offs, span_of, starts, lens, sizes,
+                np.zeros_like(m.expected_quad), hl_list,
+                distinct_mask=dist, script4_of_span=s4)[3]
+            assert np.array_equal(rel0, ranged[5])
+            for i in range(len(bufs)):
+                hsel, csel = span_of == i, ranged[4] == i
+                if not hsel.any():
+                    continue
+                bidx = langid_oracle.sharpen_boundaries(
+                    ranged[0][csel].astype(np.int64), l3[hsel], q3[hsel],
+                    score.CHUNKSIZE_QUADS, int(hsel.sum()))
+                assert np.array_equal(offs[hsel][bidx] - starts[i],
+                                      ranged[6][csel])
+        if cjk:
+            _check_cjk(m, cjk, [data.draw(_hint_payload()) for _ in cjk])
+
+    def test_unknown_lanes_suppressed(self):
+        """An UNKNOWN (id 0) lane never scores, however large its
+        qprob (no model table has one; a crafted unigram table does)."""
+        from cld2_ray.state.model import HashTable
+        m = default_model()
+        text = "敏捷的棕色狐狸跳过了那只懒狗然后它跑进森林" * 6
+        cjk = [sp for sp in spans.script_spans(text)
+               if us.script_rtype(sp.script) == us.RTYPE_CJK]
+        a, b = langs.lang_id("ja"), langs.lang_id("zh")
+        uni = HashTable.build({
+            ord(c): (255 << 8) | ((a | 3 << 8) << 16)
+            | ((b | (1 + k % 3) << 8) << 32)
+            for k, c in enumerate(sorted(set(text)))})
+        assert len(_check_cjk(m, cjk, [None] * len(cjk), uni)[0]) > 1
 
     def test_many_spans_vs_numpy(self):
         from cld2_ray.functions import langs, score

@@ -19,8 +19,10 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline: deterministic synthetic Common-Crawl-style
-    pages (scaled to sf0.001's documents table) -> extract -> langid
-    actors -> quality rules + PII scrub. Returns the annotated Dataset."""
+    pages (scaled to sf0.001's documents table) -> one fused Ray Data
+    task per batch (extract, langid, hints, aux langid, perplexity,
+    quality rules, PII scrub, keep/drop). Returns the annotated
+    Dataset."""
     from cld2_ray.pipelines.queries import q_flagship_pages
     return q_flagship_pages("/root/testdata/sf0.001")
 

@@ -479,6 +479,19 @@ def extract_scan_batch(cat: bytes, ends: np.ndarray, ent_keys: np.ndarray,
 
 
 _ssm_scratch: dict[str, np.ndarray] = {}
+# growth headroom of the span-scan scratch, so that slightly larger
+# later batches do not re-allocate and re-fault it
+_SSM_HEADROOM = 1.25
+
+
+def _ssm_needs(bounds: np.ndarray, text_limit: int) -> tuple[int, int]:
+    """(packed, per_doc) scratch slots script_spans_scan_multi needs:
+    pass 1 of the scan records at most c_d = min(len_d, text_limit + 1)
+    letters of doc d (see quadscan.c script_spans_scan); the packed
+    outputs need sum(c_d) letters (out_buf 3 bytes per letter + 1 per
+    doc) and the per-doc temporaries max(c_d)."""
+    c = np.minimum(np.diff(bounds, prepend=0), max(text_limit, 1) + 1)
+    return int(c.sum()), int(c.max(initial=0))
 
 
 def script_spans_scan_multi(cat: bytes, bounds: np.ndarray,
@@ -493,33 +506,36 @@ def script_spans_scan_multi(cat: bytes, bounds: np.ndarray,
     where the spans' texts and letters are packed back to back in
     document order; doc d owns meta rows [sum(ns_doc[:d]),
     sum(ns_doc[:d+1])). The views are scratch the next call reuses."""
-    n = len(cat)
     n_docs = len(bounds)
     sc = _ssm_scratch
-    lt_need = n + 8 * n_docs + 8
-    if sc.get("lt_cap", 0) < lt_need or sc.get("nd_cap", 0) < n_docs:
-        # 2x headroom so slightly-larger later batches don't re-fault,
-        # and pre-touch the densely-written arrays once here: first
-        # touch of fresh pages costs ~85us/KB-doc vs ~5us warm, and
-        # this allocation path runs during the (untimed) warm-up
-        lt_cap = max(2 * lt_need, 1 << 16)
-        nd_cap = max(2 * n_docs, 256)
+    lt_need, tmp_need = _ssm_needs(bounds, text_limit)
+    out_need = 3 * lt_need + n_docs
+    if (sc.get("lt_cap", -1) < lt_need or sc["out_cap"] < out_need
+            or sc["tmp_cap"] < tmp_need or sc["nd_cap"] < n_docs):
+        lt_cap, out_cap, tmp_cap, nd_cap = (
+            max(sc.get(k, 0), int(_SSM_HEADROOM * need)) for k, need in
+            (("lt_cap", lt_need), ("out_cap", out_need),
+             ("tmp_cap", tmp_need), ("nd_cap", n_docs)))
         sc["lt_idx"] = np.zeros(lt_cap, dtype=np.int64)
-        sc["lt_sc"] = np.zeros(lt_cap, dtype=np.uint8)
-        sc["lt_low"] = np.zeros(lt_cap, dtype=np.uint32)
-        sc["lt_len"] = np.zeros(lt_cap, dtype=np.uint8)
-        sc["out_buf"] = np.zeros(8 * lt_cap + 64, dtype=np.uint8)
-        # meta stays untouched-lazy: its worst-case sizing is huge but
+        sc["lt_sc"] = np.zeros(tmp_cap, dtype=np.uint8)
+        sc["lt_low"] = np.zeros(tmp_cap, dtype=np.uint32)
+        sc["lt_len"] = np.zeros(tmp_cap, dtype=np.uint8)
+        sc["out_buf"] = np.zeros(out_cap, dtype=np.uint8)
+        # meta stays untouched-lazy: its worst-case sizing is large but
         # only emitted span rows are ever written
-        sc["meta"] = np.empty((lt_cap + 8) * 7, dtype=np.int64)
+        sc["meta"] = np.empty(lt_cap * 7, dtype=np.int64)
         sc["ns_doc"] = np.zeros(nd_cap, dtype=np.int64)
+        # pre-touch the densely written arrays once here (first touch
+        # of fresh pages costs ~85us/KB-doc vs ~5us warm, and this
+        # allocation path runs during the untimed warm-up); of out_buf
+        # only the prefix a batch normally fills, ~1 byte per letter
         _prefault(sc["lt_idx"], sc["lt_sc"], sc["lt_low"], sc["lt_len"],
-                  sc["out_buf"])
+                  sc["out_buf"][:lt_cap])
         sc["ptrs"] = tuple(sc[k].ctypes.data for k in
                            ("lt_idx", "lt_sc", "lt_low", "lt_len",
                             "out_buf", "meta", "ns_doc"))
-        sc["lt_cap"] = lt_cap
-        sc["nd_cap"] = nd_cap
+        sc.update(lt_cap=lt_cap, out_cap=out_cap, tmp_cap=tmp_cap,
+                  nd_cap=nd_cap)
     ns = _SSM(cat, bounds.ctypes.data, n_docs,
               script_lut.ctypes.data, lower_lut.ctypes.data,
               len(script_lut), text_limit, max_span_bytes, *sc["ptrs"])

@@ -1833,13 +1833,22 @@ int64_t doc_stage(
  * multiples, and framed " w1 w2 " utf-8 emission — bit-equal to the
  * numpy oracle tests/oracles/spans.py (cross-checked in tests).
  *
- * Scratch (caller-alloc, reused; capacities >= n_chars+8):
+ * Pass 1 stops at the letter that crosses the budget, so with
+ * text_limit >= 1 it records at most c = min(n, text_limit + 1)
+ * letters (each is >= 1 byte, lowered).
+ * Scratch (caller-alloc, reused; capacities >= c):
  *   lt_idx  int64  — original char index per kept letter
  *   lt_sc   uint8  — RAW script per letter (absorption applied in place)
  *   lt_low  uint32 — lowered codepoint per letter
  *   lt_len  uint8  — utf8 length of the LOWERED codepoint
  * Outputs:
- *   out_buf  uint8, cap >= 4*n + 2*(n+2)    framed span texts
+ *   out_buf  uint8, cap >= 3 * c + 1: a kept letter of l input bytes
+ *            lowers to ll <= l + 1 bytes (ll == l when l == 1) and
+ *            adds either its span's two framing spaces or one word
+ *            gap, which stands for >= 1 input byte of non-letters —
+ *            so <= 3 bytes per input byte and <= 3 * ll; the + 1 is a
+ *            lead byte cut off at the end of the text (invalid UTF-8),
+ *            which decodes as a 1-byte Latin-1 letter that lowers to 2
  *   meta     int64 x 7 per span: [script, char_off, char_end,
  *            out_start, out_bytes, lp_start, lp_end]
  *            (lp_* index into lt_idx; out_bytes == text_bytes)
@@ -1885,10 +1894,9 @@ static int64_t script_spans_scan(const uint8_t *text, int64_t n,
         lt_low[nl] = low;
         lt_len[nl] = (uint8_t)ll;
         nl++;
-        if (budget_keep < 0) {
-            lb_sum += ll;
-            if (lb_sum > text_limit) budget_keep = nl - 1;
-        }
+        lb_sum += ll;
+        /* nothing after the letter that crosses the budget is read */
+        if (lb_sum > text_limit) { budget_keep = nl - 1; break; }
     }
     if (nl == 0) return 0;
     /* numpy: keep = searchsorted(cumsum(lb), limit, 'right'), min 1 —
@@ -2362,11 +2370,14 @@ int64_t extract_scan_batch(const uint8_t *cat, const int64_t *ends,
  * doc was ~15% of the fused stage). Bounds are cumulative end offsets
  * into cat. The outputs are packed: doc d's span texts follow doc
  * d-1's in out_buf and its letters follow in lt_idx, so the batch's
- * spans are one back-to-back buffer.  Doc d is scanned at the packed
- * ends, which never pass the sum of the earlier docs' worst cases
- * (lt: len+8, out: 8*len+64) that the capacities cover.  meta rows
- * get their out/lp indexes rebased to the shared buffers; ns_doc[d] =
- * span count of doc d. */
+ * spans are one back-to-back buffer.  With c_d = min(len_d,
+ * text_limit + 1), doc d is scanned at the packed ends, which never
+ * pass the earlier docs' worst cases, so lt_idx needs sum(c_d) slots
+ * and out_buf 3 * sum(c_d) + n_docs bytes (script_spans_scan); lt_sc,
+ * lt_low and lt_len are per-doc temporaries, reused from index 0 by
+ * every doc, needing max(c_d) slots.  meta rows get their out/lp
+ * indexes rebased to the shared buffers; ns_doc[d] = span count of
+ * doc d. */
 int64_t script_spans_scan_multi(
         const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
         const uint8_t *script_lut, const uint32_t *lower_lut,
@@ -2380,8 +2391,7 @@ int64_t script_spans_scan_multi(
         int64_t ns = script_spans_scan(
             cat + prev, len, script_lut, lower_lut, lut_size,
             text_limit, max_span_bytes,
-            lt_idx + lt_base, lt_sc + lt_base, lt_low + lt_base,
-            lt_len + lt_base, out_buf + out_base,
+            lt_idx + lt_base, lt_sc, lt_low, lt_len, out_buf + out_base,
             meta + meta_total * 7);
         for (int64_t r = 0; r < ns; r++) {
             int64_t *m = meta + (meta_total + r) * 7;

@@ -7,10 +7,17 @@ metrics fold].
 Sizing notes for the 100 TB case (see also state/checkpoint.py):
 - the kernel runs as plain Ray tasks with lazy per-worker models, so
   it elastically fills whatever CPUs are free;
-- per-page cost is NOT capped: the 160KB cap bounds only the letters
-  langid scans, while extraction (and the rules, scrub and aux models
-  on its output) read the whole page, so a giant page costs time in
-  proportion to its size (a per-page byte cap is an open item);
+- batches are BATCH_SIZE rows, so each kernel's per-call fixed costs
+  (re-warming its model tables and memo after the other kernels
+  evicted them, numpy set-up, Arrow assembly) spread over many pages;
+  an input of fewer than BATCH_SIZE x CPUs rows leaves CPUs idle;
+- per-call memory is capped by html bytes, not rows: fused_batch runs
+  a batch of more than core.MAX_CALL_HTML_BYTES (4 MiB) of html as
+  consecutive sub-batches, which bounds the kernels' scratch when
+  large pages arrive. Per-page cost is not capped: the 160KB budget
+  bounds only the letters langid scans, while extraction (and the
+  rules, scrub and aux models on its output) read the whole page, so
+  a giant page costs time in proportion to its size;
 - metrics pre-aggregate per batch (partial_metrics) before the tiny
   fold in flagship.metrics.
 """
@@ -31,7 +38,8 @@ OUT_COLUMNS = [
     "has_toxicity", "keep", "drop_reason",
 ]
 
-BATCH_SIZE = 256
+# rows per fused_batch call (see the module docstring)
+BATCH_SIZE = 2048
 
 
 def build_fused(pages_ds, with_chunks: bool = False):

@@ -160,6 +160,33 @@ def page_batch(start: int, count: int, seed: int = 42) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=SCHEMA)
 
 
+def edge_pages() -> pa.Table:
+    """Pages at the edges of the kernel's input, which make_page draws
+    rarely or never: null and invalid-UTF-8 html, CRLF line ends,
+    one-letter words, letters whose lowercase is longer in UTF-8
+    (U+023A, U+023E) and a page whose letters pass the 160 KB langid
+    budget."""
+    fr = ("Bonjour tout le monde, voici une page qui parle de la ville "
+          "et de ses rues. ")
+    ru = "Москва является столицей России и крупнейшим городом страны. "
+    htmls = [
+        None,
+        b"\xff",
+        b"<p>The caf\xc3 is open every day of the week for lunch</p>",
+        (f"<html>\r\n<head><title>Notes</title></head>\r\n<body>\r\n"
+         f"<p>{fr}\r\n{fr}</p>\r\n<br>\r\n<p>{ru}\r\n</p>\r\n"
+         f"</body></html>\r\n").encode(),
+        ("<p>" + " ".join("abcdefghijklmnopqrstuvwxyz") * 20
+         + " \u023a \u023e \u023a\u023e" * 50 + "</p>").encode(),
+        ("<html><body>" + "".join(f"<p>{fr}{ru}</p>" for _ in range(1500))
+         + "</body></html>").encode(),
+    ]
+    return pa.Table.from_pylist(
+        [{"url": f"https://edge.example.org/{k}",
+          "warc_ts": BASE_TS_US + k * 1_000_000, "html": h, "text": "",
+          "lang": "fr"} for k, h in enumerate(htmls)], schema=SCHEMA)
+
+
 def pages_dataset(n: int, seed: int = 42, shard_size: int = 2000):
     """Lazy Ray Dataset of n synthetic pages: shard indices flow through
     a flat_map-style map_batches so generation itself is distributed

@@ -66,6 +66,32 @@ def _detector():
 _CODE_OF = pa.array(langs.CODES)
 
 
+# html bytes per kernel call: fused_batch cuts a larger batch into
+# consecutive sub-batches. Ray Data sizes batches by rows only, and the
+# kernels' per-call scratch grows with the batch's bytes (the span scan
+# alone takes ~14 bytes per text byte), so this bounds one call's
+# memory when large pages arrive: 2048 Common Crawl records of up to
+# 1 MiB would otherwise be 2 GiB in one call. It sits above a
+# longform_job block (120 pages, 3.5 MB) and a 2048-page snippets
+# batch (1.1 MB), so those run whole; a 2048-page webmix batch (6 MB)
+# runs as two calls.
+MAX_CALL_HTML_BYTES = 4 << 20
+
+
+def _byte_cuts(sizes: np.ndarray, cap: int) -> list[int]:
+    """Row offsets that cut rows of ``sizes`` bytes into consecutive
+    runs of at most ``cap`` bytes, or of one row if that row alone is
+    larger: [0, ..., len(sizes)]."""
+    cuts = [0]
+    total = 0
+    for i, b in enumerate(sizes.tolist()):
+        if total + b > cap and i > cuts[-1]:
+            cuts.append(i)
+            total = 0
+        total += b
+    return cuts + [len(sizes)]
+
+
 def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
     """pages batch (url, warc_ts, lang, html) -> annotated batch.
 
@@ -76,8 +102,25 @@ def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
     load — see state/mmapcache) is paid once per worker per node
     lifetime, and the stage fills every CPU the scheduler offers.
 
+    A batch of more than MAX_CALL_HTML_BYTES of html runs as
+    consecutive sub-batches whose outputs are concatenated; every
+    output row depends only on its own page, so the result is the
+    same.
+
     ``with_chunks=True`` adds the ``chunks`` column (see
     _compose_chunks) from the same scoring pass."""
+    html = batch["html"]
+    if html.nbytes <= MAX_CALL_HTML_BYTES:
+        return _fused(batch, with_chunks)
+    sizes = pc.binary_length(html).fill_null(0).to_numpy()
+    cuts = _byte_cuts(sizes, MAX_CALL_HTML_BYTES)
+    return pa.concat_tables([_fused(batch.slice(a, b - a), with_chunks)
+                             for a, b in zip(cuts, cuts[1:])])
+
+
+def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
+    """fused_batch on one call's worth of pages (called directly, not
+    through the module global, which tracers may wrap)."""
     from cld2_ray.functions import fastlangid, perplexity
     from cld2_ray.functions.hints import MAX_SCAN_BYTES, page_hints
     from cld2_ray.functions.quality import rule_columns

@@ -34,16 +34,16 @@ def _init():
 
 def _worker(args):
     (n_iters,) = args
+    from cld2_ray.pipelines.flagship import BATCH_SIZE
     from cld2_ray.stages import core
     t = _tbl
-    core.fused_batch(t.slice(0, 256))        # warm this proc
+    rows = min(BATCH_SIZE, t.num_rows)
+    core.fused_batch(t.slice(0, rows))       # warm this proc
     t0 = time.time()
-    rows = 0
     for i in range(n_iters):
-        off = (i * 256) % (t.num_rows - 256)
-        core.fused_batch(t.slice(off, 256))
-        rows += 256
-    return rows, time.time() - t0
+        off = (i * rows) % max(t.num_rows - rows, 1)
+        core.fused_batch(t.slice(off, rows))
+    return n_iters * rows, time.time() - t0
 
 
 def main() -> None:

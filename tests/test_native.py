@@ -203,6 +203,75 @@ class TestKernelRequired:
         assert "error" in r.stderr.split("ImportError", 1)[1]
 
 
+class TestSpanScanSanitized:
+    """script_spans_scan_multi, built with AddressSanitizer and UBSan,
+    over worst-case inputs at exactly the scratch capacities the shim
+    sizes (growth headroom off): any write past lt_idx, out_buf or the
+    per-document temporaries aborts the run."""
+
+    DRIVER = r"""
+import numpy as np
+import native_copy as nc
+from cld2_ray.functions import uscript as us
+from cld2_ray.functions.spans import MAX_SCRIPT_BYTES, TEXT_LIMIT as L
+nc._SSM_HEADROOM = 1.0
+a, cut = b"a", b"\xc3"          # one-letter word; lead byte cut off
+up = "\u023a\u023e ".encode()    # lowercase is longer in UTF-8
+cases = [
+    ([a] * 1000, "lt"),
+    ([cut] * 1000, "out"),
+    ([up] * 1000, None),
+    ([a] * 100 + [a * (L + 100)], "lt"),
+    ([cut] * 100 + [b"a b c " * (L // 3)], None),
+    ([up * (L // 4)] * 3, None),
+    ([b"", a, b"", up, cut, b"x " + cut, b"\xf0\x9f"], None),
+]
+for docs, tight in cases:
+    nc._ssm_scratch.clear()
+    bounds = np.cumsum([len(d) for d in docs]).astype(np.int64)
+    meta, ns, out, lt = nc.script_spans_scan_multi(
+        b"".join(docs), bounds, us.script_lut(), us.lower_lut(), L,
+        MAX_SCRIPT_BYTES)
+    assert ns.sum() == len(meta) > 0
+    if tight == "out":
+        assert meta[-1, 3] + meta[-1, 4] == len(out)
+    elif tight == "lt":
+        assert len(lt) == int(np.minimum(np.diff(bounds, prepend=0),
+                                         L + 1).sum())
+print("clean")
+"""
+
+    def test_worst_cases_clean_under_asan_ubsan(self, tmp_path):
+        import os
+        import pathlib
+        import shutil
+        import subprocess
+        import sys
+        libs = [subprocess.run([native._CMD[0], f"-print-file-name={n}"],
+                               capture_output=True, text=True).stdout.strip()
+                for n in ("libasan.so", "libubsan.so")]
+        if not all(os.path.isabs(p) for p in libs):
+            pytest.skip("the C compiler has no sanitizer runtimes")
+        pkg = tmp_path / "native_copy"
+        pkg.mkdir()
+        src_dir = pathlib.Path(native.__file__).parent
+        shutil.copy(src_dir / "quadscan.c", pkg)
+        init = (src_dir / "__init__.py").read_text()
+        assert '"-fPIC",' in init
+        (pkg / "__init__.py").write_text(init.replace(
+            '"-fPIC",', '"-fPIC", "-g", "-fsanitize=address,undefined", '
+            '"-fno-sanitize-recover=all", "-fno-omit-frame-pointer",', 1))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, LD_PRELOAD=" ".join(libs),
+                   ASAN_OPTIONS="detect_leaks=0",
+                   PYTHONPATH=os.pathsep.join([str(tmp_path), root]))
+        r = subprocess.run([sys.executable, "-c", self.DRIVER],
+                           cwd=tmp_path, env=env, capture_output=True,
+                           text=True, timeout=600)
+        assert r.returncode == 0 and r.stdout.strip() == "clean", \
+            r.stdout + r.stderr[-4000:]
+
+
 class TestPplScore:
     """native.ppl_score (perplexity.score_batch) must be bit-equal to
     the numpy batch scorer of tests/oracles/perplexity.py."""
@@ -662,12 +731,13 @@ class TestScriptSpansScan:
             self._eq(t)
 
     def test_text_limit_truncation(self):
-        from cld2_ray.functions import spans
-        t = "word " * 50000  # > 160KB of letters
-        c = spans.script_spans(t)
-        n = spans_oracle.script_spans_numpy(t)
-        assert len(c) == len(n)
-        assert sum(s.text_bytes for s in c) == sum(s.text_bytes for s in n)
+        """Pages whose letters pass the 160 KB budget: the scan stops
+        at the letter that crosses it, and every span, letter position
+        and text still equals the oracle's."""
+        self._eq("word " * 50000)
+        self._eq("один two τρία " * 20000)
+        self._eq("\u023a\u023e " * 40000)    # lowercase is 3 bytes
+        self._eq("x" * 200_000)
 
     def test_batched_equals_per_doc(self):
         """script_spans_batch (one C call per batch, packed shared

@@ -306,3 +306,59 @@ class TestChunksColumn:
         assert sum(len(c) > 0 for c in chunked["chunks"].to_pylist()) > 100
         assert chunked.drop_columns(["chunks"]).equals(plain)
         assert "chunks" not in fused_batch(t).column_names
+
+
+class TestBatchSplitInvariance:
+    """Every output row depends only on its own page: fused_batch over a
+    batch equals the concatenation of fused_batch over any split of it,
+    in every value and Arrow type — also when the kernel cuts a batch
+    past its html byte cap itself."""
+
+    @staticmethod
+    def _pages():
+        import pyarrow as pa
+        from cld2_ray.sources.pages import edge_pages, page_batch
+        # seed-42 rows 0..47 hold an empty page (1), a giant (13) and an
+        # invalid-UTF-8 suffix (37); edge_pages adds null html, CRLF and
+        # a page past the langid letter budget
+        return pa.concat_tables([page_batch(0, 48), edge_pages()])
+
+    @staticmethod
+    def _check(got, want):
+        assert got.schema == want.schema
+        assert got.equals(want)
+
+    @pytest.mark.parametrize("wc", [False, True])
+    def test_random_splits(self, wc):
+        import pyarrow as pa
+        from cld2_ray.stages.core import fused_batch
+        pages = self._pages()
+        n = pages.num_rows
+        whole = fused_batch(pages, with_chunks=wc)
+        rng = np.random.default_rng(3)
+        splits = [list(range(n + 1))]
+        for _ in range(3):
+            inner = sorted(rng.choice(np.arange(1, n), size=5,
+                                      replace=False).tolist())
+            splits.append([0, *inner, n])
+        for cuts in splits:
+            self._check(pa.concat_tables(
+                [fused_batch(pages.slice(a, b - a), with_chunks=wc)
+                 for a, b in zip(cuts, cuts[1:])]), whole)
+
+    @pytest.mark.parametrize("wc", [False, True])
+    def test_byte_cap_splits(self, wc, monkeypatch):
+        from cld2_ray.stages import core
+        pages = self._pages()
+        whole = core.fused_batch(pages, with_chunks=wc)
+        sizes = np.array([len(h or b"") for h in pages["html"].to_pylist()])
+        # a cap below the largest page (that page runs alone), one
+        # between the smallest and the typical page, and one that cuts
+        # the batch in two
+        for cap in (int(sizes.max()) - 1, 2000, int(sizes.sum()) // 2):
+            cuts = core._byte_cuts(sizes, cap)
+            assert len(cuts) > 2
+            for a, b in zip(cuts, cuts[1:]):
+                assert b - a == 1 or sizes[a:b].sum() <= cap
+            monkeypatch.setattr(core, "MAX_CALL_HTML_BYTES", cap)
+            self._check(core.fused_batch(pages, with_chunks=wc), whole)

@@ -34,7 +34,6 @@ from . import langs
 from cld2_ray.data.hintdata import (LANGTAG_LONG, LANGTAG_SHORT,
                                     LATN_LANGS, OTHR_LANGS, TLD_PRIORS)
 
-HINT_BOOST = 6          # legacy flat boost (detect(hint_langs=[ids]))
 MAX_SCAN_BYTES = 8192   # first 8KB of HTML (FLAGS_cld_max_lang_tag_scan_kb)
 ENCODING_WEIGHT = 4     # kCLDPriorEncodingWeight
 LANGUAGE_WEIGHT = 8     # kCLDPriorLanguageWeight (explicit caller hint)

@@ -464,22 +464,3 @@ class Detector:
         reference's map2original chain."""
         h = html[:valid_utf8_prefix(html)]
         return text_to_raw_ranges(h, self.detect_ranges(extract_text(h)))
-
-    def detect_html(self, html: bytes,
-                    url: str = "") -> tuple[score.DetectResult, str, int]:
-        """UTF-8 gate + extraction + detection for raw page bytes.
-        Hints (lang= attrs, Content-Language, TLD) are derived from the
-        raw page. Returns (result, extracted_text, valid_prefix_bytes)."""
-        vp = valid_utf8_prefix(html)
-        if vp < len(html):
-            # invalid UTF-8 input -> UNKNOWN, like
-            # ExtDetectLanguageSummaryCheckUTF8 (compact_lang_det.cc:317-334)
-            text = extract_text(html[:vp]) if vp else ""
-            return (score.DetectResult(langs.UNKNOWN,
-                                       (langs.UNKNOWN,) * 3, (0, 0, 0),
-                                       (0.0, 0.0, 0.0), vp, False),
-                    text, vp)
-        text = extract_text(html)
-        hl = (hints_mod.priors_from_page(url, html)
-              if (url or html) else None)
-        return self.detect(text, hint_langs=hl), text, vp

@@ -149,8 +149,9 @@ def script_spans_batch(texts: list[str],
     meta, ns_doc, out_buf, lt_idx = native.script_spans_scan_multi(
         b"".join(bufs), bounds, us.script_lut(), us.lower_lut(),
         text_limit, MAX_SCRIPT_BYTES)
-    # the native outputs are REUSED scratch (overwritten by the next
-    # scan call), packed span after span: copy the used prefixes once
+    # the native outputs are sized to the scan's worst case, packed
+    # span after span: copy the used prefixes so that the table does
+    # not keep the worst-case buffers alive
     meta = meta.T.copy()
     start = meta[3]
     end = start + meta[4]

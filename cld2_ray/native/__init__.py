@@ -7,14 +7,17 @@ import raises ``ImportError`` carrying the compiler's stderr. Every hot
 kernel has this one runtime implementation; the tests check each entry
 point against an independent numpy/hashlib oracle (tests/oracles/).
 
-The C call releases the GIL (plain ctypes), so threads overlap fully."""
+Every binding allocates its buffers on each call, sized to the kernel's
+worst case, and the C code keeps no writable state between calls, so
+the kernels are reentrant: the C call releases the GIL (plain ctypes)
+and threads overlap fully. Per-call buffers are cheap because
+``_tune_malloc`` keeps freed buffers in the heap for the next call."""
 
 from __future__ import annotations
 
 import ctypes
 import os
 import subprocess
-import threading
 
 import numpy as np
 
@@ -197,7 +200,8 @@ def _load() -> None:
     _QS.argtypes = [u8p, i64p, ctypes.c_int64,
                     u8p, ctypes.c_int64,
                     u32p, ctypes.c_int64,
-                    u64p, ctypes.c_int64, i64p]
+                    u64p, ctypes.c_int64, i64wp,
+                    u64wp, u64wp, ctypes.c_int64]
     _QS.restype = ctypes.c_int
     u8wp = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
     # raw void* pointers: ndpointer.from_param validation costs
@@ -228,38 +232,6 @@ def _load() -> None:
 _load()
 
 
-# Reusable output scratch (grown to the largest batch seen) — fresh
-# n-sized np.empty per call would page-fault gigabytes per actor-hour.
-# Ray actors process one batch at a time, so per-process reuse is safe;
-# results are copied out before return.
-_scratch: dict[str, np.ndarray] = {}
-
-
-def _prefault(*arrs: np.ndarray) -> None:
-    """Touch one element per 4 KB page so the page faults happen at
-    allocation time (usually the untimed warm-up), not inside the
-    first timed kernel call — measured ~17x first-call slowdown on a
-    freshly grown scratch otherwise."""
-    for a in arrs:
-        a[::max(1, 4096 // a.itemsize)] = 0
-
-
-def _get_scratch(cap: int):
-    if _scratch.get("cap", 0) < cap:
-        cap = max(2 * cap, 1 << 16)   # headroom: don't re-fault on
-        _scratch["qvals"] = np.empty(cap, dtype=np.uint64)  # +1 batch
-        _scratch["qoffs"] = np.empty(cap, dtype=np.int64)
-        _scratch["ovals"] = np.empty(cap, dtype=np.uint64)
-        _scratch["ooffs"] = np.empty(cap, dtype=np.int64)
-        _scratch["odist"] = np.empty(cap, dtype=np.uint8)
-        _prefault(_scratch["qvals"], _scratch["qoffs"],
-                  _scratch["ovals"], _scratch["ooffs"],
-                  _scratch["odist"])
-        _scratch["cap"] = cap
-    return (_scratch["qvals"], _scratch["qoffs"],
-            _scratch["ovals"], _scratch["ooffs"], _scratch["odist"])
-
-
 def _bt_args(bt):
     """BucketTable -> the 5-arg C bundle."""
     return (bt.buckets, bt.buckets.shape[0], int(bt.keymask),
@@ -277,7 +249,8 @@ def quad_octa_scan(cat: bytes, bounds: np.ndarray, quad_table,
     buf = np.frombuffer(cat, dtype=np.uint8)
     bounds = np.ascontiguousarray(bounds, dtype=np.int64)
     lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
-    qvals, qoffs, ovals, ooffs, odist = _get_scratch(2 * n + 8)
+    qvals, qoffs = _hits(2 * n + 8)
+    ovals, ooffs, odist = _hits(2 * n + 8, dist=True)
     nq = ctypes.c_int64(0)
     no = ctypes.c_int64(0)
     _FN(buf, n, bounds, len(bounds),
@@ -286,45 +259,33 @@ def quad_octa_scan(cat: bytes, bounds: np.ndarray, quad_table,
         *_bt_args(docta), *_bt_args(xocta), lat,
         qvals, qoffs, ctypes.byref(nq),
         ovals, ooffs, odist, ctypes.byref(no))
-    return (qvals[:nq.value].copy(), qoffs[:nq.value].copy(),
-            ovals[:no.value].copy(), ooffs[:no.value].copy(),
-            odist[:no.value].astype(bool))
+    return (qvals[:nq.value], qoffs[:nq.value], ovals[:no.value],
+            ooffs[:no.value], odist[:no.value].view(bool))
 
 
-_cs_scratch: dict[str, np.ndarray] = {}
+def _hits(cap: int, dist: bool = False):
+    """One hit stream of ``cap`` slots: (vals u64, offs i64), plus the
+    distinct flags (u8) of an octa stream."""
+    return (np.empty(cap, dtype=np.uint64), np.empty(cap, dtype=np.int64),
+            *((np.empty(cap, dtype=np.uint8),) if dist else ()))
 
 
-def _cs_grow(sc: dict, max_span: int, n: int, nb: int, chunk_size: int,
-             num_langs: int) -> None:
-    """Shared scratch growth for the fused chunk-score kernels
-    (2x headroom + page prefault; see _prefault)."""
-    # worst case hit count per span: quads ~1/byte; octa stream up to
-    # 3 hits (distinct word + delta word + pair) per word, words up to
-    # span_bytes/2 -> 1.5x span bytes
-    if sc.get("span_cap", 0) < 2 * max_span + 8:
-        cap = max(3 * (max_span + 8), 1 << 16)
-        sc["qvals"] = np.empty(cap, dtype=np.uint64)
-        sc["qoffs"] = np.empty(cap, dtype=np.int64)
-        sc["ovals"] = np.empty(cap, dtype=np.uint64)
-        sc["ooffs"] = np.empty(cap, dtype=np.int64)
-        sc["odist"] = np.empty(cap, dtype=np.uint8)
-        _prefault(sc["qvals"], sc["qoffs"], sc["ovals"], sc["ooffs"],
-                  sc["odist"])
-        sc["span_cap"] = cap
-    if sc.get("nl", 0) < num_langs:
-        sc["scores"] = np.zeros(num_langs, dtype=np.int64)
-        sc["nl"] = num_langs
-    out_cap = n // max(chunk_size, 1) + nb + 8
-    if sc.get("out_cap", 0) < out_cap:
-        out_cap = 2 * out_cap
-        sc["lang1"] = np.empty(out_cap, dtype=np.int16)
-        sc["cbytes"] = np.empty(out_cap, dtype=np.int64)
-        sc["s1"] = np.empty(out_cap, dtype=np.int64)
-        sc["rel"] = np.empty(out_cap, dtype=np.int64)
-        sc["span"] = np.empty(out_cap, dtype=np.int64)
-        _prefault(sc["lang1"], sc["cbytes"], sc["s1"], sc["rel"],
-                  sc["span"])
-        sc["out_cap"] = out_cap
+def _chunk_bufs(starts: np.ndarray, bounds: np.ndarray, chunk_size: int,
+                num_langs: int):
+    """Per-call buffers of the chunk kernels: (hit_cap, scores, outs).
+
+    A span of s bytes yields at most s quad (or unigram) hits and, per
+    word of >= 2 framed bytes, 4 octa hits (<= 2s + 4), so each hit
+    stream and their merge fit h = 3 * (s + 8) slots, sized by the
+    longest span, and the span scores at most h // chunk_size + 1
+    chunks. outs are the per-chunk (lang1 i16, cbytes, s1, rel, span
+    i64) rows. ``scores`` is the per-language tote row, which the kernel
+    needs ZEROED (it leaves it zeroed)."""
+    h = 3 * (bounds - starts + 8)
+    out_cap = int((h // max(chunk_size, 1)).sum()) + len(h)
+    outs = (np.empty(out_cap, dtype=np.int16),
+            *(np.empty(out_cap, dtype=np.int64) for _ in range(4)))
+    return int(h.max(initial=0)), np.zeros(num_langs, dtype=np.int64), outs
 
 
 def _span_bounds(cat, starts, ends):
@@ -370,27 +331,13 @@ def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     n = len(buf)
     lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
     nb = len(bounds)
-    max_span = int((bounds - starts).max(initial=0))
-    sc = _cs_scratch
-    num_langs = expected_1kb.shape[0]
-    _cs_grow(sc, max_span, n, nb, chunk_size, num_langs)
-    ranges_args = (None,) * 5
-    if with_ranges:
-        if sc.get("m_cap", 0) < sc["span_cap"]:
-            mcap = sc["span_cap"]
-            sc["mvals"] = np.empty(mcap, dtype=np.uint64)
-            sc["moffs"] = np.empty(mcap, dtype=np.int64)
-            sc["mdist"] = np.empty(mcap, dtype=np.uint8)
-            _prefault(sc["mvals"], sc["moffs"], sc["mdist"])
-            sc["m_cap"] = mcap
-        if sc.get("r_cap", 0) < sc["out_cap"]:
-            rcap = sc["out_cap"]
-            sc["rel_delta"] = np.empty(rcap, dtype=np.int64)
-            sc["cstart"] = np.empty(rcap, dtype=np.int64)
-            _prefault(sc["rel_delta"], sc["cstart"])
-            sc["r_cap"] = rcap
-        ranges_args = tuple(sc[k].ctypes.data for k in (
-            "mvals", "moffs", "mdist", "rel_delta", "cstart"))
+    hit_cap, scores, outs = _chunk_bufs(starts, bounds, chunk_size,
+                                        expected_1kb.shape[0])
+    # the ranges pass's merged hit stream, then its two outputs
+    ranges = (*_hits(hit_cap, dist=True),
+              *(np.empty(len(outs[0]), dtype=np.int64) for _ in range(2))
+              ) if with_ranges else ()
+    ptrs = [a.ctypes.data for a in ranges] or [None] * 5
     exp = np.ascontiguousarray(expected_1kb, dtype=np.int32)
     s4 = np.ascontiguousarray(script4_of_span, dtype=np.uint8)
     cset = np.ascontiguousarray(close_set, dtype=np.int8)
@@ -403,14 +350,9 @@ def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
               socta.keys, socta.vals, int(socta.mask),
               *_bt_args(docta), *_bt_args(xocta), lat, s4,
               chunk_size, exp, cset, csr, flat,
-              sc["qvals"], sc["qoffs"], sc["ovals"], sc["ooffs"],
-              sc["odist"], *ranges_args[:3],
-              sc["scores"],
-              sc["lang1"], sc["cbytes"], sc["s1"], sc["rel"], sc["span"],
-              *ranges_args[3:])
-    keys = ("lang1", "cbytes", "s1", "rel", "span") \
-        + (("rel_delta", "cstart") if with_ranges else ())
-    return tuple(sc[k][:nch].copy() for k in keys)
+              *_hits(hit_cap), *_hits(hit_cap, dist=True), *ptrs[:3],
+              scores, *outs, *ptrs[3:])
+    return tuple(a[:nch] for a in (*outs, *ranges[3:]))
 
 
 def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
@@ -427,9 +369,8 @@ def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     n = len(buf)
     plens = np.ascontiguousarray(pseudo_lens, dtype=np.int64)
     nb = len(bounds)
-    max_span = int((bounds - starts).max(initial=0))
-    sc = _cs_scratch
-    _cs_grow(sc, max_span, n, nb, chunk_size, len(expected_1kb))
+    hit_cap, scores, outs = _chunk_bufs(starts, bounds, chunk_size,
+                                        len(expected_1kb))
     exp = np.ascontiguousarray(expected_1kb, dtype=np.int32)
     cset = np.ascontiguousarray(close_set, dtype=np.int8)
     csr = np.ascontiguousarray(hint_csr, dtype=np.int64)
@@ -441,12 +382,8 @@ def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
               cjkbi.buckets, cjkbi.buckets.shape[0], int(cjkbi.keymask),
               cjkbi.packed_othr,
               chunk_size, exp, cset, csr, flat,
-              sc["qvals"], sc["qoffs"], sc["ovals"], sc["ooffs"],
-              sc["scores"],
-              sc["lang1"], sc["cbytes"], sc["s1"], sc["rel"], sc["span"])
-    return (sc["lang1"][:nch].copy(), sc["cbytes"][:nch].copy(),
-            sc["s1"][:nch].copy(), sc["rel"][:nch].copy(),
-            sc["span"][:nch].copy())
+              *_hits(hit_cap), *_hits(hit_cap), scores, *outs)
+    return tuple(a[:nch] for a in outs)
 
 
 def extract_scan_batch(cat: bytes, ends: np.ndarray, ent_keys: np.ndarray,
@@ -478,12 +415,6 @@ def extract_scan_batch(cat: bytes, ends: np.ndarray, ent_keys: np.ndarray,
     return out[:m], offsets
 
 
-_ssm_scratch: dict[str, np.ndarray] = {}
-# growth headroom of the span-scan scratch, so that slightly larger
-# later batches do not re-allocate and re-fault it
-_SSM_HEADROOM = 1.25
-
-
 def _ssm_needs(bounds: np.ndarray, text_limit: int) -> tuple[int, int]:
     """(packed, per_doc) scratch slots script_spans_scan_multi needs:
     pass 1 of the scan records at most c_d = min(len_d, text_limit + 1)
@@ -505,42 +436,25 @@ def script_spans_scan_multi(cat: bytes, bounds: np.ndarray,
     lp_start, lp_end] with out/lp indexing the shared out_buf/lt_idx,
     where the spans' texts and letters are packed back to back in
     document order; doc d owns meta rows [sum(ns_doc[:d]),
-    sum(ns_doc[:d+1])). The views are scratch the next call reuses."""
+    sum(ns_doc[:d+1])). The arrays are fresh, sized to the worst case:
+    the used prefix of out_buf and lt_idx ends at the last meta row."""
     n_docs = len(bounds)
-    sc = _ssm_scratch
-    lt_need, tmp_need = _ssm_needs(bounds, text_limit)
-    out_need = 3 * lt_need + n_docs
-    if (sc.get("lt_cap", -1) < lt_need or sc["out_cap"] < out_need
-            or sc["tmp_cap"] < tmp_need or sc["nd_cap"] < n_docs):
-        lt_cap, out_cap, tmp_cap, nd_cap = (
-            max(sc.get(k, 0), int(_SSM_HEADROOM * need)) for k, need in
-            (("lt_cap", lt_need), ("out_cap", out_need),
-             ("tmp_cap", tmp_need), ("nd_cap", n_docs)))
-        sc["lt_idx"] = np.zeros(lt_cap, dtype=np.int64)
-        sc["lt_sc"] = np.zeros(tmp_cap, dtype=np.uint8)
-        sc["lt_low"] = np.zeros(tmp_cap, dtype=np.uint32)
-        sc["lt_len"] = np.zeros(tmp_cap, dtype=np.uint8)
-        sc["out_buf"] = np.zeros(out_cap, dtype=np.uint8)
-        # meta stays untouched-lazy: its worst-case sizing is large but
-        # only emitted span rows are ever written
-        sc["meta"] = np.empty(lt_cap * 7, dtype=np.int64)
-        sc["ns_doc"] = np.zeros(nd_cap, dtype=np.int64)
-        # pre-touch the densely written arrays once here (first touch
-        # of fresh pages costs ~85us/KB-doc vs ~5us warm, and this
-        # allocation path runs during the untimed warm-up); of out_buf
-        # only the prefix a batch normally fills, ~1 byte per letter
-        _prefault(sc["lt_idx"], sc["lt_sc"], sc["lt_low"], sc["lt_len"],
-                  sc["out_buf"][:lt_cap])
-        sc["ptrs"] = tuple(sc[k].ctypes.data for k in
-                           ("lt_idx", "lt_sc", "lt_low", "lt_len",
-                            "out_buf", "meta", "ns_doc"))
-        sc.update(lt_cap=lt_cap, out_cap=out_cap, tmp_cap=tmp_cap,
-                  nd_cap=nd_cap)
+    lt_cap, tmp_cap = _ssm_needs(bounds, text_limit)
+    # the scan writes every slot before it reads it
+    lt_idx = np.empty(lt_cap, dtype=np.int64)
+    tmp = (np.empty(tmp_cap, dtype=np.uint8),
+           np.empty(tmp_cap, dtype=np.uint32),
+           np.empty(tmp_cap, dtype=np.uint8))
+    out_buf = np.empty(3 * lt_cap + n_docs, dtype=np.uint8)
+    # at most one span per letter; only emitted rows are written
+    meta = np.empty(lt_cap * 7, dtype=np.int64)
+    ns_doc = np.empty(n_docs, dtype=np.int64)
     ns = _SSM(cat, bounds.ctypes.data, n_docs,
               script_lut.ctypes.data, lower_lut.ctypes.data,
-              len(script_lut), text_limit, max_span_bytes, *sc["ptrs"])
-    meta = sc["meta"][:ns * 7].reshape(ns, 7)
-    return meta, sc["ns_doc"][:n_docs], sc["out_buf"], sc["lt_idx"]
+              len(script_lut), text_limit, max_span_bytes,
+              *(a.ctypes.data for a in (lt_idx, *tmp, out_buf, meta,
+                                        ns_doc)))
+    return meta[:ns * 7].reshape(ns, 7), ns_doc, out_buf, lt_idx
 
 
 def quality_scan(cat: bytes, bounds: np.ndarray, letter_lut: np.ndarray,
@@ -553,9 +467,15 @@ def quality_scan(cat: bytes, bounds: np.ndarray, letter_lut: np.ndarray,
     n_docs = len(bounds)
     buf = np.frombuffer(cat, dtype=np.uint8)
     bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-    out = np.zeros((n_docs, 13), dtype=np.int64)
+    out = np.empty((n_docs, 13), dtype=np.int64)
+    # the dup-line table: a doc of b bytes has <= b/2 + 1 non-empty
+    # lines, held at load <= 1/2 in a power of two >= 64 slots; the
+    # kernel tags slots with doc + 1, so the tags start ZEROED
+    need = int(np.diff(bounds, prepend=0).max(initial=0)) // 2 * 2 + 16
+    cap = 1 << max(need - 1, 63).bit_length()
     _QS(buf, bounds, n_docs, letter_lut, len(letter_lut),
-        fold_lut, len(fold_lut), sw_table, len(sw_table), out)
+        fold_lut, len(fold_lut), sw_table, len(sw_table), out,
+        np.empty(cap, dtype=np.uint64), np.zeros(cap, dtype=np.uint64), cap)
     return out
 
 
@@ -569,14 +489,9 @@ def table_lookup(keys: np.ndarray, vals: np.ndarray, mask: int,
     return out
 
 
-_fl_scratch: dict[str, np.ndarray] = {}
-
-
-# ppl_score's trigram memo: 2^PPL_MEMO_BITS (key, bits) slots, 1 MB.
-# One per thread, since the C call releases the GIL; the kernel resets
-# it on every call.
+# ppl_score's trigram memo: 2^PPL_MEMO_BITS (key, bits) slots, 1 MB,
+# which the kernel resets on every call.
 PPL_MEMO_BITS = 16
-_ppl_tls = threading.local()
 
 
 def ppl_score(cat: bytes, bounds: np.ndarray, lang_ids: np.ndarray,
@@ -593,30 +508,21 @@ def ppl_score(cat: bytes, bounds: np.ndarray, lang_ids: np.ndarray,
     if v <= 0 or v & (v - 1):
         raise ValueError(f"ppl_score: uni.shape[1] = {v} is not a power "
                          "of two")
-    memo = getattr(_ppl_tls, "memo", None)
-    if memo is None:
-        memo = _ppl_tls.memo = np.empty(2 << PPL_MEMO_BITS, dtype=np.uint64)
-    bits = np.zeros(n_docs, dtype=np.float64)
-    cnt = np.zeros(n_docs, dtype=np.int64)
+    bits = np.empty(n_docs, dtype=np.float64)
+    cnt = np.empty(n_docs, dtype=np.int64)
     _PP(buf, bounds, n_docs, lang_ids, table.keys, table.vals,
-        int(table.mask), uni, v, bits, cnt, memo, PPL_MEMO_BITS)
+        int(table.mask), uni, v, bits, cnt,
+        np.empty(2 << PPL_MEMO_BITS, dtype=np.uint64), PPL_MEMO_BITS)
     return bits, cnt
-
-
-_pm_tbl = None
 
 
 def predict_mask(data: bytes):
     """(mask bool[nchars], nbytes uint8[nchars]) for the 12-bit
     next-char predictor, one C pass over the UTF-8 bytes."""
-    global _pm_tbl
-    if _pm_tbl is None:
-        _pm_tbl = np.empty(4096, dtype=np.int64)
-    _pm_tbl.fill(-1)
     buf = np.frombuffer(data, dtype=np.uint8)
     mask = np.empty(len(data) + 1, dtype=np.uint8)
     nb = np.empty(len(data) + 1, dtype=np.uint8)
-    nc = _PM(buf, len(buf), _pm_tbl, mask, nb)
+    nc = _PM(buf, len(buf), np.full(4096, -1, dtype=np.int64), mask, nb)
     return mask[:nc].astype(bool), nb[:nc]
 
 
@@ -718,18 +624,14 @@ def fastlangid_score(cat: bytes, bounds: np.ndarray, idx: np.ndarray,
     n_docs = len(bounds)
     buf = np.frombuffer(cat, dtype=np.uint8)
     bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-    if _fl_scratch.get("n_rows", 0) < w.shape[0]:
-        _fl_scratch["cnt"] = np.zeros(w.shape[0], dtype=np.int32)
-        _fl_scratch["n_rows"] = w.shape[0]
-    max_doc = int(np.diff(np.concatenate([[0], bounds])).max(initial=0))
-    if _fl_scratch.get("t_cap", 0) < 3 * max_doc + 8:
-        _fl_scratch["touched"] = np.empty(3 * max_doc + 8, dtype=np.int32)
-        _fl_scratch["t_cap"] = 3 * max_doc + 8
+    max_doc = int(np.diff(bounds, prepend=0).max(initial=0))
+    # the kernel adds into scores and counts rows in cnt: both ZEROED
     scores = np.zeros((n_docs, w.shape[1]), dtype=np.float32)
-    nfeats = np.zeros(n_docs, dtype=np.int64)
-    nrows = np.zeros(n_docs, dtype=np.int64)
+    nfeats = np.empty(n_docs, dtype=np.int64)
+    nrows = np.empty(n_docs, dtype=np.int64)
     _ACC(buf, bounds, n_docs, idx, w, w.shape[1],
-         _fl_scratch["cnt"], _fl_scratch["touched"], scores, nfeats, nrows)
+         np.zeros(w.shape[0], dtype=np.int32),
+         np.empty(3 * max_doc + 8, dtype=np.int32), scores, nfeats, nrows)
     return scores, nfeats, nrows
 
 

@@ -748,15 +748,19 @@ static inline int is_py_space(uint32_t cp) {
         || cp == 0x205F || cp == 0x3000;
 }
 
-/* per-process dup-line hash table with epoch tags (no per-doc clear) */
-static uint64_t *g_line_h = NULL;
-static uint64_t *g_line_ep = NULL;
-static int64_t g_line_cap = 0;   /* power of two */
+/* The dup-line hash table, caller's scratch: line_cap (a power of two)
+ * slots of line hash h and epoch tag ep.  A slot belongs to the current
+ * doc iff its tag equals the doc's epoch, so no per-doc clear. */
+typedef struct {
+    uint64_t *h, *ep;
+    int64_t cap;
+} line_table;
 
 /* one stripped non-empty line [ts, te): update bullet/ellipsis/dup.
  * first_cp is the first codepoint at ts; returns 1 if it was a dup. */
 static inline int line_commit(const uint8_t *cat, int64_t ts, int64_t te,
-                              uint32_t first_cp, uint64_t ep,
+                              uint32_t first_cp, const line_table *lt,
+                              uint64_t ep,
                               int64_t *bullets, int64_t *ellipsis) {
     if (first_cp == '-' || first_cp == '*' || first_cp == 0x2022
         || first_cp == 0x00B7) (*bullets)++;
@@ -767,13 +771,13 @@ static inline int line_commit(const uint8_t *cat, int64_t ts, int64_t te,
     uint64_t h = 0xCBF29CE484222325ull;             /* FNV-1a 64 */
     for (int64_t i = ts; i < te; i++)
         h = (h ^ cat[i]) * 0x100000001B3ull;
-    uint64_t m = (uint64_t)g_line_cap - 1;
+    uint64_t m = (uint64_t)lt->cap - 1;
     uint64_t idx = h & m;
     for (;;) {
-        if (g_line_ep[idx] != ep) {
-            g_line_ep[idx] = ep; g_line_h[idx] = h; return 0;
+        if (lt->ep[idx] != ep) {
+            lt->ep[idx] = ep; lt->h[idx] = h; return 0;
         }
-        if (g_line_h[idx] == h) return 1;
+        if (lt->h[idx] == h) return 1;
         idx = (idx + 1) & m;
     }
 }
@@ -781,20 +785,12 @@ static inline int line_commit(const uint8_t *cat, int64_t ts, int64_t te,
 /* line stats for one doc [start, end): split on '\n', strip each line
  * (Python str.strip() semantics), drop empties; count non-empty lines,
  * bullet starts, "..."/ellipsis ends, and duplicate lines (64-bit FNV
- * equality - collision odds negligible). Mirrors quality.line_stats. */
+ * equality - collision odds negligible). Mirrors quality.line_stats.
+ * The table holds > 2x the doc's non-empty lines, and no slot carries
+ * the tag epoch yet. */
 static void line_scan_doc(const uint8_t *cat, int64_t start, int64_t end,
+                          const line_table *lt, uint64_t epoch,
                           int64_t *row) {
-    static uint64_t epoch = 0;
-    int64_t need = ((end - start) / 2 + 8) * 2;
-    if (need > g_line_cap) {
-        int64_t cap = g_line_cap > 64 ? g_line_cap : 64;
-        while (cap < need) cap <<= 1;
-        free(g_line_h); free(g_line_ep);
-        g_line_h = (uint64_t *)malloc((size_t)cap * 8);
-        g_line_ep = (uint64_t *)calloc((size_t)cap, 8);
-        g_line_cap = cap;
-    }
-    epoch++;
     int64_t n_lines = 0, bullets = 0, ellipsis = 0, dups = 0;
     int64_t i = start;
     while (i <= end) {
@@ -827,7 +823,7 @@ static void line_scan_doc(const uint8_t *cat, int64_t start, int64_t end,
         }
         if (ts >= 0) {
             n_lines++;
-            dups += line_commit(cat, ts, te, first_cp, epoch,
+            dups += line_commit(cat, ts, te, first_cp, lt, epoch,
                                 &bullets, &ellipsis);
         }
         if (le >= end) break;
@@ -837,12 +833,18 @@ static void line_scan_doc(const uint8_t *cat, int64_t start, int64_t end,
     row[11] = ellipsis; row[12] = dups;
 }
 
+/* Per-doc text stats (see native.quality_scan) into out[n_docs][13].
+ * line_h/line_ep: the dup-line table (line_table), line_cap slots, a
+ * power of two above twice the non-empty lines of the longest doc;
+ * line_ep ZEROED, as doc d tags its lines with d + 1. */
 int quality_scan(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
                  const uint8_t *is_letter, int64_t letter_lim,
                  const uint32_t *fold, int64_t fold_lim,
                  const uint64_t *sw_keys, int64_t sw_cap,
-                 int64_t *out) {
+                 int64_t *out,
+                 uint64_t *line_h, uint64_t *line_ep, int64_t line_cap) {
     static const char lorem[] = "lorem ipsum";
+    const line_table lt = {line_h, line_ep, line_cap};
     int64_t start = 0;
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t end = bounds[d];
@@ -919,7 +921,7 @@ int quality_scan(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
         row[0] = n_words; row[1] = n_chars; row[2] = n_ws;
         row[3] = alpha_words; row[4] = n_stop; row[5] = n_sent;
         row[6] = symbols; row[7] = has_lorem; row[8] = has_brace;
-        line_scan_doc(cat, start, end, row);
+        line_scan_doc(cat, start, end, &lt, (uint64_t)d + 1, row);
         start = end;
     }
     return 0;

@@ -8,6 +8,7 @@ import pytest
 
 from cld2_ray.data.seeds import HELDOUT
 from cld2_ray.functions import langs
+from cld2_ray.functions.extract import extract_text
 from cld2_ray.functions.langid import Detector
 from tests.oracles.langid import detect_ranges_numpy
 
@@ -82,20 +83,14 @@ def test_numbers_only_unknown(det):
     assert r.summary_code == "un"
 
 
-def test_bad_utf8_via_html_gate(det):
-    res, text, vp = det.detect_html(b"good text \xfe\xff more")
-    assert res.summary_lang == langs.UNKNOWN
-    assert not res.is_reliable
-    assert vp == 10
-
-
-def test_detect_html_end_to_end(det):
+def test_detect_html_end_to_end():
+    import cld2_ray
     html = ("<html><head><script>var x='english junk';</script></head>"
             "<body><p>" + HELDOUT["fr"] + " " + HELDOUT["fr"] + "</p>"
             "</body></html>").encode("utf-8")
-    res, text, vp = det.detect_html(html)
+    res = cld2_ray.detect_language(html, is_plain_text=False)
     assert res.summary_code == "fr"
-    assert "english junk" not in text
+    assert "english junk" not in extract_text(html)
 
 
 def test_mixed_document_percents(det):

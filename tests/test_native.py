@@ -204,17 +204,40 @@ class TestKernelRequired:
 
 
 class TestSpanScanSanitized:
-    """script_spans_scan_multi, built with AddressSanitizer and UBSan,
-    over worst-case inputs at exactly the scratch capacities the shim
-    sizes (growth headroom off): any write past lt_idx, out_buf or the
-    per-document temporaries aborts the run."""
+    """The kernels whose buffers the shim sizes per call, built with
+    AddressSanitizer and UBSan, over worst-case inputs at exactly those
+    capacities: any write past a buffer aborts the run. The span scan,
+    quad_octa_scan and both chunk kernels (with and without the ranges
+    pass), quality_scan's dup-line table, fastlangid_score and
+    ppl_score; each result must equal the plain build's."""
 
     DRIVER = r"""
 import numpy as np
 import native_copy as nc
+from cld2_ray import native
+from cld2_ray.functions import fastlangid, langs, perplexity, quality, score
 from cld2_ray.functions import uscript as us
-from cld2_ray.functions.spans import MAX_SCRIPT_BYTES, TEXT_LIMIT as L
-nc._SSM_HEADROOM = 1.0
+from cld2_ray.functions.spans import (MAX_SCRIPT_BYTES, TEXT_LIMIT as L,
+                                      script_spans_batch)
+from cld2_ray.state.model import default_model
+
+
+def cat_of(docs):
+    return (b"".join(docs),
+            np.cumsum([len(d) for d in docs]).astype(np.int64))
+
+
+def same(kernel, *args, **kw):
+    got = getattr(nc, kernel)(*args, **kw)
+    want = getattr(native, kernel)(*args, **kw)
+    if isinstance(got, np.ndarray):
+        got, want = (got,), (want,)
+    assert len(got) == len(want), kernel
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y), kernel
+    return got
+
+
 a, cut = b"a", b"\xc3"          # one-letter word; lead byte cut off
 up = "\u023a\u023e ".encode()    # lowercase is longer in UTF-8
 cases = [
@@ -227,17 +250,62 @@ cases = [
     ([b"", a, b"", up, cut, b"x " + cut, b"\xf0\x9f"], None),
 ]
 for docs, tight in cases:
-    nc._ssm_scratch.clear()
-    bounds = np.cumsum([len(d) for d in docs]).astype(np.int64)
+    cat, bounds = cat_of(docs)
     meta, ns, out, lt = nc.script_spans_scan_multi(
-        b"".join(docs), bounds, us.script_lut(), us.lower_lut(), L,
-        MAX_SCRIPT_BYTES)
+        cat, bounds, us.script_lut(), us.lower_lut(), L, MAX_SCRIPT_BYTES)
     assert ns.sum() == len(meta) > 0
     if tight == "out":
         assert meta[-1, 3] + meta[-1, 4] == len(out)
     elif tight == "lt":
         assert len(lt) == int(np.minimum(np.diff(bounds, prepend=0),
                                          L + 1).sum())
+
+# chunk kernels: max-length spans of one-letter words (about one table
+# hit per byte, the densest input found) and long CJK runs
+m = default_model()
+words = "a y o e i u " * (3 * MAX_SCRIPT_BYTES // 12)
+hz = "".join(map(chr, np.random.default_rng(0).integers(0x4E00, 0x9FA5,
+                                                        30000)))
+t = script_spans_batch([words, hz, "x " + hz[:999] + " y", "a"])
+lat = np.flatnonzero(t.script == us.LATIN)
+han = np.flatnonzero(t.script == us.HANI)
+assert (t.end - t.start)[lat].max() >= MAX_SCRIPT_BYTES
+assert (t.end - t.start)[han].max() >= MAX_SCRIPT_BYTES
+no_hints = (np.zeros(len(lat) + 1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64))
+for wr in (False, True):
+    same("quad_octa_chunk_score", t.buf, t.start[lat], t.end[lat], m.quad,
+         m.socta, m.docta, m.xocta, np.ones(len(lat), dtype=bool),
+         score.CHUNKSIZE_QUADS, m.expected_quad, langs.CLOSE_SET,
+         *no_hints, us.LSCRIPT4[t.script[lat]], with_ranges=wr)
+same("quad_octa_scan", t.buf[t.start[lat[0]]:t.end[lat[-1]]].tobytes(),
+     t.end[lat] - t.start[lat[0]], m.quad, m.socta, m.docta, m.xocta,
+     np.ones(len(lat), dtype=bool))
+same("cjk_chunk_score", t.buf, t.start[han], t.end[han],
+     t.text_bytes[han], m.uni, m.cjkbi, score.CHUNKSIZE_UNIS,
+     m.expected_uni, langs.CLOSE_SET, np.zeros(len(han) + 1, np.int64),
+     np.zeros(0, dtype=np.int64))
+
+# quality_scan: thousands of one-char lines, all-duplicate lines, and
+# docs around the dup-line table's smallest size
+lines = "\n".join(chr(0x4E00 + k) for k in range(6000)).encode()
+docs = [lines, b"same line\n" * 3000, b"", b"x", b"y\n" * 23,
+        b"\n".join([b"a", b"b"] * 40)]
+s = same("quality_scan", *cat_of(docs), quality._letter_lut(),
+         quality._fold_lut(), quality._stop_table())[0]
+assert s[0, 9] == 6000 and s[0, 12] == 0
+assert s[1, 9] == 3000 and s[1, 12] == 2999
+
+# fastlangid_score and ppl_score over long, short and empty docs
+framed = [(" " + d.decode().lower() + " ").encode() for d in docs] + [b""]
+framed.append(" ".join(hz).encode())
+w = fastlangid.weights()
+same("fastlangid_score", *cat_of(framed), fastlangid.weights.bucket_index, w)
+pm = perplexity.models()
+lids = [langs.lang_id(c) for c in ("en", "fr", "de")] + [-1]
+same("ppl_score", *cat_of(framed),
+     np.resize(np.array(lids, dtype=np.int64), len(framed)), pm.table,
+     pm.uni)
 print("clean")
 """
 

@@ -362,3 +362,26 @@ class TestBatchSplitInvariance:
                 assert b - a == 1 or sizes[a:b].sum() <= cap
             monkeypatch.setattr(core, "MAX_CALL_HTML_BYTES", cap)
             self._check(core.fused_batch(pages, with_chunks=wc), whole)
+
+
+class TestReentrant:
+    """fused_batch on different batches from several threads at once
+    (every C call releases the GIL) gives each batch its sequential
+    result: no kernel shares buffers or state between calls."""
+
+    def test_threads_match_sequential(self):
+        from concurrent.futures import ThreadPoolExecutor
+        from perfbench.workloads import make_table
+        from cld2_ray.stages.core import fused_batch
+        lf = make_table("longform_job", 3, 48)
+        sn = make_table("snippets", 3, 512)
+        jobs = [(lf.slice(0, 24), True), (lf.slice(24, 24), False),
+                (sn.slice(0, 256), False), (sn.slice(256, 256), False)]
+        # the sequential pass also loads the models once
+        want = [fused_batch(t, with_chunks=wc) for t, wc in jobs]
+        with ThreadPoolExecutor(4) as ex:
+            for _ in range(6):
+                got = list(ex.map(
+                    lambda j: fused_batch(j[0], with_chunks=j[1]), jobs))
+                for g, w in zip(got, want):
+                    assert g.equals(w)

@@ -38,29 +38,33 @@ def detect_language(content, is_plain_text: bool = True,
     (DetectLanguage / ExtDetectLanguageSummaryCheckUTF8,
     compact_lang_det.h:236-338): pass raw HTML bytes with
     ``is_plain_text=False`` to get UTF-8 validation + tag/entity
-    extraction + TLD/lang-attr hints, or an already-extracted str with
-    the default. Returns a DetectResult (summary_code, language3,
-    percent3, normalized_score3, is_reliable, text_bytes).
+    extraction + TLD/lang-attr hints, or plain text (a str, or its
+    UTF-8 bytes) with the default. Returns a DetectResult
+    (summary_code, language3, percent3, normalized_score3, is_reliable,
+    text_bytes). Bytes that are not valid UTF-8 throughout give
+    UNKNOWN_LANGUAGE, unreliable, as the reference's CheckUTF8 entry
+    does.
 
     This is the interactive convenience path — batch pipelines should
     use Detector.detect_batch inside map_batches (see
     pipelines/flagship.py) so table loads amortize per worker."""
     det = _detector()
     hints = None
-    if is_plain_text and isinstance(content, bytes):
-        # the reference's buffer parameter is bytes: validate and
-        # decode the valid UTF-8 prefix (CheckUTF8 behavior)
-        from cld2_ray.functions.extract import valid_utf8_prefix
-        content = content[:valid_utf8_prefix(content)].decode("utf-8")
-    if not is_plain_text:
-        from cld2_ray.functions.extract import (extract_text,
-                                                valid_utf8_prefix)
-        from cld2_ray.functions.hints import hints_from_page
+    if isinstance(content, bytes) or not is_plain_text:
+        from cld2_ray.functions import langs, score
+        from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
         raw = content if isinstance(content, bytes) \
             else content.encode("utf-8")
-        vp = valid_utf8_prefix(raw)
-        hints = hints_from_page(url, raw)
-        content = extract_text(raw[:vp]) if vp else ""
+        if valid_utf8_prefix(raw) < len(raw):
+            u = langs.UNKNOWN
+            return score.DetectResult(u, (u, u, u), (0, 0, 0),
+                                      (0.0, 0.0, 0.0), 0, False)
+        if is_plain_text:
+            content = raw.decode("utf-8")
+        else:
+            from cld2_ray.functions.hints import hints_from_page
+            hints = hints_from_page(url, raw)
+            content = extract_text(raw)
     return det.detect(content, best_effort=best_effort,
                       hint_langs=hints,
                       default_to_english=default_to_english)

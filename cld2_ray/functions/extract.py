@@ -82,26 +82,17 @@ def valid_utf8_prefix(b: bytes) -> int:
 
 @lru_cache(maxsize=1)
 def _ent_table():
-    """Open-addressed uint64 entity-name table + int32 values for the
-    C extractor (names are <= 8 bytes, packed little-endian), plus the
-    FixUnicodeValue low map as uint32[256]."""
+    """The C extractor's tables: the entity names as a
+    native.table_build table (keys, vals, mask) of name bytes (<= 8,
+    read little-endian) -> codepoint, then the FixUnicodeValue low map
+    as uint32[256]."""
     import numpy as np
-    cap = 1024
-    keys = np.zeros(cap, dtype=np.uint64)
-    vals = np.zeros(cap, dtype=np.int32)
-    for name, v in NAME_TO_ENTITY.items():
-        bts = name.encode("ascii")
-        assert 0 < len(bts) <= 8
-        key = int.from_bytes(bts, "little")
-        h = (key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        h ^= h >> 29
-        idx = h & (cap - 1)
-        while keys[idx] != 0:
-            idx = (idx + 1) & (cap - 1)
-        keys[idx] = key
-        vals[idx] = v
-    low = np.asarray(_LOW_MAP, dtype=np.uint32)
-    return keys, vals, low
+    from cld2_ray import native
+    names = {name.encode("ascii"): v for name, v in NAME_TO_ENTITY.items()}
+    assert all(0 < len(name) <= 8 for name in names)
+    return (*native.table_build({int.from_bytes(name, "little"): v
+                                 for name, v in names.items()}),
+            np.asarray(_LOW_MAP, dtype=np.uint32))
 
 
 def extract_batch(htmls: list[bytes]):
@@ -115,8 +106,8 @@ def extract_batch(htmls: list[bytes]):
     import numpy as np
     import pyarrow as pa
     from cld2_ray import native
-    ends = np.cumsum([len(h) for h in htmls], dtype=np.int64)
-    data, offsets = native.extract_scan_batch(b"".join(htmls), ends,
+    offsets = np.cumsum([0] + [len(h) for h in htmls], dtype=np.int64)
+    data, offsets = native.extract_scan_batch(b"".join(htmls), offsets,
                                               *_ent_table())
     return pa.LargeStringArray.from_buffers(
         len(htmls), pa.py_buffer(offsets), pa.py_buffer(data))
@@ -145,7 +136,7 @@ def text_to_raw_ranges(html: bytes, ranges) -> list[tuple[int, int, str]]:
     import numpy as np
     from cld2_ray import native
     _data, _offsets, src = native.extract_scan_batch(
-        html, [len(html)], *_ent_table(), with_map=True)
+        html, [0, len(html)], *_ent_table(), with_map=True)
     m = len(src)
     pos = np.array([[a, a + n] for a, n, _ in ranges], dtype=np.int64)
     raw = np.where(pos < m, src[np.minimum(pos, m - 1)], len(html))

@@ -174,10 +174,8 @@ def classify_batch(texts) -> tuple[list[str], list[float]]:
 
     w = weights()
     idx = weights.bucket_index  # type: ignore[attr-defined]
-    framed = [(" " + lowered[i] + " ").encode("utf-8") for i in todo]
-    bounds = np.cumsum([len(b) for b in framed]).astype(np.int64)
     scores, nf, n_rows = native.fastlangid_score(
-        b"".join(framed), bounds, idx, w)
+        *native.utf8_cat([" " + lowered[i] + " " for i in todo]), idx, w)
     has_row = n_rows > 0
     col_langs = weights.col_langs  # type: ignore[attr-defined]
     order = np.argsort(scores, axis=1)

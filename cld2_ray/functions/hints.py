@@ -39,14 +39,6 @@ ENCODING_WEIGHT = 4     # kCLDPriorEncodingWeight
 LANGUAGE_WEIGHT = 8     # kCLDPriorLanguageWeight (explicit caller hint)
 MAX_PRIORS = 4          # TrimCLDLangPriors(4, ...)
 
-# compat view of the parsed TLD table: tld -> its strongest
-# positively-weighted language code
-TLD_HINTS: dict[str, str] = {
-    tld: max((p for p in priors if p[1] > 0), key=lambda p: p[1])[0]
-    for tld, priors in TLD_PRIORS.items()
-    if any(w > 0 for _, w in priors)
-}
-
 # legacy-encoding -> likely language (the encoding_hint analogue,
 # compact_lang_det.h:133-138 + the hint boost table
 # compact_lang_det_hint_code.cc:647-1390): only encodings that are

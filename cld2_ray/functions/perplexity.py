@@ -149,11 +149,10 @@ def score_batch(texts, lang_codes) -> tuple[list[float], list[bool]]:
         lid = langs.lang_id(lc)
         if lid != langs.UNKNOWN and np.isfinite(m.thresholds[lid]):
             lids[i] = lid
-            framed.append((" " + (t or "").lower() + " ").encode("utf-8"))
+            framed.append(" " + (t or "").lower() + " ")
         else:
-            framed.append(b"")
-    bounds = np.cumsum([len(b) for b in framed]).astype(np.int64)
-    bits, cnt = native.ppl_score(b"".join(framed), bounds, lids,
+            framed.append("")
+    bits, cnt = native.ppl_score(*native.utf8_cat(framed), lids,
                                  m.table, m.uni)
     ok = cnt > 0
     means = np.where(ok, bits / np.maximum(cnt, 1), 0.0)

@@ -90,35 +90,22 @@ def _fold_lut():
 
 @lru_cache(maxsize=1)
 def _stop_table():
-    """Open-addressed uint64 set of the stopwords, keyed by packed
-    little-endian utf-8 bytes (all <= 8 bytes), same probe as the C
-    model tables."""
-    words = set(_STOP_WORDS_ALT.split("|"))
-    cap = 256
-    tbl = np.zeros(cap, dtype=np.uint64)
-    for w in words:
-        b = w.encode("utf-8")
-        assert 0 < len(b) <= 8, w
-        key = int.from_bytes(b, "little")
-        h = (key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        h ^= h >> 29
-        idx = h & (cap - 1)
-        while tbl[idx] != 0 and int(tbl[idx]) != key:
-            idx = (idx + 1) & (cap - 1)
-        tbl[idx] = key
-    return tbl
+    """The stopword set as a native.table_build table: key = the word's
+    UTF-8 bytes (all <= 8) read little-endian, value 1."""
+    from cld2_ray import native
+    words = [w.encode("utf-8") for w in _STOP_WORDS_ALT.split("|")]
+    assert all(0 < len(w) <= 8 for w in words)
+    return native.table_build({int.from_bytes(w, "little"): 1
+                               for w in words})
 
 
 def _scan_stats(stripped: list[str]) -> np.ndarray:
     """(n, 13) int64 stats (see native.quality_scan) via ONE C pass over
-    the concatenated stripped texts. Line stats are invariant to
-    whole-doc strip(): per-line strip + empty-line drop subsume it."""
+    the stripped texts. Line stats are invariant to whole-doc strip():
+    per-line strip + empty-line drop subsume it."""
     from cld2_ray import native
-    bufs = [t.encode("utf-8") for t in stripped]
-    bounds = np.cumsum(np.array([len(b) for b in bufs], dtype=np.int64))
-    cat = b"".join(bufs)
-    return native.quality_scan(cat, bounds, _letter_lut(), _fold_lut(),
-                               _stop_table())
+    return native.quality_scan(*native.utf8_cat(stripped), _letter_lut(),
+                               _fold_lut(), _stop_table())
 
 
 # languages written without inter-word spaces: word-shape rules do not

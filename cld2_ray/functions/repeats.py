@@ -54,9 +54,8 @@ def squeeze_triggers(texts: list[str]) -> np.ndarray:
     long = [i for i, t in enumerate(texts)
             if t and len(t) > SQUEEZE_TEST_THRESH]
     if long:
-        probes = [texts[i][:SQUEEZE_TEST_LEN].encode("utf-8") for i in long]
         out[long] = native.squeeze_test_multi(
-            b"".join(probes), np.cumsum([len(p) for p in probes]),
+            *native.utf8_cat([texts[i][:SQUEEZE_TEST_LEN] for i in long]),
             SPACES_TRIGGER_PERCENT, PREDICT_TRIGGER_PERCENT)
     return out
 

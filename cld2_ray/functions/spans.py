@@ -144,10 +144,8 @@ def script_spans_batch(texts: list[str],
     (native.script_spans_scan_multi; a ctypes call per doc was ~15% of
     the fused stage). tests/oracles/spans.py is its test oracle."""
     from cld2_ray import native
-    bufs = [t.encode("utf-8") for t in texts]
-    bounds = np.cumsum(np.array([len(b) for b in bufs], dtype=np.int64))
     meta, ns_doc, out_buf, lt_idx = native.script_spans_scan_multi(
-        b"".join(bufs), bounds, us.script_lut(), us.lower_lut(),
+        *native.utf8_cat(texts), us.script_lut(), us.lower_lut(),
         text_limit, MAX_SCRIPT_BYTES)
     # the native outputs are sized to the scan's worst case, packed
     # span after span: copy the used prefixes so that the table does

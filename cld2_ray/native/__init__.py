@@ -7,6 +7,15 @@ import raises ``ImportError`` carrying the compiler's stderr. Every hot
 kernel has this one runtime implementation; the tests check each entry
 point against an independent numpy/hashlib oracle (tests/oracles/).
 
+A batch of documents has one layout, the Arrow one ``utf8_cat`` returns:
+``(data, offsets)`` with document d at ``data[offsets[d]:offsets[d+1]]``.
+Every per-document binding takes it, and ``_docs`` checks it. The chunk
+kernels and ``rep_words_multi`` read chosen rows of a span table, so
+they take per-span ``starts``/``ends`` instead (checked by ``_spans``).
+``table_build`` builds the open-addressed table format that the C probe
+(``table_lookup``) reads: the model's quad, socta and CJK unigram
+tables, the perplexity table, the stopword set and the entity names.
+
 Every binding allocates its buffers on each call, sized to the kernel's
 worst case, and the C code keeps no writable state between calls, so
 the kernels are reentrant: the C call releases the GIL (plain ctypes)
@@ -200,7 +209,7 @@ def _load() -> None:
     _QS.argtypes = [u8p, i64p, ctypes.c_int64,
                     u8p, ctypes.c_int64,
                     u32p, ctypes.c_int64,
-                    u64p, ctypes.c_int64, i64wp,
+                    u64p, u64p, ctypes.c_uint64, i64wp,
                     u64wp, u64wp, ctypes.c_int64]
     _QS.restype = ctypes.c_int
     u8wp = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
@@ -215,7 +224,7 @@ def _load() -> None:
     _SSM.restype = ctypes.c_int64
     _EXB = lib.extract_scan_batch
     _EXB.argtypes = [u8p, i64p, ctypes.c_int64,
-                     u64p, i32p, ctypes.c_int64, u32p, u8op, i64p, vp]
+                     u64p, u64p, ctypes.c_uint64, u32p, u8op, i64p, vp]
     _EXB.restype = ctypes.c_int64
     _MD5 = lib.md5_batch
     _MD5.argtypes = [u8p, i64p, ctypes.c_int64, u8wp]
@@ -288,7 +297,7 @@ def _chunk_bufs(starts: np.ndarray, bounds: np.ndarray, chunk_size: int,
     return int(h.max(initial=0)), np.zeros(num_langs, dtype=np.int64), outs
 
 
-def _span_bounds(cat, starts, ends):
+def _spans(cat, starts, ends):
     """(uint8 view of cat, int64 starts, int64 ends) of the spans
     cat[starts[i]:ends[i]]. Raises ValueError unless
     0 <= starts <= ends <= len(cat)."""
@@ -301,6 +310,18 @@ def _span_bounds(cat, starts, ends):
         raise ValueError("spans must satisfy 0 <= starts <= ends <= "
                          "len(cat)")
     return buf, starts, ends
+
+
+def _docs(data, offsets):
+    """(uint8 view of data, int64 offsets) of the documents
+    data[offsets[d]:offsets[d+1]], the layout of ``utf8_cat``. Raises
+    ValueError unless offsets holds n + 1 >= 1 ascending offsets into
+    data."""
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    if len(offsets) == 0:
+        raise ValueError("offsets must hold n + 1 >= 1 entries")
+    buf, _, _ = _spans(data, offsets[:-1], offsets[1:])
+    return buf, offsets
 
 
 def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
@@ -327,7 +348,7 @@ def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
 
     expected_1kb: int32[NUM_LANGS, 4] in the kAvgDeltaOctaScore layout,
     read at each span's LScript4 slot ``script4_of_span``."""
-    buf, starts, bounds = _span_bounds(cat, starts, bounds)
+    buf, starts, bounds = _spans(cat, starts, bounds)
     n = len(buf)
     lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
     nb = len(bounds)
@@ -365,7 +386,7 @@ def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     cat[starts[i]:bounds[i]]; pseudo_lens are the per-span text_bytes used for chunk extents
     (char positions scale x3, as in the numpy path). cjkbi is a
     BucketTable probed with BiHashV2 (othr decode)."""
-    buf, starts, bounds = _span_bounds(cat, starts, bounds)
+    buf, starts, bounds = _spans(cat, starts, bounds)
     n = len(buf)
     plens = np.ascontiguousarray(pseudo_lens, dtype=np.int64)
     nb = len(bounds)
@@ -386,51 +407,47 @@ def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     return tuple(a[:nch] for a in outs)
 
 
-def extract_scan_batch(cat: bytes, ends: np.ndarray, ent_keys: np.ndarray,
-                       ent_vals: np.ndarray, low_map: np.ndarray,
-                       with_map: bool = False):
+def extract_scan_batch(data, offsets: np.ndarray, ent_keys: np.ndarray,
+                       ent_vals: np.ndarray, ent_mask: int,
+                       low_map: np.ndarray, with_map: bool = False):
     """extract_text over a batch in one C pass: page d is
-    cat[ends[d-1]:ends[d]], valid UTF-8 with its \\r not yet
-    normalized. Returns (data uint8, offsets int64[n+1]), both fresh:
-    page d's text is data[offsets[d]:offsets[d+1]], the buffers of an
-    Arrow large_string column. with_map=True appends src int64 aligned
-    with data: src[k] = position within its raw page of the byte that
-    produced data[k]."""
-    ends = np.ascontiguousarray(ends, dtype=np.int64)
-    n = len(ends)
-    if n and (ends[0] < 0 or ends[-1] > len(cat)
-              or (np.diff(ends) < 0).any()):
-        raise ValueError("extract_scan_batch: ends must be ascending "
-                         "offsets into cat")
-    out = np.empty(len(cat) + 8, dtype=np.uint8)
-    offsets = np.empty(n + 1, dtype=np.int64)
-    src = np.empty(len(cat) + 8, dtype=np.int64) if with_map else None
-    m = _EXB(np.frombuffer(cat, dtype=np.uint8), ends, n,
-             ent_keys, ent_vals, len(ent_keys), low_map, out, offsets,
-             None if src is None else src.ctypes.data)
+    data[offsets[d]:offsets[d+1]], valid UTF-8 with its \\r not yet
+    normalized; the entity table is (ent_keys, ent_vals, ent_mask) of
+    ``table_build``. Returns (text uint8, text_offsets int64[n+1]),
+    both fresh: page d's text is text[text_offsets[d]:
+    text_offsets[d+1]], the buffers of an Arrow large_string column.
+    with_map=True appends src int64 aligned with text: src[k] =
+    position within its raw page of the byte that produced text[k]."""
+    buf, offsets = _docs(data, offsets)
+    n = len(offsets) - 1
+    out = np.empty(len(buf) + 8, dtype=np.uint8)
+    text_offsets = np.empty(n + 1, dtype=np.int64)
+    src = np.empty(len(buf) + 8, dtype=np.int64) if with_map else None
+    m = _EXB(buf, offsets, n, ent_keys, ent_vals, int(ent_mask), low_map,
+             out, text_offsets, None if src is None else src.ctypes.data)
     if m < 0:
         raise MemoryError("extract_scan_batch: no scratch for \\r pages")
     if with_map:
-        return out[:m], offsets, src[:m]
-    return out[:m], offsets
+        return out[:m], text_offsets, src[:m]
+    return out[:m], text_offsets
 
 
-def _ssm_needs(bounds: np.ndarray, text_limit: int) -> tuple[int, int]:
+def _ssm_needs(offsets: np.ndarray, text_limit: int) -> tuple[int, int]:
     """(packed, per_doc) scratch slots script_spans_scan_multi needs:
     pass 1 of the scan records at most c_d = min(len_d, text_limit + 1)
     letters of doc d (see quadscan.c script_spans_scan); the packed
     outputs need sum(c_d) letters (out_buf 3 bytes per letter + 1 per
     doc) and the per-doc temporaries max(c_d)."""
-    c = np.minimum(np.diff(bounds, prepend=0), max(text_limit, 1) + 1)
+    c = np.minimum(np.diff(offsets), max(text_limit, 1) + 1)
     return int(c.sum()), int(c.max(initial=0))
 
 
-def script_spans_scan_multi(cat: bytes, bounds: np.ndarray,
+def script_spans_scan_multi(data, offsets: np.ndarray,
                             script_lut: np.ndarray, lower_lut: np.ndarray,
                             text_limit: int, max_span_bytes: int):
     """Script-run segmentation of a batch in one C pass
     (spans.script_spans_batch semantics, bit-equal to the numpy oracle
-    — tested). ``bounds`` are cumulative end offsets into ``cat``.
+    — tested) over the documents data[offsets[d]:offsets[d+1]].
     Returns (meta int64[nspans, 7], ns_doc, out_buf view, lt_idx view);
     meta rows are [script, char_off, char_end, out_start, out_bytes,
     lp_start, lp_end] with out/lp indexing the shared out_buf/lt_idx,
@@ -438,8 +455,9 @@ def script_spans_scan_multi(cat: bytes, bounds: np.ndarray,
     document order; doc d owns meta rows [sum(ns_doc[:d]),
     sum(ns_doc[:d+1])). The arrays are fresh, sized to the worst case:
     the used prefix of out_buf and lt_idx ends at the last meta row."""
-    n_docs = len(bounds)
-    lt_cap, tmp_cap = _ssm_needs(bounds, text_limit)
+    buf, offsets = _docs(data, offsets)
+    n_docs = len(offsets) - 1
+    lt_cap, tmp_cap = _ssm_needs(offsets, text_limit)
     # the scan writes every slot before it reads it
     lt_idx = np.empty(lt_cap, dtype=np.int64)
     tmp = (np.empty(tmp_cap, dtype=np.uint8),
@@ -449,7 +467,7 @@ def script_spans_scan_multi(cat: bytes, bounds: np.ndarray,
     # at most one span per letter; only emitted rows are written
     meta = np.empty(lt_cap * 7, dtype=np.int64)
     ns_doc = np.empty(n_docs, dtype=np.int64)
-    ns = _SSM(cat, bounds.ctypes.data, n_docs,
+    ns = _SSM(*(a.ctypes.data for a in (buf, offsets)), n_docs,
               script_lut.ctypes.data, lower_lut.ctypes.data,
               len(script_lut), text_limit, max_span_bytes,
               *(a.ctypes.data for a in (lt_idx, *tmp, out_buf, meta,
@@ -457,26 +475,56 @@ def script_spans_scan_multi(cat: bytes, bounds: np.ndarray,
     return meta[:ns * 7].reshape(ns, 7), ns_doc, out_buf, lt_idx
 
 
-def quality_scan(cat: bytes, bounds: np.ndarray, letter_lut: np.ndarray,
-                 fold_lut: np.ndarray, sw_table: np.ndarray) -> np.ndarray:
-    """One C pass over concatenated STRIPPED utf-8 docs -> (n_docs, 13)
-    int64 stats [n_words, n_chars, n_ws, alpha_words, n_stop,
-    n_sentences, symbols, has_lorem, has_brace, n_lines(non-empty),
-    bullet_lines, ellipsis_lines, dup_lines] with RE2/pandas-pinned
-    semantics (see quadscan.c quality_scan / line_scan_doc)."""
-    n_docs = len(bounds)
-    buf = np.frombuffer(cat, dtype=np.uint8)
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+def quality_scan(data, offsets: np.ndarray, letter_lut: np.ndarray,
+                 fold_lut: np.ndarray, sw_table) -> np.ndarray:
+    """One C pass over the STRIPPED utf-8 docs data[offsets[d]:
+    offsets[d+1]] -> (n_docs, 13) int64 stats [n_words, n_chars, n_ws,
+    alpha_words, n_stop, n_sentences, symbols, has_lorem, has_brace,
+    n_lines(non-empty), bullet_lines, ellipsis_lines, dup_lines] with
+    RE2/pandas-pinned semantics (see quadscan.c quality_scan /
+    line_scan_doc). sw_table is the stopword set's (keys, vals, mask)
+    of ``table_build``."""
+    buf, offsets = _docs(data, offsets)
+    n_docs = len(offsets) - 1
     out = np.empty((n_docs, 13), dtype=np.int64)
     # the dup-line table: a doc of b bytes has <= b/2 + 1 non-empty
     # lines, held at load <= 1/2 in a power of two >= 64 slots; the
     # kernel tags slots with doc + 1, so the tags start ZEROED
-    need = int(np.diff(bounds, prepend=0).max(initial=0)) // 2 * 2 + 16
+    need = int(np.diff(offsets).max(initial=0)) // 2 * 2 + 16
     cap = 1 << max(need - 1, 63).bit_length()
-    _QS(buf, bounds, n_docs, letter_lut, len(letter_lut),
-        fold_lut, len(fold_lut), sw_table, len(sw_table), out,
+    sw_keys, sw_vals, sw_mask = sw_table
+    _QS(buf, offsets, n_docs, letter_lut, len(letter_lut),
+        fold_lut, len(fold_lut), sw_keys, sw_vals, int(sw_mask), out,
         np.empty(cap, dtype=np.uint64), np.zeros(cap, dtype=np.uint64), cap)
     return out
+
+
+def table_build(kv) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+    """(keys, vals, mask) of the open-addressed table that the C probe
+    (quadscan.c table_lookup, bound as ``table_lookup``) reads, holding
+    ``kv``, a {key: value} dict of uint64 keys and values; a probe that
+    misses reads 0, so a value of 0 reads as absent. Slots are a power
+    of two >= 4x the entries (~25% load: nearly every lookup resolves
+    in one probe); keys are inserted in ascending order, each at the
+    first free slot from (mix(key) & mask) on, where mix(k) =
+    h ^ (h >> 29) with h = k * 0x9E3779B97F4A7C15 mod 2^64. Key 0 marks
+    an empty slot, so a key 0 is stored (and probed) as 1. The layout
+    is a function of kv alone: the committed model artifacts are this
+    builder's output."""
+    n = max(8, 1 << (len(kv) * 4 - 1).bit_length())
+    mask = n - 1
+    keys = [0] * n
+    vals = [0] * n
+    for k, v in sorted(kv.items()):
+        k = int(k) or 1
+        h = (k * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        idx = (h ^ (h >> 29)) & mask
+        while keys[idx]:
+            idx = (idx + 1) & mask
+        keys[idx] = k
+        vals[idx] = int(v)
+    return (np.array(keys, dtype=np.uint64), np.array(vals, dtype=np.uint64),
+            np.uint64(mask))
 
 
 def table_lookup(keys: np.ndarray, vals: np.ndarray, mask: int,
@@ -494,14 +542,14 @@ def table_lookup(keys: np.ndarray, vals: np.ndarray, mask: int,
 PPL_MEMO_BITS = 16
 
 
-def ppl_score(cat: bytes, bounds: np.ndarray, lang_ids: np.ndarray,
+def ppl_score(data, offsets: np.ndarray, lang_ids: np.ndarray,
               table, uni: np.ndarray):
-    """Per-doc char-trigram LM bits over concatenated framed lowered
-    docs. Returns (bits float64[n], n_trigrams int64[n]). The char
-    hash buckets are ``uni.shape[1]``, which must be a power of two."""
-    n_docs = len(bounds)
-    buf = np.frombuffer(cat, dtype=np.uint8)
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+    """Per-doc char-trigram LM bits over the framed lowered docs
+    data[offsets[d]:offsets[d+1]]. Returns (bits float64[n], n_trigrams
+    int64[n]). The char hash buckets are ``uni.shape[1]``, which must
+    be a power of two."""
+    buf, offsets = _docs(data, offsets)
+    n_docs = len(offsets) - 1
     lang_ids = np.ascontiguousarray(lang_ids, dtype=np.int64)
     uni = np.ascontiguousarray(uni, dtype=np.float64)
     v = uni.shape[1]
@@ -510,7 +558,7 @@ def ppl_score(cat: bytes, bounds: np.ndarray, lang_ids: np.ndarray,
                          "of two")
     bits = np.empty(n_docs, dtype=np.float64)
     cnt = np.empty(n_docs, dtype=np.int64)
-    _PP(buf, bounds, n_docs, lang_ids, table.keys, table.vals,
+    _PP(buf, offsets, n_docs, lang_ids, table.keys, table.vals,
         int(table.mask), uni, v, bits, cnt,
         np.empty(2 << PPL_MEMO_BITS, dtype=np.uint64), PPL_MEMO_BITS)
     return bits, cnt
@@ -531,7 +579,7 @@ def rep_words_multi(cat, starts: np.ndarray, bounds: np.ndarray):
     bounds[i]], the predictor restarting per span. Returns (out uint8[], out_bounds int64[n]):
     span i's result is out[out_bounds[i-1]:out_bounds[i]], bit-equal
     to tests/oracles/repeats.py remove_repeated_words on that span."""
-    buf, starts, bounds = _span_bounds(cat, starts, bounds)
+    buf, starts, bounds = _spans(cat, starts, bounds)
     out = np.empty(int((bounds - starts).sum()) + 2 * len(bounds) + 1,
                    dtype=np.uint8)
     out_bounds = np.empty(len(bounds), dtype=np.int64)
@@ -540,17 +588,15 @@ def rep_words_multi(cat, starts: np.ndarray, bounds: np.ndarray):
     return out[:n], out_bounds
 
 
-def squeeze_test_multi(cat: bytes, bounds: np.ndarray, spaces_pct: int,
+def squeeze_test_multi(data, offsets: np.ndarray, spaces_pct: int,
                        pred_pct: int) -> np.ndarray:
-    """CheapSqueezeTriggerTest of each probe cat[bounds[p-1]:bounds[p]]
-    (back to back): bool[n], True where spaces are >= spaces_pct% of
+    """CheapSqueezeTriggerTest of each probe data[offsets[p]:
+    offsets[p+1]]: bool[n], True where spaces are >= spaces_pct% of
     the probe's bytes or the predictor guesses >= pred_pct% of them."""
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-    buf, _, bounds = _span_bounds(cat, bounds - np.diff(bounds, prepend=0),
-                                  bounds)
-    out = np.empty(len(bounds), dtype=np.uint8)
+    buf, offsets = _docs(data, offsets)
+    out = np.empty(len(offsets) - 1, dtype=np.uint8)
     tbl = np.empty(4096, dtype=np.int64)   # refilled per probe in C
-    _SQ(buf, bounds, len(bounds), spaces_pct, pred_pct, tbl, out)
+    _SQ(buf, offsets, len(out), spaces_pct, pred_pct, tbl, out)
     return out.view(bool)
 
 
@@ -617,19 +663,19 @@ def doc_stage(n_docs: int, streams, totals: np.ndarray,
     return out
 
 
-def fastlangid_score(cat: bytes, bounds: np.ndarray, idx: np.ndarray,
+def fastlangid_score(data, offsets: np.ndarray, idx: np.ndarray,
                      w: np.ndarray):
-    """Fused hashed-n-gram classifier scoring over concatenated framed
-    docs. Returns (scores (n,k) f32, nfeats int64[n], nrows int64[n])."""
-    n_docs = len(bounds)
-    buf = np.frombuffer(cat, dtype=np.uint8)
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-    max_doc = int(np.diff(bounds, prepend=0).max(initial=0))
+    """Fused hashed-n-gram classifier scoring over the framed docs
+    data[offsets[d]:offsets[d+1]]. Returns (scores (n,k) f32, nfeats
+    int64[n], nrows int64[n])."""
+    buf, offsets = _docs(data, offsets)
+    n_docs = len(offsets) - 1
+    max_doc = int(np.diff(offsets).max(initial=0))
     # the kernel adds into scores and counts rows in cnt: both ZEROED
     scores = np.zeros((n_docs, w.shape[1]), dtype=np.float32)
     nfeats = np.empty(n_docs, dtype=np.int64)
     nrows = np.empty(n_docs, dtype=np.int64)
-    _ACC(buf, bounds, n_docs, idx, w, w.shape[1],
+    _ACC(buf, offsets, n_docs, idx, w, w.shape[1],
          np.zeros(w.shape[0], dtype=np.int32),
          np.empty(3 * max_doc + 8, dtype=np.int32), scores, nfeats, nrows)
     return scores, nfeats, nrows
@@ -642,7 +688,7 @@ _HEXLUT = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 def utf8_cat(strings):
     """(data uint8[], offsets int64[n+1]) for a sequence of strings —
-    the concatenated-buffer form every hash kernel takes. Accepts a
+    the batch layout every per-document kernel takes. Accepts a
     list/ndarray/Series of str (None -> empty) or a pyarrow
     String/LargeString array (zero-copy when offsets are int64)."""
     import pyarrow as _pa

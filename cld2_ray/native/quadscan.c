@@ -1,14 +1,29 @@
-/* Hot-loop kernel: quadgram + octagram candidate extraction, hashing,
- * last-2 ring dedupe and open-addressed table probe in ONE C pass.
+/* The native kernels of cld2_ray, one exported entry per kernel, each
+ * bound by cld2_ray/native/__init__.py and checked bit for bit against
+ * an independent oracle in tests/:
  *
- * Semantics are bit-equal to the numpy test oracles
- * (cld2_ray/functions/hits.py quad_hits_dense/octa_word_and_pair_hits
- * + tests/oracles/model.py lookup_numpy), cross-checked in
- * tests/test_native.py.  The
- * n-gram walk and hashes mirror the reference engine's GetQuadHits /
- * GetOctaHits / QuadHashV2 / OctaHash40 (reference:
- * internal/cldutil.cc:315-533, internal/cldutil_shared.cc:167-358)
- * with this engine's documented dense-sampling deviation.
+ *  - langid: the quadgram + octagram walk (hashing, last-2 ring dedupe,
+ *    table probes) fused with chunk scoring (quad_octa_chunk_score,
+ *    cjk_chunk_score; quad_octa_scan is the raw hit stream), the
+ *    script-span scan (script_spans_scan_multi), the Repeats predictor
+ *    (rep_words_multi, squeeze_test_multi, predict_mask) and CLD2's
+ *    document stage (doc_stage).  The n-gram walk and hashes mirror
+ *    the reference engine's GetQuadHits / GetOctaHits / QuadHashV2 /
+ *    OctaHash40 (reference: internal/cldutil.cc:315-533,
+ *    internal/cldutil_shared.cc:167-358) with this engine's documented
+ *    dense-sampling deviation.
+ *  - the quality filter's other layers: HTML extraction
+ *    (extract_scan_batch), the quality rules' statistics
+ *    (quality_scan), fastlangid_score and ppl_score.
+ *  - batched MD5 / BLAKE2b for the dedup pipelines.
+ *
+ * Shared primitives, each defined once below: the UTF-8 decode step
+ * (utf8_len / utf8_next), the UTF-8 encoder (utf8_put) and the
+ * open-addressed table probe (table_lookup; native.table_build builds
+ * the tables it reads).  A batch of documents is the Arrow layout
+ * (data, offsets[n+1]): document d is data[offsets[d], offsets[d+1]).
+ * No kernel keeps writable state between calls (only MD5's constant
+ * table), so all are reentrant.
  *
  * Build: cc -O3 -ffp-contract=off -shared -fPIC quadscan.c -o
  * quadscan.so (done by the package shim, cached next to this file).
@@ -18,6 +33,61 @@
 #include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* The UTF-8 step every kernel walks text with.  The byte length of the
+ * char at p[i] (i < end) comes from its lead byte alone and is clamped
+ * to the bytes left: input is not validated, a stray continuation byte
+ * counts as a 2-byte lead and a char cut off at end keeps the bytes
+ * present. */
+static inline int utf8_len(const uint8_t *p, int64_t i, int64_t end) {
+    uint8_t c = p[i];
+    int l = c < 0x80 ? 1 : (c < 0xE0 ? 2 : (c < 0xF0 ? 3 : 4));
+    return i + l > end ? (int)(end - i) : l;
+}
+
+/* The codepoint of the char at p[i] (i < end), decoded from the
+ * utf8_len bytes stored in *len. */
+static inline uint32_t utf8_next(const uint8_t *p, int64_t i, int64_t end,
+                                 int *len) {
+    int l = *len = utf8_len(p, i, end);
+    uint32_t c = p[i];
+    if (l == 1) return c;
+    if (l == 2) return ((c & 0x1Fu) << 6) | (p[i + 1] & 0x3Fu);
+    if (l == 3)
+        return ((c & 0x0Fu) << 12) | ((p[i + 1] & 0x3Fu) << 6)
+               | (p[i + 2] & 0x3Fu);
+    return ((c & 0x07u) << 18) | ((p[i + 1] & 0x3Fu) << 12)
+           | ((p[i + 2] & 0x3Fu) << 6) | (p[i + 3] & 0x3Fu);
+}
+
+static inline int utf8_enc_len(uint32_t cp) {
+    return cp < 0x80 ? 1 : (cp < 0x800 ? 2 : (cp < 0x10000 ? 3 : 4));
+}
+
+/* Write cp's UTF-8 encoding (utf8_enc_len(cp) bytes) at out; returns
+ * the byte count. */
+static inline int utf8_put(uint8_t *out, uint32_t cp) {
+    if (cp < 0x80) {
+        out[0] = (uint8_t)cp;
+        return 1;
+    }
+    if (cp < 0x800) {
+        out[0] = 0xC0 | (cp >> 6);
+        out[1] = 0x80 | (cp & 0x3F);
+        return 2;
+    }
+    if (cp < 0x10000) {
+        out[0] = 0xE0 | (cp >> 12);
+        out[1] = 0x80 | ((cp >> 6) & 0x3F);
+        out[2] = 0x80 | (cp & 0x3F);
+        return 3;
+    }
+    out[0] = 0xF0 | (cp >> 18);
+    out[1] = 0x80 | ((cp >> 12) & 0x3F);
+    out[2] = 0x80 | ((cp >> 6) & 0x3F);
+    out[3] = 0x80 | (cp & 0x3F);
+    return 4;
+}
 
 static const uint32_t kWordMask0[4] = {0xFFFFFFFFu, 0x000000FFu,
                                        0x0000FFFFu, 0x00FFFFFFu};
@@ -80,7 +150,10 @@ static inline uint64_t octa_hash40(const uint8_t *buf, int64_t s, int64_t bc,
     return (word0 ^ prepost) + summ;
 }
 
-/* open-addressed lookup, same mix as model.py _mix */
+/* The open-addressed table probe: power-of-two slots, linear probing
+ * from the mixed key, key 0 marks an empty slot (a key 0 is stored and
+ * looked up as 1) and a miss reads 0, as does a stored value of 0.
+ * native.table_build writes these tables. */
 static inline uint64_t table_lookup(const uint64_t *keys, const uint64_t *vals,
                                     uint64_t mask, uint64_t q) {
     if (q == 0) q = 1;
@@ -155,9 +228,7 @@ int64_t predict_mask(const uint8_t *b, int64_t n, int64_t *tbl,
     uint32_t h = 0;
     int64_t ci = 0;
     for (int64_t i = 0; i < n;) {
-        uint8_t c0 = b[i];
-        int len = c0 < 0x80 ? 1 : (c0 < 0xE0 ? 2 : (c0 < 0xF0 ? 3 : 4));
-        if (i + len > n) len = (int)(n - i);
+        int len = utf8_len(b, i, n);
         int64_t c = 0;
         for (int k = 0; k < len; k++) c = (c << 8) | b[i + k];
         mask[ci] = tbl[h] == c;
@@ -196,9 +267,7 @@ int64_t rep_words_multi(const uint8_t *cat, const int64_t *starts,
                 int64_t c = 0;
                 int n = 0;
                 if (i < end) {
-                    uint8_t c0 = cat[i];
-                    n = c0 < 0x80 ? 1 : (c0 < 0xE0 ? 2 : (c0 < 0xF0 ? 3 : 4));
-                    if (i + n > end) n = (int)(end - i);
+                    n = utf8_len(cat, i, end);
                     for (int k = 0; k < n; k++) c = (c << 8) | cat[i + k];
                 }
                 if (i == end || c == ' ') {
@@ -249,7 +318,7 @@ int64_t rep_words_multi(const uint8_t *cat, const int64_t *starts,
  * empty slot. */
 typedef struct { uint64_t key; double bits; } ppl_slot;
 
-int ppl_score(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
+int ppl_score(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
               const int64_t *lang_ids,
               const uint64_t *keys, const uint64_t *vals, uint64_t mask,
               const double *uni, int64_t v,
@@ -257,9 +326,8 @@ int ppl_score(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
               ppl_slot *memo, int64_t memo_bits) {
     memset(memo, 0xFF, sizeof(ppl_slot) << memo_bits);
     uint64_t vmask = (uint64_t)v - 1;
-    int64_t start = 0;
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t end = bounds[d];
+        int64_t end = offsets[d + 1];
         int64_t lang = lang_ids[d];
         double bits = 0.0;
         int64_t cnt = 0;
@@ -268,21 +336,9 @@ int ppl_score(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
             uint64_t base = (uint64_t)lang << 40;
             uint64_t bflag = 1ull << 39;
             int64_t c0 = -1, c1 = -1;
-            for (int64_t i = start; i < end;) {
-                uint8_t lead = cat[i];
-                int len = lead < 0x80 ? 1
-                          : (lead < 0xE0 ? 2 : (lead < 0xF0 ? 3 : 4));
-                if (i + len > end) len = (int)(end - i);
-                uint32_t cp;
-                if (len == 1) cp = lead;
-                else if (len == 2)
-                    cp = ((lead & 0x1Fu) << 6) | (cat[i + 1] & 0x3Fu);
-                else if (len == 3)
-                    cp = ((lead & 0x0Fu) << 12) | ((cat[i + 1] & 0x3Fu) << 6)
-                         | (cat[i + 2] & 0x3Fu);
-                else
-                    cp = ((lead & 0x07u) << 18) | ((cat[i + 1] & 0x3Fu) << 12)
-                         | ((cat[i + 2] & 0x3Fu) << 6) | (cat[i + 3] & 0x3Fu);
+            for (int64_t i = offsets[d]; i < end;) {
+                int len;
+                uint32_t cp = utf8_next(cat, i, end, &len);
                 int64_t c2 = (int64_t)(((uint64_t)cp * 2654435761ull) & vmask);
                 if (c0 >= 0 && c1 >= 0) {
                     uint64_t b = (uint64_t)(c0 * v + c1);
@@ -309,7 +365,6 @@ int ppl_score(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
         }
         bits_out[d] = bits;
         n_out[d] = cnt;
-        start = end;
     }
     return 0;
 }
@@ -331,8 +386,8 @@ int table_lookup_batch(const uint64_t *keys, const uint64_t *vals,
  * occurrences per row, then one count-weighted accumulation per
  * distinct row.  No intermediate feature arrays.
  *
- *   cat     : concatenated " framed lowered docs " utf-8 bytes
- *   bounds  : per-doc END offsets into cat (ascending)
+ *   cat     : the " framed lowered docs " utf-8 bytes, doc d at
+ *             cat[offsets[d], offsets[d+1])
  *   idx     : bucket -> weight row + 1 (0 = absent), 2^18 entries
  *   w       : (n_rows, k) float32 weight table
  *   cnt     : scratch int32[n_rows], ZEROED by caller (restored to 0)
@@ -359,14 +414,13 @@ int table_lookup_batch(const uint64_t *keys, const uint64_t *vals,
 #define FL_CLONES
 #endif
 FL_CLONES
-int fastlangid_score(const uint8_t *cat, const int64_t *bounds,
+int fastlangid_score(const uint8_t *cat, const int64_t *offsets,
                      int64_t n_docs, const int32_t *idx, const float *w,
                      int64_t k_langs, int32_t *cnt, int32_t *touched,
                      float *scores, int64_t *nfeats, int64_t *nrows) {
     const uint64_t gold = 0x9E3779B97F4A7C15ull;
-    int64_t start = 0;
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t end = bounds[d];
+        int64_t start = offsets[d], end = offsets[d + 1];
         int64_t nt = 0, nf = 0;
         for (int n = 2; n <= 4; n++) {
             for (int64_t i = start; i + n <= end; i++) {
@@ -395,9 +449,48 @@ int fastlangid_score(const uint8_t *cat, const int64_t *bounds,
         }
         nfeats[d] = nf;
         nrows[d] = nt;
-        start = end;
     }
     return 0;
+}
+
+/* The last two quad hashes of a span: the quad walk's last-2 repeat
+ * filter, reset per span. */
+typedef struct {
+    uint32_t r1, r2;
+    int n;
+} quad_ring;
+
+/* One quad candidate of a span: the bytes [cs, ebyte), of which the
+ * first bc = min(ebyte - cs, 12) are hashed with their pre/post space
+ * flags.  A hash equal to one of the last two is dropped; any other is
+ * probed in the quad table, and a hit is appended at offset
+ * base + cs. */
+static inline void quad_emit(const uint8_t *sp, int64_t len, int64_t cs,
+                             int64_t ebyte, quad_ring *ring,
+                             const uint64_t *qkeys, const uint64_t *qvals,
+                             uint64_t qmask, int64_t base,
+                             uint64_t *out_qvals, int64_t *out_qoffs,
+                             int64_t *nq) {
+    int64_t bc = ebyte - cs;
+    if (bc > 12) bc = 12;
+    if (bc <= 0) return;
+    int pre = cs > 0 && sp[cs - 1] == 0x20;
+    int64_t pp = cs + bc;
+    if (pp > len - 1) pp = len - 1;
+    int post = sp[pp] == 0x20;
+    uint32_t h = quad_hash(sp, cs, bc, len, pre, post);
+    int dup = (ring->n >= 1 && h == ring->r1)
+              || (ring->n >= 2 && h == ring->r2);
+    ring->r2 = ring->r1;
+    ring->r1 = h;
+    if (ring->n < 2) ring->n++;
+    if (dup) return;
+    uint64_t v = table_lookup(qkeys, qvals, qmask, (uint64_t)h);
+    if (v) {
+        out_qvals[*nq] = v;
+        out_qoffs[*nq] = base + cs;
+        (*nq)++;
+    }
 }
 
 /* Scan ONE span (framed " w1 w2 " utf-8 bytes). Appends table HITS
@@ -419,234 +512,158 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
                           uint8_t *out_odist,
                           int64_t *no_io) {
     int64_t nq = *nq_io, no = *no_io;
-    int64_t span_start = base;
+    if (len <= 0) return;
 
-    /* ring state, reset per span */
-    uint32_t qr1 = 0, qr2 = 0; int qrn = 0;
+    /* Spans are " w1 w2 " framed: byte 0 is a space, last char is a
+     * space.  Mirror of hits.py: a char starts where
+     * (b & 0xC0) != 0x80; is_space = first byte == 0x20. */
 
+    /* Pass A: the GetOctaHits walk (reference cldutil.cc:416-533,
+     * mirrored by hits.octa_word_and_pair_hits): per word
+     * (truncated to 8 CHARS) an OctaHash40; the last-2 repeat
+     * ring updates only on non-repeats; non-repeats probe the
+     * distinct-octa table (word), the distinct-octa table again
+     * with PairHash(prev, cur) at the PRIOR word's offset, and
+     * the delta-octa table (word). dpacked/xpacked are already
+     * selected for this span's script class by the caller. */
     {
-        qr1 = qr2 = 0; qrn = 0;
-        if (len <= 0) { *nq_io = nq; *no_io = no; return; }
-
-        /* --- one forward pass over chars: quads + octas ---
-         * Spans are " w1 w2 " framed: byte 0 is a space, last char is
-         * a space.  Mirror of hits.py: a char starts where
-         * (b & 0xC0) != 0x80; is_space = first byte == 0x20. */
-
-        /* Pass A: the GetOctaHits walk (reference cldutil.cc:416-533,
-         * mirrored by hits.octa_word_and_pair_hits): per word
-         * (truncated to 8 CHARS) an OctaHash40; the last-2 repeat
-         * ring updates only on non-repeats; non-repeats probe the
-         * distinct-octa table (word), the distinct-octa table again
-         * with PairHash(prev, cur) at the PRIOR word's offset, and
-         * the delta-octa table (word). dpacked/xpacked are already
-         * selected for this span's script class by the caller. */
-        {
-            uint64_t r1 = 0, r2 = 0; int nxt = 0;
-            int64_t prior_start = -1;
-            int64_t prev_space = -1;
-            int64_t nchars_word = 0;
-            int64_t trunc = -1;
-            for (int64_t b = 0; b < len; b++) {
-                if ((sp[b] & 0xC0) == 0x80) continue;   /* cont. byte */
-                if (sp[b] != 0x20) {
-                    if (prev_space >= 0) {
-                        nchars_word++;
-                        if (nchars_word == 9 && trunc < 0) trunc = b;
-                    }
-                    continue;
-                }
+        uint64_t r1 = 0, r2 = 0; int nxt = 0;
+        int64_t prior_start = -1;
+        int64_t prev_space = -1;
+        int64_t nchars_word = 0;
+        int64_t trunc = -1;
+        for (int64_t b = 0; b < len; b++) {
+            if ((sp[b] & 0xC0) == 0x80) continue;   /* cont. byte */
+            if (sp[b] != 0x20) {
                 if (prev_space >= 0) {
-                    int64_t ws = prev_space + 1;
-                    int64_t we = (trunc >= 0) ? trunc : b;
-                    if (we > ws) {
-                        /* bc is UNCAPPED (<= 32): OctaHash40 reads at
-                         * most 24 bytes but masks with bc & 3 */
-                        int64_t bc = we - ws;
-                        uint64_t h = octa_hash40(sp, ws, bc, len);
-                        if (h != r1 && h != r2) {
-                            if (nxt == 0) r1 = h; else r2 = h;
-                            nxt = 1 - nxt;
-                            uint64_t prior_h = (nxt == 0) ? r1 : r2;
-                            if (prior_h != 0 && prior_h != h &&
-                                    prior_start >= 0) {
-                                uint64_t ph = ((prior_h >> 13) |
-                                               (prior_h << 51)) + h;
-                                uint64_t v = bucket_lookup40(
-                                    xb, xbmask, xkeymask, xpacked, ph);
-                                if (v) {
-                                    out_ovals[no] = v;
-                                    out_ooffs[no] = span_start + prior_start;
-                                    out_odist[no] = 1;
-                                    no++;
-                                }
-                            }
+                    nchars_word++;
+                    if (nchars_word == 9 && trunc < 0) trunc = b;
+                }
+                continue;
+            }
+            if (prev_space >= 0) {
+                int64_t ws = prev_space + 1;
+                int64_t we = (trunc >= 0) ? trunc : b;
+                if (we > ws) {
+                    /* bc is UNCAPPED (<= 32): OctaHash40 reads at
+                     * most 24 bytes but masks with bc & 3 */
+                    int64_t bc = we - ws;
+                    uint64_t h = octa_hash40(sp, ws, bc, len);
+                    if (h != r1 && h != r2) {
+                        if (nxt == 0) r1 = h; else r2 = h;
+                        nxt = 1 - nxt;
+                        uint64_t prior_h = (nxt == 0) ? r1 : r2;
+                        if (prior_h != 0 && prior_h != h &&
+                                prior_start >= 0) {
+                            uint64_t ph = ((prior_h >> 13) |
+                                           (prior_h << 51)) + h;
                             uint64_t v = bucket_lookup40(
-                                xb, xbmask, xkeymask, xpacked, h);
+                                xb, xbmask, xkeymask, xpacked, ph);
                             if (v) {
                                 out_ovals[no] = v;
-                                out_ooffs[no] = span_start + ws;
+                                out_ooffs[no] = base + prior_start;
                                 out_odist[no] = 1;
                                 no++;
                             }
-                            v = bucket_lookup40(
-                                db, dbmask, dkeymask, dpacked, h);
-                            if (v) {
-                                out_ovals[no] = v;
-                                out_ooffs[no] = span_start + ws;
-                                out_odist[no] = 0;
-                                no++;
-                            }
-                            /* seed-trained word stats (model.socta) */
-                            v = table_lookup(skeys, svals, smask, h);
-                            if (v) {
-                                out_ovals[no] = v;
-                                out_ooffs[no] = span_start + ws;
-                                out_odist[no] = 0;
-                                no++;
-                            }
                         }
-                        prior_start = ws;
+                        uint64_t v = bucket_lookup40(
+                            xb, xbmask, xkeymask, xpacked, h);
+                        if (v) {
+                            out_ovals[no] = v;
+                            out_ooffs[no] = base + ws;
+                            out_odist[no] = 1;
+                            no++;
+                        }
+                        v = bucket_lookup40(
+                            db, dbmask, dkeymask, dpacked, h);
+                        if (v) {
+                            out_ovals[no] = v;
+                            out_ooffs[no] = base + ws;
+                            out_odist[no] = 0;
+                            no++;
+                        }
+                        /* seed-trained word stats (model.socta) */
+                        v = table_lookup(skeys, svals, smask, h);
+                        if (v) {
+                            out_ovals[no] = v;
+                            out_ooffs[no] = base + ws;
+                            out_odist[no] = 0;
+                            no++;
+                        }
                     }
+                    prior_start = ws;
                 }
-                prev_space = b;
-                nchars_word = 0;
-                trunc = -1;
             }
-        }
-
-        /* Pass B: quads — need char indexing.  Collect char starts
-         * into a queue of up to 8 pending positions: for char i we
-         * need next_space(i) (could be far) and cstart[min(i+4, ns)].
-         * Strategy: scan chars once, remembering for each letter run
-         * the positions; since e = min(i+4, next_space_char), and
-         * next_space is the end of the current word, process word by
-         * word: within a word of chars w[0..m-1] with byte starts
-         * c[0..m-1] and word-end byte offset wend:
-         *   for each j in 0..m-1 (char index within span <= n-2):
-         *     e_char = min(j+4, m); ebyte = (e_char==m) ? wend : c[e_char]
-         *     keep if (e_char - j) >= 3 or j == 0   [word_start]
-         *     bc = min(ebyte - c[j], 12); keep bc > 0
-         *     pre = byte before c[j] is space; post = byte at
-         *           min(c[j]+bc, len-1) is space
-         * Words never exceed span length; buffer char starts per word
-         * in a fixed chunk (words can be long; cap chunk at 4096 and
-         * spill — chunking is safe because e looks ahead only 4). */
-        {
-            #define WCAP 4100
-            int64_t cpos[WCAP];
-            int64_t m = 0;
-            int word_head = 1;   /* cpos[0] is the word's true first char */
-            int64_t word_first_char_global = 0;  /* char idx in span of cpos[0] */
-            int64_t char_idx = 0;                /* char idx in span */
-            int64_t nchars_limit;                /* last char excluded */
-            /* count chars (cheap byte scan) to know n-1 limit */
-            {
-                int64_t nc = 0;
-                for (int64_t b = 0; b < len; b++)
-                    if ((sp[b] & 0xC0) != 0x80) nc++;
-                if (nc < 3) { *nq_io = nq; *no_io = no; return; }
-                nchars_limit = nc - 1;   /* letters = ~is_space[:n-1] */
-            }
-            for (int64_t b = 0; b <= len; b++) {
-                int is_end = (b == len);
-                if (!is_end && (sp[b] & 0xC0) == 0x80) continue;
-                int is_space = is_end || sp[b] == 0x20;
-                if (!is_space) {
-                    if (m == 0) { word_first_char_global = char_idx; word_head = 1; }
-                    if (m < WCAP) cpos[m++] = b;
-                    else {
-                        /* pathological giant word: flush all but last
-                         * 4 chars, preserving lookahead semantics */
-                        int64_t wend_tmp = -1; /* not known yet: flush
-                            only entries with full 4-char lookahead */
-                        (void)wend_tmp;
-                        int64_t flush = m - 4;
-                        for (int64_t j = 0; j < flush; j++) {
-                            int64_t gj = word_first_char_global + j;
-                            if (gj >= nchars_limit) break;
-                            int64_t ebyte = cpos[j + 4];
-                            int64_t bc = ebyte - cpos[j];
-                            int keep = 1; /* e-i==4 >= 3 */
-                            if (bc > 12) bc = 12;
-                            if (keep && bc > 0) {
-                                int pre = cpos[j] > 0 &&
-                                          sp[cpos[j] - 1] == 0x20;
-                                int64_t pp = cpos[j] + bc;
-                                if (pp > len - 1) pp = len - 1;
-                                int post = sp[pp] == 0x20;
-                                uint32_t h = quad_hash(sp, cpos[j], bc,
-                                                       len, pre, post);
-                                int dup = (qrn >= 1 && h == qr1) ||
-                                          (qrn >= 2 && h == qr2);
-                                qr2 = qr1; qr1 = h;
-                                if (qrn < 2) qrn++;
-                                if (!dup) {
-                                    uint64_t v = table_lookup(
-                                        qkeys, qvals, qmask, (uint64_t)h);
-                                    if (v) {
-                                        out_qvals[nq] = v;
-                                        out_qoffs[nq] = span_start + cpos[j];
-                                        nq++;
-                                    }
-                                }
-                            }
-                        }
-                        for (int64_t j = 0; j < 4; j++)
-                            cpos[j] = cpos[m - 4 + j];
-                        word_first_char_global += flush;
-                        word_head = 0;   /* cpos[0] is now mid-word */
-                        m = 4;
-                        cpos[m++] = b;
-                    }
-                } else if (m > 0) {
-                    /* word ended at byte b (the space/end): emit */
-                    int64_t wend = b;
-                    for (int64_t j = 0; j < m; j++) {
-                        int64_t gj = word_first_char_global + j;
-                        if (gj >= nchars_limit) break;
-                        int64_t e_char = j + 4 > m ? m : j + 4;
-                        int64_t ebyte = (e_char == m) ? wend : cpos[e_char];
-                        /* word_start: a whole short word (preceded by a
-                         * space char — single-byte 0x20, so a byte test
-                         * equals the char test) */
-                        int keep = (e_char - j) >= 3 ||
-                                   (j == 0 && word_head && cpos[0] > 0 &&
-                                    sp[cpos[0] - 1] == 0x20);
-                        int64_t bc = ebyte - cpos[j];
-                        if (bc > 12) bc = 12;
-                        if (keep && bc > 0) {
-                            int pre = cpos[j] > 0 && sp[cpos[j] - 1] == 0x20;
-                            int64_t pp = cpos[j] + bc;
-                            if (pp > len - 1) pp = len - 1;
-                            int post = sp[pp] == 0x20;
-                            uint32_t h = quad_hash(sp, cpos[j], bc, len,
-                                                   pre, post);
-                            int dup = (qrn >= 1 && h == qr1) ||
-                                      (qrn >= 2 && h == qr2);
-                            qr2 = qr1; qr1 = h;
-                            if (qrn < 2) qrn++;
-                            if (!dup) {
-                                uint64_t v = table_lookup(qkeys, qvals,
-                                                          qmask, (uint64_t)h);
-                                if (v) {
-                                    out_qvals[nq] = v;
-                                    out_qoffs[nq] = span_start + cpos[j];
-                                    nq++;
-                                }
-                            }
-                        }
-                    }
-                    m = 0;
-                }
-                if (!is_end) char_idx++;
-            }
-            #undef WCAP
+            prev_space = b;
+            nchars_word = 0;
+            trunc = -1;
         }
     }
-    (void)span_start;
-    *nq_io = nq;
     *no_io = no;
+
+    /* Pass B: quads, word by word.  Within a word of chars w[0..m-1]
+     * with byte starts c[0..m-1] and word-end byte offset wend, for
+     * each j (char index within the span <= n-2):
+     *   e_char = min(j+4, m); ebyte = (e_char==m) ? wend : c[e_char]
+     *   keep if (e_char - j) >= 3 or j == 0   [word_start]
+     * and quad_emit hashes [c[j], ebyte).  The char starts of a word
+     * are buffered in cpos; a word longer than WCAP chars spills all
+     * but its last 4, which is safe because e looks ahead only 4. */
+    enum { WCAP = 4100 };
+    int64_t cpos[WCAP];
+    int64_t m = 0;
+    int word_head = 1;   /* cpos[0] is the word's true first char */
+    int64_t word_first_char = 0;   /* char idx in span of cpos[0] */
+    int64_t char_idx = 0;          /* char idx in span */
+    quad_ring ring = {0, 0, 0};
+    /* letters = ~is_space[:n-1]: the span's last char is excluded */
+    int64_t nchars_limit = -1;
+    for (int64_t b = 0; b < len; b++)
+        if ((sp[b] & 0xC0) != 0x80) nchars_limit++;
+    if (nchars_limit < 2) return;
+    for (int64_t b = 0; b <= len; b++) {
+        int is_end = (b == len);
+        if (!is_end && (sp[b] & 0xC0) == 0x80) continue;
+        if (!is_end && sp[b] != 0x20) {
+            if (m == 0) { word_first_char = char_idx; word_head = 1; }
+            if (m == WCAP) {
+                /* pathological giant word: emit the chars whose 4-char
+                 * lookahead is known, keep the last 4 */
+                int64_t flush = m - 4;
+                for (int64_t j = 0; j < flush; j++) {
+                    if (word_first_char + j >= nchars_limit) break;
+                    quad_emit(sp, len, cpos[j], cpos[j + 4], &ring,
+                              qkeys, qvals, qmask, base,
+                              out_qvals, out_qoffs, &nq);
+                }
+                memmove(cpos, cpos + flush, 4 * sizeof *cpos);
+                word_first_char += flush;
+                word_head = 0;   /* cpos[0] is now mid-word */
+                m = 4;
+            }
+            cpos[m++] = b;
+        } else if (m > 0) {
+            /* the word ended at byte b (the space/end) */
+            for (int64_t j = 0; j < m; j++) {
+                if (word_first_char + j >= nchars_limit) break;
+                int64_t e_char = j + 4 > m ? m : j + 4;
+                /* word_start: a whole short word (preceded by a
+                 * space char — single-byte 0x20, so a byte test
+                 * equals the char test) */
+                int keep = (e_char - j) >= 3 ||
+                           (j == 0 && word_head && cpos[0] > 0 &&
+                            sp[cpos[0] - 1] == 0x20);
+                if (keep)
+                    quad_emit(sp, len, cpos[j],
+                              e_char == m ? b : cpos[e_char], &ring,
+                              qkeys, qvals, qmask, base,
+                              out_qvals, out_qoffs, &nq);
+            }
+            m = 0;
+        }
+        if (!is_end) char_idx++;
+    }
+    *nq_io = nq;
 }
 
 /* Single-pass quality statistics (cld2_ray/functions/quality.py
@@ -660,18 +677,21 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
  *   - stopword token match = ^['"(]*(?:STOP)[.,;:!?'")]*$ ignore_case:
  *     strip leading {'"(}, strip trailing {.,;:!?'")}, simple-fold
  *     (fold[] = RE2-derived orbit map onto the stopword alphabet,
- *     identity elsewhere; see quality._fold_lut), compare against the
- *     packed-utf8 stopword set (keys = folded bytes, <=8, LE uint64)
+ *     identity elsewhere; see quality._fold_lut), and probe the
+ *     stopword table (table_lookup; key = the folded UTF-8 bytes,
+ *     <= 8, little-endian)
  *   - sentences = cps {. ! ? 0x3002 0xFF01 0xFF1F}; symbols =
  *     '#' + floor(dot_run/3) + 0x2026; lorem = case-insensitive
  *     "lorem ipsum" substring; brace = '{'
- * out: n_docs x 9 int64 rows:
+ * These fill columns 0-8 of quality_scan's rows:
  *   [n_words, n_chars, n_ws, alpha_words, n_stop, n_sentences,
  *    symbols, has_lorem, has_brace] */
 static inline int stop_token_match(const uint8_t *cat, int64_t ts,
                                    int64_t te,
                                    const uint32_t *fold, int64_t fold_lim,
-                                   const uint64_t *sw_keys, int64_t sw_cap) {
+                                   const uint64_t *sw_keys,
+                                   const uint64_t *sw_vals,
+                                   uint64_t sw_mask) {
     while (ts < te && (cat[ts] == '\'' || cat[ts] == '"'
                        || cat[ts] == '(')) ts++;
     while (te > ts) {
@@ -682,57 +702,22 @@ static inline int stop_token_match(const uint8_t *cat, int64_t ts,
         else break;
     }
     if (te <= ts || te - ts > 16) return 0;
-    uint8_t kb[8]; int kn = 0;
+    uint8_t kb[8];
+    int kn = 0;
     for (int64_t j = ts; j < te;) {
-        uint8_t ld = cat[j];
-        int jl = ld < 0x80 ? 1 : (ld < 0xE0 ? 2 : (ld < 0xF0 ? 3 : 4));
-        if (j + jl > te) jl = (int)(te - j);
-        uint32_t c2;
-        if (jl == 1) c2 = ld;
-        else if (jl == 2)
-            c2 = ((ld & 0x1Fu) << 6) | (cat[j+1] & 0x3Fu);
-        else if (jl == 3)
-            c2 = ((ld & 0x0Fu) << 12) | ((cat[j+1] & 0x3Fu) << 6)
-                 | (cat[j+2] & 0x3Fu);
-        else
-            c2 = ((ld & 0x07u) << 18) | ((cat[j+1] & 0x3Fu) << 12)
-                 | ((cat[j+2] & 0x3Fu) << 6) | (cat[j+3] & 0x3Fu);
+        int jl;
+        uint32_t c2 = utf8_next(cat, j, te, &jl);
         if (c2 < (uint32_t)fold_lim) c2 = fold[c2];
-        if (c2 < 0x80) {
-            if (kn + 1 > 8) return 0;
-            kb[kn++] = (uint8_t)c2;
-        } else if (c2 < 0x800) {
-            if (kn + 2 > 8) return 0;
-            kb[kn++] = 0xC0 | (c2 >> 6);
-            kb[kn++] = 0x80 | (c2 & 0x3F);
-        } else if (c2 < 0x10000) {
-            if (kn + 3 > 8) return 0;
-            kb[kn++] = 0xE0 | (c2 >> 12);
-            kb[kn++] = 0x80 | ((c2 >> 6) & 0x3F);
-            kb[kn++] = 0x80 | (c2 & 0x3F);
-        } else {
-            if (kn + 4 > 8) return 0;
-            kb[kn++] = 0xF0 | (c2 >> 18);
-            kb[kn++] = 0x80 | ((c2 >> 12) & 0x3F);
-            kb[kn++] = 0x80 | ((c2 >> 6) & 0x3F);
-            kb[kn++] = 0x80 | (c2 & 0x3F);
-        }
+        /* no stopword holds a NUL, whose zero bytes would vanish from
+         * the key's high end ("la\0" would pack as "la") */
+        if (c2 == 0 || kn + utf8_enc_len(c2) > 8) return 0;
+        kn += utf8_put(kb + kn, c2);
         j += jl;
     }
-    if (kn == 0) return 0;
     uint64_t key = 0;
     for (int b2 = 0; b2 < kn; b2++)
         key |= (uint64_t)kb[b2] << (8 * b2);
-    uint64_t m = (uint64_t)sw_cap - 1;
-    uint64_t h = key * 0x9E3779B97F4A7C15ull;
-    h ^= h >> 29;
-    uint64_t idx = h & m;
-    for (;;) {
-        uint64_t k2 = sw_keys[idx];
-        if (k2 == key) return 1;
-        if (k2 == 0) return 0;
-        idx = (idx + 1) & m;
-    }
+    return table_lookup(sw_keys, sw_vals, sw_mask, key) != 0;
 }
 
 static inline int is_re2_space(uint32_t cp) {
@@ -801,20 +786,8 @@ static void line_scan_doc(const uint8_t *cat, int64_t start, int64_t end,
         int64_t ts = -1, te = -1;
         uint32_t first_cp = 0;
         for (int64_t j = i; j < le;) {
-            uint8_t lead = cat[j];
-            int l = lead < 0x80 ? 1 : (lead < 0xE0 ? 2
-                        : (lead < 0xF0 ? 3 : 4));
-            if (j + l > le) l = (int)(le - j);
-            uint32_t cp;
-            if (l == 1) cp = lead;
-            else if (l == 2)
-                cp = ((lead & 0x1Fu) << 6) | (cat[j+1] & 0x3Fu);
-            else if (l == 3)
-                cp = ((lead & 0x0Fu) << 12) | ((cat[j+1] & 0x3Fu) << 6)
-                     | (cat[j+2] & 0x3Fu);
-            else
-                cp = ((lead & 0x07u) << 18) | ((cat[j+1] & 0x3Fu) << 12)
-                     | ((cat[j+2] & 0x3Fu) << 6) | (cat[j+3] & 0x3Fu);
+            int l;
+            uint32_t cp = utf8_next(cat, j, le, &l);
             if (!is_py_space(cp)) {
                 if (ts < 0) { ts = j; first_cp = cp; }
                 te = j + l;
@@ -837,17 +810,16 @@ static void line_scan_doc(const uint8_t *cat, int64_t start, int64_t end,
  * line_h/line_ep: the dup-line table (line_table), line_cap slots, a
  * power of two above twice the non-empty lines of the longest doc;
  * line_ep ZEROED, as doc d tags its lines with d + 1. */
-int quality_scan(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
+int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
                  const uint8_t *is_letter, int64_t letter_lim,
                  const uint32_t *fold, int64_t fold_lim,
-                 const uint64_t *sw_keys, int64_t sw_cap,
-                 int64_t *out,
+                 const uint64_t *sw_keys, const uint64_t *sw_vals,
+                 uint64_t sw_mask, int64_t *out,
                  uint64_t *line_h, uint64_t *line_ep, int64_t line_cap) {
     static const char lorem[] = "lorem ipsum";
     const line_table lt = {line_h, line_ep, line_cap};
-    int64_t start = 0;
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t end = bounds[d];
+        int64_t start = offsets[d], end = offsets[d + 1];
         int64_t n_words = 0, n_chars = 0, n_ws = 0, alpha_words = 0;
         int64_t n_stop = 0, n_sent = 0, symbols = 0;
         int64_t has_lorem = 0, has_brace = 0;
@@ -856,20 +828,8 @@ int quality_scan(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
         int64_t dot_run = 0;
         int64_t lorem_pos = 0;        /* chars of "lorem ipsum" matched */
         for (int64_t i = start; i < end;) {
-            uint8_t lead = cat[i];
-            int l = lead < 0x80 ? 1 : (lead < 0xE0 ? 2
-                        : (lead < 0xF0 ? 3 : 4));
-            if (i + l > end) l = (int)(end - i);
-            uint32_t cp;
-            if (l == 1) cp = lead;
-            else if (l == 2)
-                cp = ((lead & 0x1Fu) << 6) | (cat[i + 1] & 0x3Fu);
-            else if (l == 3)
-                cp = ((lead & 0x0Fu) << 12) | ((cat[i + 1] & 0x3Fu) << 6)
-                     | (cat[i + 2] & 0x3Fu);
-            else
-                cp = ((lead & 0x07u) << 18) | ((cat[i + 1] & 0x3Fu) << 12)
-                     | ((cat[i + 2] & 0x3Fu) << 6) | (cat[i + 3] & 0x3Fu);
+            int l;
+            uint32_t cp = utf8_next(cat, i, end, &l);
             n_chars++;
             /* dot-run for the non-overlapping "..." count */
             if (cp == '.') dot_run++;
@@ -906,7 +866,7 @@ int quality_scan(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
             continue;
         end_token:
             n_stop += stop_token_match(cat, tok_start, i, fold,
-                                       fold_lim, sw_keys, sw_cap);
+                                       fold_lim, sw_keys, sw_vals, sw_mask);
             in_word = 0;
             i += l;
         }
@@ -915,14 +875,13 @@ int quality_scan(const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
         if (in_word) {
             if (word_has_letter) alpha_words++;
             n_stop += stop_token_match(cat, tok_start, end, fold,
-                                       fold_lim, sw_keys, sw_cap);
+                                       fold_lim, sw_keys, sw_vals, sw_mask);
         }
         int64_t *row = out + d * 13;
         row[0] = n_words; row[1] = n_chars; row[2] = n_ws;
         row[3] = alpha_words; row[4] = n_stop; row[5] = n_sent;
         row[6] = symbols; row[7] = has_lorem; row[8] = has_brace;
         line_scan_doc(cat, start, end, &lt, (uint64_t)d + 1, row);
-        start = end;
     }
     return 0;
 }
@@ -1370,21 +1329,9 @@ int64_t cjk_chunk_score(
         int64_t prev_byte = -1;    /* byte start of that char */
         int prev_len = 0;
         for (int64_t i = 0; i < len; char_idx++) {
-            uint8_t lead = sp[i];
-            int l = lead < 0x80 ? 1 : (lead < 0xE0 ? 2
-                        : (lead < 0xF0 ? 3 : 4));
-            if (i + l > len) l = (int)(len - i);
-            uint32_t cp;
+            int l;
+            uint32_t cp = utf8_next(sp, i, len, &l);
             int64_t byte_start = i;
-            if (l == 1) cp = lead;
-            else if (l == 2)
-                cp = ((lead & 0x1Fu) << 6) | (sp[i + 1] & 0x3Fu);
-            else if (l == 3)
-                cp = ((lead & 0x0Fu) << 12) | ((sp[i + 1] & 0x3Fu) << 6)
-                     | (sp[i + 2] & 0x3Fu);
-            else
-                cp = ((lead & 0x07u) << 18) | ((sp[i + 1] & 0x3Fu) << 12)
-                     | ((sp[i + 2] & 0x3Fu) << 6) | (sp[i + 3] & 0x3Fu);
             i += l;
             if (cp == 32) continue;
             /* unigram */
@@ -1424,24 +1371,21 @@ int64_t cjk_chunk_score(
 }
 
 /* CheapSqueezeTriggerTest (compact_lang_det_impl.cc:952-971) for a
- * batch of probes: probe p is cat[bounds[p-1], bounds[p]), the UTF-8
+ * batch of probes: probe p is cat[offsets[p], offsets[p+1]), the UTF-8
  * of a document's first kCheapSqueezeTestLen chars.  It triggers when
  * spaces make up >= spaces_pct of its bytes or the 12-bit next-char
  * predictor (predict_mask, restarted per probe) guesses >= pred_pct of
  * them.  tests/oracles/repeats.py squeeze_trigger is the oracle. */
-int64_t squeeze_test_multi(const uint8_t *cat, const int64_t *bounds,
+int64_t squeeze_test_multi(const uint8_t *cat, const int64_t *offsets,
                            int64_t n_probes, int64_t spaces_pct,
                            int64_t pred_pct, int64_t *tbl, uint8_t *out) {
-    int64_t start = 0;
     for (int64_t p = 0; p < n_probes; p++) {
-        int64_t end = bounds[p], n = end - start;
+        int64_t start = offsets[p], end = offsets[p + 1], n = end - start;
         int64_t n_sp = 0, pred = 0;
         uint32_t h = 0;
         for (int k = 0; k < 4096; k++) tbl[k] = -1;
         for (int64_t i = start; i < end;) {
-            uint8_t c0 = cat[i];
-            int len = c0 < 0x80 ? 1 : (c0 < 0xE0 ? 2 : (c0 < 0xF0 ? 3 : 4));
-            if (i + len > end) len = (int)(end - i);
+            int len = utf8_len(cat, i, end);
             int64_t c = 0;
             for (int k = 0; k < len; k++) c = (c << 8) | cat[i + k];
             if (c == ' ') n_sp++;
@@ -1452,7 +1396,6 @@ int64_t squeeze_test_multi(const uint8_t *cat, const int64_t *bounds,
         }
         out[p] = n > 0 && (n_sp * 100 >= spaces_pct * n
                            || pred * 100 >= pred_pct * n);
-        start = end;
     }
     return n_probes;
 }
@@ -1855,10 +1798,6 @@ int64_t doc_stage(
  *            out_start, out_bytes, lp_start, lp_end]
  *            (lp_* index into lt_idx; out_bytes == text_bytes)
  * Returns the span count. */
-static inline int utf8_enc_len(uint32_t cp) {
-    return cp < 0x80 ? 1 : (cp < 0x800 ? 2 : (cp < 0x10000 ? 3 : 4));
-}
-
 static int64_t script_spans_scan(const uint8_t *text, int64_t n,
                                  const uint8_t *script_lut,
                                  const uint32_t *lower_lut, int64_t lut_size,
@@ -1872,20 +1811,8 @@ static int64_t script_spans_scan(const uint8_t *text, int64_t n,
     int64_t lb_sum = 0;
     int64_t budget_keep = -1;     /* letter count at the 160KB budget */
     for (int64_t i = 0; i < n; ci++) {
-        uint8_t lead = text[i];
-        int l = lead < 0x80 ? 1 : (lead < 0xE0 ? 2
-                    : (lead < 0xF0 ? 3 : 4));
-        if (i + l > n) l = (int)(n - i);
-        uint32_t cp;
-        if (l == 1) cp = lead;
-        else if (l == 2)
-            cp = ((lead & 0x1Fu) << 6) | (text[i + 1] & 0x3Fu);
-        else if (l == 3)
-            cp = ((lead & 0x0Fu) << 12) | ((text[i + 1] & 0x3Fu) << 6)
-                 | (text[i + 2] & 0x3Fu);
-        else
-            cp = ((lead & 0x07u) << 18) | ((text[i + 1] & 0x3Fu) << 12)
-                 | ((text[i + 2] & 0x3Fu) << 6) | (text[i + 3] & 0x3Fu);
+        int l;
+        uint32_t cp = utf8_next(text, i, n, &l);
         i += l;
         uint8_t sc = cp < (uint32_t)lut_size ? script_lut[cp] : 0;
         if (sc == 0) continue;
@@ -1907,37 +1834,27 @@ static int64_t script_spans_scan(const uint8_t *text, int64_t n,
         nl = budget_keep > 0 ? budget_keep : 1;
     }
 
-    /* ---- pass 2: single-foreign-letter absorption (in place) ---- */
+    /* ---- pass 2: single-foreign-letter absorption (in place), run
+     * by run as tests/oracles/spans.py _absorb_single_foreign ---- */
     {
-        /* find raw runs; replicate tests/oracles/spans.py
-         * _absorb_single_foreign */
-        int64_t run_start = 0;
         uint8_t cur_s = lt_sc[0];
-        int64_t cur_a = 0;
-        /* iterate run by run */
         int64_t k = 0;
         while (k < nl) {
             int64_t a = k;
             uint8_t s = lt_sc[a];
             while (k < nl && lt_sc[k] == s) k++;
-            int64_t b = k;
-            if (a == 0) { cur_s = s; cur_a = a; continue; }
-            if (s == cur_s) continue;     /* same-script: extend */
-            if (b - a == 1) {
-                int64_t j = a;
-                int follows_nonletter = (j == nl - 1)
-                    || (lt_idx[j + 1] != lt_idx[j] + 1);
+            if (a == 0 || s == cur_s) continue;   /* same-script: extend */
+            if (k - a == 1) {
+                int follows_nonletter = (a == nl - 1)
+                    || (lt_idx[a + 1] != lt_idx[a] + 1);
                 if (follows_nonletter
-                    || (j + 1 < nl && lt_sc[j + 1] == cur_s)) {
-                    lt_sc[j] = cur_s;     /* absorbed */
+                    || (a + 1 < nl && lt_sc[a + 1] == cur_s)) {
+                    lt_sc[a] = cur_s;     /* absorbed */
                     continue;
                 }
             }
-            /* break: previous run [cur_a, a) keeps cur_s (already) */
-            cur_s = s;
-            cur_a = a;
+            cur_s = s;                    /* a break: a new run */
         }
-        (void)run_start; (void)cur_a;
     }
 
     /* ---- pass 3: spans ---- */
@@ -1958,7 +1875,6 @@ static int64_t script_spans_scan(const uint8_t *text, int64_t n,
         int64_t n_chunks = total / max_span_bytes + 1;
         /* bounds (indices local to segment) */
         int64_t b_prev = 0;
-        int64_t emitted_end = 0;
         for (int64_t chunk = 1; chunk <= n_chunks; chunk++) {
             int64_t b1;
             if (chunk == n_chunks) {
@@ -1997,21 +1913,7 @@ static int64_t script_spans_scan(const uint8_t *text, int64_t n,
             for (int64_t j = p0; j < p1; j++) {
                 if (j > p0 && lt_idx[j] != lt_idx[j - 1] + 1)
                     out_buf[out_pos++] = 0x20;
-                uint32_t cp = lt_low[j];
-                if (cp < 0x80) out_buf[out_pos++] = (uint8_t)cp;
-                else if (cp < 0x800) {
-                    out_buf[out_pos++] = 0xC0 | (cp >> 6);
-                    out_buf[out_pos++] = 0x80 | (cp & 0x3F);
-                } else if (cp < 0x10000) {
-                    out_buf[out_pos++] = 0xE0 | (cp >> 12);
-                    out_buf[out_pos++] = 0x80 | ((cp >> 6) & 0x3F);
-                    out_buf[out_pos++] = 0x80 | (cp & 0x3F);
-                } else {
-                    out_buf[out_pos++] = 0xF0 | (cp >> 18);
-                    out_buf[out_pos++] = 0x80 | ((cp >> 12) & 0x3F);
-                    out_buf[out_pos++] = 0x80 | ((cp >> 6) & 0x3F);
-                    out_buf[out_pos++] = 0x80 | (cp & 0x3F);
-                }
+                out_pos += utf8_put(out_buf + out_pos, lt_low[j]);
             }
             out_buf[out_pos++] = 0x20;
             int64_t *m = meta + nspans * 7;
@@ -2023,10 +1925,8 @@ static int64_t script_spans_scan(const uint8_t *text, int64_t n,
             m[5] = p0;
             m[6] = p1;
             nspans++;
-            emitted_end = b1;
             b_prev = b1;
         }
-        (void)emitted_end;
         s = e;
     }
     return nspans;
@@ -2042,8 +1942,8 @@ static int64_t script_spans_scan(const uint8_t *text, int64_t n,
  * packed-name table with the IE6 ';' rule). Input must be valid UTF-8
  * with \r already normalized to \n (extract_scan_batch does that).
  *
- * ent table: open-addressed uint64 keys (name bytes LE, <= 8) with
- * int32 values; low_map: uint32[256] FixUnicodeValue low mapping.
+ * ent table: the entity names (bytes LE, <= 8) -> codepoint, probed
+ * with table_lookup; low_map: uint32[256] FixUnicodeValue low mapping.
  * out cap >= n + 8. Returns output length. */
 static inline int ext_is_alnum(uint8_t c) {
     return (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z')
@@ -2063,8 +1963,8 @@ static inline int64_t ext_fix_uv(int64_t uv, const uint32_t *low_map) {
 
 /* returns codepoint (or -1) and sets *consumed; b[i] == '&' */
 static int64_t ext_read_entity(const uint8_t *b, int64_t n, int64_t i,
-                               const uint64_t *ekeys, const int32_t *evals,
-                               int64_t ecap, const uint32_t *low_map,
+                               const uint64_t *ekeys, const uint64_t *evals,
+                               uint64_t emask, const uint32_t *low_map,
                                int64_t *consumed) {
     int64_t j = i + 1;
     int64_t val;
@@ -2133,18 +2033,8 @@ static int64_t ext_read_entity(const uint8_t *b, int64_t n, int64_t i,
     uint64_t key = 0;
     for (int64_t t = 0; t < nlen; t++)
         key |= (uint64_t)b[j + t] << (8 * t);
-    uint64_t m = (uint64_t)ecap - 1;
-    uint64_t h = key * 0x9E3779B97F4A7C15ull;
-    h ^= h >> 29;
-    uint64_t idx = h & m;
-    int64_t v = -1;
-    for (;;) {
-        uint64_t k2 = ekeys[idx];
-        if (k2 == key) { v = evals[idx]; break; }
-        if (k2 == 0) break;
-        idx = (idx + 1) & m;
-    }
-    if (v < 0) { *consumed = 1; return -1; }
+    int64_t v = (int64_t)table_lookup(ekeys, evals, emask, key);
+    if (v == 0) { *consumed = 1; return -1; }
     int terminated = (k < n && b[k] == ';');
     if (v >= 256 && !terminated) { *consumed = 1; return -1; }
     int64_t end = k + (terminated ? 1 : 0);
@@ -2230,7 +2120,7 @@ static inline int ext_newline_tag(const uint8_t *b, int64_t n, int64_t i) {
  * the NULL call site compiles without the src_of stores. */
 static inline __attribute__((always_inline)) int64_t extract_scan(
         const uint8_t *b, int64_t n, const uint64_t *ekeys,
-        const int32_t *evals, int64_t ecap, const uint32_t *low_map,
+        const uint64_t *evals, uint64_t emask, const uint32_t *low_map,
         uint8_t *out, int64_t *src_of) {
     int64_t op = 0;
     int last_ws = 0;
@@ -2251,26 +2141,12 @@ static inline __attribute__((always_inline)) int64_t extract_scan(
             pos++;
         } else if (c == '&') {
             int64_t consumed;
-            int64_t v = ext_read_entity(b, n, pos, ekeys, evals, ecap,
+            int64_t v = ext_read_entity(b, n, pos, ekeys, evals, emask,
                                         low_map, &consumed);
             if (v >= 0) {
                 /* utf-8 emit; last_ws bypassed (reference quirk) */
-                uint32_t cp = (uint32_t)v;
                 int64_t e0 = op;
-                if (cp < 0x80) out[op++] = (uint8_t)cp;
-                else if (cp < 0x800) {
-                    out[op++] = 0xC0 | (cp >> 6);
-                    out[op++] = 0x80 | (cp & 0x3F);
-                } else if (cp < 0x10000) {
-                    out[op++] = 0xE0 | (cp >> 12);
-                    out[op++] = 0x80 | ((cp >> 6) & 0x3F);
-                    out[op++] = 0x80 | (cp & 0x3F);
-                } else {
-                    out[op++] = 0xF0 | (cp >> 18);
-                    out[op++] = 0x80 | ((cp >> 12) & 0x3F);
-                    out[op++] = 0x80 | ((cp >> 6) & 0x3F);
-                    out[op++] = 0x80 | (cp & 0x3F);
-                }
+                op += utf8_put(out + op, (uint32_t)v);
                 if (src_of)
                     for (int64_t k = e0; k < op; k++) src_of[k] = pos;
             }
@@ -2294,14 +2170,14 @@ static inline __attribute__((always_inline)) int64_t extract_scan(
 
 /* extract_text over a whole batch of pages in ONE call (a ctypes call
  * per page cost ~9.5 us, more than the extraction of a short page).
- * Page d is cat[ends[d-1]:ends[d]] (ends[-1] = 0), valid UTF-8. A page
+ * Page d is cat[offsets_in[d], offsets_in[d+1]), valid UTF-8. A page
  * holding a '\r' is first copied to a scratch buffer with \r\n -> \n
  * and lone \r -> \n (== Python's replace(b"\r\n", b"\n")
  * .replace(b"\r", b"\n")). Page d's text is written to
  * out[offsets[d]:offsets[d+1]], offsets[0] = 0: the data and offsets
  * buffers of an Arrow large_string column. No page grows (every
  * entity is at least as long as its UTF-8 encoding), so out cap >=
- * ends[n_docs-1] + 8.
+ * offsets_in[n_docs] - offsets_in[0] + 8.
  *
  * src_of (NULL, or cap as out) is the per-output-byte source map back
  * to the RAW page: src_of[k] = position within its page of the byte
@@ -2313,20 +2189,19 @@ static inline __attribute__((always_inline)) int64_t extract_scan(
  * tests/oracles/extract.py's OffsetMap is its test oracle.
  * Returns the total text length, or -1 when the scratch cannot be
  * allocated. */
-int64_t extract_scan_batch(const uint8_t *cat, const int64_t *ends,
+int64_t extract_scan_batch(const uint8_t *cat, const int64_t *offsets_in,
                            int64_t n_docs, const uint64_t *ekeys,
-                           const int32_t *evals, int64_t ecap,
+                           const uint64_t *evals, uint64_t emask,
                            const uint32_t *low_map, uint8_t *out,
                            int64_t *offsets, int64_t *src_of) {
     uint8_t *norm = NULL;
     int64_t *raw_of = NULL;
-    int64_t norm_cap = 0, op = 0, start = 0;
+    int64_t norm_cap = 0, op = 0;
     offsets[0] = 0;
     for (int64_t d = 0; d < n_docs; d++) {
-        const uint8_t *b = cat + start;
-        int64_t n = ends[d] - start;
+        const uint8_t *b = cat + offsets_in[d];
+        int64_t n = offsets_in[d + 1] - offsets_in[d];
         int has_cr = n > 0 && memchr(b, '\r', (size_t)n);
-        start = ends[d];
         if (has_cr) {
             if (norm_cap < n) {
                 free(norm);
@@ -2352,13 +2227,13 @@ int64_t extract_scan_batch(const uint8_t *cat, const int64_t *ends,
         }
         if (src_of) {
             int64_t k0 = op;
-            op += extract_scan(b, n, ekeys, evals, ecap, low_map,
+            op += extract_scan(b, n, ekeys, evals, emask, low_map,
                                out + op, src_of + op);
             if (has_cr)
                 for (int64_t k = k0; k < op; k++)
                     src_of[k] = raw_of[src_of[k]];
         } else {
-            op += extract_scan(b, n, ekeys, evals, ecap, low_map,
+            op += extract_scan(b, n, ekeys, evals, emask, low_map,
                                out + op, NULL);
         }
         offsets[d + 1] = op;
@@ -2369,8 +2244,8 @@ int64_t extract_scan_batch(const uint8_t *cat, const int64_t *ends,
 }
 
 /* script_spans_scan over a whole batch in ONE call (a ctypes call per
- * doc was ~15% of the fused stage). Bounds are cumulative end offsets
- * into cat. The outputs are packed: doc d's span texts follow doc
+ * doc was ~15% of the fused stage). Doc d is cat[offsets[d],
+ * offsets[d+1]). The outputs are packed: doc d's span texts follow doc
  * d-1's in out_buf and its letters follow in lt_idx, so the batch's
  * spans are one back-to-back buffer.  With c_d = min(len_d,
  * text_limit + 1), doc d is scanned at the packed ends, which never
@@ -2381,17 +2256,16 @@ int64_t extract_scan_batch(const uint8_t *cat, const int64_t *ends,
  * indexes rebased to the shared buffers; ns_doc[d] = span count of
  * doc d. */
 int64_t script_spans_scan_multi(
-        const uint8_t *cat, const int64_t *bounds, int64_t n_docs,
+        const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
         const uint8_t *script_lut, const uint32_t *lower_lut,
         int64_t lut_size, int64_t text_limit, int64_t max_span_bytes,
         int64_t *lt_idx, uint8_t *lt_sc, uint32_t *lt_low,
         uint8_t *lt_len, uint8_t *out_buf, int64_t *meta,
         int64_t *ns_doc) {
-    int64_t meta_total = 0, lt_base = 0, out_base = 0, prev = 0;
+    int64_t meta_total = 0, lt_base = 0, out_base = 0;
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t len = bounds[d] - prev;
         int64_t ns = script_spans_scan(
-            cat + prev, len, script_lut, lower_lut, lut_size,
+            cat + offsets[d], offsets[d + 1] - offsets[d], script_lut, lower_lut, lut_size,
             text_limit, max_span_bytes,
             lt_idx + lt_base, lt_sc, lt_low, lt_len, out_buf + out_base,
             meta + meta_total * 7);
@@ -2408,7 +2282,6 @@ int64_t script_spans_scan_multi(
         }
         meta_total += ns;
         ns_doc[d] = ns;
-        prev = bounds[d];
     }
     return meta_total;
 }

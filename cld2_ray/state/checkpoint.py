@@ -4,8 +4,12 @@ Layout under ``out_root``:
 
   part=00000/           one directory per input partition
     data/*.parquet      the partition's kept+annotated rows
-    MANIFEST.json       counters + lineage, written LAST (atomic rename)
-  _metrics/*.parquet    per-partition metric rows (lineage table)
+    MANIFEST.json       {part_id, rows, kept}, written LAST (atomic
+                        rename): the rows written and how many of
+                        them have keep set
+
+``run_resumable`` writes nothing else; a per-partition lineage table of
+metric rows is not written yet.
 
 A partition is DONE iff its MANIFEST.json exists — the data write and
 the manifest write are ordered, so a killed run leaves at most one

@@ -54,38 +54,21 @@ from cld2_ray.functions import hits, langs, spans, uscript as us
 
 ARTIFACT = os.path.join(os.path.dirname(__file__), "artifacts", "langmodel.npz")
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
 MAX_QPROB = 12
-
-
-def _mix(keys: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # wrapping multiply is intended
-        k = keys.astype(np.uint64) * _GOLD
-    return k ^ (k >> np.uint64(29))
 
 
 @dataclass
 class HashTable:
+    """An open-addressed table in the one format of native.table_build
+    (which also documents the probe)."""
     keys: np.ndarray  # uint64, 0 = empty
     vals: np.ndarray  # uint64
     mask: np.uint64
 
     @classmethod
     def build(cls, kv: dict[int, int]) -> "HashTable":
-        # 4x slack -> ~25% load -> almost all lookups resolve in one probe
-        n = max(8, 1 << (int(len(kv) * 4 - 1)).bit_length())
-        keys = np.zeros(n, dtype=np.uint64)
-        vals = np.zeros(n, dtype=np.uint64)
-        mask = n - 1
-        for k, v in sorted(kv.items()):
-            k = k or 1  # remap key 0 (sentinel collision; never occurs in practice)
-            idx = int(_mix(np.uint64(k))) & mask
-            while keys[idx] != 0:
-                idx = (idx + 1) & mask
-            keys[idx] = k
-            vals[idx] = v
-        return cls(keys, vals, np.uint64(mask))
+        from cld2_ray import native
+        return cls(*native.table_build(kv))
 
     def lookup(self, queries: np.ndarray) -> np.ndarray:
         """Open-addressed lookup through the C probe loop

@@ -5,7 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from cld2_ray.state.model import HashTable, _mix
+from cld2_ray.state.model import HashTable
+
+
+def _mix(keys: np.ndarray) -> np.ndarray:
+    """The probe's start hash (native.table_build documents it)."""
+    with np.errstate(over="ignore"):  # wrapping multiply is intended
+        k = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return k ^ (k >> np.uint64(29))
 
 
 def lookup_numpy(table: HashTable, queries: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import pandas as pd
 
 from cld2_ray.data.seeds import HELDOUT
 from cld2_ray.functions import langs
-from cld2_ray.functions.hints import TLD_HINTS, hints_from_page, tld_of
+from cld2_ray.functions.hints import hints_from_page, tld_of
 from cld2_ray.functions.langid import Detector
 from cld2_ray.pipelines.evaluate import precision_recall
 

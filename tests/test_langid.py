@@ -309,22 +309,31 @@ def test_top_level_detect_language():
     assert r2.summary_code == "de"
     assert cld2_ray.detect_language(
         "", default_to_english=True).summary_code == "en"
-    # invalid UTF-8 page: gate truncates at the valid prefix, no crash
-    r3 = cld2_ray.detect_language(b"<p>ok</p>\xfe\xffrest",
-                                  is_plain_text=False)
-    assert r3.text_bytes >= 0
+    # a page that is not valid UTF-8 throughout is UNKNOWN_LANGUAGE,
+    # unreliable (CheckUTF8), however clear its valid prefix
+    fr = "<p>" + HELDOUT["fr"] + "</p>"
+    assert cld2_ray.detect_language(
+        fr, is_plain_text=False).summary_code == "fr"
+    for page in (b"<p>ok</p>\xfe\xffrest", fr.encode() + b"\xfe\xff more",
+                 fr.encode() + b"\xc3"):
+        r3 = cld2_ray.detect_language(page, is_plain_text=False)
+        assert (r3.summary_code, r3.is_reliable, r3.text_bytes) == \
+            ("un", False, 0)
 
 
 def test_top_level_detect_language_plain_bytes():
-    """Plain-text BYTES input (the reference's buffer parameter):
-    valid-prefix UTF-8 gate + decode, no crash on trailing garbage."""
+    """Plain-text BYTES input (the reference's buffer parameter): valid
+    UTF-8 is decoded and scored; an invalid suffix gives
+    UNKNOWN_LANGUAGE, unreliable (CheckUTF8)."""
     import cld2_ray
     r = cld2_ray.detect_language(
         b"Hello world this is a plain byte buffer of English text.")
     assert r.summary_code == "en"
-    r2 = cld2_ray.detect_language(
-        "Bonjour le monde entier ce matin.".encode() + b"\xfe\xff")
-    assert r2.summary_code == "fr"
+    fr = "Bonjour le monde entier ce matin.".encode()
+    assert cld2_ray.detect_language(fr).summary_code == "fr"
+    for bad in (fr + b"\xfe\xff", fr + b"\xe2\x82", b"\xff" + fr):
+        r2 = cld2_ray.detect_language(bad)
+        assert (r2.summary_code, r2.is_reliable) == ("un", False)
 
 
 class TestArtifactVerify:

@@ -3,7 +3,7 @@ hashlib / Python implementations, each called directly by name."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cld2_ray import native
 from cld2_ray.functions import hits, langs, spans, uscript as us
@@ -84,6 +84,32 @@ class TestTableLookup:
                                 model.quad.mask, q)
         assert np.array_equal(a, b)
 
+    def test_builder_rebuilds_the_artifacts(self):
+        """native.table_build, fed the non-empty (key, value) pairs of a
+        committed table, rebuilds it byte for byte: the langmodel quad,
+        socta and uni tables and the perplexity table."""
+        from cld2_ray.functions import perplexity
+        model = default_model()
+        for t in (model.quad, model.socta, model.uni,
+                  perplexity.models().table):
+            nz = t.keys != 0
+            keys, vals, mask = native.table_build(
+                dict(zip(t.keys[nz].tolist(), t.vals[nz].tolist())))
+            assert keys.tobytes() == t.keys.tobytes()
+            assert vals.tobytes() == t.vals.tobytes()
+            assert mask == t.mask
+
+    def test_key_zero(self):
+        """Key 0 is the empty-slot mark: it is stored and probed as 1,
+        and a probe for 0 in a table without it misses."""
+        keys, vals, mask = native.table_build({0: 7, 5: 9})
+        assert list(native.table_lookup(keys, vals, mask,
+                                        np.array([0, 1, 5, 2]))) == \
+            [7, 7, 9, 0]
+        keys, vals, mask = native.table_build({5: 9})
+        assert list(native.table_lookup(keys, vals, mask,
+                                        np.array([0, 1]))) == [0, 0]
+
 
 class TestFastlangidScore:
     def test_feature_counts_match(self):
@@ -96,10 +122,9 @@ class TestFastlangidScore:
         idx = fastlangid.weights.bucket_index
         feats, doc_of = fastlangid_oracle.features_batch(texts)
         nf_np = np.bincount(doc_of, minlength=len(texts))
-        framed = [(" " + t.lower() + " ").encode("utf-8") for t in texts]
-        bounds = np.cumsum([len(b) for b in framed]).astype(np.int64)
         scores, nf_c, n_rows = native.fastlangid_score(
-            b"".join(framed), bounds, idx, w)
+            *native.utf8_cat([" " + t.lower() + " " for t in texts]),
+            idx, w)
         assert np.array_equal(nf_np, nf_c)
         # each doc's scores row is bit-equal to a float32 accumulation
         # of count * weight row, one distinct row at a time in
@@ -206,25 +231,30 @@ class TestKernelRequired:
 class TestSpanScanSanitized:
     """The kernels whose buffers the shim sizes per call, built with
     AddressSanitizer and UBSan, over worst-case inputs at exactly those
-    capacities: any write past a buffer aborts the run. The span scan,
-    quad_octa_scan and both chunk kernels (with and without the ranges
-    pass), quality_scan's dup-line table, fastlangid_score and
-    ppl_score; each result must equal the plain build's."""
+    capacities: any write past a buffer aborts the run, and so does a
+    read past the last document's end (the batches are exact-size
+    arrays). The span scan, quad_octa_scan and both chunk kernels (with
+    and without the ranges pass), quality_scan's dup-line table and
+    stopword probe, extract_scan_batch's entity reads, fastlangid_score
+    and ppl_score; each result must equal the plain build's."""
 
     DRIVER = r"""
 import numpy as np
 import native_copy as nc
 from cld2_ray import native
-from cld2_ray.functions import fastlangid, langs, perplexity, quality, score
+from cld2_ray.functions import (extract, fastlangid, langs, perplexity,
+                                quality, score)
 from cld2_ray.functions import uscript as us
 from cld2_ray.functions.spans import (MAX_SCRIPT_BYTES, TEXT_LIMIT as L,
                                       script_spans_batch)
 from cld2_ray.state.model import default_model
 
 
+# (data, offsets) of docs; data is a fresh array of exactly their
+# bytes, so a read past the last doc hits the sanitizer's redzone
 def cat_of(docs):
-    return (b"".join(docs),
-            np.cumsum([len(d) for d in docs]).astype(np.int64))
+    return (np.frombuffer(b"".join(docs), dtype=np.uint8).copy(),
+            np.cumsum([0] + [len(d) for d in docs]))
 
 
 def same(kernel, *args, **kw):
@@ -250,15 +280,14 @@ cases = [
     ([b"", a, b"", up, cut, b"x " + cut, b"\xf0\x9f"], None),
 ]
 for docs, tight in cases:
-    cat, bounds = cat_of(docs)
+    cat, offsets = cat_of(docs)
     meta, ns, out, lt = nc.script_spans_scan_multi(
-        cat, bounds, us.script_lut(), us.lower_lut(), L, MAX_SCRIPT_BYTES)
+        cat, offsets, us.script_lut(), us.lower_lut(), L, MAX_SCRIPT_BYTES)
     assert ns.sum() == len(meta) > 0
     if tight == "out":
         assert meta[-1, 3] + meta[-1, 4] == len(out)
     elif tight == "lt":
-        assert len(lt) == int(np.minimum(np.diff(bounds, prepend=0),
-                                         L + 1).sum())
+        assert len(lt) == int(np.minimum(np.diff(offsets), L + 1).sum())
 
 # chunk kernels: max-length spans of one-letter words (about one table
 # hit per byte, the densest input found) and long CJK runs
@@ -295,6 +324,34 @@ s = same("quality_scan", *cat_of(docs), quality._letter_lut(),
          quality._fold_lut(), quality._stop_table())[0]
 assert s[0, 9] == 6000 and s[0, 12] == 0
 assert s[1, 9] == 3000 and s[1, 12] == 2999
+
+# quality_scan on NUL tokens (the stopword table's empty-slot key) and
+# 4-byte chars, whole or cut off, at the docs' ends
+qdocs = [b"the \x00 x", b"(\x00)", "a \U0001F600".encode(), b"la\x00",
+         "the\U0001F600".encode() * 3, b"\x00", b"x \xf0\x9f\x98",
+         b"of \xf0"]
+qluts = quality._letter_lut(), quality._fold_lut(), quality._stop_table()
+assert same("quality_scan", *cat_of(qdocs), *qluts)[0][:, 4].tolist() == \
+    [1, 0, 1, 0, 0, 0, 0, 1]
+for d in qdocs:
+    same("quality_scan", *cat_of([d]), *qluts)
+
+# extract_scan_batch on entity-dense pages and with each entity form
+# (8-char and unknown names, "&;", numeric and named) at a page's very
+# end, with and without the source map and the \r normalization copy
+ent = extract._ent_table()
+dense = (b"&thetasym;&thetasym &thetasymx;&abcdefgh;&abcdefghi;&;&#;&#x;"
+         b"&amp&lt;&#65;&#x1F600;&#xD800;&#99999999999;&notanentity; "
+         * 200)
+tails = [b"&", b"&#", b"&#x", b"&#65", b"&#x41", b"&#0065;", b"&amp",
+         b"&thetasym", b"&thetasym;", b"&abcdefgh", b"&abcdefghi", b"&;",
+         b"&#;", b"&eacute"]
+for wm in (False, True):
+    same("extract_scan_batch", *cat_of([dense] + tails), *ent, with_map=wm)
+    for t in tails:
+        same("extract_scan_batch", *cat_of([b"a " + t]), *ent, with_map=wm)
+        same("extract_scan_batch", *cat_of([b"\r\n" + t]), *ent,
+             with_map=wm)
 
 # fastlangid_score and ppl_score over long, short and empty docs
 framed = [(" " + d.decode().lower() + " ").encode() for d in docs] + [b""]
@@ -390,10 +447,9 @@ class TestPplScore:
         texts = _page_texts(60)
         lcs = ["en"] * len(texts)
         want = perplexity_oracle.score_batch_numpy(texts, lcs)
-        framed = [(" " + (t or "").lower() + " ").encode() for t in texts]
         other = HashTable(m.table.keys, m.table.vals * 3 + 1, m.table.mask)
         native.ppl_score(
-            b"".join(framed), np.cumsum([len(f) for f in framed]),
+            *native.utf8_cat([" " + (t or "").lower() + " " for t in texts]),
             np.full(len(texts), langs.lang_id("en"), dtype=np.int64),
             other, m.uni[::-1] * 0.5)
         assert perplexity.score_batch(texts, lcs) == want
@@ -403,7 +459,7 @@ class TestPplScore:
         m = perplexity.models()
         for v in (4095, 3000, 0):
             with pytest.raises(ValueError, match="power of two"):
-                native.ppl_score(b" ab ", np.array([4]), np.array([0]),
+                native.ppl_score(b" ab ", np.array([0, 4]), np.array([0]),
                                  m.table, np.ones((2, v)))
 
 
@@ -742,12 +798,48 @@ class TestQualityScan:
         assert list(q_a.columns) == list(q_c.columns)
         self._eq(q_a, q_c)
 
+    # a token of NUL characters packs to the stopword table's key 0, the
+    # value that marks an empty slot: it is no stopword
+    NUL = ["the \x00 x", "(\x00)", "a \x00\x00 b", "\x00", "the.\x00 la\x00",
+           "\x00the \x00\x00\x00\x00\x00\x00\x00\x00\x00 of"]
+
+    def test_nul_tokens(self):
+        import pandas as pd
+        from cld2_ray.functions import quality
+        lang = ["en"] * len(self.NUL)
+        want = quality_oracle.apply_rules_arrow(pd.Series(self.NUL),
+                                                pd.Series(lang))
+        got = quality.rule_columns(self.NUL, lang)
+        assert list(want["n_stopwords"]) == [1, 0, 1, 0, 0, 1]
+        for col in want.columns:
+            assert list(got[col]) == list(want[col]), col
+
+    def test_nul_token_is_no_stopword_in_fused_batch(self):
+        """One stopword ("the") keeps an English page out; a NUL token
+        appended must not count as a second one."""
+        import pyarrow as pa
+        from cld2_ray.stages.core import fused_batch
+        body = ("Scientists recently measured how quickly glaciers retreat "
+                "across the northern mountain ranges during warmer "
+                "summers. Their careful surveys show melting accelerates "
+                "whenever spring arrives early, leaving valleys exposed "
+                "beneath thinner snowpack each year.")
+        html = [f"<html><body><p>{body}{tail}</p></body></html>".encode()
+                for tail in ("", " \x00")]
+        out = fused_batch(pa.table({"url": ["https://example.com/a"] * 2,
+                                    "html": html, "warc_ts": [0, 0],
+                                    "lang": ["", ""]}))
+        assert out["lang_summary"].to_pylist() == ["en", "en"]
+        assert out["drop_reason"].to_pylist() == ["too_few_stopwords"] * 2
+
     @settings(deadline=None, max_examples=150)
     @given(st.text(
         alphabet=st.characters(
             whitelist_categories=("L", "N", "P", "Z", "S"),
             max_codepoint=0x2FFF),
         max_size=400))
+    @example("the \x00 of")
+    @example("la\x00 the \x00\x00")
     def test_fuzz_word_stats(self, text):
         import pandas as pd
         from cld2_ray.functions import quality
@@ -927,9 +1019,9 @@ def _crlf_normalized(h: bytes) -> bytes:
 def _scan_map(pages):
     """(text bytes, src) per page from one with_map batch call."""
     from cld2_ray.functions.extract import _ent_table
-    ends = np.cumsum([len(h) for h in pages], dtype=np.int64)
     data, offsets, src = native.extract_scan_batch(
-        b"".join(pages), ends, *_ent_table(), with_map=True)
+        b"".join(pages), np.cumsum([0] + [len(h) for h in pages]),
+        *_ent_table(), with_map=True)
     return [(data[a:b].tobytes(), src[a:b])
             for a, b in zip(offsets[:-1], offsets[1:])]
 
@@ -1008,9 +1100,9 @@ class TestExtractBatch:
 
     def test_bad_ends_rejected(self):
         from cld2_ray.functions.extract import _ent_table
-        for ends in ([2, 1], [-1, 3], [1, 4]):
+        for offsets in ([0, 2, 1], [-1, 3], [0, 1, 4], []):
             with pytest.raises(ValueError):
-                native.extract_scan_batch(b"abc", np.array(ends),
+                native.extract_scan_batch(b"abc", np.array(offsets),
                                           *_ent_table())
 
     def test_invalid_utf8_output_fails_decode(self):

@@ -48,23 +48,24 @@ def detect_language(content, is_plain_text: bool = True,
     This is the interactive convenience path — batch pipelines should
     use Detector.detect_batch inside map_batches (see
     pipelines/flagship.py) so table loads amortize per worker."""
+    from cld2_ray.functions import langs, score
+    from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
     det = _detector()
     hints = None
-    if isinstance(content, bytes) or not is_plain_text:
-        from cld2_ray.functions import langs, score
-        from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
-        raw = content if isinstance(content, bytes) \
-            else content.encode("utf-8")
-        if valid_utf8_prefix(raw) < len(raw):
-            u = langs.UNKNOWN
-            return score.DetectResult(u, (u, u, u), (0, 0, 0),
-                                      (0.0, 0.0, 0.0), 0, False)
-        if is_plain_text:
-            content = raw.decode("utf-8")
-        else:
-            from cld2_ray.functions.hints import hints_from_page
-            hints = hints_from_page(url, raw)
-            content = extract_text(raw)
+    # a str holding a lone surrogate has no UTF-8 form: "surrogatepass"
+    # gives its invalid bytes, which the check below answers
+    raw = content if isinstance(content, bytes) \
+        else content.encode("utf-8", "surrogatepass")
+    if valid_utf8_prefix(raw) < len(raw):
+        u = langs.UNKNOWN
+        return score.DetectResult(u, (u, u, u), (0, 0, 0),
+                                  (0.0, 0.0, 0.0), 0, False)
+    if isinstance(content, bytes) and is_plain_text:
+        content = raw.decode("utf-8")
+    elif not is_plain_text:
+        from cld2_ray.functions.hints import hints_from_page
+        hints = hints_from_page(url, raw)
+        content = extract_text(raw)
     return det.detect(content, best_effort=best_effort,
                       hint_langs=hints,
                       default_to_english=default_to_english)

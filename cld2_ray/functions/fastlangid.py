@@ -8,8 +8,16 @@ linear layer); trained here from authored seeds because the sandbox has
 no network for pretrained weights.
 
 At runtime the weight matrix is loaded once per worker process
-(lru_cache) and ``classify_batch`` scores a whole batch in one C pass
-(native.fastlangid_score).
+(lru_cache) and ``classify_batch`` routes and scores a whole batch in
+one C pass (native.fastlangid_score) over the lowered documents.
+
+The row order of the weight table is a build-time property of the
+artifact, not of the model: ``hot_first`` numbers the rows by how many
+documents of a fixed page sample touch them, hottest first, so the
+rows most pages read share cache lines and pages. A renumbering changes
+no score bit (rows are added in each document's first-seen order,
+whatever their numbers); ``tests/test_quality.py`` pins the weights of
+every bucket in bucket order, which no renumbering moves.
 """
 
 from __future__ import annotations
@@ -19,14 +27,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import langs
+from . import langs, uscript as us
 
 N_BUCKETS = 1 << 18
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 
-# Score only the first 1KB of each document: hashed-n-gram LID
-# converges within a few hundred bytes, and per-gram weight-row
-# accumulation is the single most bandwidth-hungry part of the fused
+# Score only the first 512 bytes of each document: hashed-n-gram LID
+# converges within a few hundred bytes, and the per-gram weight-row
+# accumulation is the costliest memory access pattern of the fused
 # pipeline (one 456-byte row of 114 floats per distinct gram).  The
 # analogue of the reference's own scan cap (FLAGS_cld_textlimit = 160KB
 # of letters, reference: internal/compact_lang_det_impl.cc:192) at the
@@ -38,6 +46,10 @@ CAP_BYTES = 512
 
 
 def _cap_text(t: str) -> str:
+    if t.isascii():
+        return t[:CAP_BYTES]
+    if len(t) <= CAP_BYTES // 4:
+        return t
     b = t.encode("utf-8")
     if len(b) <= CAP_BYTES:
         return t
@@ -87,11 +99,69 @@ def weights() -> np.ndarray:
 
 
 def save_artifact() -> None:
+    """RETRAIN the classifier from the seed corpora and overwrite the
+    committed artifact, rows numbered by ``hot_first``.
+
+    This changes the model, not just its layout: the seeds grew since
+    the committed artifact was trained (it has 114 language columns and
+    55,369 rows; a retrain today gives 151 and 67,633), so ``aux_lang``
+    and ``aux_conf`` move. A retrain must rerun
+    ``python scripts/make_output_digest.py --write`` and update the
+    weight digest in ``tests/test_quality.py``. To renumber the rows of
+    the committed model without retraining, use ``reorder_artifact``."""
     table = _train()
+    _save(*hot_first(table, weights.bucket_index, _hot_sample()),
+          weights.col_langs)
+
+
+def reorder_artifact() -> None:
+    """Renumber the rows of the committed artifact hottest-first
+    (``hot_first``), a pure permutation of ``table`` and
+    ``bucket_index``: every score stays bit-equal and the model is
+    unchanged. Run ``python -c "from cld2_ray.functions import
+    fastlangid; fastlangid.reorder_artifact()"``."""
+    with np.load(ARTIFACT) as z:
+        table, idx, col_langs = z["table"], z["bucket_index"], z["col_langs"]
+    _save(*hot_first(table, idx, _hot_sample()), col_langs)
+
+
+def _save(table, bucket_index, col_langs) -> None:
     os.makedirs(os.path.dirname(ARTIFACT), exist_ok=True)
-    np.savez_compressed(ARTIFACT, table=table,
-                        bucket_index=weights.bucket_index,
-                        col_langs=weights.col_langs)
+    np.savez_compressed(ARTIFACT, table=table, bucket_index=bucket_index,
+                        col_langs=col_langs)
+
+
+def _hot_sample() -> list[str]:
+    """The texts hot_first counts rows on: sources.pages.make_page rows
+    0..2399 of seed 0, extracted."""
+    from cld2_ray.functions.extract import extract_batch, valid_utf8_prefix
+    from cld2_ray.sources.pages import make_page
+    htmls = [make_page(i, 0)["html"] for i in range(2400)]
+    return extract_batch([h[:valid_utf8_prefix(h)] for h in htmls]
+                         ).to_pylist()
+
+
+def hot_first(table: np.ndarray, bucket_index: np.ndarray,
+              texts) -> tuple[np.ndarray, np.ndarray]:
+    """(table, bucket_index) with the weight rows renumbered by the
+    number of ``texts`` whose scoring (``classify_batch``) reads them,
+    most first; ties keep their order, and row 0 (the zero row of
+    absent buckets) stays first. Only the numbering changes:
+    ``table[bucket_index[b]]`` is the same for every bucket b."""
+    from cld2_ray import native
+    table = np.ascontiguousarray(table)
+    lowered = _lowered(texts)
+    route = native.fastlangid_score(
+        *native.utf8_cat(lowered), bucket_index, table, us.script_lut(),
+        _ONE_SCRIPT)[0]
+    hits = np.zeros(len(table), dtype=np.int64)
+    for i in np.flatnonzero(route == 0):
+        hits[np.unique(bucket_index[_features(lowered[i])])] += 1
+    hits[0] = np.iinfo(np.int64).max
+    order = np.argsort(-hits, kind="stable")
+    new_row = np.empty_like(order)
+    new_row[order] = np.arange(len(order))
+    return table[order], new_row[bucket_index].astype(bucket_index.dtype)
 
 
 def _train() -> np.ndarray:
@@ -131,65 +201,50 @@ def _train() -> np.ndarray:
     return table
 
 
-def classify_batch(texts) -> tuple[list[str], list[float]]:
-    """Vectorized batch scoring: one C pass hashes every document's
-    features and accumulates its weight rows (native.fastlangid_score)."""
-    from cld2_ray import native
-    from . import uscript as us
-    texts = [_cap_text(t) if t else "" for t in texts]
-    n = len(texts)
-    out_l, out_c = ["un"] * n, [0.0] * n
-    # single-language scripts resolve by script alone — ONE codepoints
-    # pass over the whole batch (lowering stays per doc: Greek final
-    # sigma makes str.lower context-dependent, so join-then-lower
-    # would drift). Per-doc bincount().argmax() == row argmax over the
-    # (doc, script) count matrix (both take the smallest tied index).
-    lowered = [t.lower() for t in texts]
-    bounds = np.cumsum(np.array([len(t) for t in lowered],
-                                dtype=np.int64))
-    cps = us.codepoints("".join(lowered))
-    sc = us.scripts_of(cps)
-    doc_of = np.searchsorted(bounds, np.arange(len(cps), dtype=np.int64),
-                             side="right")
-    nz = sc > 0
-    n_scripts = len(langs.SCRIPT_DEFAULT_LANG)
-    counts = np.bincount(doc_of[nz] * n_scripts + sc[nz],
-                         minlength=n * n_scripts).reshape(n, n_scripts)
-    has_letters = counts.sum(axis=1) > 0
-    dominant = counts[:, 1:].argmax(axis=1) + 1
-    todo: list[int] = []
-    for i, t in enumerate(texts):
-        if not t.strip():
-            continue
-        if has_letters[i]:
-            d = int(dominant[i])
-            if us.script_rtype(d) == us.RTYPE_ONE:
-                out_l[i] = langs.lang_code(
-                    int(langs.SCRIPT_DEFAULT_LANG[d]))
-                out_c[i] = 0.95
-                continue
-        todo.append(i)
-    if not todo:
-        return out_l, out_c
+# script id -> 1 if the script implies one language (routed to its
+# default language without scoring), as native.fastlangid_score reads it
+_ONE_SCRIPT = np.zeros(256, dtype=np.uint8)
+_ONE_SCRIPT[:us.NUM_SCRIPTS] = [us.script_rtype(s) == us.RTYPE_ONE
+                                for s in range(us.NUM_SCRIPTS)]
+_CODES = np.array(langs.CODES, dtype=object)
 
+
+def _lowered(texts) -> list[str]:
+    """Each text capped to CAP_BYTES, then lowered (in that order: Greek
+    final sigma makes str.lower depend on what follows, so the cap
+    comes first)."""
+    return [_cap_text(t).lower() if t else "" for t in texts]
+
+
+def classify_batch(texts) -> tuple[list[str], list[float]]:
+    """(lang codes, confidences) of a batch, in one C pass
+    (native.fastlangid_score) over the lowered texts: whitespace-only
+    texts give ("un", 0.0); a text whose dominant script implies one
+    language gives that language at 0.95; the C pass scores the rest,
+    and the top two scores give the language and the confidence.
+    tests/oracles/fastlangid.py is its oracle."""
+    from cld2_ray import native
     w = weights()
-    idx = weights.bucket_index  # type: ignore[attr-defined]
-    scores, nf, n_rows = native.fastlangid_score(
-        *native.utf8_cat([" " + lowered[i] + " " for i in todo]), idx, w)
-    has_row = n_rows > 0
-    col_langs = weights.col_langs  # type: ignore[attr-defined]
-    order = np.argsort(scores, axis=1)
+    route, scores, nf, n_rows = native.fastlangid_score(
+        *native.utf8_cat(_lowered(texts)),
+        weights.bucket_index, w, us.script_lut(),  # type: ignore[attr-defined]
+        _ONE_SCRIPT)
+    lang = np.full(len(route), langs.UNKNOWN, dtype=np.int64)
+    conf = np.zeros(len(route))
+    one = np.flatnonzero(route > 0)
+    lang[one] = langs.SCRIPT_DEFAULT_LANG[route[one]]
+    conf[one] = 0.95
+    # no recognizable features -> un, 0.0
+    todo = np.flatnonzero((route == 0) & (n_rows > 0))
+    sc = scores[todo]
+    order = np.argsort(sc, axis=1)
     top = order[:, -1]
-    s_top = np.take_along_axis(scores, top[:, None], 1)[:, 0]
-    s_sec = np.take_along_axis(scores, order[:, -2][:, None], 1)[:, 0]
-    margin = (s_top - s_sec).astype(np.float64) / np.maximum(nf, 1)
-    conf = 1.0 - np.exp(-4.0 * np.maximum(margin, 0.0))
-    for j, i in enumerate(todo):
-        if nf[j] == 0 or not has_row[j]:
-            continue  # no recognizable features -> un, 0.0
-        out_l[i] = langs.lang_code(int(col_langs[top[j]]))
-        out_c[i] = float(conf[j])
-    return out_l, out_c
+    s_top = np.take_along_axis(sc, top[:, None], 1)[:, 0]
+    s_sec = np.take_along_axis(sc, order[:, -2][:, None], 1)[:, 0]
+    margin = (s_top - s_sec).astype(np.float64) / nf[todo]
+    lang[todo] = weights.col_langs[top]  # type: ignore[attr-defined]
+    conf[todo] = 1.0 - np.exp(-4.0 * np.maximum(margin, 0.0))
+    return _CODES[lang].tolist(), conf.tolist()
 
 
 def classify(text: str) -> tuple[str, float]:

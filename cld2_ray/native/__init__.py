@@ -61,7 +61,7 @@ AVAILABLE = True
 
 
 # -O3 autovectorizes the elementwise float loops (fastlangid's 114-wide
-# weight-row adds; the kernel is bound by streaming those rows from L3).
+# weight-row adds; that kernel waits on fetching the rows).
 # -ffp-contract=off forbids FMA contraction so float results stay
 # bit-identical to the numpy test oracles; -O3 never reassociates float
 # reductions without -ffast-math. The output path is appended per build.
@@ -127,7 +127,7 @@ def _load() -> None:
     u8wp0 = np.ctypeslib.ndpointer(np.uint8,
                                    flags="C_CONTIGUOUS,WRITEABLE")
     _FN.argtypes = [
-        u8p, ctypes.c_int64, i64p, ctypes.c_int64,
+        u8p, i64p, ctypes.c_int64,
         u64p, u64p, ctypes.c_uint64,
         u64p, u64p, ctypes.c_uint64,
         *_bt, *_bt, u8p,
@@ -141,8 +141,10 @@ def _load() -> None:
     i32p = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     f32p = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
     _ACC = lib.fastlangid_score
-    _ACC.argtypes = [u8p, i64p, ctypes.c_int64, i32p, f32p, ctypes.c_int64,
-                     i32p, i32p, f32p, i64p, i64p]
+    _ACC.argtypes = [u8p, i64p, ctypes.c_int64, u8p, ctypes.c_int64, u8p,
+                     i32p, f32p, ctypes.c_int64, ctypes.c_int64,
+                     i32p, ctypes.c_int64, i32p, ctypes.c_int64,
+                     i32p, f32p, i64p, i64p]
     _ACC.restype = ctypes.c_int
     u8op = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
     _PM = lib.predict_mask
@@ -171,7 +173,7 @@ def _load() -> None:
     # pass, hence c_void_p
     vp = ctypes.c_void_p
     _CS.argtypes = [
-        u8p, ctypes.c_int64, i64p, i64p, ctypes.c_int64,
+        u8p, i64p, i64p, ctypes.c_int64,
         u64p, u64p, ctypes.c_uint64,
         u64p, u64p, ctypes.c_uint64,
         *_bt, *_bt, u8p, u8p,
@@ -186,7 +188,7 @@ def _load() -> None:
     _CS.restype = ctypes.c_int64
     _CJ = lib.cjk_chunk_score
     _CJ.argtypes = [
-        u8p, ctypes.c_int64, i64p, i64p, ctypes.c_int64, i64p,
+        u8p, i64p, i64p, ctypes.c_int64, i64p,
         u64p, u64p, ctypes.c_uint64,
         u32bp, ctypes.c_int64, ctypes.c_uint32, u64p,
         ctypes.c_int64, i32p, i8p,
@@ -262,7 +264,7 @@ def quad_octa_scan(cat: bytes, bounds: np.ndarray, quad_table,
     ovals, ooffs, odist = _hits(2 * n + 8, dist=True)
     nq = ctypes.c_int64(0)
     no = ctypes.c_int64(0)
-    _FN(buf, n, bounds, len(bounds),
+    _FN(buf, bounds, len(bounds),
         quad_table.keys, quad_table.vals, int(quad_table.mask),
         socta.keys, socta.vals, int(socta.mask),
         *_bt_args(docta), *_bt_args(xocta), lat,
@@ -349,7 +351,6 @@ def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     expected_1kb: int32[NUM_LANGS, 4] in the kAvgDeltaOctaScore layout,
     read at each span's LScript4 slot ``script4_of_span``."""
     buf, starts, bounds = _spans(cat, starts, bounds)
-    n = len(buf)
     lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
     nb = len(bounds)
     hit_cap, scores, outs = _chunk_bufs(starts, bounds, chunk_size,
@@ -366,7 +367,7 @@ def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     flat = np.ascontiguousarray(hint_flat, dtype=np.int64)
     if len(flat) == 0:
         flat = np.zeros(1, dtype=np.int64)
-    nch = _CS(buf, n, starts, bounds, nb,
+    nch = _CS(buf, starts, bounds, nb,
               quad_table.keys, quad_table.vals, int(quad_table.mask),
               socta.keys, socta.vals, int(socta.mask),
               *_bt_args(docta), *_bt_args(xocta), lat, s4,
@@ -387,7 +388,6 @@ def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     (char positions scale x3, as in the numpy path). cjkbi is a
     BucketTable probed with BiHashV2 (othr decode)."""
     buf, starts, bounds = _spans(cat, starts, bounds)
-    n = len(buf)
     plens = np.ascontiguousarray(pseudo_lens, dtype=np.int64)
     nb = len(bounds)
     hit_cap, scores, outs = _chunk_bufs(starts, bounds, chunk_size,
@@ -398,7 +398,7 @@ def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     flat = np.ascontiguousarray(hint_flat, dtype=np.int64)
     if len(flat) == 0:
         flat = np.zeros(1, dtype=np.int64)
-    nch = _CJ(buf, n, starts, bounds, nb, plens,
+    nch = _CJ(buf, starts, bounds, nb, plens,
               uni_table.keys, uni_table.vals, int(uni_table.mask),
               cjkbi.buckets, cjkbi.buckets.shape[0], int(cjkbi.keymask),
               cjkbi.packed_othr,
@@ -664,21 +664,40 @@ def doc_stage(n_docs: int, streams, totals: np.ndarray,
 
 
 def fastlangid_score(data, offsets: np.ndarray, idx: np.ndarray,
-                     w: np.ndarray):
-    """Fused hashed-n-gram classifier scoring over the framed docs
-    data[offsets[d]:offsets[d+1]]. Returns (scores (n,k) f32, nfeats
-    int64[n], nrows int64[n])."""
+                     w: np.ndarray, script_lut: np.ndarray,
+                     one_script: np.ndarray):
+    """fastlangid.classify_batch's routing and scoring in one C pass
+    over the lowered docs data[offsets[d]:offsets[d+1]], each scored as
+    " " + doc + " ". script_lut maps a codepoint to its script id and
+    one_script (uint8[256]) flags the scripts that imply one language.
+    Returns (route int32[n], scores (n,k) f32, nfeats int64[n], nrows
+    int64[n]): route is -1 for a whitespace-only doc, the dominant
+    script for a doc it flags, and 0 for a scored doc; the other
+    outputs are 0 on unscored docs (see quadscan.c)."""
     buf, offsets = _docs(data, offsets)
     n_docs = len(offsets) - 1
-    max_doc = int(np.diff(offsets).max(initial=0))
-    # the kernel adds into scores and counts rows in cnt: both ZEROED
+    if len(one_script) != 256:
+        raise ValueError("one_script must hold 256 flags")
+    # 3 windows per doc byte (2-, 3- and 4-grams of the framed doc);
+    # cnt is one counter per weight row, which the kernel needs ZEROED
+    # (as it does scores)
+    grams = np.empty(3 * int(np.diff(offsets).max(initial=0)), np.int32)
+    cnt = np.zeros(w.shape[0], dtype=np.int32)
+    route = np.empty(n_docs, dtype=np.int32)
     scores = np.zeros((n_docs, w.shape[1]), dtype=np.float32)
     nfeats = np.empty(n_docs, dtype=np.int64)
     nrows = np.empty(n_docs, dtype=np.int64)
-    _ACC(buf, offsets, n_docs, idx, w, w.shape[1],
-         np.zeros(w.shape[0], dtype=np.int32),
-         np.empty(3 * max_doc + 8, dtype=np.int32), scores, nfeats, nrows)
-    return scores, nfeats, nrows
+    rc = _ACC(buf, offsets, n_docs, script_lut, len(script_lut),
+              np.ascontiguousarray(one_script, dtype=np.uint8), idx, w,
+              w.shape[0], w.shape[1], cnt, len(cnt), grams, len(grams),
+              route, scores, nfeats, nrows)
+    if rc == -1:
+        raise ValueError("fastlangid_score: a doc needs more gram slots "
+                         f"than the {len(grams)} given")
+    if rc == -2:
+        raise ValueError("fastlangid_score: the row counters do not "
+                         "cover the weight table's rows")
+    return route, scores, nfeats, nrows
 
 
 # ---- batched hash kernels (dedup / sampling pipelines) -----------------

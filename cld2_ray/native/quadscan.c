@@ -379,33 +379,61 @@ int table_lookup_batch(const uint64_t *keys, const uint64_t *vals,
     return 0;
 }
 
-/* Fused hashed-n-gram linear classifier scoring
- * (cld2_ray/functions/fastlangid.py): per document, hash every char
- * 2/3/4-byte window (h = h*31 + byte, wrapping uint64; bucket =
- * (h * golden) >> 46), look up the bucket's weight row, count
- * occurrences per row, then one count-weighted accumulation per
- * distinct row.  No intermediate feature arrays.
+/* Python str.isspace() / str.strip() whitespace set */
+static inline int is_py_space(uint32_t cp) {
+    return (cp >= 9 && cp <= 13) || (cp >= 0x1C && cp <= 0x20)
+        || cp == 0x85 || cp == 0xA0 || cp == 0x1680
+        || (cp >= 0x2000 && cp <= 0x200A)
+        || cp == 0x2028 || cp == 0x2029 || cp == 0x202F
+        || cp == 0x205F || cp == 0x3000;
+}
+
+/* Byte j of the framed document " " + p[0, len) + " " (j <= len + 1;
+ * past the frame it reads as a space too, never used). */
+static inline uint64_t fl_byte(const uint8_t *p, int64_t len, int64_t j) {
+    return j == 0 || j > len ? 32u : p[j - 1];
+}
+
+/* The aux langid of cld2_ray/functions/fastlangid.py, classify_batch's
+ * routing and scoring in one pass over the lowered docs, doc d at
+ * cat[offsets[d], offsets[d+1]).  Per doc:
  *
- *   cat     : the " framed lowered docs " utf-8 bytes, doc d at
- *             cat[offsets[d], offsets[d+1])
- *   idx     : bucket -> weight row + 1 (0 = absent), 2^18 entries
- *   w       : (n_rows, k) float32 weight table
- *   cnt     : scratch int32[n_rows], ZEROED by caller (restored to 0)
- *   touched : scratch int32[>= 3*max_doc_len]
- *   scores  : out (n_docs, k) float32, zeroed by caller
- *   nfeats  : out per-doc total feature count (incl. absent buckets)
- *   nrows   : out per-doc distinct present-row count
- */
-/* fastlangid_score is bound by memory bandwidth, not by its adds: each
- * distinct n-gram of a document adds one 456-byte weight row (114
- * float32) from a 25 MB table that fits L3 but not the 2 MB L2, ~1M
- * rows (~470 MB) per 2048 snippet pages; a full-row prefetch made it
- * slower. The wide adds still vectorize: one build carries an AVX-512,
- * an AVX2 and a baseline copy and the loader picks one for the CPU
- * (GCC function multi-versioning). The adds stay
+ *  - route[d]: -1 if the doc is whitespace only (is_py_space, the set
+ *    str.strip removes; empty included).  Else the dominant script (the
+ *    most letters by script_lut, codepoints past lut_size count as
+ *    none; the smallest id wins a tie), if the doc has letters and
+ *    one_script[dominant] is set (a script that implies one language).
+ *    Else 0, and the doc is scored:
+ *  - hash every 2/3/4-byte window of the framed " " + doc + " " (h =
+ *    h*31 + byte, wrapping uint64; bucket = (h * golden) >> 46), in the
+ *    order all 2-grams, then 3-grams, then 4-grams, each by position;
+ *    nfeats[d] counts them (3 per doc byte, absent buckets included).
+ *    Each present bucket's weight row (idx: bucket -> row + 1, 0 =
+ *    absent) is counted, and scores[d] (k floats, ZEROED by the caller)
+ *    gets count * row added once per distinct row, rows in first-seen
+ *    order; nrows[d] is the distinct-row count.
+ *
+ * Scratch: cnt int32[cnt_cap] ZEROED by the caller (left zeroed), one
+ * slot per weight row (cnt_cap >= n_rows); grams int32[grams_cap], 3
+ * slots per byte of the longest scored doc.  Returns 0, or -1 when a
+ * doc needs more grams slots, -2 when cnt_cap < n_rows or idx names a
+ * row past n_rows: the caller raises instead of the kernel writing
+ * past a buffer.
+ *
+ * The scoring waits on memory latency, not arithmetic: each distinct
+ * gram adds a k-float row (114 floats, 456 bytes) of a ~25 MB table
+ * that fits L3 but not L2.  So the kernel keeps many loads in flight:
+ * phase 1 hashes all of a doc's windows and loads their row numbers
+ * (independent loads of the 1 MB idx), phase 2 counts them without a
+ * data-dependent branch, and the adds prefetch every cache line of the
+ * row 8 rows ahead into L1.  The committed artifact numbers its rows
+ * hottest-first (fastlangid.hot_first), so the rows most docs touch
+ * share lines and pages and stay in L2.  The wide adds vectorize: one
+ * build carries an AVX-512, an AVX2 and a baseline copy and the loader
+ * picks one for the CPU (GCC function multi-versioning).  The adds stay
  * elementwise in row order and -ffp-contract=off forbids FMA, so every
- * copy gives the same bits. Other compilers and targets build the
- * plain function. */
+ * copy gives the same bits, whatever the row numbering.  Other
+ * compilers and targets build the plain function. */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
     && __GNUC__ >= 11
 #define FL_CLONES __attribute__((target_clones( \
@@ -415,39 +443,82 @@ int table_lookup_batch(const uint64_t *keys, const uint64_t *vals,
 #endif
 FL_CLONES
 int fastlangid_score(const uint8_t *cat, const int64_t *offsets,
-                     int64_t n_docs, const int32_t *idx, const float *w,
-                     int64_t k_langs, int32_t *cnt, int32_t *touched,
+                     int64_t n_docs, const uint8_t *script_lut,
+                     int64_t lut_size, const uint8_t *one_script,
+                     const int32_t *idx, const float *w, int64_t n_rows,
+                     int64_t k, int32_t *cnt, int64_t cnt_cap,
+                     int32_t *grams, int64_t grams_cap, int32_t *route,
                      float *scores, int64_t *nfeats, int64_t *nrows) {
     const uint64_t gold = 0x9E3779B97F4A7C15ull;
+    if (cnt_cap < n_rows) return -2;
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t start = offsets[d], end = offsets[d + 1];
-        int64_t nt = 0, nf = 0;
-        for (int n = 2; n <= 4; n++) {
-            for (int64_t i = start; i + n <= end; i++) {
-                uint64_t h = 0;
-                for (int k = 0; k < n; k++) h = h * 31u + cat[i + k];
-                h = (h * gold) >> 46;
-                nf++;
-                int32_t r = idx[h];
-                if (!r) continue;
-                if (cnt[r] == 0) touched[nt++] = r;
-                cnt[r]++;
-            }
+        const uint8_t *p = cat + offsets[d];
+        int64_t len = offsets[d + 1] - offsets[d];
+        int64_t per_script[256] = {0};
+        int blank = 1;
+        for (int64_t i = 0; i < len;) {
+            int l;
+            uint32_t cp = utf8_next(p, i, len, &l);
+            blank &= is_py_space(cp);
+            per_script[cp < (uint32_t)lut_size ? script_lut[cp] : 0]++;
+            i += l;
         }
-        float *s = scores + d * k_langs;
+        int dom = 1;
+        for (int s = 2; s < 256; s++)
+            if (per_script[s] > per_script[dom]) dom = s;
+        route[d] = blank ? -1
+                 : per_script[dom] && one_script[dom] ? dom : 0;
+        nfeats[d] = nrows[d] = 0;
+        if (route[d]) continue;
+
+        /* phase 1: the row (+1) of every window, 2-grams at [0, len],
+         * 3-grams after them at [0, len - 1], 4-grams at [0, len - 2] */
+        int64_t ng = 3 * len;
+        if (ng > grams_cap) return -1;
+        int32_t *g3 = grams + len + 1, *g4 = g3 + len;
+        uint64_t b0 = 32, b1 = fl_byte(p, len, 1), b2 = fl_byte(p, len, 2);
+        for (int64_t i = 0; i <= len; i++) {
+            uint64_t b3 = fl_byte(p, len, i + 3);
+            uint64_t h2 = b0 * 31u + b1, h3 = h2 * 31u + b2,
+                     h4 = h3 * 31u + b3;
+            grams[i] = idx[(h2 * gold) >> 46];
+            if (i < len) g3[i] = idx[(h3 * gold) >> 46];
+            if (i + 1 < len) g4[i] = idx[(h4 * gold) >> 46];
+            b0 = b1;
+            b1 = b2;
+            b2 = b3;
+        }
+        /* phase 2: count, keeping each distinct row once in first-seen
+         * order at the front of grams (slot nt <= g was read already).
+         * Absent grams count in cnt[0], cleared after, and a row is
+         * kept iff it is new and not 0. */
+        int64_t nt = 0;
+        for (int64_t g = 0; g < ng; g++) {
+            int32_t r = grams[g];
+            if ((uint32_t)r >= (uint64_t)n_rows) return -2;
+            int32_t c = cnt[r];
+            cnt[r] = c + 1;
+            grams[nt] = r;
+            nt += (c == 0) & (r != 0);
+        }
+        cnt[0] = 0;
+        /* phase 3: add count * row, whole rows prefetched 8 ahead */
+        float *s = scores + d * k;
         for (int64_t t = 0; t < nt; t++) {
-            if (t + 8 < nt) {   /* hide the random weight-row latency */
-                const float *pf = w + (int64_t)touched[t + 8] * k_langs;
-                __builtin_prefetch(pf, 0, 1);
-                __builtin_prefetch(pf + 64, 0, 1);
+            if (t + 8 < nt) {
+                const char *row =
+                    (const char *)(w + (int64_t)grams[t + 8] * k);
+                const char *end = row + k * (int64_t)sizeof(float);
+                row = (const char *)((uintptr_t)row & ~(uintptr_t)63);
+                for (; row < end; row += 64) __builtin_prefetch(row, 0, 3);
             }
-            int32_t r = touched[t];
+            int32_t r = grams[t];
             float c = (float)cnt[r];
-            const float *wr = w + (int64_t)r * k_langs;
-            for (int64_t j = 0; j < k_langs; j++) s[j] += c * wr[j];
+            const float *wr = w + (int64_t)r * k;
+            for (int64_t j = 0; j < k; j++) s[j] += c * wr[j];
             cnt[r] = 0;
         }
-        nfeats[d] = nf;
+        nfeats[d] = ng;
         nrows[d] = nt;
     }
     return 0;
@@ -724,15 +795,6 @@ static inline int is_re2_space(uint32_t cp) {
     return cp == 32 || cp == 9 || cp == 10 || cp == 12 || cp == 13;
 }
 
-/* Python str.isspace() / str.strip() whitespace set */
-static inline int is_py_space(uint32_t cp) {
-    return (cp >= 9 && cp <= 13) || (cp >= 0x1C && cp <= 0x20)
-        || cp == 0x85 || cp == 0xA0 || cp == 0x1680
-        || (cp >= 0x2000 && cp <= 0x200A)
-        || cp == 0x2028 || cp == 0x2029 || cp == 0x202F
-        || cp == 0x205F || cp == 0x3000;
-}
-
 /* The dup-line hash table, caller's scratch: line_cap (a power of two)
  * slots of line hash h and epoch tag ep.  A slot belongs to the current
  * doc iff its tag equals the doc's epoch, so no per-doc clear. */
@@ -887,9 +949,10 @@ int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
 }
 
 /* Scan concatenated spans. bounds: nb ascending END byte offsets, one
- * per span (bounds[nb-1] == n). Emits table HITS only (val != 0).
- * Output arrays sized >= n by the caller. Returns 0. */
-int quad_octa_scan(const uint8_t *buf, int64_t n,
+ * per span (bounds[nb-1] is buf's length). Emits table HITS only
+ * (val != 0). Output arrays sized >= 2 * bounds[nb-1] + 8 by the
+ * caller. Returns 0. */
+int quad_octa_scan(const uint8_t *buf,
                    const int64_t *bounds, int64_t nb,
                    const uint64_t *qkeys, const uint64_t *qvals, uint64_t qmask,
                    const uint64_t *skeys, const uint64_t *svals, uint64_t smask,
@@ -905,7 +968,6 @@ int quad_octa_scan(const uint8_t *buf, int64_t n,
     int64_t span_start = 0;
     uint64_t dbmask = (uint64_t)(dnb - 1);
     uint64_t xbmask = (uint64_t)(xnb - 1);
-    (void)n;
     for (int64_t span_i = 0; span_i < nb; span_i++) {
         int64_t span_end = bounds[span_i];
         scan_one_span(buf + span_start, span_end - span_start, span_start,
@@ -1218,11 +1280,11 @@ static void sharpen_starts(
  * merge costs ~5-17% kernel time, so the plain pass skips it.
  *
  * hint_csr: nb+1 offsets into hint_flat (per-span hint payloads).
- * Scratch: sc_* hit arrays sized >= max span len+8; sc_scores
- * int64[num_langs] ZEROED by caller (left zeroed on return).
- * Outputs sized >= n/chunk_size + nb + 8. Returns chunk count. */
+ * Scratch: sc_* hit arrays of 3 * (max span len + 8) slots; sc_scores
+ * int64[num_langs] ZEROED by caller (left zeroed on return). Outputs
+ * sized by native._chunk_bufs. Returns chunk count. */
 int64_t quad_octa_chunk_score(
-        const uint8_t *buf, int64_t n,
+        const uint8_t *buf,
         const int64_t *starts, const int64_t *ends, int64_t nb,
         const uint64_t *qkeys, const uint64_t *qvals, uint64_t qmask,
         const uint64_t *skeys, const uint64_t *svals, uint64_t smask,
@@ -1244,7 +1306,6 @@ int64_t quad_octa_chunk_score(
     int64_t nchunks_total = 0;
     uint64_t dbmask = (uint64_t)(dnb - 1);
     uint64_t xbmask = (uint64_t)(xnb - 1);
-    (void)n;
     for (int64_t span_i = 0; span_i < nb; span_i++) {
         int64_t len = ends[span_i] - starts[span_i];
         const uint8_t *sp = buf + starts[span_i];
@@ -1302,7 +1363,7 @@ int64_t quad_octa_chunk_score(
  * delta-bi bucket table. No repeat filtering on either stream (the
  * reference walks have none); unis before bis at equal position. */
 int64_t cjk_chunk_score(
-        const uint8_t *cat, int64_t n,
+        const uint8_t *cat,
         const int64_t *starts, const int64_t *ends, int64_t nb,
         const int64_t *pseudo_lens,
         const uint64_t *ukeys, const uint64_t *uvals, uint64_t umask,
@@ -1318,7 +1379,6 @@ int64_t cjk_chunk_score(
         int64_t *out_rel, int64_t *out_span) {
     int64_t nchunks_total = 0;
     uint32_t bbmask = (uint32_t)(bnb - 1);
-    (void)n;
     for (int64_t span_i = 0; span_i < nb; span_i++) {
         const uint8_t *sp = cat + starts[span_i];
         int64_t len = ends[span_i] - starts[span_i];

@@ -1,11 +1,15 @@
-"""numpy hashed-n-gram features: the oracle of the feature pass of
-``native.fastlangid_score`` (``fastlangid.classify_batch``)."""
+"""The oracle of ``fastlangid.classify_batch``: the routing in Python
+(the script counts of ``uscript.codepoints`` / ``scripts_of``, and
+``str.strip`` for blank texts) and the scoring in numpy (the hashed
+n-gram features of ``features_batch``, rows added in first-seen
+order), independent of ``native.fastlangid_score``."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from cld2_ray.functions.fastlangid import _GOLD
+from cld2_ray.functions import langs, uscript as us
+from cld2_ray.functions.fastlangid import _GOLD, _cap_text, weights
 
 
 def features_batch(texts: list[str]):
@@ -39,3 +43,74 @@ def features_batch(texts: list[str]):
     if not feats:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     return np.concatenate(feats), np.concatenate(docs)
+
+
+def _first_seen_scores(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A doc's float32 scores from its feature rows (0 = absent): count
+    * weight row added once per distinct row, in first-seen order."""
+    r = rows[rows > 0]
+    uniq, first, count = np.unique(r, return_index=True, return_counts=True)
+    want = np.zeros(w.shape[1], dtype=np.float32)
+    for i in np.argsort(first):
+        want += np.float32(count[i]) * w[uniq[i]]
+    return want
+
+
+def classify_oracle(texts) -> tuple[list[str], list[float]]:
+    """fastlangid.classify_batch(texts), routed in Python and scored in
+    numpy."""
+    texts = [_cap_text(t) if t else "" for t in texts]
+    n = len(texts)
+    out_l, out_c = ["un"] * n, [0.0] * n
+    # per-doc bincount().argmax() == row argmax over the (doc, script)
+    # count matrix (both take the smallest tied index)
+    lowered = [t.lower() for t in texts]
+    bounds = np.cumsum(np.array([len(t) for t in lowered],
+                                dtype=np.int64))
+    cps = us.codepoints("".join(lowered))
+    sc = us.scripts_of(cps)
+    doc_of = np.searchsorted(bounds, np.arange(len(cps), dtype=np.int64),
+                             side="right")
+    nz = sc > 0
+    n_scripts = len(langs.SCRIPT_DEFAULT_LANG)
+    counts = np.bincount(doc_of[nz] * n_scripts + sc[nz],
+                         minlength=n * n_scripts).reshape(n, n_scripts)
+    has_letters = counts.sum(axis=1) > 0
+    dominant = counts[:, 1:].argmax(axis=1) + 1
+    todo: list[int] = []
+    for i, t in enumerate(texts):
+        if not t.strip():
+            continue
+        if has_letters[i]:
+            d = int(dominant[i])
+            if us.script_rtype(d) == us.RTYPE_ONE:
+                out_l[i] = langs.lang_code(
+                    int(langs.SCRIPT_DEFAULT_LANG[d]))
+                out_c[i] = 0.95
+                continue
+        todo.append(i)
+    if not todo:
+        return out_l, out_c
+
+    w = weights()
+    idx = weights.bucket_index  # type: ignore[attr-defined]
+    feats, f_doc = features_batch([lowered[i] for i in todo])
+    rows = idx[feats]
+    scores = np.stack([_first_seen_scores(rows[f_doc == j], w)
+                       for j in range(len(todo))])
+    nf = np.bincount(f_doc, minlength=len(todo))
+    has_row = np.array([(rows[f_doc == j] > 0).any()
+                        for j in range(len(todo))])
+    col_langs = weights.col_langs  # type: ignore[attr-defined]
+    order = np.argsort(scores, axis=1)
+    top = order[:, -1]
+    s_top = np.take_along_axis(scores, top[:, None], 1)[:, 0]
+    s_sec = np.take_along_axis(scores, order[:, -2][:, None], 1)[:, 0]
+    margin = (s_top - s_sec).astype(np.float64) / np.maximum(nf, 1)
+    conf = 1.0 - np.exp(-4.0 * np.maximum(margin, 0.0))
+    for j, i in enumerate(todo):
+        if nf[j] == 0 or not has_row[j]:
+            continue  # no recognizable features -> un, 0.0
+        out_l[i] = langs.lang_code(int(col_langs[top[j]]))
+        out_c[i] = float(conf[j])
+    return out_l, out_c

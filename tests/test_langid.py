@@ -336,6 +336,18 @@ def test_top_level_detect_language_plain_bytes():
         assert (r2.summary_code, r2.is_reliable) == ("un", False)
 
 
+def test_top_level_detect_language_lone_surrogate():
+    """A str holding a lone surrogate is not valid UTF-8: UNKNOWN,
+    unreliable, no text bytes, as plain text and as a page."""
+    import cld2_ray
+    for text in ("abc \ud800 def", "\udfff",
+                 "Bonjour le monde entier ce matin. \udc80"):
+        for plain in (True, False):
+            r = cld2_ray.detect_language(text, is_plain_text=plain)
+            assert (r.summary_code, r.is_reliable, r.text_bytes) == \
+                ("un", False, 0), (text, plain)
+
+
 class TestArtifactVerify:
     """Dump -> verify -> load round trip + corruption detection (the
     cld2_dynamic_data_tool --verify analogue, cld2_unittest.cc:296-401)."""

@@ -116,15 +116,18 @@ class TestFastlangidScore:
         from cld2_ray.data.seeds import HELDOUT, SEEDS
         from cld2_ray.functions import fastlangid
         texts = ["hello world this is english prose",
-                 "él no dijo nada más", "", "a", "ü" * 50,
+                 "él no dijo nada más", "a", "ü" * 50,
                  *SEEDS.values(), *HELDOUT.values()]
         w = fastlangid.weights()
         idx = fastlangid.weights.bucket_index
         feats, doc_of = fastlangid_oracle.features_batch(texts)
         nf_np = np.bincount(doc_of, minlength=len(texts))
-        scores, nf_c, n_rows = native.fastlangid_score(
-            *native.utf8_cat([" " + t.lower() + " " for t in texts]),
-            idx, w)
+        # no script routes a doc past the scorer here: every doc is
+        # scored
+        route, scores, nf_c, n_rows = native.fastlangid_score(
+            *native.utf8_cat([t.lower() for t in texts]), idx, w,
+            us.script_lut(), np.zeros(256, dtype=np.uint8))
+        assert not route.any()
         assert np.array_equal(nf_np, nf_c)
         # each doc's scores row is bit-equal to a float32 accumulation
         # of count * weight row, one distinct row at a time in
@@ -142,6 +145,55 @@ class TestFastlangidScore:
                 want += np.float32(c) * w[row]
             assert np.array_equal(scores[d], want), d
 
+    def test_routes(self):
+        """route: -1 for blank docs (str.strip's whitespace), the
+        dominant script when it implies one language (the smallest id
+        on a tie), else 0 with the doc scored; unscored docs read 0."""
+        from cld2_ray.functions import fastlangid
+        docs = ["", " \t\u3000\x85\u2029", "ελληνικά", "ไทย", "한국어",
+                "αβ вг", "вг αβγ", "ab вг", "123 !", "\U0001F600", "x"]
+        route, scores, nf, n_rows = native.fastlangid_score(
+            *native.utf8_cat(docs), fastlangid.weights.bucket_index,
+            fastlangid.weights(), us.script_lut(), fastlangid._ONE_SCRIPT)
+        assert us.LATIN < us.CYRILLIC < us.GREEK
+        assert route.tolist() == [-1, -1, us.GREEK, us.THAI, 0, 0, us.GREEK,
+                                  0, 0, 0, 0]
+        unscored = route != 0
+        assert not scores[unscored].any() and not nf[unscored].any() \
+            and not n_rows[unscored].any()
+        assert nf[~unscored].tolist() == [
+            3 * len(d.encode()) for d, r in zip(docs, route) if r == 0]
+
+    def test_scratch_capacity_checked(self, monkeypatch):
+        """The binding passes each scratch buffer's size; a buffer one
+        slot short raises ValueError instead of being written past."""
+        from cld2_ray.functions import fastlangid
+        args = (*native.utf8_cat(["ab", "abcd"]),
+                fastlangid.weights.bucket_index, fastlangid.weights(),
+                us.script_lut(), fastlangid._ONE_SCRIPT)
+        native.fastlangid_score(*args)
+        real_empty, real_zeros = np.empty, np.zeros
+
+        # the int32 scratch: 3 gram slots per byte of "abcd", one
+        # counter per weight row
+        sizes = (3 * 4, len(args[3]))
+
+        def short(real, dtype):
+            def alloc(shape, *a, **kw):
+                out = real(shape, *a, **kw)
+                if np.dtype(out.dtype) == dtype and out.ndim == 1 \
+                        and len(out) in sizes:
+                    return out[:-1]
+                return out
+            return alloc
+        monkeypatch.setattr(np, "empty", short(real_empty, np.int32))
+        with pytest.raises(ValueError, match="gram slots"):
+            native.fastlangid_score(*args)
+        monkeypatch.setattr(np, "empty", real_empty)
+        monkeypatch.setattr(np, "zeros", short(real_zeros, np.int32))
+        with pytest.raises(ValueError, match="counters"):
+            native.fastlangid_score(*args)
+
     def test_single_equals_batch(self):
         from cld2_ray.functions import fastlangid
         texts = ["the quick brown fox jumps over the lazy dog " * 3,
@@ -151,6 +203,22 @@ class TestFastlangidScore:
             l1, c1 = fastlangid.classify(t)
             assert l1 == bl[i]
             assert abs(c1 - bc[i]) < 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.text(max_size=200), max_size=6))
+    @example([""])
+    @example([" ", "\u3000", "\x85", " \u3000\x85\t\n", ""])
+    @example(["Η γλώσσα είναι ελληνική", "ภาษาไทยเป็นภาษาราชการ",
+              "한국어는 한국의 공용어이다"])
+    @example(["ab вг", "вг ab", "abc where вгд это"])
+    @example(["a" * 510 + "Σa", "a" * 509 + "ΑΣ b", "α" * 255 + "Σ"])
+    @example(["a" * 509 + "\U0001F600", "é" * 300, "x" * 600])
+    def test_classify_batch_equals_oracle(self, texts):
+        """classify_batch (routing and scoring in one C pass) equals the
+        Python-routed, numpy-scored oracle, value for value."""
+        from cld2_ray.functions import fastlangid
+        assert fastlangid.classify_batch(texts) == \
+            fastlangid_oracle.classify_oracle(texts)
 
 
 class TestKernelRequired:
@@ -236,7 +304,9 @@ class TestSpanScanSanitized:
     arrays). The span scan, quad_octa_scan and both chunk kernels (with
     and without the ranges pass), quality_scan's dup-line table and
     stopword probe, extract_scan_batch's entity reads, fastlangid_score
-    and ppl_score; each result must equal the plain build's."""
+    (its row counters and gram slots, which the kernel checks against
+    the sizes it is given) and ppl_score; each result must equal the
+    plain build's."""
 
     DRIVER = r"""
 import numpy as np
@@ -353,11 +423,27 @@ for wm in (False, True):
         same("extract_scan_batch", *cat_of([b"\r\n" + t]), *ent,
              with_map=wm)
 
-# fastlangid_score and ppl_score over long, short and empty docs
+# fastlangid_score over long, short, blank and one-script docs and
+# docs at the 512-byte cap with a 4-byte char at the cut, whole or cut
+# off at the batch's end
+capped = fastlangid._lowered(
+    ["a" * 508 + "\U0001F600b", "a" * 509 + "\U0001F600", "\U0001F600" * 200,
+     " \u3000\x85 ", "", "ελληνικά " * 80, "ไทย" * 60, "ab вг"])
+assert len(capped[0].encode()) == 512 and len(capped[1]) == 509
+fl_docs = [d.decode().lower().encode() for d in docs] + [
+    " ".join(hz).encode()] + [d.encode() for d in capped] + [
+    b"x" * 508 + b"\xf0\x9f\x98", b"x" * 509 + b"\xf0\x9f\x98"]
+w = fastlangid.weights()
+fl = (fastlangid.weights.bucket_index, w, us.script_lut(),
+      fastlangid._ONE_SCRIPT)
+route = same("fastlangid_score", *cat_of(fl_docs), *fl)[0]
+assert set(route.tolist()) == {-1, 0, us.GREEK, us.THAI}
+for d in fl_docs[-10:]:
+    same("fastlangid_score", *cat_of([d]), *fl)
+
+# ppl_score over long, short and empty docs
 framed = [(" " + d.decode().lower() + " ").encode() for d in docs] + [b""]
 framed.append(" ".join(hz).encode())
-w = fastlangid.weights()
-same("fastlangid_score", *cat_of(framed), fastlangid.weights.bucket_index, w)
 pm = perplexity.models()
 lids = [langs.lang_id(c) for c in ("en", "fr", "de")] + [-1]
 same("ppl_score", *cat_of(framed),

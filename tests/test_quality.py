@@ -1,5 +1,8 @@
 """Quality rules, scrub, aux langid, perplexity tests."""
 
+import hashlib
+
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -89,6 +92,42 @@ class TestFastLangid:
 
     def test_empty(self):
         assert fastlangid.classify("")[0] == "un"
+
+    # sha256 of the weight row of every present bucket in bucket order,
+    # then the bucket ids and the language columns
+    WEIGHTS_SHA256 = ("f534302c12968fe53220fc1ca0b24dac"
+                      "ee9c92909e0ce6eff948e5a17e12cd5f")
+
+    def test_weights_digest(self):
+        """The model the committed artifact holds, bucket by bucket. A
+        renumbering of the rows (hot_first) leaves the digest as it is;
+        a changed value, bucket or column fails it. A retrain
+        (save_artifact) must update it."""
+        w = fastlangid.weights()
+        idx = fastlangid.weights.bucket_index
+        b = np.flatnonzero(idx)
+        h = hashlib.sha256(np.ascontiguousarray(w[idx[b]]).tobytes())
+        h.update(b.astype("<i8").tobytes())
+        h.update(fastlangid.weights.col_langs.astype("<i4").tobytes())
+        assert h.hexdigest() == self.WEIGHTS_SHA256
+
+    def test_artifact_rows_hot_first(self):
+        """The committed rows are numbered as reorder_artifact leaves
+        them: hot_first on the committed arrays changes nothing. From
+        any other numbering it keeps every bucket's row and row 0."""
+        w = np.asarray(fastlangid.weights())
+        idx = np.asarray(fastlangid.weights.bucket_index)
+        sample = fastlangid._hot_sample()
+        t2, idx2 = fastlangid.hot_first(w, idx, sample)
+        assert np.array_equal(idx2, idx) and np.array_equal(t2, w)
+        perm = np.concatenate([[0], np.random.default_rng(0).permutation(
+            np.arange(1, len(w)))])
+        t3, idx3 = fastlangid.hot_first(
+            w[perm], np.argsort(perm).astype(np.int32)[idx],
+            sample)
+        b = np.flatnonzero(idx)
+        assert np.array_equal(t3[idx3[b]], w[idx[b]])
+        assert np.array_equal(np.flatnonzero(idx3), b) and not t3[0].any()
 
 
 class TestPerplexity:

@@ -20,17 +20,6 @@ Layout:
 
 __version__ = "0.1.0"
 
-_DETECTOR = None
-
-
-def _detector():
-    global _DETECTOR
-    if _DETECTOR is None:
-        from cld2_ray.functions.langid import Detector
-        _DETECTOR = Detector()
-    return _DETECTOR
-
-
 def detect_language(content, is_plain_text: bool = True,
                     url: str = "", best_effort: bool = False,
                     default_to_english: bool = False):
@@ -50,7 +39,8 @@ def detect_language(content, is_plain_text: bool = True,
     pipelines/flagship.py) so table loads amortize per worker."""
     from cld2_ray.functions import langs, score
     from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
-    det = _detector()
+    from cld2_ray.functions.langid import default_detector
+    det = default_detector()
     hints = None
     # a str holding a lone surrogate has no UTF-8 form: "surrogatepass"
     # gives its invalid bytes, which the check below answers

@@ -29,8 +29,9 @@ Implementation note: the extraction itself is one C call per batch
 of pages (``native.extract_scan_batch``, the reference's table-driven
 byte loop per page, one scanner for the text and its source map);
 ``extract_batch`` returns its output as an Arrow ``large_string``
-column, and ``extract_text`` and ``text_to_raw_ranges`` are that call
-on one page. This module holds the entity / low-codepoint tables. The
+column (with the source map on request, which ``text_to_raw`` reads),
+and ``extract_text`` is that call on one page. This module holds the
+entity / low-codepoint tables. The
 Python extractor in tests/oracles/extract.py is the tests' reference
 for it.
 """
@@ -95,22 +96,28 @@ def _ent_table():
             np.asarray(_LOW_MAP, dtype=np.uint32))
 
 
-def extract_batch(htmls: list[bytes]):
+def extract_batch(htmls: list[bytes], with_map: bool = False):
     """extract_text of every page in one C pass -> pyarrow
     LargeStringArray built on the kernel's output buffers (no copy).
 
     Pages must be valid UTF-8 (gate with ``valid_utf8_prefix``); the
     kernel normalizes \\r\\n and lone \\r to \\n itself. Decoding the
     column (``to_pylist``) raises UnicodeDecodeError if the output
-    were ever invalid UTF-8."""
+    were ever invalid UTF-8.
+
+    with_map=True returns (column, text_offsets, src) from the same
+    call: page d's text is bytes text_offsets[d]:text_offsets[d+1] of
+    the column's data, and src[k] the position within its raw page of
+    the byte that produced text byte k (see ``text_to_raw``)."""
     import numpy as np
     import pyarrow as pa
     from cld2_ray import native
     offsets = np.cumsum([0] + [len(h) for h in htmls], dtype=np.int64)
-    data, offsets = native.extract_scan_batch(b"".join(htmls), offsets,
-                                              *_ent_table())
-    return pa.LargeStringArray.from_buffers(
+    data, offsets, *src = native.extract_scan_batch(
+        b"".join(htmls), offsets, *_ent_table(), with_map=with_map)
+    col = pa.LargeStringArray.from_buffers(
         len(htmls), pa.py_buffer(offsets), pa.py_buffer(data))
+    return (col, offsets, *src) if with_map else col
 
 
 def extract_text(html: bytes) -> str:
@@ -123,21 +130,15 @@ def extract_text(html: bytes) -> str:
     return extract_batch([html]).to_pylist()[0]
 
 
-def text_to_raw_ranges(html: bytes, ranges) -> list[tuple[int, int, str]]:
-    """Map (byte_offset, byte_len, code) ranges of extract_text(html)
-    back to RAW html byte offsets through the per-byte source map of
-    the same extractor call on this one page
-    (native.extract_scan_batch with_map) — the reference's
-    map2original chain. A range end at the text's end maps to
-    len(html). The OffsetMap of tests/oracles/extract.py is the test
-    oracle."""
-    if not ranges:
-        return []
+def text_to_raw(text_offsets, src, raw_lens, page, pos):
+    """RAW html byte offsets of the text byte offsets ``pos`` of pages
+    ``page`` (numpy arrays), through the source map of the
+    extract_batch(with_map=True) call that extracted the pages
+    (``text_offsets``, ``src``) — the reference's map2original chain.
+    A position at or past the end of its page's text maps to
+    raw_lens[page], the length of the page the call was given. The
+    OffsetMap of tests/oracles/extract.py is the test oracle."""
     import numpy as np
-    from cld2_ray import native
-    _data, _offsets, src = native.extract_scan_batch(
-        html, [0, len(html)], *_ent_table(), with_map=True)
-    m = len(src)
-    pos = np.array([[a, a + n] for a, n, _ in ranges], dtype=np.int64)
-    raw = np.where(pos < m, src[np.minimum(pos, m - 1)], len(html))
-    return [(int(a), int(b - a), r[2]) for (a, b), r in zip(raw, ranges)]
+    g = text_offsets[page] + pos
+    inside = g < text_offsets[page + 1]
+    return np.where(inside, src[np.where(inside, g, 0)], raw_lens[page])

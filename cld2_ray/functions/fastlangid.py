@@ -2,12 +2,13 @@
 
 A hashed character-n-gram linear (multinomial Naive Bayes) classifier:
 char 2-4-grams hashed into 2^18 buckets, one weight row per language,
-trained deterministically from the seed corpora at first use. This is
-the standard fastText langid architecture (bag of hashed n-grams ->
-linear layer); trained here from authored seeds because the sandbox has
-no network for pretrained weights.
+trained deterministically from the seed corpora by ``save_artifact``
+into the committed artifact. This is the standard fastText langid
+architecture (bag of hashed n-grams -> linear layer); trained here
+from authored seeds because the sandbox has no network for pretrained
+weights.
 
-At runtime the weight matrix is loaded once per worker process
+At runtime ``weights()`` loads the artifact once per worker process
 (lru_cache) and ``classify_batch`` routes and scores a whole batch in
 one C pass (native.fastlangid_score) over the lowered documents.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,20 +84,24 @@ ARTIFACT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "state", "artifacts", "fastlangid.npz")
 
 
+class Weights(NamedTuple):
+    """The classifier: weight rows ``table`` (row 0 is all zeros),
+    ``bucket_index`` bucket -> row, ``col_langs`` column -> lang id.
+    Columns cover only TRAINED languages (the C accumulation cost is
+    linear in columns)."""
+    table: np.ndarray
+    bucket_index: np.ndarray
+    col_langs: np.ndarray
+
+
 @lru_cache(maxsize=1)
-def weights() -> np.ndarray:
-    """Compact bucket->weight table; loads the committed artifact when
-    present (actor init fast path), else trains from seeds. Columns
-    cover only TRAINED languages (col_langs maps column -> lang id):
-    the registry is 164 languages but only ~90 have seed corpora, and
-    the C accumulation cost is linear in columns."""
-    if os.path.exists(ARTIFACT):
-        from cld2_ray.state import mmapcache
-        z = mmapcache.load_shared(ARTIFACT)  # one copy per node, not per actor
-        weights.bucket_index = z["bucket_index"]  # type: ignore[attr-defined]
-        weights.col_langs = z["col_langs"]        # type: ignore[attr-defined]
-        return z["table"]
-    return _train()
+def weights() -> Weights:
+    """The committed model, loaded once per process (mmap'd, one copy
+    per node). Raises FileNotFoundError if the artifact is missing: a
+    retrain (``save_artifact``) does not rebuild the committed model."""
+    from cld2_ray.state import mmapcache
+    z = mmapcache.load_shared(ARTIFACT)
+    return Weights(z["table"], z["bucket_index"], z["col_langs"])
 
 
 def save_artifact() -> None:
@@ -109,9 +115,8 @@ def save_artifact() -> None:
     ``python scripts/make_output_digest.py --write`` and update the
     weight digest in ``tests/test_quality.py``. To renumber the rows of
     the committed model without retraining, use ``reorder_artifact``."""
-    table = _train()
-    _save(*hot_first(table, weights.bucket_index, _hot_sample()),
-          weights.col_langs)
+    w = _train()
+    _save(*hot_first(w.table, w.bucket_index, _hot_sample()), w.col_langs)
 
 
 def reorder_artifact() -> None:
@@ -164,7 +169,7 @@ def hot_first(table: np.ndarray, bucket_index: np.ndarray,
     return table[order], new_row[bucket_index].astype(bucket_index.dtype)
 
 
-def _train() -> np.ndarray:
+def _train() -> Weights:
     from cld2_ray.data.seeds import SEEDS
     from cld2_ray.data.seeds_extra import EXTRA
     seeds = {c: t + " " + EXTRA.get(c, "") for c, t in SEEDS.items()}
@@ -196,9 +201,7 @@ def _train() -> np.ndarray:
     full = np.zeros((N_BUCKETS,), dtype=np.int32)  # bucket -> row+1 (0=absent)
     full[bucket_ids] = np.arange(1, len(bucket_ids) + 1)
     table = np.vstack([np.zeros((1, len(col_langs)), np.float32), w])
-    weights.bucket_index = full      # type: ignore[attr-defined]
-    weights.col_langs = col_langs    # type: ignore[attr-defined]
-    return table
+    return Weights(table, full, col_langs)
 
 
 # script id -> 1 if the script implies one language (routed to its
@@ -226,9 +229,8 @@ def classify_batch(texts) -> tuple[list[str], list[float]]:
     from cld2_ray import native
     w = weights()
     route, scores, nf, n_rows = native.fastlangid_score(
-        *native.utf8_cat(_lowered(texts)),
-        weights.bucket_index, w, us.script_lut(),  # type: ignore[attr-defined]
-        _ONE_SCRIPT)
+        *native.utf8_cat(_lowered(texts)), w.bucket_index, w.table,
+        us.script_lut(), _ONE_SCRIPT)
     lang = np.full(len(route), langs.UNKNOWN, dtype=np.int64)
     conf = np.zeros(len(route))
     one = np.flatnonzero(route > 0)
@@ -242,7 +244,7 @@ def classify_batch(texts) -> tuple[list[str], list[float]]:
     s_top = np.take_along_axis(sc, top[:, None], 1)[:, 0]
     s_sec = np.take_along_axis(sc, order[:, -2][:, None], 1)[:, 0]
     margin = (s_top - s_sec).astype(np.float64) / nf[todo]
-    lang[todo] = weights.col_langs[top]  # type: ignore[attr-defined]
+    lang[todo] = w.col_langs[top]
     conf[todo] = 1.0 - np.exp(-4.0 * np.maximum(margin, 0.0))
     return _CODES[lang].tolist(), conf.tolist()
 

@@ -14,7 +14,9 @@ ranges output), column-wise over the whole batch:
   by numpy over the result columns.
 
 detect_batch returns score.DetectColumns: numpy columns that also read
-as a sequence of DetectResult. The flagship kernel
+as a sequence of DetectResult; with_ranges adds score.Ranges from a few
+numpy passes over the whole batch (_span_ranges, _text_ranges). The
+flagship kernel
 (stages.core.fused_batch) and the single-process oracle call the same
 Detector, which is what makes pipeline-vs-oracle equality exact.
 tests/oracles/docstage.py is the Python document stage this pass is
@@ -23,11 +25,14 @@ held to, tests/oracles/langid.py the numpy ranges chain.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
+
 import numpy as np
 
 from . import langs, score, spans, uscript as us
 from cld2_ray import native
-from .extract import extract_text, text_to_raw_ranges, valid_utf8_prefix
+from .extract import extract_batch, text_to_raw, valid_utf8_prefix
 from . import hints as hints_mod
 from .repeats import squeeze, squeeze_triggers
 
@@ -45,13 +50,9 @@ _LANG_IDS = np.array([langs.UNKNOWN, langs.ENGLISH, langs.lang_id("zh"),
 def _csr(lists: list) -> tuple[np.ndarray, np.ndarray]:
     """Per-item int lists (None = empty) -> CSR form (csr int64[n+1],
     flat int64[]): item k is flat[csr[k]:csr[k+1]]."""
-    csr = np.zeros(len(lists) + 1, dtype=np.int64)
-    flat: list[int] = []
-    for k, hl in enumerate(lists):
-        if hl:
-            flat.extend(hl)
-        csr[k + 1] = len(flat)
-    return csr, np.asarray(flat, dtype=np.int64)
+    csr = np.cumsum([0] + [len(hl) if hl else 0 for hl in lists])
+    return csr, np.fromiter(chain.from_iterable(hl for hl in lists if hl),
+                            dtype=np.int64, count=int(csr[-1]))
 
 
 def _gather_csr(lo: np.ndarray, hi: np.ndarray, flat: np.ndarray):
@@ -63,17 +64,84 @@ def _gather_csr(lo: np.ndarray, hi: np.ndarray, flat: np.ndarray):
     return csr, flat[np.repeat(lo - csr[:-1], n) + np.arange(csr[-1])]
 
 
-def _one_range(start: int, end: int, lid: int):
-    """Whole-span (start_char, end_char, lid) numpy triple — the
-    single-range form non-MANY spans and hitless MANY spans emit."""
-    return (np.array([start], dtype=np.int64),
-            np.array([end], dtype=np.int64),
-            np.array([lid], dtype=np.int64))
+def _span_ranges(table: spans.SpanTable, many: np.ndarray, c,
+                 span_lid: np.ndarray):
+    """(doc, start_char, end_char, lid) of every range of ``table``'s
+    spans, in table order. A span is one range (offset, end_offset,
+    span_lid) unless ``c``, the ranges output of
+    native.quad_octa_chunk_score over the MANY rows ``many``, splits it
+    into chunks: chunk k > 0 starts at the letter of its sharpened
+    first hit, backed up to the start of its word (ItemToVector,
+    scoreonescriptspan.cc:323-360), where chunk k - 1 ends. A chunk
+    below MIN_RELIABLE_KEEP_PERCENT delta reliability reads UNKNOWN."""
+    n = len(table.doc)
+    cnt = np.ones(n, dtype=np.int64)
+    lang1, _, _, _, soc, rel, cstart = c or (np.empty(0, np.int64),) * 7
+    nch = np.bincount(soc, minlength=len(many))
+    cnt[many] = np.maximum(nch, 1)
+    row = np.repeat(np.arange(n), cnt)
+    start, end = table.offset[row], table.end_offset[row]
+    lid = span_lid[row]
+    # chunk j is chunk k[j] of span row crow[j], range pos[j]
+    crow = many[soc]
+    k = np.arange(len(soc)) - (np.cumsum(nch) - nch)[soc]
+    pos = (np.cumsum(cnt) - cnt)[crow] + k
+    lid[pos] = np.where(rel >= score.MIN_RELIABLE_KEEP_PERCENT, lang1,
+                        langs.UNKNOWN)
+    split = np.flatnonzero(k > 0)
+    if len(split):
+        r = crow[split]
+        # the chunk's letter: the last letter starting at or before its
+        # first hit (letters are the span's non-space chars, in
+        # letter_pos order)
+        buf = table.buf
+        letters = np.flatnonzero(((buf & 0xC0) != 0x80) & (buf != 0x20))
+        li = np.searchsorted(letters, np.minimum(
+            table.start[r] + cstart[split], table.end[r] - 1),
+            side="right") - np.searchsorted(letters, table.start[r]) - 1
+        li = table.lp_start[r] + np.clip(
+            li, 0, table.lp_end[r] - table.lp_start[r] - 1)
+        # the first letter of its word: a word is a run of consecutive
+        # char indexes within one span
+        lp = table.letter_pos
+        gap = np.ones(len(lp), dtype=bool)
+        gap[1:] = lp[1:] != lp[:-1] + 1
+        gap[table.lp_start[table.lp_end > table.lp_start]] = True
+        words = np.flatnonzero(gap)
+        ch = lp[words[np.searchsorted(words, li, side="right") - 1]]
+        start[pos[split]] = ch
+        end[pos[split] - 1] = ch
+    return table.doc[row], start, end, lid
+
+
+def _text_ranges(texts, doc, start, end, lid) -> score.Ranges:
+    """score.Ranges of ``texts`` from the (doc, start_char, end_char,
+    lid) ranges of their spans, in document order: adjacent ranges of
+    a document with the same language merge, and char offsets become
+    byte offsets of the text."""
+    new = np.ones(len(doc), dtype=bool)
+    new[1:] = (doc[1:] != doc[:-1]) | (lid[1:] != lid[:-1])
+    first = np.flatnonzero(new)
+    last = (np.append(first[1:], len(doc)) - 1)[:len(first)]
+    doc = doc[first]
+    # byte offset of char c of text d: its char start, or the text's
+    # end for c at or past its last char
+    data, offsets = native.utf8_cat(texts)
+    cs = np.append(np.flatnonzero((data & 0xC0) != 0x80), len(data))
+    cp = np.searchsorted(cs, offsets)
+
+    def to_bytes(ch):
+        return cs[cp[doc] + np.minimum(ch, cp[doc + 1] - cp[doc])] \
+            - offsets[doc]
+
+    return score.Ranges(np.searchsorted(doc, np.arange(len(texts) + 1)),
+                        to_bytes(start[first]), to_bytes(end[last]),
+                        lid[first])
 
 
 class Detector:
     """Holds the immutable LangModel; one instance per worker process
-    (stages.core keeps it behind an lru_cache)."""
+    (default_detector)."""
 
     def __init__(self, model=None, score_as_quads: bool = False,
                  echo: bool = False):
@@ -139,9 +207,9 @@ class Detector:
         with_ranges=True returns (streams, raw_ranges) from the SAME
         pass — the ResultChunkVector path (the reference emits the
         vector in the scoring pass that fills the tote,
-        scoreonescriptspan.cc:1099-1111). raw_ranges[di] is the doc's
-        unmerged list of (start_char, end_char, lid) numpy triples in
-        span order, for _merge_ranges. Chunk scoring sees the per-span
+        scoreonescriptspan.cc:1099-1111). raw_ranges are the unmerged
+        (doc, start_char, end_char, lid) arrays of _span_ranges, for
+        _text_ranges. Chunk scoring sees the per-span
         hint priors the document scoring uses, so a hinted page's chunk
         vector agrees with its summary (detect_ranges passes no
         hints)."""
@@ -161,7 +229,7 @@ class Detector:
         span_lid = np.where(rt == us.RTYPE_ONE,
                             langs.SCRIPT_DEFAULT_LANG[script],
                             langs.UNKNOWN)
-        many_ranges = {}
+        c = None
         many = np.flatnonzero(rt == us.RTYPE_MANY)
         if len(many):
             d, sc = doc[many], script[many]
@@ -176,8 +244,6 @@ class Detector:
                 us.LSCRIPT4[sc], with_ranges=with_ranges)
             lang1, cbytes, s1, rel, span_of_chunk = c[:5]
             streams.append((d[span_of_chunk], lang1, cbytes, s1, rel))
-            if with_ranges:
-                many_ranges = self._many_ranges(table, many, c)
         cjk = np.flatnonzero(rt == us.RTYPE_CJK)
         if len(cjk):
             d = doc[cjk]
@@ -196,31 +262,7 @@ class Detector:
                     native.DS_TOTE_TOP)["summary"]
         if not with_ranges:
             return streams
-        parts = [many_ranges.get(k) or _one_range(o, e, lid)
-                 for k, (o, e, lid) in enumerate(zip(
-                     table.offset.tolist(), table.end_offset.tolist(),
-                     span_lid.tolist()))]
-        ptr = table.doc_ptr.tolist()
-        return streams, [parts[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
-
-    def _many_ranges(self, table: spans.SpanTable, many: np.ndarray,
-                     c) -> dict:
-        """Span row -> range triple (_many_span_ranges) of each MANY span
-        with chunks; ``c`` is the ranges output of
-        native.quad_octa_chunk_score over the rows ``many``. Hitless
-        spans have no entry (their range is the whole span, UNKNOWN)."""
-        lang1, _, _, _, span_of_chunk, rel_delta, cstart = c
-        bounds = np.searchsorted(span_of_chunk,
-                                 np.arange(len(many) + 1)).tolist()
-        out = {}
-        for k in np.flatnonzero(np.diff(bounds)).tolist():
-            lo, hi, r = bounds[k], bounds[k + 1], int(many[k])
-            out[r] = self._many_span_ranges(
-                int(table.offset[r]), int(table.end_offset[r]),
-                table.buf[table.start[r]:table.end[r]],
-                table.letter_pos[table.lp_start[r]:table.lp_end[r]],
-                lang1[lo:hi], rel_delta[lo:hi], cstart[lo:hi])
-        return out
+        return streams, _span_ranges(table, many, c, span_lid)
 
     @staticmethod
     def _doc_stage(n_docs: int, streams, totals, declared_list,
@@ -284,8 +326,8 @@ class Detector:
         tests/oracles/docstage.py _calc_summary_lang); None =
         reference-exact summaries.
 
-        with_ranges=True additionally returns per-doc language ranges
-        [(byte_offset, byte_len, code), ...] computed from the SAME
+        with_ranges=True additionally returns the per-doc language
+        ranges (score.Ranges, text byte offsets) computed from the SAME
         scoring pass (results, ranges) — the single-pass
         ResultChunkVector path; results are bit-identical to
         with_ranges=False. Squeeze-triggered docs (rare junk pages)
@@ -332,12 +374,23 @@ class Detector:
         if default_to_english:
             out.summary[out.summary == langs.UNKNOWN] = langs.ENGLISH
         if with_ranges:
-            rng = [self._unhinted_ranges(orig_texts[i] or "")
-                   if squeezed[i]
-                   else self._merge_ranges(texts[i], raw_ranges[i])
-                   for i in range(n)]
-            return out, rng
+            return out, self._ranges(orig_texts, squeezed, raw_ranges)
         return out
+
+    def _ranges(self, texts, squeezed: np.ndarray,
+                raw_ranges) -> score.Ranges:
+        """score.Ranges of ``texts`` from their raw_ranges; ``squeezed``
+        docs take the unhinted ranges of their raw text from ONE more
+        pass over all of them."""
+        sq = np.flatnonzero(squeezed)
+        if len(sq):
+            keep = ~squeezed[raw_ranges[0]]
+            doc2, *rest = self._unhinted_ranges([texts[i] for i in sq])
+            both = [np.concatenate([a[keep], b])
+                    for a, b in zip(raw_ranges, (sq[doc2], *rest))]
+            order = np.argsort(both[0], kind="stable")
+            raw_ranges = [a[order] for a in both]
+        return _text_ranges(texts, *raw_ranges)
 
     def detect(self, text: str, best_effort: bool = False,
                hint_langs: list[int] | None = None,
@@ -357,87 +410,11 @@ class Detector:
                 print(f"[cld2_ray echo] {(t or '')[:80]!r}",
                       file=sys.stderr)
 
-    @staticmethod
-    def _many_span_ranges(offset: int, end_offset: int, span_utf8,
-                          letter_pos, lang1, rel, starts_b):
-        """Per-chunk arrays -> (start_char, end_char, lid) numpy
-        triple for one MANY span (char range [offset, end_offset),
-        framed text ``span_utf8``, document char index ``letter_pos``
-        of each of its letters): back boundaries up to the start of
-        their word (ItemToVector semantics,
-        scoreonescriptspan.cc:323-360) and gate unreliable chunks to
-        UNKNOWN. Shared by the ranges pass of _fill_totes and its numpy
-        oracle. ``starts_b`` are span-local byte offsets of each
-        chunk's (sharpened) first hit; the triples stay numpy until
-        _merge_ranges converts the few MERGED ranges to tuples."""
-        nch = len(lang1)
-        lids = np.where(np.asarray(rel) >= score.MIN_RELIABLE_KEEP_PERCENT,
-                        np.asarray(lang1, dtype=np.int64),
-                        langs.UNKNOWN)
-        if nch == 1:
-            # single-chunk span (common): the range is the whole span
-            # — k=0 uses the span offset and the last chunk ends at
-            # end_offset, so the word-backup math is moot
-            return (np.array([offset], dtype=np.int64),
-                    np.array([end_offset], dtype=np.int64), lids)
-        arr = np.frombuffer(span_utf8, dtype=np.uint8)
-        cstart = np.flatnonzero((arr & 0xC0) != 0x80)
-        letter_byte_starts = cstart[arr[cstart] != 0x20]
-        lpos = np.asarray(letter_pos)
-        li = np.searchsorted(letter_byte_starts, starts_b,
-                             side="right") - 1
-        li = np.clip(li, 0, len(lpos) - 1)
-        # back boundaries up to the start of their word — dense
-        # sampling can land a chunk start mid-word
-        gapmask = np.concatenate([[True],
-                                  lpos[1:] != lpos[:-1] + 1])
-        word_start_of = np.maximum.accumulate(
-            np.where(gapmask, np.arange(len(lpos)), 0))
-        chunk_char = lpos[word_start_of[li]].astype(np.int64)
-        starts = chunk_char.copy()
-        starts[0] = offset
-        ends = np.concatenate([chunk_char[1:], [end_offset]])
-        return starts, ends, lids
-
-    @staticmethod
-    def _merge_ranges(text: str, parts) -> list[tuple[int, int, str]]:
-        """Concatenate per-span (start_char, end_char, lid) triples,
-        merge adjacent same-language ranges, and convert to
-        original-text BYTE offsets (detect_ranges' tail)."""
-        parts = [p for p in parts if len(p[0])]
-        if not parts or not text:
-            return []
-        starts = np.concatenate([p[0] for p in parts])
-        ends = np.concatenate([p[1] for p in parts])
-        lids = np.concatenate([p[2] for p in parts])
-        keep = np.concatenate([[True], lids[1:] != lids[:-1]])
-        ki = np.flatnonzero(keep)
-        ms = starts[ki]
-        me = np.concatenate([ends[ki[1:] - 1], [ends[-1]]])
-        # char -> byte offsets: the merged ranges are FEW, so one
-        # incremental prefix encode over the sorted positions (total
-        # work = one pass over the text) beats a full per-codepoint
-        # utf-8-length cumsum
-        pos = np.concatenate([ms, me])
-        order = np.argsort(pos, kind="stable")
-        out_b = np.empty(len(pos), dtype=np.int64)
-        b = 0
-        last = 0
-        for idx in order:
-            p = int(pos[idx])
-            if p > last:
-                b += len(text[last:p].encode("utf-8"))
-                last = p
-            out_b[idx] = b
-        k = len(ms)
-        return [(int(a), int(e - a), langs.lang_code(int(li)))
-                for a, e, li in zip(out_b[:k], out_b[k:], lids[ki])]
-
-    def _unhinted_ranges(self, text: str) -> list[tuple[int, int, str]]:
-        """The ranges pass of _fill_totes on one text, hint-free."""
-        _, raw = self._fill_totes(spans.script_spans_batch([text]), [None],
-                                  with_ranges=True)
-        return self._merge_ranges(text, raw[0])
+    def _unhinted_ranges(self, texts):
+        """The raw ranges (_span_ranges) of ``texts`` from one hint-free
+        pass of _fill_totes."""
+        return self._fill_totes(spans.script_spans_batch(texts),
+                                [None] * len(texts), with_ranges=True)[1]
 
     def detect_ranges(self, text: str) -> list[tuple[int, int, str]]:
         """Per-document language ranges in ORIGINAL text BYTE offsets —
@@ -455,12 +432,27 @@ class Detector:
         Returns [(byte_offset, byte_len, lang_code), ...].
         """
         self._echo([text])
-        return self._unhinted_ranges(text)
+        return _text_ranges([text], *self._unhinted_ranges([text]))[0]
 
     def detect_ranges_html(self, html: bytes) -> list[tuple[int, int, str]]:
         """Language ranges in RAW PAGE byte offsets: detect_ranges on
         the extracted text of the valid UTF-8 prefix, mapped back
-        through the extractor's source map (text_to_raw_ranges) — the
+        through the extractor's source map (extract.text_to_raw) — the
         reference's map2original chain."""
         h = html[:valid_utf8_prefix(html)]
-        return text_to_raw_ranges(h, self.detect_ranges(extract_text(h)))
+        text_col, text_offsets, src = extract_batch([h], with_map=True)
+        texts = text_col.to_pylist()
+        self._echo(texts)
+        r = _text_ranges(texts, *self._unhinted_ranges(texts))
+        page, lens = np.zeros(len(r.lid), np.int64), np.array([len(h)])
+        r.start, r.end = (text_to_raw(text_offsets, src, lens, page, p)
+                          for p in (r.start, r.end))
+        return r[0]
+
+
+@lru_cache(maxsize=1)
+def default_detector() -> Detector:
+    """The process's one default-configured Detector, built on first
+    use: the fused kernel, the langid query and detect_language share
+    it, so the model loads once per worker process."""
+    return Detector()

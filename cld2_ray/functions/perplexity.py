@@ -1,7 +1,8 @@
 """KenLM-style character n-gram perplexity scoring (north rule).
 
 A per-language backoff character trigram LM trained deterministically
-from the seed corpora (no network => no real KenLM binaries; the
+from the seed corpora by ``save_artifact`` into the committed artifact,
+which ``models()`` loads (no network => no real KenLM binaries; the
 mechanism — per-language LM, per-document perplexity, threshold on the
 language's own calibration — is the deliverable).
 
@@ -77,17 +78,21 @@ def _train_counts(text: str, lang_id: int, acc: dict) -> None:
 
 @lru_cache(maxsize=1)
 def models() -> _PplModel:
-    if os.path.exists(ARTIFACT):
-        from cld2_ray.state.model import HashTable
-        from cld2_ray.state import mmapcache
-        z = mmapcache.load_shared(ARTIFACT)  # one copy per node, not per actor
-        keys = z["keys"]
-        table = HashTable(keys, z["vals"], np.uint64(len(keys) - 1))
-        return _PplModel(table, z["uni"], z["thresholds"])
-    return _train()
+    """The committed LMs, loaded once per process (mmap'd, one copy per
+    node). Raises FileNotFoundError if the artifact is missing: a
+    retrain (``save_artifact``) does not rebuild the committed model."""
+    from cld2_ray.state.model import HashTable
+    from cld2_ray.state import mmapcache
+    z = mmapcache.load_shared(ARTIFACT)
+    keys = z["keys"]
+    table = HashTable(keys, z["vals"], np.uint64(len(keys) - 1))
+    return _PplModel(table, z["uni"], z["thresholds"])
 
 
 def save_artifact() -> None:
+    """RETRAIN the LMs and overwrite the committed artifact: a retrain
+    today differs from it in keys, unigrams and thresholds, so rerun
+    ``python scripts/make_output_digest.py --write`` after it."""
     m = _train()
     os.makedirs(os.path.dirname(ARTIFACT), exist_ok=True)
     np.savez_compressed(ARTIFACT, keys=m.table.keys, vals=m.table.vals,

@@ -14,7 +14,7 @@ ExtractLangEtc, CalcSummaryLang; compact_lang_det_impl.cc:981-1522)
 runs for a whole batch in one C call, quadscan.c ``doc_stage``; its
 Python oracle is tests/oracles/docstage.py. ``DetectColumns`` holds
 that call's per-document columns and reads as a sequence of
-``DetectResult``.
+``DetectResult``; ``Ranges`` holds the language ranges of a batch.
 """
 
 from __future__ import annotations
@@ -285,3 +285,25 @@ class DetectColumns(Sequence):
         ``src_rows`` (``good`` keeps the first pass's test)."""
         for k in self._RESULT:
             getattr(self, k)[rows] = getattr(src, k)[src_rows]
+
+
+@dataclass(eq=False)
+class Ranges(Sequence):
+    """Per-document language ranges of a batch as numpy columns (the
+    ranges pass of langid.Detector), readable as a sequence of
+    [(byte_offset, byte_len, lang_code), ...] lists: document d owns
+    entries doc_ptr[d]:doc_ptr[d+1], whose start/end are byte offsets
+    into its text and lid the range's language."""
+    doc_ptr: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    lid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.doc_ptr) - 1
+
+    def __getitem__(self, d: int) -> list[tuple[int, int, str]]:
+        k = slice(self.doc_ptr[d], self.doc_ptr[d + 1])
+        return [(a, e - a, langs.lang_code(lid)) for a, e, lid in zip(
+            self.start[k].tolist(), self.end[k].tolist(),
+            self.lid[k].tolist())]

@@ -37,49 +37,27 @@ MAX_SCRIPT_BYTES = 40960      # kMaxScriptBuffer (getonescriptspan.h:29-33)
 TEXT_LIMIT = 160 * 1024       # FLAGS_cld_textlimit in KB (impl.cc:192,1811)
 
 
+@dataclass(eq=False)
 class ScriptSpan:
     """One same-script letter run: ``text`` is " word word word " —
-    lowercased, space-framed. Backed by either a str or utf-8 bytes
-    (``text_utf8``); each representation is derived lazily from the
-    other, so the C segmenter can hand out bytes without paying a
-    decode that most consumers (the utf-8 scoring kernels) re-encode.
+    lowercased, space-framed — decoded from its UTF-8 ``text_utf8``,
+    the form the scoring kernels read.
 
     offset/end_offset: char index of the first letter / one past the
     last letter in the document. text_bytes: UTF-8 length of the
     letters+spaces content. letter_pos: int64[n_letters] original char
     index per span letter (offset-map back to the source text)."""
 
-    __slots__ = ("_text", "_utf8", "script", "offset", "text_bytes",
-                 "end_offset", "letter_pos")
-
-    def __init__(self, text: str | None = None, script: int = 0,
-                 offset: int = 0, text_bytes: int = 0,
-                 end_offset: int = 0, letter_pos=None,
-                 text_utf8: bytes | None = None):
-        self._text = text
-        self._utf8 = text_utf8
-        self.script = script
-        self.offset = offset
-        self.text_bytes = text_bytes
-        self.end_offset = end_offset
-        self.letter_pos = letter_pos
+    text_utf8: bytes
+    script: int = 0
+    offset: int = 0
+    text_bytes: int = 0
+    end_offset: int = 0
+    letter_pos: np.ndarray | None = None
 
     @property
     def text(self) -> str:
-        if self._text is None:
-            self._text = self._utf8.decode("utf-8")
-        return self._text
-
-    @property
-    def text_utf8(self) -> bytes:
-        if self._utf8 is None:
-            self._utf8 = self._text.encode("utf-8")
-        return self._utf8
-
-    def __repr__(self):
-        return (f"ScriptSpan(text={self.text!r}, script={self.script}, "
-                f"offset={self.offset}, text_bytes={self.text_bytes}, "
-                f"end_offset={self.end_offset})")
+        return self.text_utf8.decode("utf-8")
 
 
 @dataclass

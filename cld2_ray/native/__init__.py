@@ -115,63 +115,59 @@ def _load() -> None:
         lib = ctypes.CDLL(so)
     except OSError as e:
         raise ImportError(f"cld2_ray.native: cannot load {so}: {e}") from e
+    ptr, ro, rw = np.ctypeslib.ndpointer, "C_CONTIGUOUS", \
+        "C_CONTIGUOUS,WRITEABLE"
+    u8p, i8p, i16p, i32p, u32p, i64p, u64p, f32p, f64p = (
+        ptr(t, flags=ro) for t in (np.uint8, np.int8, np.int16, np.int32,
+                                   np.uint32, np.int64, np.uint64,
+                                   np.float32, np.float64))
+    u8wp, i64wp, u64wp, f64wp = (
+        ptr(t, flags=rw) for t in (np.uint8, np.int64, np.uint64,
+                                   np.float64))
+    u32bp = ptr(np.uint32, ndim=2, flags=ro)
+    # raw void* pointers: NULL where a kernel's output is optional (the
+    # chunk kernels' ranges pass, the source map), and where
+    # ndpointer.from_param validation (~5us/arg/call) would cost
+    vp = ctypes.c_void_p
     _FN = lib.quad_octa_scan
-    u8p = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    u64p = np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS")
-    i64p = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    u32bp = np.ctypeslib.ndpointer(np.uint32, ndim=2,
-                                   flags="C_CONTIGUOUS")
     # bucket-table argument bundle: buckets, nbuckets, keymask,
     # packed_latn, packed_othr
     _bt = [u32bp, ctypes.c_int64, ctypes.c_uint32, u64p, u64p]
-    u8wp0 = np.ctypeslib.ndpointer(np.uint8,
-                                   flags="C_CONTIGUOUS,WRITEABLE")
     _FN.argtypes = [
-        u8p, i64p, ctypes.c_int64,
+        u8p, i64p, i64p, ctypes.c_int64,
         u64p, u64p, ctypes.c_uint64,
         u64p, u64p, ctypes.c_uint64,
         *_bt, *_bt, u8p,
         u64p, i64p, ctypes.POINTER(ctypes.c_int64),
-        u64p, i64p, u8wp0, ctypes.POINTER(ctypes.c_int64),
+        u64p, i64p, u8wp, ctypes.POINTER(ctypes.c_int64),
     ]
     _FN.restype = ctypes.c_int
     _LK = lib.table_lookup_batch
     _LK.argtypes = [u64p, u64p, ctypes.c_uint64, u64p, ctypes.c_int64, u64p]
     _LK.restype = ctypes.c_int
-    i32p = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    f32p = np.ctypeslib.ndpointer(np.float32, flags="C_CONTIGUOUS")
     _ACC = lib.fastlangid_score
     _ACC.argtypes = [u8p, i64p, ctypes.c_int64, u8p, ctypes.c_int64, u8p,
                      i32p, f32p, ctypes.c_int64, ctypes.c_int64,
                      i32p, ctypes.c_int64, i32p, ctypes.c_int64,
                      i32p, f32p, i64p, i64p]
     _ACC.restype = ctypes.c_int
-    u8op = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
     _PM = lib.predict_mask
-    _PM.argtypes = [u8p, ctypes.c_int64, i64p, u8op, u8op]
+    _PM.argtypes = [u8p, ctypes.c_int64, u8wp, u8wp]
     _PM.restype = ctypes.c_int64
     _RW = lib.rep_words_multi
-    _RW.argtypes = [u8p, i64p, i64p, ctypes.c_int64, i64p, u8op, i64p]
+    _RW.argtypes = [u8p, i64p, i64p, ctypes.c_int64, u8wp, i64p]
     _RW.restype = ctypes.c_int64
     _SQ = lib.squeeze_test_multi
     _SQ.argtypes = [u8p, i64p, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_int64, i64p, u8op]
+                    ctypes.c_int64, u8wp]
     _SQ.restype = ctypes.c_int64
-    f64p = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    u64wp = np.ctypeslib.ndpointer(np.uint64,
-                                   flags="C_CONTIGUOUS,WRITEABLE")
     _PP = lib.ppl_score
     _PP.argtypes = [u8p, i64p, ctypes.c_int64, i64p,
                     u64p, u64p, ctypes.c_uint64,
                     f64p, ctypes.c_int64, f64p, i64p,
                     u64wp, ctypes.c_int64]
     _PP.restype = ctypes.c_int
-    i16p = np.ctypeslib.ndpointer(np.int16, flags="C_CONTIGUOUS")
-    i8p = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
     _CS = lib.quad_octa_chunk_score
-    # the merge scratch and the ranges outputs are NULL in the plain
-    # pass, hence c_void_p
-    vp = ctypes.c_void_p
     _CS.argtypes = [
         u8p, i64p, i64p, ctypes.c_int64,
         u64p, u64p, ctypes.c_uint64,
@@ -179,7 +175,7 @@ def _load() -> None:
         *_bt, *_bt, u8p, u8p,
         ctypes.c_int64, i32p, i8p,
         i64p, i64p,
-        u64p, i64p, u64p, i64p, u8wp0,
+        u64p, i64p, u64p, i64p, u8wp,
         vp, vp, vp,
         i64p,
         i16p, i64p, i64p, i64p, i64p,
@@ -197,16 +193,12 @@ def _load() -> None:
         i16p, i64p, i64p, i64p, i64p,
     ]
     _CJ.restype = ctypes.c_int64
-    i64wp = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
-    f64wp = np.ctypeslib.ndpointer(np.float64,
-                                   flags="C_CONTIGUOUS,WRITEABLE")
     _DS = lib.doc_stage
     _DS.argtypes = [ctypes.c_int64, i64p, ctypes.c_int64,
                     i64p, i64p, i64p, i64p, i64p,
                     i64p, i64p, i64p, ctypes.c_int64, i64p, i64p,
-                    i64wp, i64wp, i64wp, f64wp, i64wp, u8op, u8op]
+                    i64wp, i64wp, i64wp, f64wp, i64wp, u8wp, u8wp]
     _DS.restype = ctypes.c_int64
-    u32p = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
     _QS = lib.quality_scan
     _QS.argtypes = [u8p, i64p, ctypes.c_int64,
                     u8p, ctypes.c_int64,
@@ -214,9 +206,6 @@ def _load() -> None:
                     u64p, u64p, ctypes.c_uint64, i64wp,
                     u64wp, u64wp, ctypes.c_int64]
     _QS.restype = ctypes.c_int
-    u8wp = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE")
-    # raw void* pointers: ndpointer.from_param validation costs
-    # ~5us/arg/call
     _SSM = lib.script_spans_scan_multi
     _SSM.argtypes = [vp, vp, ctypes.c_int64,
                      vp, vp, ctypes.c_int64,
@@ -226,7 +215,7 @@ def _load() -> None:
     _SSM.restype = ctypes.c_int64
     _EXB = lib.extract_scan_batch
     _EXB.argtypes = [u8p, i64p, ctypes.c_int64,
-                     u64p, u64p, ctypes.c_uint64, u32p, u8op, i64p, vp]
+                     u64p, u64p, ctypes.c_uint64, u32p, u8wp, i64p, vp]
     _EXB.restype = ctypes.c_int64
     _MD5 = lib.md5_batch
     _MD5.argtypes = [u8p, i64p, ctypes.c_int64, u8wp]
@@ -249,22 +238,23 @@ def _bt_args(bt):
             bt.packed_latn, bt.packed_othr)
 
 
-def quad_octa_scan(cat: bytes, bounds: np.ndarray, quad_table,
+def quad_octa_scan(cat, starts: np.ndarray, ends: np.ndarray, quad_table,
                    socta, docta, xocta, latin_of_span: np.ndarray):
-    """One C pass: quad walk + the GetOctaHits word/pair walk with
-    bucket probes. Returns (qvals, qoffs, ovals, ooffs) — table HITS
-    only, ascending offsets, bit-equal to the numpy oracles
+    """One C pass over the spans cat[starts[i]:ends[i]]: quad walk + the
+    GetOctaHits word/pair walk with bucket probes. Returns (qvals,
+    qoffs, ovals, ooffs, odist) — table HITS only, at offsets into
+    cat, in span order, bit-equal to the numpy oracles
     hits.quad_hits_dense + tests/oracles/model.py lookup_numpy and
     tests/oracles/langid.py octa_stream."""
-    n = len(cat)
-    buf = np.frombuffer(cat, dtype=np.uint8)
-    bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+    buf, starts, ends = _spans(cat, starts, ends)
     lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
-    qvals, qoffs = _hits(2 * n + 8)
-    ovals, ooffs, odist = _hits(2 * n + 8, dist=True)
+    # per span of s bytes: <= s quad hits, <= 2s + 4 octa hits
+    cap = 2 * int((ends - starts).sum()) + 4 * len(ends) + 8
+    qvals, qoffs = _hits(cap)
+    ovals, ooffs, odist = _hits(cap, dist=True)
     nq = ctypes.c_int64(0)
     no = ctypes.c_int64(0)
-    _FN(buf, bounds, len(bounds),
+    _FN(buf, starts, ends, len(ends),
         quad_table.keys, quad_table.vals, int(quad_table.mask),
         socta.keys, socta.vals, int(socta.mask),
         *_bt_args(docta), *_bt_args(xocta), lat,
@@ -314,16 +304,24 @@ def _spans(cat, starts, ends):
     return buf, starts, ends
 
 
+def _offsets(offsets, size: int) -> np.ndarray:
+    """int64 ``offsets``; raises ValueError unless they are n + 1 >= 1
+    ascending offsets into [0, size]."""
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    if len(offsets) == 0 or offsets[0] < 0 or offsets[-1] > size \
+            or (offsets[1:] < offsets[:-1]).any():
+        raise ValueError("offsets must hold n + 1 >= 1 ascending "
+                         "offsets into the data")
+    return offsets
+
+
 def _docs(data, offsets):
     """(uint8 view of data, int64 offsets) of the documents
     data[offsets[d]:offsets[d+1]], the layout of ``utf8_cat``. Raises
     ValueError unless offsets holds n + 1 >= 1 ascending offsets into
     data."""
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if len(offsets) == 0:
-        raise ValueError("offsets must hold n + 1 >= 1 entries")
-    buf, _, _ = _spans(data, offsets[:-1], offsets[1:])
-    return buf, offsets
+    buf = np.frombuffer(data, dtype=np.uint8)
+    return buf, _offsets(offsets, len(buf))
 
 
 def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
@@ -570,7 +568,7 @@ def predict_mask(data: bytes):
     buf = np.frombuffer(data, dtype=np.uint8)
     mask = np.empty(len(data) + 1, dtype=np.uint8)
     nb = np.empty(len(data) + 1, dtype=np.uint8)
-    nc = _PM(buf, len(buf), np.full(4096, -1, dtype=np.int64), mask, nb)
+    nc = _PM(buf, len(buf), mask, nb)
     return mask[:nc].astype(bool), nb[:nc]
 
 
@@ -583,8 +581,7 @@ def rep_words_multi(cat, starts: np.ndarray, bounds: np.ndarray):
     out = np.empty(int((bounds - starts).sum()) + 2 * len(bounds) + 1,
                    dtype=np.uint8)
     out_bounds = np.empty(len(bounds), dtype=np.int64)
-    tbl = np.empty(4096, dtype=np.int64)   # refilled per span in C
-    n = _RW(buf, starts, bounds, len(bounds), tbl, out, out_bounds)
+    n = _RW(buf, starts, bounds, len(bounds), out, out_bounds)
     return out[:n], out_bounds
 
 
@@ -595,8 +592,7 @@ def squeeze_test_multi(data, offsets: np.ndarray, spaces_pct: int,
     the probe's bytes or the predictor guesses >= pred_pct% of them."""
     buf, offsets = _docs(data, offsets)
     out = np.empty(len(offsets) - 1, dtype=np.uint8)
-    tbl = np.empty(4096, dtype=np.int64)   # refilled per probe in C
-    _SQ(buf, offsets, len(out), spaces_pct, pred_pct, tbl, out)
+    _SQ(buf, offsets, len(out), spaces_pct, pred_pct, out)
     return out.view(bool)
 
 
@@ -746,19 +742,21 @@ def md5_batch(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def md5_windows(word_data: np.ndarray, word_offsets: np.ndarray,
-                doc_bounds: np.ndarray, window: int) -> np.ndarray:
+                doc_offsets: np.ndarray, window: int) -> np.ndarray:
     """(n_windows, 16) uint8 MD5 digests of every stride-1
     ``window``-token space-joined window, doc-major (docs shorter
-    than ``window`` emit nothing) — the substring_dedup md5 keys."""
-    doc_bounds = np.ascontiguousarray(doc_bounds, dtype=np.int64)
-    nw_doc = np.diff(np.concatenate([[0], doc_bounds]))
-    total = int(np.maximum(nw_doc - window + 1, 0).sum())
+    than ``window`` emit nothing) — the substring_dedup md5 keys.
+    Token t is word_data[word_offsets[t]:word_offsets[t+1]] (the layout
+    of ``utf8_cat``); doc d holds tokens doc_offsets[d]:doc_offsets[d+1]
+    (both checked by ``_offsets``). Raises MemoryError if the kernel
+    cannot allocate its window buffer."""
+    data, word_offsets = _docs(word_data, word_offsets)
+    doc_offsets = _offsets(doc_offsets, len(word_offsets) - 1)
+    total = int(np.maximum(np.diff(doc_offsets) - window + 1, 0).sum())
     out = np.empty((total, 16), dtype=np.uint8)
-    if total:
-        n = _MDW(np.ascontiguousarray(word_data, dtype=np.uint8),
-                 np.ascontiguousarray(word_offsets, dtype=np.int64),
-                 doc_bounds, len(doc_bounds), window, out)
-        assert n == total
+    if total and _MDW(data, word_offsets, doc_offsets,
+                      len(doc_offsets) - 1, window, out) < 0:
+        raise MemoryError("md5_windows: no window buffer")
     return out
 
 

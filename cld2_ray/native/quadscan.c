@@ -18,12 +18,12 @@
  *  - batched MD5 / BLAKE2b for the dedup pipelines.
  *
  * Shared primitives, each defined once below: the UTF-8 decode step
- * (utf8_len / utf8_next), the UTF-8 encoder (utf8_put) and the
+ * (utf8_len / utf8_next), the UTF-8 encoder (utf8_put), the
  * open-addressed table probe (table_lookup; native.table_build builds
- * the tables it reads).  A batch of documents is the Arrow layout
- * (data, offsets[n+1]): document d is data[offsets[d], offsets[d+1]).
- * No kernel keeps writable state between calls (only MD5's constant
- * table), so all are reentrant.
+ * the tables it reads) and the Repeats predictor step (pred_step).
+ * A batch of documents is the Arrow layout (data, offsets[n+1]):
+ * document d is data[offsets[d], offsets[d+1]).  No kernel keeps
+ * writable state between calls, so all are reentrant.
  *
  * Build: cc -O3 -ffp-contract=off -shared -fPIC quadscan.c -o
  * quadscan.so (done by the package shim, cached next to this file).
@@ -217,26 +217,46 @@ static inline uint32_t bi_hash32(const uint8_t *buf, int64_t s, int64_t bc,
     return a + (w1 ^ (w1 << 18));
 }
 
-/* 12-bit-context next-char predictor (cld2_ray/functions/repeats.py,
- * reference CountPredictedBytes compact_lang_det_impl.cc:541-580):
- * per char, mask[i] = "char equals the value last stored under the
- * rolling hash of the previous 3 chars". tbl: int64[4096] filled with
- * -1 by the caller (reset per call); outputs per-char mask and UTF-8
- * byte length. Returns the number of chars. */
-int64_t predict_mask(const uint8_t *b, int64_t n, int64_t *tbl,
-                     uint8_t *mask, uint8_t *nbytes) {
-    uint32_t h = 0;
-    int64_t ci = 0;
-    for (int64_t i = 0; i < n;) {
-        int len = utf8_len(b, i, n);
-        int64_t c = 0;
-        for (int k = 0; k < len; k++) c = (c << 8) | b[i + k];
-        mask[ci] = tbl[h] == c;
+/* The 12-bit-context next-char predictor (cld2_ray/functions/
+ * repeats.py, reference CountPredictedBytes
+ * compact_lang_det_impl.cc:541-580) of predict_mask, rep_words_multi
+ * and squeeze_test_multi: the char last seen under each rolling hash h
+ * of the previous 3 chars.  pred_step reads the char at b[i] (i < end)
+ * into *c, its bytes packed big-endian, sets *hit if the table
+ * predicted it, stores it under h and advances h; it returns the
+ * char's byte length. */
+typedef struct { int64_t tbl[4096]; uint32_t h; } predictor;
+
+static inline void pred_reset(predictor *p) {
+    for (int k = 0; k < 4096; k++) p->tbl[k] = -1;
+    p->h = 0;
+}
+
+static inline int pred_step(predictor *p, const uint8_t *b, int64_t i,
+                            int64_t end, int64_t *c, int *hit) {
+    int len = utf8_len(b, i, end);
+    int64_t v = 0;
+    for (int k = 0; k < len; k++) v = (v << 8) | b[i + k];
+    *hit = p->tbl[p->h] == v;
+    p->tbl[p->h] = v;
+    p->h = ((p->h << 4) ^ (uint32_t)v) & 0xFFF;
+    *c = v;
+    return len;
+}
+
+/* The predictor over one text: per char, mask[i] = predicted and
+ * nbytes[i] = its UTF-8 byte length.  Returns the number of chars. */
+int64_t predict_mask(const uint8_t *b, int64_t n, uint8_t *mask,
+                     uint8_t *nbytes) {
+    predictor p;
+    int64_t ci = 0, c;
+    int hit;
+    pred_reset(&p);
+    for (int64_t i = 0; i < n; ci++) {
+        int len = pred_step(&p, b, i, n, &c, &hit);
+        mask[ci] = (uint8_t)hit;
         nbytes[ci] = (uint8_t)len;
-        tbl[h] = c;
-        h = ((h << 4) ^ (uint32_t)c) & 0xFFF;
         i += len;
-        ci++;
     }
     return ci;
 }
@@ -244,32 +264,30 @@ int64_t predict_mask(const uint8_t *b, int64_t n, int64_t *tbl,
 /* CheapRepWords (tests/oracles/repeats.py remove_repeated_words,
  * reference CheapRepWordsInplace compact_lang_det_impl.cc:610-692)
  * over spans of one buffer: span s is cat[starts[s], ends[s]).
- * Per span the predictor restarts (tbl refilled with -1, hash 0).  A
- * word is a space plus the non-space chars up to the next space (the
- * span's first word may lack the space); it is dropped when twice its
- * predicted bytes, the leading space's included, exceed its non-space
- * bytes.  Spaces are kept, runs of spaces collapse to one, and a
- * non-empty span comes out framed by single spaces.  out needs the
- * spans' total length + 2 * n bytes; out_bounds gets the cumulative
- * output ends.  Returns the output length. */
+ * Per span the predictor restarts.  A word is a space plus the
+ * non-space chars up to the next space (the span's first word may lack
+ * the space); it is dropped when twice its predicted bytes, the
+ * leading space's included, exceed its non-space bytes.  Spaces are
+ * kept, runs of spaces collapse to one, and a non-empty span comes out
+ * framed by single spaces.  out needs the spans' total length + 2 * n
+ * bytes; out_bounds gets the cumulative output ends.  Returns the
+ * output length. */
 int64_t rep_words_multi(const uint8_t *cat, const int64_t *starts,
                         const int64_t *ends, int64_t n_spans,
-                        int64_t *tbl, uint8_t *out, int64_t *out_bounds) {
+                        uint8_t *out, int64_t *out_bounds) {
+    predictor p;
     int64_t o = 0;
     for (int64_t s = 0; s < n_spans; s++) {
         int64_t start = starts[s], end = ends[s];
         if (end > start) {
-            for (int k = 0; k < 4096; k++) tbl[k] = -1;
-            uint32_t h = 0;
+            pred_reset(&p);
             int64_t ws = start, pred = 0, len = 0;
             out[o++] = ' ';
             for (int64_t i = start; i <= end;) {
                 int64_t c = 0;
-                int n = 0;
-                if (i < end) {
-                    n = utf8_len(cat, i, end);
-                    for (int k = 0; k < n; k++) c = (c << 8) | cat[i + k];
-                }
+                int n = 0, hit = 0;
+                if (i < end)
+                    n = pred_step(&p, cat, i, end, &c, &hit);
                 if (i == end || c == ' ') {
                     /* close the word [ws, i); a space after a space is
                      * dropped (dropped words leave doubled spaces) */
@@ -287,9 +305,7 @@ int64_t rep_words_multi(const uint8_t *cat, const int64_t *starts,
                 } else {
                     len += n;
                 }
-                if (tbl[h] == c) pred += n;
-                tbl[h] = c;
-                h = ((h << 4) ^ (uint32_t)c) & 0xFFF;
+                if (hit) pred += n;
                 i += n;
             }
             if (out[o - 1] != ' ') out[o++] = ' ';
@@ -948,12 +964,12 @@ int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
     return 0;
 }
 
-/* Scan concatenated spans. bounds: nb ascending END byte offsets, one
- * per span (bounds[nb-1] is buf's length). Emits table HITS only
- * (val != 0). Output arrays sized >= 2 * bounds[nb-1] + 8 by the
- * caller. Returns 0. */
+/* Scan the spans buf[starts[i], ends[i]), i < nb.  Emits table HITS
+ * only (val != 0), at offsets into buf.  A span of s bytes yields at
+ * most s quad hits and 2s + 4 octa hits, so the caller sizes each
+ * output to 2 * sum(s) + 4 * nb + 8 slots.  Returns 0. */
 int quad_octa_scan(const uint8_t *buf,
-                   const int64_t *bounds, int64_t nb,
+                   const int64_t *starts, const int64_t *ends, int64_t nb,
                    const uint64_t *qkeys, const uint64_t *qvals, uint64_t qmask,
                    const uint64_t *skeys, const uint64_t *svals, uint64_t smask,
                    const uint32_t *db, int64_t dnb, uint32_t dkeymask,
@@ -965,18 +981,17 @@ int quad_octa_scan(const uint8_t *buf,
                    uint64_t *out_ovals, int64_t *out_ooffs,
                    uint8_t *out_odist, int64_t *no_out) {
     int64_t nq = 0, no = 0;
-    int64_t span_start = 0;
     uint64_t dbmask = (uint64_t)(dnb - 1);
     uint64_t xbmask = (uint64_t)(xnb - 1);
     for (int64_t span_i = 0; span_i < nb; span_i++) {
-        int64_t span_end = bounds[span_i];
-        scan_one_span(buf + span_start, span_end - span_start, span_start,
+        int64_t span_start = starts[span_i];
+        scan_one_span(buf + span_start, ends[span_i] - span_start,
+                      span_start,
                       qkeys, qvals, qmask, skeys, svals, smask,
                       db, dbmask, dkeymask, span_latin[span_i] ? dpl : dpo,
                       xb, xbmask, xkeymask, span_latin[span_i] ? xpl : xpo,
                       out_qvals, out_qoffs, &nq,
                       out_ovals, out_ooffs, out_odist, &no);
-        span_start = span_end;
     }
     *nq_out = nq;
     *no_out = no;
@@ -1438,20 +1453,17 @@ int64_t cjk_chunk_score(
  * them.  tests/oracles/repeats.py squeeze_trigger is the oracle. */
 int64_t squeeze_test_multi(const uint8_t *cat, const int64_t *offsets,
                            int64_t n_probes, int64_t spaces_pct,
-                           int64_t pred_pct, int64_t *tbl, uint8_t *out) {
+                           int64_t pred_pct, uint8_t *out) {
+    predictor pr;
     for (int64_t p = 0; p < n_probes; p++) {
         int64_t start = offsets[p], end = offsets[p + 1], n = end - start;
-        int64_t n_sp = 0, pred = 0;
-        uint32_t h = 0;
-        for (int k = 0; k < 4096; k++) tbl[k] = -1;
+        int64_t n_sp = 0, pred = 0, c;
+        int hit;
+        pred_reset(&pr);
         for (int64_t i = start; i < end;) {
-            int len = utf8_len(cat, i, end);
-            int64_t c = 0;
-            for (int k = 0; k < len; k++) c = (c << 8) | cat[i + k];
+            int len = pred_step(&pr, cat, i, end, &c, &hit);
             if (c == ' ') n_sp++;
-            if (tbl[h] == c) pred += len;
-            tbl[h] = c;
-            h = ((h << 4) ^ (uint32_t)c) & 0xFFF;
+            if (hit) pred += len;
             i += len;
         }
         out[p] = n > 0 && (n_sp * 100 >= spaces_pct * n
@@ -2244,8 +2256,8 @@ static inline __attribute__((always_inline)) int64_t extract_scan(
  * that produced out[k]. On a normalized page the scanner's positions
  * go through the scratch's raw positions, so \r\n maps to its \n and
  * a lone \r to itself. Mapping a text range back to raw offsets is
- * then one array index (extract.text_to_raw_ranges: the flagship
- * chunks column and Detector.detect_ranges_html);
+ * then one array index (extract.text_to_raw: the flagship chunks
+ * column and Detector.detect_ranges_html);
  * tests/oracles/extract.py's OffsetMap is its test oracle.
  * Returns the total text length, or -1 when the scratch cannot be
  * allocated. */
@@ -2363,16 +2375,19 @@ static const uint32_t MD5_S[64] = {
     4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
     6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
 
-static uint32_t MD5_K[64];
-static int md5_k_ready = 0;
-
-static void md5_init_k(void) {
-    if (md5_k_ready) return;
-    for (int i = 0; i < 64; i++)
-        MD5_K[i] = (uint32_t)(fabs(sin((double)(i + 1)))
-                              * 4294967296.0);
-    md5_k_ready = 1;
-}
+/* RFC 1321 section 3.4: K[i] = floor(2^32 * |sin(i + 1)|) */
+static const uint32_t MD5_K[64] = {
+    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
+    0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
+    0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
+    0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
+    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
+    0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
+    0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
+    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
+    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
+    0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
+    0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
 
 static inline uint32_t rotl32(uint32_t x, uint32_t c) {
     return (x << c) | (x >> (32 - c));
@@ -2424,7 +2439,6 @@ static void md5_one(const uint8_t *msg, int64_t len, uint8_t out[16]) {
 /* digests of data[offsets[i]:offsets[i+1]] -> out + 16*i */
 int md5_batch(const uint8_t *data, const int64_t *offsets, int64_t n,
               uint8_t *out) {
-    md5_init_k();
     for (int64_t i = 0; i < n; i++)
         md5_one(data + offsets[i], offsets[i + 1] - offsets[i],
                 out + 16 * i);
@@ -2434,24 +2448,23 @@ int md5_batch(const uint8_t *data, const int64_t *offsets, int64_t n,
 /* Stride-1 rolling token windows, md5 of each window's
  * space-joined text (pipelines/dedup.substring_dedup's md5 variant):
  * word_data/word_offsets hold each doc's tokens back to back
- * (doc d's tokens are word index doc_bounds[d-1]..doc_bounds[d]);
+ * (doc d's tokens are word index doc_offsets[d]..doc_offsets[d+1]);
  * every doc with >= `window` tokens emits (n_tokens - window + 1)
  * digests at out (16 B each, doc-major, window-ascending). Returns
- * the digest count. The window text is rebuilt in a local buffer by
- * memcpy — the Python equivalent (" ".join + hashlib) spends most of
- * its time constructing the window strings. */
+ * the digest count, or -1 if the window buffer cannot be allocated.
+ * The window text is rebuilt in a local buffer by memcpy — the Python
+ * equivalent (" ".join + hashlib) spends most of its time
+ * constructing the window strings. */
 int64_t md5_windows(const uint8_t *word_data, const int64_t *word_offsets,
-                    const int64_t *doc_bounds, int64_t n_docs,
+                    const int64_t *doc_offsets, int64_t n_docs,
                     int64_t window, uint8_t *out) {
-    md5_init_k();
     int64_t n_out = 0;
     int64_t buf_cap = 4096;
     uint8_t *buf = (uint8_t *)malloc(buf_cap);
     if (!buf) return -1;
-    int64_t w0 = 0;
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t w1 = doc_bounds[d];
-        int64_t nw = w1 - w0;
+        int64_t w0 = doc_offsets[d];
+        int64_t nw = doc_offsets[d + 1] - w0;
         for (int64_t s = 0; s + window <= nw; s++) {
             int64_t a = word_offsets[w0 + s];
             int64_t need = word_offsets[w0 + s + window] - a
@@ -2473,7 +2486,6 @@ int64_t md5_windows(const uint8_t *word_data, const int64_t *word_offsets,
             md5_one(buf, len, out + 16 * n_out);
             n_out++;
         }
-        w0 = w1;
     }
     free(buf);
     return n_out;

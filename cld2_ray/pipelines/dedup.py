@@ -482,8 +482,8 @@ def _win_pairs_batch(texts, window: int, fast: bool) -> list[np.ndarray]:
                        else np.empty(0, _WPAIR))
             pos += n
         return out
-    bounds = np.cumsum([len(ws) for ws in docs_words])
-    dig = native.md5_windows(data, offs, bounds, window)
+    doc_offsets = np.cumsum([0] + [len(ws) for ws in docs_words])
+    dig = native.md5_windows(data, offs, doc_offsets, window)
     pairs = np.ascontiguousarray(dig).view(_WPAIR).ravel()
     counts = [max(len(ws) - window + 1, 0) for ws in docs_words]
     splits = np.cumsum(counts[:-1])

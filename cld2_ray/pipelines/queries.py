@@ -2160,21 +2160,16 @@ WHERE a.vec_id < b.vec_id
 # non-SQL-expressible (rows-only checks)
 # --------------------------------------------------------------------------
 
-_LANGID_DET = None
-
-
 def _langid_batch(df: pd.DataFrame) -> pd.DataFrame:
-    """Task-form langid stage with a lazy process-global Detector
-    (same pattern as stages/core.fused_batch): Ray reuses task
-    workers, so table load is once per worker lifetime and the stage
-    elastically fills all CPUs instead of a pre-sized actor pool."""
-    global _LANGID_DET
-    if _LANGID_DET is None:
-        from cld2_ray.functions.langid import Detector
-        _LANGID_DET = Detector()
+    """Task-form langid stage with the lazy process-global Detector
+    (langid.default_detector, shared with stages/core.fused_batch): Ray
+    reuses task workers, so table load is once per worker lifetime and
+    the stage elastically fills all CPUs instead of a pre-sized actor
+    pool."""
+    from cld2_ray.functions.langid import default_detector
     # one concatenated scoring pass per batch (detect_batch),
     # not a per-row detect() loop
-    res = _LANGID_DET.detect_batch([t or "" for t in df["text"]])
+    res = default_detector().detect_batch([t or "" for t in df["text"]])
     return pd.DataFrame({
         "doc_id": df["doc_id"],
         "lang1": [r.summary_code for r in res],

@@ -14,8 +14,6 @@ uses, so pipeline == oracle per url.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -24,7 +22,7 @@ from cld2_ray.functions import langs
 # extract_text is not called here; it stays a module global because
 # perfbench's tracer wraps core.extract_text (and core.valid_utf8_prefix)
 from cld2_ray.functions.extract import (extract_batch, extract_text,  # noqa: F401
-                                        valid_utf8_prefix)
+                                        text_to_raw, valid_utf8_prefix)
 
 # ResultChunkVector analogue (reference: public/compact_lang_det.h:146-153
 # ResultChunk {offset, bytes, lang1}): per-document list of language
@@ -33,33 +31,29 @@ CHUNKS_TYPE = pa.large_list(pa.struct([
     ("offset", pa.int64()), ("bytes", pa.int64()), ("lang", pa.string())]))
 
 
-def _compose_chunks(htmls, valid, ok, todo, rng_list) -> pa.Array:
-    """list<struct{offset,bytes,lang}> per page from the MAIN scoring
-    pass's text-level ranges (detect_batch(with_ranges=True)) mapped
-    into RAW page byte offsets by extract.text_to_raw_ranges — the
+def _chunks(rng, todo, ok, valid, text_offsets, src) -> pa.Array:
+    """list<struct{offset,bytes,lang}> per page: the MAIN scoring
+    pass's ranges ``rng`` of the pages ``todo`` mapped into RAW page
+    byte offsets through the batch's extraction source map — the
     reference produces the vector in the same pass
-    (scoreonescriptspan.cc:1099-1111), not by re-detecting.
-    Invalid-UTF-8 pages get an empty list, like the UNKNOWN result."""
-    from cld2_ray.functions.extract import text_to_raw_ranges
-    rng_of = dict(zip(todo, rng_list))
-    rows = []
-    for j, h in enumerate(htmls):
-        r = rng_of.get(j) if ok[j] else None
-        rows.append([{"offset": a, "bytes": n, "lang": c}
-                     for a, n, c in text_to_raw_ranges(
-                         (h or b"")[:int(valid[j])], r)])
-    return pa.array(rows, type=CHUNKS_TYPE)
+    (scoreonescriptspan.cc:1099-1111). Invalid-UTF-8 pages get an empty
+    list, like the UNKNOWN result."""
+    page = np.repeat(todo, np.diff(rng.doc_ptr))
+    keep = ok[page]
+    page = page[keep]
+    a, b = (text_to_raw(text_offsets, src, valid, page, p[keep])
+            for p in (rng.start, rng.end))
+    offsets = np.searchsorted(page, np.arange(len(ok) + 1))
+    items = pa.StructArray.from_arrays(
+        [pa.array(a), pa.array(b - a), _CODE_OF.take(rng.lid[keep])],
+        fields=list(CHUNKS_TYPE.value_type))
+    return pa.LargeListArray.from_arrays(pa.array(offsets), items,
+                                         type=CHUNKS_TYPE)
 
 
 # keep/drop: a page whose top language covers less than this percent
 # of its text is dropped as lang_filter
 MIN_PCT1 = 50
-
-
-@lru_cache(maxsize=1)
-def _detector():
-    from cld2_ray.functions.langid import Detector
-    return Detector()
 
 
 # lang id -> code (langs.lang_code of every id as one Arrow take)
@@ -107,8 +101,8 @@ def fused_batch(batch: pa.Table, with_chunks: bool = False) -> pa.Table:
     output row depends only on its own page, so the result is the
     same.
 
-    ``with_chunks=True`` adds the ``chunks`` column (see
-    _compose_chunks) from the same scoring pass."""
+    ``with_chunks=True`` adds the ``chunks`` column (see _chunks) from
+    the same scoring pass and the same extraction call."""
     html = batch["html"]
     if html.nbytes <= MAX_CALL_HTML_BYTES:
         return _fused(batch, with_chunks)
@@ -123,6 +117,7 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
     through the module global, which tracers may wrap)."""
     from cld2_ray.functions import fastlangid, perplexity
     from cld2_ray.functions.hints import MAX_SCAN_BYTES, page_hints
+    from cld2_ray.functions.langid import default_detector
     from cld2_ray.functions.quality import rule_columns
     from cld2_ray.functions.scrub import scrub_arrow
 
@@ -131,10 +126,15 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
     n = len(htmls)
 
     # 1. extract: UTF-8 gate per page, then one C pass over the valid
-    # prefixes; its output buffer is the extracted_text column
+    # prefixes; its output buffer is the extracted_text column (and,
+    # for the chunks column, its source map)
     valid = np.array([valid_utf8_prefix(h) for h in htmls], dtype=np.int64)
     ok = valid == np.array([len(h) for h in htmls], dtype=np.int64)
-    text_col = extract_batch([h[:v] for h, v in zip(htmls, valid.tolist())])
+    pages = [h[:v] for h, v in zip(htmls, valid.tolist())]
+    if with_chunks:
+        text_col, *text_map = extract_batch(pages, with_map=True)
+    else:
+        text_col = extract_batch(pages)
     texts = text_col.to_pylist()
 
     # 2. langid (batch-vectorized) — every row that yielded text,
@@ -153,11 +153,11 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
     if with_chunks:
         # ranges ride along on the SAME scoring pass (results are
         # bit-identical to the plain call — tested)
-        results, rng_list = _detector().detect_batch(
+        results, rng = default_detector().detect_batch(
             [texts[j] for j in todo], hints,
             declared_list=declared, with_ranges=True)
     else:
-        results = _detector().detect_batch(
+        results = default_detector().detect_batch(
             [texts[j] for j in todo], hints, declared_list=declared)
     lang3 = np.zeros((n, 3), dtype=np.int64)
     summary = np.zeros(n, dtype=np.int64)
@@ -226,7 +226,7 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
         "has_toxicity": pa.array(toxic),
         "keep": pa.array(reason == ""),
         "drop_reason": pa.array(reason, type=pa.string()),
-    } | ({"chunks": _compose_chunks(htmls, valid, ok, todo, rng_list)}
+    } | ({"chunks": _chunks(rng, todo, ok, valid, *text_map)}
          if with_chunks else {}))
 
 

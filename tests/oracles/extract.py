@@ -6,8 +6,8 @@ reference extraction chain (getonescriptspan.cc; the module docstring
 of ``cld2_ray.functions.extract`` lists the rules). It is the oracle
 of ``native.extract_scan_batch``: its text of the extracted text
 (``extract.extract_batch`` / ``extract.extract_text``) and its
-``OffsetMap`` of the per-byte source map (``with_map=True``, behind
-``extract.text_to_raw_ranges``).
+``OffsetMap`` of the per-byte source map (``with_map=True``, read by
+``extract.text_to_raw``).
 """
 
 from __future__ import annotations

@@ -92,8 +92,7 @@ def classify_oracle(texts) -> tuple[list[str], list[float]]:
     if not todo:
         return out_l, out_c
 
-    w = weights()
-    idx = weights.bucket_index  # type: ignore[attr-defined]
+    w, idx, col_langs = weights()
     feats, f_doc = features_batch([lowered[i] for i in todo])
     rows = idx[feats]
     scores = np.stack([_first_seen_scores(rows[f_doc == j], w)
@@ -101,7 +100,6 @@ def classify_oracle(texts) -> tuple[list[str], list[float]]:
     nf = np.bincount(f_doc, minlength=len(todo))
     has_row = np.array([(rows[f_doc == j] > 0).any()
                         for j in range(len(todo))])
-    col_langs = weights.col_langs  # type: ignore[attr-defined]
     order = np.argsort(scores, axis=1)
     top = order[:, -1]
     s_top = np.take_along_axis(scores, top[:, None], 1)[:, 0]

@@ -5,8 +5,12 @@
 The functions that read the model take the ``Detector`` as their first
 argument. MANY-script spans go through ``many_hits`` (quad hits
 merged with the ``octa_stream`` word-table hits) -> zeros-expected
-chunk scoring (``score.score_chunks_multi``) -> ``sharpen_boundaries``;
-CJK and one-script spans through ``_score_span``.
+chunk scoring (``score.score_chunks_multi``) -> ``sharpen_boundaries``
+-> ``_many_span_ranges``; CJK and one-script spans through
+``_score_span`` -> ``_one_range``. ``detect_ranges_numpy`` runs it span
+by span and merges each document's ranges with ``_merge_ranges``, one
+Python loop per span and per range, where the runtime makes one numpy
+pass over the whole batch.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from cld2_ray.functions import hits, langs, score, spans, uscript as us
-from cld2_ray.functions.langid import _one_range
 from cld2_ray.state.model import unpack_langprobs
 from tests.oracles.docstage import DocTote, _tote_range_lang
 
@@ -74,8 +77,76 @@ def many_hits(det, cat: bytes, bounds: np.ndarray,
     return all_vals[order], all_off[order], all_dist[order]
 
 
-def _score_span(det, sp: spans.ScriptSpan, tote: DocTote) -> None:
-    """One CJK or RTYPE_ONE span into ``tote`` (numpy chain)."""
+def _one_range(start: int, end: int, lid: int):
+    """Whole-span (start_char, end_char, lid) numpy triple — the
+    single-range form non-MANY spans and hitless MANY spans emit."""
+    return (np.array([start], dtype=np.int64),
+            np.array([end], dtype=np.int64),
+            np.array([lid], dtype=np.int64))
+
+
+def _many_span_ranges(offset: int, end_offset: int, span_utf8, letter_pos,
+                      lang1, rel, starts_b):
+    """Per-chunk arrays -> (start_char, end_char, lid) numpy triple for
+    one MANY span (char range [offset, end_offset), framed text
+    ``span_utf8``, document char index ``letter_pos`` of each of its
+    letters): back boundaries up to the start of their word
+    (ItemToVector semantics, scoreonescriptspan.cc:323-360) and gate
+    unreliable chunks to UNKNOWN. ``starts_b`` are span-local byte
+    offsets of each chunk's (sharpened) first hit."""
+    nch = len(lang1)
+    lids = np.where(np.asarray(rel) >= score.MIN_RELIABLE_KEEP_PERCENT,
+                    np.asarray(lang1, dtype=np.int64), langs.UNKNOWN)
+    if nch == 1:
+        # single-chunk span: the range is the whole span
+        return (np.array([offset], dtype=np.int64),
+                np.array([end_offset], dtype=np.int64), lids)
+    arr = np.frombuffer(span_utf8, dtype=np.uint8)
+    cstart = np.flatnonzero((arr & 0xC0) != 0x80)
+    letter_byte_starts = cstart[arr[cstart] != 0x20]
+    lpos = np.asarray(letter_pos)
+    li = np.searchsorted(letter_byte_starts, starts_b, side="right") - 1
+    li = np.clip(li, 0, len(lpos) - 1)
+    # back boundaries up to the start of their word — dense sampling
+    # can land a chunk start mid-word
+    gapmask = np.concatenate([[True], lpos[1:] != lpos[:-1] + 1])
+    word_start_of = np.maximum.accumulate(
+        np.where(gapmask, np.arange(len(lpos)), 0))
+    chunk_char = lpos[word_start_of[li]].astype(np.int64)
+    starts = chunk_char.copy()
+    starts[0] = offset
+    ends = np.concatenate([chunk_char[1:], [end_offset]])
+    return starts, ends, lids
+
+
+def _merge_ranges(text: str, parts) -> list[tuple[int, int, str]]:
+    """Concatenate per-span (start_char, end_char, lid) triples, merge
+    adjacent same-language ranges, and convert to original-text BYTE
+    offsets by encoding each prefix."""
+    parts = [p for p in parts if len(p[0])]
+    if not parts or not text:
+        return []
+    starts = np.concatenate([p[0] for p in parts])
+    ends = np.concatenate([p[1] for p in parts])
+    lids = np.concatenate([p[2] for p in parts])
+    out = []
+    for k in range(len(lids)):
+        if out and lids[k] == lids[k - 1]:
+            out[-1][1] = ends[k]
+        else:
+            out.append([starts[k], ends[k], lids[k]])
+
+    def nbytes(c):
+        return len(text[:int(c)].encode("utf-8"))
+
+    return [(nbytes(a), nbytes(e) - nbytes(a), langs.lang_code(int(lid)))
+            for a, e, lid in out]
+
+
+def _score_span(det, sp: spans.ScriptSpan, tote: DocTote,
+                hints=None) -> None:
+    """One CJK or RTYPE_ONE span into ``tote`` (numpy chain); ``hints``
+    is the CJK span's packed hint payload."""
     rt = det._rtype(sp.script)
     if rt == us.RTYPE_CJK:
         uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
@@ -87,7 +158,8 @@ def _score_span(det, sp: spans.ScriptSpan, tote: DocTote) -> None:
         l3, q3 = unpack_langprobs(all_vals[order])
         # positions are char indices; scale to bytes via span length
         c = _score_one_span(l3, q3, all_pos[order] * 3, sp.text_bytes,
-                            score.CHUNKSIZE_UNIS, det.model.expected_uni)
+                            score.CHUNKSIZE_UNIS, det.model.expected_uni,
+                            hints=hints)
         tote.add_chunks(*c)
     elif rt == us.RTYPE_ONE:
         # script implies the language: score = bytes, reliability 100
@@ -157,12 +229,16 @@ def sharpen_boundaries(lang1: np.ndarray, l3: np.ndarray,
     return bidx
 
 
-def detect_ranges_numpy(det, text: str) -> list[tuple[int, int, str]]:
+def detect_ranges_numpy(det, text: str,
+                        hint_langs=None) -> list[tuple[int, int, str]]:
     """detect_ranges by the numpy chain, span by span: MANY spans
     through many_hits -> zeros-expected chunk scoring ->
-    sharpen_boundaries, other spans through _score_span."""
+    sharpen_boundaries, other spans through _score_span.
+    ``hint_langs`` (detect_batch's per-document hints) add their
+    priors to the chunk scores, as in detect_batch(with_ranges=True)."""
     if us.codepoints(text).size == 0:
         return []
+    hl = det._norm_hints(hint_langs)
 
     raw: list = []   # per-span (start_char, end_char, lid) triples
     for sp in spans.script_spans(text):
@@ -176,6 +252,7 @@ def detect_ranges_numpy(det, text: str) -> list[tuple[int, int, str]]:
                 raw.append(_one_range(sp.offset, sp.end_offset,
                                       langs.UNKNOWN))
                 continue
+            lat = sp.script == us.LATIN
             l3, q3 = unpack_langprobs(vals)
             # delta-reliability only for the per-chunk "un" gate:
             # the expected-rate check (exact 1.5x/4.0x ramp) is a
@@ -188,27 +265,31 @@ def detect_ranges_numpy(det, text: str) -> list[tuple[int, int, str]]:
                 l3, q3, offs, len(sb), score.CHUNKSIZE_QUADS,
                 np.zeros_like(det.model.expected_quad),
                 distinct_mask=rdist,
-                script4=int(us.LSCRIPT4[sp.script]))
+                script4=int(us.LSCRIPT4[sp.script]),
+                hints=hl[0 if lat else 1] if hl else None)
             bidx = sharpen_boundaries(
                 lang1, l3, q3, score.CHUNKSIZE_QUADS, len(offs))
-            raw.append(det._many_span_ranges(
+            raw.append(_many_span_ranges(
                 sp.offset, sp.end_offset, sp.text_utf8, sp.letter_pos,
                 lang1, rel, offs[bidx]))
         else:
             tote = DocTote()
-            _score_span(det, sp, tote)
+            _score_span(det, sp, tote, hl[1] if hl else None)
             raw.append(_one_range(sp.offset, sp.end_offset,
                                   _tote_range_lang(tote)))
-    return det._merge_ranges(text, raw)
+    return _merge_ranges(text, raw)
 
 
 def _score_one_span(l3, q3, offsets, span_len: int, chunk_size: int,
-                    expected_1kb, distinct_mask=None, script4: int = 3):
+                    expected_1kb, distinct_mask=None, script4: int = 3,
+                    hints=None):
     """score.score_chunks_multi on one span: per-chunk (lang1, cbytes,
-    s1, rel) — the numpy oracles' chunk scorer."""
+    s1, rel) — the numpy oracles' chunk scorer; ``hints`` is the span's
+    packed hint payload."""
     return score.score_chunks_multi(
         l3, q3, offsets, np.zeros(len(offsets), dtype=np.int64),
         np.zeros(1, dtype=np.int64), np.array([span_len], dtype=np.int64),
         np.array([chunk_size], dtype=np.int64), expected_1kb,
+        hint_payload_per_span=[hints] if hints else None,
         distinct_mask=distinct_mask,
         script4_of_span=np.array([script4], dtype=np.int64))[:4]

@@ -141,7 +141,7 @@ def script_spans_numpy(text: str,
             out_cp[pos_in_out] = piece_cp
             s_text = out_cp.tobytes().decode("utf-32-le")
             out.append(ScriptSpan(
-                text=s_text,
+                text_utf8=s_text.encode("utf-8"),
                 script=int(script),
                 offset=int(letter_idx[s + b0]),
                 text_bytes=int(seg_bytes[b0:b1].sum() + n_sp + 2),

@@ -4,6 +4,7 @@ per-document chain must never crash and must be deterministic."""
 from hypothesis import given, settings, strategies as st
 
 from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
+from cld2_ray.functions.langid import default_detector
 from cld2_ray.functions.spans import script_spans
 
 
@@ -20,8 +21,7 @@ def test_extract_never_crashes(data):
 @settings(max_examples=100, deadline=None)
 @given(st.text(max_size=1000))
 def test_detect_never_crashes(text):
-    from cld2_ray.functions.langid import Detector
-    det = _detector()
+    det = default_detector()
     r = det.detect(text)
     assert 0 <= r.percent3[0] <= 100
     r2 = det.detect(text)
@@ -35,14 +35,3 @@ def test_spans_roundtrip(text):
     for sp in script_spans(text):
         assert sp.text.startswith(" ") and sp.text.endswith(" ")
         assert sp.text_bytes > 0
-
-
-_DET = None
-
-
-def _detector():
-    global _DET
-    if _DET is None:
-        from cld2_ray.functions.langid import Detector
-        _DET = Detector()
-    return _DET

@@ -259,7 +259,8 @@ class TestDeclaredAndFallback:
         3-byte chars win the byte count: the calculus picks the CJK
         language, but the declaration moves the summary back to the
         declared language when it carries a boilerplate-grade share
-        (score.calc_summary_lang declared preference; reliability and
+        (the declared preference of tests/oracles/docstage.py
+        _calc_summary_lang and quadscan.c doc_stage; reliability and
         keep/drop untouched)."""
         en = (HELDOUT["en"] + " ") * 4
         ja = (HELDOUT["ja"] + " ") * 8

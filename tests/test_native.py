@@ -34,8 +34,9 @@ def _check(model, span_texts, latin=None):
         latin = np.ones(len(bufs), dtype=bool)
     latin = np.asarray(latin, dtype=bool)
     a = _numpy_path(model, cat, bounds, latin)
-    b = native.quad_octa_scan(cat, bounds, model.quad, model.socta,
-                              model.docta, model.xocta, latin)
+    b = native.quad_octa_scan(cat, bounds - [len(b) for b in bufs], bounds,
+                              model.quad, model.socta, model.docta,
+                              model.xocta, latin)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -51,6 +52,30 @@ class TestQuadOctaScan:
             if sl:
                 _check(model, [t for t, _ in sl],
                        [la for _, la in sl])
+
+    def test_spans_in_place(self):
+        """Spans are read in place by start/end: spans with gaps between
+        them give the packed spans' hits at offsets shifted by each
+        span's displacement; a span with end < start is refused."""
+        model = default_model()
+        texts = [b" hello world ", b" bonjour le monde ", b" hallo welt "]
+        lens = np.array([len(t) for t in texts])
+        cat = b"##" + b"##".join(texts) + b"##"
+        starts = np.array([cat.index(t) for t in texts])
+        args = (model.quad, model.socta, model.docta, model.xocta,
+                np.ones(3, dtype=bool))
+        got = native.quad_octa_scan(cat, starts, starts + lens, *args)
+        p_ends = np.cumsum(lens)
+        want = native.quad_octa_scan(b"".join(texts), p_ends - lens, p_ends,
+                                     *args)
+        shift = starts - (p_ends - lens)
+        for k in (1, 3):
+            span = np.searchsorted(p_ends, want[k], side="right")
+            assert np.array_equal(got[k], want[k] + shift[span])
+        for k in (0, 2, 4):
+            assert np.array_equal(got[k], want[k])
+        with pytest.raises(ValueError):
+            native.quad_octa_scan(cat, starts + lens, starts, *args)
 
     def test_edge_cases(self):
         model = default_model()
@@ -118,8 +143,7 @@ class TestFastlangidScore:
         texts = ["hello world this is english prose",
                  "él no dijo nada más", "a", "ü" * 50,
                  *SEEDS.values(), *HELDOUT.values()]
-        w = fastlangid.weights()
-        idx = fastlangid.weights.bucket_index
+        w, idx, _ = fastlangid.weights()
         feats, doc_of = fastlangid_oracle.features_batch(texts)
         nf_np = np.bincount(doc_of, minlength=len(texts))
         # no script routes a doc past the scorer here: every doc is
@@ -153,8 +177,9 @@ class TestFastlangidScore:
         docs = ["", " \t\u3000\x85\u2029", "ελληνικά", "ไทย", "한국어",
                 "αβ вг", "вг αβγ", "ab вг", "123 !", "\U0001F600", "x"]
         route, scores, nf, n_rows = native.fastlangid_score(
-            *native.utf8_cat(docs), fastlangid.weights.bucket_index,
-            fastlangid.weights(), us.script_lut(), fastlangid._ONE_SCRIPT)
+            *native.utf8_cat(docs), fastlangid.weights().bucket_index,
+            fastlangid.weights().table, us.script_lut(),
+            fastlangid._ONE_SCRIPT)
         assert us.LATIN < us.CYRILLIC < us.GREEK
         assert route.tolist() == [-1, -1, us.GREEK, us.THAI, 0, 0, us.GREEK,
                                   0, 0, 0, 0]
@@ -169,7 +194,8 @@ class TestFastlangidScore:
         slot short raises ValueError instead of being written past."""
         from cld2_ray.functions import fastlangid
         args = (*native.utf8_cat(["ab", "abcd"]),
-                fastlangid.weights.bucket_index, fastlangid.weights(),
+                fastlangid.weights().bucket_index,
+                fastlangid.weights().table,
                 us.script_lut(), fastlangid._ONE_SCRIPT)
         native.fastlangid_score(*args)
         real_empty, real_zeros = np.empty, np.zeros
@@ -377,9 +403,8 @@ for wr in (False, True):
          m.socta, m.docta, m.xocta, np.ones(len(lat), dtype=bool),
          score.CHUNKSIZE_QUADS, m.expected_quad, langs.CLOSE_SET,
          *no_hints, us.LSCRIPT4[t.script[lat]], with_ranges=wr)
-same("quad_octa_scan", t.buf[t.start[lat[0]]:t.end[lat[-1]]].tobytes(),
-     t.end[lat] - t.start[lat[0]], m.quad, m.socta, m.docta, m.xocta,
-     np.ones(len(lat), dtype=bool))
+same("quad_octa_scan", t.buf, t.start[lat], t.end[lat], m.quad, m.socta,
+     m.docta, m.xocta, np.ones(len(lat), dtype=bool))
 same("cjk_chunk_score", t.buf, t.start[han], t.end[han],
      t.text_bytes[han], m.uni, m.cjkbi, score.CHUNKSIZE_UNIS,
      m.expected_uni, langs.CLOSE_SET, np.zeros(len(han) + 1, np.int64),
@@ -434,7 +459,7 @@ fl_docs = [d.decode().lower().encode() for d in docs] + [
     " ".join(hz).encode()] + [d.encode() for d in capped] + [
     b"x" * 508 + b"\xf0\x9f\x98", b"x" * 509 + b"\xf0\x9f\x98"]
 w = fastlangid.weights()
-fl = (fastlangid.weights.bucket_index, w, us.script_lut(),
+fl = (w.bucket_index, w.table, us.script_lut(),
       fastlangid._ONE_SCRIPT)
 route = same("fastlangid_score", *cat_of(fl_docs), *fl)[0]
 assert set(route.tolist()) == {-1, 0, us.GREEK, us.THAI}
@@ -1255,12 +1280,26 @@ class TestHashKernels:
         import hashlib
         flat = [w for d in docs for w in d]
         data, offs = native.utf8_cat(flat)
-        bounds = np.cumsum([len(d) for d in docs]).astype(np.int64)
+        doc_offsets = np.cumsum([0] + [len(d) for d in docs])
         got = [bytes(r) for r in
-               native.md5_windows(data, offs, bounds, window)]
+               native.md5_windows(data, offs, doc_offsets, window)]
         exp = [hashlib.md5(" ".join(d[i:i + window]).encode()).digest()
                for d in docs for i in range(len(d) - window + 1)]
         assert got == exp
+
+    def test_md5_windows_checks_offsets_and_malloc(self, monkeypatch):
+        """Token and doc offsets are checked like every Arrow-layout
+        binding; a kernel that cannot allocate raises MemoryError."""
+        data, offs = native.utf8_cat(["ab", "cd", "ef"])
+        for bad in ([0, 2, 1, 3], [0, 4], [-1, 3], []):
+            with pytest.raises(ValueError):
+                native.md5_windows(data, offs, bad, 2)
+        with pytest.raises(ValueError):
+            native.md5_windows(data, offs[::-1], [0, 3], 2)
+        assert len(native.md5_windows(data, offs, [0, 3], 2)) == 2
+        monkeypatch.setattr(native, "_MDW", lambda *a: -1)
+        with pytest.raises(MemoryError):
+            native.md5_windows(data, offs, [0, 3], 2)
 
     def test_utf8_cat_arrow_zero_copy_and_sliced(self):
         import pyarrow as pa

@@ -29,6 +29,8 @@ MOVED_OR_DELETED = {
     "refine_close_pairs", "remove_unreliable", "extract_lang_etc",
     "calc_summary_lang", "add_chunks", "remove_repeated_words_batch",
     "_spans_of_meta", "_hint_csr",
+    "_one_range", "_many_span_ranges", "_merge_ranges", "_many_ranges",
+    "_compose_chunks", "text_to_raw_ranges",
 }
 
 

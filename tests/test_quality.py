@@ -103,20 +103,19 @@ class TestFastLangid:
         renumbering of the rows (hot_first) leaves the digest as it is;
         a changed value, bucket or column fails it. A retrain
         (save_artifact) must update it."""
-        w = fastlangid.weights()
-        idx = fastlangid.weights.bucket_index
+        w, idx, col_langs = fastlangid.weights()
         b = np.flatnonzero(idx)
         h = hashlib.sha256(np.ascontiguousarray(w[idx[b]]).tobytes())
         h.update(b.astype("<i8").tobytes())
-        h.update(fastlangid.weights.col_langs.astype("<i4").tobytes())
+        h.update(col_langs.astype("<i4").tobytes())
         assert h.hexdigest() == self.WEIGHTS_SHA256
 
     def test_artifact_rows_hot_first(self):
         """The committed rows are numbered as reorder_artifact leaves
         them: hot_first on the committed arrays changes nothing. From
         any other numbering it keeps every bucket's row and row 0."""
-        w = np.asarray(fastlangid.weights())
-        idx = np.asarray(fastlangid.weights.bucket_index)
+        w = np.asarray(fastlangid.weights().table)
+        idx = np.asarray(fastlangid.weights().bucket_index)
         sample = fastlangid._hot_sample()
         t2, idx2 = fastlangid.hot_first(w, idx, sample)
         assert np.array_equal(idx2, idx) and np.array_equal(t2, w)
@@ -128,6 +127,46 @@ class TestFastLangid:
         b = np.flatnonzero(idx)
         assert np.array_equal(t3[idx3[b]], w[idx[b]])
         assert np.array_equal(np.flatnonzero(idx3), b) and not t3[0].any()
+
+
+class TestModelArtifacts:
+    """Each model is one object loaded from its committed artifact:
+    nothing depends on call order, and a missing artifact is an error,
+    not a silent retrain into a different model."""
+
+    def test_index_read_first_in_fresh_process(self):
+        import pathlib
+        import subprocess
+        import sys
+        root = pathlib.Path(__file__).resolve().parent.parent
+        code = ("from cld2_ray.functions import fastlangid as f\n"
+                "idx = f.weights().bucket_index\n"
+                "w = f.weights()\n"
+                "assert idx is w.bucket_index\n"
+                "assert w.table.shape == (idx.max() + 1, len(w.col_langs))\n"
+                "print(f.classify('the quick brown fox jumps over the lazy "
+                "dog')[0])\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["en"]
+
+    @pytest.mark.parametrize("mod, load", [(fastlangid, "weights"),
+                                           (perplexity, "models")])
+    def test_missing_artifact_raises(self, mod, load, monkeypatch,
+                                     tmp_path):
+        missing = str(tmp_path / "absent.npz")
+        loader = getattr(mod, load)
+        loader.cache_clear()
+        monkeypatch.setattr(mod, "ARTIFACT", missing)
+        try:
+            with pytest.raises(FileNotFoundError) as e:
+                loader()
+            assert e.value.filename == missing and missing in str(e.value)
+        finally:
+            loader.cache_clear()
+            monkeypatch.undo()
+        assert loader() is loader()
 
 
 class TestPerplexity:

@@ -4,8 +4,9 @@ texts as ``args[1]``, ``Detector._fill_totes`` whose first argument's
 ``len()`` counts the documents it scores, ``Detector._finalize``,
 ``spans.script_spans_batch``, ``native.quad_octa_chunk_score`` /
 ``cjk_chunk_score`` and ``score.score_chunks_multi``. This runs the
-tracer over one ``fused_batch`` call in a fresh process, so a renamed
-or reshaped patch point fails here instead of in a traced benchmark."""
+tracer over one ``fused_batch`` call without and one with the chunks
+column in a fresh process, so a renamed or reshaped patch point fails
+here instead of in a traced benchmark."""
 
 import json
 import os
@@ -32,14 +33,14 @@ page = ("<html><body><p>" + retry_text + "</p></body></html>").encode()
 row = t.slice(0, 1).to_pylist()[0] | {"url": "https://retry.example.com/",
                                      "html": page}
 t = pa.concat_tables([t, pa.Table.from_pylist([row], schema=t.schema)])
-out = core.fused_batch(t)
-spans = []
+rows = [core.fused_batch(t).num_rows,
+        core.fused_batch(t, with_chunks=True).num_rows]
+batches = []
 for path in glob.glob(os.path.join(os.environ[tracing.TRACE_DIR_ENV],
                                    "spans-*.jsonl")):
     with open(path) as f:
-        for line in f:
-            spans += json.loads(line)
-print(json.dumps({"rows": out.num_rows, "spans": spans}))
+        batches += [json.loads(line) for line in f]
+print(json.dumps({"rows": rows, "batches": batches}))
 """
 
 
@@ -53,19 +54,22 @@ def test_tracer_patch_points(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     res = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert res["rows"] == 7
-    names = [s[0] for s in res["spans"]]
-    for name in ("stages", "langid", "langid.spans", "langid.hits",
-                 "langid.score"):
-        assert name in names, (name, sorted(set(names)))
-    (langid,) = [s for s in res["spans"] if s[0] == "langid"]
-    counters = langid[5]
-    assert counters["docs"] == 7 and counters["text"] > 0
-    # first _fill_totes call: every document; later: the retry docs
-    scored = counters["scored"]
-    assert scored[0] == 7 and len(scored) >= 2 and sum(scored[1:]) >= 1
-    # the langid children are recorded under the langid span
-    idx = names.index("langid")
-    for s in res["spans"]:
-        if s[0].startswith("langid."):
-            assert s[3] == idx
+    assert res["rows"] == [7, 7]
+    # one flushed span list per fused_batch call: plain, then chunks
+    assert len(res["batches"]) == 2
+    for spans in res["batches"]:
+        names = [s[0] for s in spans]
+        for name in ("stages", "langid", "langid.spans", "langid.hits",
+                     "langid.score"):
+            assert name in names, (name, sorted(set(names)))
+        (langid,) = [s for s in spans if s[0] == "langid"]
+        counters = langid[5]
+        assert counters["docs"] == 7 and counters["text"] > 0
+        # first _fill_totes call: every document; later: the retry docs
+        scored = counters["scored"]
+        assert scored[0] == 7 and len(scored) >= 2 and sum(scored[1:]) >= 1
+        # the langid children are recorded under the langid span
+        idx = names.index("langid")
+        for s in spans:
+            if s[0].startswith("langid."):
+                assert s[3] == idx

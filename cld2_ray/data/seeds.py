@@ -764,7 +764,7 @@ for _src, _key, _fn in _VARIANTS:
 
 # (lang, variant script) pairs whose text is the web-MINORITY usage of
 # that script. Training multiplies these spans' gram weights by the
-# per-script values below (state/model._build_seed_tables) so the
+# per-script values below (tools/langmodel._build_seed_tables) so the
 # flood of variant-script grams cannot push the script's MAJORITY
 # languages (ru, uk, bg / ar, fa, ur / hi, ...) out of shared-gram
 # langprob slots — the analogue of corpus-frequency priors in the

@@ -1,7 +1,7 @@
 # -*- coding: utf-8 -*-
 """Round-3 seed corpora: languages added when the reference's
 delta-octa / distinct-octa tables were parsed into the model
-(state/refparse.py). The word tables carry only ~65k distinctive
+(tools/refparse.py). The word tables carry only ~65k distinctive
 wordforms, so each language still needs seed quadgrams to detect —
 same authored-prose approach as data/seeds.py (everyday topics,
 function words and orthography emphasized; all text written for this

@@ -46,7 +46,7 @@ _LANG_DEFS: list[tuple[str, int]] = [
     # CJK (unigram scoring)
     ("zh", 1), ("zh-Hant", 1), ("ja", 1), ("ko", 1),
     # languages scored by the reference's parsed delta-octa /
-    # distinct-octa / CJK tables (state/refparse.py referenced_codes();
+    # distinct-octa / CJK tables (tools/refparse.py referenced_codes();
     # codes normalized per CODE_ALIAS, fake zz*/xx*/ut entries dropped)
     ("aa", 3), ("ab", 3), ("ak", 3), ("as", 3), ("ay", 3),
     ("az", 3), ("ba", 3), ("bh", 3), ("bi", 3), ("br", 3),
@@ -133,7 +133,7 @@ def language_close_set(lid: int) -> int:
 # Statistically closest fallback language for unreliable-language
 # merging — the reference's kClosestAltLanguage entries at
 # kMinCorrPercent or above, parsed from
-# compact_lang_det_impl.cc:259-427 (state/refparse.closest_alt_by_code,
+# compact_lang_det_impl.cc:259-427 (tools/refparse.closest_alt_by_code,
 # frozen here so the registry imports without the reference tree).
 # A few engine extras kept for sources the reference leaves at
 # UNKNOWN but this engine observed useful merges for (be, bs, ca, ne,

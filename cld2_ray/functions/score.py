@@ -55,7 +55,7 @@ def reliability_expected_exact(actual_1kb: np.ndarray,
     """The reference's EXACT ReliabilityExpected (cldutil.cc:586-605):
     symmetric ratio; <= 1.5 -> 100%, > 4.0 -> 0%, linear between
     (int truncation as in the C code). Production uses this formula:
-    the per-cell calibration of the expected table (data/calib.py)
+    the per-cell calibration of the expected table (tools/calib.py)
     is what lets the exact 1.5..4.0 cutoffs hold."""
     a = actual_1kb.astype(np.int64)
     e = expected_1kb.astype(np.int64)

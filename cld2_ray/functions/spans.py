@@ -20,7 +20,7 @@ One C call segments a whole batch (native.script_spans_scan_multi)
 into a ``SpanTable``: the spans' framed texts back to back in one
 buffer plus numpy columns per span, which the langid kernels read in
 place. ``script_spans`` is that call on one document, handed out as
-``ScriptSpan`` objects for the per-document callers (state/model.py,
+``ScriptSpan`` objects for the per-document callers (tools/langmodel.py,
 the tests). tests/oracles/spans.py is the numpy segmenter the tests
 hold it to.
 """

@@ -5,15 +5,17 @@ Mirrors the reference's per-character "Unicode Letters script" property
 GetUTF8LetterScriptNum, getonescriptspan.cc:1083-1088) with all CJK
 scripts merged into one HANI bucket (reference: lang_script.h:44-52).
 
-We build a flat ``uint8`` lookup table over codepoints 0..0x2FFFF once
-per process (letters and combining marks get their script id, everything
-else 0) and classify whole documents as numpy int32 codepoint arrays —
-the vectorized equivalent of the reference's byte-at-a-time UTF-8 state
-machine.
+We load a flat ``uint8`` lookup table over codepoints 0..0x2FFFF once
+per process from the committed ``unicode_luts.npz`` (letters and
+combining marks get their script id, everything else 0) and classify
+whole documents as numpy int32 codepoint arrays — the vectorized
+equivalent of the reference's byte-at-a-time UTF-8 state machine.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import unicodedata
 from functools import lru_cache
 
@@ -74,71 +76,6 @@ SCRIPT_NAMES = [
     "Hani", "Syrc", "Thaa", "Cher", "Cans", "Mong", "Tglg", "Limb",
 ]
 
-# Public Unicode block ranges (inclusive) per script. Letters/marks only
-# are kept when the LUT is built (gated on unicodedata category L*/M*,
-# the same letters+marks set the reference's property table encodes).
-_RANGES: list[tuple[int, int, int]] = [
-    (0x0041, 0x024F, LATIN),
-    (0x1E00, 0x1EFF, LATIN),
-    (0x2C60, 0x2C7F, LATIN),
-    (0xA720, 0xA7FF, LATIN),
-    (0x0370, 0x03FF, GREEK),
-    (0x1F00, 0x1FFF, GREEK),
-    (0x0400, 0x052F, CYRILLIC),
-    (0x2DE0, 0x2DFF, CYRILLIC),
-    (0xA640, 0xA69F, CYRILLIC),
-    (0x0530, 0x058F, ARMENIAN),
-    (0x0590, 0x05FF, HEBREW),
-    (0x0600, 0x06FF, ARABIC),
-    (0x0750, 0x077F, ARABIC),
-    (0x08A0, 0x08FF, ARABIC),
-    (0xFB50, 0xFDFF, ARABIC),
-    (0xFE70, 0xFEFF, ARABIC),
-    (0x0900, 0x097F, DEVANAGARI),
-    (0xA8E0, 0xA8FF, DEVANAGARI),
-    (0x0980, 0x09FF, BENGALI),
-    (0x0A00, 0x0A7F, GURMUKHI),
-    (0x0A80, 0x0AFF, GUJARATI),
-    (0x0B00, 0x0B7F, ORIYA),
-    (0x0B80, 0x0BFF, TAMIL),
-    (0x0C00, 0x0C7F, TELUGU),
-    (0x0C80, 0x0CFF, KANNADA),
-    (0x0D00, 0x0D7F, MALAYALAM),
-    (0x0D80, 0x0DFF, SINHALA),
-    (0x0E00, 0x0E7F, THAI),
-    (0x0E80, 0x0EFF, LAO),
-    (0x0F00, 0x0FFF, TIBETAN),
-    (0x1000, 0x109F, MYANMAR),
-    (0x10A0, 0x10FF, GEORGIAN),
-    (0x2D00, 0x2D2F, GEORGIAN),
-    (0x1200, 0x139F, ETHIOPIC),
-    (0x1780, 0x17FF, KHMER),
-    # CJK merged bucket
-    (0x1100, 0x11FF, HANI),   # Hangul Jamo
-    (0x2E80, 0x2EFF, HANI),   # CJK radicals
-    (0x3005, 0x3007, HANI),   # iteration mark, ideographic zero
-    (0x3040, 0x309F, HANI),   # Hiragana
-    (0x30A0, 0x30FF, HANI),   # Katakana
-    (0x3100, 0x312F, HANI),   # Bopomofo
-    (0x31A0, 0x31BF, HANI),
-    (0x31F0, 0x31FF, HANI),   # Katakana phonetic ext
-    (0x3400, 0x4DBF, HANI),   # CJK ext A
-    (0x4E00, 0x9FFF, HANI),   # CJK unified
-    (0xA960, 0xA97F, HANI),   # Hangul Jamo ext
-    (0xAC00, 0xD7FF, HANI),   # Hangul syllables + Jamo ext B
-    (0xF900, 0xFAFF, HANI),   # CJK compat ideographs
-    (0x20000, 0x2FFFF, HANI),  # CJK ext B..F + compat supplement
-    (0x0700, 0x074F, SYRIAC),
-    (0x0780, 0x07BF, THAANA),
-    (0x13A0, 0x13FF, CHEROKEE),
-    (0xAB70, 0xABBF, CHEROKEE),   # Cherokee Supplement (lowercase)
-    (0x1400, 0x167F, CANS),
-    (0x18B0, 0x18FF, CANS),       # UCAS Extended
-    (0x1800, 0x18AF, MONGOLIAN),
-    (0x1700, 0x171F, TAGALOG),
-    (0x1900, 0x194F, LIMBU),
-]
-
 LUT_SIZE = 0x30000
 
 # Recognition type per script (reference: generated_ulscript.h:26 ULScriptRType)
@@ -181,22 +118,18 @@ _ULSCRIPT_TO_ID = {
     41: TAGALOG, 45: LIMBU,
 }
 
-_ULUTS_PATH = __import__("os").path.join(
-    __import__("os").path.dirname(__file__), "..", "state", "artifacts",
-    "unicode_luts.npz")
+ARTIFACT = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "state", "artifacts", "unicode_luts.npz")
 
 
 @lru_cache(maxsize=1)
 def _ref_luts():
     """(ulscript uint8[0x30000], lower uint32[0x30000]) parsed from the
-    reference's utf8statetable headers (state/refparse.py:
+    reference's utf8statetable headers (tools/refparse.py:
     ulscript_prop_lut / lettermark_lower_lut), verified against the
-    artifact's sha256 manifest; None when the artifact is absent."""
-    import hashlib
-    import os
-    if not os.path.exists(_ULUTS_PATH):
-        return None
-    z = np.load(_ULUTS_PATH)
+    artifact's sha256 manifest. Raises FileNotFoundError if the
+    artifact is missing: there is no second source of these tables."""
+    z = np.load(ARTIFACT)
     want = dict(e.split(":") for e in z["manifest"])
     out = {}
     for name in ("ulscript", "lower"):
@@ -204,7 +137,7 @@ def _ref_luts():
         if hashlib.sha256(arr.tobytes()).hexdigest() != want[name]:
             raise ValueError(
                 f"unicode_luts artifact corrupted: {name} checksum "
-                "mismatch — rebuild with python -m cld2_ray.state.refparse")
+                "mismatch — rebuild with python -m tools.refparse")
         out[name] = arr
     return out["ulscript"], out["lower"]
 
@@ -213,50 +146,27 @@ def _ref_luts():
 def script_lut() -> np.ndarray:
     """uint8[0x30000]: codepoint -> script id (0 for non-letter).
 
-    Primary source: the reference's own letter/mark/script property
-    state machine (internal/utf8prop_lettermarkscriptnum.h via
+    The reference's own letter/mark/script property state machine
+    (internal/utf8prop_lettermarkscriptnum.h via
     GetUTF8LetterScriptNum, getonescriptspan.cc:1083-1088), parsed into
-    the unicode_luts artifact and remapped to this engine's script ids.
-    Fallback (artifact absent): unicodedata-derived block ranges."""
-    ref = _ref_luts()
-    if ref is not None:
-        remap = np.zeros(256, dtype=np.uint8)
-        for uls, sid in _ULSCRIPT_TO_ID.items():
-            remap[uls] = sid
-        return remap[ref[0]]
-    lut = np.zeros(LUT_SIZE, dtype=np.uint8)
-    for lo, hi, sid in _RANGES:
-        hi = min(hi, LUT_SIZE - 1)
-        for cp in range(lo, hi + 1):
-            cat = unicodedata.category(chr(cp))
-            if cat[0] in ("L", "M"):
-                lut[cp] = sid
-    return lut
+    the unicode_luts artifact and remapped to this engine's script ids."""
+    remap = np.zeros(256, dtype=np.uint8)
+    for uls, sid in _ULSCRIPT_TO_ID.items():
+        remap[uls] = sid
+    return remap[_ref_luts()[0]]
 
 
 @lru_cache(maxsize=1)
 def lower_lut() -> np.ndarray:
     """uint32[0x30000]: the pinned 1:1 lowercase remap.
 
-    Primary source: the reference's utf8repl_lettermarklower.h replace
-    table (applied by ScriptScanner::LowerScriptSpan,
-    getonescriptspan.cc:1033-1053), parsed per codepoint into the
-    unicode_luts artifact — every replacement in that table is exactly
-    one codepoint (asserted at build), including İ->i and Georgian
-    Asomtavruli->Mkhedruli, so offsets stay 1:1. Fallback (artifact
-    absent): unicodedata simple lowering over cased scripts."""
-    ref = _ref_luts()
-    if ref is not None:
-        return _fold_arabic_presentation(ref[1].astype(np.uint32))
-    lut = np.arange(LUT_SIZE, dtype=np.uint32)
-    cased = {LATIN, CYRILLIC, GREEK, ARMENIAN}
-    script = script_lut()
-    for cp in range(LUT_SIZE):
-        if script[cp] in cased:
-            low = chr(cp).lower()
-            if len(low) == 1 and ord(low) != cp:
-                lut[cp] = ord(low)
-    return _fold_arabic_presentation(lut)
+    The reference's utf8repl_lettermarklower.h replace table (applied
+    by ScriptScanner::LowerScriptSpan, getonescriptspan.cc:1033-1053),
+    parsed per codepoint into the unicode_luts artifact — every
+    replacement in that table is exactly one codepoint (asserted at
+    build), including İ->i and Georgian Asomtavruli->Mkhedruli, so
+    offsets stay 1:1."""
+    return _fold_arabic_presentation(_ref_luts()[1].astype(np.uint32))
 
 
 def _fold_arabic_presentation(lut: np.ndarray) -> np.ndarray:

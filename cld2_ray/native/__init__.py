@@ -244,7 +244,7 @@ def quad_octa_scan(cat, starts: np.ndarray, ends: np.ndarray, quad_table,
     GetOctaHits word/pair walk with bucket probes. Returns (qvals,
     qoffs, ovals, ooffs, odist) — table HITS only, at offsets into
     cat, in span order, bit-equal to the numpy oracles
-    hits.quad_hits_dense + tests/oracles/model.py lookup_numpy and
+    tools/hits.py quad_hits_dense + tests/oracles/model.py lookup_numpy and
     tests/oracles/langid.py octa_stream."""
     buf, starts, ends = _spans(cat, starts, ends)
     lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)

@@ -172,7 +172,7 @@ static inline uint64_t table_lookup(const uint64_t *keys, const uint64_t *vals,
  * internal/cldutil_shared.h:383-455 OctaFPJustHash/QuadFPJustHash +
  * {Octa,Quad}HashV3Lookup4). The matched entry's low bits (below
  * keymask) index a pre-decoded packed-langprob array built at
- * artifact time (state/model.py _build_ref_tables); 0 = miss. */
+ * artifact time (tools/langmodel.py ref_tables); 0 = miss. */
 static inline uint64_t bucket_lookup40(const uint32_t *buckets,
                                        uint64_t nbuckets_mask,
                                        uint32_t keymask,
@@ -602,7 +602,7 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
     if (len <= 0) return;
 
     /* Spans are " w1 w2 " framed: byte 0 is a space, last char is a
-     * space.  Mirror of hits.py: a char starts where
+     * space.  Mirror of tools/hits.py: a char starts where
      * (b & 0xC0) != 0x80; is_space = first byte == 0x20. */
 
     /* Pass A: the GetOctaHits walk (reference cldutil.cc:416-533,
@@ -1365,7 +1365,7 @@ int64_t quad_octa_chunk_score(
 }
 
 /* CJK fused scan + chunk scoring — the cjk_candidates -> uni/bi table
- * lookup -> score_chunks_multi chain (hits.py cjk_candidates,
+ * lookup -> score_chunks_multi chain (tools/hits.py cjk_candidates,
  * langid.py:_fill_totes cjk branch) in one C pass per span.
  *
  * cat: utf-8 buffer holding the CJK span texts, span i at

@@ -1,5 +1,5 @@
 """Learn the per-(language, script-slot) expected-score calibration
-scales in cld2_ray/data/calib.py.
+scales in tools/calib.py.
 
 Why: the expected table is measured split-half on seed corpora
 (heldout-sentence per-KB rates), but the exact ReliabilityExpected
@@ -14,7 +14,7 @@ reference's own unittest strings (internal/unittest_data.h — short
 real-text samples, the third text population the ramp must hold for);
 compose per-cell argmax; then coordinate descent on residual losers
 (also trying the DETECTED close-set language's cell, e.g. rn scores
-via rw's cell). Writes data/calib.py and prints before/after.
+via rw's cell). Writes tools/calib.py and prints before/after.
 
 Usage: python scripts/calibrate_expected.py [--dry-run]
 Deterministic; rerun after changing seed corpora or scoring.
@@ -36,14 +36,14 @@ from cld2_ray.functions.langid import Detector  # noqa: E402
 from cld2_ray.data.seeds import HELDOUT  # noqa: E402
 from cld2_ray.sources.pages import make_page  # noqa: E402
 from cld2_ray.state import model as M  # noqa: E402
+from tools import calib, langmodel as build  # noqa: E402
 
 GRID = [0.5, 0.625, 0.75, 0.875, 1.0, 1.125, 1.25, 1.375, 1.5, 1.625, 1.75, 2.0, 2.25]
 N_PAGES = 3000
 CAL_SEED = 43
 CONF_WEIGHT = 3
 
-CALIB_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "cld2_ray", "data", "calib.py")
+CALIB_PATH = calib.__file__
 
 
 def dominant_cell(code: str, text: str):
@@ -94,11 +94,11 @@ def main() -> None:
 
     print("training base model (CALIB_K ignored — raw split-half "
           "expected)...", flush=True)
-    import cld2_ray.data.calib as calib_mod
-    saved_calib = dict(calib_mod.CALIB_K)
-    calib_mod.CALIB_K.clear()
-    base = M.train()
-    calib_mod.CALIB_K.update(saved_calib)
+    saved_calib = dict(calib.CALIB_K)
+    calib.CALIB_K.clear()
+    ref = M.default_model()
+    base = build.train((ref.docta, ref.xocta, ref.uni, ref.cjkbi))
+    calib.CALIB_K.update(saved_calib)
 
     print("pre-extracting calibration pages...", flush=True)
     pages: dict[str, list[str]] = defaultdict(list)
@@ -300,7 +300,7 @@ def main() -> None:
             f.write(f"    {cell!r}: {k},\n")
         f.write("}\n")
     print(f"wrote {len(nontrivial)} non-identity cells to {CALIB_PATH}")
-    print("now rebuild the artifact (python -m cld2_ray.state.model), "
+    print("now rebuild the artifact (python -m tools.langmodel), "
           "then re-stamp the drift guard: "
           "python scripts/calibrate_expected.py --stamp")
 
@@ -313,7 +313,6 @@ def stamp() -> None:
     silently invalidates CALIB_K."""
     import re
 
-    from cld2_ray.data import calib
     fp = calib.current_fingerprint()
     src = open(CALIB_PATH).read()
     src = re.sub(r'CALIB_FINGERPRINT = "[0-9a-f]*"',

@@ -1,5 +1,5 @@
 """Regenerate cld2_ray/data/hintdata.py from the reference's hint
-tables (state/refparse.hint_tables + latn_othr_codes). Run offline:
+tables (tools/refparse.hint_tables + latn_othr_codes). Run offline:
     python scripts/gen_hintdata.py
 """
 import os
@@ -7,7 +7,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from cld2_ray.state import refparse as rp  # noqa: E402
+from tools import refparse as rp  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "cld2_ray", "data", "hintdata.py")

@@ -5,7 +5,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from cld2_ray.state.refparse import CODE_ALIAS, language_tables
+from tools.refparse import CODE_ALIAS, language_tables  # noqa: E402
 
 
 def main() -> None:

@@ -13,11 +13,11 @@ from cld2_ray.functions.fastlangid import _GOLD, _cap_text, weights
 
 
 def features_batch(texts: list[str]):
-    """fastlangid._features over a batch: one concatenated byte buffer,
-    windows crossing document boundaries masked out. Per-document
-    feature values AND order are identical to _features (2-grams, then
-    3-, then 4-grams, each by position). Returns (feat_bucket int64[],
-    doc_of int64[])."""
+    """tools/fastlangid_rows._features over a batch: one concatenated
+    byte buffer, windows crossing document boundaries masked out.
+    Per-document feature values AND order are identical to _features
+    (2-grams, then 3-, then 4-grams, each by position). Returns
+    (feat_bucket int64[], doc_of int64[])."""
     framed = [(" " + t.lower() + " ").encode("utf-8") for t in texts]
     lens = np.array([len(b) for b in framed], dtype=np.int64)
     bounds = np.cumsum(lens)

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from cld2_ray.functions import hits, langs, score, spans, uscript as us
-from cld2_ray.state.model import unpack_langprobs
+from cld2_ray.functions import langs, score, spans, uscript as us
 from tests.oracles.docstage import DocTote, _tote_range_lang
+from tools import hits
+from tools.langmodel import bucket_lookup, unpack_langprobs
 
 
 def octa_stream(det, cat: bytes, bounds: np.ndarray,
@@ -42,10 +43,10 @@ def octa_stream(det, cat: bytes, bounds: np.ndarray,
         cat, span_bounds=bounds)
     latw = latin_of_span[np.searchsorted(bounds, woff, side="right")]
     latp = latin_of_span[np.searchsorted(bounds, poff, side="right")]
-    xv = det.model.xocta.lookup(wh, latw)
-    dv = det.model.docta.lookup(wh, latw)
+    xv = bucket_lookup(det.model.xocta, wh, latw)
+    dv = bucket_lookup(det.model.docta, wh, latw)
     sv = det.model.socta.lookup(wh)
-    pv = det.model.xocta.lookup(ph, latp)
+    pv = bucket_lookup(det.model.xocta, ph, latp)
     vals = np.concatenate([xv, dv, sv, pv])
     offs = np.concatenate([woff, woff, woff, poff])
     rank = np.concatenate([
@@ -151,7 +152,7 @@ def _score_span(det, sp: spans.ScriptSpan, tote: DocTote,
     if rt == us.RTYPE_CJK:
         uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
         uvals = det.model.uni.lookup(uni)
-        bvals = det.model.cjkbi.lookup(bi, False)
+        bvals = bucket_lookup(det.model.cjkbi, bi, False)
         all_vals = np.concatenate([uvals[uvals != 0], bvals[bvals != 0]])
         all_pos = np.concatenate([upos[uvals != 0], bpos[bvals != 0]])
         order = np.argsort(all_pos, kind="stable")

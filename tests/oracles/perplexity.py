@@ -1,5 +1,10 @@
 """numpy perplexity scorer: the bit-equality oracle of
-``native.ppl_score`` (``perplexity.score_batch``)."""
+``native.ppl_score`` (``perplexity.score_batch``).
+
+Keys: each character (of the lowered text framed by one space on each
+side) hashes to one of ``_V`` = 4096 values; a trigram key is
+lang << 40 | (c1 * V + c2) * V + c3, and a bigram key is
+lang << 40 | 1 << 39 | c1 * V + c2."""
 
 from __future__ import annotations
 
@@ -8,9 +13,24 @@ import math
 import numpy as np
 
 from cld2_ray.functions import langs
-from cld2_ray.functions.perplexity import _chars, _keys_tri, models
+from cld2_ray.functions.perplexity import models
 
 from .model import lookup_numpy
+
+_V = 4096          # hashed character vocabulary
+
+
+def _chars(text: str) -> np.ndarray:
+    cps = np.frombuffer((" " + text.lower() + " ").encode("utf-32-le"),
+                        dtype="<u4").astype(np.int64)
+    return (cps * 2654435761) % _V
+
+
+def _keys_tri(lang_id: int, c: np.ndarray) -> np.ndarray:
+    b = c[:-2] * _V + c[1:-1]
+    t = b * _V + c[2:]
+    base = np.uint64(lang_id) << np.uint64(40)
+    return base | t.astype(np.uint64), base | b.astype(np.uint64)
 
 
 def score_batch_numpy(texts, lang_codes) -> tuple[list[float], list[bool]]:

@@ -357,11 +357,12 @@ class TestArtifactVerify:
         import numpy as np
         import pytest
         from cld2_ray.state import model as M
+        from tools import langmodel as build
 
         src = M.LangModel.load()
         p = str(tmp_path / "lm.npz")
-        src.save(p)
-        M.verify_artifact(p)                       # clean verify passes
+        build.save(src, p)
+        build.verify_artifact(p)                   # clean verify passes
         again = M.LangModel.load(p)                # clean load passes
         assert (again.quad.keys == src.quad.keys).all()
 
@@ -372,18 +373,18 @@ class TestArtifactVerify:
         arrays["quad_vals"][0] ^= np.uint64(1)
         np.savez_compressed(p, **arrays)
         with pytest.raises(ValueError, match="checksum|corrupt"):
-            M.verify_artifact(p)
+            build.verify_artifact(p)
         with pytest.raises(ValueError, match="checksum|corrupt"):
             M.LangModel.load(p)
 
     def test_missing_manifest_rejected(self, tmp_path):
         import numpy as np
         import pytest
-        from cld2_ray.state import model as M
+        from tools import langmodel as build
         p = str(tmp_path / "nomanifest.npz")
         np.savez_compressed(p, quad_keys=np.zeros(8, np.uint64))
         with pytest.raises(ValueError, match="manifest"):
-            M.verify_artifact(p)
+            build.verify_artifact(p)
 
 
 def test_reliability_expected_exact_reference_values():
@@ -457,13 +458,13 @@ class TestBatchWithRanges:
 
 class TestCalibrationDriftGuard:
     def test_calib_fingerprint_current(self):
-        """CALIB_K (data/calib.py) was learned against the current
+        """CALIB_K (tools/calib.py) was learned against the current
         seeds + scoring constants + expected tables; any of them
         moving without a calibrate_expected.py rerun silently
         invalidates the learned scales. Red here means: rerun
         scripts/calibrate_expected.py, rebuild the artifact, then
         `python scripts/calibrate_expected.py --stamp`."""
-        from cld2_ray.data import calib
+        from tools import calib
         assert calib.current_fingerprint() == calib.CALIB_FINGERPRINT, (
             "seed corpora / scoring constants / expected tables moved "
             "since CALIB_K was calibrated — rerun "

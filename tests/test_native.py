@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cld2_ray import native
-from cld2_ray.functions import hits, langs, spans, uscript as us
+from cld2_ray.functions import langs, spans, uscript as us
 from cld2_ray.state.model import default_model
 from tests.oracles import (
     extract as extract_oracle, fastlangid as fastlangid_oracle,
@@ -14,6 +14,8 @@ from tests.oracles import (
     quality as quality_oracle, repeats as repeats_oracle,
     spans as spans_oracle)
 from tests.oracles.model import lookup_numpy
+from tools import hits
+from tools.langmodel import bucket_lookup, unpack_langprobs
 
 
 def _numpy_path(model, cat, bounds, latin_of_span):
@@ -531,8 +533,8 @@ class TestPplScore:
         noise = "".join(map(chr, rng.integers(0x4E00, 0x9FA5, 100000)))
         texts = [noise + noise, " ".join(_page_texts(40)) * 2, noise[:500]]
         lcs = ["en", "fr", "zh"]
-        c = perplexity._chars(texts[0])
-        tri, _ = perplexity._keys_tri(langs.lang_id("en"), c)
+        c = perplexity_oracle._chars(texts[0])
+        tri, _ = perplexity_oracle._keys_tri(langs.lang_id("en"), c)
         assert len(np.unique(tri)) > 1 << native.PPL_MEMO_BITS
         want = perplexity_oracle.score_batch_numpy(texts, lcs)
         assert perplexity.score_batch(texts, lcs) == want
@@ -640,7 +642,6 @@ def _check_cjk(m, cjk, hl_list, uni_table=None):
     """cjk_chunk_score on the CJK spans ``cjk`` == score_chunks_multi
     over cjk_candidates' table hits (unis before bis at equal char)."""
     from cld2_ray.functions import score
-    from cld2_ray.state.model import unpack_langprobs
     uni_table = uni_table or m.uni
     lens = np.array([sp.text_bytes for sp in cjk], dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
@@ -648,7 +649,7 @@ def _check_cjk(m, cjk, hl_list, uni_table=None):
     for k, sp in enumerate(cjk):
         uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
         uvals = lookup_numpy(uni_table, uni)
-        bvals = m.cjkbi.lookup(bi, False)
+        bvals = bucket_lookup(m.cjkbi, bi, False)
         um, bm = uvals != 0, bvals != 0
         av = np.concatenate([uvals[um], bvals[bm]])
         ap = np.concatenate([upos[um], bpos[bm]])
@@ -692,7 +693,6 @@ class TestFusedChunkScore:
         tied top scores)."""
         from cld2_ray.functions import score
         from cld2_ray.functions.langid import Detector
-        from cld2_ray.state.model import unpack_langprobs
         det = Detector()
         m = det.model
         sps = [sp for segs in docs for sp in spans.script_spans(
@@ -766,7 +766,6 @@ class TestFusedChunkScore:
     def test_many_spans_vs_numpy(self):
         from cld2_ray.functions import langs, score
         from cld2_ray.functions.langid import Detector
-        from cld2_ray.state.model import unpack_langprobs
         det = Detector()
         many = []
         latin = []
@@ -814,7 +813,6 @@ class TestFusedChunkScore:
     def test_cjk_spans_vs_numpy(self):
         from cld2_ray.functions import langs, score
         from cld2_ray.functions.langid import Detector
-        from cld2_ray.state.model import unpack_langprobs
         det = Detector()
         cjk = []
         for t in _page_texts():
@@ -830,7 +828,7 @@ class TestFusedChunkScore:
         for k, sp in enumerate(cjk):
             uni, upos, bi, bpos = hits.cjk_candidates(sp.text)
             uvals = lookup_numpy(det.model.uni, uni)
-            bvals = det.model.cjkbi.lookup(bi, False)
+            bvals = bucket_lookup(det.model.cjkbi, bi, False)
             um, bm = uvals != 0, bvals != 0
             av = np.concatenate([uvals[um], bvals[bm]])
             ap = np.concatenate([upos[um], bpos[bm]])
@@ -1364,7 +1362,6 @@ class TestRangesKernel:
         from cld2_ray.data.seeds import HELDOUT, SEEDS
         from cld2_ray.functions import langs, score, spans, uscript as us
         from cld2_ray.functions.langid import Detector
-        from cld2_ray.state.model import unpack_langprobs
         det = Detector()
         m = det.model
         texts = [SEEDS["en"][:600] + " " + SEEDS["de"][:600],

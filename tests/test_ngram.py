@@ -5,7 +5,7 @@ reference's C semantics (cldutil_shared.cc:107-387)."""
 import numpy as np
 import pytest
 
-from cld2_ray.functions import ngram
+from tools import ngram
 
 M32 = 0xFFFFFFFF
 WORD_MASK = [0xFFFFFFFF, 0x000000FF, 0x0000FFFF, 0x00FFFFFF]

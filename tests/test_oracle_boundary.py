@@ -1,6 +1,7 @@
 """The runtime package holds only runtime code: the test oracles live in
-tests/oracles/, cld2_ray/ never imports them, and every oracle has a
-test that calls it. Checked on the source with ``ast``."""
+tests/oracles/ and the artifact builders in tools/, cld2_ray/ imports
+neither, and every oracle has a test that calls it. Checked on the
+source with ``ast``."""
 
 import ast
 import pathlib
@@ -10,8 +11,9 @@ RUNTIME = sorted((ROOT / "cld2_ray").rglob("*.py"))
 ORACLES = sorted((ROOT / "tests" / "oracles").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("test_*.py"))
 
-# oracles that moved to tests/oracles/ (names they had in cld2_ray/),
-# and caller-less or test-only code deleted from cld2_ray/
+# oracles that moved to tests/oracles/ and builders that moved to tools/
+# (names they had in cld2_ray/), and caller-less or test-only code
+# deleted from cld2_ray/
 MOVED_OR_DELETED = {
     "extract_text_with_map", "OffsetMap", "ComposedMap", "read_entity",
     "scan_tag_end", "fix_unicode_value", "_is_newline_tag",
@@ -31,6 +33,20 @@ MOVED_OR_DELETED = {
     "_spans_of_meta", "_hint_csr",
     "_one_range", "_many_span_ranges", "_merge_ranges", "_many_ranges",
     "_compose_chunks", "text_to_raw_ranges",
+    # the langmodel builder (tools/langmodel.py) and what only it uses
+    "train", "save", "_build_ref_tables", "ref_tables",
+    "_build_seed_tables", "_count_table", "_score_text_for_lang",
+    "pack_langprob", "unpack_langprobs", "keyvalues", "bucket_keyvalues",
+    "bucket_lookup", "verify_artifact", "current_fingerprint",
+    "decode_langprob", "bucket_table", "cjk_uni_props",
+    "build_unicode_luts", "ulscript_prop_lut", "lettermark_lower_lut",
+    "quad_hits_dense", "octa_word_and_pair_hits", "cjk_candidates",
+    "quad_hash", "octa_hash40", "pair_hash", "bi_hash", "gather_windows",
+    # fastlangid's row numbering (tools/fastlangid_rows.py)
+    "hot_first", "reorder_artifact", "_hot_sample", "_save", "_features",
+    # the aux-model trainers, deleted: they no longer reproduce the
+    # committed artifacts
+    "_train", "_train_counts", "save_artifact", "bits_per_char",
 }
 
 
@@ -75,6 +91,8 @@ def test_runtime_defines_no_oracle():
 
 
 def test_runtime_imports_no_test_code():
+    """No module under cld2_ray/ imports the tests or the build-only
+    tools/ package."""
     found = []
     for p in RUNTIME:
         for n in ast.walk(_tree(p)):
@@ -85,7 +103,7 @@ def test_runtime_imports_no_test_code():
             else:
                 continue
             found += [f"{p.relative_to(ROOT)}:{n.lineno} {m}" for m in mods
-                      if m.split(".")[0] in ("tests", "oracles")]
+                      if m.split(".")[0] in ("tests", "oracles", "tools")]
     assert not found, found
 
 

@@ -7,10 +7,11 @@ import pandas as pd
 import pytest
 
 from cld2_ray.data.seeds import HELDOUT
-from cld2_ray.functions import fastlangid, perplexity
+from cld2_ray.functions import fastlangid, perplexity, uscript
 from cld2_ray.functions.quality import apply_rules
 from cld2_ray.functions.repeats import squeeze
 from cld2_ray.functions.scrub import scrub_series
+from cld2_ray.state import model
 from tests.oracles.quality import apply_rules_arrow
 from tests.oracles.repeats import (count_predicted_bytes,
                                    remove_repeated_words, squeeze_trigger)
@@ -100,33 +101,15 @@ class TestFastLangid:
 
     def test_weights_digest(self):
         """The model the committed artifact holds, bucket by bucket. A
-        renumbering of the rows (hot_first) leaves the digest as it is;
-        a changed value, bucket or column fails it. A retrain
-        (save_artifact) must update it."""
+        renumbering of the rows (tools/fastlangid_rows.py hot_first)
+        leaves the digest as it is; a changed value, bucket or column
+        fails it."""
         w, idx, col_langs = fastlangid.weights()
         b = np.flatnonzero(idx)
         h = hashlib.sha256(np.ascontiguousarray(w[idx[b]]).tobytes())
         h.update(b.astype("<i8").tobytes())
         h.update(col_langs.astype("<i4").tobytes())
         assert h.hexdigest() == self.WEIGHTS_SHA256
-
-    def test_artifact_rows_hot_first(self):
-        """The committed rows are numbered as reorder_artifact leaves
-        them: hot_first on the committed arrays changes nothing. From
-        any other numbering it keeps every bucket's row and row 0."""
-        w = np.asarray(fastlangid.weights().table)
-        idx = np.asarray(fastlangid.weights().bucket_index)
-        sample = fastlangid._hot_sample()
-        t2, idx2 = fastlangid.hot_first(w, idx, sample)
-        assert np.array_equal(idx2, idx) and np.array_equal(t2, w)
-        perm = np.concatenate([[0], np.random.default_rng(0).permutation(
-            np.arange(1, len(w)))])
-        t3, idx3 = fastlangid.hot_first(
-            w[perm], np.argsort(perm).astype(np.int32)[idx],
-            sample)
-        b = np.flatnonzero(idx)
-        assert np.array_equal(t3[idx3[b]], w[idx[b]])
-        assert np.array_equal(np.flatnonzero(idx3), b) and not t3[0].any()
 
 
 class TestModelArtifacts:
@@ -151,8 +134,32 @@ class TestModelArtifacts:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["en"]
 
+    # sha256 of each committed artifact file. The checksum manifests in
+    # langmodel.npz and unicode_luts.npz catch a corrupted array, but a
+    # replaced file brings its own fresh manifest, and fastlangid.npz
+    # and perplexity.npz are source data with no trainer left.
+    ARTIFACT_SHA256 = {
+        "fastlangid.npz": "dccd6fc05216609cb5cfcb28b822c72a"
+                          "b3e5e60111f5026b57f80d304f44598e",
+        "langmodel.npz": "9c8d98dea5028357cb4d0e231c18b5bc"
+                         "12bb6433ca1f85117004602780001324",
+        "perplexity.npz": "dc36792de569fe00de7696c26552c7c0"
+                          "ffef78a62af30e287c526504efd25c67",
+        "unicode_luts.npz": "075c81b1b6f91ad5e612011f8f88f351"
+                            "2870c2d1e34d98399b438e88f2ce4f44",
+    }
+
+    def test_artifact_sha256(self):
+        import pathlib
+        d = pathlib.Path(fastlangid.ARTIFACT).parent
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(d.glob("*.npz"))}
+        assert got == self.ARTIFACT_SHA256
+
     @pytest.mark.parametrize("mod, load", [(fastlangid, "weights"),
-                                           (perplexity, "models")])
+                                           (perplexity, "models"),
+                                           (uscript, "_ref_luts"),
+                                           (model, "default_model")])
     def test_missing_artifact_raises(self, mod, load, monkeypatch,
                                      tmp_path):
         missing = str(tmp_path / "absent.npz")

@@ -15,8 +15,8 @@ pytestmark = pytest.mark.skipif(not os.path.isdir(REF),
 
 def _expected_score_by_code() -> dict[str, tuple[int, int, int, int]]:
     """kAvgDeltaOctaScore rows keyed by language code."""
-    from cld2_ray.state.refparse import (CODE_ALIAS, avg_delta_octa_score,
-                                         language_tables)
+    from tools.refparse import (CODE_ALIAS, avg_delta_octa_score,
+                                language_tables)
     code_of, _, _ = language_tables()
     arr = avg_delta_octa_score()
     out = {}
@@ -33,13 +33,13 @@ class TestParsedTables:
     def test_langprob_decode_matches_file_comments(self):
         """deltaocta0527.cc annotates Ind entries with their decode
         (e.g. 0x500d2d0d == 'sk.cs.fj_554'); the parser must agree."""
-        from cld2_ray.state.refparse import decode_langprob
+        from tools.refparse import decode_langprob
         assert decode_langprob(0x500D2D0D, True) == \
             [("sk", 5), ("cs", 5), ("fj", 4)]
         assert decode_langprob(0x13000907, True) == [("pl", 4), ("et", 2)]
         assert decode_langprob(0x0B000A21, True) == [("pt", 8), ("es", 6)]
         # othr interpretation: compat entry [3] is ko.12, [5] zhT.12
-        from cld2_ray.state.refparse import compat_ind
+        from tools.refparse import compat_ind
         ind = compat_ind()
         assert decode_langprob(int(ind[2 * 3]), False) == [("ko", 12)]
         assert decode_langprob(int(ind[2 * 5]), False) == \
@@ -50,7 +50,8 @@ class TestParsedTables:
         source token (e.g. bucket [000] holds _ngagem_ with keyvalue
         0x72fd0004): OctaHash40 + the reimplemented probe must land
         exactly there."""
-        from cld2_ray.functions import ngram
+        from tools import ngram
+        from tools.langmodel import bucket_keyvalues
         from cld2_ray.state.model import default_model
         m = default_model()
 
@@ -67,7 +68,7 @@ class TestParsedTables:
                                (b"vietoj", 0xE3EB4005),
                                (b"mwambo", 0xD2497006)):
             h = np.array([octa40(word)], dtype=np.uint64)
-            kv = m.docta.keyvalues(h)
+            kv = bucket_keyvalues(m.docta, h)
             assert int(kv[0]) == keyvalue, word
 
     def test_cjk_trie_props(self):
@@ -75,7 +76,8 @@ class TestParsedTables:
         propvals, hangul pure-Korean, bopomofo pure-ChineseT (decoded
         through the compat table); Cyrillic and Latin map to nothing."""
         from cld2_ray.functions import langs
-        from cld2_ray.state.model import default_model, unpack_langprobs
+        from cld2_ray.state.model import default_model
+        from tools.langmodel import unpack_langprobs
         m = default_model()
 
         def top_lang(ch: str) -> str:

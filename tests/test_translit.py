@@ -1,5 +1,5 @@
 """Properties of the seed-corpus orthography transliterators
-(data/translit.py). These feed artifact training (state/model.py), so
+(data/translit.py). These feed artifact training (tools/langmodel.py), so
 the load-bearing property is DETERMINISM: the committed langmodel.npz
 is only reproducible if every transliterator is a pure function of its
 input. The mapping-quality checks are statistical (right target

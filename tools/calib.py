@@ -1,6 +1,6 @@
 """Per-(language, script-slot) expected-score calibration scales.
 
-The expected-score table (state/model.py train(), the analogue of the
+The expected-score table (tools/langmodel.py train(), the analogue of the
 reference's kAvgDeltaOctaScore) is measured split-half on the seed
 corpora: quad tables trained on the first half of each script section
 score the unseen second half. That centers each cell on HELDOUT-

@@ -12,7 +12,7 @@ Reimplements the reference's sampling walks:
 * ``cjk_candidates`` — GetUniHits/GetBiHits (cldutil.cc:201-310):
   per-char unigram keys plus adjacent-pair bigram keys.
 
-Windows are hashed in bulk by cld2_ray.functions.ngram; only the
+Windows are hashed in bulk by tools.ngram; only the
 octa ring walk is a Python loop (a few ops per word).
 """
 

@@ -7,16 +7,19 @@ table, and expected-score table as generated C arrays
 cld2_generated_distinctocta0527.cc, cld_generated_cjk_uni_prop_80.cc,
 cld2_generated_cjk_compatible.cc, cld_generated_cjk_delta_bi_32.cc,
 cld_generated_score_quad_octa_2.cc).  This module parses them at
-ARTIFACT BUILD time (``python -m cld2_ray.state.model``) into numpy
-arrays; nothing here runs in the pipeline hot path.
+ARTIFACT BUILD time (``python -m tools.langmodel``) into numpy
+arrays; nothing in ``cld2_ray/`` imports it.
 
 What is extracted is the reference's MODEL — pure data (hash-bucket
 contents, quantized probabilities, per-script language numberings),
 i.e. "what to compute", not code.  The lookup semantics they imply
 (OctaFPJustHash bucket probe, langprob decode through kLgProbV2Tbl,
 per-script language numbers via kPLangToLanguageLatn/Othr) are
-reimplemented in cld2_ray.state.model / functions.* in this engine's
-vectorized style.
+reimplemented in this engine's C kernels (cld2_ray/native) and, in
+numpy, in tools/langmodel.py.
+
+``python -m tools.refparse`` writes the other artifact parsed from the
+reference, ``cld2_ray/state/artifacts/unicode_luts.npz``.
 
 Validated against the generated files' own decode comments (e.g.
 deltaocta Ind entry 0x500d2d0d == "sk.cs.fj_554") in
@@ -321,12 +324,6 @@ def referenced_codes() -> set[str]:
     return codes
 
 
-if __name__ == "__main__":
-    codes = referenced_codes()
-    print(f"{len(codes)} referenced language codes:")
-    print(" ".join(sorted(codes)))
-
-
 # ---------------------------------------------------------------------------
 # Hint tables (compact_lang_det_hint_code.cc): per-entry packed prior
 # strengths. Weights are the W-macros >> 10 (W2=2 .. W12=12, qprob
@@ -574,8 +571,11 @@ def build_unicode_luts(path: str) -> None:
 
 
 if __name__ == "__main__":
-    out = os.path.join(os.path.dirname(__file__), "artifacts",
-                       "unicode_luts.npz")
+    codes = referenced_codes()
+    print(f"{len(codes)} referenced language codes:")
+    print(" ".join(sorted(codes)))
+    from cld2_ray.functions import uscript
+    out = uscript.ARTIFACT
     build_unicode_luts(out)
     z = np.load(out)
     print(f"saved {out}: ulscript {z['ulscript'].shape} "

@@ -9,9 +9,17 @@ submit` entry point (SURVEY.md §3.2).
   ray job submit --working-dir . -- python -m cld2_ray.run \
       --input s3://bucket/pages --output s3://bucket/filtered
 
-Processes the input as N resumable partitions (state/checkpoint.py):
-re-running after a failure skips finished partitions. With --synthetic
-N it runs on N deterministic synthetic pages instead of an input path.
+Processes the input as N resumable partitions in ONE Ray Data
+execution (state/checkpoint.py): the input's parquet files, sorted by
+name, are dealt round-robin into N partitions (file i goes to partition
+i mod N; empty ones are dropped), each file is read, scored and written
+by one Ray task, and a partition's MANIFEST.json (rows, kept,
+drop_reasons) is written as soon as all its rows are written.
+Re-running after a failure skips finished partitions. With --synthetic
+N it runs on N deterministic synthetic pages instead of an input path:
+partition p holds pages [p*ceil(N/P), (p+1)*ceil(N/P)), generated once
+into OUTPUT/synthetic/ (a partition past the last page is empty and
+gets rows 0). --debug-html renders pages of partition 0's input.
 """
 
 from __future__ import annotations
@@ -50,25 +58,20 @@ def main(argv=None) -> int:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    import ray.data as rd
+    import glob
+    import os
 
-    from cld2_ray.pipelines import flagship
     from cld2_ray.state import checkpoint as cp
 
     if args.synthetic:
         # ceil division: floor would silently drop the trailing
         # (synthetic mod partitions) documents
         per = max(-(-args.synthetic // args.partitions), 1)
-
-        def make_part(pid):
-            # regenerate exactly this partition's id range (deterministic)
-            from cld2_ray.sources.pages import page_batch
-            start = pid * per
-            count = max(min(per, args.synthetic - start), 0)
-            return rd.from_arrow(page_batch(start, count))
+        shards = [_synthetic_shard(os.path.join(args.output, "synthetic"),
+                                   pid * per, min(per, args.synthetic
+                                                  - pid * per))
+                  for pid in range(args.partitions)]
     else:
-        import glob
-        import os
         files = sorted(glob.glob(os.path.join(args.input, "*.parquet")))
         if not files:
             print(f"no parquet files under {args.input}", file=sys.stderr)
@@ -76,25 +79,36 @@ def main(argv=None) -> int:
         shards = [files[i::args.partitions] for i in range(args.partitions)]
         shards = [s for s in shards if s]
 
-        def make_part(pid):
-            return rd.read_parquet(shards[pid])
-
-        args.partitions = len(shards)
-
-    summary = cp.run_resumable(make_part, args.partitions, args.output,
-                               flagship.build_fused)
+    summary = cp.run_resumable(shards, args.output)
     if args.debug_html:
-        import os
+        import ray.data as rd
 
         from cld2_ray.pipelines.debughtml import write_debug_sample
-        n = write_debug_sample(make_part(0),
-                               os.path.join(args.output, "debug"),
-                               n=args.debug_html)
-        summary["debug_html_pages"] = n
+        summary["debug_html_pages"] = write_debug_sample(
+            rd.read_parquet(shards[0]), os.path.join(args.output, "debug"),
+            n=args.debug_html) if shards[0] else 0
     print(json.dumps({"output": args.output, **summary}))
     if owns_ray:
         ray.shutdown()
     return 0
+
+
+def _synthetic_shard(dir_: str, start: int, count: int) -> list[str]:
+    """Pages [start, start + count) as one parquet file under dir_,
+    written once (atomically) -> that file, or [] when count <= 0."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from cld2_ray.sources.pages import page_batch
+    if count <= 0:
+        return []
+    path = os.path.join(dir_, f"pages-{start}-{count}.parquet")
+    if not os.path.exists(path):
+        os.makedirs(dir_, exist_ok=True)
+        pq.write_table(page_batch(start, count), path + ".tmp")
+        os.replace(path + ".tmp", path)
+    return [path]
 
 
 if __name__ == "__main__":

@@ -212,25 +212,146 @@ class TestMetrics:
             "n_docs": np.int64, "bytes": np.int64, "n_pii": np.int64}
 
 
+def _write_pages(path, start, count, seed):
+    """Synthetic pages [start, start + count) as one parquet file."""
+    import pyarrow.parquet as pq
+
+    from cld2_ray.sources.pages import page_batch
+    pq.write_table(page_batch(start, count, seed), str(path))
+    return str(path)
+
+
+def _partition_table(out, pid):
+    """A partition's data files read in name order -> (names, table or
+    None when there are none)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from cld2_ray.state import checkpoint as cp
+    data = os.path.join(cp.partition_dir(out, pid), "data")
+    names = sorted(os.listdir(data))
+    tables = [pq.read_table(os.path.join(data, n)) for n in names]
+    return names, pa.concat_tables(tables) if tables else None
+
+
+def _assert_manifests_match_data(out, n_parts):
+    """Every MANIFEST equals a re-read of its partition's parquet."""
+    import json
+    from collections import Counter
+
+    from cld2_ray.state import checkpoint as cp
+    for pid in range(n_parts):
+        with open(os.path.join(cp.partition_dir(out, pid),
+                               "MANIFEST.json")) as f:
+            m = json.load(f)
+        _, t = _partition_table(out, pid)
+        keep = [] if t is None else t["keep"].to_pylist()
+        reasons = [] if t is None else t["drop_reason"].to_pylist()
+        dropped = Counter(r for r, k in zip(reasons, keep) if not k)
+        assert m == {"part_id": pid, "rows": len(keep), "kept": sum(keep),
+                     "drop_reasons": dict(dropped)}
+
+
 class TestResume:
-    def test_checkpoint_resume(self, ray_session, tmp_path):
-        from cld2_ray.pipelines import flagship
+    def test_checkpoint_resume(self, ray_session, tmp_path, monkeypatch):
+        import ray.data as rd
+
         from cld2_ray.state import checkpoint as cp
 
         out = str(tmp_path / "out")
+        shards = [[_write_pages(tmp_path / f"in{pid}.parquet", 0, 30,
+                                seed=100 + pid)] for pid in range(2)]
+        # one Dataset execution per call, one fused read+score+write op
+        runs = []
+        iter_batches = rd.Dataset.iter_batches
 
-        def make_part(pid):
-            return pages_dataset(30, seed=100 + pid)
+        def recording_iter_batches(ds, *a, **kw):
+            runs.append(ds)
+            return iter_batches(ds, *a, **kw)
 
-        r1 = cp.run_resumable(make_part, 2, out, flagship.build_fused)
+        monkeypatch.setattr(rd.Dataset, "iter_batches",
+                            recording_iter_batches)
+        r1 = cp.run_resumable(shards, out)
         assert r1 == {"done": 2, "skipped": 0, "new_rows": 60}
-        # second run skips everything
-        r2 = cp.run_resumable(make_part, 2, out, flagship.build_fused)
+        assert len(runs) == 1
+        stats = runs[0].stats()
+        assert "ReadParquet->MapBatches(_score_and_write): 2 tasks" in stats
+        _assert_manifests_match_data(out, 2)
+        # second run skips everything, without an execution
+        r2 = cp.run_resumable(shards, out)
         assert r2 == {"done": 0, "skipped": 2, "new_rows": 0}
+        assert len(runs) == 1
         # removing one manifest redoes exactly that partition
         os.remove(os.path.join(cp.partition_dir(out, 1), "MANIFEST.json"))
-        r3 = cp.run_resumable(make_part, 2, out, flagship.build_fused)
+        r3 = cp.run_resumable(shards, out)
         assert r3 == {"done": 1, "skipped": 1, "new_rows": 30}
+
+    def test_crash_window_redone(self, ray_session, tmp_path):
+        """A partition with data but no MANIFEST, a torn data file and a
+        stray partial file is redone to exactly a clean run's files."""
+        import pyarrow.parquet as pq
+
+        from cld2_ray.state import checkpoint as cp
+
+        out = str(tmp_path / "out")
+        shards = [[_write_pages(tmp_path / f"in{pid}.parquet", 0, 20,
+                                seed=200 + pid)] for pid in range(2)]
+        cp.run_resumable(shards, out)
+        clean = _partition_table(out, 1)
+        data = os.path.join(cp.partition_dir(out, 1), "data")
+        os.remove(os.path.join(cp.partition_dir(out, 1), "MANIFEST.json"))
+        torn = os.path.join(data, clean[0][0])
+        pq.write_table(pq.read_table(torn).slice(0, 5), torn)
+        pq.write_table(clean[1].slice(0, 3),
+                       os.path.join(data, "stray.parquet"))
+        r = cp.run_resumable(shards, out)
+        assert r == {"done": 1, "skipped": 1, "new_rows": 20}
+        names, table = _partition_table(out, 1)
+        assert names == clean[0]
+        assert table.equals(clean[1])
+        _assert_manifests_match_data(out, 2)
+
+    def test_partition_rows_in_input_order(self, ray_session, tmp_path):
+        """A partition of two files, each read as several blocks, reads
+        back in name order as its input in order, each row equal to
+        fused_batch's."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        from ray.data import DataContext
+
+        from cld2_ray.pipelines.flagship import OUT_COLUMNS
+        from cld2_ray.sources.pages import page_batch
+        from cld2_ray.stages.core import fused_batch
+        from cld2_ray.state import checkpoint as cp
+
+        out = str(tmp_path / "out")
+        # a page without a url still counts in its MANIFEST
+        a = page_batch(0, 10, seed=7)
+        urls = a["url"].to_pylist()
+        urls[3] = None
+        a = a.set_column(a.schema.get_field_index("url"), "url",
+                         pa.array(urls, pa.string()))
+        pq.write_table(a, str(tmp_path / "a.parquet"))
+        files = [str(tmp_path / "a.parquet"),
+                 _write_pages(tmp_path / "b.parquet", 10, 40, seed=7)]
+        ctx = DataContext.get_current()
+        saved = ctx.target_max_block_size
+        ctx.target_max_block_size = 16 << 10
+        try:
+            cp.run_resumable([files], out)
+        finally:
+            ctx.target_max_block_size = saved
+        names, table = _partition_table(out, 0)
+        blocks = {}
+        for name in names:
+            f, b = name.removesuffix(".parquet").split("-")
+            blocks.setdefault(int(f), []).append(int(b))
+        assert sorted(blocks) == [0, 1]
+        assert all(b == list(range(len(b))) for b in blocks.values())
+        assert len(blocks[0]) > 1 and len(blocks[1]) > 1
+        pages = pa.concat_tables(pq.read_table(f) for f in files)
+        assert table.equals(fused_batch(pages).select(OUT_COLUMNS))
+        _assert_manifests_match_data(out, 1)
 
     @pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
                         reason="multi-minute kill-and-resume identity "

@@ -80,6 +80,45 @@ class TestRunCLI:
                    "--partitions", "3"])
         assert rc == 0
 
+    def test_empty_partitions(self, ray_session, tmp_path):
+        """Partitions past the last synthetic page get an empty data/
+        and a MANIFEST of zero rows."""
+        import json
+        import os
+
+        from cld2_ray.run import main
+        out = str(tmp_path / "o")
+        assert main(["--synthetic", "2", "--output", out,
+                     "--partitions", "4"]) == 0
+        rows = []
+        for pid in range(4):
+            pdir = os.path.join(out, f"part={pid:05d}")
+            m = json.load(open(os.path.join(pdir, "MANIFEST.json")))
+            rows.append(m["rows"])
+            if pid >= 2:
+                assert m == {"part_id": pid, "rows": 0, "kept": 0,
+                             "drop_reasons": {}}
+                assert os.listdir(os.path.join(pdir, "data")) == []
+        assert rows == [1, 1, 0, 0]
+
+    def test_debug_html(self, ray_session, tmp_path, capsys):
+        import json
+        import os
+
+        from cld2_ray.pipelines.debughtml import html_escaped
+        from cld2_ray.run import main
+        from cld2_ray.sources.pages import make_page
+        out = str(tmp_path / "o")
+        assert main(["--synthetic", "6", "--output", out,
+                     "--partitions", "2", "--debug-html", "2"]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["debug_html_pages"] == 2
+        pages = sorted(os.listdir(os.path.join(out, "debug")))
+        assert pages == ["debug_0000.html", "debug_0001.html"]
+        # partition 0's first page
+        with open(os.path.join(out, "debug", pages[0])) as f:
+            assert html_escaped(make_page(0)["url"]) in f.read()
+
 
 class TestGopherRepetition:
     def test_edge_cases_match_duckdb(self):

@@ -83,8 +83,7 @@ def metrics(annotated_ds):
     corpus size (at 100 TB / ~1M blocks: ~45M tiny rows trickle to
     the driver over the life of the job — a few KB/s)."""
     slim = annotated_ds.select_columns(
-        ["url", "lang_summary", "keep", "drop_reason", "text_bytes",
-         "n_pii"])
+        ["lang_summary", "keep", "drop_reason", "text_bytes", "n_pii"])
     partial = slim.map_batches(partial_metrics, batch_format="pyarrow")
     buf: list[pa.Table] = [EMPTY_METRICS]
     buffered = 0

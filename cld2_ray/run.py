@@ -7,19 +7,22 @@ submit` entry point (SURVEY.md §3.2).
 
   # cluster (same script; Ray connects to the cluster it runs on)
   ray job submit --working-dir . -- python -m cld2_ray.run \
-      --input s3://bucket/pages --output s3://bucket/filtered
+      --input /shared/pages --output /shared/filtered
 
-Processes the input as N resumable partitions in ONE Ray Data
-execution (state/checkpoint.py): the input's parquet files, sorted by
-name, are dealt round-robin into N partitions (file i goes to partition
-i mod N; empty ones are dropped), each file is read, scored and written
-by one Ray task, and a partition's MANIFEST.json (rows, kept,
-drop_reasons) is written as soon as all its rows are written.
-Re-running after a failure skips finished partitions. With --synthetic
-N it runs on N deterministic synthetic pages instead of an input path:
-partition p holds pages [p*ceil(N/P), (p+1)*ceil(N/P)), generated once
-into OUTPUT/synthetic/ (a partition past the last page is empty and
-gets rows 0). --debug-html renders pages of partition 0's input.
+--input and --output are local (or shared-filesystem) paths. Processes
+the input as N resumable partitions in ONE Ray Data execution
+(state/checkpoint.py): the input's parquet files, sorted by name, are
+dealt round-robin into N partitions (file i goes to partition i mod N;
+empty ones are dropped), each file is read, scored and written by one
+Ray task into part=P/data/FFFFF.parquet, and a partition's
+MANIFEST.json (rows, kept, drop_reasons) is written as soon as all its
+files are written. Re-running after a failure skips finished
+partitions. With --synthetic N it runs on N deterministic synthetic
+pages instead of an input path: partition p holds pages
+[p*ceil(N/P), (p+1)*ceil(N/P)), generated once into OUTPUT/synthetic/
+(a partition past the last page is empty and gets rows 0).
+--partitions must be at least 1. --debug-html renders pages of
+partition 0's input.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ def main(argv=None) -> int:
                          "(the reference's stderr debug stream, S4) "
                          "under OUTPUT/debug/")
     args = ap.parse_args(argv)
+    if args.partitions < 1:
+        ap.error("--partitions must be at least 1")
+    if args.synthetic < 0:
+        ap.error("--synthetic must not be negative")
 
     import ray
     # only tear down a session this CLI itself started — embedded

@@ -242,20 +242,21 @@ EMPTY_METRICS = pa.table(
     | {c: pa.array([], pa.int64()) for c in _METRIC_VALUES})
 
 
-def _group(table: pa.Table, aggs: list[tuple[str, str]]) -> pa.Table:
+def _group(table: pa.Table, aggs: list[tuple]) -> pa.Table:
     """METRIC_KEYS + _METRIC_VALUES from one group_by; aggs are the
-    (column, function) pairs of the three values, in order."""
+    (column, function[, options]) of the three values, in order."""
     out = table.group_by(METRIC_KEYS).aggregate(aggs)
-    return out.select(METRIC_KEYS + [f"{c}_{f}" for c, f in aggs]) \
+    return out.select(METRIC_KEYS + [f"{a[0]}_{a[1]}" for a in aggs]) \
         .rename_columns(METRIC_KEYS + _METRIC_VALUES)
 
 
 def partial_metrics(batch: pa.Table) -> pa.Table:
     """Per-batch partial aggregation for the metrics fold (combine
     inside map_batches before flagship.metrics' fold — SURVEY.md §2.5 A4):
-    n_docs, bytes (sum of text_bytes) and n_pii per METRIC_KEYS group."""
-    return _group(batch, [("url", "count"), ("text_bytes", "sum"),
-                          ("n_pii", "sum")])
+    n_docs (every row, with or without a url), bytes (sum of
+    text_bytes) and n_pii per METRIC_KEYS group."""
+    return _group(batch, [("keep", "count", pc.CountOptions(mode="all")),
+                          ("text_bytes", "sum"), ("n_pii", "sum")])
 
 
 def combine_metrics(table: pa.Table) -> pa.Table:

@@ -195,12 +195,23 @@ class TestMetrics:
             .repartition(4).materialize()
         assert ann.num_blocks() == 4
         want = ann.to_pandas().groupby(self.KEYS, as_index=False).agg(
-            n_docs=("url", "count"), bytes=("text_bytes", "sum"),
+            n_docs=("url", "size"), bytes=("text_bytes", "sum"),
             n_pii=("n_pii", "sum"))
         # pandas keeps an int32 sum as int32 until it overflows; the
         # Arrow fold always sums into int64
         want["bytes"] = want["bytes"].astype(np.int64)
         pd.testing.assert_frame_equal(flagship.metrics(ann), want)
+
+    def test_partial_counts_pages_without_url(self):
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        from cld2_ray.sources.pages import page_batch
+        from cld2_ray.stages.core import fused_batch, partial_metrics
+        out = fused_batch(page_batch(0, 4))
+        out = out.set_column(out.schema.get_field_index("url"), "url",
+                             pa.array([None, "a", None, "b"], pa.string()))
+        assert pc.sum(partial_metrics(out)["n_docs"]).as_py() == 4
 
     def test_empty_dataset(self, ray_session):
         from cld2_ray.pipelines import flagship
@@ -261,7 +272,8 @@ class TestResume:
         out = str(tmp_path / "out")
         shards = [[_write_pages(tmp_path / f"in{pid}.parquet", 0, 30,
                                 seed=100 + pid)] for pid in range(2)]
-        # one Dataset execution per call, one fused read+score+write op
+        # one Dataset execution per call: no Ray read operator, one
+        # read+score+write task per input file
         runs = []
         iter_batches = rd.Dataset.iter_batches
 
@@ -275,7 +287,8 @@ class TestResume:
         assert r1 == {"done": 2, "skipped": 0, "new_rows": 60}
         assert len(runs) == 1
         stats = runs[0].stats()
-        assert "ReadParquet->MapBatches(_score_and_write): 2 tasks" in stats
+        assert "ReadParquet" not in stats
+        assert "MapBatches(_score_files): 2 tasks executed" in stats
         _assert_manifests_match_data(out, 2)
         # second run skips everything, without an execution
         r2 = cp.run_resumable(shards, out)
@@ -311,13 +324,15 @@ class TestResume:
         assert table.equals(clean[1])
         _assert_manifests_match_data(out, 2)
 
-    def test_partition_rows_in_input_order(self, ray_session, tmp_path):
-        """A partition of two files, each read as several blocks, reads
-        back in name order as its input in order, each row equal to
-        fused_batch's."""
+    def test_partition_rows_in_input_order(self, ray_session, tmp_path,
+                                           monkeypatch):
+        """A partition of two files, each of several row groups and
+        scored in several slices, reads back in name order as its input
+        in order, each row equal to fused_batch's."""
+        from collections import Counter
+
         import pyarrow as pa
         import pyarrow.parquet as pq
-        from ray.data import DataContext
 
         from cld2_ray.pipelines.flagship import OUT_COLUMNS
         from cld2_ray.sources.pages import page_batch
@@ -331,27 +346,49 @@ class TestResume:
         urls[3] = None
         a = a.set_column(a.schema.get_field_index("url"), "url",
                          pa.array(urls, pa.string()))
-        pq.write_table(a, str(tmp_path / "a.parquet"))
-        files = [str(tmp_path / "a.parquet"),
-                 _write_pages(tmp_path / "b.parquet", 10, 40, seed=7)]
-        ctx = DataContext.get_current()
-        saved = ctx.target_max_block_size
-        ctx.target_max_block_size = 16 << 10
-        try:
-            cp.run_resumable([files], out)
-        finally:
-            ctx.target_max_block_size = saved
+        b = page_batch(10, 30, seed=7)
+        files = [str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")]
+        pq.write_table(a, files[0], row_group_size=4)
+        pq.write_table(b, files[1], row_group_size=7)
+        cp.run_resumable([files], out)
         names, table = _partition_table(out, 0)
-        blocks = {}
-        for name in names:
-            f, b = name.removesuffix(".parquet").split("-")
-            blocks.setdefault(int(f), []).append(int(b))
-        assert sorted(blocks) == [0, 1]
-        assert all(b == list(range(len(b))) for b in blocks.values())
-        assert len(blocks[0]) > 1 and len(blocks[1]) > 1
-        pages = pa.concat_tables(pq.read_table(f) for f in files)
-        assert table.equals(fused_batch(pages).select(OUT_COLUMNS))
+        assert names == ["00000.parquet", "00001.parquet"]
+        assert table.equals(fused_batch(pa.concat_tables([a, b]))
+                            .select(OUT_COLUMNS))
         _assert_manifests_match_data(out, 1)
+        # the task itself, in this process (Ray workers import the module
+        # afresh, so the patch does not reach them): one row group per
+        # slice of BATCH_SIZE rows, the rows as one fused_batch call's
+        monkeypatch.setattr(cp, "BATCH_SIZE", 6)
+        dst = str(tmp_path / "a_out.parquet")
+        counters = cp._score_file(files[0], dst)
+        want = fused_batch(a).select(OUT_COLUMNS)
+        assert pq.ParquetFile(dst).num_row_groups == 2
+        assert pq.read_table(dst).equals(want)
+        keep = want["keep"].to_pylist()
+        assert counters == {"rows": 10, "kept": sum(keep),
+                            "drop_reasons": dict(Counter(
+                                r for r, k in zip(
+                                    want["drop_reason"].to_pylist(), keep)
+                                if not k))}
+
+    def test_empty_input_file(self, ray_session, tmp_path):
+        """A 0-row input file writes no data file and counts 0 rows; the
+        partition's other file is written as usual."""
+        import pyarrow.parquet as pq
+
+        from cld2_ray.sources.pages import page_batch
+        from cld2_ray.state import checkpoint as cp
+
+        out = str(tmp_path / "out")
+        empty = str(tmp_path / "empty.parquet")
+        pq.write_table(page_batch(0, 1).slice(0, 0), empty)
+        files = [empty, _write_pages(tmp_path / "b.parquet", 0, 12, seed=3)]
+        r = cp.run_resumable([files, [empty]], out)
+        assert r == {"done": 2, "skipped": 0, "new_rows": 12}
+        assert _partition_table(out, 0)[0] == ["00001.parquet"]
+        assert _partition_table(out, 1)[0] == []
+        _assert_manifests_match_data(out, 2)
 
     @pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
                         reason="multi-minute kill-and-resume identity "

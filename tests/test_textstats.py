@@ -1,7 +1,10 @@
 """Text-stats kernels: token counting, fingerprints, run CLI."""
 
+import os
+
 import numpy as np
 import pandas as pd
+import pytest
 
 from cld2_ray.functions.textstats import (
     count_tokens, fingerprint, stopword_counts)
@@ -100,6 +103,27 @@ class TestRunCLI:
                              "drop_reasons": {}}
                 assert os.listdir(os.path.join(pdir, "data")) == []
         assert rows == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--synthetic", "10", "--partitions", "0"],
+        ["--input", "IN", "--partitions", "0"],
+        ["--input", "IN", "--partitions", "-2"],
+        ["--synthetic", "-5"]])
+    def test_bad_counts_rejected(self, ray_session, tmp_path, argv):
+        """A partition count below 1 or a negative page count is a usage
+        error (exit 2) before anything runs."""
+        import pyarrow.parquet as pq
+
+        from cld2_ray.run import main
+        from cld2_ray.sources.pages import page_batch
+        os.makedirs(tmp_path / "in")
+        pq.write_table(page_batch(0, 3), str(tmp_path / "in" / "a.parquet"))
+        argv = [str(tmp_path / "in") if a == "IN" else a for a in argv]
+        out = str(tmp_path / "o")
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--output", out])
+        assert e.value.code == 2
+        assert not os.path.exists(out)
 
     def test_debug_html(self, ray_session, tmp_path, capsys):
         import json

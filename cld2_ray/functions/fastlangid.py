@@ -136,9 +136,3 @@ def classify_batch(texts) -> tuple[list[str], list[float]]:
     conf[todo] = 1.0 - np.exp(-4.0 * np.maximum(margin, 0.0))
     return _CODES[lang].tolist(), conf.tolist()
 
-
-def classify(text: str) -> tuple[str, float]:
-    """Returns (lang_code, confidence 0..1). Single-doc entry of the
-    batch path (one code path, identical results)."""
-    ls, cs = classify_batch([text])
-    return ls[0], cs[0]

@@ -23,6 +23,17 @@ close set is hinted, the other members are whacked (zeroed) per chunk
 
 Payload encoding (shared with the C kernel): one int64 per entry;
 boost = lang_id | (weight << 16), whack = -lang_id.
+
+What the flagship kernel passes differs from the above.
+stages.core._fused hands langid only the ids of the positive priors,
+and Detector._norm_hints gives each one LANGUAGE_WEIGHT (8), as for an
+explicit caller hint. So the per-source strengths (lang= W10, TLD W2-W8,
+charset W4) never reach the scorer, and a negative TLD secondary does
+not block a close-set whack: a .ba page's priors are
+[(bs, 8), (hr, -4)], whose payloads boost bs and whack nothing, but
+the kernel scores with ([bs|8<<16, -hr, -sr], [bs|8<<16, -sr]). The
+per-document oracles pass the same ids, so passing the weighted priors
+instead would change the output.
 """
 
 from __future__ import annotations
@@ -66,15 +77,14 @@ ENCODING_HINTS: dict[str, str] = {
 _CHARSET_RE = re.compile(
     rb"""charset\s*=\s*["']?\s*([A-Za-z0-9_\-]+)""", re.IGNORECASE)
 
-_TLD_RE = re.compile(r"^[a-z]+://[^/]*?([a-z0-9-]+\.)?([a-z]{2,6})(?::\d+)?/",
-                     re.IGNORECASE)
+_HOST_RE = re.compile(r"^[a-z]+://([^/:?#]+)", re.IGNORECASE)
 # left boundary: the reference requires ' lang' / ':lang' before '='
 # (GetLangTagsFromHtml, compact_lang_det_hint_code.cc) — without it,
 # hreflang="xx" on <link rel=alternate> would supply a bogus hint
 _LANG_ATTR_RE = re.compile(
     rb"""(?<![A-Za-z-])(?:lang|xml:lang)\s*=\s*["']?\s*([A-Za-z]{2,3})(?:[-_][A-Za-z]{2,8})?""",
     re.IGNORECASE)
-# anchored form for the find()-seeded scan in hints_from_page (the
+# anchored form for the find()-seeded scan in _iter_lang_attrs (the
 # lookbehind is checked manually there; scanning the full 8KB head
 # with a variable lookbehind at every byte was ~90% of hint cost)
 _LANG_ATTR_AT_RE = re.compile(
@@ -128,7 +138,7 @@ _SKIP_TAG_RE = re.compile(
 
 def tld_of(url: str) -> str:
     """Last dns label of the host ('' if unparseable)."""
-    m = re.match(r"^[a-z]+://([^/:?#]+)", url, re.IGNORECASE)
+    m = _HOST_RE.match(url)
     if not m:
         return ""
     host = m.group(1)
@@ -170,18 +180,13 @@ def _langtag_priors(tag: str, priors: list[list]) -> None:
             _merge_max(priors, code, w)
 
 
-def priors_from_page(url: str, html: bytes) -> list[tuple[int, int]]:
-    """Derive (lang_id, signed_weight) priors from a page — lang=
-    attrs + content-language metas (Max merge), charset (encoding
-    weight, Boost merge), TLD (per-entry strengths, Boost merge) —
-    trimmed to the 4 largest absolute weights (TrimCLDLangPriors)."""
-    return page_hints(url, html)[0]
-
-
 def page_hints(url: str, html: bytes):
     """One scan of the page head -> (priors, declared, tld_lang).
 
-    priors: as priors_from_page (all hint sources merged + trimmed).
+    priors: (lang_id, signed_weight) from every hint source — lang=
+      attrs + content-language metas (Max merge), charset (encoding
+      weight, Boost merge), TLD (per-entry strengths, Boost merge) —
+      trimmed to the 4 largest absolute weights (TrimCLDLangPriors).
     declared: tuple of lang ids the page EXPLICITLY declares
       (content-language meta / lang= attributes only — TLD and charset
       are inferences, not declarations).
@@ -317,4 +322,4 @@ def _payloads_cached(priors):
 
 def hints_from_page(url: str, html: bytes) -> list[int]:
     """Compat view: positively-hinted lang ids in prior order."""
-    return [lid for lid, w in priors_from_page(url, html) if w > 0]
+    return [lid for lid, w in page_hints(url, html)[0] if w > 0]

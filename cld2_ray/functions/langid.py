@@ -32,7 +32,6 @@ import numpy as np
 
 from . import langs, score, spans, uscript as us
 from cld2_ray import native
-from .extract import extract_batch, text_to_raw, valid_utf8_prefix
 from . import hints as hints_mod
 from .repeats import squeeze, squeeze_triggers
 
@@ -58,10 +57,8 @@ def _csr(lists: list) -> tuple[np.ndarray, np.ndarray]:
 def _gather_csr(lo: np.ndarray, hi: np.ndarray, flat: np.ndarray):
     """The kernels' per-span CSR (csr, flat) of the payload slices
     flat[lo[k]:hi[k]]."""
-    n = hi - lo
-    csr = np.zeros(len(n) + 1, dtype=np.int64)
-    np.cumsum(n, out=csr[1:])
-    return csr, flat[np.repeat(lo - csr[:-1], n) + np.arange(csr[-1])]
+    csr, idx = spans.index_runs(lo, hi)
+    return csr, flat[idx]
 
 
 def _span_ranges(table: spans.SpanTable, many: np.ndarray, c,
@@ -168,13 +165,9 @@ class Detector:
         - list[(lang_id, weight)] priors -> payloads(priors)
         - list[int] lang ids (legacy caller hint) -> weight
           LANGUAGE_WEIGHT each (SetCLDLanguageHint,
-          hint_code.cc:1503-1506)
-        - an already-normalized (latn, othr) tuple passes through."""
+          hint_code.cc:1503-1506)."""
         if not hint_langs:
             return None
-        if isinstance(hint_langs, tuple) and len(hint_langs) == 2 \
-                and all(isinstance(x, list) for x in hint_langs):
-            return hint_langs
         if isinstance(hint_langs[0], tuple):
             priors = list(hint_langs)
         else:
@@ -331,7 +324,7 @@ class Detector:
         scoring pass (results, ranges) — the single-pass
         ResultChunkVector path; results are bit-identical to
         with_ranges=False. Squeeze-triggered docs (rare junk pages)
-        get detect_ranges' unhinted ranges of the raw text instead,
+        get the unhinted ranges of their raw text instead (see _ranges),
         since the main pass scores their squeezed rewrite whose offsets
         don't map back."""
         n = len(texts)
@@ -381,11 +374,13 @@ class Detector:
                 raw_ranges) -> score.Ranges:
         """score.Ranges of ``texts`` from their raw_ranges; ``squeezed``
         docs take the unhinted ranges of their raw text from ONE more
-        pass over all of them."""
+        hint-free _fill_totes pass over all of them."""
         sq = np.flatnonzero(squeezed)
         if len(sq):
             keep = ~squeezed[raw_ranges[0]]
-            doc2, *rest = self._unhinted_ranges([texts[i] for i in sq])
+            doc2, *rest = self._fill_totes(
+                spans.script_spans_batch([texts[i] for i in sq]),
+                [None] * len(sq), with_ranges=True)[1]
             both = [np.concatenate([a[keep], b])
                     for a, b in zip(raw_ranges, (sq[doc2], *rest))]
             order = np.argsort(both[0], kind="stable")
@@ -410,44 +405,24 @@ class Detector:
                 print(f"[cld2_ray echo] {(t or '')[:80]!r}",
                       file=sys.stderr)
 
-    def _unhinted_ranges(self, texts):
-        """The raw ranges (_span_ranges) of ``texts`` from one hint-free
-        pass of _fill_totes."""
-        return self._fill_totes(spans.script_spans_batch(texts),
-                                [None] * len(texts), with_ranges=True)[1]
-
     def detect_ranges(self, text: str) -> list[tuple[int, int, str]]:
         """Per-document language ranges in ORIGINAL text BYTE offsets —
         the ResultChunkVector analogue (reference: SummaryBufferToVector,
         scoreonescriptspan.cc:389-509 + offset back-mapping
-        getonescriptspan.cc:1076-1078), from the ranges pass of
-        _fill_totes with no hints and no squeeze.
+        getonescriptspan.cc:1076-1078): the ranges of
+        detect_batch([text], with_ranges=True), with no hints.
 
         MANY-script spans split at chunk granularity, then boundaries
         between different-language chunks are refined with the 8-hit
         BetterBoundary slide and backed up to the start of their word
         (ItemToVector semantics). Adjacent same-language ranges merge;
-        unreliable chunks report "un".
+        unreliable chunks report "un". The flagship ``chunks`` column
+        (stages.core.fused_batch(with_chunks=True)) gives the same
+        ranges, hinted, in raw page byte offsets.
 
         Returns [(byte_offset, byte_len, lang_code), ...].
         """
-        self._echo([text])
-        return _text_ranges([text], *self._unhinted_ranges([text]))[0]
-
-    def detect_ranges_html(self, html: bytes) -> list[tuple[int, int, str]]:
-        """Language ranges in RAW PAGE byte offsets: detect_ranges on
-        the extracted text of the valid UTF-8 prefix, mapped back
-        through the extractor's source map (extract.text_to_raw) — the
-        reference's map2original chain."""
-        h = html[:valid_utf8_prefix(html)]
-        text_col, text_offsets, src = extract_batch([h], with_map=True)
-        texts = text_col.to_pylist()
-        self._echo(texts)
-        r = _text_ranges(texts, *self._unhinted_ranges(texts))
-        page, lens = np.zeros(len(r.lid), np.int64), np.array([len(h)])
-        r.start, r.end = (text_to_raw(text_offsets, src, lens, page, p)
-                          for p in (r.start, r.end))
-        return r[0]
+        return self.detect_batch([text], with_ranges=True)[1][0]
 
 
 @lru_cache(maxsize=1)

@@ -54,13 +54,6 @@ def models() -> _PplModel:
     return _PplModel(table, z["uni"], z["thresholds"])
 
 
-def score(text: str, lang_code: str) -> tuple[float, bool]:
-    """(perplexity under lang's LM, is_gibberish flag). Single-doc
-    entry of score_batch (one code path, identical results)."""
-    ppl, flags = score_batch([text], [lang_code])
-    return ppl[0], flags[0]
-
-
 def score_batch(texts, lang_codes) -> tuple[list[float], list[bool]]:
     """One C pass (native.ppl_score) over the concatenated framed
     lowered docs: UTF-8 decode, char hashing, trigram/bigram lookups

@@ -96,10 +96,16 @@ class SpanTable:
 
     def rows_of(self, docs: np.ndarray) -> np.ndarray:
         """Row indexes of the spans of ``docs``, in order."""
-        lo, hi = self.doc_ptr[docs], self.doc_ptr[docs + 1]
-        n = hi - lo
-        first = np.concatenate([[0], np.cumsum(n)[:-1]])
-        return np.repeat(lo - first, n) + np.arange(int(n.sum()))
+        return index_runs(self.doc_ptr[docs], self.doc_ptr[docs + 1])[1]
+
+
+def index_runs(lo: np.ndarray, hi: np.ndarray):
+    """(csr int64[n+1], idx): idx is the index runs lo[k]..hi[k]-1 back
+    to back, run k at idx[csr[k]:csr[k+1]]."""
+    n = hi - lo
+    csr = np.zeros(len(n) + 1, dtype=np.int64)
+    np.cumsum(n, out=csr[1:])
+    return csr, np.repeat(lo - csr[:-1], n) + np.arange(csr[-1])
 
 
 def script_spans(text: str, text_limit: int = TEXT_LIMIT) -> list[ScriptSpan]:

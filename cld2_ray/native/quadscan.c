@@ -2256,8 +2256,8 @@ static inline __attribute__((always_inline)) int64_t extract_scan(
  * that produced out[k]. On a normalized page the scanner's positions
  * go through the scratch's raw positions, so \r\n maps to its \n and
  * a lone \r to itself. Mapping a text range back to raw offsets is
- * then one array index (extract.text_to_raw: the flagship chunks
- * column and Detector.detect_ranges_html);
+ * then one array index (extract.text_to_raw, for the flagship
+ * chunks column);
  * tests/oracles/extract.py's OffsetMap is its test oracle.
  * Returns the total text length, or -1 when the scratch cannot be
  * allocated. */

@@ -3,10 +3,13 @@
 The reference streams per-chunk annotated HTML to stderr while scoring
 (internal/debug.cc:275-478: CLD2_Debug / CLD2_Debug2 /
 DumpResultChunkVector). A distributed engine has no single stderr, so
-the same renderings are exposed here as pure string builders over the
-engine's chunk vectors, plus a sampling sink stage that writes one
-HTML debug page per sampled document next to the pipeline output
-(metrics/lineage cover the aggregate side — SURVEY §2 S4 note).
+the result-vector rendering is exposed here as a pure string builder
+over the engine's chunk vectors, plus a sampling sink stage that writes
+one HTML debug page per sampled document next to the pipeline output
+(metrics/lineage cover the aggregate side — SURVEY §2 S4 note). The
+per-chunk CLD2_Debug/CLD2_Debug2 traces need each chunk's second
+language and scores, which the engine does not produce, so they have
+no counterpart.
 
 Faithful pieces (same palette and row formats):
 * 16 background / 16 text colors indexed by the REFERENCE Language
@@ -20,11 +23,6 @@ Faithful pieces (same palette and row formats):
 * DumpResultChunkVector's row format
   "[i]{offset bytes code} <span ...>text</span><br>"
   (debug.cc:464-476).
-* CLD2_Debug2's per-chunk bracket annotation: "[]" when the chunk
-  matches the prior chunk's language reliably, "[code]" when reliable,
-  "[code1*.s1/code2.s2]" when not (reliable == min(delta, score) >= 75,
-  debug.cc:411-459). Its chunk text is written raw, unescaped, like
-  the reference's fprintf of the chunk (debug.cc:454).
 """
 
 from __future__ import annotations
@@ -86,16 +84,11 @@ def html_escaped(txt: str) -> str:
     return out.replace("\n", " ").replace("\r", " ")
 
 
-def _span(code: str, html_text: str) -> str:
-    """``html_text`` in the language's colored span."""
-    return (f' <span style="background:#{back_color(code):06X};'
-            f'color:#{text_color(code):06X};">\n'
-            f"{html_text}</span>")
-
-
 def color_span(code: str, txt: str) -> str:
     """debug.cc GetColorHtmlEscapedText."""
-    return _span(code, html_escaped(txt))
+    return (f' <span style="background:#{back_color(code):06X};'
+            f'color:#{text_color(code):06X};">\n'
+            f"{html_escaped(txt)}</span>")
 
 
 def dump_result_chunk_vector(src: str,
@@ -111,30 +104,6 @@ def dump_result_chunk_vector(src: str,
         out.append(color_span(code, piece))
         out.append("<br>\n")
     out.append("<br>\n")
-    return "".join(out)
-
-
-def debug2_chunks(text: str, summaries) -> str:
-    """debug.cc CLD2_Debug2 over per-chunk summaries:
-    iterable of (offset, bytes, code1, score1, code2, score2,
-    reliability_delta, reliability_score). Chunk text is emitted raw
-    (debug.cc:454)."""
-    sb = text.encode("utf-8")
-    prior = "un"
-    out = []
-    for i, (off, nbytes, c1, s1, c2, s2, rd, rs) in enumerate(summaries):
-        out.append(f"Debug2[{i}] ")
-        reliable = min(int(rd), int(rs)) >= 75
-        if reliable and c1 == prior:
-            out.append("[]")
-        elif reliable:
-            out.append(f"[{c1}]")
-        else:
-            out.append(f"[{c1}*.{int(s1)}/{c2}.{int(s2)}]")
-        piece = sb[off:off + nbytes].decode("utf-8", "replace")
-        out.append(_span(c1, piece))
-        out.append(" \n")
-        prior = c1
     return "".join(out)
 
 
@@ -154,17 +123,18 @@ def write_debug_sample(pages_ds, out_dir: str, n: int = 20) -> int:
     ranges come from the same kernel ranges pass as the flagship
     ``chunks`` column, run without the page's hints. Offsets in the
     dump are EXTRACTED-TEXT byte offsets (the buffer the chunks are
-    rendered from, like the reference's src pointer); use
-    Detector.detect_ranges_html for raw-page offsets. A limit() on
-    the Dataset keeps this to a handful of blocks regardless of input
-    size — the debug surface costs nothing unless asked for."""
+    rendered from, like the reference's src pointer); the ``chunks``
+    column of fused_batch(with_chunks=True) gives the ranges in raw
+    page offsets. A limit() on the Dataset keeps this to a handful of
+    blocks regardless of input size — the debug surface costs nothing
+    unless asked for."""
     import os
 
     from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
-    from cld2_ray.functions.langid import Detector
+    from cld2_ray.functions.langid import default_detector
 
     os.makedirs(out_dir, exist_ok=True)
-    det = Detector()
+    det = default_detector()
     rows = pages_ds.limit(n).take(n)
     for i, row in enumerate(rows):
         html_bytes = row["html"]

@@ -31,14 +31,13 @@ CHUNKS_TYPE = pa.large_list(pa.struct([
     ("offset", pa.int64()), ("bytes", pa.int64()), ("lang", pa.string())]))
 
 
-def _chunks(rng, todo, ok, valid, text_offsets, src) -> pa.Array:
+def _chunks(rng, ok, valid, text_offsets, src) -> pa.Array:
     """list<struct{offset,bytes,lang}> per page: the MAIN scoring
-    pass's ranges ``rng`` of the pages ``todo`` mapped into RAW page
-    byte offsets through the batch's extraction source map — the
-    reference produces the vector in the same pass
-    (scoreonescriptspan.cc:1099-1111). Invalid-UTF-8 pages get an empty
-    list, like the UNKNOWN result."""
-    page = np.repeat(todo, np.diff(rng.doc_ptr))
+    pass's ranges ``rng`` mapped into RAW page byte offsets through the
+    batch's extraction source map — the reference produces the vector
+    in the same pass (scoreonescriptspan.cc:1099-1111). Invalid-UTF-8
+    pages get an empty list, like the UNKNOWN result."""
+    page = np.repeat(np.arange(len(ok)), np.diff(rng.doc_ptr))
     keep = ok[page]
     page = page[keep]
     a, b = (text_to_raw(text_offsets, src, valid, page, p[keep])
@@ -123,7 +122,6 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
 
     htmls = [h or b"" for h in batch["html"].to_pylist()]
     urls = batch["url"].to_pylist()
-    n = len(htmls)
 
     # 1. extract: UTF-8 gate per page, then one C pass over the valid
     # prefixes; its output buffer is the extracted_text column (and,
@@ -137,40 +135,28 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
         text_col = extract_batch(pages)
     texts = text_col.to_pylist()
 
-    # 2. langid (batch-vectorized) — every row that yielded text,
-    # including the salvaged valid prefix of bad-UTF-8 pages (the
-    # keep/drop gate below still drops those as utf8_invalid). One hint
-    # scan per page: priors feed detection, declared languages protect
-    # the boilerplate summary flip, and declared/TLD give the metadata
+    # 2. langid (batch-vectorized) over every page: a page without
+    # letters scores as UNKNOWN with zero columns, and the salvaged
+    # valid prefix of a bad-UTF-8 page is scored too (the keep/drop
+    # gate below still drops it as utf8_invalid). One hint scan per
+    # page: priors feed detection, declared languages protect the
+    # boilerplate summary flip, and declared/TLD give the metadata
     # fallback. The valid-prefix slice is capped at the hint scan
     # window so it never copies a whole page body.
-    todo = np.flatnonzero(pc.binary_length(text_col).to_numpy())
-    ph = [page_hints(urls[j] or "", htmls[j][:min(int(valid[j]),
-                                                  MAX_SCAN_BYTES)])
-          for j in range(n)]
-    hints = [[lid for lid, w in ph[j][0] if w > 0] for j in todo]
-    declared = [frozenset(ph[j][1]) or None for j in todo]
+    ph = [page_hints(u or "", h[:min(v, MAX_SCAN_BYTES)])
+          for u, h, v in zip(urls, htmls, valid.tolist())]
+    hints = [[lid for lid, w in p[0] if w > 0] for p in ph]
+    declared = [frozenset(p[1]) or None for p in ph]
     if with_chunks:
         # ranges ride along on the SAME scoring pass (results are
         # bit-identical to the plain call — tested)
         results, rng = default_detector().detect_batch(
-            [texts[j] for j in todo], hints,
-            declared_list=declared, with_ranges=True)
+            texts, hints, declared_list=declared, with_ranges=True)
     else:
         results = default_detector().detect_batch(
-            [texts[j] for j in todo], hints, declared_list=declared)
-    lang3 = np.zeros((n, 3), dtype=np.int64)
-    summary = np.zeros(n, dtype=np.int64)
-    pct = np.zeros((n, 3), dtype=np.int8)
-    nscore1 = np.zeros(n, dtype=np.float32)
-    reliable = np.zeros(n, dtype=bool)
-    text_bytes = np.zeros(n, dtype=np.int32)
-    lang3[todo] = results.lang3
-    summary[todo] = results.summary
-    pct[todo] = np.clip(results.pct3, 0, 100)
-    nscore1[todo] = results.nscore3[:, 0]
-    reliable[todo] = results.reliable
-    text_bytes[todo] = np.minimum(results.text_bytes, 2**31 - 1)
+            texts, hints, declared_list=declared)
+    summary, reliable = results.summary, results.reliable
+    pct = np.clip(results.pct3, 0, 100).astype(np.int8)
     # Metadata fallback: when the content carries no language signal
     # at all (empty pages, repeated-token junk), attribute the page's
     # declared language, else the TLD prior's language, else English —
@@ -208,14 +194,15 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
         "extracted_text": text_col,
         "utf8_valid": pa.array(ok),
         "lang_summary": summary_col,
-        "lang1": _CODE_OF.take(lang3[:, 0]),
-        "lang2": _CODE_OF.take(lang3[:, 1]),
-        "lang3": _CODE_OF.take(lang3[:, 2]),
+        "lang1": _CODE_OF.take(results.lang3[:, 0]),
+        "lang2": _CODE_OF.take(results.lang3[:, 1]),
+        "lang3": _CODE_OF.take(results.lang3[:, 2]),
         "pct1": pa.array(pct[:, 0]), "pct2": pa.array(pct[:, 1]),
         "pct3": pa.array(pct[:, 2]),
-        "nscore1": pa.array(nscore1),
+        "nscore1": pa.array(results.nscore3[:, 0].astype(np.float32)),
         "lang_reliable": pa.array(reliable),
-        "text_bytes": pa.array(text_bytes),
+        "text_bytes": pa.array(np.minimum(results.text_bytes, 2**31 - 1)
+                               .astype(np.int32)),
         "n_words": pa.array(q["n_words"]),
         "n_chars": pa.array(q["n_chars"]),
         "aux_lang": pa.array(aux_lang),
@@ -226,7 +213,7 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
         "has_toxicity": pa.array(toxic),
         "keep": pa.array(reason == ""),
         "drop_reason": pa.array(reason, type=pa.string()),
-    } | ({"chunks": _chunks(rng, todo, ok, valid, *text_map)}
+    } | ({"chunks": _chunks(rng, ok, valid, *text_map)}
          if with_chunks else {}))
 
 

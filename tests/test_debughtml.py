@@ -44,26 +44,6 @@ class TestDumpFormats:
         s2 = dump_result_chunk_vector("héé ok", [(0, 5, "fr"), (5, 3, "en")])
         assert "héé" in s2
 
-    def test_debug2_bracket_logic(self):
-        """debug.cc:411-459: '[]' on reliable match-prior, '[code]'
-        reliable, '[c1*.s1/c2.s2]' unreliable; reliable ==
-        min(delta, score) >= 75."""
-        from cld2_ray.pipelines.debughtml import debug2_chunks
-        s = debug2_chunks("aaaa bbbb cccc", [
-            (0, 5, "fr", 900, "en", 100, 80, 90),    # reliable, no prior
-            (5, 5, "fr", 900, "en", 100, 99, 75),    # reliable, matches
-            (10, 4, "de", 500, "fr", 400, 74, 99),   # min<75 -> unreliable
-        ])
-        assert "Debug2[0] [fr]" in s
-        assert "Debug2[1] []" in s
-        assert "Debug2[2] [de*.500/fr.400]" in s
-        # chunk text is printed raw (debug.cc:454), unlike the escaped
-        # DumpResultChunkVector rows
-        raw = debug2_chunks("""a&b <i>'q"</i>""", [
-            (0, 14, "en", 900, "fr", 100, 99, 99)])
-        assert """a&b <i>'q"</i></span>""" in raw
-        assert "&amp;" not in raw and "&lt;" not in raw
-
 
 class TestDebugSink:
     def test_write_debug_sample(self, tmp_path, ray_session):

@@ -211,12 +211,18 @@ class TestOffsetMap:
 
 class TestRangesOnRawPage:
     def test_html_byte_ranges_slice_the_page(self):
+        """The chunks column gives the ranges in RAW page offsets."""
+        import pyarrow as pa
         from cld2_ray.data.seeds import HELDOUT
-        from cld2_ray.functions.langid import Detector
-        d = Detector()
+        from cld2_ray.sources.pages import SCHEMA
+        from cld2_ray.stages.core import fused_batch
         html = ("<html><body><p>" + HELDOUT["fr"] + "</p><div>"
                 + HELDOUT["ru"] + "</div></body>").encode("utf-8")
-        ranges = d.detect_ranges_html(html)
+        page = pa.Table.from_pylist(
+            [{"url": "https://example.com/", "warc_ts": 0, "html": html,
+              "text": "", "lang": "fr"}], schema=SCHEMA)
+        ranges = [(r["offset"], r["bytes"], r["lang"]) for r in
+                  fused_batch(page, with_chunks=True)["chunks"][0].as_py()]
         codes = [c for _, _, c in ranges]
         assert codes == ["fr", "ru"]
         fr_a, fr_len, _ = ranges[0]

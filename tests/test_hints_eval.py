@@ -183,8 +183,8 @@ class TestHintStrengths:
         """lang= carries W10, a TLD carries W2..W8 ('lang= always
         overcomes tld', hint_code.cc:44-45): with both present, the
         lang= language must hold the larger weight after the merge."""
-        from cld2_ray.functions.hints import priors_from_page
-        pri = dict(priors_from_page("https://x.se/", b'<html lang="fr">'))
+        from cld2_ray.functions.hints import page_hints
+        pri = dict(page_hints("https://x.se/", b'<html lang="fr">')[0])
         fr, sv = langs.lang_id("fr"), langs.lang_id("sv")
         assert pri[fr] == 10          # W10 from the lang-tag table
         assert 0 < pri[sv] < pri[fr]  # W4-ish from the TLD table
@@ -193,8 +193,8 @@ class TestHintStrengths:
         """tld .ba carries BOSNIAN+W8, CROATIAN-W4 — the negative
         prior is kept (it blocks the close-set whack of hr) but never
         boosts."""
-        from cld2_ray.functions.hints import payloads, priors_from_page
-        pri = priors_from_page("https://x.ba/", b"<html>")
+        from cld2_ray.functions.hints import page_hints, payloads
+        pri = page_hints("https://x.ba/", b"<html>")[0]
         d = dict(pri)
         assert d[langs.lang_id("bs")] == 8
         assert d[langs.lang_id("hr")] == -4
@@ -241,7 +241,7 @@ class TestHintStrengths:
         assert langs.lang_id("sk") not in hinted.language3
 
     def test_encoding_weight(self):
-        from cld2_ray.functions.hints import priors_from_page
-        pri = dict(priors_from_page(
-            "https://x.com/", b'<meta charset="euc-kr">'))
+        from cld2_ray.functions.hints import page_hints
+        pri = dict(page_hints(
+            "https://x.com/", b'<meta charset="euc-kr">')[0])
         assert pri[langs.lang_id("ko")] == 4   # kCLDPriorEncodingWeight

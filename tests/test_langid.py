@@ -83,6 +83,30 @@ def test_numbers_only_unknown(det):
     assert r.summary_code == "un"
 
 
+def test_no_letters_row(det):
+    """A text without letters scores as the row the fused kernel gives
+    a page without text: UNKNOWN, zero columns, unreliable and good
+    (no retry), whatever hints and declared languages it carries."""
+    fr, de = langs.lang_id("fr"), langs.lang_id("de")
+    texts = ["", "   \n\t ", "!!! ... ?!", "12, 34 — «»",
+             "　　"]
+    hints = [[fr], [(de, 10), (langs.lang_id("nl"), -4)], None,
+             [langs.lang_id("ja")], [langs.lang_id("cs")]]
+    declared = [frozenset([fr]), None, frozenset([de]), frozenset([fr]),
+                None]
+    for with_ranges in (False, True):
+        out = det.detect_batch(list(texts), hints, declared_list=declared,
+                               with_ranges=with_ranges)
+        if with_ranges:
+            out, rng = out
+            assert list(rng) == [[]] * len(texts)
+        assert (out.summary == langs.UNKNOWN).all()
+        for col in (out.lang3, out.pct3, out.nscore3, out.text_bytes):
+            assert not col.any()
+        assert not out.reliable.any()
+        assert out.good.all()
+
+
 def test_detect_html_end_to_end():
     import cld2_ray
     html = ("<html><head><script>var x='english junk';</script></head>"

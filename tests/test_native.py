@@ -222,16 +222,6 @@ class TestFastlangidScore:
         with pytest.raises(ValueError, match="counters"):
             native.fastlangid_score(*args)
 
-    def test_single_equals_batch(self):
-        from cld2_ray.functions import fastlangid
-        texts = ["the quick brown fox jumps over the lazy dog " * 3,
-                 "le chat est sur la table et la porte est ouverte"]
-        bl, bc = fastlangid.classify_batch(texts)
-        for i, t in enumerate(texts):
-            l1, c1 = fastlangid.classify(t)
-            assert l1 == bl[i]
-            assert abs(c1 - bc[i]) < 1e-12
-
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.text(max_size=200), max_size=6))
     @example([""])

@@ -1,7 +1,7 @@
 """The runtime package holds only runtime code: the test oracles live in
 tests/oracles/ and the artifact builders in tools/, cld2_ray/ imports
-neither, and every oracle has a test that calls it. Checked on the
-source with ``ast``."""
+neither, every oracle has a test that calls it, and every runtime name
+has a caller besides the tests. Checked on the source with ``ast``."""
 
 import ast
 import pathlib
@@ -33,6 +33,10 @@ MOVED_OR_DELETED = {
     "_spans_of_meta", "_hint_csr",
     "_one_range", "_many_span_ranges", "_merge_ranges", "_many_ranges",
     "_compose_chunks", "text_to_raw_ranges",
+    # langid's second and third range producers, and entry points only
+    # tests called
+    "detect_ranges_html", "_unhinted_ranges", "debug2_chunks",
+    "priors_from_page",
     # the langmodel builder (tools/langmodel.py) and what only it uses
     "train", "save", "_build_ref_tables", "ref_tables",
     "_build_seed_tables", "_count_table", "_score_text_for_lang",
@@ -124,6 +128,34 @@ def test_every_oracle_has_a_caller():
             if name not in refs:
                 missing.append(f"{p.name}: {name}")
     assert ORACLES and not missing, missing
+
+
+# the runtime's callers: the package itself, the oracles, the builders,
+# the scripts, the benchmark and the two entry files; tests/test_*.py
+# do not count, so a name only a test calls is dead code
+CALLERS = sorted(
+    [p for d in ("cld2_ray", "tools", "scripts", "perfbench")
+     for p in (ROOT / d).rglob("*.py")]
+    + ORACLES + [ROOT / "__ray_entry__.py", ROOT / "bench.py"])
+# names whose callers are outside the repository: the package's one
+# public call (README), and the estimator for the sketch rows of
+# q_kmv_distinct
+PUBLIC = {"detect_language", "kmv_estimate"}
+
+
+def test_every_runtime_name_has_a_caller():
+    """Every function, method and class defined under cld2_ray/
+    (dunders excepted) is referenced from CALLERS. Names are matched,
+    not bindings: a name that is also another name's spelling (a
+    module, an attribute) passes even when nothing calls it."""
+    refs = set()
+    for p in CALLERS:
+        refs |= _referenced(_tree(p))
+    missing = sorted(
+        f"{p.relative_to(ROOT)}: {name}" for p in RUNTIME
+        for name in _defined(_tree(p)) - refs - PUBLIC
+        if not (name.startswith("__") and name.endswith("__")))
+    assert not missing, missing
 
 
 def test_one_binding_per_exported_kernel():

@@ -17,8 +17,8 @@ from cld2_ray.sources.pages import make_page, pages_dataset
 N_PAGES = 120
 
 
-def oracle_rows(n):
-    """Single-process oracle over the same pages (no Ray)."""
+def oracle_rows(pages):
+    """Single-process oracle over the page dicts ``pages`` (no Ray)."""
     from cld2_ray.functions import fastlangid, perplexity
     from cld2_ray.functions.langid import Detector
     from cld2_ray.functions.quality import apply_rules
@@ -26,8 +26,7 @@ def oracle_rows(n):
 
     det = Detector()
     rows = []
-    for i in range(n):
-        p = make_page(i)
+    for p in pages:
         h = p["html"] or b""
         vp = valid_utf8_prefix(h)
         ok = vp == len(h)
@@ -86,7 +85,8 @@ def pipeline_df(ray_session):
 
 @pytest.fixture(scope="module")
 def oracle_df():
-    return oracle_rows(N_PAGES).sort_values("url").reset_index(drop=True)
+    return oracle_rows([make_page(i) for i in range(N_PAGES)]) \
+        .sort_values("url").reset_index(drop=True)
 
 
 class TestOracleEquality:
@@ -120,6 +120,42 @@ class TestOracleEquality:
             assert np.array_equal(got, want, equal_nan=True)
         else:
             assert list(got) == list(want)
+
+
+class TestPagesWithoutLetters:
+    """langid scores every page; a page without letters (null html,
+    an invalid first byte, empty, whitespace, punctuation or markup
+    only) gets the UNKNOWN row, then the metadata fallback, exactly as
+    the per-page oracle, which skips detection on an empty text."""
+
+    HTMLS = [None, b"", b"\xff", b"<p>   </p>", b"<p>!!! 12, 34 ...</p>",
+             b"<script>var a = 1;</script><!-- note --><br><hr>",
+             b'<html lang="de"><body> ?! </body></html>',
+             b'<meta http-equiv="content-language" content="fr"> 42']
+
+    def test_fused_batch_equals_oracle(self):
+        import pyarrow as pa
+        from cld2_ray.sources.pages import SCHEMA
+        from cld2_ray.stages.core import fused_batch
+        pages = [{"url": f"https://nl.example.{tld}/{k}", "warc_ts": k,
+                  "html": h, "text": "", "lang": "xx"}
+                 for k, h in enumerate(self.HTMLS)
+                 for tld in ("com", "cz")]
+        table = pa.Table.from_pylist(pages, schema=SCHEMA)
+        got = fused_batch(table)
+        both = fused_batch(table, with_chunks=True)
+        assert both.drop_columns(["chunks"]).equals(got)
+        assert both["chunks"].to_pylist() == [[]] * len(pages)
+        want = oracle_rows(pages)
+        assert (got["text_bytes"].to_numpy() == 0).all()
+        for col in want.columns:
+            g, w = got[col].to_numpy(zero_copy_only=False), \
+                want[col].to_numpy()
+            if w.dtype.kind == "f":
+                assert g.dtype == w.dtype, col
+                assert np.array_equal(g, w, equal_nan=True), col
+            else:
+                assert list(g) == list(w), col
 
 
 class TestPipelineShape:

@@ -88,11 +88,11 @@ class TestFastLangid:
     @pytest.mark.parametrize("code", ["en", "fr", "de", "ru", "zh", "ja",
                                       "ko", "el", "th", "ar", "he"])
     def test_classify(self, code):
-        lang, conf = fastlangid.classify(HELDOUT[code])
+        (lang,), _ = fastlangid.classify_batch([HELDOUT[code]])
         assert lang == code
 
     def test_empty(self):
-        assert fastlangid.classify("")[0] == "un"
+        assert fastlangid.classify_batch([""]) == (["un"], [0.0])
 
     # sha256 of the weight row of every present bucket in bucket order,
     # then the bucket ids and the language columns
@@ -127,8 +127,8 @@ class TestModelArtifacts:
                 "w = f.weights()\n"
                 "assert idx is w.bucket_index\n"
                 "assert w.table.shape == (idx.max() + 1, len(w.col_langs))\n"
-                "print(f.classify('the quick brown fox jumps over the lazy "
-                "dog')[0])\n")
+                "print(f.classify_batch(['the quick brown fox jumps over "
+                "the lazy dog'])[0][0])\n")
         proc = subprocess.run([sys.executable, "-c", code], cwd=root,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
@@ -178,22 +178,16 @@ class TestModelArtifacts:
 
 class TestPerplexity:
     def test_fluent_low_junk_high(self):
-        p_good, flag_good = perplexity.score(HELDOUT["en"], "en")
-        p_junk, flag_junk = perplexity.score("zzz qqq xxw jkq " * 20, "en")
+        (p_good, p_junk), (flag_good, flag_junk) = perplexity.score_batch(
+            [HELDOUT["en"], "zzz qqq xxw jkq " * 20], ["en", "en"])
         assert p_good < p_junk
         assert not flag_good
         assert flag_junk
 
-    @pytest.mark.parametrize("text,code", [
-        ("", "en"), ("a", "en"), ("ab", "fr"), (None, "en"),
-        (HELDOUT["en"], "en"), (HELDOUT["de"], "xx-unknown")])
-    def test_single_equals_batch(self, text, code):
-        """score is element 0 of score_batch: one code path, so the
-        empty text scores (0.0, False) on both."""
-        ppl, flags = perplexity.score_batch([text], [code])
-        assert perplexity.score(text, code) == (ppl[0], flags[0])
-        if not text:
-            assert perplexity.score(text, code) == (0.0, False)
+    def test_empty_text(self):
+        """An empty or null text scores (0.0, False)."""
+        assert perplexity.score_batch(["", None], ["en", "en"]) \
+            == ([0.0, 0.0], [False, False])
 
 
 class TestRepeats:

@@ -68,12 +68,13 @@ def _span_ranges(table: spans.SpanTable, many: np.ndarray, c,
     span_lid) unless ``c``, the ranges output of
     native.quad_octa_chunk_score over the MANY rows ``many``, splits it
     into chunks: chunk k > 0 starts at the letter of its sharpened
-    first hit, backed up to the start of its word (ItemToVector,
-    scoreonescriptspan.cc:323-360), where chunk k - 1 ends. A chunk
-    below MIN_RELIABLE_KEEP_PERCENT delta reliability reads UNKNOWN."""
+    first hit (the kernel's ``cletter``), backed up to the start of its
+    word (ItemToVector, scoreonescriptspan.cc:323-360), where chunk
+    k - 1 ends. A chunk below MIN_RELIABLE_KEEP_PERCENT delta
+    reliability reads UNKNOWN."""
     n = len(table.doc)
     cnt = np.ones(n, dtype=np.int64)
-    lang1, _, _, _, soc, rel, cstart = c or (np.empty(0, np.int64),) * 7
+    lang1, _, _, _, soc, rel, cletter = c or (np.empty(0, np.int64),) * 7
     nch = np.bincount(soc, minlength=len(many))
     cnt[many] = np.maximum(nch, 1)
     row = np.repeat(np.arange(n), cnt)
@@ -87,17 +88,7 @@ def _span_ranges(table: spans.SpanTable, many: np.ndarray, c,
                         langs.UNKNOWN)
     split = np.flatnonzero(k > 0)
     if len(split):
-        r = crow[split]
-        # the chunk's letter: the last letter starting at or before its
-        # first hit (letters are the span's non-space chars, in
-        # letter_pos order)
-        buf = table.buf
-        letters = np.flatnonzero(((buf & 0xC0) != 0x80) & (buf != 0x20))
-        li = np.searchsorted(letters, np.minimum(
-            table.start[r] + cstart[split], table.end[r] - 1),
-            side="right") - np.searchsorted(letters, table.start[r]) - 1
-        li = table.lp_start[r] + np.clip(
-            li, 0, table.lp_end[r] - table.lp_start[r] - 1)
+        li = table.lp_start[crow[split]] + cletter[split]
         # the first letter of its word: a word is a run of consecutive
         # char indexes within one span
         lp = table.letter_pos

@@ -16,11 +16,16 @@ they take per-span ``starts``/``ends`` instead (checked by ``_spans``).
 (``table_lookup``) reads: the model's quad, socta and CJK unigram
 tables, the perplexity table, the stopword set and the entity names.
 
-Every binding allocates its buffers on each call, sized to the kernel's
-worst case, and the C code keeps no writable state between calls, so
-the kernels are reentrant: the C call releases the GIL (plain ctypes)
-and threads overlap fully. Per-call buffers are cheap because
-``_tune_malloc`` keeps freed buffers in the heap for the next call."""
+One buffer policy holds at this boundary: a binding passes its kernel
+only inputs and outputs, allocating each output per call at its worst
+case, and each kernel allocates (and frees) its own scratch per call,
+sized from the inputs it reads. A kernel returns a negative code when
+its scratch cannot be allocated, which the binding raises as
+``MemoryError``, and the chunk kernels check their output rows. The C
+code keeps no writable state between calls, so the kernels are
+reentrant: the C call releases the GIL (plain ctypes) and threads
+overlap fully. Per-call buffers are cheap because ``_tune_malloc``
+keeps freed buffers in the heap for the next call."""
 
 from __future__ import annotations
 
@@ -33,13 +38,15 @@ import numpy as np
 def _tune_malloc() -> None:
     """Keep large free buffers in the heap instead of munmap'ing them.
 
-    The scoring kernels allocate multi-MB numpy temporaries per batch;
-    with glibc defaults each batch munmaps them back to the OS and the
-    next batch pays a page-fault storm (measured 2-10x wall-time swings
-    on virtualised hosts). mallopt(M_MMAP_THRESHOLD/M_TRIM_THRESHOLD)
-    makes the allocator reuse those buffers — steady-state per-batch
-    time becomes flat. Runs per-process (import-time), so every Ray
-    worker that imports cld2_ray gets it without env plumbing.
+    Every kernel call allocates multi-MB buffers: the outputs as numpy
+    arrays here, the scratch with malloc in the C kernel. Both come
+    from the same glibc heap. With glibc defaults each batch munmaps
+    them back to the OS and the next batch pays a page-fault storm
+    (measured 2-10x wall-time swings on virtualised hosts).
+    mallopt(M_MMAP_THRESHOLD/M_TRIM_THRESHOLD) makes the allocator reuse
+    those buffers — steady-state per-batch time becomes flat. Runs
+    per-process (import-time), so every Ray worker that imports cld2_ray
+    gets it without env plumbing.
     """
     try:
         libc = ctypes.CDLL(None, use_errno=True)
@@ -121,112 +128,62 @@ def _load() -> None:
         ptr(t, flags=ro) for t in (np.uint8, np.int8, np.int16, np.int32,
                                    np.uint32, np.int64, np.uint64,
                                    np.float32, np.float64))
-    u8wp, i64wp, u64wp, f64wp = (
-        ptr(t, flags=rw) for t in (np.uint8, np.int64, np.uint64,
-                                   np.float64))
+    u8wp, i64wp, f64wp = (
+        ptr(t, flags=rw) for t in (np.uint8, np.int64, np.float64))
     u32bp = ptr(np.uint32, ndim=2, flags=ro)
     # raw void* pointers: NULL where a kernel's output is optional (the
     # chunk kernels' ranges pass, the source map), and where
     # ndpointer.from_param validation (~5us/arg/call) would cost
     vp = ctypes.c_void_p
-    _FN = lib.quad_octa_scan
+
+    def bind(fn, restype, *argtypes):
+        """The kernel fn with its restype and argtypes, one per
+        parameter of the C definition (tests/test_oracle_boundary.py
+        checks)."""
+        fn.restype, fn.argtypes = restype, argtypes
+        return fn
+
+    i32, i64, u32, u64 = (ctypes.c_int, ctypes.c_int64, ctypes.c_uint32,
+                          ctypes.c_uint64)
     # bucket-table argument bundle: buckets, nbuckets, keymask,
     # packed_latn, packed_othr
-    _bt = [u32bp, ctypes.c_int64, ctypes.c_uint32, u64p, u64p]
-    _FN.argtypes = [
-        u8p, i64p, i64p, ctypes.c_int64,
-        u64p, u64p, ctypes.c_uint64,
-        u64p, u64p, ctypes.c_uint64,
-        *_bt, *_bt, u8p,
-        u64p, i64p, ctypes.POINTER(ctypes.c_int64),
-        u64p, i64p, u8wp, ctypes.POINTER(ctypes.c_int64),
-    ]
-    _FN.restype = ctypes.c_int
-    _LK = lib.table_lookup_batch
-    _LK.argtypes = [u64p, u64p, ctypes.c_uint64, u64p, ctypes.c_int64, u64p]
-    _LK.restype = ctypes.c_int
-    _ACC = lib.fastlangid_score
-    _ACC.argtypes = [u8p, i64p, ctypes.c_int64, u8p, ctypes.c_int64, u8p,
-                     i32p, f32p, ctypes.c_int64, ctypes.c_int64,
-                     i32p, ctypes.c_int64, i32p, ctypes.c_int64,
-                     i32p, f32p, i64p, i64p]
-    _ACC.restype = ctypes.c_int
-    _PM = lib.predict_mask
-    _PM.argtypes = [u8p, ctypes.c_int64, u8wp, u8wp]
-    _PM.restype = ctypes.c_int64
-    _RW = lib.rep_words_multi
-    _RW.argtypes = [u8p, i64p, i64p, ctypes.c_int64, u8wp, i64p]
-    _RW.restype = ctypes.c_int64
-    _SQ = lib.squeeze_test_multi
-    _SQ.argtypes = [u8p, i64p, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_int64, u8wp]
-    _SQ.restype = ctypes.c_int64
-    _PP = lib.ppl_score
-    _PP.argtypes = [u8p, i64p, ctypes.c_int64, i64p,
-                    u64p, u64p, ctypes.c_uint64,
-                    f64p, ctypes.c_int64, f64p, i64p,
-                    u64wp, ctypes.c_int64]
-    _PP.restype = ctypes.c_int
-    _CS = lib.quad_octa_chunk_score
-    _CS.argtypes = [
-        u8p, i64p, i64p, ctypes.c_int64,
-        u64p, u64p, ctypes.c_uint64,
-        u64p, u64p, ctypes.c_uint64,
-        *_bt, *_bt, u8p, u8p,
-        ctypes.c_int64, i32p, i8p,
-        i64p, i64p,
-        u64p, i64p, u64p, i64p, u8wp,
-        vp, vp, vp,
-        i64p,
-        i16p, i64p, i64p, i64p, i64p,
-        vp, vp,
-    ]
-    _CS.restype = ctypes.c_int64
-    _CJ = lib.cjk_chunk_score
-    _CJ.argtypes = [
-        u8p, i64p, i64p, ctypes.c_int64, i64p,
-        u64p, u64p, ctypes.c_uint64,
-        u32bp, ctypes.c_int64, ctypes.c_uint32, u64p,
-        ctypes.c_int64, i32p, i8p,
-        i64p, i64p,
-        u64p, i64p, u64p, i64p, i64p,
-        i16p, i64p, i64p, i64p, i64p,
-    ]
-    _CJ.restype = ctypes.c_int64
-    _DS = lib.doc_stage
-    _DS.argtypes = [ctypes.c_int64, i64p, ctypes.c_int64,
-                    i64p, i64p, i64p, i64p, i64p,
-                    i64p, i64p, i64p, ctypes.c_int64, i64p, i64p,
-                    i64wp, i64wp, i64wp, f64wp, i64wp, u8wp, u8wp]
-    _DS.restype = ctypes.c_int64
-    _QS = lib.quality_scan
-    _QS.argtypes = [u8p, i64p, ctypes.c_int64,
-                    u8p, ctypes.c_int64,
-                    u32p, ctypes.c_int64,
-                    u64p, u64p, ctypes.c_uint64, i64wp,
-                    u64wp, u64wp, ctypes.c_int64]
-    _QS.restype = ctypes.c_int
-    _SSM = lib.script_spans_scan_multi
-    _SSM.argtypes = [vp, vp, ctypes.c_int64,
-                     vp, vp, ctypes.c_int64,
-                     ctypes.c_int64, ctypes.c_int64,
-                     vp, vp, vp, vp,
-                     vp, vp, vp]
-    _SSM.restype = ctypes.c_int64
-    _EXB = lib.extract_scan_batch
-    _EXB.argtypes = [u8p, i64p, ctypes.c_int64,
-                     u64p, u64p, ctypes.c_uint64, u32p, u8wp, i64p, vp]
-    _EXB.restype = ctypes.c_int64
-    _MD5 = lib.md5_batch
-    _MD5.argtypes = [u8p, i64p, ctypes.c_int64, u8wp]
-    _MD5.restype = ctypes.c_int
-    _MDW = lib.md5_windows
-    _MDW.argtypes = [u8p, i64p, i64p, ctypes.c_int64, ctypes.c_int64,
-                     u8wp]
-    _MDW.restype = ctypes.c_int64
-    _B2B = lib.blake2b_batch
-    _B2B.argtypes = [u8p, i64p, ctypes.c_int64, ctypes.c_int64, u8wp]
-    _B2B.restype = ctypes.c_int
+    bt = (u32bp, i64, u32, u64p, u64p)
+    _FN = bind(lib.quad_octa_scan, i32,
+               u8p, i64p, i64p, i64, u64p, u64p, u64, u64p, u64p, u64,
+               *bt, *bt, u8p, u64p, i64p, ctypes.POINTER(i64),
+               u64p, i64p, u8wp, ctypes.POINTER(i64))
+    _LK = bind(lib.table_lookup_batch, i32,
+               u64p, u64p, u64, u64p, i64, u64p)
+    _ACC = bind(lib.fastlangid_score, i32,
+                u8p, i64p, i64, u8p, i64, u8p, i32p, f32p, i64, i64,
+                i32p, f32p, i64p, i64p)
+    _PM = bind(lib.predict_mask, i64, u8p, i64, u8wp, u8wp)
+    _RW = bind(lib.rep_words_multi, i64, u8p, i64p, i64p, i64, u8wp, i64p)
+    _SQ = bind(lib.squeeze_test_multi, i64, u8p, i64p, i64, i64, i64, u8wp)
+    _PP = bind(lib.ppl_score, i32,
+               u8p, i64p, i64, i64p, u64p, u64p, u64, f64p, i64, f64p,
+               i64p)
+    _CS = bind(lib.quad_octa_chunk_score, i64,
+               u8p, i64p, i64p, i64, u64p, u64p, u64, u64p, u64p, u64,
+               *bt, *bt, u8p, u8p, i64, i32p, i8p, i64p, i64p, i64,
+               i16p, i64p, i64p, i64p, i64p, vp, vp)
+    _CJ = bind(lib.cjk_chunk_score, i64,
+               u8p, i64p, i64p, i64, i64p, u64p, u64p, u64,
+               u32bp, i64, u32, u64p, i64, i32p, i8p, i64p, i64p, i64,
+               i16p, i64p, i64p, i64p, i64p)
+    _DS = bind(lib.doc_stage, i64,
+               i64, i64p, i64, i64p, i64p, i64p, i64p, i64p,
+               i64p, i64p, i64p, i64, i64p, i64p,
+               i64wp, i64wp, i64wp, f64wp, i64wp, u8wp, u8wp)
+    _QS = bind(lib.quality_scan, i32,
+               u8p, i64p, i64, u8p, i64, u32p, i64, u64p, u64p, u64, i64wp)
+    _SSM = bind(lib.script_spans_scan_multi, i64,
+                vp, vp, i64, vp, vp, i64, i64, i64, vp, vp, vp, vp)
+    _EXB = bind(lib.extract_scan_batch, i64,
+                u8p, i64p, i64, u64p, u64p, u64, u32p, u8wp, i64p, vp)
+    _MD5 = bind(lib.md5_batch, i32, u8p, i64p, i64, u8wp)
+    _MDW = bind(lib.md5_windows, i64, u8p, i64p, i64p, i64, i64, u8wp)
+    _B2B = bind(lib.blake2b_batch, i32, u8p, i64p, i64, i64, u8wp)
 
 
 _load()
@@ -250,8 +207,9 @@ def quad_octa_scan(cat, starts: np.ndarray, ends: np.ndarray, quad_table,
     lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
     # per span of s bytes: <= s quad hits, <= 2s + 4 octa hits
     cap = 2 * int((ends - starts).sum()) + 4 * len(ends) + 8
-    qvals, qoffs = _hits(cap)
-    ovals, ooffs, odist = _hits(cap, dist=True)
+    qvals, ovals = (np.empty(cap, dtype=np.uint64) for _ in range(2))
+    qoffs, ooffs = (np.empty(cap, dtype=np.int64) for _ in range(2))
+    odist = np.empty(cap, dtype=np.uint8)
     nq = ctypes.c_int64(0)
     no = ctypes.c_int64(0)
     _FN(buf, starts, ends, len(ends),
@@ -264,29 +222,35 @@ def quad_octa_scan(cat, starts: np.ndarray, ends: np.ndarray, quad_table,
             ooffs[:no.value], odist[:no.value].view(bool))
 
 
-def _hits(cap: int, dist: bool = False):
-    """One hit stream of ``cap`` slots: (vals u64, offs i64), plus the
-    distinct flags (u8) of an octa stream."""
-    return (np.empty(cap, dtype=np.uint64), np.empty(cap, dtype=np.int64),
-            *((np.empty(cap, dtype=np.uint8),) if dist else ()))
-
-
-def _chunk_bufs(starts: np.ndarray, bounds: np.ndarray, chunk_size: int,
-                num_langs: int):
-    """Per-call buffers of the chunk kernels: (hit_cap, scores, outs).
-
-    A span of s bytes yields at most s quad (or unigram) hits and, per
-    word of >= 2 framed bytes, 4 octa hits (<= 2s + 4), so each hit
-    stream and their merge fit h = 3 * (s + 8) slots, sized by the
-    longest span, and the span scores at most h // chunk_size + 1
-    chunks. outs are the per-chunk (lang1 i16, cbytes, s1, rel, span
-    i64) rows. ``scores`` is the per-language tote row, which the kernel
-    needs ZEROED (it leaves it zeroed)."""
+def _chunk_bufs(starts: np.ndarray, bounds: np.ndarray, chunk_size: int):
+    """The chunk kernels' per-chunk output rows (lang1 i16, cbytes, s1,
+    rel, span i64). A span of s bytes yields at most h = 3 * (s + 8)
+    hits (see quad_octa_chunk_score in quadscan.c), so it scores at most
+    h // chunk_size + 1 chunks; the kernel checks the row count."""
     h = 3 * (bounds - starts + 8)
     out_cap = int((h // max(chunk_size, 1)).sum()) + len(h)
-    outs = (np.empty(out_cap, dtype=np.int16),
+    return (np.empty(out_cap, dtype=np.int16),
             *(np.empty(out_cap, dtype=np.int64) for _ in range(4)))
-    return int(h.max(initial=0)), np.zeros(num_langs, dtype=np.int64), outs
+
+
+def _chunk_args(chunk_size, expected_1kb, close_set, hint_csr, hint_flat):
+    """The chunk kernels' scoring arguments as the C types they read; an
+    empty hint payload becomes one unread slot."""
+    flat = np.ascontiguousarray(hint_flat, dtype=np.int64)
+    return (chunk_size, np.ascontiguousarray(expected_1kb, dtype=np.int32),
+            np.ascontiguousarray(close_set, dtype=np.int8),
+            np.ascontiguousarray(hint_csr, dtype=np.int64),
+            flat if len(flat) else np.zeros(1, dtype=np.int64))
+
+
+def _checked(rc: int, kernel: str, bad: str = "") -> int:
+    """A kernel's return value rc; its error codes raise: -1 (its
+    scratch could not be allocated) MemoryError, -2 ValueError(bad)."""
+    if rc == -1:
+        raise MemoryError(f"{kernel}: cannot allocate its scratch")
+    if rc == -2:
+        raise ValueError(f"{kernel}: {bad}")
+    return rc
 
 
 def _spans(cat, starts, ends):
@@ -341,38 +305,30 @@ def quad_octa_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     bit-equal to the numpy oracle chain tests/oracles/langid.py
     many_hits -> score.score_chunks_multi.
 
-    with_ranges=True appends (rel_delta, cstart): rel_delta is the
-    zeros-expected reliability (the ranges "un" gate) and cstart the
-    BetterBoundary-sharpened chunk start in span-LOCAL bytes. The first
-    five outputs do not change; the pass costs a hit-stream merge.
+    with_ranges=True appends (rel_delta, cletter): rel_delta is the
+    zeros-expected reliability (the ranges "un" gate) and cletter the
+    index, among its span's letters, of the letter at the
+    BetterBoundary-sharpened chunk start. The first five outputs do not
+    change; the pass costs a hit-stream merge.
 
     expected_1kb: int32[NUM_LANGS, 4] in the kAvgDeltaOctaScore layout,
     read at each span's LScript4 slot ``script4_of_span``."""
     buf, starts, bounds = _spans(cat, starts, bounds)
-    lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
-    nb = len(bounds)
-    hit_cap, scores, outs = _chunk_bufs(starts, bounds, chunk_size,
-                                        expected_1kb.shape[0])
-    # the ranges pass's merged hit stream, then its two outputs
-    ranges = (*_hits(hit_cap, dist=True),
-              *(np.empty(len(outs[0]), dtype=np.int64) for _ in range(2))
-              ) if with_ranges else ()
-    ptrs = [a.ctypes.data for a in ranges] or [None] * 5
-    exp = np.ascontiguousarray(expected_1kb, dtype=np.int32)
-    s4 = np.ascontiguousarray(script4_of_span, dtype=np.uint8)
-    cset = np.ascontiguousarray(close_set, dtype=np.int8)
-    csr = np.ascontiguousarray(hint_csr, dtype=np.int64)
-    flat = np.ascontiguousarray(hint_flat, dtype=np.int64)
-    if len(flat) == 0:
-        flat = np.zeros(1, dtype=np.int64)
-    nch = _CS(buf, starts, bounds, nb,
-              quad_table.keys, quad_table.vals, int(quad_table.mask),
-              socta.keys, socta.vals, int(socta.mask),
-              *_bt_args(docta), *_bt_args(xocta), lat, s4,
-              chunk_size, exp, cset, csr, flat,
-              *_hits(hit_cap), *_hits(hit_cap, dist=True), *ptrs[:3],
-              scores, *outs, *ptrs[3:])
-    return tuple(a[:nch] for a in (*outs, *ranges[3:]))
+    outs = _chunk_bufs(starts, bounds, chunk_size)
+    ranges = tuple(np.empty(len(outs[0]), dtype=np.int64)
+                   for _ in range(2 * with_ranges))
+    nch = _checked(_CS(
+        buf, starts, bounds, len(bounds),
+        quad_table.keys, quad_table.vals, int(quad_table.mask),
+        socta.keys, socta.vals, int(socta.mask),
+        *_bt_args(docta), *_bt_args(xocta),
+        np.ascontiguousarray(latin_of_span, dtype=np.uint8),
+        np.ascontiguousarray(script4_of_span, dtype=np.uint8),
+        *_chunk_args(chunk_size, expected_1kb, close_set, hint_csr,
+                     hint_flat), len(outs[0]), *outs,
+        *([a.ctypes.data for a in ranges] or [None] * 2)),
+        "quad_octa_chunk_score", "the chunks pass the output rows")
+    return tuple(a[:nch] for a in (*outs, *ranges))
 
 
 def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
@@ -386,22 +342,16 @@ def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
     (char positions scale x3, as in the numpy path). cjkbi is a
     BucketTable probed with BiHashV2 (othr decode)."""
     buf, starts, bounds = _spans(cat, starts, bounds)
-    plens = np.ascontiguousarray(pseudo_lens, dtype=np.int64)
-    nb = len(bounds)
-    hit_cap, scores, outs = _chunk_bufs(starts, bounds, chunk_size,
-                                        len(expected_1kb))
-    exp = np.ascontiguousarray(expected_1kb, dtype=np.int32)
-    cset = np.ascontiguousarray(close_set, dtype=np.int8)
-    csr = np.ascontiguousarray(hint_csr, dtype=np.int64)
-    flat = np.ascontiguousarray(hint_flat, dtype=np.int64)
-    if len(flat) == 0:
-        flat = np.zeros(1, dtype=np.int64)
-    nch = _CJ(buf, starts, bounds, nb, plens,
-              uni_table.keys, uni_table.vals, int(uni_table.mask),
-              cjkbi.buckets, cjkbi.buckets.shape[0], int(cjkbi.keymask),
-              cjkbi.packed_othr,
-              chunk_size, exp, cset, csr, flat,
-              *_hits(hit_cap), *_hits(hit_cap), scores, *outs)
+    outs = _chunk_bufs(starts, bounds, chunk_size)
+    nch = _checked(_CJ(
+        buf, starts, bounds, len(bounds),
+        np.ascontiguousarray(pseudo_lens, dtype=np.int64),
+        uni_table.keys, uni_table.vals, int(uni_table.mask),
+        cjkbi.buckets, cjkbi.buckets.shape[0], int(cjkbi.keymask),
+        cjkbi.packed_othr,
+        *_chunk_args(chunk_size, expected_1kb, close_set, hint_csr,
+                     hint_flat), len(outs[0]), *outs),
+        "cjk_chunk_score", "the chunks pass the output rows")
     return tuple(a[:nch] for a in outs)
 
 
@@ -421,23 +371,13 @@ def extract_scan_batch(data, offsets: np.ndarray, ent_keys: np.ndarray,
     out = np.empty(len(buf) + 8, dtype=np.uint8)
     text_offsets = np.empty(n + 1, dtype=np.int64)
     src = np.empty(len(buf) + 8, dtype=np.int64) if with_map else None
-    m = _EXB(buf, offsets, n, ent_keys, ent_vals, int(ent_mask), low_map,
-             out, text_offsets, None if src is None else src.ctypes.data)
-    if m < 0:
-        raise MemoryError("extract_scan_batch: no scratch for \\r pages")
+    m = _checked(_EXB(buf, offsets, n, ent_keys, ent_vals, int(ent_mask),
+                      low_map, out, text_offsets,
+                      None if src is None else src.ctypes.data),
+                 "extract_scan_batch")
     if with_map:
         return out[:m], text_offsets, src[:m]
     return out[:m], text_offsets
-
-
-def _ssm_needs(offsets: np.ndarray, text_limit: int) -> tuple[int, int]:
-    """(packed, per_doc) scratch slots script_spans_scan_multi needs:
-    pass 1 of the scan records at most c_d = min(len_d, text_limit + 1)
-    letters of doc d (see quadscan.c script_spans_scan); the packed
-    outputs need sum(c_d) letters (out_buf 3 bytes per letter + 1 per
-    doc) and the per-doc temporaries max(c_d)."""
-    c = np.minimum(np.diff(offsets), max(text_limit, 1) + 1)
-    return int(c.sum()), int(c.max(initial=0))
 
 
 def script_spans_scan_multi(data, offsets: np.ndarray,
@@ -455,21 +395,22 @@ def script_spans_scan_multi(data, offsets: np.ndarray,
     the used prefix of out_buf and lt_idx ends at the last meta row."""
     buf, offsets = _docs(data, offsets)
     n_docs = len(offsets) - 1
-    lt_cap, tmp_cap = _ssm_needs(offsets, text_limit)
+    # pass 1 of the scan records at most c_d = min(len_d, text_limit + 1)
+    # letters of doc d (see quadscan.c script_spans_scan); the outputs
+    # hold sum(c_d) letters, out_buf 3 bytes per letter + 1 per doc, and
     # the scan writes every slot before it reads it
+    lt_cap = int(np.minimum(np.diff(offsets), max(text_limit, 1) + 1).sum())
     lt_idx = np.empty(lt_cap, dtype=np.int64)
-    tmp = (np.empty(tmp_cap, dtype=np.uint8),
-           np.empty(tmp_cap, dtype=np.uint32),
-           np.empty(tmp_cap, dtype=np.uint8))
     out_buf = np.empty(3 * lt_cap + n_docs, dtype=np.uint8)
     # at most one span per letter; only emitted rows are written
     meta = np.empty(lt_cap * 7, dtype=np.int64)
     ns_doc = np.empty(n_docs, dtype=np.int64)
-    ns = _SSM(*(a.ctypes.data for a in (buf, offsets)), n_docs,
-              script_lut.ctypes.data, lower_lut.ctypes.data,
-              len(script_lut), text_limit, max_span_bytes,
-              *(a.ctypes.data for a in (lt_idx, *tmp, out_buf, meta,
-                                        ns_doc)))
+    ns = _checked(_SSM(*(a.ctypes.data for a in (buf, offsets)), n_docs,
+                       script_lut.ctypes.data, lower_lut.ctypes.data,
+                       len(script_lut), text_limit, max_span_bytes,
+                       *(a.ctypes.data for a in (lt_idx, out_buf, meta,
+                                                 ns_doc))),
+                  "script_spans_scan_multi")
     return meta[:ns * 7].reshape(ns, 7), ns_doc, out_buf, lt_idx
 
 
@@ -485,15 +426,10 @@ def quality_scan(data, offsets: np.ndarray, letter_lut: np.ndarray,
     buf, offsets = _docs(data, offsets)
     n_docs = len(offsets) - 1
     out = np.empty((n_docs, 13), dtype=np.int64)
-    # the dup-line table: a doc of b bytes has <= b/2 + 1 non-empty
-    # lines, held at load <= 1/2 in a power of two >= 64 slots; the
-    # kernel tags slots with doc + 1, so the tags start ZEROED
-    need = int(np.diff(offsets).max(initial=0)) // 2 * 2 + 16
-    cap = 1 << max(need - 1, 63).bit_length()
     sw_keys, sw_vals, sw_mask = sw_table
-    _QS(buf, offsets, n_docs, letter_lut, len(letter_lut),
-        fold_lut, len(fold_lut), sw_keys, sw_vals, int(sw_mask), out,
-        np.empty(cap, dtype=np.uint64), np.zeros(cap, dtype=np.uint64), cap)
+    _checked(_QS(buf, offsets, n_docs, letter_lut, len(letter_lut),
+                 fold_lut, len(fold_lut), sw_keys, sw_vals, int(sw_mask),
+                 out), "quality_scan")
     return out
 
 
@@ -535,11 +471,6 @@ def table_lookup(keys: np.ndarray, vals: np.ndarray, mask: int,
     return out
 
 
-# ppl_score's trigram memo: 2^PPL_MEMO_BITS (key, bits) slots, 1 MB,
-# which the kernel resets on every call.
-PPL_MEMO_BITS = 16
-
-
 def ppl_score(data, offsets: np.ndarray, lang_ids: np.ndarray,
               table, uni: np.ndarray):
     """Per-doc char-trigram LM bits over the framed lowered docs
@@ -556,9 +487,8 @@ def ppl_score(data, offsets: np.ndarray, lang_ids: np.ndarray,
                          "of two")
     bits = np.empty(n_docs, dtype=np.float64)
     cnt = np.empty(n_docs, dtype=np.int64)
-    _PP(buf, offsets, n_docs, lang_ids, table.keys, table.vals,
-        int(table.mask), uni, v, bits, cnt,
-        np.empty(2 << PPL_MEMO_BITS, dtype=np.uint64), PPL_MEMO_BITS)
+    _checked(_PP(buf, offsets, n_docs, lang_ids, table.keys, table.vals,
+                 int(table.mask), uni, v, bits, cnt), "ppl_score")
     return bits, cnt
 
 
@@ -674,25 +604,15 @@ def fastlangid_score(data, offsets: np.ndarray, idx: np.ndarray,
     n_docs = len(offsets) - 1
     if len(one_script) != 256:
         raise ValueError("one_script must hold 256 flags")
-    # 3 windows per doc byte (2-, 3- and 4-grams of the framed doc);
-    # cnt is one counter per weight row, which the kernel needs ZEROED
-    # (as it does scores)
-    grams = np.empty(3 * int(np.diff(offsets).max(initial=0)), np.int32)
-    cnt = np.zeros(w.shape[0], dtype=np.int32)
     route = np.empty(n_docs, dtype=np.int32)
-    scores = np.zeros((n_docs, w.shape[1]), dtype=np.float32)
+    scores = np.empty((n_docs, w.shape[1]), dtype=np.float32)
     nfeats = np.empty(n_docs, dtype=np.int64)
     nrows = np.empty(n_docs, dtype=np.int64)
-    rc = _ACC(buf, offsets, n_docs, script_lut, len(script_lut),
-              np.ascontiguousarray(one_script, dtype=np.uint8), idx, w,
-              w.shape[0], w.shape[1], cnt, len(cnt), grams, len(grams),
-              route, scores, nfeats, nrows)
-    if rc == -1:
-        raise ValueError("fastlangid_score: a doc needs more gram slots "
-                         f"than the {len(grams)} given")
-    if rc == -2:
-        raise ValueError("fastlangid_score: the row counters do not "
-                         "cover the weight table's rows")
+    _checked(_ACC(buf, offsets, n_docs, script_lut, len(script_lut),
+                  np.ascontiguousarray(one_script, dtype=np.uint8), idx, w,
+                  w.shape[0], w.shape[1], route, scores, nfeats, nrows),
+             "fastlangid_score",
+             "bucket_index names a row past the weight table")
     return route, scores, nfeats, nrows
 
 
@@ -754,9 +674,9 @@ def md5_windows(word_data: np.ndarray, word_offsets: np.ndarray,
     doc_offsets = _offsets(doc_offsets, len(word_offsets) - 1)
     total = int(np.maximum(np.diff(doc_offsets) - window + 1, 0).sum())
     out = np.empty((total, 16), dtype=np.uint8)
-    if total and _MDW(data, word_offsets, doc_offsets,
-                      len(doc_offsets) - 1, window, out) < 0:
-        raise MemoryError("md5_windows: no window buffer")
+    if total:
+        _checked(_MDW(data, word_offsets, doc_offsets,
+                      len(doc_offsets) - 1, window, out), "md5_windows")
     return out
 
 

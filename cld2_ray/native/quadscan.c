@@ -22,8 +22,10 @@
  * open-addressed table probe (table_lookup; native.table_build builds
  * the tables it reads) and the Repeats predictor step (pred_step).
  * A batch of documents is the Arrow layout (data, offsets[n+1]):
- * document d is data[offsets[d], offsets[d+1]).  No kernel keeps
- * writable state between calls, so all are reentrant.
+ * document d is data[offsets[d], offsets[d+1]).  A kernel's pointer
+ * parameters are its inputs and its outputs; its scratch is its own,
+ * allocated per call (scratch_get), and no kernel keeps writable state
+ * between calls, so all are reentrant.
  *
  * Build: cc -O3 -ffp-contract=off -shared -fPIC quadscan.c -o
  * quadscan.so (done by the package shim, cached next to this file).
@@ -33,6 +35,41 @@
 #include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* Per-call scratch, the one buffer policy of these kernels: a kernel
+ * allocates its scratch on entry, sized from the inputs it reads, and
+ * frees it with scratch_done before it returns; callers pass only
+ * inputs and outputs.  scratch_get returns n elements of size bytes
+ * (zeroed if zero), each array (at most 8 per kernel) its own
+ * allocation, so a sanitizer build sees every bound; a failed one
+ * clears ok, and the kernel returns -1. */
+typedef struct {
+    void *p[8];
+    int n, ok;
+} scratch;
+
+static void *scratch_get(scratch *s, int64_t n, size_t size, int zero) {
+    size_t count = n > 0 ? (size_t)n : 1;
+    void *p = zero ? calloc(count, size) : malloc(count * size);
+    s->p[s->n++] = p;
+    s->ok = s->ok && p;
+    return p;
+}
+
+/* Free all of s's arrays; returns rc, the kernel's return value. */
+static int64_t scratch_done(scratch *s, int64_t rc) {
+    for (int i = 0; i < s->n; i++) free(s->p[i]);
+    return rc;
+}
+
+/* max(hi[i] - lo[i]) over i < n, 0 if n == 0: the longest document
+ * (lo = offsets, hi = offsets + 1) or span. */
+static int64_t max_len(const int64_t *lo, const int64_t *hi, int64_t n) {
+    int64_t m = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (hi[i] - lo[i] > m) m = hi[i] - lo[i];
+    return m;
+}
 
 /* The UTF-8 step every kernel walks text with.  The byte length of the
  * char at p[i] (i < end) comes from its lead byte alone and is clamped
@@ -325,22 +362,25 @@ int64_t rep_words_multi(const uint8_t *cat, const int64_t *starts,
  * per-lang v float64 unigram probs.  Outputs per-doc total bits and
  * trigram count.
  *
- * memo: 2^memo_bits direct-mapped slots of (trigram key, -log2 p),
- * caller's scratch, reset here on every call.  The key
- * lang<<40 | (c0*v+c1)*v+c2 fixes the bigram key, both counts and the
- * unigram backoff, so a hit adds the same double in the same order as
- * the probes would (most trigrams of a page repeat within the call).
- * A trigram key never sets bit 39, the bigram flag, so ~0 marks an
- * empty slot. */
+ * The memo, allocated per call (1 MB): 2^PPL_MEMO_BITS direct-mapped
+ * slots of (trigram key, -log2 p).  The key lang<<40 | (c0*v+c1)*v+c2
+ * fixes the bigram key, both counts and the unigram backoff, so a hit
+ * adds the same double in the same order as the probes would (most
+ * trigrams of a page repeat within the call).  A trigram key never sets
+ * bit 39, the bigram flag, so ~0 marks an empty slot.  Returns 0, or -1
+ * when the memo cannot be allocated. */
+#define PPL_MEMO_BITS 16
 typedef struct { uint64_t key; double bits; } ppl_slot;
 
 int ppl_score(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
               const int64_t *lang_ids,
               const uint64_t *keys, const uint64_t *vals, uint64_t mask,
               const double *uni, int64_t v,
-              double *bits_out, int64_t *n_out,
-              ppl_slot *memo, int64_t memo_bits) {
-    memset(memo, 0xFF, sizeof(ppl_slot) << memo_bits);
+              double *bits_out, int64_t *n_out) {
+    scratch sc = {{0}, 0, 1};
+    ppl_slot *memo = scratch_get(&sc, 1 << PPL_MEMO_BITS, sizeof *memo, 0);
+    if (!sc.ok) return (int)scratch_done(&sc, -1);
+    memset(memo, 0xFF, sizeof *memo << PPL_MEMO_BITS);
     uint64_t vmask = (uint64_t)v - 1;
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t end = offsets[d + 1];
@@ -360,7 +400,7 @@ int ppl_score(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
                     uint64_t b = (uint64_t)(c0 * v + c1);
                     uint64_t tri = base | (b * (uint64_t)v + (uint64_t)c2);
                     ppl_slot *m = memo + ((tri * 0x9E3779B97F4A7C15ull)
-                                          >> (64 - memo_bits));
+                                          >> (64 - PPL_MEMO_BITS));
                     if (m->key != tri) {
                         uint64_t bi = base | bflag | b;
                         uint64_t ct = table_lookup(keys, vals, mask, tri);
@@ -382,7 +422,7 @@ int ppl_score(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
         bits_out[d] = bits;
         n_out[d] = cnt;
     }
-    return 0;
+    return (int)scratch_done(&sc, 0);
 }
 
 /* Vectorized open-addressed lookup over a query array (the HashTable
@@ -425,16 +465,14 @@ static inline uint64_t fl_byte(const uint8_t *p, int64_t len, int64_t j) {
  *    order all 2-grams, then 3-grams, then 4-grams, each by position;
  *    nfeats[d] counts them (3 per doc byte, absent buckets included).
  *    Each present bucket's weight row (idx: bucket -> row + 1, 0 =
- *    absent) is counted, and scores[d] (k floats, ZEROED by the caller)
- *    gets count * row added once per distinct row, rows in first-seen
- *    order; nrows[d] is the distinct-row count.
+ *    absent) is counted, and scores[d] (k floats, 0 on an unscored
+ *    doc) is the sum of count * row over the distinct rows, added in
+ *    first-seen order; nrows[d] is the distinct-row count.
  *
- * Scratch: cnt int32[cnt_cap] ZEROED by the caller (left zeroed), one
- * slot per weight row (cnt_cap >= n_rows); grams int32[grams_cap], 3
- * slots per byte of the longest scored doc.  Returns 0, or -1 when a
- * doc needs more grams slots, -2 when cnt_cap < n_rows or idx names a
- * row past n_rows: the caller raises instead of the kernel writing
- * past a buffer.
+ * Scratch, allocated per call: cnt, one counter per weight row, and
+ * grams, 3 slots per byte of the longest doc.  Returns 0, -1 when the
+ * scratch cannot be allocated, or -2 when idx names a row past n_rows
+ * (a bad artifact).
  *
  * The scoring waits on memory latency, not arithmetic: each distinct
  * gram adds a k-float row (114 floats, 456 bytes) of a ~25 MB table
@@ -462,11 +500,14 @@ int fastlangid_score(const uint8_t *cat, const int64_t *offsets,
                      int64_t n_docs, const uint8_t *script_lut,
                      int64_t lut_size, const uint8_t *one_script,
                      const int32_t *idx, const float *w, int64_t n_rows,
-                     int64_t k, int32_t *cnt, int64_t cnt_cap,
-                     int32_t *grams, int64_t grams_cap, int32_t *route,
-                     float *scores, int64_t *nfeats, int64_t *nrows) {
+                     int64_t k, int32_t *route, float *scores,
+                     int64_t *nfeats, int64_t *nrows) {
     const uint64_t gold = 0x9E3779B97F4A7C15ull;
-    if (cnt_cap < n_rows) return -2;
+    scratch sc = {{0}, 0, 1};
+    int32_t *cnt = scratch_get(&sc, n_rows, sizeof *cnt, 1);
+    int32_t *grams = scratch_get(
+        &sc, 3 * max_len(offsets, offsets + 1, n_docs), sizeof *grams, 0);
+    if (!sc.ok) return (int)scratch_done(&sc, -1);
     for (int64_t d = 0; d < n_docs; d++) {
         const uint8_t *p = cat + offsets[d];
         int64_t len = offsets[d + 1] - offsets[d];
@@ -485,12 +526,13 @@ int fastlangid_score(const uint8_t *cat, const int64_t *offsets,
         route[d] = blank ? -1
                  : per_script[dom] && one_script[dom] ? dom : 0;
         nfeats[d] = nrows[d] = 0;
+        float *s = scores + d * k;
+        memset(s, 0, (size_t)k * sizeof *s);
         if (route[d]) continue;
 
         /* phase 1: the row (+1) of every window, 2-grams at [0, len],
          * 3-grams after them at [0, len - 1], 4-grams at [0, len - 2] */
         int64_t ng = 3 * len;
-        if (ng > grams_cap) return -1;
         int32_t *g3 = grams + len + 1, *g4 = g3 + len;
         uint64_t b0 = 32, b1 = fl_byte(p, len, 1), b2 = fl_byte(p, len, 2);
         for (int64_t i = 0; i <= len; i++) {
@@ -511,7 +553,8 @@ int fastlangid_score(const uint8_t *cat, const int64_t *offsets,
         int64_t nt = 0;
         for (int64_t g = 0; g < ng; g++) {
             int32_t r = grams[g];
-            if ((uint32_t)r >= (uint64_t)n_rows) return -2;
+            if ((uint32_t)r >= (uint64_t)n_rows)
+                return (int)scratch_done(&sc, -2);
             int32_t c = cnt[r];
             cnt[r] = c + 1;
             grams[nt] = r;
@@ -519,7 +562,6 @@ int fastlangid_score(const uint8_t *cat, const int64_t *offsets,
         }
         cnt[0] = 0;
         /* phase 3: add count * row, whole rows prefetched 8 ahead */
-        float *s = scores + d * k;
         for (int64_t t = 0; t < nt; t++) {
             if (t + 8 < nt) {
                 const char *row =
@@ -537,7 +579,7 @@ int fastlangid_score(const uint8_t *cat, const int64_t *offsets,
         nfeats[d] = ng;
         nrows[d] = nt;
     }
-    return 0;
+    return (int)scratch_done(&sc, 0);
 }
 
 /* The last two quad hashes of a span: the quad walk's last-2 repeat
@@ -811,11 +853,11 @@ static inline int is_re2_space(uint32_t cp) {
     return cp == 32 || cp == 9 || cp == 10 || cp == 12 || cp == 13;
 }
 
-/* The dup-line hash table, caller's scratch: line_cap (a power of two)
- * slots of line hash h and epoch tag ep.  A slot belongs to the current
- * doc iff its tag equals the doc's epoch, so no per-doc clear. */
+/* The dup-line hash table: cap (a power of two) slots of line hash h
+ * and epoch tag ep.  A slot belongs to the current doc iff its tag
+ * equals the doc's epoch, so no per-doc clear. */
 typedef struct {
-    uint64_t *h, *ep;
+    struct { uint64_t h, ep; } *slot;
     int64_t cap;
 } line_table;
 
@@ -837,10 +879,10 @@ static inline int line_commit(const uint8_t *cat, int64_t ts, int64_t te,
     uint64_t m = (uint64_t)lt->cap - 1;
     uint64_t idx = h & m;
     for (;;) {
-        if (lt->ep[idx] != ep) {
-            lt->ep[idx] = ep; lt->h[idx] = h; return 0;
+        if (lt->slot[idx].ep != ep) {
+            lt->slot[idx].ep = ep; lt->slot[idx].h = h; return 0;
         }
-        if (lt->h[idx] == h) return 1;
+        if (lt->slot[idx].h == h) return 1;
         idx = (idx + 1) & m;
     }
 }
@@ -885,17 +927,22 @@ static void line_scan_doc(const uint8_t *cat, int64_t start, int64_t end,
 }
 
 /* Per-doc text stats (see native.quality_scan) into out[n_docs][13].
- * line_h/line_ep: the dup-line table (line_table), line_cap slots, a
- * power of two above twice the non-empty lines of the longest doc;
- * line_ep ZEROED, as doc d tags its lines with d + 1. */
+ * The dup-line table is allocated per call, zeroed, as doc d tags its
+ * lines with d + 1: a doc of b bytes has <= b/2 + 1 non-empty lines,
+ * held at load <= 1/2 in a power of two >= 64 slots.  Returns 0, or -1
+ * when the table cannot be allocated. */
 int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
                  const uint8_t *is_letter, int64_t letter_lim,
                  const uint32_t *fold, int64_t fold_lim,
                  const uint64_t *sw_keys, const uint64_t *sw_vals,
-                 uint64_t sw_mask, int64_t *out,
-                 uint64_t *line_h, uint64_t *line_ep, int64_t line_cap) {
+                 uint64_t sw_mask, int64_t *out) {
     static const char lorem[] = "lorem ipsum";
-    const line_table lt = {line_h, line_ep, line_cap};
+    line_table lt = {NULL, 64};
+    while (lt.cap < max_len(offsets, offsets + 1, n_docs) / 2 * 2 + 16)
+        lt.cap <<= 1;
+    scratch sc = {{0}, 0, 1};
+    lt.slot = scratch_get(&sc, lt.cap, sizeof *lt.slot, 1);
+    if (!sc.ok) return (int)scratch_done(&sc, -1);
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t start = offsets[d], end = offsets[d + 1];
         int64_t n_words = 0, n_chars = 0, n_ws = 0, alpha_words = 0;
@@ -961,7 +1008,7 @@ int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
         row[6] = symbols; row[7] = has_lorem; row[8] = has_brace;
         line_scan_doc(cat, start, end, &lt, (uint64_t)d + 1, row);
     }
-    return 0;
+    return (int)scratch_done(&sc, 0);
 }
 
 /* Scan the spans buf[starts[i], ends[i]), i < nb.  Emits table HITS
@@ -1001,9 +1048,11 @@ int quad_octa_scan(const uint8_t *buf,
 /* Chunk-score ONE span's merged hit stream (primary a = quads/unis,
  * secondary b = octas/bis; a-before-b at equal offsets — the stable
  * concat order). Appends per-chunk rows at *nchunks_io; returns the
- * number of chunks appended. Offsets are LOCAL to the span and already
- * in the span's byte space (CJK callers pre-scale char positions x3).
- * sc_scores: int64[num_langs] zeroed, left zeroed.
+ * number of chunks appended, or -1, writing nothing, when they would
+ * pass out_cap rows. Offsets are LOCAL to the span and already in the
+ * span's byte space (CJK callers pre-scale char positions x3).
+ * sc_scores: the kernel's tote row, indexed by language id (lane ids
+ * are 8-bit, and hint ids are language ids), zeroed, left zeroed.
  *
  * The lane loop has no branch: an UNKNOWN (0) lane adds into
  * sc_scores[0], which is zeroed after the chunk's hits, and the seen
@@ -1019,7 +1068,7 @@ static int64_t chunk_score_merged(
         const int32_t *expected_1kb, int32_t exp_script4,
         const int8_t *close_set,
         const int64_t *hints, int64_t nhints,
-        int64_t *sc_scores, int64_t span_i,
+        int64_t *sc_scores, int64_t span_i, int64_t out_cap,
         int16_t *out_lang1, int64_t *out_cbytes, int64_t *out_s1,
         int64_t *out_rel, int64_t *out_span, int64_t *nchunks_io,
         int64_t *out_rel_delta /* nullable: rel BEFORE the expected
@@ -1029,10 +1078,11 @@ static int64_t chunk_score_merged(
     int32_t touched[4 * 4096 + 64];   /* lanes touched per chunk */
     int64_t nh = na + nb_;
     if (nh == 0) return 0;
-    uint8_t seen[256];                /* lane ids are 8-bit */
+    uint8_t seen[256];
     memset(seen, 0, sizeof seen);
     int64_t nch = nh / chunk_size;
     if (nch < 1) nch = 1;
+    if (nch > out_cap - nchunks_total) return -1;
 
     int64_t ai = 0, bi = 0;
     int64_t hit_idx = 0;
@@ -1263,6 +1313,22 @@ static void sharpen_starts(
     }
 }
 
+/* Chunk starts (span-local bytes, replaced in place) -> the index among
+ * the span's letters (its non-space chars) of the last letter at or
+ * before the start, read no further than the span's last byte; 0 if
+ * none.  Starts mostly ascend, so one cursor walks the span. */
+static void starts_to_letters(const uint8_t *sp, int64_t len,
+                              int64_t *start, int64_t nch) {
+    int64_t b = 0, nl = 0;   /* nl letters in sp[0, b) */
+    for (int64_t k = 0; k < nch; k++) {
+        int64_t t = start[k] < len - 1 ? start[k] : len - 1;
+        if (t < b - 1) b = nl = 0;
+        for (; b <= t; b++)
+            nl += (sp[b] & 0xC0) != 0x80 && sp[b] != 0x20;
+        start[k] = nl > 0 ? nl - 1 : 0;
+    }
+}
+
 /* Fused scan + chunk scoring over concatenated MANY-script spans
  * (functions/langid.py Detector._fill_totes) in ONE C pass per span,
  * emitting only per-CHUNK results: per-hit arrays never exist (hits
@@ -1282,22 +1348,25 @@ static void sharpen_starts(
  *    ReliabilityExpected ramp in double (same expressions, same
  *    truncation as score.reliability_expected_exact)
  *
- * The merge scratch (sc_mvals/sc_moffs/sc_mdist) and the ranges
- * outputs (out_rel_delta, out_cstart) are all NULL or all set.
- * NULL: each span's quad and octa streams are chunk-scored directly.
- * Set: the ResultChunkVector pass (reference scoreonescriptspan.cc:
- * 389-509 + SharpenBoundaries :671-774) — the streams are merged once
- * so sharpening has random access, and the merged stream is
- * chunk-scored (a-before-b at equal offsets == the merged order, so
- * the first five outputs do not change). Per chunk it adds the
- * zeros-expected reliability (out_rel_delta) and the
- * BetterBoundary-sharpened start (out_cstart, span-local bytes). The
- * merge costs ~5-17% kernel time, so the plain pass skips it.
+ * The ranges outputs (out_rel_delta, out_cletter) are both NULL or
+ * both set.  NULL: each span's quad and octa streams are chunk-scored
+ * directly.  Set: the ResultChunkVector pass (reference
+ * scoreonescriptspan.cc:389-509 + SharpenBoundaries :671-774) — the
+ * streams are merged once so sharpening has random access, and the
+ * merged stream is chunk-scored (a-before-b at equal offsets == the
+ * merged order, so the first five outputs do not change). Per chunk it
+ * adds the zeros-expected reliability (out_rel_delta) and the span
+ * letter of the BetterBoundary-sharpened start (out_cletter, see
+ * starts_to_letters). The merge costs ~5-17% kernel time, so the plain
+ * pass skips it.
  *
  * hint_csr: nb+1 offsets into hint_flat (per-span hint payloads).
- * Scratch: sc_* hit arrays of 3 * (max span len + 8) slots; sc_scores
- * int64[num_langs] ZEROED by caller (left zeroed on return). Outputs
- * sized by native._chunk_bufs. Returns chunk count. */
+ * Scratch: the hit streams.  A span of s bytes yields at most s quad
+ * (or unigram) hits and, per word of >= 2 framed bytes, 4 octa hits
+ * (<= 2s + 4), so each stream and their merge fit 3 * (s + 8) slots of
+ * the longest span.  The outputs hold out_cap rows (native._chunk_bufs).
+ * Returns the chunk count, -1 when the scratch cannot be allocated, or
+ * -2 when the chunks would pass out_cap rows. */
 int64_t quad_octa_chunk_score(
         const uint8_t *buf,
         const int64_t *starts, const int64_t *ends, int64_t nb,
@@ -1311,20 +1380,30 @@ int64_t quad_octa_chunk_score(
         int64_t chunk_size,
         const int32_t *expected_1kb, const int8_t *close_set,
         const int64_t *hint_csr, const int64_t *hint_flat,
-        uint64_t *sc_qvals, int64_t *sc_qoffs,
-        uint64_t *sc_ovals, int64_t *sc_ooffs, uint8_t *sc_odist,
-        uint64_t *sc_mvals, int64_t *sc_moffs, uint8_t *sc_mdist,
-        int64_t *sc_scores,
+        int64_t out_cap,
         int16_t *out_lang1, int64_t *out_cbytes, int64_t *out_s1,
         int64_t *out_rel, int64_t *out_span,
-        int64_t *out_rel_delta, int64_t *out_cstart) {
-    int64_t nchunks_total = 0;
+        int64_t *out_rel_delta, int64_t *out_cletter) {
+    int64_t nchunks_total = 0, cap = 3 * (max_len(starts, ends, nb) + 8);
+    int64_t scores[256] = {0};
     uint64_t dbmask = (uint64_t)(dnb - 1);
     uint64_t xbmask = (uint64_t)(xnb - 1);
+    int ranges = out_cletter != NULL;
+    scratch sc = {{0}, 0, 1};
+    uint64_t *qv = scratch_get(&sc, cap, sizeof *qv, 0);
+    int64_t *qo = scratch_get(&sc, cap, sizeof *qo, 0);
+    uint64_t *ov = scratch_get(&sc, cap, sizeof *ov, 0);
+    int64_t *oo = scratch_get(&sc, cap, sizeof *oo, 0);
+    uint8_t *od = scratch_get(&sc, cap, 1, 0);
+    /* the ranges pass's merged stream */
+    uint64_t *mv = ranges ? scratch_get(&sc, cap, sizeof *mv, 0) : NULL;
+    int64_t *mo = ranges ? scratch_get(&sc, cap, sizeof *mo, 0) : NULL;
+    uint8_t *md = ranges ? scratch_get(&sc, cap, 1, 0) : NULL;
+    if (!sc.ok) return scratch_done(&sc, -1);
     for (int64_t span_i = 0; span_i < nb; span_i++) {
         int64_t len = ends[span_i] - starts[span_i];
         const uint8_t *sp = buf + starts[span_i];
-        int64_t nq = 0, no = 0;
+        int64_t nq = 0, no = 0, nch;
         const uint64_t *dpacked = span_latin[span_i] ? dpl : dpo;
         const uint64_t *xpacked = span_latin[span_i] ? xpl : xpo;
         const int64_t *hints = hint_flat + hint_csr[span_i];
@@ -1333,35 +1412,27 @@ int64_t quad_octa_chunk_score(
                       skeys, svals, smask,
                       db, dbmask, dkeymask, dpacked,
                       xb, xbmask, xkeymask, xpacked,
-                      sc_qvals, sc_qoffs, &nq, sc_ovals, sc_ooffs,
-                      sc_odist, &no);
-        if (!out_cstart) {
-            chunk_score_merged(sc_qvals, sc_qoffs, nq, sc_ovals, sc_ooffs,
-                               sc_odist, no,
-                               len, chunk_size, expected_1kb,
-                               (int32_t)span_script4[span_i], close_set,
-                               hints, nhints, sc_scores, span_i,
-                               out_lang1, out_cbytes, out_s1, out_rel,
-                               out_span, &nchunks_total, NULL);
-            continue;
-        }
-        int64_t nh = merge_hits(sc_qvals, sc_qoffs, nq,
-                                sc_ovals, sc_ooffs, sc_odist, no,
-                                sc_mvals, sc_moffs, sc_mdist);
+                      qv, qo, &nq, ov, oo, od, &no);
         int64_t base = nchunks_total;
-        int64_t nch = chunk_score_merged(
-            NULL, NULL, 0, sc_mvals, sc_moffs, sc_mdist, nh,
-            len, chunk_size, expected_1kb,
-            (int32_t)span_script4[span_i], close_set,
-            hints, nhints, sc_scores, span_i,
-            out_lang1, out_cbytes, out_s1, out_rel,
-            out_span, &nchunks_total, out_rel_delta);
-        if (nch > 0)
-            sharpen_starts(sc_mvals, sc_moffs, nh,
-                           out_lang1 + base, nch, chunk_size,
-                           close_set, out_cstart + base);
+        if (ranges) {   /* score the one merged stream */
+            no = merge_hits(qv, qo, nq, ov, oo, od, no, mv, mo, md);
+            nq = 0;
+        }
+        nch = chunk_score_merged(qv, qo, nq, ranges ? mv : ov,
+                                 ranges ? mo : oo, ranges ? md : od, no,
+                                 len, chunk_size, expected_1kb,
+                                 (int32_t)span_script4[span_i], close_set,
+                                 hints, nhints, scores, span_i, out_cap,
+                                 out_lang1, out_cbytes, out_s1, out_rel,
+                                 out_span, &nchunks_total, out_rel_delta);
+        if (nch < 0) return scratch_done(&sc, -2);
+        if (ranges && nch > 0) {
+            sharpen_starts(mv, mo, no, out_lang1 + base, nch, chunk_size,
+                           close_set, out_cletter + base);
+            starts_to_letters(sp, len, out_cletter + base, nch);
+        }
     }
-    return nchunks_total;
+    return scratch_done(&sc, nchunks_total);
 }
 
 /* CJK fused scan + chunk scoring — the cjk_candidates -> uni/bi table
@@ -1376,7 +1447,8 @@ int64_t quad_octa_chunk_score(
  * over the raw bytes of two adjacent chars with combined length >= 6
  * (GetBiHits, reference cldutil.cc:248-310), probed into the CJK
  * delta-bi bucket table. No repeat filtering on either stream (the
- * reference walks have none); unis before bis at equal position. */
+ * reference walks have none); unis before bis at equal position.
+ * Scratch, outputs and return codes as quad_octa_chunk_score's. */
 int64_t cjk_chunk_score(
         const uint8_t *cat,
         const int64_t *starts, const int64_t *ends, int64_t nb,
@@ -1387,13 +1459,18 @@ int64_t cjk_chunk_score(
         int64_t chunk_size,
         const int32_t *expected_1kb, const int8_t *close_set,
         const int64_t *hint_csr, const int64_t *hint_flat,
-        uint64_t *sc_uvals, int64_t *sc_uoffs,
-        uint64_t *sc_bvals, int64_t *sc_boffs,
-        int64_t *sc_scores,
+        int64_t out_cap,
         int16_t *out_lang1, int64_t *out_cbytes, int64_t *out_s1,
         int64_t *out_rel, int64_t *out_span) {
-    int64_t nchunks_total = 0;
+    int64_t nchunks_total = 0, cap = 3 * (max_len(starts, ends, nb) + 8);
+    int64_t scores[256] = {0};
     uint32_t bbmask = (uint32_t)(bnb - 1);
+    scratch sc = {{0}, 0, 1};
+    uint64_t *sc_uvals = scratch_get(&sc, cap, sizeof *sc_uvals, 0);
+    int64_t *sc_uoffs = scratch_get(&sc, cap, sizeof *sc_uoffs, 0);
+    uint64_t *sc_bvals = scratch_get(&sc, cap, sizeof *sc_bvals, 0);
+    int64_t *sc_boffs = scratch_get(&sc, cap, sizeof *sc_boffs, 0);
+    if (!sc.ok) return scratch_done(&sc, -1);
     for (int64_t span_i = 0; span_i < nb; span_i++) {
         const uint8_t *sp = cat + starts[span_i];
         int64_t len = ends[span_i] - starts[span_i];
@@ -1432,17 +1509,18 @@ int64_t cjk_chunk_score(
             prev_byte = byte_start;
             prev_len = l;
         }
-        chunk_score_merged(sc_uvals, sc_uoffs, nu, sc_bvals, sc_boffs,
-                           (const uint8_t *)0, nbi,
-                           pseudo_lens[span_i], chunk_size,
-                           expected_1kb, -1, close_set,
-                           hint_flat + hint_csr[span_i],
-                           hint_csr[span_i + 1] - hint_csr[span_i],
-                           sc_scores, span_i,
-                           out_lang1, out_cbytes, out_s1, out_rel,
-                           out_span, &nchunks_total, NULL);
+        if (chunk_score_merged(sc_uvals, sc_uoffs, nu, sc_bvals, sc_boffs,
+                               (const uint8_t *)0, nbi,
+                               pseudo_lens[span_i], chunk_size,
+                               expected_1kb, -1, close_set,
+                               hint_flat + hint_csr[span_i],
+                               hint_csr[span_i + 1] - hint_csr[span_i],
+                               scores, span_i, out_cap,
+                               out_lang1, out_cbytes, out_s1, out_rel,
+                               out_span, &nchunks_total, NULL) < 0)
+            return scratch_done(&sc, -2);
     }
-    return nchunks_total;
+    return scratch_done(&sc, nchunks_total);
 }
 
 /* CheapSqueezeTriggerTest (compact_lang_det_impl.cc:952-971) for a
@@ -1853,8 +1931,9 @@ int64_t doc_stage(
  * Pass 1 stops at the letter that crosses the budget, so with
  * text_limit >= 1 it records at most c = min(n, text_limit + 1)
  * letters (each is >= 1 byte, lowered).
- * Scratch (caller-alloc, reused; capacities >= c):
- *   lt_idx  int64  — original char index per kept letter
+ * Per letter (capacities >= c; lt_sc, lt_low and lt_len are
+ * script_spans_scan_multi's per-call scratch):
+ *   lt_idx  int64  — original char index per kept letter (an output)
  *   lt_sc   uint8  — RAW script per letter (absorption applied in place)
  *   lt_low  uint32 — lowered codepoint per letter
  *   lt_len  uint8  — utf8 length of the LOWERED codepoint
@@ -2259,34 +2338,29 @@ static inline __attribute__((always_inline)) int64_t extract_scan(
  * then one array index (extract.text_to_raw, for the flagship
  * chunks column);
  * tests/oracles/extract.py's OffsetMap is its test oracle.
- * Returns the total text length, or -1 when the scratch cannot be
- * allocated. */
+ * The scratch holds the longest page that has a '\r'.  Returns the
+ * total text length, or -1 when the scratch cannot be allocated. */
 int64_t extract_scan_batch(const uint8_t *cat, const int64_t *offsets_in,
                            int64_t n_docs, const uint64_t *ekeys,
                            const uint64_t *evals, uint64_t emask,
                            const uint32_t *low_map, uint8_t *out,
                            int64_t *offsets, int64_t *src_of) {
-    uint8_t *norm = NULL;
-    int64_t *raw_of = NULL;
-    int64_t norm_cap = 0, op = 0;
+    int64_t cap = 0, op = 0;   /* the longest page holding a \r */
+    for (int64_t d = 0; d < n_docs; d++) {
+        int64_t n = offsets_in[d + 1] - offsets_in[d];
+        if (n > cap && memchr(cat + offsets_in[d], '\r', (size_t)n)) cap = n;
+    }
+    scratch sc = {{0}, 0, 1};
+    uint8_t *norm = scratch_get(&sc, cap, 1, 0);
+    int64_t *raw_of =
+        src_of ? scratch_get(&sc, cap, sizeof *raw_of, 0) : NULL;
+    if (!sc.ok) return scratch_done(&sc, -1);
     offsets[0] = 0;
     for (int64_t d = 0; d < n_docs; d++) {
         const uint8_t *b = cat + offsets_in[d];
         int64_t n = offsets_in[d + 1] - offsets_in[d];
         int has_cr = n > 0 && memchr(b, '\r', (size_t)n);
         if (has_cr) {
-            if (norm_cap < n) {
-                free(norm);
-                free(raw_of);
-                norm = malloc((size_t)n);
-                raw_of = src_of ? malloc((size_t)n * sizeof *raw_of) : NULL;
-                if (!norm || (src_of && !raw_of)) {
-                    free(norm);
-                    free(raw_of);
-                    return -1;
-                }
-                norm_cap = n;
-            }
             int64_t m = 0;
             for (int64_t i = 0; i < n; i++) {
                 if (b[i] == '\r' && i + 1 < n && b[i + 1] == '\n')
@@ -2310,9 +2384,7 @@ int64_t extract_scan_batch(const uint8_t *cat, const int64_t *offsets_in,
         }
         offsets[d + 1] = op;
     }
-    free(norm);
-    free(raw_of);
-    return op;
+    return scratch_done(&sc, op);
 }
 
 /* script_spans_scan over a whole batch in ONE call (a ctypes call per
@@ -2323,18 +2395,26 @@ int64_t extract_scan_batch(const uint8_t *cat, const int64_t *offsets_in,
  * text_limit + 1), doc d is scanned at the packed ends, which never
  * pass the earlier docs' worst cases, so lt_idx needs sum(c_d) slots
  * and out_buf 3 * sum(c_d) + n_docs bytes (script_spans_scan); lt_sc,
- * lt_low and lt_len are per-doc temporaries, reused from index 0 by
- * every doc, needing max(c_d) slots.  meta rows get their out/lp
- * indexes rebased to the shared buffers; ns_doc[d] = span count of
- * doc d. */
+ * lt_low and lt_len are per-doc temporaries of max(c_d) slots,
+ * allocated per call and reused from index 0 by every doc.  meta rows
+ * get their out/lp indexes rebased to the shared buffers; ns_doc[d] =
+ * span count of doc d.  Returns the span count, or -1 when the
+ * temporaries cannot be allocated. */
 int64_t script_spans_scan_multi(
         const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
         const uint8_t *script_lut, const uint32_t *lower_lut,
         int64_t lut_size, int64_t text_limit, int64_t max_span_bytes,
-        int64_t *lt_idx, uint8_t *lt_sc, uint32_t *lt_low,
-        uint8_t *lt_len, uint8_t *out_buf, int64_t *meta,
+        int64_t *lt_idx, uint8_t *out_buf, int64_t *meta,
         int64_t *ns_doc) {
     int64_t meta_total = 0, lt_base = 0, out_base = 0;
+    int64_t cap = max_len(offsets, offsets + 1, n_docs);
+    if (cap > (text_limit > 1 ? text_limit : 1) + 1)
+        cap = (text_limit > 1 ? text_limit : 1) + 1;
+    scratch sc = {{0}, 0, 1};
+    uint8_t *lt_sc = scratch_get(&sc, cap, 1, 0);
+    uint32_t *lt_low = scratch_get(&sc, cap, sizeof *lt_low, 0);
+    uint8_t *lt_len = scratch_get(&sc, cap, 1, 0);
+    if (!sc.ok) return scratch_done(&sc, -1);
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t ns = script_spans_scan(
             cat + offsets[d], offsets[d + 1] - offsets[d], script_lut, lower_lut, lut_size,
@@ -2355,7 +2435,7 @@ int64_t script_spans_scan_multi(
         meta_total += ns;
         ns_doc[d] = ns;
     }
-    return meta_total;
+    return scratch_done(&sc, meta_total);
 }
 
 /* ====================================================================

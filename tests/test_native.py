@@ -191,36 +191,17 @@ class TestFastlangidScore:
         assert nf[~unscored].tolist() == [
             3 * len(d.encode()) for d, r in zip(docs, route) if r == 0]
 
-    def test_scratch_capacity_checked(self, monkeypatch):
-        """The binding passes each scratch buffer's size; a buffer one
-        slot short raises ValueError instead of being written past."""
+    def test_rows_past_the_table_rejected(self):
+        """A bucket_index naming a row past the weight table (a bad
+        artifact) raises ValueError instead of reading past it."""
         from cld2_ray.functions import fastlangid
-        args = (*native.utf8_cat(["ab", "abcd"]),
-                fastlangid.weights().bucket_index,
-                fastlangid.weights().table,
-                us.script_lut(), fastlangid._ONE_SCRIPT)
-        native.fastlangid_score(*args)
-        real_empty, real_zeros = np.empty, np.zeros
-
-        # the int32 scratch: 3 gram slots per byte of "abcd", one
-        # counter per weight row
-        sizes = (3 * 4, len(args[3]))
-
-        def short(real, dtype):
-            def alloc(shape, *a, **kw):
-                out = real(shape, *a, **kw)
-                if np.dtype(out.dtype) == dtype and out.ndim == 1 \
-                        and len(out) in sizes:
-                    return out[:-1]
-                return out
-            return alloc
-        monkeypatch.setattr(np, "empty", short(real_empty, np.int32))
-        with pytest.raises(ValueError, match="gram slots"):
-            native.fastlangid_score(*args)
-        monkeypatch.setattr(np, "empty", real_empty)
-        monkeypatch.setattr(np, "zeros", short(real_zeros, np.int32))
-        with pytest.raises(ValueError, match="counters"):
-            native.fastlangid_score(*args)
+        w = fastlangid.weights()
+        idx = w.bucket_index.copy()
+        idx[idx > 0] = len(w.table) + 1
+        with pytest.raises(ValueError, match="past the weight table"):
+            native.fastlangid_score(*native.utf8_cat(["ab", "abcd"]), idx,
+                                    w.table, us.script_lut(),
+                                    fastlangid._ONE_SCRIPT)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.text(max_size=200), max_size=6))
@@ -315,16 +296,16 @@ class TestKernelRequired:
 
 
 class TestSpanScanSanitized:
-    """The kernels whose buffers the shim sizes per call, built with
-    AddressSanitizer and UBSan, over worst-case inputs at exactly those
-    capacities: any write past a buffer aborts the run, and so does a
-    read past the last document's end (the batches are exact-size
-    arrays). The span scan, quad_octa_scan and both chunk kernels (with
-    and without the ranges pass), quality_scan's dup-line table and
-    stopword probe, extract_scan_batch's entity reads, fastlangid_score
-    (its row counters and gram slots, which the kernel checks against
-    the sizes it is given) and ppl_score; each result must equal the
-    plain build's."""
+    """The kernels, built with AddressSanitizer and UBSan, over
+    worst-case inputs: any write past a buffer aborts the run, whether
+    an output the shim sizes or scratch the kernel allocates, and so
+    does a read past the last document's end (the batches are
+    exact-size arrays). The span scan, quad_octa_scan and both chunk
+    kernels (with and without the ranges pass), quality_scan's dup-line
+    table and stopword probe, extract_scan_batch's entity reads,
+    fastlangid_score, ppl_score, rep_words_multi on max-length spans,
+    md5_windows past its first window buffer and doc_stage with full
+    totes over 16 streams; each result must equal the plain build's."""
 
     DRIVER = r"""
 import numpy as np
@@ -350,6 +331,8 @@ def same(kernel, *args, **kw):
     want = getattr(native, kernel)(*args, **kw)
     if isinstance(got, np.ndarray):
         got, want = (got,), (want,)
+    elif isinstance(got, dict):
+        got, want = tuple(got.values()), tuple(want.values())
     assert len(got) == len(want), kernel
     for x, y in zip(got, want):
         assert np.array_equal(x, y), kernel
@@ -466,6 +449,46 @@ lids = [langs.lang_id(c) for c in ("en", "fr", "de")] + [-1]
 same("ppl_score", *cat_of(framed),
      np.resize(np.array(lids, dtype=np.int64), len(framed)), pm.table,
      pm.uni)
+
+# rep_words_multi on max-length spans, copied to an exact-size buffer:
+# random Han words are all kept (the output is the input, filling the
+# caller-sized buffer but for its framing slack) and a repeated word is
+# all dropped
+rng = np.random.default_rng(2)
+kept = " ".join("".join(map(chr, rng.integers(0x4E00, 0x9FA5, k)))
+                for k in rng.integers(1, 4, 30000))
+t = script_spans_batch([kept, "abc " * 40000])
+assert (t.end - t.start).min() >= MAX_SCRIPT_BYTES // 2
+assert (t.end - t.start).max() >= MAX_SCRIPT_BYTES
+for han in (t.script == us.HANI, t.script != us.HANI):
+    rcat, rends = cat_of([t.buf[s:e].tobytes()
+                          for s, e in zip(t.start[han], t.end[han])])
+    rw, rw_ends = same("rep_words_multi", rcat, rends[:-1], rends[1:])
+    assert han.sum() >= 2
+    if han[0]:
+        assert np.array_equal(rw, rcat)
+    else:
+        assert (np.diff(rw_ends, prepend=0) < 16).all()
+
+# md5_windows past its first 4 KB window buffer, so it grows by realloc
+# (twice for the second doc); the third doc is shorter than the window
+toks = [b"x" * 1500, b"y" * 1700, b"z" * 900, b"w" * 5000, b"v" * 9000,
+        b"u", b"t"]
+for window in (1, 3):
+    same("md5_windows", *cat_of(toks), np.array([0, 3, 6, 7]), window)
+
+# doc_stage over 16 streams (its most), each adding 30 languages to each
+# of 5 docs, so every DocTote fills its 24 slots and evicts
+from cld2_ray.functions import langid
+n = 5
+streams = [(np.repeat(np.arange(n), 30),
+            *(rng.integers(lo, hi, 30 * n)
+              for lo, hi in ((1, langs.NUM_LANGS), (1, 500), (0, 2000),
+                             (0, 101)))) for _ in range(16)]
+for flags in (0, native.DS_BEST_EFFORT, native.DS_TOTE_TOP):
+    same("doc_stage", n, streams, rng.integers(0, 60000, n),
+         np.array([0, 0, 2, 2, 5, 5]), rng.integers(1, langs.NUM_LANGS, 5),
+         flags, langid._LANG_PROPS, langid._LANG_IDS)
 print("clean")
 """
 
@@ -516,16 +539,23 @@ class TestPplScore:
         assert any(p > 0 for p in got[0])
 
     def test_memo_eviction(self):
-        """One call with more distinct trigrams than the memo has slots,
-        the second half repeating the first, so evicted keys come back."""
+        """One call with more distinct trigrams than the memo has slots
+        (2^PPL_MEMO_BITS, a quadscan.c constant), the second half
+        repeating the first, so evicted keys come back."""
+        import pathlib
+        import re
         from cld2_ray.functions import perplexity
+        src = (pathlib.Path(native.__file__).parent / "quadscan.c"
+               ).read_text(encoding="utf-8")
+        memo_bits = int(re.search(r"#define PPL_MEMO_BITS (\d+)",
+                                  src).group(1))
         rng = np.random.default_rng(3)
         noise = "".join(map(chr, rng.integers(0x4E00, 0x9FA5, 100000)))
         texts = [noise + noise, " ".join(_page_texts(40)) * 2, noise[:500]]
         lcs = ["en", "fr", "zh"]
         c = perplexity_oracle._chars(texts[0])
         tri, _ = perplexity_oracle._keys_tri(langs.lang_id("en"), c)
-        assert len(np.unique(tri)) > 1 << native.PPL_MEMO_BITS
+        assert len(np.unique(tri)) > 1 << memo_bits
         want = perplexity_oracle.score_batch_numpy(texts, lcs)
         assert perplexity.score_batch(texts, lcs) == want
 
@@ -628,6 +658,18 @@ def _hint_csr(hl_list):
     return csr, np.asarray(flat, dtype=np.int64)
 
 
+def _span_letter(span: bytes, byte_offsets) -> np.ndarray:
+    """The ranges pass's ``cletter`` of chunks starting at span-local
+    ``byte_offsets``: the index among the span's letters (non-space
+    chars) of the last letter at or before the offset, the span's last
+    byte at most; 0 if none. Every hit offset is a letter's first byte,
+    so this pins the sharpened start itself."""
+    arr = np.frombuffer(span, dtype=np.uint8)
+    letters = np.flatnonzero(((arr & 0xC0) != 0x80) & (arr != 0x20))
+    at = np.minimum(byte_offsets, len(arr) - 1)
+    return np.maximum(np.searchsorted(letters, at, side="right") - 1, 0)
+
+
 def _check_cjk(m, cjk, hl_list, uni_table=None):
     """cjk_chunk_score on the CJK spans ``cjk`` == score_chunks_multi
     over cjk_candidates' table hits (unis before bis at equal char)."""
@@ -719,8 +761,8 @@ class TestFusedChunkScore:
             for x, y, z in zip(want, got, ranged):
                 assert np.array_equal(np.asarray(x), y)
                 assert np.array_equal(y, z)
-            # ranges outputs: the zeros-expected rel and the sharpened
-            # chunk starts of the hinted top languages
+            # ranges outputs: the zeros-expected rel and the letters of
+            # the sharpened chunk starts of the hinted top languages
             rel0 = score.score_chunks_multi(
                 l3, q3, offs, span_of, starts, lens, sizes,
                 np.zeros_like(m.expected_quad), hl_list,
@@ -733,8 +775,9 @@ class TestFusedChunkScore:
                 bidx = langid_oracle.sharpen_boundaries(
                     ranged[0][csel].astype(np.int64), l3[hsel], q3[hsel],
                     score.CHUNKSIZE_QUADS, int(hsel.sum()))
-                assert np.array_equal(offs[hsel][bidx] - starts[i],
-                                      ranged[6][csel])
+                assert np.array_equal(
+                    _span_letter(bufs[i], offs[hsel][bidx] - starts[i]),
+                    ranged[6][csel])
         if cjk:
             _check_cjk(m, cjk, [data.draw(_hint_payload()) for _ in cjk])
 
@@ -850,6 +893,96 @@ class TestFusedChunkScore:
             langs.CLOSE_SET, hint_csr, np.asarray(flat, dtype=np.int64))
         for x, y in zip(c_np, c_c):
             assert np.array_equal(np.asarray(x), np.asarray(y))
+
+
+class TestChunkRowsChecked:
+    """The chunk kernels are given their output-row capacity
+    (native._chunk_bufs) and check it: a call whose chunks need n rows
+    raises ValueError when given n - 1, before writing past them, and
+    gives its usual output with exactly n."""
+
+    def test_one_row_short_raises(self, monkeypatch):
+        from cld2_ray.data.seeds import SEEDS
+        from cld2_ray.functions import score
+        m = default_model()
+        hz = "".join(map(chr, range(0x4E00, 0x4E00 + 3000)))
+        t = spans.script_spans_batch(
+            [SEEDS["en"], SEEDS["de"][:200] + " " + hz[:90], "a",
+             hz, "a y o e i u " * 2000])
+        lat = np.flatnonzero(t.script == us.LATIN)
+        han = np.flatnonzero(t.script == us.HANI)
+        assert len(lat) >= 3 and len(han) >= 2
+
+        def hints(rows):
+            return (np.zeros(len(rows) + 1, dtype=np.int64),
+                    np.zeros(0, dtype=np.int64))
+
+        calls = []
+        for rows in (lat, lat[:1], lat[-1:]):
+            for wr in (False, True):
+                calls.append((native.quad_octa_chunk_score, (
+                    t.buf, t.start[rows], t.end[rows], m.quad, m.socta,
+                    m.docta, m.xocta, np.ones(len(rows), dtype=bool),
+                    score.CHUNKSIZE_QUADS, m.expected_quad,
+                    langs.CLOSE_SET, *hints(rows),
+                    us.LSCRIPT4[t.script[rows]]), {"with_ranges": wr}))
+        for rows in (han, han[:1]):
+            calls.append((native.cjk_chunk_score, (
+                t.buf, t.start[rows], t.end[rows], t.text_bytes[rows],
+                m.uni, m.cjkbi, score.CHUNKSIZE_UNIS, m.expected_uni,
+                langs.CLOSE_SET, *hints(rows)), {}))
+        real = native._chunk_bufs
+        for fn, args, kw in calls:
+            want = fn(*args, **kw)
+            n = len(want[0])
+            assert n > 0
+            monkeypatch.setattr(native, "_chunk_bufs", lambda *a: tuple(
+                b[:n - 1] for b in real(*a)))
+            with pytest.raises(ValueError, match="output rows"):
+                fn(*args, **kw)
+            monkeypatch.setattr(native, "_chunk_bufs", lambda *a: tuple(
+                b[:n] for b in real(*a)))
+            for x, y in zip(want, fn(*args, **kw)):
+                assert np.array_equal(x, y)
+            monkeypatch.setattr(native, "_chunk_bufs", real)
+
+
+class TestScratchFailure:
+    """A kernel that cannot allocate its scratch returns -1 before it
+    writes anything, and its binding raises MemoryError."""
+
+    def test_bindings_raise_memory_error(self, monkeypatch):
+        from cld2_ray.functions import fastlangid, perplexity, quality, score
+        m, pm, w = default_model(), perplexity.models(), fastlangid.weights()
+        t = spans.script_spans_batch(["hello world", "\u4e2d\u6587"])
+        one = np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        calls = {
+            "_CS": lambda: native.quad_octa_chunk_score(
+                t.buf, t.start[:1], t.end[:1], m.quad, m.socta, m.docta,
+                m.xocta, [True], score.CHUNKSIZE_QUADS, m.expected_quad,
+                langs.CLOSE_SET, *one, us.LSCRIPT4[t.script[:1]]),
+            "_CJ": lambda: native.cjk_chunk_score(
+                t.buf, t.start[1:], t.end[1:], t.text_bytes[1:], m.uni,
+                m.cjkbi, score.CHUNKSIZE_UNIS, m.expected_uni,
+                langs.CLOSE_SET, *one),
+            "_SSM": lambda: native.script_spans_scan_multi(
+                *native.utf8_cat(["ab"]), us.script_lut(), us.lower_lut(),
+                100, 100),
+            "_QS": lambda: native.quality_scan(
+                *native.utf8_cat(["a b"]), quality._letter_lut(),
+                quality._fold_lut(), quality._stop_table()),
+            "_PP": lambda: native.ppl_score(
+                b" ab ", np.array([0, 4]), np.array([0]), pm.table, pm.uni),
+            "_ACC": lambda: native.fastlangid_score(
+                *native.utf8_cat(["ab"]), w.bucket_index, w.table,
+                us.script_lut(), fastlangid._ONE_SCRIPT),
+        }
+        for var, call in calls.items():
+            call()
+            with monkeypatch.context() as mp:
+                mp.setattr(native, var, lambda *a: -1)
+                with pytest.raises(MemoryError, match="scratch"):
+                    call()
 
 
 class TestQualityScan:
@@ -1376,7 +1509,7 @@ class TestRangesKernel:
         assert len(c) == 7 and len(b) == 5
         for x, y in zip(c[:5], b):
             assert np.array_equal(x, y)
-        l1c, _, _, _, spanc, reldc, cstartc = c
+        l1c, _, _, _, spanc, reldc, cletterc = c
         for i, sp in enumerate(many):
             sb = sp.text_utf8
             vals, offs, rdist = langid_oracle.many_hits(
@@ -1398,7 +1531,8 @@ class TestRangesKernel:
                 lang1, l3, q3, score.CHUNKSIZE_QUADS, len(offs))
             assert np.array_equal(lang1, l1c[sel].astype(lang1.dtype))
             assert np.array_equal(rel, reldc[sel])
-            assert np.array_equal(offs[bidx], cstartc[sel])
+            assert np.array_equal(_span_letter(sb, offs[bidx]),
+                                  cletterc[sel])
 
 
 class TestExtractScanMap:

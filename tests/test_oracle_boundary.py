@@ -160,15 +160,29 @@ def test_every_runtime_name_has_a_caller():
 
 def test_one_binding_per_exported_kernel():
     """The non-static functions of quadscan.c are exactly the entries
-    native/__init__.py binds (``X = lib.<name>``): a kernel's helpers
-    stay static, and no exported entry is left without a binding."""
+    native/__init__.py binds (``X = bind(lib.<name>, ...)``): a kernel's
+    helpers stay static, and no exported entry is left without a
+    binding. Each binding's restype is the C return type and it has as
+    many argtypes as the C definition has parameters: ctypes passes a
+    call of the wrong arity without an error, and the kernel then reads
+    or writes through whatever lands in the missing slots."""
+    import ctypes
     import re
+    from cld2_ray import native as lib_native
     native = ROOT / "cld2_ray" / "native"
-    c_src = (native / "quadscan.c").read_text(encoding="utf-8")
-    exported = set(re.findall(
-        r"^(?!static\b)(?:[A-Za-z_]\w*[ \t]+\**)+(\w+)\s*\(", c_src, re.M))
+    c_src = re.sub(r"/\*.*?\*/", "", (native / "quadscan.c").read_text(
+        encoding="utf-8"), flags=re.S)
+    c_type = {"int": ctypes.c_int, "int64_t": ctypes.c_int64}
+    exported = {name: (c_type[ret.strip()], len(params.split(",")))
+                for ret, name, params in re.findall(
+                    r"^(?!static\b)((?:[A-Za-z_]\w*[ \t]+\**)+)(\w+)\s*"
+                    r"\(([^)]*)\)\s*\{", c_src, re.M)}
     py_src = (native / "__init__.py").read_text(encoding="utf-8")
-    bound = set(re.findall(r"=\s*lib\.(\w+)", py_src))
+    bound = {name: getattr(lib_native, var) for var, name in re.findall(
+        r"(\w+)\s*=\s*bind\(lib\.(\w+)", py_src)}
     assert "extract_scan_batch" in exported
-    assert exported == bound, (sorted(exported - bound),
-                               sorted(bound - exported))
+    assert exported.keys() == bound.keys(), (
+        sorted(exported.keys() - bound.keys()),
+        sorted(bound.keys() - exported.keys()))
+    for name, fn in bound.items():
+        assert (fn.restype, len(fn.argtypes)) == exported[name], name

@@ -110,13 +110,11 @@ def extract_batch(htmls: list[bytes], with_map: bool = False):
     the column's data, and src[k] the position within its raw page of
     the byte that produced text byte k (see ``text_to_raw``)."""
     import numpy as np
-    import pyarrow as pa
     from cld2_ray import native
     offsets = np.cumsum([0] + [len(h) for h in htmls], dtype=np.int64)
     data, offsets, *src = native.extract_scan_batch(
         b"".join(htmls), offsets, *_ent_table(), with_map=with_map)
-    col = pa.LargeStringArray.from_buffers(
-        len(htmls), pa.py_buffer(offsets), pa.py_buffer(data))
+    col = native.utf8_array(data, offsets)
     return (col, offsets, *src) if with_map else col
 
 

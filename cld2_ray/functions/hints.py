@@ -78,23 +78,22 @@ _CHARSET_RE = re.compile(
     rb"""charset\s*=\s*["']?\s*([A-Za-z0-9_\-]+)""", re.IGNORECASE)
 
 _HOST_RE = re.compile(r"^[a-z]+://([^/:?#]+)", re.IGNORECASE)
-# left boundary: the reference requires ' lang' / ':lang' before '='
-# (GetLangTagsFromHtml, compact_lang_det_hint_code.cc) — without it,
-# hreflang="xx" on <link rel=alternate> would supply a bogus hint
-_LANG_ATTR_RE = re.compile(
-    rb"""(?<![A-Za-z-])(?:lang|xml:lang)\s*=\s*["']?\s*([A-Za-z]{2,3})(?:[-_][A-Za-z]{2,8})?""",
-    re.IGNORECASE)
-# anchored form for the find()-seeded scan in _iter_lang_attrs (the
-# lookbehind is checked manually there; scanning the full 8KB head
-# with a variable lookbehind at every byte was ~90% of hint cost)
+# a lang= / xml:lang= attribute at a given start, for the find()-seeded
+# scan in _iter_lang_attrs, which checks the left boundary itself (a
+# regex lookbehind tried at every byte of the 8KB head was ~90% of hint
+# cost)
 _LANG_ATTR_AT_RE = re.compile(
     rb"""(?:lang|xml:lang)\s*=\s*["']?\s*([A-Za-z]{2,3})(?:[-_][A-Za-z]{2,8})?""",
     re.IGNORECASE)
 
 
 def _iter_lang_attrs(head: bytes):
-    """Exactly _LANG_ATTR_RE.finditer(head), seeded by substring find:
-    every match starts at a literal 'lang' or 'xml:lang', so anchored
+    """The lang= attributes of ``head``, left to right without overlap,
+    each preceded by neither a letter nor '-': the reference requires
+    ' lang' / ':lang' before '=' (GetLangTagsFromHtml,
+    compact_lang_det_hint_code.cc), so hreflang="xx" on <link
+    rel=alternate> supplies no hint. Seeded by substring find: every
+    match starts at a literal 'lang' or 'xml:lang', so anchored
     probes at each 'lang' occurrence (trying the 'xml:lang' start
     first, as leftmost-first does) enumerate the same matches in the
     same order. last_end reproduces finditer's non-overlap rule —

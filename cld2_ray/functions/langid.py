@@ -3,8 +3,11 @@ analogue (reference: internal/compact_lang_det_impl.cc:1707-2106).
 
 Every scoring call runs one batch pass, ``Detector.detect_batch``
 (detect() is a batch of one; detect_ranges reads the same pass's
-ranges output), column-wise over the whole batch:
-  CheapSqueeze pre-pass (one native gate call) -> script spans as one
+ranges output), column-wise over the whole batch. It encodes the
+texts once, into one UTF-8 buffer (native.utf8_cat), and every step
+that reads text reads that buffer or one made from it:
+  CheapSqueeze pre-pass (one native.cheap_squeeze call: the gate and
+  the rewrite, the batch copied otherwise) -> script spans as one
   span table (spans.SpanTable) -> one fused C hit-scan + chunk-score
   call per script class over the table's buffer (_fill_totes) -> the
   document stage in one C call (_finalize: DocTote, close-pair
@@ -15,8 +18,8 @@ ranges output), column-wise over the whole batch:
 
 detect_batch returns score.DetectColumns: numpy columns that also read
 as a sequence of DetectResult; with_ranges adds score.Ranges from a few
-numpy passes over the whole batch (_span_ranges, _text_ranges). The
-flagship kernel
+numpy passes over the whole batch (_span_ranges, _text_ranges, which
+maps chars to bytes on the entry buffer). The flagship kernel
 (stages.core.fused_batch) and the single-process oracle call the same
 Detector, which is what makes pipeline-vs-oracle equality exact.
 tests/oracles/docstage.py is the Python document stage this pass is
@@ -33,7 +36,6 @@ import numpy as np
 from . import langs, score, spans, uscript as us
 from cld2_ray import native
 from . import hints as hints_mod
-from .repeats import squeeze, squeeze_triggers
 
 # native.doc_stage's language table: close set, closest alternative,
 # tier, 1=FIGS | 2=EFIGS
@@ -103,10 +105,10 @@ def _span_ranges(table: spans.SpanTable, many: np.ndarray, c,
 
 
 def _text_ranges(texts, doc, start, end, lid) -> score.Ranges:
-    """score.Ranges of ``texts`` from the (doc, start_char, end_char,
-    lid) ranges of their spans, in document order: adjacent ranges of
-    a document with the same language merge, and char offsets become
-    byte offsets of the text."""
+    """score.Ranges of ``texts``, an Arrow string column, from the
+    (doc, start_char, end_char, lid) ranges of their spans, in document
+    order: adjacent ranges of a document with the same language merge,
+    and char offsets become byte offsets of the text."""
     new = np.ones(len(doc), dtype=bool)
     new[1:] = (doc[1:] != doc[:-1]) | (lid[1:] != lid[:-1])
     first = np.flatnonzero(new)
@@ -324,13 +326,12 @@ class Detector:
         if declared_list is None:
             declared_list = [None] * n
         self._echo(texts)
-        orig_texts = texts
+        # the batch's one encode: every later step reads these buffers
+        data, offsets = native.utf8_cat(texts)
         # CheapSqueeze pre-pass (impl.cc:1867-1901): long repetitive
         # documents are squeezed before scoring
-        squeezed = squeeze_triggers(texts)
-        texts = [squeeze(t) if sq else (t or "")
-                 for t, sq in zip(texts, squeezed.tolist())]
-        table = spans.script_spans_batch(texts)
+        squeezed, *sq_batch = native.cheap_squeeze(data, offsets)
+        table = spans.script_spans_batch(native.utf8_array(*sq_batch))
         if with_ranges:
             streams, raw_ranges = self._fill_totes(table, hints_list,
                                                    with_ranges=True)
@@ -358,19 +359,21 @@ class Detector:
         if default_to_english:
             out.summary[out.summary == langs.UNKNOWN] = langs.ENGLISH
         if with_ranges:
-            return out, self._ranges(orig_texts, squeezed, raw_ranges)
+            return out, self._ranges(native.utf8_array(data, offsets),
+                                     squeezed, raw_ranges)
         return out
 
     def _ranges(self, texts, squeezed: np.ndarray,
                 raw_ranges) -> score.Ranges:
-        """score.Ranges of ``texts`` from their raw_ranges; ``squeezed``
-        docs take the unhinted ranges of their raw text from ONE more
-        hint-free _fill_totes pass over all of them."""
+        """score.Ranges of ``texts`` (an Arrow string column) from their
+        raw_ranges; ``squeezed`` docs take the unhinted ranges of their
+        raw text from ONE more hint-free _fill_totes pass over all of
+        them."""
         sq = np.flatnonzero(squeezed)
         if len(sq):
             keep = ~squeezed[raw_ranges[0]]
             doc2, *rest = self._fill_totes(
-                spans.script_spans_batch([texts[i] for i in sq]),
+                spans.script_spans_batch(texts.take(sq)),
                 [None] * len(sq), with_ranges=True)[1]
             both = [np.concatenate([a[keep], b])
                     for a, b in zip(raw_ranges, (sq[doc2], *rest))]

@@ -8,8 +8,11 @@ ratios, alpha-word ratio, stopword evidence, duplicate-line fractions,
 brace/lorem-ipsum markers.
 
 Every document statistic comes from one C pass per batch
-(native.quality_scan) and the rules run on numpy arrays; each rule has
-a stable name used as ``drop_reason`` (first failing rule wins, in the
+(native.quality_scan, which strips each document's ends as
+``str.strip()`` does) and the rules run on numpy arrays. Handed an Arrow
+string column (the flagship kernel's extracted column), the pass reads
+its UTF-8 buffer in place, so nothing is re-encoded. Each rule has a
+stable name used as ``drop_reason`` (first failing rule wins, in the
 declared order). The same function is both the Ray `map_batches` kernel
 body and the single-process oracle. The Arrow/pandas form in
 tests/oracles/quality.py is the tests' reference for the scan.
@@ -99,15 +102,6 @@ def _stop_table():
                                for w in words})
 
 
-def _scan_stats(stripped: list[str]) -> np.ndarray:
-    """(n, 13) int64 stats (see native.quality_scan) via ONE C pass over
-    the stripped texts. Line stats are invariant to whole-doc strip():
-    per-line strip + empty-line drop subsume it."""
-    from cld2_ray import native
-    return native.quality_scan(*native.utf8_cat(stripped), _letter_lut(),
-                               _fold_lut(), _stop_table())
-
-
 # languages written without inter-word spaces: word-shape rules do not
 # apply; word count is approximated by character count
 SPACELESS_LANGS = frozenset(["zh", "zh-Hant", "ja", "th", "km", "lo", "my"])
@@ -123,15 +117,18 @@ def rule_columns(texts, lang_codes=None) -> dict[str, np.ndarray]:
     """The quality rules on a batch: keep (bool), drop_reason (str, ''
     if kept) and the stats, one numpy array each.
 
-    ``texts`` is a sequence of str (None counts as ""). Rule order is
-    the drop_reason priority order (first failure wins).
+    ``texts`` is a sequence of str (None counts as "") or an Arrow
+    string column, read in place. Rule order is the drop_reason
+    priority order (first failure wins).
     ``lang_codes`` (optional, aligned) marks spaceless-script documents,
     whose word-shape rules are evaluated on characters instead.
 
     Every stat comes from the single C scan, so the rule cascade runs on
     plain numpy arrays. Output equals apply_rules_arrow of
     tests/oracles/quality.py, pinned by tests/test_native.py."""
-    scan = _scan_stats([t.strip() if t else "" for t in texts])
+    from cld2_ray import native
+    scan = native.quality_scan(*native.utf8_cat(texts), _letter_lut(),
+                               _fold_lut(), _stop_table())
     n = len(scan)
     n_words = scan[:, 0]
     n_chars = scan[:, 1]

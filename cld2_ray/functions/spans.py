@@ -126,7 +126,10 @@ def script_spans_batch(texts: list[str],
                        text_limit: int = TEXT_LIMIT) -> SpanTable:
     """Split each text into same-script letter spans in ONE C call
     (native.script_spans_scan_multi; a ctypes call per doc was ~15% of
-    the fused stage). tests/oracles/spans.py is its test oracle."""
+    the fused stage). ``texts`` is a sequence of str or an Arrow string
+    column, whose buffer the scan reads in place (Detector.detect_batch
+    passes its encoded batch so). tests/oracles/spans.py is its test
+    oracle."""
     from cld2_ray import native
     meta, ns_doc, out_buf, lt_idx = native.script_spans_scan_multi(
         *native.utf8_cat(texts), us.script_lut(), us.lower_lut(),

@@ -9,7 +9,10 @@ point against an independent numpy/hashlib oracle (tests/oracles/).
 
 A batch of documents has one layout, the Arrow one ``utf8_cat`` returns:
 ``(data, offsets)`` with document d at ``data[offsets[d]:offsets[d+1]]``.
-Every per-document binding takes it, and ``_docs`` checks it. The chunk
+Every per-document binding takes it, and ``_docs`` checks it;
+``utf8_array`` turns it back into an Arrow column without a copy, so a
+layer hands text it did not change on as buffers, never re-encoded
+(``cheap_squeeze`` writes a batch in this layout too). The chunk
 kernels and ``rep_words_multi`` read chosen rows of a span table, so
 they take per-span ``starts``/``ends`` instead (checked by ``_spans``).
 ``table_build`` builds the open-addressed table format that the C probe
@@ -115,8 +118,8 @@ def _compile() -> str:
 
 
 def _load() -> None:
-    global _FN, _LK, _ACC, _PM, _RW, _SQ, _PP, _CS, _CJ, _DS, _QS, _SSM
-    global _EXB, _MD5, _MDW, _B2B
+    global _LK, _ACC, _RW, _SQZ, _PP, _CS, _CJ, _DS, _QS, _SSM, _EXB
+    global _MD5, _MDW, _B2B
     so = _compile()
     try:
         lib = ctypes.CDLL(so)
@@ -148,18 +151,13 @@ def _load() -> None:
     # bucket-table argument bundle: buckets, nbuckets, keymask,
     # packed_latn, packed_othr
     bt = (u32bp, i64, u32, u64p, u64p)
-    _FN = bind(lib.quad_octa_scan, i32,
-               u8p, i64p, i64p, i64, u64p, u64p, u64, u64p, u64p, u64,
-               *bt, *bt, u8p, u64p, i64p, ctypes.POINTER(i64),
-               u64p, i64p, u8wp, ctypes.POINTER(i64))
     _LK = bind(lib.table_lookup_batch, i32,
                u64p, u64p, u64, u64p, i64, u64p)
     _ACC = bind(lib.fastlangid_score, i32,
                 u8p, i64p, i64, u8p, i64, u8p, i32p, f32p, i64, i64,
                 i32p, f32p, i64p, i64p)
-    _PM = bind(lib.predict_mask, i64, u8p, i64, u8wp, u8wp)
     _RW = bind(lib.rep_words_multi, i64, u8p, i64p, i64p, i64, u8wp, i64p)
-    _SQ = bind(lib.squeeze_test_multi, i64, u8p, i64p, i64, i64, i64, u8wp)
+    _SQZ = bind(lib.cheap_squeeze, i64, u8p, i64p, i64, u8wp, i64wp, u8wp)
     _PP = bind(lib.ppl_score, i32,
                u8p, i64p, i64, i64p, u64p, u64p, u64, f64p, i64, f64p,
                i64p)
@@ -193,33 +191,6 @@ def _bt_args(bt):
     """BucketTable -> the 5-arg C bundle."""
     return (bt.buckets, bt.buckets.shape[0], int(bt.keymask),
             bt.packed_latn, bt.packed_othr)
-
-
-def quad_octa_scan(cat, starts: np.ndarray, ends: np.ndarray, quad_table,
-                   socta, docta, xocta, latin_of_span: np.ndarray):
-    """One C pass over the spans cat[starts[i]:ends[i]]: quad walk + the
-    GetOctaHits word/pair walk with bucket probes. Returns (qvals,
-    qoffs, ovals, ooffs, odist) — table HITS only, at offsets into
-    cat, in span order, bit-equal to the numpy oracles
-    tools/hits.py quad_hits_dense + tests/oracles/model.py lookup_numpy and
-    tests/oracles/langid.py octa_stream."""
-    buf, starts, ends = _spans(cat, starts, ends)
-    lat = np.ascontiguousarray(latin_of_span, dtype=np.uint8)
-    # per span of s bytes: <= s quad hits, <= 2s + 4 octa hits
-    cap = 2 * int((ends - starts).sum()) + 4 * len(ends) + 8
-    qvals, ovals = (np.empty(cap, dtype=np.uint64) for _ in range(2))
-    qoffs, ooffs = (np.empty(cap, dtype=np.int64) for _ in range(2))
-    odist = np.empty(cap, dtype=np.uint8)
-    nq = ctypes.c_int64(0)
-    no = ctypes.c_int64(0)
-    _FN(buf, starts, ends, len(ends),
-        quad_table.keys, quad_table.vals, int(quad_table.mask),
-        socta.keys, socta.vals, int(socta.mask),
-        *_bt_args(docta), *_bt_args(xocta), lat,
-        qvals, qoffs, ctypes.byref(nq),
-        ovals, ooffs, odist, ctypes.byref(no))
-    return (qvals[:nq.value], qoffs[:nq.value], ovals[:no.value],
-            ooffs[:no.value], odist[:no.value].view(bool))
 
 
 def _chunk_bufs(starts: np.ndarray, bounds: np.ndarray, chunk_size: int):
@@ -416,8 +387,9 @@ def script_spans_scan_multi(data, offsets: np.ndarray,
 
 def quality_scan(data, offsets: np.ndarray, letter_lut: np.ndarray,
                  fold_lut: np.ndarray, sw_table) -> np.ndarray:
-    """One C pass over the STRIPPED utf-8 docs data[offsets[d]:
-    offsets[d+1]] -> (n_docs, 13) int64 stats [n_words, n_chars, n_ws,
+    """One C pass over the utf-8 docs data[offsets[d]:offsets[d+1]],
+    each stripped of its ``str.isspace`` chars at both ends (as
+    ``str.strip()``) -> (n_docs, 13) int64 stats [n_words, n_chars, n_ws,
     alpha_words, n_stop, n_sentences, symbols, has_lorem, has_brace,
     n_lines(non-empty), bullet_lines, ellipsis_lines, dup_lines] with
     RE2/pandas-pinned semantics (see quadscan.c quality_scan /
@@ -492,16 +464,6 @@ def ppl_score(data, offsets: np.ndarray, lang_ids: np.ndarray,
     return bits, cnt
 
 
-def predict_mask(data: bytes):
-    """(mask bool[nchars], nbytes uint8[nchars]) for the 12-bit
-    next-char predictor, one C pass over the UTF-8 bytes."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    mask = np.empty(len(data) + 1, dtype=np.uint8)
-    nb = np.empty(len(data) + 1, dtype=np.uint8)
-    nc = _PM(buf, len(buf), mask, nb)
-    return mask[:nc].astype(bool), nb[:nc]
-
-
 def rep_words_multi(cat, starts: np.ndarray, bounds: np.ndarray):
     """CheapRepWords over space-framed UTF-8 spans cat[starts[i]:
     bounds[i]], the predictor restarting per span. Returns (out uint8[], out_bounds int64[n]):
@@ -515,15 +477,21 @@ def rep_words_multi(cat, starts: np.ndarray, bounds: np.ndarray):
     return out[:n], out_bounds
 
 
-def squeeze_test_multi(data, offsets: np.ndarray, spaces_pct: int,
-                       pred_pct: int) -> np.ndarray:
-    """CheapSqueezeTriggerTest of each probe data[offsets[p]:
-    offsets[p+1]]: bool[n], True where spaces are >= spaces_pct% of
-    the probe's bytes or the predictor guesses >= pred_pct% of them."""
+def cheap_squeeze(data, offsets: np.ndarray):
+    """The CheapSqueeze pre-pass over the documents data[offsets[d]:
+    offsets[d+1]] in one C pass (quadscan.c cheap_squeeze): a document
+    of more than 4096 chars whose first 256 chars pass the trigger test
+    loses its 48-byte chunks of mostly spaces or predicted bytes. Returns
+    (squeezed bool[n], out uint8[], out_offsets int64[n+1]): the batch,
+    each squeezed document rewritten and every other one copied, in the
+    layout of ``utf8_cat``. tests/oracles/repeats.py is its oracle."""
     buf, offsets = _docs(data, offsets)
-    out = np.empty(len(offsets) - 1, dtype=np.uint8)
-    _SQ(buf, offsets, len(out), spaces_pct, pred_pct, out)
-    return out.view(bool)
+    n = len(offsets) - 1
+    out = np.empty(len(buf), dtype=np.uint8)
+    out_offsets = np.empty(n + 1, dtype=np.int64)
+    squeezed = np.empty(n, dtype=np.uint8)
+    m = _SQZ(buf, offsets, n, out, out_offsets, squeezed)
+    return squeezed.view(bool), out[:m], out_offsets
 
 
 # doc_stage flags (quadscan.c DS_*)
@@ -649,6 +617,15 @@ def utf8_cat(strings):
         data = np.ascontiguousarray(data[off[0]:off[-1]])
         off = off - off[0]
     return data, np.ascontiguousarray(off)
+
+
+def utf8_array(data: np.ndarray, offsets: np.ndarray):
+    """The pyarrow LargeStringArray on the buffers (data, offsets) of
+    ``utf8_cat``'s layout, offsets starting at 0, without a copy: the
+    inverse of ``utf8_cat``."""
+    import pyarrow as _pa
+    return _pa.LargeStringArray.from_buffers(
+        len(offsets) - 1, _pa.py_buffer(offsets), _pa.py_buffer(data))
 
 
 def md5_batch(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:

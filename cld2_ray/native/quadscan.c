@@ -4,9 +4,9 @@
  *
  *  - langid: the quadgram + octagram walk (hashing, last-2 ring dedupe,
  *    table probes) fused with chunk scoring (quad_octa_chunk_score,
- *    cjk_chunk_score; quad_octa_scan is the raw hit stream), the
- *    script-span scan (script_spans_scan_multi), the Repeats predictor
- *    (rep_words_multi, squeeze_test_multi, predict_mask) and CLD2's
+ *    cjk_chunk_score), the script-span scan (script_spans_scan_multi),
+ *    the Repeats predictor's two uses (cheap_squeeze, the CheapSqueeze
+ *    pre-pass, and rep_words_multi, the retry's word drop) and CLD2's
  *    document stage (doc_stage).  The n-gram walk and hashes mirror
  *    the reference engine's GetQuadHits / GetOctaHits / QuadHashV2 /
  *    OctaHash40 (reference: internal/cldutil.cc:315-533,
@@ -15,7 +15,9 @@
  *  - the quality filter's other layers: HTML extraction
  *    (extract_scan_batch), the quality rules' statistics
  *    (quality_scan), fastlangid_score and ppl_score.
- *  - batched MD5 / BLAKE2b for the dedup pipelines.
+ *  - batched MD5 / BLAKE2b for the dedup pipelines (md5_batch,
+ *    md5_windows, blake2b_batch), and table_lookup_batch, the table
+ *    probe over a query array.
  *
  * Shared primitives, each defined once below: the UTF-8 decode step
  * (utf8_len / utf8_next), the UTF-8 encoder (utf8_put), the
@@ -254,11 +256,10 @@ static inline uint32_t bi_hash32(const uint8_t *buf, int64_t s, int64_t bc,
     return a + (w1 ^ (w1 << 18));
 }
 
-/* The 12-bit-context next-char predictor (cld2_ray/functions/
- * repeats.py, reference CountPredictedBytes
- * compact_lang_det_impl.cc:541-580) of predict_mask, rep_words_multi
- * and squeeze_test_multi: the char last seen under each rolling hash h
- * of the previous 3 chars.  pred_step reads the char at b[i] (i < end)
+/* The 12-bit-context next-char predictor (reference CountPredictedBytes
+ * compact_lang_det_impl.cc:541-580) of cheap_squeeze and
+ * rep_words_multi: the char last seen under each rolling hash h of the
+ * previous 3 chars.  pred_step reads the char at b[i] (i < end)
  * into *c, its bytes packed big-endian, sets *hit if the table
  * predicted it, stores it under h and advances h; it returns the
  * char's byte length. */
@@ -281,21 +282,88 @@ static inline int pred_step(predictor *p, const uint8_t *b, int64_t i,
     return len;
 }
 
-/* The predictor over one text: per char, mask[i] = predicted and
- * nbytes[i] = its UTF-8 byte length.  Returns the number of chars. */
-int64_t predict_mask(const uint8_t *b, int64_t n, uint8_t *mask,
-                     uint8_t *nbytes) {
-    predictor p;
-    int64_t ci = 0, c;
+/* Run p over the chars of b that start before lim (<= end), from *i
+ * on: add their space bytes to *sp and their predicted bytes to *pr,
+ * and leave *i at the first char starting at or past lim. */
+static inline void pred_run(predictor *p, const uint8_t *b, int64_t *i,
+                            int64_t lim, int64_t end, int64_t *sp,
+                            int64_t *pr) {
+    int64_t c;
     int hit;
-    pred_reset(&p);
-    for (int64_t i = 0; i < n; ci++) {
-        int len = pred_step(&p, b, i, n, &c, &hit);
-        mask[ci] = (uint8_t)hit;
-        nbytes[ci] = (uint8_t)len;
-        i += len;
+    while (*i < lim) {
+        int len = pred_step(p, b, *i, end, &c, &hit);
+        if (c == ' ') (*sp)++;
+        if (hit) *pr += len;
+        *i += len;
     }
-    return ci;
+}
+
+/* CheapSqueeze (reference constants compact_lang_det_impl.cc:206-214) */
+#define SQ_CHUNK 48              /* kChunksizeDefault */
+#define SQ_SPACES_THRESH 25      /* kSpacesThreshPercent */
+#define SQ_PREDICT_THRESH 40     /* kPredictThreshPercent */
+#define SQ_TEST_THRESH 4096      /* kCheapSqueezeTestThresh */
+#define SQ_TEST_LEN 256          /* kCheapSqueezeTestLen */
+#define SQ_SPACES_TRIGGER 25     /* kSpacesTriggerPercent */
+#define SQ_PREDICT_TRIGGER 67    /* kPredictTriggerPercent */
+
+/* The CheapSqueeze pre-pass of DetectLanguageSummaryV2
+ * (compact_lang_det_impl.cc:1867-1901) over a batch: document d is
+ * cat[offsets[d], offsets[d+1]).  A document of more than
+ * SQ_TEST_THRESH chars whose first SQ_TEST_LEN chars pass
+ * CheapSqueezeTriggerTest (:952-971: spaces make up >= 25% of their
+ * bytes, or the predictor guesses >= 67% of them) is squeezed
+ * (CheapSqueezeInplace, :785-865): the predictor restarts and runs over
+ * the whole document, and each 48-byte chunk (a char belongs to the
+ * chunk its first byte is in) with >= 25% space bytes or >= 40%
+ * predicted bytes is deleted.  Every other document is copied as it
+ * is.  out (as many bytes as the input) gets the documents back to
+ * back, out_offsets[n+1] their bounds and squeezed[d] 1 where d was
+ * squeezed.  Returns the output length.  tests/oracles/repeats.py
+ * (squeeze_trigger, squeeze) is the oracle. */
+int64_t cheap_squeeze(const uint8_t *cat, const int64_t *offsets,
+                      int64_t n_docs, uint8_t *out, int64_t *out_offsets,
+                      uint8_t *squeezed) {
+    predictor p;
+    int64_t o = 0;
+    out_offsets[0] = 0;
+    for (int64_t d = 0; d < n_docs; d++) {
+        int64_t start = offsets[d], end = offsets[d + 1];
+        int64_t i = start, probe = start, nc = 0, sp = 0, pr = 0;
+        for (; i < end && nc <= SQ_TEST_THRESH; nc++) {
+            if (nc == SQ_TEST_LEN) probe = i;
+            i += utf8_len(cat, i, end);
+        }
+        int sq = 0;
+        if (nc > SQ_TEST_THRESH) {
+            int64_t n = probe - start;
+            pred_reset(&p);
+            i = start;
+            pred_run(&p, cat, &i, probe, end, &sp, &pr);
+            sq = sp * 100 >= SQ_SPACES_TRIGGER * n
+                 || pr * 100 >= SQ_PREDICT_TRIGGER * n;
+        }
+        squeezed[d] = (uint8_t)sq;
+        if (!sq) {
+            memcpy(out + o, cat + start, (size_t)(end - start));
+            o += end - start;
+        } else {
+            pred_reset(&p);
+            for (i = start; i < end;) {
+                int64_t cs = i, lim = start
+                    + ((i - start) / SQ_CHUNK + 1) * SQ_CHUNK;
+                sp = pr = 0;
+                pred_run(&p, cat, &i, lim < end ? lim : end, end, &sp, &pr);
+                if (sp * 100 < SQ_SPACES_THRESH * (i - cs)
+                        && pr * 100 < SQ_PREDICT_THRESH * (i - cs)) {
+                    memcpy(out + o, cat + cs, (size_t)(i - cs));
+                    o += i - cs;
+                }
+            }
+        }
+        out_offsets[d + 1] = o;
+    }
+    return o;
 }
 
 /* CheapRepWords (tests/oracles/repeats.py remove_repeated_words,
@@ -442,6 +510,19 @@ static inline int is_py_space(uint32_t cp) {
         || (cp >= 0x2000 && cp <= 0x200A)
         || cp == 0x2028 || cp == 0x2029 || cp == 0x202F
         || cp == 0x205F || cp == 0x3000;
+}
+
+/* Narrow the text b[*s, *e) as Python's str.strip() does: drop
+ * is_py_space chars from both ends, each char whole. */
+static void py_strip(const uint8_t *b, int64_t *s, int64_t *e) {
+    int l;
+    while (*s < *e && is_py_space(utf8_next(b, *s, *e, &l))) *s += l;
+    while (*e > *s) {
+        int64_t q = *e - 1;
+        while (q > *s && (b[q] & 0xC0) == 0x80) q--;
+        if (!is_py_space(utf8_next(b, q, *e, &l)) || q + l != *e) break;
+        *e = q;
+    }
 }
 
 /* Byte j of the framed document " " + p[0, len) + " " (j <= len + 1;
@@ -592,12 +673,11 @@ typedef struct {
 /* One quad candidate of a span: the bytes [cs, ebyte), of which the
  * first bc = min(ebyte - cs, 12) are hashed with their pre/post space
  * flags.  A hash equal to one of the last two is dropped; any other is
- * probed in the quad table, and a hit is appended at offset
- * base + cs. */
+ * probed in the quad table, and a hit is appended at offset cs. */
 static inline void quad_emit(const uint8_t *sp, int64_t len, int64_t cs,
                              int64_t ebyte, quad_ring *ring,
                              const uint64_t *qkeys, const uint64_t *qvals,
-                             uint64_t qmask, int64_t base,
+                             uint64_t qmask,
                              uint64_t *out_qvals, int64_t *out_qoffs,
                              int64_t *nq) {
     int64_t bc = ebyte - cs;
@@ -617,16 +697,16 @@ static inline void quad_emit(const uint8_t *sp, int64_t len, int64_t cs,
     uint64_t v = table_lookup(qkeys, qvals, qmask, (uint64_t)h);
     if (v) {
         out_qvals[*nq] = v;
-        out_qoffs[*nq] = base + cs;
+        out_qoffs[*nq] = cs;
         (*nq)++;
     }
 }
 
 /* Scan ONE span (framed " w1 w2 " utf-8 bytes). Appends table HITS
- * (val != 0) to the output arrays at *nq_io / *no_io, with offsets
- * biased by `base`. Ring-dedupe state is local (reset per span), same
- * as the numpy path. */
-static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
+ * (val != 0) to the output arrays at *nq_io / *no_io, at offsets into
+ * the span. Ring-dedupe state is local (reset per span), same as the
+ * numpy path. */
+static void scan_one_span(const uint8_t *sp, int64_t len,
                           const uint64_t *qkeys, const uint64_t *qvals,
                           uint64_t qmask,
                           const uint64_t *skeys, const uint64_t *svals,
@@ -690,7 +770,7 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
                                 xb, xbmask, xkeymask, xpacked, ph);
                             if (v) {
                                 out_ovals[no] = v;
-                                out_ooffs[no] = base + prior_start;
+                                out_ooffs[no] = prior_start;
                                 out_odist[no] = 1;
                                 no++;
                             }
@@ -699,7 +779,7 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
                             xb, xbmask, xkeymask, xpacked, h);
                         if (v) {
                             out_ovals[no] = v;
-                            out_ooffs[no] = base + ws;
+                            out_ooffs[no] = ws;
                             out_odist[no] = 1;
                             no++;
                         }
@@ -707,7 +787,7 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
                             db, dbmask, dkeymask, dpacked, h);
                         if (v) {
                             out_ovals[no] = v;
-                            out_ooffs[no] = base + ws;
+                            out_ooffs[no] = ws;
                             out_odist[no] = 0;
                             no++;
                         }
@@ -715,7 +795,7 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
                         v = table_lookup(skeys, svals, smask, h);
                         if (v) {
                             out_ovals[no] = v;
-                            out_ooffs[no] = base + ws;
+                            out_ooffs[no] = ws;
                             out_odist[no] = 0;
                             no++;
                         }
@@ -762,7 +842,7 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
                 for (int64_t j = 0; j < flush; j++) {
                     if (word_first_char + j >= nchars_limit) break;
                     quad_emit(sp, len, cpos[j], cpos[j + 4], &ring,
-                              qkeys, qvals, qmask, base,
+                              qkeys, qvals, qmask,
                               out_qvals, out_qoffs, &nq);
                 }
                 memmove(cpos, cpos + flush, 4 * sizeof *cpos);
@@ -785,7 +865,7 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
                 if (keep)
                     quad_emit(sp, len, cpos[j],
                               e_char == m ? b : cpos[e_char], &ring,
-                              qkeys, qvals, qmask, base,
+                              qkeys, qvals, qmask,
                               out_qvals, out_qoffs, &nq);
             }
             m = 0;
@@ -798,7 +878,8 @@ static void scan_one_span(const uint8_t *sp, int64_t len, int64_t base,
 /* Single-pass quality statistics (cld2_ray/functions/quality.py
  * word_stats + apply_rules counts): replaces five full RE2 scans +
  * a token flatten/match pass with ONE walk over the concatenated
- * STRIPPED utf-8 docs.  Semantics pinned to the Arrow/RE2 kernels:
+ * utf-8 docs, each stripped first (py_strip).  Semantics pinned to the
+ * Arrow/RE2 kernels:
  *   - \s = [\t\n\f\r ] exactly (ASCII; NOT \v, NOT NBSP) — verified
  *     against pyarrow.compute
  *   - words = maximal \S+ runs; alpha word = contains >=1 cp with
@@ -945,6 +1026,7 @@ int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
     if (!sc.ok) return (int)scratch_done(&sc, -1);
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t start = offsets[d], end = offsets[d + 1];
+        py_strip(cat, &start, &end);
         int64_t n_words = 0, n_chars = 0, n_ws = 0, alpha_words = 0;
         int64_t n_stop = 0, n_sent = 0, symbols = 0;
         int64_t has_lorem = 0, has_brace = 0;
@@ -1009,40 +1091,6 @@ int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
         line_scan_doc(cat, start, end, &lt, (uint64_t)d + 1, row);
     }
     return (int)scratch_done(&sc, 0);
-}
-
-/* Scan the spans buf[starts[i], ends[i]), i < nb.  Emits table HITS
- * only (val != 0), at offsets into buf.  A span of s bytes yields at
- * most s quad hits and 2s + 4 octa hits, so the caller sizes each
- * output to 2 * sum(s) + 4 * nb + 8 slots.  Returns 0. */
-int quad_octa_scan(const uint8_t *buf,
-                   const int64_t *starts, const int64_t *ends, int64_t nb,
-                   const uint64_t *qkeys, const uint64_t *qvals, uint64_t qmask,
-                   const uint64_t *skeys, const uint64_t *svals, uint64_t smask,
-                   const uint32_t *db, int64_t dnb, uint32_t dkeymask,
-                   const uint64_t *dpl, const uint64_t *dpo,
-                   const uint32_t *xb, int64_t xnb, uint32_t xkeymask,
-                   const uint64_t *xpl, const uint64_t *xpo,
-                   const uint8_t *span_latin,
-                   uint64_t *out_qvals, int64_t *out_qoffs, int64_t *nq_out,
-                   uint64_t *out_ovals, int64_t *out_ooffs,
-                   uint8_t *out_odist, int64_t *no_out) {
-    int64_t nq = 0, no = 0;
-    uint64_t dbmask = (uint64_t)(dnb - 1);
-    uint64_t xbmask = (uint64_t)(xnb - 1);
-    for (int64_t span_i = 0; span_i < nb; span_i++) {
-        int64_t span_start = starts[span_i];
-        scan_one_span(buf + span_start, ends[span_i] - span_start,
-                      span_start,
-                      qkeys, qvals, qmask, skeys, svals, smask,
-                      db, dbmask, dkeymask, span_latin[span_i] ? dpl : dpo,
-                      xb, xbmask, xkeymask, span_latin[span_i] ? xpl : xpo,
-                      out_qvals, out_qoffs, &nq,
-                      out_ovals, out_ooffs, out_odist, &no);
-    }
-    *nq_out = nq;
-    *no_out = no;
-    return 0;
 }
 
 /* Chunk-score ONE span's merged hit stream (primary a = quads/unis,
@@ -1408,7 +1456,7 @@ int64_t quad_octa_chunk_score(
         const uint64_t *xpacked = span_latin[span_i] ? xpl : xpo;
         const int64_t *hints = hint_flat + hint_csr[span_i];
         int64_t nhints = hint_csr[span_i + 1] - hint_csr[span_i];
-        scan_one_span(sp, len, 0, qkeys, qvals, qmask,
+        scan_one_span(sp, len, qkeys, qvals, qmask,
                       skeys, svals, smask,
                       db, dbmask, dkeymask, dpacked,
                       xb, xbmask, xkeymask, xpacked,
@@ -1521,33 +1569,6 @@ int64_t cjk_chunk_score(
             return scratch_done(&sc, -2);
     }
     return scratch_done(&sc, nchunks_total);
-}
-
-/* CheapSqueezeTriggerTest (compact_lang_det_impl.cc:952-971) for a
- * batch of probes: probe p is cat[offsets[p], offsets[p+1]), the UTF-8
- * of a document's first kCheapSqueezeTestLen chars.  It triggers when
- * spaces make up >= spaces_pct of its bytes or the 12-bit next-char
- * predictor (predict_mask, restarted per probe) guesses >= pred_pct of
- * them.  tests/oracles/repeats.py squeeze_trigger is the oracle. */
-int64_t squeeze_test_multi(const uint8_t *cat, const int64_t *offsets,
-                           int64_t n_probes, int64_t spaces_pct,
-                           int64_t pred_pct, uint8_t *out) {
-    predictor pr;
-    for (int64_t p = 0; p < n_probes; p++) {
-        int64_t start = offsets[p], end = offsets[p + 1], n = end - start;
-        int64_t n_sp = 0, pred = 0, c;
-        int hit;
-        pred_reset(&pr);
-        for (int64_t i = start; i < end;) {
-            int len = pred_step(&pr, cat, i, end, &c, &hit);
-            if (c == ' ') n_sp++;
-            if (hit) pred += len;
-            i += len;
-        }
-        out[p] = n > 0 && (n_sp * 100 >= spaces_pct * n
-                           || pred * 100 >= pred_pct * n);
-    }
-    return n_probes;
 }
 
 /* ====================================================================

@@ -4,9 +4,11 @@ One Ray Data task function, ``fused_batch``, runs every layer on a
 pyarrow batch of pages: UTF-8 gate + HTML->text, page hints, CLD2-style
 langid, Gopher/C4 rules, PII/toxicity scrub, fastText-style aux langid
 and char-LM perplexity, then the keep/drop decision. Extraction is one
-C call per batch whose output buffer is the ``extracted_text`` column;
-the layers that still take Python strings share one ``to_pylist`` of
-it, scrub runs on the column itself, and langid hands back numpy
+C call per batch whose output buffer is the ``extracted_text`` column.
+The quality rules and scrub read that column's buffer in place; the
+layers that take Python strings share one ``to_pylist`` of it, and
+langid encodes its list once for all its steps (fastlangid and
+perplexity encode the copies they lower). Langid hands back numpy
 columns (score.DetectColumns) that land in the output as they are.
 All per-row logic calls the same functions the single-process oracle
 uses, so pipeline == oracle per url.
@@ -172,7 +174,7 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
     summary_codes = summary_col.to_numpy(zero_copy_only=False)
 
     # 3. quality + scrub + aux models on the SAME text
-    q = rule_columns(texts, summary_codes)
+    q = rule_columns(text_col, summary_codes)
     scrubbed, n_pii, toxic = scrub_arrow(text_col)
     aux_lang, aux_conf = fastlangid.classify_batch(texts)
     ppl, gibberish = perplexity.score_batch(texts, summary_codes)

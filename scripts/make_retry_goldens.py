@@ -31,7 +31,8 @@ from cld2_ray.data.seeds import HELDOUT, SEEDS  # noqa: E402
 from cld2_ray.data.seeds_extra import EXTRA  # noqa: E402
 from cld2_ray.functions import langs, score  # noqa: E402
 from cld2_ray.functions.langid import Detector  # noqa: E402
-from cld2_ray.functions.repeats import squeeze, squeeze_triggers  # noqa: E402
+from tests.oracles.repeats import (SQUEEZE_TEST_THRESH, squeeze,  # noqa: E402
+                                   squeeze_trigger)
 
 OUT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tests", "retry_goldens.json")
@@ -116,6 +117,12 @@ def result_dict(r: score.DetectResult) -> dict:
     }
 
 
+def squeezed(text: str) -> bool:
+    """Whether detect_batch's CheapSqueeze pre-pass rewrites ``text``,
+    by the numpy oracle."""
+    return len(text) > SQUEEZE_TEST_THRESH and squeeze_trigger(text)
+
+
 def main() -> None:
     rng = np.random.default_rng(2)
     docs = [mixed_doc(rng, k) for k in range(N_MIXED)]
@@ -125,12 +132,9 @@ def main() -> None:
     texts = [text for text, _ in docs]
     # good is the first pass's Repeats-retry test
     res = det.detect_batch(texts)
-    squeezed = [squeeze(t) if sq else ""
-                for t, sq in zip(texts, squeeze_triggers(texts).tolist())]
     entries = []
-    for (text, codes), good, sq, retrigger in zip(
-            docs, res.good.tolist(), squeezed,
-            squeeze_triggers(squeezed).tolist()):
+    for (text, codes), good in zip(docs, res.good.tolist()):
+        retrigger = squeezed(text) and squeezed(squeeze(text))
         entries.append({"codes": codes, "retry": not good,
                         "retrigger": retrigger, "text": text,
                         "want": result_dict(det.detect(text))})

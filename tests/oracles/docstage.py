@@ -26,11 +26,11 @@ import numpy as np
 from cld2_ray import native
 from cld2_ray.functions import langs, spans, uscript as us
 from cld2_ray.functions.langid import _csr
-from cld2_ray.functions.repeats import squeeze
 from cld2_ray.functions.score import (CHUNKSIZE_QUADS, CHUNKSIZE_UNIS,
                                       MIN_RELIABLE_KEEP_PERCENT,
                                       DetectResult)
-from tests.oracles.repeats import remove_repeated_words, squeeze_trigger
+from tests.oracles.repeats import (SQUEEZE_TEST_THRESH, remove_repeated_words,
+                                   squeeze, squeeze_trigger)
 
 DOC_TOTE_SLOTS = 24
 GOOD_LANG1_PERCENT = 70
@@ -420,7 +420,7 @@ def detect_oracle(det, text: str, hint_langs=None, best_effort=False,
     Repeats retry over the spans with predicted words dropped (keeping
     each span's original text_bytes)."""
     text = text or ""
-    if len(text) > 4096 and squeeze_trigger(text):
+    if len(text) > SQUEEZE_TEST_THRESH and squeeze_trigger(text):
         text = squeeze(text)
     sl = spans.script_spans(text)
     total = sum(sp.text_bytes for sp in sl)

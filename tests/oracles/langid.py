@@ -1,5 +1,5 @@
 """numpy langid ranges chain: the oracle of the MANY-span C entry point
-(``native.quad_octa_scan`` and ``native.quad_octa_chunk_score``) and of
+(``native.quad_octa_chunk_score``) and of
 ``Detector.detect_ranges`` / ``detect_batch(with_ranges=True)``.
 
 The functions that read the model take the ``Detector`` as their first

@@ -1,6 +1,7 @@
-"""numpy cheap-predictor kernels: the oracles of ``native.predict_mask``,
-``native.rep_words_multi`` (the Repeats retry of ``Detector.detect_batch``)
-and ``native.squeeze_test_multi`` (``repeats.squeeze_triggers``).
+"""numpy cheap-predictor kernels: the oracles of ``native.rep_words_multi``
+(the Repeats retry of ``Detector.detect_batch``) and
+``native.cheap_squeeze`` (its CheapSqueeze pre-pass: ``squeeze_trigger``
+gates a text, ``squeeze`` rewrites it).
 
 The reference's loop ``hash = ((hash << 4) ^ c) & 0xfff`` with a
 4096-entry last-value table keeps only the last ~3 chars in the hash,
@@ -14,9 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from cld2_ray.functions.repeats import (PREDICT_TRIGGER_PERCENT,
-                                        SPACES_TRIGGER_PERCENT,
-                                        SQUEEZE_TEST_LEN)
+# reference: internal/compact_lang_det_impl.cc:206-214
+CHUNKSIZE = 48                    # kChunksizeDefault
+SPACES_THRESH_PERCENT = 25        # kSpacesThreshPercent
+PREDICT_THRESH_PERCENT = 40       # kPredictThreshPercent
+SQUEEZE_TEST_THRESH = 4096        # kCheapSqueezeTestThresh
+SQUEEZE_TEST_LEN = 256            # kCheapSqueezeTestLen
+SPACES_TRIGGER_PERCENT = 25       # kSpacesTriggerPercent
+PREDICT_TRIGGER_PERCENT = 67      # kPredictTriggerPercent
 
 
 def _char_values(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -43,8 +49,10 @@ def _char_values(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def predicted_bytes_mask_numpy(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """repeats.predicted_bytes_mask in the pandas groupby form described
-    in the module docstring."""
+    """(mask of chars predicted by the 12-bit context hash, byte length
+    per char), in the pandas groupby form described in the module
+    docstring. mask[i] True == the reference's ``c == tbl[hash]``
+    hit."""
     v, nbytes = _char_values(text)
     if len(v) == 0:
         return np.zeros(0, dtype=bool), nbytes
@@ -78,6 +86,29 @@ def squeeze_trigger(text: str) -> bool:
     if n_sp * 100 >= SPACES_TRIGGER_PERCENT * n:
         return True
     return count_predicted_bytes(probe) * 100 >= PREDICT_TRIGGER_PERCENT * n
+
+
+def squeeze(text: str) -> str:
+    """CheapSqueezeInplace (impl.cc:785-865): delete 48-byte chunks
+    with >=25% spaces or >=40% predicted bytes, per chunk over char
+    arrays (a char belongs to the chunk its first byte is in)."""
+    mask, nbytes = predicted_bytes_mask_numpy(text)
+    if len(mask) == 0:
+        return text
+    cps = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    cum = np.cumsum(nbytes) - nbytes  # byte offset per char
+    chunk = cum // CHUNKSIZE
+    nchunks = int(chunk[-1]) + 1
+    sp_b = np.where(cps == 32, nbytes, 0)
+    pred_b = np.where(mask, nbytes, 0)
+    tot_b = np.bincount(chunk, weights=nbytes, minlength=nchunks)
+    sp_sum = np.bincount(chunk, weights=sp_b, minlength=nchunks)
+    pr_sum = np.bincount(chunk, weights=pred_b, minlength=nchunks)
+    tot_b = np.maximum(tot_b, 1)
+    drop = ((sp_sum * 100) >= (SPACES_THRESH_PERCENT * tot_b)) | \
+           ((pr_sum * 100) >= (PREDICT_THRESH_PERCENT * tot_b))
+    keep = ~drop[chunk]
+    return cps[keep].tobytes().decode("utf-32-le")
 
 
 def remove_repeated_words(span_text: str) -> str:

@@ -18,66 +18,89 @@ from tools import hits
 from tools.langmodel import bucket_lookup, unpack_langprobs
 
 
-def _numpy_path(model, cat, bounds, latin_of_span):
+def _numpy_hits(model, cat, bounds, latin_of_span):
+    """(vals, offs, distinct) of the spans' quad and word table hits,
+    merged by offset (quads first at equal offset), from the numpy
+    walks and probes."""
     from cld2_ray.functions.langid import Detector
     h, off = hits.quad_hits_dense(cat, span_bounds=bounds)
     vals = lookup_numpy(model.quad, h)
     m = vals != 0
-    d = Detector(model)
-    ov, oo, od = langid_oracle.octa_stream(d, cat, bounds, latin_of_span)
-    return vals[m], off[m], ov, oo, od.astype(np.uint8)
+    ov, oo, od = langid_oracle.octa_stream(Detector(model), cat, bounds,
+                                           latin_of_span)
+    order = np.argsort(np.concatenate([off[m], oo]), kind="stable")
+    return (np.concatenate([vals[m], ov])[order],
+            np.concatenate([off[m], oo])[order],
+            np.concatenate([np.zeros(m.sum(), bool), od])[order])
 
 
-def _check(model, span_texts, latin=None):
+def _check(model, span_texts, scripts=None):
+    """native.quad_octa_chunk_score at chunk size 1, so that each table
+    hit is its own chunk, == score.score_chunks_multi over the numpy
+    hit stream: the scan's hits, their offsets and their order."""
+    from cld2_ray.functions import score
     bufs = [s.encode("utf-8") for s in span_texts]
+    lens = np.array([len(b) for b in bufs], dtype=np.int64)
+    bounds = np.cumsum(lens)
     cat = b"".join(bufs)
-    bounds = np.cumsum([len(b) for b in bufs]).astype(np.int64)
-    if latin is None:
-        latin = np.ones(len(bufs), dtype=bool)
-    latin = np.asarray(latin, dtype=bool)
-    a = _numpy_path(model, cat, bounds, latin)
-    b = native.quad_octa_scan(cat, bounds - [len(b) for b in bufs], bounds,
-                              model.quad, model.socta, model.docta,
-                              model.xocta, latin)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+    scripts = np.full(len(bufs), us.LATIN) if scripts is None \
+        else np.asarray(scripts)
+    latin, s4 = scripts == us.LATIN, us.LSCRIPT4[scripts]
+    vals, offs, dist = _numpy_hits(model, cat, bounds, latin)
+    l3, q3 = unpack_langprobs(vals)
+    want = score.score_chunks_multi(
+        l3, q3, offs, np.searchsorted(bounds, offs, side="right"),
+        bounds - lens, lens, np.ones(len(bufs), dtype=np.int64),
+        model.expected_quad, distinct_mask=dist, script4_of_span=s4)
+    got = native.quad_octa_chunk_score(
+        cat, bounds - lens, bounds, model.quad, model.socta, model.docta,
+        model.xocta, latin, 1, model.expected_quad, langs.CLOSE_SET,
+        np.zeros(len(bufs) + 1, dtype=np.int64), np.zeros(0, np.int64),
+        s4)
+    assert len(got[0]) == len(vals)
+    for x, y in zip(want, got):
+        assert np.array_equal(np.asarray(x), y)
 
 
 class TestQuadOctaScan:
+    """The quad and word walks of quad_octa_chunk_score (scan_one_span)
+    hit for hit against the numpy walks (tools/hits.py, the oracle
+    octa_stream), one chunk per hit."""
+
     def test_seed_spans(self):
         from cld2_ray.data.seeds import HELDOUT, SEEDS
         model = default_model()
         for code, text in sorted({**SEEDS, **HELDOUT}.items()):
-            sl = [(sp.text, sp.script == us.LATIN)
-                  for sp in spans.script_spans(text)
+            sl = [(sp.text, sp.script) for sp in spans.script_spans(text)
                   if us.script_rtype(sp.script) == us.RTYPE_MANY]
             if sl:
-                _check(model, [t for t, _ in sl],
-                       [la for _, la in sl])
+                _check(model, [t for t, _ in sl], [sc for _, sc in sl])
 
     def test_spans_in_place(self):
         """Spans are read in place by start/end: spans with gaps between
-        them give the packed spans' hits at offsets shifted by each
-        span's displacement; a span with end < start is refused."""
+        them score as the packed spans do; a span with end < start is
+        refused."""
         model = default_model()
         texts = [b" hello world ", b" bonjour le monde ", b" hallo welt "]
         lens = np.array([len(t) for t in texts])
         cat = b"##" + b"##".join(texts) + b"##"
         starts = np.array([cat.index(t) for t in texts])
-        args = (model.quad, model.socta, model.docta, model.xocta,
-                np.ones(3, dtype=bool))
-        got = native.quad_octa_scan(cat, starts, starts + lens, *args)
+        tables = (model.quad, model.socta, model.docta, model.xocta,
+                  np.ones(3, dtype=bool))
+        rest = (1, model.expected_quad, langs.CLOSE_SET,
+                np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                np.full(3, us.LSCRIPT4[us.LATIN]))
+        got = native.quad_octa_chunk_score(cat, starts, starts + lens,
+                                           *tables, *rest)
         p_ends = np.cumsum(lens)
-        want = native.quad_octa_scan(b"".join(texts), p_ends - lens, p_ends,
-                                     *args)
-        shift = starts - (p_ends - lens)
-        for k in (1, 3):
-            span = np.searchsorted(p_ends, want[k], side="right")
-            assert np.array_equal(got[k], want[k] + shift[span])
-        for k in (0, 2, 4):
-            assert np.array_equal(got[k], want[k])
+        want = native.quad_octa_chunk_score(b"".join(texts), p_ends - lens,
+                                            p_ends, *tables, *rest)
+        assert len(want[0]) > 3
+        for x, y in zip(want, got):
+            assert np.array_equal(x, y)
         with pytest.raises(ValueError):
-            native.quad_octa_scan(cat, starts + lens, starts, *args)
+            native.quad_octa_chunk_score(cat, starts + lens, starts,
+                                         *tables, *rest)
 
     def test_edge_cases(self):
         model = default_model()
@@ -300,12 +323,13 @@ class TestSpanScanSanitized:
     worst-case inputs: any write past a buffer aborts the run, whether
     an output the shim sizes or scratch the kernel allocates, and so
     does a read past the last document's end (the batches are
-    exact-size arrays). The span scan, quad_octa_scan and both chunk
-    kernels (with and without the ranges pass), quality_scan's dup-line
-    table and stopword probe, extract_scan_batch's entity reads,
+    exact-size arrays). The span scan, both chunk kernels (with and
+    without the ranges pass), quality_scan's dup-line table, stopword
+    probe and end strip, extract_scan_batch's entity reads,
     fastlangid_score, ppl_score, rep_words_multi on max-length spans,
-    md5_windows past its first window buffer and doc_stage with full
-    totes over 16 streams; each result must equal the plain build's."""
+    cheap_squeeze at its gate and chunk edges, md5_windows past its
+    first window buffer and doc_stage with full totes over 16 streams;
+    each result must equal the plain build's."""
 
     DRIVER = r"""
 import numpy as np
@@ -378,8 +402,6 @@ for wr in (False, True):
          m.socta, m.docta, m.xocta, np.ones(len(lat), dtype=bool),
          score.CHUNKSIZE_QUADS, m.expected_quad, langs.CLOSE_SET,
          *no_hints, us.LSCRIPT4[t.script[lat]], with_ranges=wr)
-same("quad_octa_scan", t.buf, t.start[lat], t.end[lat], m.quad, m.socta,
-     m.docta, m.xocta, np.ones(len(lat), dtype=bool))
 same("cjk_chunk_score", t.buf, t.start[han], t.end[han],
      t.text_bytes[han], m.uni, m.cjkbi, score.CHUNKSIZE_UNIS,
      m.expected_uni, langs.CLOSE_SET, np.zeros(len(han) + 1, np.int64),
@@ -405,6 +427,33 @@ assert same("quality_scan", *cat_of(qdocs), *qluts)[0][:, 4].tolist() == \
     [1, 0, 1, 0, 0, 0, 0, 1]
 for d in qdocs:
     same("quality_scan", *cat_of([d]), *qluts)
+
+# quality_scan's end strip on whitespace-only docs and on docs whose one
+# non-space char is multi-byte, at either end
+sdocs = [b" ", " \u3000\xa0\x1f".encode(), "\u2028".encode()]
+for c in ("\u00e9", "\u4e2d", "\U0001F600"):
+    sdocs += [(c + " \u3000").encode(), ("\u3000 " + c).encode()]
+s = same("quality_scan", *cat_of(sdocs), *qluts)[0]
+assert s[:, 1].tolist() == [0, 0, 0] + [1] * 6
+for d in sdocs:
+    same("quality_scan", *cat_of([d]), *qluts)
+
+# cheap_squeeze on a squeezed 4097-char doc, a doc squeezed to nothing,
+# 4-byte chars straddling its chunk edges (48 = 4 * 11 + 4: one ASCII
+# char shifts every 4-byte char across an edge) and docs it copies
+# whole (4097 unpredictable chars that fail the trigger test, a short
+# and an empty doc), each doc alone too, so a read past its end or a
+# copy past the output hits the redzone
+probe = "abc.jpg " * 32
+sqdocs = [(probe + "x" * 3841).encode(), (" " * 5000).encode(),
+          (probe + "a" + "\U0001F600 " * 2000).encode(),
+          (probe + "\U0001F600\U0001F601a" * 1400).encode(),
+          "".join(map(chr, range(0x4E00, 0x4E00 + 4097))).encode(),
+          b"x y", b""]
+sq = same("cheap_squeeze", *cat_of(sqdocs))[0]
+assert sq.tolist() == [True] * 4 + [False] * 3
+for d in sqdocs:
+    same("cheap_squeeze", *cat_of([d]))
 
 # extract_scan_batch on entity-dense pages and with each entity form
 # (8-char and unknown names, "&;", numeric and named) at a page's very
@@ -1094,6 +1143,55 @@ class TestQualityScan:
                  quality.apply_rules(tser), text)
 
 
+class TestStripInScan:
+    """quality_scan strips each document's ends in C (py_strip over
+    is_py_space), as ``str.strip()`` does, so rule_columns takes the
+    extracted column as it is."""
+
+    def test_is_py_space_is_str_isspace(self):
+        """A one-char document scans as 0 chars exactly when its char is
+        ``str.isspace`` (29 codepoints at Python's Unicode 14.0)."""
+        import unicodedata
+        from cld2_ray.functions import quality
+        cps = [c for c in range(0x110000) if not 0xD800 <= c < 0xE000]
+        blank = []
+        for k in range(0, len(cps), 1 << 16):
+            part = cps[k:k + (1 << 16)]
+            stats = native.quality_scan(
+                *native.utf8_cat([chr(c) for c in part]),
+                quality._letter_lut(), quality._fold_lut(),
+                quality._stop_table())
+            blank += [c for c, n in zip(part, stats[:, 1].tolist())
+                      if n == 0]
+        assert blank == [c for c in cps if chr(c).isspace()]
+        if unicodedata.unidata_version == "14.0.0":
+            assert len(blank) == 29
+
+    EDGES = ["\xa0", "\u2028", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f",
+             "\x85", " \t\n", "\u3000\xa0 \x1f"]
+
+    def test_column_equals_stripped_texts(self):
+        """rule_columns(column) == rule_columns of the Python-stripped
+        texts, for documents with whitespace at both ends, whitespace
+        only, and a multi-byte char alone between the spaces."""
+        import pyarrow as pa
+        from cld2_ray.functions import quality
+        body = ("the cat sat on the mat and then the dog ran to the park "
+                "where it played with a ball for a while. ") * 3
+        texts = [a + t + b for a in self.EDGES for b in self.EDGES
+                 for t in (body, "中", "\U0001F600", "x\u2028y", "")]
+        texts += ["", None] + self.EDGES
+        col = pa.array(texts, type=pa.large_string())
+        got = quality.rule_columns(col, ["en"] * len(texts))
+        want = quality.rule_columns([(t or "").strip() for t in texts],
+                                    ["en"] * len(texts))
+        assert got.keys() == want.keys()
+        for k in got:
+            assert np.array_equal(got[k], want[k]), k
+        assert got["n_chars"][-len(self.EDGES):].tolist() == \
+            [0] * len(self.EDGES)
+
+
 class TestScriptSpansScan:
     """C script_spans must be bit-equal to the numpy segmenter."""
 
@@ -1575,11 +1673,36 @@ _REP_ALPHABET = st.sampled_from(
     ["a", "b", "ab", "ba", "x", " ", "  ", "   ", "é", "ж", "中", "日",
      "𝄞", "😀"])
 _REP_SPAN = st.lists(_REP_ALPHABET, max_size=80).map("".join)
+# single chars of 1-4 UTF-8 bytes and the space
+_SQ_CHARS = st.sampled_from(["a", "b", " ", "é", "ж", "中", "😀", "𝄞"])
+
+
+def _check_squeeze(texts):
+    """native.cheap_squeeze over ``texts`` == the per-text oracle of
+    tests/oracles/repeats.py: a text of more than 4096 chars that
+    squeeze_trigger passes becomes squeeze(text), any other stays as it
+    is (None as ""). Returns the squeezed flags."""
+    sq, out, offs = native.cheap_squeeze(*native.utf8_cat(texts))
+    got = [out[a:b].tobytes().decode("utf-8")
+           for a, b in zip(offs[:-1].tolist(), offs[1:].tolist())]
+    want = [bool(t) and len(t) > repeats_oracle.SQUEEZE_TEST_THRESH
+            and repeats_oracle.squeeze_trigger(t) for t in texts]
+    assert sq.tolist() == want
+    assert got == [repeats_oracle.squeeze(t) if w else (t or "")
+                   for t, w in zip(texts, want)]
+    return want
+
+
+# 256 chars of a repeated file name: most of their bytes are predicted,
+# so a text that starts with it passes the trigger test
+_PROBE = "abc.jpg " * 32
 
 
 class TestRepeatsKernels:
-    """predict_mask and rep_words_multi (quadscan.c) against the numpy
-    predictor and word rule of tests/oracles/repeats.py."""
+    """The predictor's two kernels against the numpy predictor of
+    tests/oracles/repeats.py: cheap_squeeze, whose chunk drops read the
+    predicted bytes of every 48-byte chunk, and rep_words_multi, against
+    the oracle's word rule."""
 
     @staticmethod
     def _rep_words(texts):
@@ -1592,23 +1715,31 @@ class TestRepeatsKernels:
         want = [repeats_oracle.remove_repeated_words(t) for t in texts]
         assert got == want
 
-    @staticmethod
-    def _mask(text):
-        mask, nb = native.predict_mask(text.encode("utf-8"))
-        m_np, nb_np = repeats_oracle.predicted_bytes_mask_numpy(text)
-        assert np.array_equal(mask, m_np), text
-        assert np.array_equal(nb.astype(np.int64), nb_np), text
-
-    def test_predict_mask_corpus(self):
+    def test_predictor_corpus(self):
+        """Every seed text behind the probe, once followed by unique CJK
+        chars (nothing predicted) and once repeated past 4096 chars (the
+        repeats predicted); each on its own is too short to squeeze."""
         from cld2_ray.data.seeds import HELDOUT, SEEDS
-        for text in [*SEEDS.values(), *HELDOUT.values(),
-                     "foo.jpg bar.jpg " * 30, "", " ", "aaaaaaaa"]:
-            self._mask(text)
+        uniq = "".join(map(chr, range(0x4E00, 0x4E00 + 4000)))
+        texts = []
+        for t in [*SEEDS.values(), *HELDOUT.values(),
+                  "foo.jpg bar.jpg " * 30, " ", "aaaaaaaa"]:
+            texts += [t, _PROBE + t + uniq,
+                      _PROBE + t * (4100 // max(len(t), 1) + 1)]
+        assert _check_squeeze(texts).count(True) == 2 * len(texts) // 3
+        # nearly every squeezed text loses some chunks and keeps some
+        sq, out, offs = native.cheap_squeeze(*native.utf8_cat(texts))
+        kept = np.diff(offs)[sq] / np.diff(native.utf8_cat(texts)[1])[sq]
+        assert ((kept > 0) & (kept < 1)).mean() > 0.9
 
     @settings(max_examples=200, deadline=None)
-    @given(_REP_SPAN)
-    def test_predict_mask_fuzz(self, text):
-        self._mask(text)
+    @given(_REP_SPAN, st.integers(0, 1))
+    def test_predictor_fuzz(self, text, unique):
+        """The predictor over the fuzz spans' 1-4 byte chars and space
+        runs, behind the probe and padded past 4096 chars."""
+        pad = "".join(map(chr, range(0x4E00, 0x4E00 + 4100))) if unique \
+            else text * 4100
+        _check_squeeze([_PROBE + text + pad, text])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_REP_SPAN, st.booleans()), max_size=8))
@@ -1641,26 +1772,38 @@ class TestRepeatsKernels:
 
 
 class TestSqueezeTriggers:
-    """repeats.squeeze_triggers (native.squeeze_test_multi, one call
-    per batch) against the per-text oracle squeeze_trigger of
-    tests/oracles/repeats.py on every text longer than 4096 chars."""
+    """native.cheap_squeeze, the gate and the rewrite in one pass, at
+    the gate's thresholds and edges, against squeeze_trigger and the
+    numpy squeeze of tests/oracles/repeats.py."""
 
     PAD = "q" * 4200
-
-    @staticmethod
-    def _check(texts):
-        from cld2_ray.functions.repeats import squeeze_triggers
-        got = squeeze_triggers(texts).tolist()
-        want = [bool(t) and len(t) > 4096
-                and repeats_oracle.squeeze_trigger(t) for t in texts]
-        assert got == want
-        return want
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(_REP_SPAN, st.sampled_from(
         ["q", "ab ", "é", "中", "😀", " "])), max_size=6))
     def test_fuzz(self, parts):
-        self._check([head + pad * 4200 for head, pad in parts])
+        _check_squeeze([head + pad * 4200 for head, pad in parts])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([None, ""]), st.builds(
+        lambda head, unit, n: ("".join(head) + "".join(unit) * n)[:n],
+        st.lists(_SQ_CHARS, max_size=300),
+        st.lists(_SQ_CHARS, min_size=1, max_size=60),
+        st.sampled_from([4095, 4096, 4097, 4200]))), min_size=1,
+        max_size=5))
+    @example([" " * 4097, None, "中 " * 2100, ""])
+    def test_fuzz_edges(self, texts):
+        """Texts of 4095-4097 chars (the gate's edge), chars of 1-4
+        bytes wherever the 48-byte chunk edges and the 256-char probe
+        edge fall, texts that squeeze to nothing, and None and empty
+        entries."""
+        _check_squeeze(texts)
+
+    def test_squeezes_to_nothing(self):
+        texts = [" " * 4097, "中 " * 2100, "ab " * 1400]
+        assert _check_squeeze(texts) == [True] * 3
+        sq, out, offs = native.cheap_squeeze(*native.utf8_cat(texts))
+        assert len(out) == 0 and offs.tolist() == [0, 0, 0, 0]
 
     def test_multibyte_at_the_cut(self):
         """The probe is 256 CHARS of multi-byte text: a space at char
@@ -1679,7 +1822,7 @@ class TestSqueezeTriggers:
                 c = str(rng.choice(pool))
                 texts += [head + c + " " + self.PAD,
                           head + " " + c + self.PAD]
-        assert self._check(texts) == [False, True, False, False] * 2
+        assert _check_squeeze(texts) == [False, True, False, False] * 2
 
     def test_either_side_of_the_thresholds(self):
         """Spaces around 25% of the probe bytes (unpredictable CJK and
@@ -1698,19 +1841,21 @@ class TestSqueezeTriggers:
             for i in rng.choice(256, size=k, replace=False):
                 chars[i] = " "
             texts.append("".join(chars) + self.PAD)
-        want_sp = self._check(texts)
+        want_sp = _check_squeeze(texts)
         assert True in want_sp and False in want_sp
         texts = []
         for u in range(0, 256, 4):
             uniq = "".join(rng.choice(pool, u, replace=False))
             texts.append(uniq + ("abcd" * 64)[:256 - u] + self.PAD)
-        want_pred = self._check(texts)
+        want_pred = _check_squeeze(texts)
         assert True in want_pred and False in want_pred
 
     def test_short_and_empty(self):
         """Texts of at most 4096 chars are never squeezed."""
-        assert not any(self._check(["", "abc.jpg " * 512, "a" * 4096]))
-        assert self._check(["abc.jpg " * 513]) == [True]
+        assert not any(_check_squeeze(["", None, "abc.jpg " * 512,
+                                       "a" * 4096]))
+        assert _check_squeeze(["abc.jpg " * 513]) == [True]
+        assert _check_squeeze([]) == []
 
 
 # document-stage fuzz: languages from close sets, closest-alt pairs,

@@ -9,12 +9,12 @@ import pytest
 from cld2_ray.data.seeds import HELDOUT
 from cld2_ray.functions import fastlangid, perplexity, uscript
 from cld2_ray.functions.quality import apply_rules
-from cld2_ray.functions.repeats import squeeze
 from cld2_ray.functions.scrub import scrub_series
 from cld2_ray.state import model
 from tests.oracles.quality import apply_rules_arrow
 from tests.oracles.repeats import (count_predicted_bytes,
-                                   remove_repeated_words, squeeze_trigger)
+                                   remove_repeated_words, squeeze,
+                                   squeeze_trigger)
 from tests.oracles.scrub import scrub_text
 
 GOOD = (HELDOUT["en"] + " ") * 5

@@ -115,7 +115,9 @@ STOPWORD_LANGS = frozenset(["en", "fr", "de", "es", "pt", "ru"])
 
 def rule_columns(texts, lang_codes=None) -> dict[str, np.ndarray]:
     """The quality rules on a batch: keep (bool), drop_reason (str, ''
-    if kept) and the stats, one numpy array each.
+    if kept) and the stats, one numpy array each, plus pii_candidate
+    (bool: the text holds an ASCII digit or '@'), the mask
+    ``scrub.scrub_arrow`` takes.
 
     ``texts`` is a sequence of str (None counts as "") or an Arrow
     string column, read in place. Rule order is the drop_reason
@@ -188,14 +190,16 @@ def rule_columns(texts, lang_codes=None) -> dict[str, np.ndarray]:
         "ellipsis_ratio": ellipsis_ratio,
         "dup_line_ratio": dup_line_ratio,
         "n_sentences": n_sentences, "keep": ridx == len(names) - 1,
-        "drop_reason": names[ridx]}
+        "drop_reason": names[ridx], "pii_candidate": scan[:, 13] != 0}
 
 
 def apply_rules(texts: pd.Series,
                 lang_codes: pd.Series | None = None) -> pd.DataFrame:
-    """rule_columns as a DataFrame on the index of ``texts``."""
-    return pd.DataFrame(rule_columns(texts.fillna("").tolist(), lang_codes),
-                        index=texts.index)
+    """rule_columns' rule columns (all but ``pii_candidate``, which
+    only the scrub reads) as a DataFrame on the index of ``texts``."""
+    cols = rule_columns(texts.fillna("").tolist(), lang_codes)
+    del cols["pii_candidate"]
+    return pd.DataFrame(cols, index=texts.index)
 
 
 # ---------------------------------------------------------------------------

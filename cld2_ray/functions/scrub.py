@@ -5,7 +5,10 @@ New code (not in the reference). Patterns are compiled once per process
 text column (``scrub_arrow``; ``scrub_series`` is its pandas form).
 Replacement tokens are stable strings so scrubbed output is
 deterministic and SQL-reproducible (``regexp_replace(..., 'g')`` in the
-DuckDB oracle).
+DuckDB oracle). The flagship kernel gates the PII prescreen with the
+quality scan's pii_candidate flag (``scrub_arrow(..., candidates)``),
+so only documents holding an ASCII digit or '@' pay for it; that is
+exact because no pattern matches without one.
 
 Order matters and is fixed: EMAIL -> IPV4 -> SSN -> CREDIT_CARD ->
 PHONE (phone last: its pattern is the loosest).
@@ -44,19 +47,33 @@ _TOX = re.compile("|".join(re.escape(w) for w in TOXICITY_WORDS),
 _ANY_PII = "(?:" + ")|(?:".join(p for _, p in PII_PATTERNS) + ")"
 
 
-def scrub_arrow(arr):
+def scrub_arrow(arr, candidates=None):
     """Scrub a pyarrow string / large_string array without nulls.
     Returns (scrubbed array of the same type, n_pii int64 ndarray,
     has_toxicity bool ndarray); with no PII hit the scrubbed array is
     ``arr`` itself. Arrow compute kernels (C++/RE2 — the patterns are
-    RE2-safe by construction and verified equal to Python re)."""
+    RE2-safe by construction and verified equal to Python re).
+
+    ``candidates`` (bool ndarray, optional) gates the prescreen: it
+    runs only over the docs marked True, the others count as no hit.
+    The gate is exact when it marks every doc holding an ASCII digit
+    or '@' (``quality.rule_columns``' pii_candidate): every pattern
+    needs one of them, EMAIL its '@' and the others a \\d, which RE2
+    reads as [0-9] only (no other Unicode digit)."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
     n_pii = np.zeros(len(arr), dtype=np.int64)
-    hit = pc.match_substring_regex(arr, _ANY_PII) \
-        .to_numpy(zero_copy_only=False)
+    if candidates is None:
+        hit = pc.match_substring_regex(arr, _ANY_PII) \
+            .to_numpy(zero_copy_only=False)
+    else:
+        candidates = np.asarray(candidates, dtype=bool)
+        hit = np.zeros(len(arr), dtype=bool)
+        hit[candidates] = pc.match_substring_regex(
+            pc.filter(arr, pa.array(candidates)), _ANY_PII) \
+            .to_numpy(zero_copy_only=False)
     hit_idx = np.flatnonzero(hit)
     if len(hit_idx):
         sub = pc.take(arr, pa.array(hit_idx))

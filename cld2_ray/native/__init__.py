@@ -389,15 +389,17 @@ def quality_scan(data, offsets: np.ndarray, letter_lut: np.ndarray,
                  fold_lut: np.ndarray, sw_table) -> np.ndarray:
     """One C pass over the utf-8 docs data[offsets[d]:offsets[d+1]],
     each stripped of its ``str.isspace`` chars at both ends (as
-    ``str.strip()``) -> (n_docs, 13) int64 stats [n_words, n_chars, n_ws,
+    ``str.strip()``) -> (n_docs, 14) int64 stats [n_words, n_chars, n_ws,
     alpha_words, n_stop, n_sentences, symbols, has_lorem, has_brace,
-    n_lines(non-empty), bullet_lines, ellipsis_lines, dup_lines] with
-    RE2/pandas-pinned semantics (see quadscan.c quality_scan /
-    line_scan_doc). sw_table is the stopword set's (keys, vals, mask)
-    of ``table_build``."""
+    n_lines(non-empty), bullet_lines, ellipsis_lines, dup_lines,
+    pii_candidate] with RE2/pandas-pinned semantics (see quadscan.c
+    quality_scan). pii_candidate is 1 iff the doc holds an ASCII digit
+    or '@', which every match of a ``scrub.PII_PATTERNS`` pattern
+    needs. sw_table is the stopword set's (keys, vals, mask) of
+    ``table_build``."""
     buf, offsets = _docs(data, offsets)
     n_docs = len(offsets) - 1
-    out = np.empty((n_docs, 13), dtype=np.int64)
+    out = np.empty((n_docs, 14), dtype=np.int64)
     sw_keys, sw_vals, sw_mask = sw_table
     _checked(_QS(buf, offsets, n_docs, letter_lut, len(letter_lut),
                  fold_lut, len(fold_lut), sw_keys, sw_vals, int(sw_mask),

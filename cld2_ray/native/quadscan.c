@@ -20,9 +20,10 @@
  *    probe over a query array.
  *
  * Shared primitives, each defined once below: the UTF-8 decode step
- * (utf8_len / utf8_next), the UTF-8 encoder (utf8_put), the
- * open-addressed table probe (table_lookup; native.table_build builds
- * the tables it reads) and the Repeats predictor step (pred_step).
+ * (utf8_len / utf8_next), the UTF-8 encoder (utf8_put), the unaligned
+ * little-endian loads (load_le32 / load_le64), the open-addressed table
+ * probe (table_lookup; native.table_build builds the tables it reads)
+ * and the Repeats predictor step (pred_step).
  * A batch of documents is the Arrow layout (data, offsets[n+1]):
  * document d is data[offsets[d], offsets[d+1]).  A kernel's pointer
  * parameters are its inputs and its outputs; its scratch is its own,
@@ -37,6 +38,9 @@
 #include <stddef.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 /* Per-call scratch, the one buffer policy of these kernels: a kernel
  * allocates its scratch on entry, sized from the inputs it reads, and
@@ -133,9 +137,30 @@ static const uint32_t kWordMask0[4] = {0xFFFFFFFFu, 0x000000FFu,
 static const uint32_t kPreSpace = 0x00004444u;
 static const uint32_t kPostSpace = 0x44440000u;
 
+/* Unaligned little-endian loads of 4 and 8 bytes at p. */
+static inline uint32_t load_le32(const uint8_t *p) {
+    uint32_t w;
+    memcpy(&w, p, 4);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap32(w);
+#endif
+    return w;
+}
+
+static inline uint64_t load_le64(const uint8_t *p) {
+    uint64_t w;
+    memcpy(&w, p, 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    return w;
+}
+
 /* little-endian 32-bit load of window bytes [4k, 4k+4); bytes at or
- * past `limit` read as 0x20 (space padding, as the numpy path pads) */
+ * past `limit` read as 0x20 (space padding, as the numpy path pads):
+ * one load inside the text, a byte loop only for the padded tail */
 static inline uint32_t le32(const uint8_t *buf, int64_t pos, int64_t limit) {
+    if (pos + 4 <= limit) return load_le32(buf + pos);
     uint32_t w = 0;
     for (int i = 0; i < 4; i++) {
         uint32_t b = (pos + i < limit) ? buf[pos + i] : 0x20u;
@@ -211,7 +236,29 @@ static inline uint64_t table_lookup(const uint64_t *keys, const uint64_t *vals,
  * internal/cldutil_shared.h:383-455 OctaFPJustHash/QuadFPJustHash +
  * {Octa,Quad}HashV3Lookup4). The matched entry's low bits (below
  * keymask) index a pre-decoded packed-langprob array built at
- * artifact time (tools/langmodel.py ref_tables); 0 = miss. */
+ * artifact time (tools/langmodel.py ref_tables); 0 = miss.
+ * bucket_match compares all 4 slots of a bucket at once (one SSE2
+ * compare where the target has it, else a loop without a branch per
+ * slot) and takes the first match (the lowest set bit), as the
+ * reference's slot-by-slot compare does. */
+static inline uint64_t bucket_match(const uint32_t *b, uint32_t key,
+                                    uint32_t keymask,
+                                    const uint64_t *packed) {
+#ifdef __SSE2__
+    __m128i x = _mm_and_si128(
+        _mm_xor_si128(_mm_loadu_si128((const __m128i *)b),
+                      _mm_set1_epi32((int)key)),
+        _mm_set1_epi32((int)keymask));
+    unsigned m = (unsigned)_mm_movemask_ps(
+        _mm_castsi128_ps(_mm_cmpeq_epi32(x, _mm_setzero_si128())));
+#else
+    unsigned m = 0;
+    for (int k = 0; k < 4; k++)
+        m |= (unsigned)(((key ^ b[k]) & keymask) == 0) << k;
+#endif
+    return m ? packed[b[__builtin_ctz(m)] & ~keymask] : 0;
+}
+
 static inline uint64_t bucket_lookup40(const uint32_t *buckets,
                                        uint64_t nbuckets_mask,
                                        uint32_t keymask,
@@ -219,11 +266,7 @@ static inline uint64_t bucket_lookup40(const uint32_t *buckets,
                                        uint64_t h) {
     uint64_t subscr = (h + (h >> 12)) & nbuckets_mask;
     uint32_t key = ((uint32_t)(h >> 4)) & keymask;
-    const uint32_t *b = buckets + 4 * subscr;
-    for (int k = 0; k < 4; k++)
-        if (((key ^ b[k]) & keymask) == 0)
-            return packed[b[k] & ~keymask];
-    return 0;
+    return bucket_match(buckets + 4 * subscr, key, keymask, packed);
 }
 
 static inline uint64_t bucket_lookup32(const uint32_t *buckets,
@@ -233,11 +276,8 @@ static inline uint64_t bucket_lookup32(const uint32_t *buckets,
                                        uint32_t h) {
     uint32_t subscr = (h + (h >> 12)) & nbuckets_mask;
     uint32_t key = h & keymask;
-    const uint32_t *b = buckets + 4 * (uint64_t)subscr;
-    for (int k = 0; k < 4; k++)
-        if (((key ^ b[k]) & keymask) == 0)
-            return packed[b[k] & ~keymask];
-    return 0;
+    return bucket_match(buckets + 4 * (uint64_t)subscr, key, keymask,
+                        packed);
 }
 
 /* BiHashV2 (reference: internal/cldutil_shared.cc:107-122), used for
@@ -673,7 +713,9 @@ typedef struct {
 /* One quad candidate of a span: the bytes [cs, ebyte), of which the
  * first bc = min(ebyte - cs, 12) are hashed with their pre/post space
  * flags.  A hash equal to one of the last two is dropped; any other is
- * probed in the quad table, and a hit is appended at offset cs. */
+ * probed in the quad table, and a hit is appended at offset cs (the
+ * slot is written either way and kept only on a hit, so the stream
+ * needs room for one slot past its last hit). */
 static inline void quad_emit(const uint8_t *sp, int64_t len, int64_t cs,
                              int64_t ebyte, quad_ring *ring,
                              const uint64_t *qkeys, const uint64_t *qvals,
@@ -695,17 +737,38 @@ static inline void quad_emit(const uint8_t *sp, int64_t len, int64_t cs,
     if (ring->n < 2) ring->n++;
     if (dup) return;
     uint64_t v = table_lookup(qkeys, qvals, qmask, (uint64_t)h);
-    if (v) {
-        out_qvals[*nq] = v;
-        out_qoffs[*nq] = cs;
-        (*nq)++;
-    }
+    out_qvals[*nq] = v;
+    out_qoffs[*nq] = cs;
+    *nq += v != 0;
 }
 
 /* Scan ONE span (framed " w1 w2 " utf-8 bytes). Appends table HITS
  * (val != 0) to the output arrays at *nq_io / *no_io, at offsets into
  * the span. Ring-dedupe state is local (reset per span), same as the
- * numpy path. */
+ * numpy path.
+ *
+ * One walk over the span's chars serves both hit streams: a word ends
+ * at its space (or, for the quads, at the span's end) and is then
+ * probed for its octa hits and its quad hits.  Mirror of tools/hits.py:
+ * a char starts where (b & 0xC0) != 0x80; is_space = first byte ==
+ * 0x20.
+ *
+ * Octas: the GetOctaHits walk (reference cldutil.cc:416-533, mirrored
+ * by hits.octa_word_and_pair_hits): per word that follows a space
+ * (truncated to 8 CHARS) an OctaHash40; the last-2 repeat ring updates
+ * only on non-repeats; non-repeats probe the distinct-octa table
+ * (word), the distinct-octa table again with PairHash(prev, cur) at the
+ * PRIOR word's offset, and the delta-octa table (word). dpacked/xpacked
+ * are already selected for this span's script class by the caller.
+ *
+ * Quads, word by word.  Within a word of chars w[0..m-1] with byte
+ * starts c[0..m-1] and word-end byte offset wend, for each j (char
+ * index within the span <= n-2, the span's last char excluded):
+ *   e_char = min(j+4, m); ebyte = (e_char==m) ? wend : c[e_char]
+ *   keep if (e_char - j) >= 3 or j == 0   [word_start]
+ * and quad_emit hashes [c[j], ebyte).  The char starts of a word are
+ * buffered in cpos; a word longer than WCAP chars spills all but its
+ * last 4, which is safe because e looks ahead only 4. */
 static void scan_one_span(const uint8_t *sp, int64_t len,
                           const uint64_t *qkeys, const uint64_t *qvals,
                           uint64_t qmask,
@@ -722,102 +785,19 @@ static void scan_one_span(const uint8_t *sp, int64_t len,
                           int64_t *no_io) {
     int64_t nq = *nq_io, no = *no_io;
     if (len <= 0) return;
-
-    /* Spans are " w1 w2 " framed: byte 0 is a space, last char is a
-     * space.  Mirror of tools/hits.py: a char starts where
-     * (b & 0xC0) != 0x80; is_space = first byte == 0x20. */
-
-    /* Pass A: the GetOctaHits walk (reference cldutil.cc:416-533,
-     * mirrored by hits.octa_word_and_pair_hits): per word
-     * (truncated to 8 CHARS) an OctaHash40; the last-2 repeat
-     * ring updates only on non-repeats; non-repeats probe the
-     * distinct-octa table (word), the distinct-octa table again
-     * with PairHash(prev, cur) at the PRIOR word's offset, and
-     * the delta-octa table (word). dpacked/xpacked are already
-     * selected for this span's script class by the caller. */
-    {
-        uint64_t r1 = 0, r2 = 0; int nxt = 0;
-        int64_t prior_start = -1;
-        int64_t prev_space = -1;
-        int64_t nchars_word = 0;
-        int64_t trunc = -1;
-        for (int64_t b = 0; b < len; b++) {
-            if ((sp[b] & 0xC0) == 0x80) continue;   /* cont. byte */
-            if (sp[b] != 0x20) {
-                if (prev_space >= 0) {
-                    nchars_word++;
-                    if (nchars_word == 9 && trunc < 0) trunc = b;
-                }
-                continue;
-            }
-            if (prev_space >= 0) {
-                int64_t ws = prev_space + 1;
-                int64_t we = (trunc >= 0) ? trunc : b;
-                if (we > ws) {
-                    /* bc is UNCAPPED (<= 32): OctaHash40 reads at
-                     * most 24 bytes but masks with bc & 3 */
-                    int64_t bc = we - ws;
-                    uint64_t h = octa_hash40(sp, ws, bc, len);
-                    if (h != r1 && h != r2) {
-                        if (nxt == 0) r1 = h; else r2 = h;
-                        nxt = 1 - nxt;
-                        uint64_t prior_h = (nxt == 0) ? r1 : r2;
-                        if (prior_h != 0 && prior_h != h &&
-                                prior_start >= 0) {
-                            uint64_t ph = ((prior_h >> 13) |
-                                           (prior_h << 51)) + h;
-                            uint64_t v = bucket_lookup40(
-                                xb, xbmask, xkeymask, xpacked, ph);
-                            if (v) {
-                                out_ovals[no] = v;
-                                out_ooffs[no] = prior_start;
-                                out_odist[no] = 1;
-                                no++;
-                            }
-                        }
-                        uint64_t v = bucket_lookup40(
-                            xb, xbmask, xkeymask, xpacked, h);
-                        if (v) {
-                            out_ovals[no] = v;
-                            out_ooffs[no] = ws;
-                            out_odist[no] = 1;
-                            no++;
-                        }
-                        v = bucket_lookup40(
-                            db, dbmask, dkeymask, dpacked, h);
-                        if (v) {
-                            out_ovals[no] = v;
-                            out_ooffs[no] = ws;
-                            out_odist[no] = 0;
-                            no++;
-                        }
-                        /* seed-trained word stats (model.socta) */
-                        v = table_lookup(skeys, svals, smask, h);
-                        if (v) {
-                            out_ovals[no] = v;
-                            out_ooffs[no] = ws;
-                            out_odist[no] = 0;
-                            no++;
-                        }
-                    }
-                    prior_start = ws;
-                }
-            }
-            prev_space = b;
-            nchars_word = 0;
-            trunc = -1;
-        }
-    }
-    *no_io = no;
-
-    /* Pass B: quads, word by word.  Within a word of chars w[0..m-1]
-     * with byte starts c[0..m-1] and word-end byte offset wend, for
-     * each j (char index within the span <= n-2):
-     *   e_char = min(j+4, m); ebyte = (e_char==m) ? wend : c[e_char]
-     *   keep if (e_char - j) >= 3 or j == 0   [word_start]
-     * and quad_emit hashes [c[j], ebyte).  The char starts of a word
-     * are buffered in cpos; a word longer than WCAP chars spills all
-     * but its last 4, which is safe because e looks ahead only 4. */
+    /* quads stop at char nchars_limit (the span's last); a span of
+     * fewer than 3 chars has none, so its limit stops every word */
+    int64_t nchars_limit = -1;
+    for (int64_t b = 0; b < len; b++)
+        nchars_limit += (sp[b] & 0xC0) != 0x80;
+    if (nchars_limit < 2) nchars_limit = 0;
+    /* octa state */
+    uint64_t r1 = 0, r2 = 0; int nxt = 0;
+    int64_t prior_start = -1;
+    int64_t prev_space = -1;
+    int64_t nchars_word = 0;
+    int64_t trunc = -1;
+    /* quad state */
     enum { WCAP = 4100 };
     int64_t cpos[WCAP];
     int64_t m = 0;
@@ -825,15 +805,20 @@ static void scan_one_span(const uint8_t *sp, int64_t len,
     int64_t word_first_char = 0;   /* char idx in span of cpos[0] */
     int64_t char_idx = 0;          /* char idx in span */
     quad_ring ring = {0, 0, 0};
-    /* letters = ~is_space[:n-1]: the span's last char is excluded */
-    int64_t nchars_limit = -1;
-    for (int64_t b = 0; b < len; b++)
-        if ((sp[b] & 0xC0) != 0x80) nchars_limit++;
-    if (nchars_limit < 2) return;
+    /* each octa probe writes its slot and keeps it only on a hit (no
+     * branch on the value; the stream has room for one slot past its
+     * last hit, see quad_octa_chunk_score) */
+#define OCTA_EMIT(v, off, dist) \
+    (out_ovals[no] = (v), out_ooffs[no] = (off), \
+     out_odist[no] = (dist), no += (v) != 0)
     for (int64_t b = 0; b <= len; b++) {
         int is_end = (b == len);
-        if (!is_end && (sp[b] & 0xC0) == 0x80) continue;
+        if (!is_end && (sp[b] & 0xC0) == 0x80) continue;   /* cont. */
         if (!is_end && sp[b] != 0x20) {
+            if (prev_space >= 0) {
+                nchars_word++;
+                if (nchars_word == 9 && trunc < 0) trunc = b;
+            }
             if (m == 0) { word_first_char = char_idx; word_head = 1; }
             if (m == WCAP) {
                 /* pathological giant word: emit the chars whose 4-char
@@ -851,35 +836,69 @@ static void scan_one_span(const uint8_t *sp, int64_t len,
                 m = 4;
             }
             cpos[m++] = b;
-        } else if (m > 0) {
-            /* the word ended at byte b (the space/end) */
-            for (int64_t j = 0; j < m; j++) {
-                if (word_first_char + j >= nchars_limit) break;
-                int64_t e_char = j + 4 > m ? m : j + 4;
-                /* word_start: a whole short word (preceded by a
-                 * space char — single-byte 0x20, so a byte test
-                 * equals the char test) */
-                int keep = (e_char - j) >= 3 ||
-                           (j == 0 && word_head && cpos[0] > 0 &&
-                            sp[cpos[0] - 1] == 0x20);
-                if (keep)
-                    quad_emit(sp, len, cpos[j],
-                              e_char == m ? b : cpos[e_char], &ring,
-                              qkeys, qvals, qmask,
-                              out_qvals, out_qoffs, &nq);
-            }
-            m = 0;
+            char_idx++;
+            continue;
         }
-        if (!is_end) char_idx++;
+        /* the word's quads: it ended at byte b (the space/end) */
+        for (int64_t j = 0; j < m; j++) {
+            if (word_first_char + j >= nchars_limit) break;
+            int64_t e_char = j + 4 > m ? m : j + 4;
+            /* word_start: a whole short word (preceded by a space
+             * char — single-byte 0x20, so a byte test equals the char
+             * test) */
+            int keep = (e_char - j) >= 3 ||
+                       (j == 0 && word_head && cpos[0] > 0 &&
+                        sp[cpos[0] - 1] == 0x20);
+            if (keep)
+                quad_emit(sp, len, cpos[j],
+                          e_char == m ? b : cpos[e_char], &ring,
+                          qkeys, qvals, qmask,
+                          out_qvals, out_qoffs, &nq);
+        }
+        m = 0;
+        if (is_end) break;
+        /* the word's octas: it follows the space at prev_space */
+        int64_t ws = prev_space + 1;
+        int64_t we = (trunc >= 0) ? trunc : b;
+        if (prev_space >= 0 && we > ws) {
+            /* bc is UNCAPPED (<= 32): OctaHash40 reads at most 24
+             * bytes but masks with bc & 3 */
+            uint64_t h = octa_hash40(sp, ws, we - ws, len);
+            if (h != r1 && h != r2) {
+                if (nxt == 0) r1 = h; else r2 = h;
+                nxt = 1 - nxt;
+                uint64_t prior_h = (nxt == 0) ? r1 : r2;
+                uint64_t v;
+                if (prior_h != 0 && prior_h != h && prior_start >= 0) {
+                    uint64_t ph = ((prior_h >> 13) | (prior_h << 51)) + h;
+                    v = bucket_lookup40(xb, xbmask, xkeymask, xpacked, ph);
+                    OCTA_EMIT(v, prior_start, 1);
+                }
+                v = bucket_lookup40(xb, xbmask, xkeymask, xpacked, h);
+                OCTA_EMIT(v, ws, 1);
+                v = bucket_lookup40(db, dbmask, dkeymask, dpacked, h);
+                OCTA_EMIT(v, ws, 0);
+                /* seed-trained word stats (model.socta) */
+                v = table_lookup(skeys, svals, smask, h);
+                OCTA_EMIT(v, ws, 0);
+            }
+            prior_start = ws;
+        }
+        prev_space = b;
+        nchars_word = 0;
+        trunc = -1;
+        char_idx++;
     }
+#undef OCTA_EMIT
     *nq_io = nq;
+    *no_io = no;
 }
 
 /* Single-pass quality statistics (cld2_ray/functions/quality.py
- * word_stats + apply_rules counts): replaces five full RE2 scans +
- * a token flatten/match pass with ONE walk over the concatenated
- * utf-8 docs, each stripped first (py_strip).  Semantics pinned to the
- * Arrow/RE2 kernels:
+ * rule_columns): ONE walk over each utf-8 doc, stripped first
+ * (py_strip), replaces five full RE2 scans, a token flatten/match pass
+ * and a line pass.  Semantics pinned to the Arrow/RE2 kernels and to
+ * pandas (tests/oracles/quality.py):
  *   - \s = [\t\n\f\r ] exactly (ASCII; NOT \v, NOT NBSP) — verified
  *     against pyarrow.compute
  *   - words = maximal \S+ runs; alpha word = contains >=1 cp with
@@ -893,11 +912,44 @@ static void scan_one_span(const uint8_t *sp, int64_t len,
  *   - sentences = cps {. ! ? 0x3002 0xFF01 0xFF1F}; symbols =
  *     '#' + floor(dot_run/3) + 0x2026; lorem = case-insensitive
  *     "lorem ipsum" substring; brace = '{'
- * These fill columns 0-8 of quality_scan's rows:
+ *   - lines = the doc split on '\n', each stripped of is_py_space
+ *     chars (str.strip()), empties dropped; a line starting with
+ *     - * U+2022 U+00B7 is a bullet line, one ending in "..." or U+2026
+ *     an ellipsis line, and one equal to an earlier line of the doc a
+ *     dup line (tests/oracles/quality.line_stats_pandas)
+ *   - pii candidate = the doc holds an ASCII digit or '@', which every
+ *     scrub.PII_PATTERNS match needs (RE2's \d is [0-9])
+ * quality_scan's rows:
  *   [n_words, n_chars, n_ws, alpha_words, n_stop, n_sentences,
- *    symbols, has_lorem, has_brace] */
+ *    symbols, has_lorem, has_brace, n_lines, bullet_lines,
+ *    ellipsis_lines, dup_lines, pii_candidate]
+ *
+ * The walk decodes each char once.  Inside a word, with no dot run or
+ * "lorem ipsum" match in progress, most chars change nothing but the
+ * char count, the word's letter flag and the line's end, so a run of
+ * such ASCII bytes (QC_RUN in the kernel's ASCII class table) takes a
+ * tight loop, and such a multi-byte char (not qs_mb_special) a short
+ * step; every other char takes the full step.  Documents are UTF-8
+ * (Arrow strings).  A malformed one is read memory-safely, each char
+ * clamped at the document's end; a lead byte then also takes the
+ * bytes after it into its char, a '\n' among them. */
+enum { QC_RUN = 1, QC_LETTER = 2, QC_PII = 4 };
+
+/* The multi-byte chars that are whitespace (is_py_space), sentence ends
+ * or symbols for quality_scan; any other only counts inside a word. */
+static inline int qs_mb_special(uint32_t cp) {
+    return cp == 0x85 || cp == 0xA0 || cp == 0x1680
+        || (cp >= 0x2000 && cp <= 0x205F) || (cp >= 0x3000 && cp <= 0x3002)
+        || cp == 0xFF01 || cp == 0xFF1F;
+}
+
+/* The stopword probe of one token cat[ts, te).  afold: the fold of
+ * each ASCII byte, 0x80 for the bytes >= 0x80, or NULL when fold maps
+ * some ASCII char outside ASCII; a token of at most 8 bytes, all ASCII,
+ * then builds its key from afold, one byte per char, without a decode
+ * (a longer all-ASCII token folds to more than 8 bytes and misses). */
 static inline int stop_token_match(const uint8_t *cat, int64_t ts,
-                                   int64_t te,
+                                   int64_t te, const uint8_t *afold,
                                    const uint32_t *fold, int64_t fold_lim,
                                    const uint64_t *sw_keys,
                                    const uint64_t *sw_vals,
@@ -912,6 +964,20 @@ static inline int stop_token_match(const uint8_t *cat, int64_t ts,
         else break;
     }
     if (te <= ts || te - ts > 16) return 0;
+    uint64_t key = 0;
+    if (afold && te - ts <= 8) {
+        int k = 0;
+        for (; ts + k < te; k++) {
+            uint8_t f = afold[cat[ts + k]];
+            if (f & 0x80) break;
+            /* no stopword holds a NUL (see below) */
+            if (f == 0) return 0;
+            key |= (uint64_t)f << (8 * k);
+        }
+        if (ts + k == te)
+            return table_lookup(sw_keys, sw_vals, sw_mask, key) != 0;
+        key = 0;
+    }
     uint8_t kb[8];
     int kn = 0;
     for (int64_t j = ts; j < te;) {
@@ -924,7 +990,6 @@ static inline int stop_token_match(const uint8_t *cat, int64_t ts,
         kn += utf8_put(kb + kn, c2);
         j += jl;
     }
-    uint64_t key = 0;
     for (int b2 = 0; b2 < kn; b2++)
         key |= (uint64_t)kb[b2] << (8 * b2);
     return table_lookup(sw_keys, sw_vals, sw_mask, key) != 0;
@@ -942,72 +1007,62 @@ typedef struct {
     int64_t cap;
 } line_table;
 
-/* one stripped non-empty line [ts, te): update bullet/ellipsis/dup.
- * first_cp is the first codepoint at ts; returns 1 if it was a dup. */
-static inline int line_commit(const uint8_t *cat, int64_t ts, int64_t te,
-                              uint32_t first_cp, const line_table *lt,
-                              uint64_t ep,
-                              int64_t *bullets, int64_t *ellipsis) {
-    if (first_cp == '-' || first_cp == '*' || first_cp == 0x2022
-        || first_cp == 0x00B7) (*bullets)++;
-    if ((te - ts >= 3 && cat[te-1] == '.' && cat[te-2] == '.'
-         && cat[te-3] == '.')
-        || (te - ts >= 3 && cat[te-1] == 0xA6 && cat[te-2] == 0x80
-            && cat[te-3] == 0xE2)) (*ellipsis)++;
-    uint64_t h = 0xCBF29CE484222325ull;             /* FNV-1a 64 */
-    for (int64_t i = ts; i < te; i++)
-        h = (h ^ cat[i]) * 0x100000001B3ull;
+/* 64-bit hash of the line cat[ts, te), 8 bytes a step from a seed of
+ * its length; the last 0-7 bytes are one zero-padded word read by a
+ * memcpy that stops at te.  Only equality is read (dup lines), so the
+ * argument is about collisions.  A step h -> m((h ^ w) * K), with K
+ * odd and m(x) = x ^ (x >> 32), is a bijection of h for a fixed word w
+ * and of w for a fixed h.  So two lines of one length (one seed, one
+ * word count) that differ in one word never collide: the states part
+ * at that word and stay apart.  Lines of different lengths start
+ * apart, and other distinct lines collide only if their 64-bit states
+ * meet, ~2^-64 per pair.  A doc of b bytes has at most b/2 + 1 lines,
+ * so ~b^2/8 pairs: under 1e-8 for a 1 MB doc. */
+static inline uint64_t line_hash(const uint8_t *cat, int64_t ts,
+                                 int64_t te) {
+    const uint64_t K = 0x9E3779B97F4A7C15ull;
+    uint64_t h = (uint64_t)(te - ts) * K;
+    for (; ts + 8 <= te; ts += 8) {
+        h = (h ^ load_le64(cat + ts)) * K;
+        h ^= h >> 32;
+    }
+    if (ts < te) {
+        uint64_t w = 0;
+        memcpy(&w, cat + ts, (size_t)(te - ts));
+        h = (h ^ w) * K;
+        h ^= h >> 32;
+    }
+    return h;
+}
+
+/* One stripped non-empty line [ts, te) whose first char is first_cp:
+ * count it, and its bullet, ellipsis and dup flags, into row[9..12]. */
+static inline void line_commit(const uint8_t *cat, int64_t ts, int64_t te,
+                               uint32_t first_cp, const line_table *lt,
+                               uint64_t ep, int64_t *row) {
+    row[9]++;
+    row[10] += first_cp == '-' || first_cp == '*' || first_cp == 0x2022
+               || first_cp == 0x00B7;
+    row[11] += te - ts >= 3
+               && ((cat[te-1] == '.' && cat[te-2] == '.' && cat[te-3] == '.')
+                   || (cat[te-1] == 0xA6 && cat[te-2] == 0x80
+                       && cat[te-3] == 0xE2));
+    uint64_t h = line_hash(cat, ts, te);
     uint64_t m = (uint64_t)lt->cap - 1;
-    uint64_t idx = h & m;
-    for (;;) {
+    for (uint64_t idx = h & m;; idx = (idx + 1) & m) {
         if (lt->slot[idx].ep != ep) {
-            lt->slot[idx].ep = ep; lt->slot[idx].h = h; return 0;
+            lt->slot[idx].ep = ep;
+            lt->slot[idx].h = h;
+            return;
         }
-        if (lt->slot[idx].h == h) return 1;
-        idx = (idx + 1) & m;
+        if (lt->slot[idx].h == h) {
+            row[12]++;
+            return;
+        }
     }
 }
 
-/* line stats for one doc [start, end): split on '\n', strip each line
- * (Python str.strip() semantics), drop empties; count non-empty lines,
- * bullet starts, "..."/ellipsis ends, and duplicate lines (64-bit FNV
- * equality - collision odds negligible). Mirrors quality.line_stats.
- * The table holds > 2x the doc's non-empty lines, and no slot carries
- * the tag epoch yet. */
-static void line_scan_doc(const uint8_t *cat, int64_t start, int64_t end,
-                          const line_table *lt, uint64_t epoch,
-                          int64_t *row) {
-    int64_t n_lines = 0, bullets = 0, ellipsis = 0, dups = 0;
-    int64_t i = start;
-    while (i <= end) {
-        /* line = [i, next \n or end) */
-        int64_t le = i;
-        while (le < end && cat[le] != '\n') le++;
-        /* strip: find first/last non-space codepoints */
-        int64_t ts = -1, te = -1;
-        uint32_t first_cp = 0;
-        for (int64_t j = i; j < le;) {
-            int l;
-            uint32_t cp = utf8_next(cat, j, le, &l);
-            if (!is_py_space(cp)) {
-                if (ts < 0) { ts = j; first_cp = cp; }
-                te = j + l;
-            }
-            j += l;
-        }
-        if (ts >= 0) {
-            n_lines++;
-            dups += line_commit(cat, ts, te, first_cp, lt, epoch,
-                                &bullets, &ellipsis);
-        }
-        if (le >= end) break;
-        i = le + 1;
-    }
-    row[9] = n_lines; row[10] = bullets;
-    row[11] = ellipsis; row[12] = dups;
-}
-
-/* Per-doc text stats (see native.quality_scan) into out[n_docs][13].
+/* Per-doc text stats (see native.quality_scan) into out[n_docs][14].
  * The dup-line table is allocated per call, zeroed, as doc d tags its
  * lines with d + 1: a doc of b bytes has <= b/2 + 1 non-empty lines,
  * held at load <= 1/2 in a power of two >= 64 slots.  Returns 0, or -1
@@ -1024,20 +1079,61 @@ int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
     scratch sc = {{0}, 0, 1};
     lt.slot = scratch_get(&sc, lt.cap, sizeof *lt.slot, 1);
     if (!sc.ok) return (int)scratch_done(&sc, -1);
+    /* the ASCII byte classes, and stop_token_match's ASCII fold */
+    uint8_t cls[256] = {0}, afold[256];
+    int ascii_fold = fold_lim >= 0x80;
+    for (int c = 0; c < 256; c++) {
+        afold[c] = 0x80;
+        if (c >= 0x80) continue;
+        int special = is_py_space((uint32_t)c) || c == '.' || c == '!'
+                      || c == '?' || c == '#' || c == '{' || c == 'l'
+                      || c == 'L';
+        cls[c] = (special ? 0 : QC_RUN)
+                 | (c < letter_lim && is_letter[c] ? QC_LETTER : 0)
+                 | ((c >= '0' && c <= '9') || c == '@' ? QC_PII : 0);
+        if (ascii_fold && fold[c] >= 0x80) ascii_fold = 0;
+        if (ascii_fold) afold[c] = (uint8_t)fold[c];
+    }
+    const uint8_t *af = ascii_fold ? afold : NULL;
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t start = offsets[d], end = offsets[d + 1];
         py_strip(cat, &start, &end);
+        int64_t *row = out + d * 14;
+        memset(row, 0, 14 * sizeof *row);
         int64_t n_words = 0, n_chars = 0, n_ws = 0, alpha_words = 0;
         int64_t n_stop = 0, n_sent = 0, symbols = 0;
         int64_t has_lorem = 0, has_brace = 0;
         int in_word = 0, word_has_letter = 0;
+        unsigned seen = 0;            /* QC_PII of the chars so far */
         int64_t tok_start = -1;       /* byte offset of current token */
         int64_t dot_run = 0;
         int64_t lorem_pos = 0;        /* chars of "lorem ipsum" matched */
+        int64_t ls = -1, le = 0;      /* the line's non-space [ls, le) */
+        uint32_t first_cp = 0;        /* the char at ls */
         for (int64_t i = start; i < end;) {
+            int quiet = in_word && !dot_run && !lorem_pos;
+            if (quiet && (cls[cat[i]] & QC_RUN)) {
+                int64_t r = i;
+                unsigned acc = 0;
+                do acc |= cls[cat[r++]];
+                while (r < end && (cls[cat[r]] & QC_RUN));
+                if (ls < 0) { ls = i; first_cp = cat[i]; }
+                n_chars += r - i;
+                word_has_letter |= (acc & QC_LETTER) != 0;
+                seen |= acc;
+                le = i = r;
+                continue;
+            }
             int l;
             uint32_t cp = utf8_next(cat, i, end, &l);
             n_chars++;
+            if (quiet && cp >= 0x80 && !qs_mb_special(cp)) {
+                if (cp < (uint32_t)letter_lim && is_letter[cp])
+                    word_has_letter = 1;
+                if (ls < 0) { ls = i; first_cp = cp; }
+                le = i += l;
+                continue;
+            }
             /* dot-run for the non-overlapping "..." count */
             if (cp == '.') dot_run++;
             else { symbols += dot_run / 3; dot_run = 0; }
@@ -1046,22 +1142,39 @@ int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
             if (cp == '.' || cp == '!' || cp == '?' || cp == 0x3002
                 || cp == 0xFF01 || cp == 0xFF1F) n_sent++;
             if (cp == '{') has_brace = 1;
+            if (cp < 0x80) seen |= cls[cp];
             /* case-insensitive "lorem ipsum" tracker (ASCII needle) */
             if (!has_lorem) {
                 uint32_t lc = (cp >= 'A' && cp <= 'Z') ? cp + 32 : cp;
                 if (lc == (uint32_t)lorem[lorem_pos]) {
                     lorem_pos++;
-                    if (lorem[lorem_pos] == 0) has_lorem = 1;
+                    if (lorem[lorem_pos] == 0) {
+                        has_lorem = 1;
+                        lorem_pos = 0;
+                    }
                 } else {
                     lorem_pos = lc == (uint32_t)lorem[0] ? 1 : 0;
                 }
+            }
+            /* lines: commit at '\n', else track the non-space ends */
+            if (cp == '\n') {
+                if (ls >= 0)
+                    line_commit(cat, ls, le, first_cp, &lt,
+                                (uint64_t)d + 1, row);
+                ls = -1;
+            } else if (!is_py_space(cp)) {
+                if (ls < 0) { ls = i; first_cp = cp; }
+                le = i + l;
             }
             if (is_re2_space(cp)) {
                 n_ws++;
                 if (in_word) {
                     /* token [tok_start, i) ended */
                     if (word_has_letter) alpha_words++;
-                    goto end_token;
+                    n_stop += stop_token_match(cat, tok_start, i, af, fold,
+                                               fold_lim, sw_keys, sw_vals,
+                                               sw_mask);
+                    in_word = 0;
                 }
             } else {
                 if (!in_word) { in_word = 1; word_has_letter = 0;
@@ -1070,25 +1183,20 @@ int quality_scan(const uint8_t *cat, const int64_t *offsets, int64_t n_docs,
                     word_has_letter = 1;
             }
             i += l;
-            continue;
-        end_token:
-            n_stop += stop_token_match(cat, tok_start, i, fold,
-                                       fold_lim, sw_keys, sw_vals, sw_mask);
-            in_word = 0;
-            i += l;
         }
         /* flush tail state */
         symbols += dot_run / 3;
         if (in_word) {
             if (word_has_letter) alpha_words++;
-            n_stop += stop_token_match(cat, tok_start, end, fold,
+            n_stop += stop_token_match(cat, tok_start, end, af, fold,
                                        fold_lim, sw_keys, sw_vals, sw_mask);
         }
-        int64_t *row = out + d * 13;
+        if (ls >= 0)
+            line_commit(cat, ls, le, first_cp, &lt, (uint64_t)d + 1, row);
         row[0] = n_words; row[1] = n_chars; row[2] = n_ws;
         row[3] = alpha_words; row[4] = n_stop; row[5] = n_sent;
         row[6] = symbols; row[7] = has_lorem; row[8] = has_brace;
-        line_scan_doc(cat, start, end, &lt, (uint64_t)d + 1, row);
+        row[13] = (seen & QC_PII) != 0;
     }
     return (int)scratch_done(&sc, 0);
 }
@@ -1147,14 +1255,18 @@ static int64_t chunk_score_merged(
         int64_t first_off = -1;
         int64_t nt = 0;
         for (; hit_idx < hi; hit_idx++) {
-            uint64_t v; int64_t off; int is_distinct;
-            if (ai < na && (bi >= nb_ || ao[ai] <= bo[bi])) {
-                v = av[ai]; off = ao[ai]; ai++; is_distinct = 0;
-            } else {
-                v = bv[bi]; off = bo[bi];
-                is_distinct = bd ? bd[bi] : 0;
-                bi++;
-            }
+            /* the merge step without a branch on which stream leads
+             * (an exhausted stream reads as offset INT64_MAX; the
+             * clamped index only keeps its load in bounds) */
+            int64_t ka = ai < na ? ai : 0, kb = bi < nb_ ? bi : 0;
+            int64_t oa = ai < na ? ao[ka] : INT64_MAX;
+            int64_t ob = bi < nb_ ? bo[kb] : INT64_MAX;
+            int take_a = oa <= ob;
+            uint64_t v = take_a ? av[ka] : bv[kb];
+            int64_t off = take_a ? oa : ob;
+            int is_distinct = !take_a && bd && bd[kb];
+            ai += take_a;
+            bi += !take_a;
             if (first_off < 0) first_off = off;
             for (int lane = 0; lane < 4; lane++) {
                 int32_t l = (int32_t)((v >> (16 * lane)) & 0xFF);
@@ -1163,10 +1275,8 @@ static int64_t chunk_score_merged(
                 seen[l] = 1;
                 sc_scores[l] += (int64_t)((v >> (16 * lane + 8)) & 0xFF);
             }
-            if (is_distinct) {
-                dring[dring_n & 3] = v;
-                dring_n++;
-            }
+            dring[dring_n & 3] = is_distinct ? v : dring[dring_n & 3];
+            dring_n += is_distinct;
         }
         sc_scores[0] = 0;                /* UNKNOWN lanes suppressed */
         for (int64_t t = 0; t < nt; t++) seen[touched[t]] = 0;
@@ -1411,8 +1521,9 @@ static void starts_to_letters(const uint8_t *sp, int64_t len,
  * hint_csr: nb+1 offsets into hint_flat (per-span hint payloads).
  * Scratch: the hit streams.  A span of s bytes yields at most s quad
  * (or unigram) hits and, per word of >= 2 framed bytes, 4 octa hits
- * (<= 2s + 4), so each stream and their merge fit 3 * (s + 8) slots of
- * the longest span.  The outputs hold out_cap rows (native._chunk_bufs).
+ * (<= 2s + 4); each walk also writes the slot after its last hit, so
+ * each stream and their merge fit 3 * (s + 8) slots of the longest
+ * span.  The outputs hold out_cap rows (native._chunk_bufs).
  * Returns the chunk count, -1 when the scratch cannot be allocated, or
  * -2 when the chunks would pass out_cap rows. */
 int64_t quad_octa_chunk_score(

@@ -175,7 +175,7 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
 
     # 3. quality + scrub + aux models on the SAME text
     q = rule_columns(text_col, summary_codes)
-    scrubbed, n_pii, toxic = scrub_arrow(text_col)
+    scrubbed, n_pii, toxic = scrub_arrow(text_col, q["pii_candidate"])
     aux_lang, aux_conf = fastlangid.classify_batch(texts)
     ppl, gibberish = perplexity.score_batch(texts, summary_codes)
 

@@ -324,8 +324,10 @@ class TestSpanScanSanitized:
     an output the shim sizes or scratch the kernel allocates, and so
     does a read past the last document's end (the batches are
     exact-size arrays). The span scan, both chunk kernels (with and
-    without the ranges pass), quality_scan's dup-line table, stopword
-    probe and end strip, extract_scan_batch's entity reads,
+    without the ranges pass, and their 4-byte window loads at a span's
+    end), quality_scan's dup-line table, stopword probe, end strip and
+    fast paths (ASCII runs and tokens, the line hash's tail) at a
+    doc's end, extract_scan_batch's entity reads,
     fastlangid_score, ppl_score, rep_words_multi on max-length spans,
     cheap_squeeze at its gate and chunk edges, md5_windows past its
     first window buffer and doc_stage with full totes over 16 streams;
@@ -407,6 +409,27 @@ same("cjk_chunk_score", t.buf, t.start[han], t.end[han],
      m.expected_uni, langs.CLOSE_SET, np.zeros(len(han) + 1, np.int64),
      np.zeros(0, dtype=np.int64))
 
+# the chunk kernels' 4-byte window loads at pos + 4 == limit: short
+# spans, each alone in an exact-size buffer, whose last word ends 4
+# bytes before the span's end or closer
+for sp in [b" ab ", b" abc ", b" abcd ", b" abcdefg ", b" a bcd ",
+           b" abcdefghijk ", " été ".encode()]:
+    buf = np.frombuffer(sp, dtype=np.uint8).copy()
+    for wr in (False, True):
+        same("quad_octa_chunk_score", buf, np.array([0]),
+             np.array([len(sp)]), m.quad, m.socta, m.docta, m.xocta,
+             np.ones(1, dtype=bool), score.CHUNKSIZE_QUADS,
+             m.expected_quad, langs.CLOSE_SET, np.zeros(2, np.int64),
+             np.zeros(0, dtype=np.int64), us.LSCRIPT4[[us.LATIN]],
+             with_ranges=wr)
+hz2 = "\u4e2d\u6587".encode()
+for sp in (b" " + hz2 + b" ", hz2):
+    buf = np.frombuffer(sp, dtype=np.uint8).copy()
+    same("cjk_chunk_score", buf, np.array([0]), np.array([len(sp)]),
+         np.array([len(sp)]), m.uni, m.cjkbi, score.CHUNKSIZE_UNIS,
+         m.expected_uni, langs.CLOSE_SET, np.zeros(2, np.int64),
+         np.zeros(0, dtype=np.int64))
+
 # quality_scan: thousands of one-char lines, all-duplicate lines, and
 # docs around the dup-line table's smallest size
 lines = "\n".join(chr(0x4E00 + k) for k in range(6000)).encode()
@@ -436,6 +459,21 @@ for c in ("\u00e9", "\u4e2d", "\U0001F600"):
 s = same("quality_scan", *cat_of(sdocs), *qluts)[0]
 assert s[:, 1].tolist() == [0, 0, 0] + [1] * 6
 for d in sdocs:
+    same("quality_scan", *cat_of([d]), *qluts)
+
+# quality_scan's fast paths at a doc's end, each doc alone too: ASCII
+# word runs that end exactly at the end and just before a multi-byte
+# char, ASCII tokens of 8 and 9 bytes (the edge of the stopword key's
+# ASCII path), and one-line docs of 1-15 stripped bytes, twice (the
+# line hash's 8-byte words and its tail)
+fdocs = [b"word", b"a " + b"x" * 40, "abé".encode(),
+         "x abc😀".encode(), "x ab中".encode(),
+         b"a " + b"b" * 8, b"a " + b"b" * 9, b"x (THE....", b"x 'la'!!!!!"]
+fdocs += [b" " + b"x" * k + b" \n" for k in range(1, 16)]
+fdocs += [b"y" * k + b"\n" + b"y" * k for k in range(1, 16)]
+s = same("quality_scan", *cat_of(fdocs), *qluts)[0]
+assert s[:, 12].tolist()[-15:] == [1] * 15
+for d in fdocs:
     same("quality_scan", *cat_of([d]), *qluts)
 
 # cheap_squeeze on a squeezed 4097-char doc, a doc squeezed to nothing,
@@ -1066,7 +1104,11 @@ class TestQualityScan:
             " nbsp\t　\n   \n- x\n- x",
             "l one\nl one  \n  l one\nl ONE",
             "日本語。\n日本語。\n日本語…", "one line", "trailing\n",
-            "- \n* ...\n…\n·", "x\n" * 300 + "y"]
+            "- \n* ...\n…\n·", "x\n" * 300 + "y",
+            # lines that differ only in trailing NULs: the line hash pads
+            # its tail word with zeros and seeds with the line's length
+            "x\nx\x00\nx\x00\x00", "abcdefgh\nabcdefgh\x00",
+            "abcdefgh\x00\nabcdefgh\n\x00abcdefgh"]
 
     def test_pages_and_edges(self):
         import pandas as pd
@@ -1141,6 +1183,89 @@ class TestQualityScan:
         tser = pd.Series([text, "a\nb\na", ""])
         self._eq(quality_oracle.line_stats_pandas(tser),
                  quality.apply_rules(tser), text)
+
+
+    def test_lorem_inside_words(self):
+        """The "lorem ipsum" tracker sees every char, also inside a word
+        on the scan's fast paths (l/L leave them), on texts that pass
+        every earlier rule."""
+        import pandas as pd
+        from cld2_ray.functions import quality
+        body = ("the cat sat on the mat and then the dog ran to the park "
+                "where it played with a ball for a while. ") * 3
+        heads = ["xlorem ipsum ", "(Lorem IPSUM) ", "lolorem ipsum ",
+                 "llorem ipsum ", "élorem ipsum ", "lorem_ipsum ",
+                 "lorem  ipsum ", "xlorem ipsu ", ""]
+        tser = pd.Series([h + body for h in heads])
+        lang = pd.Series(["en"] * len(heads))
+        want = quality_oracle.apply_rules_arrow(tser, lang)
+        got = quality.apply_rules(tser, lang)
+        self._eq(want, got)
+        assert (got.drop_reason == "lorem_ipsum").tolist() == \
+            [True] * 5 + [False] * 4
+
+    # lines that differ only in their last 1-7 bytes (the line hash's
+    # zero-padded tail word) or only past byte 8 (a later 8-byte word),
+    # with lines equal to earlier ones among them
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.tuples(
+        st.text(alphabet="ab é中-*.…\x00", min_size=0, max_size=24),
+        st.integers(1, 7), st.booleans(), st.booleans()),
+        min_size=1, max_size=12))
+    def test_fuzz_dup_lines(self, parts):
+        import pandas as pd
+        from cld2_ray.functions import quality
+        lines = []
+        for base, k, past8, again in parts:
+            b = base.encode()
+            if len(b) > 8 and past8:
+                i = 8 + (k - 1) % (len(b) - 8)
+                alt = b[:i] + b"x" + b[i + 1:]
+            else:
+                alt = b[:-k] + b"z" * min(k, len(b)) if b else b"z"
+            lines += [b, alt] + [b] * again
+        text = b"\n".join(lines).decode(errors="replace")
+        tser = pd.Series([text, "a\nb\na", ""])
+        self._eq(quality_oracle.line_stats_pandas(tser),
+                 quality.apply_rules(tser), text)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.text(alphabet="ab @.0123456789\u0663\uff13\u00e9\n-",
+                   max_size=40))
+    @example("\u0663\uff13")
+    def test_pii_candidate_flag(self, text):
+        """The 14th column (rule_columns' pii_candidate) is set iff the
+        text holds an ASCII digit or '@'; Arabic-Indic and fullwidth
+        digits do not count."""
+        from cld2_ray.functions import quality
+        texts = [text, " " + text + " ", "", "\u0663"]
+        got = quality.rule_columns(texts)["pii_candidate"].tolist()
+        assert got == [any(c in "0123456789@" for c in t) for t in texts]
+
+    def test_fold_lut_ascii(self):
+        """quality_scan's stopword key builds an ASCII token's key from
+        fold_lut directly (one byte per char), which needs fold_lut to
+        map ASCII to non-NUL ASCII (NUL to itself)."""
+        from cld2_ray.functions import quality
+        fold = quality._fold_lut()[:128]
+        assert fold[0] == 0
+        assert ((fold[1:] >= 1) & (fold[1:] < 128)).all()
+
+    def test_columns_read_downstream(self):
+        """apply_rules and scrub_series keep the columns perfbench's
+        oracle reads; pii_candidate is rule_columns' only extra."""
+        import pandas as pd
+        from cld2_ray.functions import quality, scrub
+        texts = pd.Series(["a@b.com the la de", "x 1", None])
+        assert list(quality.apply_rules(texts).columns) == [
+            "n_words", "n_chars", "mean_word_len", "alpha_ratio",
+            "n_stopwords", "n_lines", "bullet_ratio", "ellipsis_ratio",
+            "dup_line_ratio", "n_sentences", "keep", "drop_reason"]
+        assert set(quality.rule_columns(texts.fillna("").tolist())) - set(
+            quality.apply_rules(texts).columns) == {"pii_candidate"}
+        s = scrub.scrub_series(texts)
+        assert list(s.columns) == ["scrubbed_text", "n_pii", "has_toxicity"]
+        assert s.n_pii.tolist() == [1, 0, 0]
 
 
 class TestStripInScan:

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cld2_ray.data.seeds import HELDOUT
 from cld2_ray.functions import fastlangid, perplexity, uscript
@@ -82,6 +83,32 @@ class TestScrub:
         df = scrub_series(pd.Series(texts))
         for i, t in enumerate(texts):
             assert df.scrubbed_text[i] == scrub_text(t)
+
+    # pieces of PII and near-PII: emails, phones, IPs, ASCII digits, and
+    # digits that RE2's \d does not read (Arabic-Indic, fullwidth)
+    PII_PIECES = ["a@b.com", "x.y@mail.example.org", "@", "+1 555-123-4567",
+                  "555 123 4567", "192.168.1.1", "123-45-6789",
+                  "4111 1111 1111 1111", "7", "42", "\u0663\u0663\u0663",
+                  "\uff13\uff14\uff15", "\u0663@", "word", "the", " ",
+                  "\n", ".", "-"]
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.lists(st.sampled_from(PII_PIECES), max_size=12)
+                    .map("".join), min_size=1, max_size=8))
+    def test_gate_equals_ungated(self, texts):
+        """scrub_arrow gated by rule_columns' pii_candidate mask equals
+        the ungated scrub on every output."""
+        import pyarrow as pa
+        from cld2_ray.functions.quality import rule_columns
+        from cld2_ray.functions.scrub import scrub_arrow
+        arr = pa.array(texts, type=pa.large_string())
+        mask = rule_columns(arr)["pii_candidate"]
+        assert mask.tolist() == [any(c in "0123456789@" for c in t)
+                                 for t in texts]
+        gated, ungated = scrub_arrow(arr, mask), scrub_arrow(arr)
+        assert gated[0].equals(ungated[0])
+        for a, b in zip(gated[1:], ungated[1:]):
+            assert np.array_equal(a, b)
 
 
 class TestFastLangid:

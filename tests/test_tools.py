@@ -44,3 +44,43 @@ def test_artifact_rows_hot_first():
     b = np.flatnonzero(idx)
     assert np.array_equal(t3[idx3[b]], w[idx[b]])
     assert np.array_equal(np.flatnonzero(idx3), b) and not t3[0].any()
+
+
+def test_kernel_rates_lists_every_kernel(capsys):
+    """tools.kernel_rates on a few pages, replayed against a second
+    build of this tree's kernels (compiled in a temporary directory):
+    every C kernel that fused_batch calls has a row, and the two builds
+    agree call for call."""
+    import ctypes
+    import pathlib
+
+    from cld2_ray import native
+    from cld2_ray.stages.core import fused_batch
+    from perfbench.workloads import make_table
+    from tools import kernel_rates
+
+    called = set()
+    saved = {k: v for k, v in vars(native).items()
+             if isinstance(v, ctypes._CFuncPtr)}
+
+    def spy(fn):
+        def wrapped(*a):
+            called.add(fn.__name__)
+            return fn(*a)
+        return wrapped
+
+    try:
+        for k, v in saved.items():
+            setattr(native, k, spy(v))
+        fused_batch(make_table("longform_job", 5, 3))
+    finally:
+        for k, v in saved.items():
+            setattr(native, k, v)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    kernel_rates.main(["--workload", "longform_job", "--seed", "5",
+                       "--pages", "3", "--rounds", "1",
+                       "--against", str(root)])
+    out = capsys.readouterr().out.splitlines()
+    rows = {line.split()[0] for line in out[2:]}
+    assert {"quality_scan", "quad_octa_chunk_score"} <= called
+    assert called <= rows, called - rows

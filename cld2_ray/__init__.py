@@ -38,24 +38,29 @@ def detect_language(content, is_plain_text: bool = True,
     use Detector.detect_batch inside map_batches (see
     pipelines/flagship.py) so table loads amortize per worker."""
     from cld2_ray.functions import langs, score
-    from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
+    from cld2_ray.functions.extract import extract_batch
+    from cld2_ray.functions.hints import scan_batch
     from cld2_ray.functions.langid import default_detector
-    det = default_detector()
-    hints = None
     # a str holding a lone surrogate has no UTF-8 form: "surrogatepass"
-    # gives its invalid bytes, which the check below answers
+    # gives its invalid bytes, which the checks below answer
     raw = content if isinstance(content, bytes) \
         else content.encode("utf-8", "surrogatepass")
-    if valid_utf8_prefix(raw) < len(raw):
+    text = hints = None
+    if is_plain_text:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+    else:
+        col, valid = extract_batch([raw])
+        if valid[0] == len(raw):
+            text = col.to_pylist()[0]
+            # the flagship's hint scan and hints: the positive priors' ids
+            hints = scan_batch([raw], valid, [url]).priors.positive_ids()
+    if text is None:
         u = langs.UNKNOWN
         return score.DetectResult(u, (u, u, u), (0, 0, 0),
                                   (0.0, 0.0, 0.0), 0, False)
-    if isinstance(content, bytes) and is_plain_text:
-        content = raw.decode("utf-8")
-    elif not is_plain_text:
-        from cld2_ray.functions.hints import hints_from_page
-        hints = hints_from_page(url, raw)
-        content = extract_text(raw)
-    return det.detect(content, best_effort=best_effort,
-                      hint_langs=hints,
-                      default_to_english=default_to_english)
+    return default_detector().detect_batch(
+        [text], hints, best_effort=best_effort,
+        default_to_english=default_to_english)[0]

@@ -25,15 +25,18 @@ The function is the single source of truth for ``extracted_text``: both
 the single-process oracle and the Ray pipeline call it, which is what
 makes the per-url byte-identical invariant hold.
 
-Implementation note: the extraction itself is one C call per batch
-of pages (``native.extract_scan_batch``, the reference's table-driven
-byte loop per page, one scanner for the text and its source map);
-``extract_batch`` returns its output as an Arrow ``large_string``
-column (with the source map on request, which ``text_to_raw`` reads),
-and ``extract_text`` is that call on one page. This module holds the
-entity / low-codepoint tables. The
-Python extractor in tests/oracles/extract.py is the tests' reference
-for it.
+Implementation note: the UTF-8 gate and the extraction are one C call
+per batch of pages (``native.extract_scan_batch``: the gate finds each
+page's longest valid UTF-8 prefix as Python's strict decoder does, then
+the reference's table-driven byte loop extracts that prefix, one
+scanner for the text and its source map). ``extract_batch`` reads an
+Arrow html column's buffers in place and returns the kernel's output as
+an Arrow ``large_string`` column with each page's valid-prefix length
+(and the source map on request, which ``text_to_raw`` reads);
+``extract_text`` is that call on one page. This module holds the
+entity / low-codepoint tables. The Python extractor in
+tests/oracles/extract.py is the tests' reference for the extraction,
+``valid_utf8_prefix`` for the gate.
 """
 
 from __future__ import annotations
@@ -73,7 +76,10 @@ _LOW_MAP = _build_low_map()
 
 def valid_utf8_prefix(b: bytes) -> int:
     """Length of the longest valid-UTF-8 prefix (the reference's
-    SpanInterchangeValid gate, compact_lang_det_impl.cc:74-80)."""
+    SpanInterchangeValid gate, compact_lang_det_impl.cc:74-80), by
+    Python's strict decoder: the test oracle of the C gate that
+    ``extract_batch`` runs (the benchmark's per-document oracle calls
+    it too)."""
     try:
         b.decode("utf-8", "strict")
         return len(b)
@@ -96,36 +102,40 @@ def _ent_table():
             np.asarray(_LOW_MAP, dtype=np.uint32))
 
 
-def extract_batch(htmls: list[bytes], with_map: bool = False):
-    """extract_text of every page in one C pass -> pyarrow
-    LargeStringArray built on the kernel's output buffers (no copy).
+def extract_batch(htmls, with_map: bool = False):
+    """The UTF-8 gate and extract_text of every page in one C pass ->
+    (pyarrow LargeStringArray built on the kernel's output buffers (no
+    copy), valid int64[n]).
 
-    Pages must be valid UTF-8 (gate with ``valid_utf8_prefix``); the
-    kernel normalizes \\r\\n and lone \\r to \\n itself. Decoding the
-    column (``to_pylist``) raises UnicodeDecodeError if the output
-    were ever invalid UTF-8.
+    htmls is an Arrow binary column, read in place (a null reads as
+    empty), or a list of bytes (None -> empty). Page d's text is
+    extracted from its longest valid UTF-8 prefix, valid[d] bytes long
+    (``valid_utf8_prefix``, in C); the kernel normalizes \\r\\n and
+    lone \\r to \\n itself. Decoding the column (``to_pylist``) raises
+    UnicodeDecodeError if the output were ever invalid UTF-8.
 
-    with_map=True returns (column, text_offsets, src) from the same
-    call: page d's text is bytes text_offsets[d]:text_offsets[d+1] of
-    the column's data, and src[k] the position within its raw page of
-    the byte that produced text byte k (see ``text_to_raw``)."""
-    import numpy as np
+    with_map=True returns (column, valid, text_offsets, src) from the
+    same call: page d's text is bytes text_offsets[d]:text_offsets[d+1]
+    of the column's data, and src[k] the position within its raw page
+    of the byte that produced text byte k (see ``text_to_raw``)."""
+    import pyarrow as pa
     from cld2_ray import native
-    offsets = np.cumsum([0] + [len(h) for h in htmls], dtype=np.int64)
-    data, offsets, *src = native.extract_scan_batch(
-        b"".join(htmls), offsets, *_ent_table(), with_map=with_map)
+    if not isinstance(htmls, (pa.Array, pa.ChunkedArray)):
+        htmls = pa.array(htmls, type=pa.binary())
+    data, offsets, valid, *src = native.extract_scan_batch(
+        *native.arrow_docs(htmls), *_ent_table(), with_map=with_map)
     col = native.utf8_array(data, offsets)
-    return (col, offsets, *src) if with_map else col
+    return (col, valid, offsets, *src) if with_map else (col, valid)
 
 
 def extract_text(html: bytes) -> str:
     """Extract visible text from HTML bytes per the reference semantics.
 
     Returns the processed text (no artificial leading/trailing span
-    framing). Input must be valid UTF-8 — gate with
-    ``valid_utf8_prefix`` first. ``extract_batch`` on one page
-    (tests/oracles/extract.py is its test oracle)."""
-    return extract_batch([html]).to_pylist()[0]
+    framing) of the page's longest valid UTF-8 prefix.
+    ``extract_batch`` on one page (tests/oracles/extract.py is its test
+    oracle)."""
+    return extract_batch([html])[0].to_pylist()[0]
 
 
 def text_to_raw(text_offsets, src, raw_lens, page, pos):

@@ -107,6 +107,27 @@ def _lowered(texts) -> list[str]:
     return [_cap_text(t).lower() if t else "" for t in texts]
 
 
+def _top_two(sc: np.ndarray):
+    """(top column, top score, second score) of each row of ``sc``, as
+    the last two columns of ``np.argsort(sc, axis=1)`` give them, in two
+    max passes: a row with a tie among its three largest scores takes
+    argsort's columns, so tie order stays argsort's."""
+    rows = np.arange(len(sc))
+    top = sc.argmax(axis=1)
+    rest = sc.copy()
+    rest[rows, top] = -np.inf
+    sec = rest.argmax(axis=1)
+    s_top, s_sec = sc[rows, top], rest[rows, sec]
+    rest[rows, sec] = -np.inf
+    tie = np.flatnonzero((s_top == s_sec) | (s_sec == rest.max(axis=1)))
+    if len(tie):
+        order = np.argsort(sc[tie], axis=1)
+        top[tie] = order[:, -1]
+        s_top[tie] = np.take_along_axis(sc[tie], order[:, -1:], 1)[:, 0]
+        s_sec[tie] = np.take_along_axis(sc[tie], order[:, -2:-1], 1)[:, 0]
+    return top, s_top, s_sec
+
+
 def classify_batch(texts) -> tuple[list[str], list[float]]:
     """(lang codes, confidences) of a batch, in one C pass
     (native.fastlangid_score) over the lowered texts: whitespace-only
@@ -126,11 +147,7 @@ def classify_batch(texts) -> tuple[list[str], list[float]]:
     conf[one] = 0.95
     # no recognizable features -> un, 0.0
     todo = np.flatnonzero((route == 0) & (n_rows > 0))
-    sc = scores[todo]
-    order = np.argsort(sc, axis=1)
-    top = order[:, -1]
-    s_top = np.take_along_axis(sc, top[:, None], 1)[:, 0]
-    s_sec = np.take_along_axis(sc, order[:, -2][:, None], 1)[:, 0]
+    top, s_top, s_sec = _top_two(scores[todo])
     margin = (s_top - s_sec).astype(np.float64) / nf[todo]
     lang[todo] = w.col_langs[top]
     conf[todo] = 1.0 - np.exp(-4.0 * np.maximum(margin, 0.0))

@@ -24,12 +24,24 @@ close set is hinted, the other members are whacked (zeroed) per chunk
 Payload encoding (shared with the C kernel): one int64 per entry;
 boost = lang_id | (weight << 16), whack = -lang_id.
 
+The one runtime scanner is C: ``scan_batch`` runs
+native.page_hints_scan over a batch's html and url columns in place,
+with its tables built at first use from data/hintdata.py and
+ENCODING_HINTS (``_scan_tables``), and returns per-page columns
+(``PageHints``): the trimmed signed priors as ``Priors`` arrays, the
+declared ids as ``Declared`` CSR and tld_lang. ``page_hints`` is the
+Python scan it reproduces, kept as its test oracle (the benchmark's
+per-document oracle calls it and its tracer wraps it). The Detector
+takes hints in the same array form (``Priors``), encodes each distinct
+prior row once with ``payloads`` and gathers the rows' payloads into
+the chunk kernels' per-span CSR.
+
 What the flagship kernel passes differs from the above.
 stages.core._fused hands langid only the ids of the positive priors,
-and Detector._norm_hints gives each one LANGUAGE_WEIGHT (8), as for an
-explicit caller hint. So the per-source strengths (lang= W10, TLD W2-W8,
-charset W4) never reach the scorer, and a negative TLD secondary does
-not block a close-set whack: a .ba page's priors are
+each at LANGUAGE_WEIGHT (8), as for an explicit caller hint
+(``Priors.positive_ids``). So the per-source strengths (lang= W10, TLD
+W2-W8, charset W4) never reach the scorer, and a negative TLD secondary
+does not block a close-set whack: a .ba page's priors are
 [(bs, 8), (hr, -4)], whose payloads boost bs and whack nothing, but
 the kernel scores with ([bs|8<<16, -hr, -sr], [bs|8<<16, -sr]). The
 per-document oracles pass the same ids, so passing the weighted priors
@@ -40,6 +52,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from . import langs
 from cld2_ray.data.hintdata import (LANGTAG_LONG, LANGTAG_SHORT,
@@ -180,7 +195,8 @@ def _langtag_priors(tag: str, priors: list[list]) -> None:
 
 
 def page_hints(url: str, html: bytes):
-    """One scan of the page head -> (priors, declared, tld_lang).
+    """One scan of the page head -> (priors, declared, tld_lang): the
+    Python oracle of native.page_hints_scan (``scan_batch``).
 
     priors: (lang_id, signed_weight) from every hint source — lang=
       attrs + content-language metas (Max merge), charset (encoding
@@ -319,6 +335,110 @@ def _payloads_cached(priors):
     return latn, othr
 
 
-def hints_from_page(url: str, html: bytes) -> list[int]:
-    """Compat view: positively-hinted lang ids in prior order."""
-    return [lid for lid, w in page_hints(url, html)[0] if w > 0]
+class Priors(NamedTuple):
+    """Per-document hint priors, the Detector's one hint form: document
+    d's priors are the (lid[d, k], w[d, k]) with lid[d, k] != 0, in k
+    order (int64 arrays of one shape; id 0, UNKNOWN, pads a row)."""
+    lid: np.ndarray
+    w: np.ndarray
+
+    def take(self, rows) -> "Priors":
+        return Priors(self.lid[rows], self.w[rows])
+
+    def positive_ids(self) -> "Priors":
+        """The ids of the positive priors, each at LANGUAGE_WEIGHT (an
+        explicit caller hint): what the flagship passes (module
+        docstring)."""
+        pos = self.w > 0
+        return Priors(np.where(pos, self.lid, 0),
+                      np.where(pos, LANGUAGE_WEIGHT, 0))
+
+
+class Declared(NamedTuple):
+    """Per-document declared lang ids, the Detector's one declared
+    form: document d's are flat[csr[d]:csr[d+1]] (int64)."""
+    csr: np.ndarray
+    flat: np.ndarray
+
+    def take(self, rows) -> "Declared":
+        from .spans import index_runs
+        csr, idx = index_runs(self.csr[rows], self.csr[rows + 1])
+        return Declared(csr, self.flat[idx])
+
+    def first(self) -> np.ndarray:
+        """Each document's first declared id, 0 if it declares none."""
+        has = self.csr[1:] > self.csr[:-1]
+        return np.where(has, np.append(self.flat, 0)[self.csr[:-1]], 0)
+
+
+class PageHints(NamedTuple):
+    """``scan_batch``'s columns: per page, what page_hints(url,
+    html[:valid]) gives — the trimmed signed priors (at most
+    MAX_PRIORS), the declared ids and tld_lang (int64[n])."""
+    priors: Priors
+    declared: Declared
+    tld_lang: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _scan_tables() -> tuple:
+    """native.page_hints_scan's tables, built from the hint tables of
+    data/hintdata.py and ENCODING_HINTS: every prior code numbered
+    (code_lid: its lang id, 0 if it has none), one native.table_build
+    table of lang tag values (the 2-3 letter keys a lang= or
+    Content-Language value can reach: the long table's, else the short
+    table's) and of TLDs -> entry + 1, the entries' (code, weight)
+    pairs as CSR, the encoding names with their codes, and the bound
+    (longest tag entry, distinct positive tag codes) of the declared
+    ids."""
+    from cld2_ray import native
+    tags = {k: LANGTAG_LONG.get(k, LANGTAG_SHORT.get(k))
+            for k in {*LANGTAG_LONG, *LANGTAG_SHORT}
+            if 2 <= len(k) <= 3 and k.isascii() and k.isalpha()
+            and k.islower()}
+    tables = ((1 << 56, tags), (2 << 56, TLD_PRIORS))
+    codes = sorted({c for _, t in tables for e in t.values() if e
+                    for c, _ in e} | set(ENCODING_HINTS.values()))
+    num = {c: i for i, c in enumerate(codes)}
+    kv, entries = {}, []
+    for kind, table in tables:
+        for key, entry in table.items():
+            if entry:
+                assert len(key) <= 7 and key.isascii()
+                entries.append(entry)
+                kv[kind | int.from_bytes(key.encode("ascii"),
+                                         "little")] = len(entries)
+    names = sorted(ENCODING_HINTS)
+    pos_codes = {c for e in tags.values() if e for c, w in e if w > 0}
+
+    def arr(x):
+        return np.array(x, dtype=np.int64)
+
+    return (*native.table_build(kv),
+            arr(np.cumsum([0] + [len(e) for e in entries])),
+            arr([num[c] for e in entries for c, _ in e]),
+            arr([w for e in entries for _, w in e]),
+            np.frombuffer("".join(names).encode("ascii"), dtype=np.uint8),
+            arr(np.cumsum([0] + [len(k) for k in names])),
+            arr([num[ENCODING_HINTS[k]] for k in names]),
+            arr([langs.lang_id(c) for c in codes]),
+            (max(len(e) for e in tags.values() if e), len(pos_codes)))
+
+
+def scan_batch(htmls, valid, urls) -> PageHints:
+    """page_hints of every page in one C pass (native.page_hints_scan):
+    page d's head is the first min(valid[d], MAX_SCAN_BYTES) bytes of
+    htmls[d] (valid: each page's valid UTF-8 prefix length, as
+    extract.extract_batch returns it), its url urls[d]. htmls and urls
+    are Arrow binary / string columns, read in place (a null reads as
+    empty), or lists of bytes / str."""
+    import pyarrow as pa
+    from cld2_ray import native
+    if not isinstance(htmls, (pa.Array, pa.ChunkedArray)):
+        htmls = pa.array(htmls, type=pa.binary())
+    if not isinstance(urls, (pa.Array, pa.ChunkedArray)):
+        urls = pa.array(urls, type=pa.string())
+    lid, w, csr, flat, tld_lang = native.page_hints_scan(
+        *native.arrow_docs(htmls), valid, *native.arrow_docs(urls),
+        _scan_tables())
+    return PageHints(Priors(lid, w), Declared(csr, flat), tld_lang)

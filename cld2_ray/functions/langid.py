@@ -16,6 +16,11 @@ that reads text reads that buffer or one made from it:
   that is not good (the Repeats retry, impl.cc:1979-2106), accepted
   by numpy over the result columns.
 
+Hints and declared languages arrive as arrays (hints.Priors,
+hints.Declared; list inputs are converted to them): each distinct
+prior row is encoded once (hints.payloads) and the rows' payloads are
+gathered into the chunk kernels' per-span CSR (_payloads).
+
 detect_batch returns score.DetectColumns: numpy columns that also read
 as a sequence of DetectResult; with_ranges adds score.Ranges from a few
 numpy passes over the whole batch (_span_ranges, _text_ranges, which
@@ -54,6 +59,56 @@ def _csr(lists: list) -> tuple[np.ndarray, np.ndarray]:
     csr = np.cumsum([0] + [len(hl) if hl else 0 for hl in lists])
     return csr, np.fromiter(chain.from_iterable(hl for hl in lists if hl),
                             dtype=np.int64, count=int(csr[-1]))
+
+
+def _priors(hints_list, n: int) -> hints_mod.Priors:
+    """detect_batch's hints argument as hints.Priors: None (no hints),
+    Priors as they are, or a list of per-document entries, each None or
+    a list of lang ids (an explicit caller hint: LANGUAGE_WEIGHT each,
+    SetCLDLanguageHint, hint_code.cc:1503-1506) or of (lang_id, weight)
+    priors."""
+    if isinstance(hints_list, hints_mod.Priors):
+        return hints_list
+    rows = [[h if isinstance(h, tuple) else (h, hints_mod.LANGUAGE_WEIGHT)
+             for h in hl] if hl else [] for hl in hints_list or [None] * n]
+    pri = np.zeros((2, n, max(map(len, rows), default=0) or 1),
+                   dtype=np.int64)
+    for d, row in enumerate(rows):
+        if row:
+            pri[:, d, :len(row)] = np.array(row, dtype=np.int64).T
+    return hints_mod.Priors(*pri)
+
+
+def _declared(declared_list, n: int) -> hints_mod.Declared:
+    """detect_batch's declared argument as hints.Declared: None (none
+    declared), Declared as it is, or a list of per-document sets of
+    lang ids (None = empty)."""
+    if isinstance(declared_list, hints_mod.Declared):
+        return declared_list
+    return hints_mod.Declared(*_csr(declared_list or [None] * n))
+
+
+def _payloads(pri: hints_mod.Priors):
+    """The chunk kernels' hint payloads of each document: (lo, hi)
+    int64[n, 2] and flat, document d's Latin-class payload
+    flat[lo[d, 0]:hi[d, 0]] and its other-class payload
+    flat[lo[d, 1]:hi[d, 1]]. hints.payloads runs once per distinct
+    prior row."""
+    n, k = pri.lid.shape
+    if not pri.lid.any():
+        zero = np.zeros((n, 2), dtype=np.int64)
+        return zero, zero, np.zeros(0, dtype=np.int64)
+    rows, inv = np.unique(np.concatenate([pri.lid, pri.w], axis=1),
+                          axis=0, return_inverse=True)
+    per_row = [hints_mod.payloads([(lid, w) for lid, w in zip(r[:k], r[k:])
+                                   if lid]) for r in rows.tolist()]
+    lens = np.array([len(p) for row in per_row for p in row],
+                    dtype=np.int64)
+    ends = np.cumsum(lens)
+    flat = np.fromiter(chain.from_iterable(p for row in per_row for p in row),
+                       dtype=np.int64, count=int(ends[-1]))
+    inv = inv.reshape(-1)
+    return (ends - lens).reshape(-1, 2)[inv], ends.reshape(-1, 2)[inv], flat
 
 
 def _gather_csr(lo: np.ndarray, hi: np.ndarray, flat: np.ndarray):
@@ -150,24 +205,6 @@ class Detector:
         self._rtypes = np.array([self._rtype(sc)
                                  for sc in range(us.NUM_SCRIPTS)])
 
-    @staticmethod
-    def _norm_hints(hint_langs):
-        """Normalize the public hint argument to per-script-class
-        packed payloads (see functions/hints.py payloads):
-        - None/empty -> None
-        - list[(lang_id, weight)] priors -> payloads(priors)
-        - list[int] lang ids (legacy caller hint) -> weight
-          LANGUAGE_WEIGHT each (SetCLDLanguageHint,
-          hint_code.cc:1503-1506)."""
-        if not hint_langs:
-            return None
-        if isinstance(hint_langs[0], tuple):
-            priors = list(hint_langs)
-        else:
-            priors = [(int(lid), hints_mod.LANGUAGE_WEIGHT)
-                      for lid in hint_langs]
-        return hints_mod.payloads(priors)
-
     def _rtype(self, script: int) -> int:
         rt = us.script_rtype(script)
         if (self.score_as_quads and rt != us.RTYPE_CJK
@@ -177,8 +214,7 @@ class Detector:
 
     # -- scoring pass -------------------------------------------------------
 
-    def _fill_totes(self, table: spans.SpanTable,
-                    hints_list: list[list[int] | None],
+    def _fill_totes(self, table: spans.SpanTable, priors: hints_mod.Priors,
                     with_ranges: bool = False):
         """Batch span scorer over a span table (``len(table)`` documents):
         all MANY spans score through ONE fused C hit-scan + chunk-score
@@ -203,11 +239,7 @@ class Detector:
         rt = self._rtypes[table.script]
         doc, script, nbytes = table.doc, table.script, table.text_bytes
         # per-doc hint payloads, the Latin class's then the others'
-        norm = [self._norm_hints(h) for h in hints_list]
-        csr_l, flat_l = _csr([h[0] if h else None for h in norm])
-        csr_o, flat_o = _csr([h[1] if h else None for h in norm])
-        csr_o += len(flat_l)
-        flat = np.concatenate([flat_l, flat_o])
+        lo, hi, flat = _payloads(priors)
 
         one = np.flatnonzero(rt == us.RTYPE_ONE)
         streams = [(doc[one], langs.SCRIPT_DEFAULT_LANG[script[one]],
@@ -220,13 +252,12 @@ class Detector:
         if len(many):
             d, sc = doc[many], script[many]
             lat = sc == us.LATIN
+            cls = (~lat).astype(np.int64)
             c = native.quad_octa_chunk_score(
                 table.buf, table.start[many], table.end[many], m.quad,
                 m.socta, m.docta, m.xocta, lat, score.CHUNKSIZE_QUADS,
                 m.expected_quad, langs.CLOSE_SET,
-                *_gather_csr(np.where(lat, csr_l[d], csr_o[d]),
-                             np.where(lat, csr_l[d + 1], csr_o[d + 1]),
-                             flat),
+                *_gather_csr(lo[d, cls], hi[d, cls], flat),
                 us.LSCRIPT4[sc], with_ranges=with_ranges)
             lang1, cbytes, s1, rel, span_of_chunk = c[:5]
             streams.append((d[span_of_chunk], lang1, cbytes, s1, rel))
@@ -237,29 +268,30 @@ class Detector:
                 table.buf, table.start[cjk], table.end[cjk], nbytes[cjk],
                 m.uni, m.cjkbi,
                 score.CHUNKSIZE_UNIS, m.expected_uni, langs.CLOSE_SET,
-                *_gather_csr(csr_o[d], csr_o[d + 1], flat))
+                *_gather_csr(lo[d, 1], hi[d, 1], flat))
             streams.append((d[span_of_chunk], lang1, cbytes, s1, rel))
             if with_ranges:
                 # one range per CJK span: the top language of a fresh
                 # per-span tote (the document stage's DS_TOTE_TOP mode)
                 span_lid[cjk] = self._doc_stage(
                     len(cjk), [(span_of_chunk, lang1, cbytes, s1, rel)],
-                    np.zeros(len(cjk), np.int64), [None] * len(cjk),
+                    np.zeros(len(cjk), np.int64), None,
                     native.DS_TOTE_TOP)["summary"]
         if not with_ranges:
             return streams
         return streams, _span_ranges(table, many, c, span_lid)
 
     @staticmethod
-    def _doc_stage(n_docs: int, streams, totals, declared_list,
+    def _doc_stage(n_docs: int, streams, totals, declared,
                    flags: int) -> dict:
-        """native.doc_stage with this module's language tables."""
+        """native.doc_stage with this module's language tables;
+        ``declared`` as detect_batch takes it (see _declared)."""
         return native.doc_stage(n_docs, streams, totals,
-                                *_csr(declared_list), flags,
+                                *_declared(declared, n_docs), flags,
                                 _LANG_PROPS, _LANG_IDS)
 
     def _finalize(self, streams, totals: np.ndarray, best_effort: bool,
-                  declared_list) -> score.DetectColumns:
+                  declared: hints_mod.Declared) -> score.DetectColumns:
         """The document stage of every document in ONE C call
         (quadscan.c doc_stage): each DocTote filled from the add
         ``streams`` of _fill_totes, then RefineScoredClosePairs,
@@ -268,7 +300,7 @@ class Detector:
         document's declared set, and the Repeats-retry good test on
         ``totals`` (letter bytes per document)."""
         return score.DetectColumns(**self._doc_stage(
-            len(totals), streams, totals, declared_list,
+            len(totals), streams, totals, declared,
             native.DS_BEST_EFFORT if best_effort else 0))
 
     @staticmethod
@@ -296,8 +328,7 @@ class Detector:
 
     # -- public API ---------------------------------------------------------
 
-    def detect_batch(self, texts: list[str],
-                     hints_list: list[list[int] | None] | None = None,
+    def detect_batch(self, texts: list[str], hints_list=None,
                      best_effort: bool = False,
                      default_to_english: bool = False,
                      declared_list=None, with_ranges: bool = False):
@@ -305,12 +336,13 @@ class Detector:
         batch — the one scoring path every public call runs. Returns
         score.DetectColumns (a Sequence[DetectResult]).
 
-        hints_list: per-doc language-prior hints (see functions/hints.py
-        and _norm_hints). default_to_english: the non-Ext entry-point
-        behavior (UNKNOWN -> ENGLISH, compact_lang_det.cc:90-94).
-        declared_list: per-doc sets of page-declared lang ids (see
-        tests/oracles/docstage.py _calc_summary_lang); None =
-        reference-exact summaries.
+        hints_list: per-doc language-prior hints, hints.Priors or a
+        per-doc list (see _priors; functions/hints.py payloads encodes
+        them). default_to_english: the non-Ext entry-point behavior
+        (UNKNOWN -> ENGLISH, compact_lang_det.cc:90-94). declared_list:
+        per-doc page-declared lang ids, hints.Declared or a list of sets
+        (see _declared and tests/oracles/docstage.py
+        _calc_summary_lang); None = reference-exact summaries.
 
         with_ranges=True additionally returns the per-doc language
         ranges (score.Ranges, text byte offsets) computed from the SAME
@@ -321,10 +353,7 @@ class Detector:
         since the main pass scores their squeezed rewrite whose offsets
         don't map back."""
         n = len(texts)
-        if hints_list is None:
-            hints_list = [None] * n
-        if declared_list is None:
-            declared_list = [None] * n
+        priors, declared = _priors(hints_list, n), _declared(declared_list, n)
         self._echo(texts)
         # the batch's one encode: every later step reads these buffers
         data, offsets = native.utf8_cat(texts)
@@ -333,24 +362,23 @@ class Detector:
         squeezed, *sq_batch = native.cheap_squeeze(data, offsets)
         table = spans.script_spans_batch(native.utf8_array(*sq_batch))
         if with_ranges:
-            streams, raw_ranges = self._fill_totes(table, hints_list,
+            streams, raw_ranges = self._fill_totes(table, priors,
                                                    with_ranges=True)
         else:
-            streams = self._fill_totes(table, hints_list)
+            streams = self._fill_totes(table, priors)
         out = self._finalize(streams, table.doc_totals(table.text_bytes),
-                             best_effort, declared_list)
+                             best_effort, declared)
         retry = np.flatnonzero(~out.good)
         if len(retry):
             # Repeats retry (impl.cc:1979-2106) for every not-good doc
             # in ONE more batch pass over the spans the first pass
             # scored (the squeeze gate is not re-run)
             table2 = self._repeats_spans(table, retry)
-            streams2 = self._fill_totes(table2,
-                                        [hints_list[i] for i in retry])
+            streams2 = self._fill_totes(table2, priors.take(retry))
             out2 = self._finalize(
                 streams2,
                 np.maximum(table2.doc_totals(table2.end - table2.start), 1),
-                best_effort, [declared_list[i] for i in retry])
+                best_effort, declared.take(retry))
             # keep the retry result if it reached a conclusion
             # (impl.cc accepts the second-pass answer unconditionally)
             take = np.flatnonzero((out2.summary != langs.UNKNOWN)
@@ -374,7 +402,7 @@ class Detector:
             keep = ~squeezed[raw_ranges[0]]
             doc2, *rest = self._fill_totes(
                 spans.script_spans_batch(texts.take(sq)),
-                [None] * len(sq), with_ranges=True)[1]
+                _priors(None, len(sq)), with_ranges=True)[1]
             both = [np.concatenate([a[keep], b])
                     for a, b in zip(raw_ranges, (sq[doc2], *rest))]
             order = np.argsort(both[0], kind="stable")

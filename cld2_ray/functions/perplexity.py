@@ -23,6 +23,8 @@ import os
 from functools import lru_cache
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from . import langs
 
@@ -54,30 +56,29 @@ def models() -> _PplModel:
     return _PplModel(table, z["uni"], z["thresholds"])
 
 
-def score_batch(texts, lang_codes) -> tuple[list[float], list[bool]]:
-    """One C pass (native.ppl_score) over the concatenated framed
-    lowered docs: UTF-8 decode, char hashing, trigram/bigram lookups
-    and log-prob accumulation, no intermediate arrays. Docs with no
-    trigram, or whose language has no LM, score (0.0, False)."""
+# lang code -> lang id of langs.CODES, as one Arrow lookup
+_CODES = pa.array(langs.CODES)
+
+
+def score_batch(texts, lang_codes) -> tuple[np.ndarray, np.ndarray]:
+    """(ppl float64[n], gibberish bool[n]) from one C pass
+    (native.ppl_score) over the concatenated framed lowered docs: UTF-8
+    decode, char hashing, trigram/bigram lookups and log-prob
+    accumulation, no intermediate arrays. Docs with no trigram, or whose
+    language has no LM (no finite threshold, or an id past the
+    artifact's languages), score (0.0, False)."""
     from cld2_ray import native
     m = models()
-    n = len(texts)
-    lids = np.full(n, -1, dtype=np.int64)
-    framed = []
-    for i, (t, lc) in enumerate(zip(texts, lang_codes)):
-        lid = langs.lang_id(lc)
-        if lid != langs.UNKNOWN and np.isfinite(m.thresholds[lid]):
-            lids[i] = lid
-            framed.append(" " + (t or "").lower() + " ")
-        else:
-            framed.append("")
-    bits, cnt = native.ppl_score(*native.utf8_cat(framed), lids,
-                                 m.table, m.uni)
+    lid = pc.index_in(pa.array(lang_codes, type=pa.string()),
+                      value_set=_CODES).fill_null(langs.UNKNOWN).to_numpy()
+    thr = m.thresholds[np.minimum(lid, len(m.thresholds) - 1)]
+    thr = np.where((lid != langs.UNKNOWN) & (lid < len(m.thresholds))
+                   & np.isfinite(thr), thr, np.inf)
+    use = np.isfinite(thr)
+    framed = [" " + (t or "").lower() + " " if u else ""
+              for t, u in zip(texts, use.tolist())]
+    bits, cnt = native.ppl_score(*native.utf8_cat(framed),
+                                 np.where(use, lid, -1), m.table, m.uni)
     ok = cnt > 0
-    means = np.where(ok, bits / np.maximum(cnt, 1), 0.0)
-    ppl = np.where(ok, 2.0 ** means, 0.0)
-    thr = np.where((lids >= 0) & np.isfinite(m.thresholds
-                                             [np.maximum(lids, 0)]),
-                   m.thresholds[np.maximum(lids, 0)], np.inf)
-    flags = (ppl > thr) & ok
-    return [float(x) for x in ppl], [bool(x) for x in flags]
+    ppl = np.where(ok, 2.0 ** (bits / np.maximum(cnt, 1)), 0.0)
+    return ppl, (ppl > thr) & ok

@@ -119,7 +119,7 @@ def _compile() -> str:
 
 def _load() -> None:
     global _LK, _ACC, _RW, _SQZ, _PP, _CS, _CJ, _DS, _QS, _SSM, _EXB
-    global _MD5, _MDW, _B2B
+    global _PHS, _MD5, _MDW, _B2B
     so = _compile()
     try:
         lib = ctypes.CDLL(so)
@@ -178,7 +178,12 @@ def _load() -> None:
     _SSM = bind(lib.script_spans_scan_multi, i64,
                 vp, vp, i64, vp, vp, i64, i64, i64, vp, vp, vp, vp)
     _EXB = bind(lib.extract_scan_batch, i64,
-                u8p, i64p, i64, u64p, u64p, u64, u32p, u8wp, i64p, vp)
+                u8p, i64p, i64, u64p, u64p, u64, u32p, u8wp, i64wp, i64wp,
+                vp)
+    _PHS = bind(lib.page_hints_scan, i64,
+                u8p, i64p, i64p, i64, u8p, i64p, u64p, u64p, u64,
+                i64p, i64p, i64p, u8p, i64p, i64p, i64, i64p, i64, i64,
+                i64wp, i64wp, i64wp, i64wp, i64wp)
     _MD5 = bind(lib.md5_batch, i32, u8p, i64p, i64, u8wp)
     _MDW = bind(lib.md5_windows, i64, u8p, i64p, i64p, i64, i64, u8wp)
     _B2B = bind(lib.blake2b_batch, i32, u8p, i64p, i64, i64, u8wp)
@@ -329,26 +334,78 @@ def cjk_chunk_score(cat, starts: np.ndarray, bounds: np.ndarray,
 def extract_scan_batch(data, offsets: np.ndarray, ent_keys: np.ndarray,
                        ent_vals: np.ndarray, ent_mask: int,
                        low_map: np.ndarray, with_map: bool = False):
-    """extract_text over a batch in one C pass: page d is
-    data[offsets[d]:offsets[d+1]], valid UTF-8 with its \\r not yet
-    normalized; the entity table is (ent_keys, ent_vals, ent_mask) of
-    ``table_build``. Returns (text uint8, text_offsets int64[n+1]),
-    both fresh: page d's text is text[text_offsets[d]:
-    text_offsets[d+1]], the buffers of an Arrow large_string column.
-    with_map=True appends src int64 aligned with text: src[k] =
-    position within its raw page of the byte that produced text[k]."""
+    """The UTF-8 gate and extract_text over a batch in one C pass: page
+    d is data[offsets[d]:offsets[d+1]], any bytes (an html column's
+    buffers as ``arrow_docs`` reads them); its text is extracted from
+    its longest valid UTF-8 prefix, whose \\r are not yet normalized.
+    The entity table is (ent_keys, ent_vals, ent_mask) of
+    ``table_build``. Returns (text uint8, text_offsets int64[n+1],
+    valid int64[n]), all fresh: page d's text is text[text_offsets[d]:
+    text_offsets[d+1]], the buffers of an Arrow large_string column, and
+    valid[d] the length of its valid prefix (what Python's strict
+    decoder decodes before its first error). with_map=True appends src
+    int64 aligned with text: src[k] = position within its raw page of
+    the byte that produced text[k]."""
     buf, offsets = _docs(data, offsets)
     n = len(offsets) - 1
-    out = np.empty(len(buf) + 8, dtype=np.uint8)
+    cap = int(offsets[-1] - offsets[0]) + 8
+    out = np.empty(cap, dtype=np.uint8)
     text_offsets = np.empty(n + 1, dtype=np.int64)
-    src = np.empty(len(buf) + 8, dtype=np.int64) if with_map else None
+    valid = np.empty(n, dtype=np.int64)
+    src = np.empty(cap, dtype=np.int64) if with_map else None
     m = _checked(_EXB(buf, offsets, n, ent_keys, ent_vals, int(ent_mask),
-                      low_map, out, text_offsets,
+                      low_map, out, text_offsets, valid,
                       None if src is None else src.ctypes.data),
                  "extract_scan_batch")
     if with_map:
-        return out[:m], text_offsets, src[:m]
-    return out[:m], text_offsets
+        return out[:m], text_offsets, valid, src[:m]
+    return out[:m], text_offsets, valid
+
+
+# page_hints_scan's priors per page (quadscan.c HS_PRIORS)
+HINT_PRIORS = 4
+
+
+def page_hints_scan(html, html_offsets: np.ndarray, valid: np.ndarray,
+                    url, url_offsets: np.ndarray, tables):
+    """hints.page_hints of every page in one C pass: page d's head is
+    the first min(valid[d], 8192) bytes of html[html_offsets[d]:
+    html_offsets[d+1]] and its url url[url_offsets[d]:url_offsets[d+1]]
+    (both in the layout of ``arrow_docs``). ``tables`` is the tuple of
+    hints._scan_tables (the hint table, its entries, the encoding names
+    and each code's lang id). Returns (prior_lid (n, 4), prior_w (n, 4),
+    decl_csr int64[n+1], decl_flat, tld_lang int64[n]): row d of the
+    priors is page d's trimmed priors, zero-padded; its declared ids
+    are decl_flat[decl_csr[d]:decl_csr[d+1]]."""
+    hbuf, html_offsets = _docs(html, html_offsets)
+    ubuf, url_offsets = _docs(url, url_offsets)
+    n = len(html_offsets) - 1
+    valid = np.ascontiguousarray(valid, dtype=np.int64)
+    if len(url_offsets) != n + 1 or len(valid) != n or (n and (
+            valid.min() < 0 or (valid > np.diff(html_offsets)).any())):
+        raise ValueError("page_hints_scan: valid and the urls must match "
+                         "the pages")
+    keys, vals, mask, ent_csr, ent_code, ent_w, enc_names, enc_off, \
+        enc_code, code_lid, decl_max = tables
+    # a declared id comes from a lang= match (>= 7 bytes of the head,
+    # matches never overlap) or the one Content-Language match, each
+    # adding at most decl_max[0] ids, and a page declares at most
+    # decl_max[1] distinct codes
+    head = np.minimum(valid, 8192)
+    decl_cap = int(np.minimum(decl_max[0] * (head // 7 + 1),
+                              decl_max[1]).sum())
+    prior_lid = np.empty((n, HINT_PRIORS), dtype=np.int64)
+    prior_w = np.empty((n, HINT_PRIORS), dtype=np.int64)
+    decl_csr = np.empty(n + 1, dtype=np.int64)
+    decl_flat = np.empty(max(decl_cap, 1), dtype=np.int64)
+    tld_lang = np.empty(n, dtype=np.int64)
+    nd = _checked(_PHS(hbuf, html_offsets, valid, n, ubuf, url_offsets,
+                       keys, vals, int(mask), ent_csr, ent_code, ent_w,
+                       enc_names, enc_off, enc_code, len(enc_code),
+                       code_lid, len(code_lid), decl_cap, prior_lid,
+                       prior_w, decl_csr, decl_flat, tld_lang),
+                  "page_hints_scan", "the declared ids pass their bound")
+    return prior_lid, prior_w, decl_csr, decl_flat[:nd], tld_lang
 
 
 def script_spans_scan_multi(data, offsets: np.ndarray,
@@ -591,29 +648,39 @@ def fastlangid_score(data, offsets: np.ndarray, idx: np.ndarray,
 _HEXLUT = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
+def arrow_docs(arr):
+    """(data uint8[], offsets int64[n+1]) of a pyarrow binary or string
+    array (large or not, or a ChunkedArray): the layout every
+    per-document kernel takes, read in place from the array's buffers.
+    A null reads as empty (a column with nulls is copied once, without
+    them); a sliced array keeps its offsets into the shared data."""
+    import pyarrow as _pa
+    if isinstance(arr, _pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if arr.null_count:
+        arr = arr.fill_null(_pa.scalar(b"", arr.type))
+    wide = _pa.types.is_large_binary(arr.type) or \
+        _pa.types.is_large_string(arr.type)
+    _, off, data = arr.buffers()
+    off = np.frombuffer(off, dtype=np.int64 if wide else np.int32,
+                        count=len(arr) + 1 + arr.offset)[arr.offset:]
+    data = np.frombuffer(data, dtype=np.uint8) if data else \
+        np.empty(0, dtype=np.uint8)
+    return data, off.astype(np.int64, copy=False)
+
+
 def utf8_cat(strings):
     """(data uint8[], offsets int64[n+1]) for a sequence of strings —
-    the batch layout every per-document kernel takes. Accepts a
-    list/ndarray/Series of str (None -> empty) or a pyarrow
-    String/LargeString array (zero-copy when offsets are int64)."""
+    the batch layout every per-document kernel takes, offsets starting
+    at 0. Accepts a list/ndarray/Series of str (None -> empty) or a
+    pyarrow String/LargeString array (zero-copy when offsets are int64
+    and start at 0)."""
     import pyarrow as _pa
-    if isinstance(strings, _pa.ChunkedArray):
-        strings = strings.combine_chunks()
-    if not isinstance(strings, _pa.Array):
+    if not isinstance(strings, (_pa.Array, _pa.ChunkedArray)):
         strings = _pa.array(
             [s if isinstance(s, str) else "" for s in strings],
             type=_pa.large_string())
-    elif strings.null_count:
-        strings = strings.fill_null("")
-    if _pa.types.is_string(strings.type):
-        strings = strings.cast(_pa.large_string())
-    bufs = strings.buffers()
-    off = np.frombuffer(bufs[1], dtype=np.int64,
-                        count=len(strings) + 1 + strings.offset)
-    data = np.frombuffer(bufs[2], dtype=np.uint8) if bufs[2] else \
-        np.empty(0, dtype=np.uint8)
-    if strings.offset:
-        off = off[strings.offset:]
+    data, off = arrow_docs(strings)
     if off[0]:
         # sliced array: rebase offsets onto a compact copy
         data = np.ascontiguousarray(data[off[0]:off[-1]])

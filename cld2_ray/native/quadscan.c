@@ -12,9 +12,10 @@
  *    OctaHash40 (reference: internal/cldutil.cc:315-533,
  *    internal/cldutil_shared.cc:167-358) with this engine's documented
  *    dense-sampling deviation.
- *  - the quality filter's other layers: HTML extraction
- *    (extract_scan_batch), the quality rules' statistics
- *    (quality_scan), fastlangid_score and ppl_score.
+ *  - the quality filter's other layers: the UTF-8 gate with HTML
+ *    extraction (extract_scan_batch), the page hint scan
+ *    (page_hints_scan), the quality rules' statistics (quality_scan),
+ *    fastlangid_score and ppl_score.
  *  - batched MD5 / BLAKE2b for the dedup pipelines (md5_batch,
  *    md5_windows, blake2b_batch), and table_lookup_batch, the table
  *    probe over a query array.
@@ -2451,16 +2452,56 @@ static inline __attribute__((always_inline)) int64_t extract_scan(
     return op;
 }
 
+/* The length of the longest valid UTF-8 prefix of b[0, n), as Python's
+ * strict decoder finds it (the start of its first error; the
+ * reference's SpanInterchangeValid gate): no surrogates, no overlong
+ * forms, nothing above U+10FFFF, and a sequence cut off at n ends the
+ * prefix at its lead byte.  ASCII runs go 8 bytes a step. */
+static int64_t utf8_valid_prefix(const uint8_t *b, int64_t n) {
+    int64_t i = 0;
+    while (i < n) {
+        uint8_t c = b[i];
+        if (c < 0x80) {
+            while (i + 8 <= n && !(load_le64(b + i) & 0x8080808080808080ULL))
+                i += 8;
+            while (i < n && b[i] < 0x80) i++;
+            continue;
+        }
+        int len;
+        uint8_t lo = 0x80, hi = 0xBF;   /* the second byte's range */
+        if (c >= 0xC2 && c <= 0xDF) {
+            len = 2;
+        } else if (c >= 0xE0 && c <= 0xEF) {
+            len = 3;
+            if (c == 0xE0) lo = 0xA0;        /* overlong */
+            else if (c == 0xED) hi = 0x9F;   /* surrogates */
+        } else if (c >= 0xF0 && c <= 0xF4) {
+            len = 4;
+            if (c == 0xF0) lo = 0x90;        /* overlong */
+            else if (c == 0xF4) hi = 0x8F;   /* above U+10FFFF */
+        } else {
+            return i;
+        }
+        if (i + len > n || b[i + 1] < lo || b[i + 1] > hi) return i;
+        for (int k = 2; k < len; k++)
+            if ((b[i + k] & 0xC0) != 0x80) return i;
+        i += len;
+    }
+    return n;
+}
+
 /* extract_text over a whole batch of pages in ONE call (a ctypes call
  * per page cost ~9.5 us, more than the extraction of a short page).
- * Page d is cat[offsets_in[d], offsets_in[d+1]), valid UTF-8. A page
- * holding a '\r' is first copied to a scratch buffer with \r\n -> \n
- * and lone \r -> \n (== Python's replace(b"\r\n", b"\n")
- * .replace(b"\r", b"\n")). Page d's text is written to
- * out[offsets[d]:offsets[d+1]], offsets[0] = 0: the data and offsets
- * buffers of an Arrow large_string column. No page grows (every
- * entity is at least as long as its UTF-8 encoding), so out cap >=
- * offsets_in[n_docs] - offsets_in[0] + 8.
+ * Page d is cat[offsets_in[d], offsets_in[d+1]), any bytes: the UTF-8
+ * gate writes valid[d], the length of its longest valid UTF-8 prefix
+ * (utf8_valid_prefix), and the page's text is extracted from that
+ * prefix.  A prefix holding a '\r' is first copied to a scratch
+ * buffer with \r\n -> \n and lone \r -> \n (== Python's
+ * replace(b"\r\n", b"\n").replace(b"\r", b"\n")). Page d's text is
+ * written to out[offsets[d]:offsets[d+1]], offsets[0] = 0: the data
+ * and offsets buffers of an Arrow large_string column. No page grows
+ * (every entity is at least as long as its UTF-8 encoding), so out
+ * cap >= offsets_in[n_docs] - offsets_in[0] + 8.
  *
  * src_of (NULL, or cap as out) is the per-output-byte source map back
  * to the RAW page: src_of[k] = position within its page of the byte
@@ -2470,16 +2511,18 @@ static inline __attribute__((always_inline)) int64_t extract_scan(
  * then one array index (extract.text_to_raw, for the flagship
  * chunks column);
  * tests/oracles/extract.py's OffsetMap is its test oracle.
- * The scratch holds the longest page that has a '\r'.  Returns the
+ * The scratch holds the longest prefix that has a '\r'.  Returns the
  * total text length, or -1 when the scratch cannot be allocated. */
 int64_t extract_scan_batch(const uint8_t *cat, const int64_t *offsets_in,
                            int64_t n_docs, const uint64_t *ekeys,
                            const uint64_t *evals, uint64_t emask,
                            const uint32_t *low_map, uint8_t *out,
-                           int64_t *offsets, int64_t *src_of) {
-    int64_t cap = 0, op = 0;   /* the longest page holding a \r */
+                           int64_t *offsets, int64_t *valid,
+                           int64_t *src_of) {
+    int64_t cap = 0, op = 0;   /* the longest prefix holding a \r */
     for (int64_t d = 0; d < n_docs; d++) {
-        int64_t n = offsets_in[d + 1] - offsets_in[d];
+        int64_t n = valid[d] = utf8_valid_prefix(
+            cat + offsets_in[d], offsets_in[d + 1] - offsets_in[d]);
         if (n > cap && memchr(cat + offsets_in[d], '\r', (size_t)n)) cap = n;
     }
     scratch sc = {{0}, 0, 1};
@@ -2490,7 +2533,7 @@ int64_t extract_scan_batch(const uint8_t *cat, const int64_t *offsets_in,
     offsets[0] = 0;
     for (int64_t d = 0; d < n_docs; d++) {
         const uint8_t *b = cat + offsets_in[d];
-        int64_t n = offsets_in[d + 1] - offsets_in[d];
+        int64_t n = valid[d];
         int has_cr = n > 0 && memchr(b, '\r', (size_t)n);
         if (has_cr) {
             int64_t m = 0;
@@ -2517,6 +2560,411 @@ int64_t extract_scan_batch(const uint8_t *cat, const int64_t *offsets_in,
         offsets[d + 1] = op;
     }
     return scratch_done(&sc, op);
+}
+
+/* ====================================================================
+ * Page hints (hints.page_hints, the reference's GetLangTagsFromHtml,
+ * SetCLDLangTagsHint, SetCLDEncodingHint, SetCLDTLDHint and
+ * TrimCLDLangPriors, compact_lang_det_hint_code.cc:941-971,
+ * 1394-1612): a page's lang= / xml:lang attributes, its first
+ * Content-Language meta and its first charset, read in its valid
+ * UTF-8 head of at most HS_HEAD bytes with the skipped tag contexts
+ * blanked, and the TLD of its url, merged into its priors.  Every
+ * pattern is matched as Python's re matches the hints.py regex it
+ * stands for: ASCII case folding, bytes \s = [ \t\n\v\f\r], \b over
+ * ASCII word chars, and $ also just before a final \n.
+ */
+#define HS_HEAD 8192     /* FLAGS_cld_max_lang_tag_scan_kb = 8 */
+#define HS_PRIORS 4      /* TrimCLDLangPriors(4, ...) */
+#define HS_ENCODING_WEIGHT 4
+#define HS_KEY_TAG (1ULL << 56)   /* hint table key kinds */
+#define HS_KEY_TLD (2ULL << 56)
+
+static inline uint8_t hs_lower(uint8_t c) {
+    return c >= 'A' && c <= 'Z' ? c | 0x20 : c;
+}
+static inline int hs_alpha(uint8_t c) {
+    return (uint8_t)((c | 0x20) - 'a') < 26;
+}
+static inline int hs_word(uint8_t c) {
+    return hs_alpha(c) || (c >= '0' && c <= '9') || c == '_';
+}
+static inline int hs_space(uint8_t c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/* b[i, i+len) equals the lowercase ASCII name, ASCII case folded */
+static inline int hs_ci(const uint8_t *b, int64_t n, int64_t i,
+                        const char *name, int len) {
+    if (i + len > n) return 0;
+    for (int t = 0; t < len; t++)
+        if (hs_lower(b[i + t]) != (uint8_t)name[t]) return 0;
+    return 1;
+}
+
+/* $ without MULTILINE at q: the end, or just before a final \n */
+static inline int hs_at_end(const uint8_t *b, int64_t n, int64_t q) {
+    return q == n || (q == n - 1 && b[q] == '\n');
+}
+
+/* The end of the _SKIP_TAG_RE match at b[i] == '<', or -1:
+ * <!--.*?(?:-->|$) | <script\b.*?(?:</script\s*>|$)
+ * | <(?:link|a|area|font|img)\b[^>]*(?:>|$), DOTALL.  A lazy arm ends
+ * at the first q that closes it, the closing tag tried before $. */
+static int64_t hs_skip_end(const uint8_t *b, int64_t n, int64_t i) {
+    static const char *const names[] = {"link", "a", "area", "font",
+                                        "img"};
+    if (hs_ci(b, n, i + 1, "!--", 3)) {
+        for (int64_t q = i + 4;; q++) {
+            if (q + 3 <= n && b[q] == '-' && b[q + 1] == '-'
+                && b[q + 2] == '>')
+                return q + 3;
+            if (hs_at_end(b, n, q)) return q;
+        }
+    }
+    if (hs_ci(b, n, i + 1, "script", 6) && (i + 7 == n || !hs_word(b[i + 7]))) {
+        for (int64_t q = i + 7;; q++) {
+            if (hs_ci(b, n, q, "</script", 8)) {
+                int64_t k = q + 8;
+                while (k < n && hs_space(b[k])) k++;
+                if (k < n && b[k] == '>') return k + 1;
+            }
+            if (hs_at_end(b, n, q)) return q;
+        }
+    }
+    for (int t = 0; t < 5; t++) {
+        int64_t e = i + 1 + (int64_t)strlen(names[t]);
+        if (hs_ci(b, n, i + 1, names[t], (int)(e - i - 1))
+            && (e == n || !hs_word(b[e]))) {
+            const uint8_t *gt = memchr(b + e, '>', (size_t)(n - e));
+            return gt ? gt - b + 1 : n;
+        }
+    }
+    return -1;
+}
+
+/* _SKIP_TAG_RE.sub(b" ", b[0, n)) into out (at most n bytes); returns
+ * its length */
+static int64_t hs_blank_tags(const uint8_t *b, int64_t n, uint8_t *out) {
+    int64_t m = 0, i = 0;
+    while (i < n) {
+        const uint8_t *lt = memchr(b + i, '<', (size_t)(n - i));
+        int64_t j = lt ? lt - b : n;
+        memcpy(out + m, b + i, (size_t)(j - i));
+        m += j - i;
+        if (j == n) break;
+        int64_t e = hs_skip_end(b, n, j);
+        if (e < 0) {
+            out[m++] = '<';
+            i = j + 1;
+        } else {
+            out[m++] = ' ';
+            i = e;
+        }
+    }
+    return m;
+}
+
+/* \s*["']?\s*([A-Za-z]{2,3}) from b[k]: the group's start (*g) and
+ * length (*gl), and the end; -1 if it does not match */
+static int64_t hs_tag_value(const uint8_t *b, int64_t n, int64_t k,
+                            int64_t *g, int *gl) {
+    while (k < n && hs_space(b[k])) k++;
+    if (k < n && (b[k] == '"' || b[k] == '\'')) k++;
+    while (k < n && hs_space(b[k])) k++;
+    int64_t a = k;
+    while (k < n && k - a < 3 && hs_alpha(b[k])) k++;
+    if (k - a < 2) return -1;
+    *g = a;
+    *gl = (int)(k - a);
+    return k;
+}
+
+/* \s*= then hs_tag_value from b[k] (a key's "= value") */
+static int64_t hs_assign(const uint8_t *b, int64_t n, int64_t k,
+                         int64_t *g, int *gl) {
+    while (k < n && hs_space(b[k])) k++;
+    if (k >= n || b[k] != '=') return -1;
+    return hs_tag_value(b, n, k + 1, g, gl);
+}
+
+/* One page's priors under construction: distinct codes in insertion
+ * order with their weights (MergeCLDLangPriorsMax / Boost). */
+typedef struct {
+    int64_t *code, *w;
+    int64_t n;
+} hs_priors;
+
+static void hs_merge(hs_priors *p, int64_t code, int64_t w, int boost) {
+    for (int64_t k = 0; k < p->n; k++)
+        if (p->code[k] == code) {
+            if (boost) p->w[k] += 2;
+            else if (w > p->w[k]) p->w[k] = w;
+            return;
+        }
+    p->code[p->n] = code;
+    p->w[p->n++] = w;
+}
+
+/* Merge hint table entry e (value - 1 of a table hit) into p */
+static void hs_merge_entry(hs_priors *p, uint64_t hit, const int64_t *ent_csr,
+                           const int64_t *ent_code, const int64_t *ent_w,
+                           int boost) {
+    if (!hit) return;
+    for (int64_t k = ent_csr[hit - 1]; k < ent_csr[hit]; k++)
+        hs_merge(p, ent_code[k], ent_w[k], boost);
+}
+
+/* A lang tag value b[g, g+gl) (2-3 letters) -> its hint table key */
+static inline uint64_t hs_tag_key(const uint8_t *b, int64_t g, int gl) {
+    uint64_t key = HS_KEY_TAG;
+    for (int t = 0; t < gl; t++)
+        key |= (uint64_t)hs_lower(b[g + t]) << (8 * t);
+    return key;
+}
+
+/* tld_of(url) as a hint table key, 0 when the url has no TLD or one
+ * the table cannot hold: the host of ^[a-z]+://([^/:?#]+) (IGNORECASE
+ * also lets U+0130, U+0131, U+017F and U+212A into the scheme), its
+ * last dot-separated label, lowered as str.lower does (U+212A is the
+ * one non-ASCII char that lowers into ASCII, to 'k'). */
+static uint64_t hs_tld_key(const uint8_t *u, int64_t n) {
+    int64_t i = 0;
+    for (;;) {
+        if (i < n && hs_alpha(u[i])) i++;
+        else if (i + 1 < n && ((u[i] == 0xC4 && (u[i + 1] == 0xB0
+                                                 || u[i + 1] == 0xB1))
+                               || (u[i] == 0xC5 && u[i + 1] == 0xBF)))
+            i += 2;
+        else if (i + 2 < n && u[i] == 0xE2 && u[i + 1] == 0x84
+                 && u[i + 2] == 0xAA)
+            i += 3;
+        else break;
+    }
+    if (i == 0 || i + 3 > n || u[i] != ':' || u[i + 1] != '/'
+        || u[i + 2] != '/')
+        return 0;
+    int64_t h0 = i + 3, h1 = h0, dot = -1;
+    while (h1 < n && u[h1] != '/' && u[h1] != ':' && u[h1] != '?'
+           && u[h1] != '#') {
+        if (u[h1] == '.') dot = h1;
+        h1++;
+    }
+    if (dot < 0) return 0;
+    uint64_t key = HS_KEY_TLD;
+    int len = 0;
+    for (int64_t k = dot + 1; k < h1; len++) {
+        uint8_t c;
+        if (u[k] < 0x80) {
+            c = hs_lower(u[k++]);
+        } else if (k + 2 < h1 && u[k] == 0xE2 && u[k + 1] == 0x84
+                   && u[k + 2] == 0xAA) {
+            c = 'k';
+            k += 3;
+        } else {
+            return 0;   /* lowers to non-ASCII: in no table */
+        }
+        if (len == 7) return 0;
+        key |= (uint64_t)c << (8 * len);
+    }
+    return len ? key : 0;
+}
+
+/* The priors of each page, as hints.page_hints(url, html[:valid])
+ * gives them.  Page d's head is html[html_off[d], + min(valid[d],
+ * HS_HEAD)); its url is url[url_off[d], url_off[d+1]).
+ *
+ * Tables (hints._scan_tables): keys/vals/mask, a table_build table of
+ * HS_KEY_TAG | lowercase lang tag bytes (LANGTAG_SHORT: a lang= value
+ * is 2-3 letters, which no long-table key is) and HS_KEY_TLD | TLD
+ * bytes -> entry + 1; entry e holds the (ent_code, ent_w) pairs
+ * [ent_csr[e], ent_csr[e+1]).  Codes are 0..n_codes-1, code_lid their
+ * lang ids (0 for a code without one).  enc_names[enc_off[k],
+ * enc_off[k+1]) is an ENCODING_HINTS name (lowercase), enc_code[k]
+ * its code.
+ *
+ * Outputs: prior_lid/prior_w [n_docs * HS_PRIORS], page d's trimmed
+ * priors (the HS_PRIORS largest |w|, stable, then those with a lang
+ * id) at row d, zero-padded; decl_csr[n_docs + 1] / decl_flat[decl_cap]
+ * the lang ids of the positive lang= and Content-Language priors, in
+ * prior order; tld_lang[d] the lang id of the TLD entry's first
+ * largest positive weight (0 if none).  Returns the number of declared
+ * ids, -1 when the scratch cannot be allocated, -2 past decl_cap. */
+int64_t page_hints_scan(
+        const uint8_t *html, const int64_t *html_off, const int64_t *valid,
+        int64_t n_docs, const uint8_t *url, const int64_t *url_off,
+        const uint64_t *keys, const uint64_t *vals, uint64_t mask,
+        const int64_t *ent_csr, const int64_t *ent_code,
+        const int64_t *ent_w, const uint8_t *enc_names,
+        const int64_t *enc_off, const int64_t *enc_code, int64_t n_enc,
+        const int64_t *code_lid, int64_t n_codes, int64_t decl_cap,
+        int64_t *prior_lid, int64_t *prior_w, int64_t *decl_csr,
+        int64_t *decl_flat, int64_t *tld_lang) {
+    int64_t head = 0;
+    for (int64_t d = 0; d < n_docs; d++)
+        if (valid[d] > head) head = valid[d];
+    if (head > HS_HEAD) head = HS_HEAD;
+    scratch sc = {{0}, 0, 1};
+    uint8_t *s = scratch_get(&sc, head, 1, 0);
+    hs_priors p = {scratch_get(&sc, n_codes, sizeof *p.code, 0),
+                   scratch_get(&sc, n_codes, sizeof *p.w, 0), 0};
+    if (!sc.ok) return scratch_done(&sc, -1);
+    int64_t nd = 0;
+    decl_csr[0] = 0;
+    for (int64_t d = 0; d < n_docs; d++) {
+        const uint8_t *h = html + html_off[d];
+        int64_t hn = valid[d] < HS_HEAD ? valid[d] : HS_HEAD;
+        int64_t g = 0;
+        int gl = 0;
+        p.n = 0;
+        /* the prefilter: b"lang" / b"content-language" / b"charset" in
+         * the lowered raw head, each word's first 4 letters compared
+         * as one 32-bit word (| 0x20 lowers exactly the bytes that are
+         * letters, and each of these 4 bytes is one) */
+        int has_lang = 0, has_cl = 0, has_cs = 0;
+        for (int64_t i = 0; i + 4 <= hn && !(has_cl && has_cs); i++) {
+            uint32_t w = load_le32(h + i) | 0x20202020u;
+            if (w == 0x676E616Cu) {            /* "lang" */
+                has_lang = 1;
+            } else if (w == 0x72616863u) {     /* "char" */
+                has_cs = has_cs || hs_ci(h, hn, i, "charset", 7);
+            } else if (w == 0x746E6F63u) {     /* "cont" */
+                /* content-language holds lang */
+                if (hs_ci(h, hn, i, "content-language", 16))
+                    has_cl = has_lang = 1;
+            }
+        }
+        if (has_lang || has_cl || has_cs) {
+            int64_t m = hs_blank_tags(h, hn, s);
+            if (has_lang) {
+                /* _iter_lang_attrs: each 'lang' tried as xml:lang, then
+                 * as lang, after a byte that is no letter and no '-',
+                 * never inside the previous match */
+                int64_t pos = 0, last_end = 0;
+                for (;;) {
+                    int64_t at = -1;
+                    for (int64_t i = pos; i + 4 <= m; i++)
+                        if ((s[i] | 0x20) == 'l' && hs_ci(s, m, i, "lang", 4)) {
+                            at = i;
+                            break;
+                        }
+                    if (at < 0) break;
+                    int64_t cand[2];
+                    int nc = 0;
+                    if (at >= 4 && hs_ci(s, m, at - 4, "xml:", 4))
+                        cand[nc++] = at - 4;
+                    cand[nc++] = at;
+                    for (int c = 0; c < nc; c++) {
+                        int64_t st = cand[c];
+                        if (st < last_end
+                            || (st > 0 && (hs_alpha(s[st - 1])
+                                           || s[st - 1] == '-')))
+                            continue;
+                        int64_t e = hs_assign(s, m, at + 4, &g, &gl);
+                        if (e < 0) continue;
+                        /* (?:[-_][A-Za-z]{2,8})? */
+                        if (e < m && (s[e] == '-' || s[e] == '_')) {
+                            int64_t k = e + 1;
+                            while (k < m && k - e - 1 < 8 && hs_alpha(s[k]))
+                                k++;
+                            if (k - e - 1 >= 2) e = k;
+                        }
+                        hs_merge_entry(&p, table_lookup(keys, vals, mask,
+                                                        hs_tag_key(s, g, gl)),
+                                       ent_csr, ent_code, ent_w, 0);
+                        last_end = e;
+                        break;
+                    }
+                    pos = at + 4;
+                }
+            }
+            if (has_cl) {
+                /* content-language["']?\s+content\s*=\s*["']?\s*
+                 * ([A-Za-z]{2,3}), the first match */
+                for (int64_t j = 0; j + 16 <= m; j++) {
+                    if (!hs_ci(s, m, j, "content-language", 16)) continue;
+                    int64_t k = j + 16;
+                    if (k < m && (s[k] == '"' || s[k] == '\'')) k++;
+                    int64_t k0 = k;
+                    while (k < m && hs_space(s[k])) k++;
+                    if (k == k0 || !hs_ci(s, m, k, "content", 7)
+                        || hs_assign(s, m, k + 7, &g, &gl) < 0)
+                        continue;
+                    hs_merge_entry(&p, table_lookup(keys, vals, mask,
+                                                    hs_tag_key(s, g, gl)),
+                                   ent_csr, ent_code, ent_w, 0);
+                    break;
+                }
+            }
+            for (int64_t k = 0; k < p.n; k++) {
+                if (p.w[k] <= 0 || !code_lid[p.code[k]]) continue;
+                if (nd == decl_cap) return scratch_done(&sc, -2);
+                decl_flat[nd++] = code_lid[p.code[k]];
+            }
+            if (has_cs) {
+                /* charset\s*=\s*["']?\s*([A-Za-z0-9_\-]+), the first
+                 * match, looked up lowercased */
+                for (int64_t j = 0; j + 7 <= m; j++) {
+                    if (!hs_ci(s, m, j, "charset", 7)) continue;
+                    int64_t k = j + 7;
+                    while (k < m && hs_space(s[k])) k++;
+                    if (k >= m || s[k] != '=') continue;
+                    k++;
+                    while (k < m && hs_space(s[k])) k++;
+                    if (k < m && (s[k] == '"' || s[k] == '\'')) k++;
+                    while (k < m && hs_space(s[k])) k++;
+                    int64_t a = k;
+                    while (k < m && (hs_word(s[k]) || s[k] == '-')) k++;
+                    if (k == a) continue;
+                    for (int64_t e = 0; e < n_enc; e++) {
+                        int64_t el = enc_off[e + 1] - enc_off[e];
+                        if (el == k - a
+                            && hs_ci(s, m, a, (const char *)enc_names
+                                     + enc_off[e], (int)el)) {
+                            hs_merge(&p, enc_code[e], HS_ENCODING_WEIGHT, 1);
+                            break;
+                        }
+                    }
+                    break;
+                }
+            }
+        }
+        decl_csr[d + 1] = nd;
+        /* the TLD: Boost-merged entries, and its strongest positive
+         * language for the metadata fallback */
+        uint64_t key = hs_tld_key(url + url_off[d], url_off[d + 1] - url_off[d]);
+        uint64_t hit = key ? table_lookup(keys, vals, mask, key) : 0;
+        hs_merge_entry(&p, hit, ent_csr, ent_code, ent_w, 1);
+        tld_lang[d] = 0;
+        if (hit) {
+            int64_t best = 0;
+            for (int64_t k = ent_csr[hit - 1]; k < ent_csr[hit]; k++)
+                if (ent_w[k] > best) {
+                    best = ent_w[k];
+                    tld_lang[d] = code_lid[ent_code[k]];
+                }
+        }
+        /* TrimCLDLangPriors: a stable sort by -|w|, the first
+         * HS_PRIORS, those with a lang id */
+        for (int64_t k = 1; k < p.n; k++) {
+            int64_t c = p.code[k], w = p.w[k], j = k;
+            for (; j > 0 && llabs(p.w[j - 1]) < llabs(w); j--) {
+                p.code[j] = p.code[j - 1];
+                p.w[j] = p.w[j - 1];
+            }
+            p.code[j] = c;
+            p.w[j] = w;
+        }
+        int64_t *ol = prior_lid + d * HS_PRIORS, *ow = prior_w + d * HS_PRIORS;
+        int np = 0;
+        for (int64_t k = 0; k < p.n && k < HS_PRIORS; k++)
+            if (code_lid[p.code[k]]) {
+                ol[np] = code_lid[p.code[k]];
+                ow[np++] = p.w[k];
+            }
+        for (; np < HS_PRIORS; np++) ol[np] = ow[np] = 0;
+    }
+    return scratch_done(&sc, nd);
 }
 
 /* script_spans_scan over a whole batch in ONE call (a ctypes call per

@@ -3,13 +3,17 @@
 One Ray Data task function, ``fused_batch``, runs every layer on a
 pyarrow batch of pages: UTF-8 gate + HTML->text, page hints, CLD2-style
 langid, Gopher/C4 rules, PII/toxicity scrub, fastText-style aux langid
-and char-LM perplexity, then the keep/drop decision. Extraction is one
-C call per batch whose output buffer is the ``extracted_text`` column.
-The quality rules and scrub read that column's buffer in place; the
-layers that take Python strings share one ``to_pylist`` of it, and
-langid encodes its list once for all its steps (fastlangid and
-perplexity encode the copies they lower). Langid hands back numpy
-columns (score.DetectColumns) that land in the output as they are.
+and char-LM perplexity, then the keep/drop decision. No layer before
+langid makes a Python call per page: the UTF-8 gate and the extraction
+are one C call over the html column's Arrow buffers, whose output
+buffer is the ``extracted_text`` column, and the hint scan is one C
+call over the pages' valid heads and the url column, whose array
+columns langid takes as they are. The quality rules and scrub read the
+text column's buffer in place; the layers that take Python strings
+share one ``to_pylist`` of it, and langid encodes its list once for
+all its steps (fastlangid and perplexity encode the copies they
+lower). Langid and perplexity hand back numpy columns
+(score.DetectColumns) that land in the output as they are.
 All per-row logic calls the same functions the single-process oracle
 uses, so pipeline == oracle per url.
 """
@@ -21,8 +25,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from cld2_ray.functions import langs
-# extract_text is not called here; it stays a module global because
-# perfbench's tracer wraps core.extract_text (and core.valid_utf8_prefix)
+# extract_text and valid_utf8_prefix are not called here; they stay
+# module globals because perfbench's tracer wraps them
 from cld2_ray.functions.extract import (extract_batch, extract_text,  # noqa: F401
                                         text_to_raw, valid_utf8_prefix)
 
@@ -117,59 +121,52 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
     """fused_batch on one call's worth of pages (called directly, not
     through the module global, which tracers may wrap)."""
     from cld2_ray.functions import fastlangid, perplexity
-    from cld2_ray.functions.hints import MAX_SCAN_BYTES, page_hints
+    from cld2_ray.functions.hints import scan_batch
     from cld2_ray.functions.langid import default_detector
     from cld2_ray.functions.quality import rule_columns
     from cld2_ray.functions.scrub import scrub_arrow
 
-    htmls = [h or b"" for h in batch["html"].to_pylist()]
-    urls = batch["url"].to_pylist()
+    html = batch["html"]
 
-    # 1. extract: UTF-8 gate per page, then one C pass over the valid
-    # prefixes; its output buffer is the extracted_text column (and,
-    # for the chunks column, its source map)
-    valid = np.array([valid_utf8_prefix(h) for h in htmls], dtype=np.int64)
-    ok = valid == np.array([len(h) for h in htmls], dtype=np.int64)
-    pages = [h[:v] for h, v in zip(htmls, valid.tolist())]
-    if with_chunks:
-        text_col, *text_map = extract_batch(pages, with_map=True)
-    else:
-        text_col = extract_batch(pages)
+    # 1. extract: one C pass over the html column's buffers gates each
+    # page to its longest valid UTF-8 prefix and extracts it; its output
+    # buffer is the extracted_text column (and, for the chunks column,
+    # its source map)
+    text_col, valid, *text_map = extract_batch(html, with_map=with_chunks)
+    ok = valid == pc.binary_length(html).fill_null(0).to_numpy()
     texts = text_col.to_pylist()
 
     # 2. langid (batch-vectorized) over every page: a page without
     # letters scores as UNKNOWN with zero columns, and the salvaged
     # valid prefix of a bad-UTF-8 page is scored too (the keep/drop
-    # gate below still drops it as utf8_invalid). One hint scan per
-    # page: priors feed detection, declared languages protect the
-    # boilerplate summary flip, and declared/TLD give the metadata
-    # fallback. The valid-prefix slice is capped at the hint scan
-    # window so it never copies a whole page body.
-    ph = [page_hints(u or "", h[:min(v, MAX_SCAN_BYTES)])
-          for u, h, v in zip(urls, htmls, valid.tolist())]
-    hints = [[lid for lid, w in p[0] if w > 0] for p in ph]
-    declared = [frozenset(p[1]) or None for p in ph]
+    # gate below still drops it as utf8_invalid). One C hint scan over
+    # the pages' valid heads and urls: the positive priors' ids feed
+    # detection, declared languages protect the boilerplate summary
+    # flip, and declared/TLD give the metadata fallback.
+    ph = scan_batch(html, valid, batch["url"])
+    hints = ph.priors.positive_ids()
     if with_chunks:
         # ranges ride along on the SAME scoring pass (results are
         # bit-identical to the plain call — tested)
         results, rng = default_detector().detect_batch(
-            texts, hints, declared_list=declared, with_ranges=True)
+            texts, hints, declared_list=ph.declared, with_ranges=True)
     else:
         results = default_detector().detect_batch(
-            texts, hints, declared_list=declared)
-    summary, reliable = results.summary, results.reliable
+            texts, hints, declared_list=ph.declared)
+    reliable = results.reliable
     pct = np.clip(results.pct3, 0, 100).astype(np.int8)
     # Metadata fallback: when the content carries no language signal
     # at all (empty pages, repeated-token junk), attribute the page's
-    # declared language, else the TLD prior's language, else English —
-    # the reference's own plain-DetectLanguage default (M25,
+    # first declared language, else the TLD prior's language, else
+    # English — the reference's own plain-DetectLanguage default (M25,
     # compact_lang_det.h DetectLanguage returns ENGLISH when nothing is
     # detected). lang_reliable stays False, so keep/drop is unchanged —
     # this only improves the attribution column.
-    for j in np.flatnonzero((summary == langs.UNKNOWN) & ~reliable):
-        _, dec, tld = ph[j]
-        fb = dec[0] if dec else tld
-        summary[j] = fb if fb else langs.ENGLISH
+    first = ph.declared.first()
+    fb = np.where(first != 0, first, ph.tld_lang)
+    summary = np.where((results.summary == langs.UNKNOWN) & ~reliable,
+                       np.where(fb != 0, fb, langs.ENGLISH),
+                       results.summary)
     summary_col = _CODE_OF.take(summary)
     summary_codes = summary_col.to_numpy(zero_copy_only=False)
 

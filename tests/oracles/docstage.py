@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cld2_ray import native
-from cld2_ray.functions import langs, spans, uscript as us
+from cld2_ray.functions import hints as hints_mod, langs, spans, uscript as us
 from cld2_ray.functions.langid import _csr
 from cld2_ray.functions.score import (CHUNKSIZE_QUADS, CHUNKSIZE_UNIS,
                                       MIN_RELIABLE_KEEP_PERCENT,
@@ -377,13 +377,24 @@ def _tote_range_lang(tote: DocTote) -> int:
     return lid if rp >= MIN_RELIABLE_KEEP_PERCENT else langs.UNKNOWN
 
 
+def _hint_payloads(hints):
+    """One document's hints as detect_batch's list form takes them
+    (None, lang ids at LANGUAGE_WEIGHT each, or (lang_id, weight)
+    priors) -> its (latn, othr) payloads (hints.payloads), or None."""
+    if not hints:
+        return None
+    return hints_mod.payloads(
+        [h if isinstance(h, tuple) else (int(h), hints_mod.LANGUAGE_WEIGHT)
+         for h in hints])
+
+
 def _doc_tote(det, sl: list, hints) -> DocTote:
     """One document's tote from its ScriptSpans in the runtime's add
     order: RTYPE_ONE spans, then the MANY spans' chunks, then the CJK
     spans' chunks (chunk scores from the C kernels on this document's
     spans alone)."""
     tote = DocTote()
-    hl = det._norm_hints(hints)
+    hl = _hint_payloads(hints)
     m = det.model
     many = [sp for sp in sl if det._rtype(sp.script) == us.RTYPE_MANY]
     cjk = [sp for sp in sl if det._rtype(sp.script) == us.RTYPE_CJK]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from cld2_ray.functions import langs, score, spans, uscript as us
-from tests.oracles.docstage import DocTote, _tote_range_lang
+from tests.oracles.docstage import DocTote, _tote_range_lang, _hint_payloads
 from tools import hits
 from tools.langmodel import bucket_lookup, unpack_langprobs
 
@@ -239,7 +239,7 @@ def detect_ranges_numpy(det, text: str,
     priors to the chunk scores, as in detect_batch(with_ranges=True)."""
     if us.codepoints(text).size == 0:
         return []
-    hl = det._norm_hints(hint_langs)
+    hl = _hint_payloads(hint_langs)
 
     raw: list = []   # per-span (start_char, end_char, lid) triples
     for sp in spans.script_spans(text):

@@ -45,6 +45,8 @@ def score_batch_numpy(texts, lang_codes) -> tuple[list[float], list[bool]]:
     lids = np.zeros(n, dtype=np.int64)
     for i, (t, lc) in enumerate(zip(texts, lang_codes)):
         lid = langs.lang_id(lc)
+        if lid >= len(m.thresholds):
+            lid = langs.UNKNOWN   # a language the artifact has no LM for
         lids[i] = lid
         if lid == langs.UNKNOWN or not np.isfinite(m.thresholds[lid]):
             seg.append(0)

@@ -3,12 +3,30 @@
 import re
 
 import pandas as pd
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cld2_ray.data.seeds import HELDOUT
 from cld2_ray.functions import langs
-from cld2_ray.functions.hints import hints_from_page, tld_of
+from cld2_ray.functions.extract import extract_batch
+from cld2_ray.functions.hints import page_hints, scan_batch, tld_of
 from cld2_ray.functions.langid import Detector
 from cld2_ray.pipelines.evaluate import precision_recall
+
+
+def page_priors(url: str, html: bytes) -> list[tuple[int, int]]:
+    """One page's trimmed priors from the C hint scan, checked against
+    the page_hints oracle."""
+    ph = scan_batch([html], extract_batch([html])[1], [url])
+    pri = [(lid, w) for lid, w in zip(ph.priors.lid[0].tolist(),
+                                      ph.priors.w[0].tolist()) if lid]
+    assert pri == page_hints(url, html)[0]
+    return pri
+
+
+def hints_from_page(url: str, html: bytes) -> list[int]:
+    """The hint ids the flagship passes for one page: its positive
+    priors'."""
+    return [lid for lid, w in page_priors(url, html) if w > 0]
 
 
 class TestHintDerivation:
@@ -192,8 +210,7 @@ class TestHintStrengths:
         """lang= carries W10, a TLD carries W2..W8 ('lang= always
         overcomes tld', hint_code.cc:44-45): with both present, the
         lang= language must hold the larger weight after the merge."""
-        from cld2_ray.functions.hints import page_hints
-        pri = dict(page_hints("https://x.se/", b'<html lang="fr">')[0])
+        pri = dict(page_priors("https://x.se/", b'<html lang="fr">'))
         fr, sv = langs.lang_id("fr"), langs.lang_id("sv")
         assert pri[fr] == 10          # W10 from the lang-tag table
         assert 0 < pri[sv] < pri[fr]  # W4-ish from the TLD table
@@ -202,8 +219,8 @@ class TestHintStrengths:
         """tld .ba carries BOSNIAN+W8, CROATIAN-W4 — the negative
         prior is kept (it blocks the close-set whack of hr) but never
         boosts."""
-        from cld2_ray.functions.hints import page_hints, payloads
-        pri = page_hints("https://x.ba/", b"<html>")[0]
+        from cld2_ray.functions.hints import payloads
+        pri = page_priors("https://x.ba/", b"<html>")
         d = dict(pri)
         assert d[langs.lang_id("bs")] == 8
         assert d[langs.lang_id("hr")] == -4
@@ -250,7 +267,153 @@ class TestHintStrengths:
         assert langs.lang_id("sk") not in hinted.language3
 
     def test_encoding_weight(self):
-        from cld2_ray.functions.hints import page_hints
-        pri = dict(page_hints(
-            "https://x.com/", b'<meta charset="euc-kr">')[0])
+        pri = dict(page_priors(
+            "https://x.com/", b'<meta charset="euc-kr">'))
         assert pri[langs.lang_id("ko")] == 4   # kCLDPriorEncodingWeight
+
+
+def _scan_rows(urls, htmls):
+    """Per page (priors, declared, tld_lang) from one C hint scan of the
+    batch, in page_hints' form."""
+    ph = scan_batch(htmls, extract_batch(htmls)[1], urls)
+    pri, dec = ph.priors, ph.declared
+    return [([(lid, w) for lid, w in zip(pri.lid[d].tolist(),
+                                          pri.w[d].tolist()) if lid],
+             tuple(dec.flat[dec.csr[d]:dec.csr[d + 1]].tolist()),
+             int(ph.tld_lang[d])) for d in range(len(htmls))]
+
+
+def _oracle_rows(urls, htmls):
+    from cld2_ray.functions.extract import valid_utf8_prefix
+    return [page_hints(u or "", (h or b"")[:valid_utf8_prefix(h or b"")])
+            for u, h in zip(urls, htmls)]
+
+
+# head fragments around every construct the scan reads: the skipped tag
+# contexts (closed, unclosed, cased, with a word char after the name),
+# lang= / xml:lang / hreflang, Content-Language and charset variants,
+# the bytes \s holds, quotes, and invalid or cut-off UTF-8
+_HEAD_FRAGMENTS = [
+    b'<html lang="fr">', b"<HTML LANG='DE-at'>", b"lang=en", b" lang = ' es_MX' ",
+    b'xml:lang="it"', b"xml:lang", b"XML:LANG=ru", b'hreflang="ru"',
+    b"<link rel=alternate hreflang=ja>", b"<a href=x lang=pt>",
+    b"<area lang=sv", b"<font lang=nl>", b"<img lang=pl", b"<A HREF=y LANG=cs>",
+    b"<ab lang=da>", b"<linked lang=fi>", b"data-lang=", b"x-", b"<!--", b"-->", b"<!-- lang=zh -->",
+    b"<!---->", b"<script>", b"</script>", b"</SCRIPT \n>", b"</script",
+    b"<script lang=ko>", b"<scripts lang=ko>", b"<Script\n", b"<script_",
+    b'<meta http-equiv="Content-Language" content="tr">',
+    b"content-language' content=ru", b"CONTENT-LANGUAGE\"\v content = 'uk'",
+    b"content-language content=x", b"content-languagecontent=el",
+    b"charset=", b'charset="Shift_JIS"', b"CHARSET = 'EUC-KR'",
+    b"charset=utf-8", b"charset=koi8-r", b"charset=windows-1251;",
+    b"charset=\f\tgb2312", b"charset=big5-hkscs", b"charset=x-mac-cyrillic",
+    b"\n", b"\v", b"\f", b"\r", b"\t", b" ", b"=", b'"', b"'", b"-", b"_",
+    b"<", b">", b"xml:", b"lang", b"la", b"ng=", b"en", b"zh", b"sr", b"bs",
+    b"ell", b"fra", b"-Hant", b"_CN", "é".encode(), b"\xff", b"\xe2\x82",
+    b"\xc3", b"xx", b"9", b"lang=\"", b"lang= 'e", b"<p>text</p>"]
+_URLS = ["https://a.fr/", "http://x.ba", "HTTPS://Y.SE/x", "ftp://z.de?q",
+         "https://host.jp:8080", "garbage", "", "https://例え.jp/",
+         "https://a.\u212aR/", "https://b.\u212a", "\u0130ttp://x.fr",
+         "\u0131://a.de", "\u017f://b.ru", "\u212a://c.jp", "https://x.",
+         "https://.ru", "https:///x.fr", "https://a.b.co.uk", "https://a.UA",
+         "https://a.xn--p1ai", "https://a.cat/", "http://a.com\n.de"]
+
+
+class TestHintScan:
+    """hints.scan_batch, the C hint scan the flagship runs, gives each
+    page what page_hints(url, html[:valid_utf8_prefix(html)]) gives:
+    the trimmed priors, the declared ids and tld_lang."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.tuples(
+        st.one_of(st.none(), st.sampled_from(_URLS),
+                  st.text(max_size=30).map(lambda t: "http://" + t)),
+        st.one_of(st.none(), st.binary(max_size=64), st.tuples(
+            st.sampled_from([0, 8150, 8180, 8190, 8192]),
+            st.lists(st.sampled_from(_HEAD_FRAGMENTS), max_size=30)).map(
+                lambda f: b" " * f[0] + b"".join(f[1])))),
+        min_size=1, max_size=5))
+    def test_fuzz_equals_page_hints(self, rows):
+        urls, htmls = map(list, zip(*rows))
+        assert _scan_rows(urls, htmls) == _oracle_rows(urls, htmls)
+
+    def test_unclosed_at_the_cuts(self):
+        """Constructs left open by the 8 KB cut or by an invalid byte,
+        and a final \\n after an unclosed comment or script (Python's $
+        matches before it)."""
+        tails = [b"<!-- lang=fr", b"<script>x lang=fr", b"<a lang=fr",
+                 b"<html lang=f", b"<meta charset=euc", b"lang=fr-C"]
+        htmls = []
+        for t in tails:
+            for pad in range(8192 - len(t) - 2, 8192 + 2):
+                htmls.append(b" " * pad + t + b" lang=de")
+            htmls += [b"<html lang=ru>" + t + b"\xff lang=de",
+                      b"<html lang=ru>" + t + b"\n", t + b"\n\n",
+                      b"<html lang=ru><!--\n", b"<script>\n",
+                      b"<html lang=ru><script>x\n", t]
+        urls = ["https://a.com/"] * len(htmls)
+        got = _scan_rows(urls, htmls)
+        assert got == _oracle_rows(urls, htmls)
+        assert len({str(g) for g in got}) >= 4
+
+    def test_attribute_boundaries(self):
+        """The lang= left boundary (no letter, no '-'), xml:lang tried
+        first, matches that never overlap and the optional subtag."""
+        heads = [b"data-lang=fr", b"hreflang=fr", b"_lang=fr", b"1lang=fr",
+                 b"x:lang=fr", b"xml:lang=fr", b"XML:LANG = 'fr'",
+                 b"xml:xml:lang=fr", b"langlang=fr", b"lang=frlang=de",
+                 b"lang=fr-lang=de", b"lang=fr_lang=de", b"lang=fr-CA lang=de",
+                 b"lang=xml:lang=de", b"lang=la lang=de", b"lang = \v\f'fr'"]
+        urls = [None] * len(heads)
+        got = _scan_rows(urls, heads)
+        assert got == _oracle_rows(urls, heads)
+        assert got[0][0] == got[1][0] == [] and got[4][0] and got[5][0]
+
+    def test_webmix_pages(self):
+        from perfbench.workloads import make_table
+        for seed in (5, 9):
+            t = make_table("webmix", seed, 2400)
+            urls, htmls = t["url"].to_pylist(), t["html"].to_pylist()
+            got = _scan_rows(t["url"], t["html"])
+            assert got == _oracle_rows(urls, htmls)
+            assert sum(bool(g[1]) for g in got) > 100
+
+    def test_sliced_and_null_columns(self):
+        import pyarrow as pa
+        htmls = [b"<html lang=fr>", None, b"<meta charset=koi8-r>", b"",
+                 b"\xff lang=de", b"<p lang=es>"]
+        urls = ["https://a.se/", "https://b.jp/", None, "https://c.ru/",
+                "x", "https://d.fr"]
+        want = _oracle_rows(urls, htmls)
+        h, u = pa.array(htmls, pa.binary()), pa.array(urls, pa.string())
+        for a in range(len(htmls)):
+            for b in range(a, len(htmls) + 1):
+                assert _scan_rows(u.slice(a, b - a), h.slice(a, b - a)) \
+                    == want[a:b]
+
+    def test_no_per_page_python(self, monkeypatch):
+        """fused_batch calls neither page_hints nor valid_utf8_prefix
+        (nor tld_of), with or without the chunks column."""
+        from cld2_ray.functions import extract, hints
+        from cld2_ray.stages import core
+        from perfbench.workloads import make_table
+        calls = []
+
+        def counted(mod, name):
+            fn = getattr(mod, name)
+
+            def wrapper(*a, **kw):
+                calls.append(name)
+                return fn(*a, **kw)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        for mod, name in ((hints, "page_hints"), (hints, "tld_of"),
+                          (extract, "valid_utf8_prefix"),
+                          (core, "valid_utf8_prefix")):
+            counted(mod, name)
+        t = make_table("webmix", 5, 300)
+        for wc in (False, True):
+            assert core.fused_batch(t, with_chunks=wc).num_rows == 300
+        assert calls == []
+        assert not hasattr(Detector, "_norm_hints")

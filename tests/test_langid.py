@@ -319,6 +319,20 @@ class TestDeclaredAndFallback:
         assert out["lang_summary"].to_pylist() == ["ru", "tr", "en"]
         assert out["lang_reliable"].to_pylist() == [False, False, False]
 
+    def test_fallback_to_a_language_without_lm(self):
+        """A page without text that declares a language the perplexity
+        artifact has no LM for (ids past its thresholds: iu, nr) falls
+        back to it and scores (0.0, False), without failing the batch."""
+        import pyarrow as pa
+        from cld2_ray.stages.core import fused_batch
+        rows = pa.table({"url": ["https://a.example.com/"] * 2,
+                         "html": [b"<html lang='iu'></html>",
+                                  b"<html lang=nr><p>1 2</p></html>"],
+                         "warc_ts": [0] * 2, "lang": [""] * 2})
+        out = fused_batch(rows)
+        assert out["lang_summary"].to_pylist() == ["iu", "nr"]
+        assert out["ppl"].to_pylist() == [0.0, 0.0]
+
 
 def test_top_level_detect_language():
     """Package-level DetectLanguage analogue: plain text, raw HTML with

@@ -327,8 +327,8 @@ class TestSpanScanSanitized:
     without the ranges pass, and their 4-byte window loads at a span's
     end), quality_scan's dup-line table, stopword probe, end strip and
     fast paths (ASCII runs and tokens, the line hash's tail) at a
-    doc's end, extract_scan_batch's entity reads,
-    fastlangid_score, ppl_score, rep_words_multi on max-length spans,
+    doc's end, extract_scan_batch's entity reads and its UTF-8 gate,
+    page_hints_scan on heads that end mid-construct, fastlangid_score, ppl_score, rep_words_multi on max-length spans,
     cheap_squeeze at its gate and chunk edges, md5_windows past its
     first window buffer and doc_stage with full totes over 16 streams;
     each result must equal the plain build's."""
@@ -510,6 +510,35 @@ for wm in (False, True):
         same("extract_scan_batch", *cat_of([b"\r\n" + t]), *ent,
              with_map=wm)
 
+# the UTF-8 gate on sequences cut off or invalid at a page's very end
+for g in (b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"a\xed\xa0",
+          b"\xf4\x90\x80\x80", b"ok" * 5 + b"\xe0", b"\xc2\x80"):
+    assert same("extract_scan_batch", *cat_of([g]), *ent)[2][0] < len(g) \
+        or g == b"\xc2\x80"
+
+# page_hints_scan on 8 KB heads that end mid-construct (exactly at the
+# head's end, where the page ends too, or cut by an invalid byte), on
+# empty pages (a null page reads as empty) and on urls cut mid-char;
+# each page alone too, in exact-size buffers
+from cld2_ray.functions import hints
+hs_tables = hints._scan_tables()
+hs_tails = [b"<!-- lang=fr", b"<script>x lang=fr", b"<a lang=fr", b"<html lang=f",
+            b"<meta charset=euc", b"content-language content", b"lang=fr-C",
+            b"xml:lang", b"<scrip", b"<!--", b"charset", b"lang"]
+hs_pages = [b"", b"<", b"lang=", b"\xff"]
+for t in hs_tails:
+    pad = b" " * (8192 - len(t))
+    hs_pages += [t, pad + t, pad + t[:-1] + b"\xff", pad + t + b"lang=de"]
+hs_urls = [b"https://a.fr/", b"", b"http://x.\xe2\x84\xaa", b"\xe2\x84",
+           b"\xe2\x84\xaa://a.de", b"http://a.\xe2", b"https://", b"x:/"]
+hs_urls = [hs_urls[k % len(hs_urls)] for k in range(len(hs_pages))]
+hs_valid = same("extract_scan_batch", *cat_of(hs_pages), *ent)[2]
+assert same("page_hints_scan", *cat_of(hs_pages), hs_valid,
+            *cat_of(hs_urls), hs_tables)[2][-1] > 0
+for h, u, v in zip(hs_pages, hs_urls, hs_valid):
+    same("page_hints_scan", *cat_of([h]), np.array([v]), *cat_of([u]),
+         hs_tables)
+
 # fastlangid_score over long, short, blank and one-script docs and
 # docs at the 512-byte cap with a 4-byte char at the cut, whole or cut
 # off at the batch's end
@@ -610,6 +639,11 @@ print("clean")
             r.stdout + r.stderr[-4000:]
 
 
+def _lists(arrays) -> tuple[list, ...]:
+    """perplexity.score_batch's arrays as the oracle's lists."""
+    return tuple(a.tolist() for a in arrays)
+
+
 class TestPplScore:
     """native.ppl_score (perplexity.score_batch) must be bit-equal to
     the numpy batch scorer of tests/oracles/perplexity.py."""
@@ -617,11 +651,13 @@ class TestPplScore:
     def test_pages_langs_and_edges(self):
         from cld2_ray.functions import perplexity
         texts = _page_texts(150) + ["", "a", "ab", "é", None]
-        codes = ["en", "fr", "de", "ru", "es", "ja", "xx-unknown", "un"]
+        codes = ["en", "fr", "de", "ru", "es", "ja", "xx-unknown", "un",
+                 "iu", "nr"]
+        assert langs.lang_id("iu") >= len(perplexity.models().thresholds)
         for k in range(len(codes)):
             lcs = [codes[(i + k) % len(codes)] for i in range(len(texts))]
             want = perplexity_oracle.score_batch_numpy(texts, lcs)
-            got = perplexity.score_batch(texts, lcs)
+            got = _lists(perplexity.score_batch(texts, lcs))
             assert got == want
         assert any(p > 0 for p in got[0])
 
@@ -644,7 +680,7 @@ class TestPplScore:
         tri, _ = perplexity_oracle._keys_tri(langs.lang_id("en"), c)
         assert len(np.unique(tri)) > 1 << memo_bits
         want = perplexity_oracle.score_batch_numpy(texts, lcs)
-        assert perplexity.score_batch(texts, lcs) == want
+        assert _lists(perplexity.score_batch(texts, lcs)) == want
 
     def test_same_text_many_languages(self):
         """Keys that differ only in the language bits never share a
@@ -654,7 +690,7 @@ class TestPplScore:
         codes = ["en", "fr", "de", "es", "it", "nl", "ru", "en", "fr"]
         texts = [text] * len(codes)
         want = perplexity_oracle.score_batch_numpy(texts, codes)
-        got = perplexity.score_batch(texts, codes)
+        got = _lists(perplexity.score_batch(texts, codes))
         assert got == want
         assert len(set(got[0])) == len(set(codes))
 
@@ -672,7 +708,7 @@ class TestPplScore:
             *native.utf8_cat([" " + (t or "").lower() + " " for t in texts]),
             np.full(len(texts), langs.lang_id("en"), dtype=np.int64),
             other, m.uni[::-1] * 0.5)
-        assert perplexity.score_batch(texts, lcs) == want
+        assert _lists(perplexity.score_batch(texts, lcs)) == want
 
     def test_rejects_non_power_of_two_vocab(self):
         from cld2_ray.functions import perplexity
@@ -1474,7 +1510,7 @@ def _crlf_normalized(h: bytes) -> bytes:
 def _scan_map(pages):
     """(text bytes, src) per page from one with_map batch call."""
     from cld2_ray.functions.extract import _ent_table
-    data, offsets, src = native.extract_scan_batch(
+    data, offsets, _, src = native.extract_scan_batch(
         b"".join(pages), np.cumsum([0] + [len(h) for h in pages]),
         *_ent_table(), with_map=True)
     return [(data[a:b].tobytes(), src[a:b])
@@ -1501,9 +1537,10 @@ def _check_map(pages):
 
 class TestExtractBatch:
     """extract_batch (one native.extract_scan_batch call per batch)
-    equals extract_text of each page's valid-UTF-8 prefix and the Python
-    extractor oracle, page by page; the kernel does the \\r
-    normalization itself."""
+    gates each page to its valid-UTF-8 prefix as valid_utf8_prefix does
+    and equals extract_text of that prefix and the Python extractor
+    oracle, page by page; the kernel does the \\r normalization
+    itself."""
 
     CRLF = [b"a\r\nb\rc\r\r\nd", b"\r", b"\r\n\r\n", b"x\r", b"\r\rx",
             b"<p a='1\r\n2'>t</p>\r<br\r>z", b"&amp;\r\n&lt\r",
@@ -1521,7 +1558,8 @@ class TestExtractBatch:
                                                 extract_text,
                                                 valid_utf8_prefix)
         pre = [(h or b"")[:valid_utf8_prefix(h or b"")] for h in pages]
-        col = extract_batch(pre)
+        col, valid = extract_batch(pages)
+        assert valid.tolist() == [len(h) for h in pre]
         assert len(col) == len(pre)
         got = col.to_pylist()
         for h, t in zip(pre, got):
@@ -1546,12 +1584,13 @@ class TestExtractBatch:
                + b"</p>")
         assert len(big) > 5_000_000
         pre = [b"<p>before</p>", big, b"after &eacute;", b""]
-        assert extract_batch(pre).to_pylist() == \
+        assert extract_batch(pre)[0].to_pylist() == \
             [extract_text(h) for h in pre]
 
     def test_empty_batch(self):
         from cld2_ray.functions.extract import extract_batch
-        assert extract_batch([]).to_pylist() == []
+        col, valid = extract_batch([])
+        assert col.to_pylist() == [] and len(valid) == 0
 
     def test_bad_ends_rejected(self):
         from cld2_ray.functions.extract import _ent_table
@@ -1560,12 +1599,56 @@ class TestExtractBatch:
                 native.extract_scan_batch(b"abc", np.array(offsets),
                                           *_ent_table())
 
-    def test_invalid_utf8_output_fails_decode(self):
-        """Input outside the valid-UTF-8 contract gives invalid output,
-        and decoding the column raises instead of passing it on."""
+    def test_invalid_utf8_cut_at_the_gate(self):
+        """Invalid UTF-8 never reaches the text: a page is extracted up
+        to its first invalid byte, so the column decodes."""
         from cld2_ray.functions.extract import extract_batch
-        with pytest.raises(UnicodeDecodeError):
-            extract_batch([b"ok", b"bad \xff"]).to_pylist()
+        col, valid = extract_batch([b"ok", b"bad \xff<p>more", b"\xc3"])
+        assert col.to_pylist() == ["ok", "bad ", ""]
+        assert valid.tolist() == [2, 4, 0]
+
+    def test_gate_every_short_sequence(self):
+        """The C gate equals Python's strict decoder on every 1-4 byte
+        sequence of a lead byte and continuation classes (each edge of
+        the second byte's ranges, a continuation, a non-continuation),
+        alone and followed by more text."""
+        from cld2_ray.functions.extract import (extract_batch,
+                                                valid_utf8_prefix)
+        second = [0x00, 0x41, 0x7F, 0x80, 0x8F, 0x90, 0x9F, 0xA0, 0xBF,
+                  0xC0, 0xC2, 0xE0, 0xF0, 0xF4, 0xFF]
+        rest = [0x41, 0x80, 0xBF, 0xC0]
+        seqs = [bytes([a]) for a in range(256)]
+        seqs += [bytes([a, b]) for a in range(256) for b in second]
+        seqs += [s + bytes([c]) for s in seqs[256:] if s[0] >= 0xE0
+                 for c in rest]
+        seqs += [s + bytes([c]) for s in seqs if len(s) == 3
+                 and s[0] >= 0xF0 for c in rest]
+        pages = seqs + [s + b"ok" for s in seqs] + [b"ok" + s for s in seqs]
+        col, valid = extract_batch(pages)
+        assert valid.tolist() == [valid_utf8_prefix(p) for p in pages]
+        assert len(set(valid.tolist())) >= 6
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.one_of(st.none(), st.binary(max_size=40),
+                              st.text(max_size=20).map(str.encode)),
+                    max_size=12), st.data())
+    def test_gate_random_null_and_sliced(self, pages, data):
+        """Random bytes and null rows, as a column and as a slice of
+        one: valid is valid_utf8_prefix of each page (a null reads as
+        empty) and the text is that prefix's."""
+        import pyarrow as pa
+        from cld2_ray.functions.extract import (extract_batch,
+                                                extract_text,
+                                                valid_utf8_prefix)
+        col = pa.array(pages, pa.binary())
+        a = data.draw(st.integers(0, len(pages)))
+        b = data.draw(st.integers(a, len(pages)))
+        for arr, rows in ((col, pages), (col.slice(a, b - a), pages[a:b])):
+            text, valid = extract_batch(arr)
+            want = [valid_utf8_prefix(h or b"") for h in rows]
+            assert valid.tolist() == want
+            assert text.to_pylist() == [extract_text((h or b"")[:v])
+                                        for h, v in zip(rows, want)]
 
     @settings(deadline=None, max_examples=150)
     @given(st.lists(st.text(alphabet=st.sampled_from(

@@ -121,6 +121,26 @@ class TestFastLangid:
     def test_empty(self):
         assert fastlangid.classify_batch([""]) == (["un"], [0.0])
 
+    def test_top_two_keeps_argsort_ties(self):
+        """classify_batch's top-two pass gives the last two columns of
+        np.argsort on rows built with ties: a tied top pair, a tied
+        second and third, all equal, and rows without ties."""
+        rng = np.random.default_rng(0)
+        sc = rng.standard_normal((64, 114)).astype(np.float32)
+        sc[0, [3, 90]] = sc[1, [90, 3]] = 9.0        # tied top pair
+        sc[2, 7], sc[2, [40, 41]] = 9.0, 8.0         # tied 2nd and 3rd
+        sc[3] = 1.0                                   # all equal
+        sc[4, [5, 6, 7]] = 9.0                        # three-way top tie
+        sc[8:] = rng.integers(0, 4, (56, 114))        # many ties
+        order = np.argsort(sc, axis=1)
+        top, s_top, s_sec = fastlangid._top_two(sc)
+        rows = np.arange(len(sc))
+        assert np.array_equal(top, order[:, -1])
+        assert np.array_equal(s_top, sc[rows, order[:, -1]])
+        assert np.array_equal(s_sec, sc[rows, order[:, -2]])
+        t, _, _ = fastlangid._top_two(sc[10:12].copy())
+        assert np.array_equal(t, order[10:12, -1])
+
     # sha256 of the weight row of every present bucket in bucket order,
     # then the bucket ids and the language columns
     WEIGHTS_SHA256 = ("f534302c12968fe53220fc1ca0b24dac"
@@ -213,8 +233,8 @@ class TestPerplexity:
 
     def test_empty_text(self):
         """An empty or null text scores (0.0, False)."""
-        assert perplexity.score_batch(["", None], ["en", "en"]) \
-            == ([0.0, 0.0], [False, False])
+        ppl, flag = perplexity.score_batch(["", None], ["en", "en"])
+        assert ppl.tolist() == [0.0, 0.0] and flag.tolist() == [False, False]
 
 
 class TestRepeats:

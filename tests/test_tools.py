@@ -50,7 +50,7 @@ def test_kernel_rates_lists_every_kernel(capsys):
     """tools.kernel_rates on a few pages, replayed against a second
     build of this tree's kernels (compiled in a temporary directory):
     every C kernel that fused_batch calls has a row, and the two builds
-    agree call for call."""
+    agree call for call; with --layers, every layer has a timed row."""
     import ctypes
     import pathlib
 
@@ -84,3 +84,12 @@ def test_kernel_rates_lists_every_kernel(capsys):
     rows = {line.split()[0] for line in out[2:]}
     assert {"quality_scan", "quad_octa_chunk_score"} <= called
     assert called <= rows, called - rows
+    # --layers: one row per layer entry point _fused calls, each timed
+    # (a name that _fused no longer calls would read 0), then the rest
+    kernel_rates.main(["--workload", "longform_job", "--seed", "5",
+                       "--pages", "3", "--rounds", "2", "--layers"])
+    out = capsys.readouterr().out.splitlines()
+    ms = {line.split()[0]: float(line.split()[1]) for line in out[2:]}
+    names = [name for name, _, _ in kernel_rates.LAYERS]
+    assert list(ms) == names + ["assembly", "fused_batch"]
+    assert all(ms[name] > 0 for name in names)

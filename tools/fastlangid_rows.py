@@ -55,11 +55,10 @@ def _save(table, bucket_index, col_langs) -> None:
 def _hot_sample() -> list[str]:
     """The texts hot_first counts rows on: sources.pages.make_page rows
     0..2399 of seed 0, extracted."""
-    from cld2_ray.functions.extract import extract_batch, valid_utf8_prefix
+    from cld2_ray.functions.extract import extract_batch
     from cld2_ray.sources.pages import make_page
     htmls = [make_page(i, 0)["html"] for i in range(2400)]
-    return extract_batch([h[:valid_utf8_prefix(h)] for h in htmls]
-                         ).to_pylist()
+    return extract_batch(htmls)[0].to_pylist()
 
 
 def hot_first(table: np.ndarray, bucket_index: np.ndarray,

@@ -13,6 +13,15 @@ table gives the calls, the text bytes they read (a per-document
 binding's documents, a span kernel's spans), the summed best times and
 ns per byte.
 
+``--layers`` prints the per-layer table instead: ``fused_batch`` runs
+``--rounds`` times with each layer entry point that ``_fused`` calls
+wrapped by name (``LAYERS``: the UTF-8 gate and extraction, the hint
+scan, langid, the quality rules, scrub, fastlangid and perplexity),
+and per layer the table gives the best time over the rounds; the rest
+of the call (Arrow assembly, the text list, numpy glue) is
+``assembly``, the best over the rounds of the call's time less its
+layers'.
+
 ``--against DIR`` builds a second copy of the kernels from DIR (a
 checkout, its ``cld2_ray/native/``, or any directory holding
 ``quadscan.c``) in a temporary directory, never in this tree, with
@@ -217,6 +226,70 @@ def report(rows, against: bool) -> str:
     return "\n".join(lines)
 
 
+# the layer entry points _fused calls, by (module, attribute path)
+LAYERS = [("extract", "cld2_ray.stages.core", "extract_batch"),
+          ("hints", "cld2_ray.functions.hints", "scan_batch"),
+          ("langid", "cld2_ray.functions.langid", "Detector.detect_batch"),
+          ("rules", "cld2_ray.functions.quality", "rule_columns"),
+          ("scrub", "cld2_ray.functions.scrub", "scrub_arrow"),
+          ("fastlangid", "cld2_ray.functions.fastlangid", "classify_batch"),
+          ("perplexity", "cld2_ray.functions.perplexity", "score_batch")]
+
+
+def layer_times(batch, rounds: int, with_chunks: bool = False) -> dict:
+    """{layer: best seconds over ``rounds`` fused_batch calls} for each
+    of LAYERS, plus ``assembly`` (the best of the call's time less its
+    layers') and ``fused_batch`` (the best call)."""
+    import importlib
+    from cld2_ray.stages.core import fused_batch
+
+    spent = {}
+    patched = []
+
+    def timed(name, fn):
+        def wrapped(*a, **kw):
+            t = time.perf_counter()
+            try:
+                return fn(*a, **kw)
+            finally:
+                spent[name] = spent.get(name, 0.0) + time.perf_counter() - t
+        return wrapped
+
+    for name, mod, path in LAYERS:
+        *outer, attr = path.split(".")
+        owner = importlib.import_module(mod)
+        for o in outer:
+            owner = getattr(owner, o)
+        fn = vars(owner)[attr]
+        patched.append((owner, attr, fn))
+        setattr(owner, attr, timed(name, fn))
+    best = {}
+    try:
+        for _ in range(rounds):
+            spent.clear()
+            t = time.perf_counter()
+            fused_batch(batch, with_chunks)
+            spent["fused_batch"] = time.perf_counter() - t
+            spent["assembly"] = spent["fused_batch"] - sum(
+                spent.get(name, 0.0) for name, _, _ in LAYERS)
+            for k, v in spent.items():
+                best[k] = min(best.get(k, v), v)
+    finally:
+        for owner, attr, fn in patched:
+            setattr(owner, attr, fn)
+    return {k: best.get(k, 0.0) for k in
+            [name for name, _, _ in LAYERS] + ["assembly", "fused_batch"]}
+
+
+def report_layers(times: dict) -> str:
+    """The per-layer table: best ms and share of the best call."""
+    total = times["fused_batch"]
+    lines = [f"{'layer':<14}{'ms':>9}{'share':>8}"]
+    for name, s in times.items():
+        lines.append(f"{name:<14}{s * 1e3:>9.2f}{s / total:>8.1%}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", default="longform_job",
@@ -229,6 +302,8 @@ def main(argv=None) -> None:
                     help="replays per call; the best time counts")
     ap.add_argument("--with-chunks", action="store_true")
     ap.add_argument("--against", type=pathlib.Path, default=None)
+    ap.add_argument("--layers", action="store_true",
+                    help="print the per-layer table instead")
     a = ap.parse_args(argv)
 
     from cld2_ray import native
@@ -237,6 +312,11 @@ def main(argv=None) -> None:
     n = a.pages or PAGES[a.workload]
     batch = make_table(a.workload, a.seed, n)
     fused_batch(batch, a.with_chunks)          # warm: models, caches
+    if a.layers:
+        print(f"# {a.workload} seed {a.seed}: {n} pages, layers, best of "
+              f"{a.rounds}")
+        print(report_layers(layer_times(batch, a.rounds, a.with_chunks)))
+        return
     calls = record(batch, a.with_chunks)
     with tempfile.TemporaryDirectory() as tmp:
         builds = [native]

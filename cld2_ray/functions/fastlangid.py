@@ -8,7 +8,9 @@ instead of shipping pretrained weights.
 
 ``weights()`` loads the committed artifact once per worker process
 (lru_cache) and ``classify_batch`` routes and scores a whole batch in
-one C pass (native.fastlangid_score) over the lowered documents.
+one C pass (native.fastlangid_score) over the documents that
+native.lower_docs caps and lowers in one C pass, as Python's str.lower
+would (uscript.lowered), in the batch's language order.
 
 The row order of the weight table is a build-time property of the
 artifact, not of the model: ``tools/fastlangid_rows.py`` numbers the
@@ -27,6 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import pyarrow as pa
 
 from . import langs, uscript as us
 
@@ -45,21 +48,6 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 # 0.9631 — the tail of a page adds noise, not signal, to a char-ngram
 # model) at 62% of the scoring cost; 256 loses 0.8pt.
 CAP_BYTES = 512
-
-
-def _cap_text(t: str) -> str:
-    if t.isascii():
-        return t[:CAP_BYTES]
-    if len(t) <= CAP_BYTES // 4:
-        return t
-    b = t.encode("utf-8")
-    if len(b) <= CAP_BYTES:
-        return t
-    cut = CAP_BYTES
-    while cut > 0 and (b[cut] & 0xC0) == 0x80:
-        cut -= 1  # back off to a UTF-8 character boundary
-    return b[:cut].decode("utf-8")
-
 
 ARTIFACT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "state", "artifacts", "fastlangid.npz")
@@ -97,14 +85,8 @@ def weights() -> Weights:
 _ONE_SCRIPT = np.zeros(256, dtype=np.uint8)
 _ONE_SCRIPT[:us.NUM_SCRIPTS] = [us.script_rtype(s) == us.RTYPE_ONE
                                 for s in range(us.NUM_SCRIPTS)]
-_CODES = np.array(langs.CODES, dtype=object)
-
-
-def _lowered(texts) -> list[str]:
-    """Each text capped to CAP_BYTES, then lowered (in that order: Greek
-    final sigma makes str.lower depend on what follows, so the cap
-    comes first)."""
-    return [_cap_text(t).lower() if t else "" for t in texts]
+# lang id -> code, as one Arrow take
+_CODE_OF = pa.array(langs.CODES)
 
 
 def _top_two(sc: np.ndarray):
@@ -128,17 +110,24 @@ def _top_two(sc: np.ndarray):
     return top, s_top, s_sec
 
 
-def classify_batch(texts) -> tuple[list[str], list[float]]:
-    """(lang codes, confidences) of a batch, in one C pass
-    (native.fastlangid_score) over the lowered texts: whitespace-only
-    texts give ("un", 0.0); a text whose dominant script implies one
-    language gives that language at 0.95; the C pass scores the rest,
-    and the top two scores give the language and the confidence.
+def classify_batch(texts, group=None) -> tuple[pa.Array, np.ndarray]:
+    """(lang codes, float64 confidences) of a batch, in one C pass
+    (native.fastlangid_score) over the texts capped to CAP_BYTES and
+    lowered (uscript.lowered): whitespace-only texts give ("un", 0.0); a
+    text whose dominant script implies one language gives that language
+    at 0.95; the C pass scores the rest, and the top two scores give the
+    language and the confidence. ``texts`` is a list of str or an Arrow
+    string column. The texts are scored in a stable argsort of the keys
+    ``group`` when given (stages.core passes the langid summary ids, so
+    pages of one language share weight rows in cache); each text's
+    result is its own, in batch order, whatever the keys.
     tests/oracles/fastlangid.py is its oracle."""
     from cld2_ray import native
     w = weights()
+    order = np.arange(len(texts)) if group is None else \
+        np.argsort(group, kind="stable")
     route, scores, nf, n_rows = native.fastlangid_score(
-        *native.utf8_cat(_lowered(texts)), w.bucket_index, w.table,
+        *us.lowered(texts, order, CAP_BYTES), w.bucket_index, w.table,
         us.script_lut(), _ONE_SCRIPT)
     lang = np.full(len(route), langs.UNKNOWN, dtype=np.int64)
     conf = np.zeros(len(route))
@@ -151,5 +140,5 @@ def classify_batch(texts) -> tuple[list[str], list[float]]:
     margin = (s_top - s_sec).astype(np.float64) / nf[todo]
     lang[todo] = w.col_langs[top]
     conf[todo] = 1.0 - np.exp(-4.0 * np.maximum(margin, 0.0))
-    return _CODES[lang].tolist(), conf.tolist()
-
+    back = np.argsort(order)  # the inverse permutation: to batch order
+    return _CODE_OF.take(lang[back]), conf[back]

@@ -12,9 +12,11 @@ unigram distribution over 4096 hashed characters. Perplexity =
 language at train time.
 
 All languages' trigram/bigram counts live in one open-addressed table
-keyed (lang, ngram); ``score_batch`` hashes, looks up and accumulates
-in one C pass (native.ppl_score). ``tests/oracles/perplexity.py`` is
-its numpy oracle and documents the key layout.
+keyed (lang, ngram); ``score_batch`` lowers and frames the documents
+in one C pass (native.lower_docs, Python's str.lower exactly) and
+hashes, looks up and accumulates in another (native.ppl_score), the
+documents of one language back to back. ``tests/oracles/perplexity.py``
+is its numpy oracle and documents the key layout.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from . import langs
+from . import langs, uscript as us
 
 ARTIFACT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "state", "artifacts", "perplexity.npz")
@@ -60,13 +62,19 @@ def models() -> _PplModel:
 _CODES = pa.array(langs.CODES)
 
 
-def score_batch(texts, lang_codes) -> tuple[np.ndarray, np.ndarray]:
+def score_batch(texts, lang_codes,
+                group=None) -> tuple[np.ndarray, np.ndarray]:
     """(ppl float64[n], gibberish bool[n]) from one C pass
-    (native.ppl_score) over the concatenated framed lowered docs: UTF-8
-    decode, char hashing, trigram/bigram lookups and log-prob
-    accumulation, no intermediate arrays. Docs with no trigram, or whose
-    language has no LM (no finite threshold, or an id past the
-    artifact's languages), score (0.0, False)."""
+    (native.ppl_score) over the texts that have an LM, lowered and
+    framed by spaces in one C pass (uscript.lowered): UTF-8 decode, char
+    hashing, trigram/bigram lookups and log-prob accumulation, no
+    intermediate arrays. ``texts`` is a list of str or an Arrow string
+    column. Docs with no trigram, or whose language has no LM (no finite
+    threshold, or an id past the artifact's languages), score (0.0,
+    False). The texts are scored in a stable argsort of the keys
+    ``group`` when given (stages.core passes the langid summary ids, so
+    the pages of one LM run back to back); each text's result is its
+    own, in batch order, whatever the keys."""
     from cld2_ray import native
     m = models()
     lid = pc.index_in(pa.array(lang_codes, type=pa.string()),
@@ -74,11 +82,14 @@ def score_batch(texts, lang_codes) -> tuple[np.ndarray, np.ndarray]:
     thr = m.thresholds[np.minimum(lid, len(m.thresholds) - 1)]
     thr = np.where((lid != langs.UNKNOWN) & (lid < len(m.thresholds))
                    & np.isfinite(thr), thr, np.inf)
-    use = np.isfinite(thr)
-    framed = [" " + (t or "").lower() + " " if u else ""
-              for t, u in zip(texts, use.tolist())]
-    bits, cnt = native.ppl_score(*native.utf8_cat(framed),
-                                 np.where(use, lid, -1), m.table, m.uni)
-    ok = cnt > 0
-    ppl = np.where(ok, 2.0 ** (bits / np.maximum(cnt, 1)), 0.0)
+    docs = np.flatnonzero(np.isfinite(thr))
+    if group is not None:
+        docs = docs[np.argsort(np.asarray(group)[docs], kind="stable")]
+    bits, cnt = native.ppl_score(*us.lowered(texts, docs, frame=True),
+                                 lid[docs], m.table, m.uni)
+    ok = np.zeros(len(lid), dtype=bool)
+    ok[docs] = cnt > 0
+    ppl = np.zeros(len(lid))
+    ppl[docs] = 2.0 ** (bits / np.maximum(cnt, 1))
+    ppl[~ok] = 0.0
     return ppl, (ppl > thr) & ok

@@ -18,6 +18,7 @@ import hashlib
 import os
 import unicodedata
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,6 +193,128 @@ def _fold_arabic_presentation(lut: np.ndarray) -> np.ndarray:
                     and unicodedata.category(base[0]).startswith("L"):
                 out[cp] = lut[b0] if b0 < len(lut) else b0
     return out
+
+
+class LowerTables(NamedTuple):
+    """Python's str.lower as native.lower_docs reads it: ``low[cp]`` is
+    the lowered codepoint of each cp < len(low) (past it a cp lowers to
+    itself), or bit 31 | k for the two chars ext[2k], ext[2k+1]; the
+    case class (LOW_CASED, LOW_IGNORABLE or 0) of cp is cls[i] of the
+    last run i with cls_start[i] <= cp. The class only serves U+03A3,
+    whose lowering depends on its neighbours."""
+    low: np.ndarray
+    ext: np.ndarray
+    cls_start: np.ndarray
+    cls: np.ndarray
+
+
+LOW_CASED = 1       # quadscan.c LOW_CASED
+LOW_IGNORABLE = 2   # quadscan.c LOW_IGNORABLE
+_PLANE = 0x10000
+
+
+def _lower_str(cps: np.ndarray) -> np.ndarray:
+    """str.lower of the string of codepoints ``cps``, as codepoints."""
+    return np.frombuffer(cps.astype("<u4", copy=False).tobytes()
+                         .decode("utf-32-le")
+                         .lower().encode("utf-32-le"), dtype="<u4")
+
+
+def _lower_each(cps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second): the chars of str.lower(chr(c)) for each c in
+    cps, second 0 where it is one char. A run of chars is lowered as one
+    string, halved until each part lowers to as many chars as it holds:
+    only U+03A3 lowers by context, and always to one char."""
+    first = np.empty(len(cps), dtype=np.uint32)
+    second = np.zeros(len(cps), dtype=np.uint32)
+    todo = [(0, len(cps))]
+    while todo:
+        a, b = todo.pop()
+        got = _lower_str(cps[a:b])
+        if len(got) == b - a:
+            first[a:b] = got
+        elif b - a == 1:
+            if len(got) != 2:
+                raise ValueError(f"U+{cps[a]:04X} lowers to {len(got)} "
+                                 "chars; lower_docs takes at most 2")
+            first[a], second[a] = got
+        else:
+            todo += [(a, (a + b) // 2), ((a + b) // 2, b)]
+    return first, second
+
+
+def _final_sigma(cps: np.ndarray, width: np.ndarray, after: str):
+    """Whether U+03A3 lowers to final sigma in "a\u03a3" + c + after,
+    for each c in cps (lowering to ``width`` chars), all probed in one
+    str.lower call."""
+    probe = np.empty((len(cps), 4), dtype=np.uint32)
+    probe[:] = [ord("a"), 0x3A3, 0, ord(after)]
+    probe[:, 2] = cps
+    got = _lower_str(probe.reshape(-1))
+    start = np.cumsum(3 + width) - (3 + width)
+    return got[start + 1] == 0x3C2
+
+
+def _utf8_len(cps: np.ndarray) -> np.ndarray:
+    return 1 + (cps >= 0x80) + (cps >= 0x800) + (cps >= 0x10000)
+
+
+@lru_cache(maxsize=1)
+def str_lower_tables() -> LowerTables:
+    """The running interpreter's str.lower as LowerTables, probed a
+    plane of codepoints at a time (the surrogates lower to themselves):
+
+    - each char lowered alone gives ``low`` (U+0130, the only char
+      that lowers to two, gives ``ext``);
+    - U+03A3 lowers to final sigma after a cased char when the next
+      char that is not case-ignorable is not cased, or there is none
+      (CPython's handle_capital_sigma), so the probe "a\u03a3" + c +
+      "a" is final only for a c that is neither, and for the others
+      "a\u03a3" + c + " " is final when c is case-ignorable and not
+      final when c is cased (and not case-ignorable).
+
+    No char may lower to more than two chars or to more than 3/2 of its
+    UTF-8 bytes, the bound native.lower_docs sizes its output by: an
+    interpreter whose str.lower breaks either raises ValueError."""
+    n = 0x110000
+    low = np.arange(n, dtype=np.uint32)
+    cls = np.zeros(n, dtype=np.uint8)
+    ext: list[int] = []
+    for lo in range(0, n, _PLANE):
+        cps = np.arange(lo, lo + _PLANE, dtype=np.uint32)
+        cps = cps[(cps < 0xD800) | (cps > 0xDFFF)]
+        first, second = _lower_each(cps)
+        two = second > 0
+        if (2 * (_utf8_len(first) + two * _utf8_len(second))
+                > 3 * _utf8_len(cps)).any():
+            raise ValueError("a char lowers to more than 3/2 of its UTF-8 "
+                             "bytes, past lower_docs' output bound")
+        low[cps] = first
+        for c, f, g in zip(cps[two], first[two], second[two]):
+            low[c] = 1 << 31 | len(ext) // 2
+            ext += [f, g]
+        # not final before an "a": c is cased or case-ignorable
+        some = ~_final_sigma(cps, 1 + two, "a")
+        cls[cps[some]] = np.where(
+            _final_sigma(cps[some], 1 + two[some], " "), LOW_IGNORABLE,
+            LOW_CASED)
+    changed = np.flatnonzero(low != np.arange(n))
+    starts = np.flatnonzero(np.diff(cls, prepend=255))
+    return LowerTables(low[:changed[-1] + 1].copy(),
+                       np.array(ext or [0, 0], dtype=np.uint32),
+                       starts.astype(np.uint32), cls[starts])
+
+
+def lowered(texts, order: np.ndarray, cap: int = -1, frame: bool = False):
+    """(data, offsets) of texts[order] lowered as str.lower lowers them,
+    back to back in one C pass (native.lower_docs): each text first cut
+    to at most ``cap`` bytes at a char boundary when cap >= 0, and
+    framed by a space on each side when ``frame`` is set. ``texts`` is a
+    list of str (None reads as empty) or an Arrow string column, read in
+    place."""
+    from cld2_ray import native
+    return native.lower_docs(*native.utf8_cat(texts), order,
+                             str_lower_tables(), cap, frame)
 
 
 def codepoints(text: str) -> np.ndarray:

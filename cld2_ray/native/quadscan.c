@@ -15,7 +15,9 @@
  *  - the quality filter's other layers: the UTF-8 gate with HTML
  *    extraction (extract_scan_batch), the page hint scan
  *    (page_hints_scan), the quality rules' statistics (quality_scan),
- *    fastlangid_score and ppl_score.
+ *    Python's str.lower over the extracted column in a caller's
+ *    document order (lower_docs, the one lowered plane of the two aux
+ *    models), fastlangid_score and ppl_score.
  *  - batched MD5 / BLAKE2b for the dedup pipelines (md5_batch,
  *    md5_windows, blake2b_batch), and table_lookup_batch, the table
  *    probe over a query array.
@@ -458,6 +460,129 @@ int64_t rep_words_multi(const uint8_t *cat, const int64_t *starts,
         }
         out_bounds[s] = o;
     }
+    return o;
+}
+
+/* Python's str.lower over a batch, for fastlangid_score and ppl_score
+ * (cld2_ray/functions/uscript.py lowered).  Writes the documents
+ * order[0..n_order) of cat[offsets[d], offsets[d+1]) back to back into
+ * out, document j at out[out_offsets[j], out_offsets[j+1]), each:
+ *
+ *  - cut, when cap >= 0 and it is longer, to its longest prefix of at
+ *    most cap bytes that ends before a char's lead byte (the cut comes
+ *    first: the text lowered is the cut one);
+ *  - lowered char by char: ASCII A-Z by a bit flip (8 bytes a step when
+ *    all 8 are ASCII), any other codepoint cp < n_low through low[cp]
+ *    (cp itself past the table); an entry with bit 31 set lowers to the
+ *    two chars ext[2k], ext[2k+1], k its low 31 bits (U+0130 -> i
+ *    U+0307);
+ *  - U+03A3 as CPython's handle_capital_sigma (Objects/unicodeobject.c)
+ *    lowers it: final sigma U+03C2 when the nearest char before it that
+ *    is not case-ignorable is cased, and the nearest such char after it
+ *    is not cased or there is none (within the cut text), else U+03C3.
+ *    A char's class is a run of the run-length table cls_start[] /
+ *    cls[] (LOW_CASED, LOW_IGNORABLE; cls_start[0] = 0);
+ *  - framed by one space on each side when frame is set.
+ *
+ * The tables come from the running interpreter's str.lower, which
+ * uscript.str_lower_tables probes; no entry lowers a char to more than
+ * 3/2 of its UTF-8 bytes, so with a char cut off at a document's end
+ * (read as its lead byte) a document of b bytes writes at most
+ * 3b/2 + 1 + 2 * frame bytes, which the binding allocates.  Input is
+ * not validated: bytes that are not UTF-8 lower by utf8_next's
+ * decoding.  No scratch; returns the bytes written. */
+#define LOW_CASED 1
+#define LOW_IGNORABLE 2
+
+static inline uint8_t low_class(uint32_t cp, const uint32_t *cls_start,
+                                const uint8_t *cls, int64_t n_cls) {
+    int64_t lo = 0, hi = n_cls;      /* the last run starting <= cp */
+    while (hi - lo > 1) {
+        int64_t mid = (lo + hi) / 2;
+        if (cls_start[mid] <= cp) lo = mid;
+        else hi = mid;
+    }
+    return cls[lo];
+}
+
+/* 1 iff the U+03A3 at b[i, a) of the text b[s, e) is final */
+static int final_sigma(const uint8_t *b, int64_t s, int64_t i, int64_t a,
+                       int64_t e, const uint32_t *cls_start,
+                       const uint8_t *cls, int64_t n_cls) {
+    uint8_t k = 0;
+    int l;
+    for (int64_t j = i; j > s;) {
+        int64_t q = j - 1;
+        while (q > s && (b[q] & 0xC0) == 0x80) q--;
+        k = low_class(utf8_next(b, q, j, &l), cls_start, cls, n_cls);
+        if (!(k & LOW_IGNORABLE)) break;
+        j = q;
+    }
+    if (k != LOW_CASED) return 0;
+    for (int64_t j = a; j < e; j += l) {
+        k = low_class(utf8_next(b, j, e, &l), cls_start, cls, n_cls);
+        if (!(k & LOW_IGNORABLE)) return k != LOW_CASED;
+    }
+    return 1;
+}
+
+int64_t lower_docs(const uint8_t *cat, const int64_t *offsets,
+                   const int64_t *order, int64_t n_order, int64_t cap,
+                   int32_t frame, const uint32_t *low, int64_t n_low,
+                   const uint32_t *ext, const uint32_t *cls_start,
+                   const uint8_t *cls, int64_t n_cls, uint8_t *out,
+                   int64_t *out_offsets) {
+    const uint64_t hi7 = 0x8080808080808080ull;
+    int64_t o = 0;
+    for (int64_t j = 0; j < n_order; j++) {
+        int64_t d = order[j], s = offsets[d], e = offsets[d + 1];
+        if (cap >= 0 && e - s > cap) {
+            e = s + cap;
+            while (e > s && (cat[e] & 0xC0) == 0x80) e--;
+        }
+        out_offsets[j] = o;
+        if (frame) out[o++] = ' ';
+        for (int64_t i = s; i < e;) {
+            if (i + 8 <= e) {
+                uint64_t x;
+                memcpy(&x, cat + i, 8);
+                if (!(x & hi7)) {
+                    /* bytes >= 'A' and > 'Z' set their high bit; no
+                     * byte carries into the next */
+                    uint64_t up = (x + 0x3F3F3F3F3F3F3F3Full)
+                                  & ~(x + 0x2525252525252525ull) & hi7;
+                    x |= up >> 2;
+                    memcpy(out + o, &x, 8);
+                    i += 8;
+                    o += 8;
+                    continue;
+                }
+            }
+            uint8_t c = cat[i];
+            if (c < 0x80) {
+                out[o++] = c | (uint8_t)(((uint8_t)(c - 'A') < 26) << 5);
+                i++;
+                continue;
+            }
+            int l;
+            uint32_t cp = utf8_next(cat, i, e, &l);
+            if (cp == 0x3A3)
+                cp = final_sigma(cat, s, i, i + l, e, cls_start, cls,
+                                 n_cls)
+                     ? 0x3C2 : 0x3C3;
+            else if (cp < (uint64_t)n_low)
+                cp = low[cp];
+            if (cp & 0x80000000u) {
+                const uint32_t *two = ext + 2 * (cp & 0x7FFFFFFFu);
+                o += utf8_put(out + o, two[0]);
+                cp = two[1];
+            }
+            o += utf8_put(out + o, cp);
+            i += l;
+        }
+        if (frame) out[o++] = ' ';
+    }
+    out_offsets[n_order] = o;
     return o;
 }
 

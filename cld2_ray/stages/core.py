@@ -8,12 +8,14 @@ langid makes a Python call per page: the UTF-8 gate and the extraction
 are one C call over the html column's Arrow buffers, whose output
 buffer is the ``extracted_text`` column, and the hint scan is one C
 call over the pages' valid heads and the url column, whose array
-columns langid takes as they are. The quality rules and scrub read the
-text column's buffer in place; the layers that take Python strings
-share one ``to_pylist`` of it, and langid encodes its list once for
-all its steps (fastlangid and perplexity encode the copies they
-lower). Langid and perplexity hand back numpy columns
-(score.DetectColumns) that land in the output as they are.
+columns langid takes as they are. The quality rules, scrub, fastlangid
+and perplexity read the text column's buffer in place: the two aux
+models each lower it in one C pass (native.lower_docs, Python's
+str.lower exactly) and score its pages grouped by langid's summary
+language. Langid alone takes Python strings (one ``to_pylist``) and
+encodes its list once for all its steps. Langid, fastlangid and
+perplexity hand back numpy and Arrow columns (score.DetectColumns)
+that land in the output as they are.
 All per-row logic calls the same functions the single-process oracle
 uses, so pipeline == oracle per url.
 """
@@ -173,16 +175,18 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
     # 3. quality + scrub + aux models on the SAME text
     q = rule_columns(text_col, summary_codes)
     scrubbed, n_pii, toxic = scrub_arrow(text_col, q["pii_candidate"])
-    aux_lang, aux_conf = fastlangid.classify_batch(texts)
-    ppl, gibberish = perplexity.score_batch(texts, summary_codes)
+    # both aux models read the text column and score its pages grouped
+    # by summary language
+    aux_lang, aux_conf = fastlangid.classify_batch(text_col, summary)
+    ppl, gibberish = perplexity.score_batch(text_col, summary_codes,
+                                            summary)
 
     # drop_reason: utf8_invalid overrides the quality rule's reason;
     # the later gates only name pages no earlier one dropped
     lang_bad = ((summary == langs.UNKNOWN) | ~reliable
                 | (pct[:, 0] < MIN_PCT1))
     reason = np.select(
-        [~ok, q["drop_reason"] != "", lang_bad, np.asarray(gibberish),
-         toxic],
+        [~ok, q["drop_reason"] != "", lang_bad, gibberish, toxic],
         ["utf8_invalid", q["drop_reason"], "lang_filter", "perplexity",
          "toxicity"], "")
 
@@ -204,9 +208,9 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
                                .astype(np.int32)),
         "n_words": pa.array(q["n_words"]),
         "n_chars": pa.array(q["n_chars"]),
-        "aux_lang": pa.array(aux_lang),
-        "aux_conf": pa.array(np.asarray(aux_conf, dtype=np.float32)),
-        "ppl": pa.array(np.asarray(ppl, dtype=np.float32)),
+        "aux_lang": aux_lang,
+        "aux_conf": pa.array(aux_conf.astype(np.float32)),
+        "ppl": pa.array(ppl.astype(np.float32)),
         "scrubbed_text": scrubbed,
         "n_pii": pa.array(n_pii),
         "has_toxicity": pa.array(toxic),

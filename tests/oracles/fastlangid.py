@@ -2,14 +2,35 @@
 (the script counts of ``uscript.codepoints`` / ``scripts_of``, and
 ``str.strip`` for blank texts) and the scoring in numpy (the hashed
 n-gram features of ``features_batch``, rows added in first-seen
-order), independent of ``native.fastlangid_score``."""
+order), independent of ``native.fastlangid_score``.
+``cap_then_lower``, the cap then ``str.lower`` in Python, is the
+oracle of ``native.lower_docs`` (``uscript.lowered``)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from cld2_ray.functions import langs, uscript as us
-from cld2_ray.functions.fastlangid import _GOLD, _cap_text, weights
+from cld2_ray.functions.fastlangid import CAP_BYTES, _GOLD, weights
+
+
+def cap_text(t: str, cap: int = CAP_BYTES) -> str:
+    """The longest prefix of t of at most ``cap`` UTF-8 bytes that ends
+    on a char boundary."""
+    b = t.encode("utf-8")
+    if len(b) <= cap:
+        return t
+    while cap > 0 and (b[cap] & 0xC0) == 0x80:
+        cap -= 1  # back off to a UTF-8 character boundary
+    return b[:cap].decode("utf-8")
+
+
+def cap_then_lower(texts, cap: int = CAP_BYTES) -> list[str]:
+    """Each text (None reads as empty) cut by cap_text when cap >= 0,
+    then lowered: in that order, because Greek final sigma makes
+    str.lower depend on what follows."""
+    return [(cap_text(t, cap) if cap >= 0 else t).lower() if t else ""
+            for t in texts]
 
 
 def features_batch(texts: list[str]):
@@ -59,7 +80,7 @@ def _first_seen_scores(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 def classify_oracle(texts) -> tuple[list[str], list[float]]:
     """fastlangid.classify_batch(texts), routed in Python and scored in
     numpy."""
-    texts = [_cap_text(t) if t else "" for t in texts]
+    texts = [cap_text(t) if t else "" for t in texts]
     n = len(texts)
     out_l, out_c = ["un"] * n, [0.0] * n
     # per-doc bincount().argmax() == row argmax over the (doc, script)

@@ -239,7 +239,8 @@ class TestFastlangidScore:
         """classify_batch (routing and scoring in one C pass) equals the
         Python-routed, numpy-scored oracle, value for value."""
         from cld2_ray.functions import fastlangid
-        assert fastlangid.classify_batch(texts) == \
+        lang, conf = fastlangid.classify_batch(texts)
+        assert (lang.to_pylist(), conf.tolist()) == \
             fastlangid_oracle.classify_oracle(texts)
 
 
@@ -328,9 +329,11 @@ class TestSpanScanSanitized:
     end), quality_scan's dup-line table, stopword probe, end strip and
     fast paths (ASCII runs and tokens, the line hash's tail) at a
     doc's end, extract_scan_batch's entity reads and its UTF-8 gate,
-    page_hints_scan on heads that end mid-construct, fastlangid_score, ppl_score, rep_words_multi on max-length spans,
-    cheap_squeeze at its gate and chunk edges, md5_windows past its
-    first window buffer and doc_stage with full totes over 16 streams;
+    page_hints_scan on heads that end mid-construct, lower_docs at its
+    output bound, fastlangid_score, ppl_score, rep_words_multi on
+    max-length spans, cheap_squeeze at its gate and chunk edges,
+    md5_windows past its first window buffer and doc_stage with full
+    totes over 16 streams;
     each result must equal the plain build's."""
 
     DRIVER = r"""
@@ -343,6 +346,7 @@ from cld2_ray.functions import uscript as us
 from cld2_ray.functions.spans import (MAX_SCRIPT_BYTES, TEXT_LIMIT as L,
                                       script_spans_batch)
 from cld2_ray.state.model import default_model
+from tests.oracles.fastlangid import cap_then_lower
 
 
 # (data, offsets) of docs; data is a fresh array of exactly their
@@ -542,7 +546,7 @@ for h, u, v in zip(hs_pages, hs_urls, hs_valid):
 # fastlangid_score over long, short, blank and one-script docs and
 # docs at the 512-byte cap with a 4-byte char at the cut, whole or cut
 # off at the batch's end
-capped = fastlangid._lowered(
+capped = cap_then_lower(
     ["a" * 508 + "\U0001F600b", "a" * 509 + "\U0001F600", "\U0001F600" * 200,
      " \u3000\x85 ", "", "ελληνικά " * 80, "ไทย" * 60, "ab вг"])
 assert len(capped[0].encode()) == 512 and len(capped[1]) == 509
@@ -556,6 +560,25 @@ route = same("fastlangid_score", *cat_of(fl_docs), *fl)[0]
 assert set(route.tolist()) == {-1, 0, us.GREEK, us.THAI}
 for d in fl_docs[-10:]:
     same("fastlangid_score", *cat_of([d]), *fl)
+
+# lower_docs at its output bound (U+0130 and U+023A lower to 3/2 of
+# their bytes, and a 2-byte lead cut off at the batch's end reads as a
+# char of its own), over U+03A3 whose context reaches a doc's ends or
+# the cap, runs of ASCII up to the ends and the cap, in reverse order
+lt = us.str_lower_tables()
+lw = [("\u0130" * 300).encode(), ("\u023a" * 7).encode() + b"\xc8",
+      "ΣΣ'Σ".encode(), "a'\u00adΣ".encode(), "Σ''".encode(),
+      b"x" * 509 + "Σ".encode() + b"a", b"A" * 23, b"",
+      "a\u0301Σ\u02b0".encode(), b"Z" * 15 + b"\xc8"]
+for cap in (-1, 512, 3, 0):
+    for frame in (False, True):
+        same("lower_docs", *cat_of(lw), np.arange(len(lw))[::-1].copy(),
+             lt, cap, frame)
+for d in lw:
+    same("lower_docs", *cat_of([d]), np.array([0]), lt, -1, True)
+# 15 bytes in, 15 + 15 // 2 + 1 out: the binding's bound, exactly
+assert len(same("lower_docs", *cat_of(lw[1:2]), np.array([0]), lt)[0]) \
+    == 7 * 3 + 2
 
 # ppl_score over long, short and empty docs
 framed = [(" " + d.decode().lower() + " ").encode() for d in docs] + [b""]
@@ -637,6 +660,134 @@ print("clean")
                            text=True, timeout=600)
         assert r.returncode == 0 and r.stdout.strip() == "clean", \
             r.stdout + r.stderr[-4000:]
+
+
+# Σ's neighbours: cased chars (Latin, Greek, Deseret, the titlecase ǅ),
+# case-ignorables (', U+00AD, U+0301, U+02B0, which is cased too), the
+# sigmas, spaces, a digit and U+0130
+_SIGMA_CHARS = ["Σ", "σ", "ς", "a", "Á", "Ω", "\U00010400", "ǅ", "'",
+                "­", "́", "ʰ", " ", "\n", "1", "İ"]
+
+
+def _lowered_want(texts, order, cap=-1, frame=False):
+    """The oracle's bytes and offsets of uscript.lowered."""
+    low = fastlangid_oracle.cap_then_lower([texts[i] for i in order], cap)
+    docs = [((" " + t + " ") if frame else t).encode() for t in low]
+    return b"".join(docs), np.cumsum([0] + [len(d) for d in docs])
+
+
+def _check_lowered(texts, order, cap=-1, frame=False):
+    data, off = us.lowered(texts, order, cap, frame)
+    want, want_off = _lowered_want(texts, order, cap, frame)
+    assert bytes(data) == want and off.tolist() == want_off.tolist(), \
+        (texts, order, cap, frame)
+
+
+class TestLowerDocs:
+    """native.lower_docs (uscript.lowered) equals the Python cap then
+    str.lower of tests/oracles/fastlangid.py, framed, in any order."""
+
+    def test_every_code_point(self):
+        """Every non-surrogate code point, alone, lowers as str.lower
+        lowers it."""
+        texts = [chr(c) for c in range(0x110000)
+                 if not 0xD800 <= c <= 0xDFFF]
+        data, off = us.lowered(texts, np.arange(len(texts)))
+        want = [t.lower().encode() for t in texts]
+        assert np.diff(off).tolist() == [len(w) for w in want]
+        assert bytes(data) == b"".join(want)
+
+    def test_tables(self):
+        """The probed tables: U+0130 is the one char that lowers to two,
+        and the classes of a few known chars."""
+        t = us.str_lower_tables()
+        assert t.ext.tolist() == [ord("i"), 0x307]
+        assert t.low[0x130] == 1 << 31
+        runs = np.searchsorted(t.cls_start, [ord(c) for c in _SIGMA_CHARS],
+                               side="right") - 1
+        assert t.cls[runs].tolist() == [1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2,
+                                        0, 0, 0, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(_SIGMA_CHARS), max_size=12),
+                    max_size=5),
+           st.sampled_from([-1, 0, 1, 2, 3, 5, 8, 512]), st.booleans(),
+           st.randoms(use_true_random=False))
+    @example(["aΣ", "Σ", "a'Σ", "a­Σ'", "aΣ́a", "ΑΣ b"], -1, False,
+             None)
+    def test_sigma_contexts(self, texts, cap, frame, rnd):
+        order = list(range(len(texts)))
+        if rnd is not None:
+            rnd.shuffle(order)
+        _check_lowered(texts, np.array(order, dtype=np.int64), cap, frame)
+
+    def test_cap(self):
+        """The cap cuts at a char boundary before lowering: a 4-byte
+        char across byte 512, U+0130 just before the cut, and a Σ that
+        the cut makes final."""
+        from cld2_ray.functions.fastlangid import CAP_BYTES
+        texts = ["a" * 510 + "\U0001F600b", "a" * 510 + "İb",
+                 "a" * 510 + "Σb", "Σ" * 300, "A" * 600, "é" * 256]
+        _check_lowered(texts, np.arange(len(texts)), CAP_BYTES)
+        assert [len(fastlangid_oracle.cap_text(t).encode())
+                for t in texts] == [510, 512, 512, 512, 512, 512]
+        data, off = us.lowered(texts, np.arange(3), CAP_BYTES)
+        docs = [bytes(data[a:b]).decode() for a, b in zip(off, off[1:])]
+        assert docs == ["a" * 510, "a" * 510 + "i̇", "a" * 510 + "ς"]
+        assert us.lowered(["a" * 510 + "Σb"], [0])[0][-3:].tobytes() \
+            == "σb".encode()
+
+    def test_columns(self):
+        """A list with None, an Arrow column with nulls, an empty one and
+        a sliced one read alike, and so does any order, repeats too."""
+        import pyarrow as pa
+        texts = ["ΑΣ", None, "", "Straße İ", "ΣΑΣ ΣΑΣ.", "KΩK"]
+        col = pa.array(texts, type=pa.large_string())
+        for order in ([], [0], [5, 3, 1], [2, 2, 4, 0]):
+            want = _lowered_want(texts, order, frame=True)
+            for docs in (texts, col, pa.array(texts)):
+                data, off = us.lowered(docs, np.array(order, dtype=np.int64),
+                                       frame=True)
+                assert (bytes(data), off.tolist()) == \
+                    (want[0], want[1].tolist())
+        sub = col.slice(3, 2)
+        _check_lowered(sub.to_pylist(), np.arange(2))
+        assert bytes(us.lowered(sub, np.arange(2))[0]) == \
+            _lowered_want(sub.to_pylist(), [0, 1])[0]
+        data, off = us.lowered(pa.array([], type=pa.string()),
+                               np.zeros(0, dtype=np.int64))
+        assert len(data) == 0 and off.tolist() == [0]
+        with pytest.raises(ValueError, match="order"):
+            us.lowered(texts, np.array([6]))
+
+
+class TestBatchOrder:
+    """fastlangid.classify_batch and perplexity.score_batch score in the
+    order of any grouping key and give each text its own result."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.randoms(use_true_random=False),
+           st.lists(st.integers(-3, 3), min_size=60, max_size=60))
+    def test_shuffled_and_grouped(self, rnd, keys):
+        import pyarrow as pa
+        from cld2_ray.functions import fastlangid, perplexity
+        texts = _page_texts(60)[:57] + ["", None, "ΣΑΣ"]
+        codes = [("en", "fr", "de", "ru", "un", "el")[i % 6]
+                 for i in range(60)]
+        base_l, base_c = fastlangid.classify_batch(texts)
+        base_p, base_g = perplexity.score_batch(texts, codes)
+        perm = list(range(60))
+        rnd.shuffle(perm)
+        sh = [texts[i] for i in perm]
+        sh_codes = [codes[i] for i in perm]
+        for docs in (sh, pa.array(sh, type=pa.large_string())):
+            for group in (None, np.array(keys)):
+                lang, conf = fastlangid.classify_batch(docs, group)
+                assert lang.to_pylist() == [base_l[i].as_py() for i in perm]
+                assert np.array_equal(conf, base_c[perm])
+                ppl, gib = perplexity.score_batch(docs, sh_codes, group)
+                assert np.array_equal(ppl, base_p[perm])
+                assert np.array_equal(gib, base_g[perm])
 
 
 def _lists(arrays) -> tuple[list, ...]:

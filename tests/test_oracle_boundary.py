@@ -55,6 +55,9 @@ MOVED_OR_DELETED = {
     # and the raw hit scan only tests called
     "squeeze", "squeeze_triggers", "predicted_bytes_mask", "predict_mask",
     "squeeze_test_multi", "quad_octa_scan",
+    # fastlangid's Python cap and lower, now native.lower_docs (its
+    # oracle is tests/oracles/fastlangid.py cap_then_lower)
+    "_cap_text", "_lowered",
 }
 
 

@@ -50,8 +50,8 @@ def oracle_rows(pages):
         if row["lang_summary"] == "un" and not row["lang_reliable"]:
             fb = declared[0] if declared else tld
             row["lang_summary"] = langs.lang_code(fb) if fb else "en"
-        (row["aux_lang"],), (row["aux_conf"],) = \
-            fastlangid.classify_batch([text])
+        aux_lang, (row["aux_conf"],) = fastlangid.classify_batch([text])
+        row["aux_lang"] = aux_lang[0].as_py()
         (row["ppl"],), (row["gibberish"],) = \
             perplexity.score_batch([text], [row["lang_summary"]])
         rows.append(row)

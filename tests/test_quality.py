@@ -115,11 +115,12 @@ class TestFastLangid:
     @pytest.mark.parametrize("code", ["en", "fr", "de", "ru", "zh", "ja",
                                       "ko", "el", "th", "ar", "he"])
     def test_classify(self, code):
-        (lang,), _ = fastlangid.classify_batch([HELDOUT[code]])
-        assert lang == code
+        lang, _ = fastlangid.classify_batch([HELDOUT[code]])
+        assert lang.to_pylist() == [code]
 
     def test_empty(self):
-        assert fastlangid.classify_batch([""]) == (["un"], [0.0])
+        lang, conf = fastlangid.classify_batch([""])
+        assert (lang.to_pylist(), conf.tolist()) == (["un"], [0.0])
 
     def test_top_two_keeps_argsort_ties(self):
         """classify_batch's top-two pass gives the last two columns of

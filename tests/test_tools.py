@@ -50,7 +50,8 @@ def test_kernel_rates_lists_every_kernel(capsys):
     """tools.kernel_rates on a few pages, replayed against a second
     build of this tree's kernels (compiled in a temporary directory):
     every C kernel that fused_batch calls has a row, and the two builds
-    agree call for call; with --layers, every layer has a timed row."""
+    agree call for call; with --layers, every layer has a timed row, and
+    --profile prints a profile."""
     import ctypes
     import pathlib
 
@@ -82,7 +83,7 @@ def test_kernel_rates_lists_every_kernel(capsys):
                        "--against", str(root)])
     out = capsys.readouterr().out.splitlines()
     rows = {line.split()[0] for line in out[2:]}
-    assert {"quality_scan", "quad_octa_chunk_score"} <= called
+    assert {"quality_scan", "quad_octa_chunk_score", "lower_docs"} <= called
     assert called <= rows, called - rows
     # --layers: one row per layer entry point _fused calls, each timed
     # (a name that _fused no longer calls would read 0), then the rest
@@ -93,3 +94,7 @@ def test_kernel_rates_lists_every_kernel(capsys):
     names = [name for name, _, _ in kernel_rates.LAYERS]
     assert list(ms) == names + ["assembly", "fused_batch"]
     assert all(ms[name] > 0 for name in names)
+    kernel_rates.main(["--workload", "longform_job", "--seed", "5",
+                       "--pages", "3", "--profile"])
+    out = capsys.readouterr().out
+    assert "function calls" in out and "tottime" in out

@@ -17,7 +17,7 @@ import numpy as np
 
 from cld2_ray.functions import uscript as us
 from cld2_ray.functions.fastlangid import (_GOLD, _ONE_SCRIPT, ARTIFACT,
-                                           _lowered)
+                                           CAP_BYTES)
 
 
 def _features(text: str) -> np.ndarray:
@@ -70,13 +70,13 @@ def hot_first(table: np.ndarray, bucket_index: np.ndarray,
     ``table[bucket_index[b]]`` is the same for every bucket b."""
     from cld2_ray import native
     table = np.ascontiguousarray(table)
-    lowered = _lowered(texts)
-    route = native.fastlangid_score(
-        *native.utf8_cat(lowered), bucket_index, table, us.script_lut(),
-        _ONE_SCRIPT)[0]
+    data, off = us.lowered(texts, np.arange(len(texts)), CAP_BYTES)
+    route = native.fastlangid_score(data, off, bucket_index, table,
+                                    us.script_lut(), _ONE_SCRIPT)[0]
     hits = np.zeros(len(table), dtype=np.int64)
     for i in np.flatnonzero(route == 0):
-        hits[np.unique(bucket_index[_features(lowered[i])])] += 1
+        text = data[off[i]:off[i + 1]].tobytes().decode("utf-8")
+        hits[np.unique(bucket_index[_features(text)])] += 1
     hits[0] = np.iinfo(np.int64).max
     order = np.argsort(-hits, kind="stable")
     new_row = np.empty_like(order)

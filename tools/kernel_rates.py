@@ -22,6 +22,9 @@ of the call (Arrow assembly, the text list, numpy glue) is
 ``assembly``, the best over the rounds of the call's time less its
 layers'.
 
+``--profile`` prints the cProfile list of one ``fused_batch`` call
+instead (after the warm-up call), by internal time.
+
 ``--against DIR`` builds a second copy of the kernels from DIR (a
 checkout, its ``cld2_ray/native/``, or any directory holding
 ``quadscan.c``) in a temporary directory, never in this tree, with
@@ -108,8 +111,14 @@ def record(batch, with_chunks: bool = False) -> list[tuple]:
 
 def text_bytes(fn, args, kw) -> int:
     """The text bytes a binding call reads: its documents
-    (``offsets``) or its spans (``starts``/``bounds``); 0 otherwise."""
+    (``offsets``; ``lower_docs`` reads those in ``order``, each cut to
+    ``cap``) or its spans (``starts``/``bounds``); 0 otherwise."""
     a = inspect.signature(fn).bind(*args, **kw).arguments
+    if "order" in a:
+        off = np.asarray(a["offsets"], dtype=np.int64)
+        sizes = np.diff(off)[np.asarray(a["order"], dtype=np.int64)]
+        cap = a.get("cap", -1)
+        return int((np.minimum(sizes, cap) if cap >= 0 else sizes).sum())
     if "offsets" in a:
         off = np.asarray(a["offsets"])
         return int(off[-1] - off[0])
@@ -290,6 +299,20 @@ def report_layers(times: dict) -> str:
     return "\n".join(lines)
 
 
+def profile(batch, with_chunks: bool = False, top: int = 30) -> str:
+    """The cProfile list of one ``fused_batch(batch, with_chunks)``
+    call: its ``top`` functions by internal time."""
+    import cProfile
+    import io
+    import pstats
+    from cld2_ray.stages.core import fused_batch
+    prof = cProfile.Profile()
+    prof.runcall(fused_batch, batch, with_chunks)
+    out = io.StringIO()
+    pstats.Stats(prof, stream=out).sort_stats("tottime").print_stats(top)
+    return out.getvalue()
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", default="longform_job",
@@ -304,6 +327,9 @@ def main(argv=None) -> None:
     ap.add_argument("--against", type=pathlib.Path, default=None)
     ap.add_argument("--layers", action="store_true",
                     help="print the per-layer table instead")
+    ap.add_argument("--profile", action="store_true",
+                    help="print the cProfile list of one fused_batch "
+                         "call instead")
     a = ap.parse_args(argv)
 
     from cld2_ray import native
@@ -312,6 +338,11 @@ def main(argv=None) -> None:
     n = a.pages or PAGES[a.workload]
     batch = make_table(a.workload, a.seed, n)
     fused_batch(batch, a.with_chunks)          # warm: models, caches
+    if a.profile:
+        print(f"# {a.workload} seed {a.seed}: {n} pages, cProfile of one "
+              "fused_batch call")
+        print(profile(batch, a.with_chunks))
+        return
     if a.layers:
         print(f"# {a.workload} seed {a.seed}: {n} pages, layers, best of "
               f"{a.rounds}")

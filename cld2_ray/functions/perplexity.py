@@ -62,8 +62,7 @@ def models() -> _PplModel:
 _CODES = pa.array(langs.CODES)
 
 
-def score_batch(texts, lang_codes,
-                group=None) -> tuple[np.ndarray, np.ndarray]:
+def score_batch(texts, lang_codes) -> tuple[np.ndarray, np.ndarray]:
     """(ppl float64[n], gibberish bool[n]) from one C pass
     (native.ppl_score) over the texts that have an LM, lowered and
     framed by spaces in one C pass (uscript.lowered): UTF-8 decode, char
@@ -71,10 +70,9 @@ def score_batch(texts, lang_codes,
     intermediate arrays. ``texts`` is a list of str or an Arrow string
     column. Docs with no trigram, or whose language has no LM (no finite
     threshold, or an id past the artifact's languages), score (0.0,
-    False). The texts are scored in a stable argsort of the keys
-    ``group`` when given (stages.core passes the langid summary ids, so
-    the pages of one LM run back to back); each text's result is its
-    own, in batch order, whatever the keys."""
+    False). The texts are scored in a stable argsort of their language
+    ids, so the pages of one LM run back to back; the results come back
+    in batch order."""
     from cld2_ray import native
     m = models()
     lid = pc.index_in(pa.array(lang_codes, type=pa.string()),
@@ -83,8 +81,7 @@ def score_batch(texts, lang_codes,
     thr = np.where((lid != langs.UNKNOWN) & (lid < len(m.thresholds))
                    & np.isfinite(thr), thr, np.inf)
     docs = np.flatnonzero(np.isfinite(thr))
-    if group is not None:
-        docs = docs[np.argsort(np.asarray(group)[docs], kind="stable")]
+    docs = docs[np.argsort(lid[docs], kind="stable")]
     bits, cnt = native.ppl_score(*us.lowered(texts, docs, frame=True),
                                  lid[docs], m.table, m.uni)
     ok = np.zeros(len(lid), dtype=bool)

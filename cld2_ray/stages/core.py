@@ -178,8 +178,7 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
     # both aux models read the text column and score its pages grouped
     # by summary language
     aux_lang, aux_conf = fastlangid.classify_batch(text_col, summary)
-    ppl, gibberish = perplexity.score_batch(text_col, summary_codes,
-                                            summary)
+    ppl, gibberish = perplexity.score_batch(text_col, summary_codes)
 
     # drop_reason: utf8_invalid overrides the quality rule's reason;
     # the later gates only name pages no earlier one dropped

@@ -762,8 +762,9 @@ class TestLowerDocs:
 
 
 class TestBatchOrder:
-    """fastlangid.classify_batch and perplexity.score_batch score in the
-    order of any grouping key and give each text its own result."""
+    """fastlangid.classify_batch scores in the order of any grouping
+    key, and perplexity.score_batch grouped by its own language ids;
+    both give each text of a shuffled batch its own result."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False),
@@ -785,9 +786,9 @@ class TestBatchOrder:
                 lang, conf = fastlangid.classify_batch(docs, group)
                 assert lang.to_pylist() == [base_l[i].as_py() for i in perm]
                 assert np.array_equal(conf, base_c[perm])
-                ppl, gib = perplexity.score_batch(docs, sh_codes, group)
-                assert np.array_equal(ppl, base_p[perm])
-                assert np.array_equal(gib, base_g[perm])
+            ppl, gib = perplexity.score_batch(docs, sh_codes)
+            assert np.array_equal(ppl, base_p[perm])
+            assert np.array_equal(gib, base_g[perm])
 
 
 def _lists(arrays) -> tuple[list, ...]:

@@ -85,8 +85,6 @@ def weights() -> Weights:
 _ONE_SCRIPT = np.zeros(256, dtype=np.uint8)
 _ONE_SCRIPT[:us.NUM_SCRIPTS] = [us.script_rtype(s) == us.RTYPE_ONE
                                 for s in range(us.NUM_SCRIPTS)]
-# lang id -> code, as one Arrow take
-_CODE_OF = pa.array(langs.CODES)
 
 
 def _top_two(sc: np.ndarray):
@@ -141,4 +139,4 @@ def classify_batch(texts, group=None) -> tuple[pa.Array, np.ndarray]:
     lang[todo] = w.col_langs[top]
     conf[todo] = 1.0 - np.exp(-4.0 * np.maximum(margin, 0.0))
     back = np.argsort(order)  # the inverse permutation: to batch order
-    return _CODE_OF.take(lang[back]), conf[back]
+    return langs.codes(lang[back]), conf[back]

@@ -342,9 +342,6 @@ class Priors(NamedTuple):
     lid: np.ndarray
     w: np.ndarray
 
-    def take(self, rows) -> "Priors":
-        return Priors(self.lid[rows], self.w[rows])
-
     def positive_ids(self) -> "Priors":
         """The ids of the positive priors, each at LANGUAGE_WEIGHT (an
         explicit caller hint): what the flagship passes (module

@@ -18,8 +18,8 @@ that reads text reads that buffer or one made from it:
 
 Hints and declared languages arrive as arrays (hints.Priors,
 hints.Declared; list inputs are converted to them): each distinct
-prior row is encoded once (hints.payloads) and the rows' payloads are
-gathered into the chunk kernels' per-span CSR (_payloads).
+prior row is encoded once (hints.payloads), into one payload table
+per batch that both passes gather into the kernels' CSR (_payloads).
 
 detect_batch returns score.DetectColumns: numpy columns that also read
 as a sequence of DetectResult; with_ranges adds score.Ranges from a few
@@ -214,14 +214,15 @@ class Detector:
 
     # -- scoring pass -------------------------------------------------------
 
-    def _fill_totes(self, table: spans.SpanTable, priors: hints_mod.Priors,
+    def _fill_totes(self, table: spans.SpanTable, payloads,
                     with_ranges: bool = False):
         """Batch span scorer over a span table (``len(table)`` documents):
         all MANY spans score through ONE fused C hit-scan + chunk-score
         call, all CJK spans through another, both reading the spans in
         place in the table's buffer; RTYPE_ONE spans add their bytes at
         reliability 100 (scoreonescriptspan.cc:1132-1160), RTYPE_NONE
-        spans are ignored. Returns the DocTote add streams for
+        spans are ignored. ``payloads`` are the documents' _payloads.
+        Returns the DocTote add streams for
         _finalize: (doc, lang, bytes, score, rel) of the RTYPE_ONE
         spans, then of the MANY chunks, then of the CJK chunks — the
         order each document's tote takes them in.
@@ -238,8 +239,7 @@ class Detector:
         m = self.model
         rt = self._rtypes[table.script]
         doc, script, nbytes = table.doc, table.script, table.text_bytes
-        # per-doc hint payloads, the Latin class's then the others'
-        lo, hi, flat = _payloads(priors)
+        lo, hi, flat = payloads
 
         one = np.flatnonzero(rt == us.RTYPE_ONE)
         streams = [(doc[one], langs.SCRIPT_DEFAULT_LANG[script[one]],
@@ -361,11 +361,11 @@ class Detector:
         # documents are squeezed before scoring
         squeezed, *sq_batch = native.cheap_squeeze(data, offsets)
         table = spans.script_spans_batch(native.utf8_array(*sq_batch))
+        # per-doc hint payloads, built once for both passes
+        lo, hi, flat = payloads = _payloads(priors)
+        streams = self._fill_totes(table, payloads, with_ranges)
         if with_ranges:
-            streams, raw_ranges = self._fill_totes(table, priors,
-                                                   with_ranges=True)
-        else:
-            streams = self._fill_totes(table, priors)
+            streams, raw_ranges = streams
         out = self._finalize(streams, table.doc_totals(table.text_bytes),
                              best_effort, declared)
         retry = np.flatnonzero(~out.good)
@@ -374,7 +374,7 @@ class Detector:
             # in ONE more batch pass over the spans the first pass
             # scored (the squeeze gate is not re-run)
             table2 = self._repeats_spans(table, retry)
-            streams2 = self._fill_totes(table2, priors.take(retry))
+            streams2 = self._fill_totes(table2, (lo[retry], hi[retry], flat))
             out2 = self._finalize(
                 streams2,
                 np.maximum(table2.doc_totals(table2.end - table2.start), 1),
@@ -402,7 +402,7 @@ class Detector:
             keep = ~squeezed[raw_ranges[0]]
             doc2, *rest = self._fill_totes(
                 spans.script_spans_batch(texts.take(sq)),
-                _priors(None, len(sq)), with_ranges=True)[1]
+                _payloads(_priors(None, len(sq))), with_ranges=True)[1]
             both = [np.concatenate([a[keep], b])
                     for a, b in zip(raw_ranges, (sq[doc2], *rest))]
             order = np.argsort(both[0], kind="stable")

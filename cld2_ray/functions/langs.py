@@ -4,6 +4,10 @@ Integer lang ids index every score array in the engine. Id 0 is
 UNKNOWN ("un"). Codes are BCP-47-ish lowercase, matching what the
 pipeline emits in its ``lang1``/``lang2``/``lang3`` columns.
 
+Layers pass one another ids; this module holds the one id <-> code map
+(``codes`` names ids at the output edge, ``ids`` reads ids or codes),
+as CLD2 names its Language enum only at its public edge.
+
 Close sets mirror the reference's statistically-close language groups
 (reference: internal/lang_script.cc:260-308 LanguageCloseSet) and the
 tier rule for summary-language calculation (compact_lang_det_impl.cc:
@@ -13,6 +17,8 @@ tier rule for summary-language calculation (compact_lang_det_impl.cc:
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from . import uscript as us
 
@@ -91,6 +97,35 @@ def lang_code(lid: int) -> str:
     return CODES[lid] if 0 <= lid < NUM_LANGS else "un"
 
 
+# id -> code, the table ``codes`` takes from and ``ids`` looks up
+_CODE_COL = pa.array(CODES)
+
+
+def codes(lid: np.ndarray) -> pa.Array:
+    """The codes of the int ids ``lid``, as one Arrow string column."""
+    return _CODE_COL.take(lid)
+
+
+def ids(lang, n: int) -> np.ndarray:
+    """The int64[n] ids of ``lang``'s n languages: an int numpy array
+    of ids as it is, or codes (a list, a numpy array, a pandas Series or
+    an Arrow column) looked up in one pass, an unknown code, None, NaN
+    or null reading UNKNOWN; ``lang`` None reads n UNKNOWN. Raises
+    ValueError if ``lang`` does not have n entries or holds an id
+    outside [0, NUM_LANGS)."""
+    if lang is None:
+        return np.zeros(n, dtype=np.int64)
+    if len(lang) != n:
+        raise ValueError(f"{len(lang)} languages for {n} texts")
+    if isinstance(lang, np.ndarray) and lang.dtype.kind in "iu":
+        if n and not (0 <= lang.min() and lang.max() < NUM_LANGS):
+            raise ValueError(f"lang id outside [0, {NUM_LANGS})")
+        return lang.astype(np.int64, copy=False)
+    col = pa.array(lang, type=pa.string(), from_pandas=True)
+    return pc.index_in(col, value_set=_CODE_COL).fill_null(UNKNOWN) \
+        .to_numpy().astype(np.int64)
+
+
 # Statistically-close language sets — the reference's 10 sets
 # (lang_script.cc:258-308), plus one engine calibration kept from
 # round 2: sv stays in the {no,nn,da} set because the engine's
@@ -156,9 +191,9 @@ for _src, _dst in _CLOSEST_ALT.items():
     CLOSEST_ALT[lang_id(_src)] = lang_id(_dst)
 
 
-# Script -> languages. RTypeOne scripts map 1:1; RTypeMany scripts list
-# their quadgram-scored candidates (used by training + scoring);
-# HANI is scored by unigrams over zh / zh-Hant / ja / ko.
+# Script -> default language. RTypeOne scripts map 1:1; RTypeMany
+# scripts default to one of their quadgram-scored candidates; HANI is
+# scored by unigrams over zh / zh-Hant / ja / ko.
 SCRIPT_DEFAULT_LANG = np.zeros(us.NUM_SCRIPTS, dtype=np.int16)
 _SCRIPT_ONE = {
     us.GREEK: "el", us.HEBREW: "he", us.THAI: "th", us.TAMIL: "ta",
@@ -182,27 +217,6 @@ SCRIPT_DEFAULT_LANG[us.ARABIC] = lang_id("ar")
 SCRIPT_DEFAULT_LANG[us.DEVANAGARI] = lang_id("hi")
 SCRIPT_DEFAULT_LANG[us.HANI] = lang_id("zh")
 SCRIPT_DEFAULT_LANG[us.TIBETAN] = lang_id("bo")  # RTypeMany since r4
-
-SCRIPT_OF_LANG: dict[str, int] = {}
-for _s, _c in _SCRIPT_ONE.items():
-    SCRIPT_OF_LANG[_c] = _s
-SCRIPT_OF_LANG["bo"] = us.TIBETAN
-for _c in ("ru", "uk", "bg", "sr", "mk", "be"):
-    SCRIPT_OF_LANG[_c] = us.CYRILLIC
-for _c in ("ar", "fa", "ur"):
-    SCRIPT_OF_LANG[_c] = us.ARABIC
-for _c in ("hi", "mr", "ne"):
-    SCRIPT_OF_LANG[_c] = us.DEVANAGARI
-for _c in ("zh", "zh-Hant", "ja", "ko"):
-    SCRIPT_OF_LANG[_c] = us.HANI
-# mn/tl corpora are in their quadgram scripts (Cyrl/Latn), not the
-# historic scripts that also default to them
-SCRIPT_OF_LANG["mn"] = us.CYRILLIC
-SCRIPT_OF_LANG["tl"] = us.LATIN
-# Tibt is RTypeMany (bo vs dz via quadgrams, round 4)
-SCRIPT_OF_LANG["dz"] = us.TIBETAN
-for _c, _t in _LANG_DEFS:
-    SCRIPT_OF_LANG.setdefault(_c, us.LATIN)
 
 FIGS = frozenset(lang_id(c) for c in ("fr", "it", "de", "es"))
 EFIGS = frozenset(lang_id(c) for c in ("en", "fr", "it", "de", "es"))

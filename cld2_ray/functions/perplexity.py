@@ -25,8 +25,6 @@ import os
 from functools import lru_cache
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
 
 from . import langs, uscript as us
 
@@ -58,25 +56,20 @@ def models() -> _PplModel:
     return _PplModel(table, z["uni"], z["thresholds"])
 
 
-# lang code -> lang id of langs.CODES, as one Arrow lookup
-_CODES = pa.array(langs.CODES)
-
-
-def score_batch(texts, lang_codes) -> tuple[np.ndarray, np.ndarray]:
+def score_batch(texts, lang) -> tuple[np.ndarray, np.ndarray]:
     """(ppl float64[n], gibberish bool[n]) from one C pass
     (native.ppl_score) over the texts that have an LM, lowered and
     framed by spaces in one C pass (uscript.lowered): UTF-8 decode, char
     hashing, trigram/bigram lookups and log-prob accumulation, no
     intermediate arrays. ``texts`` is a list of str or an Arrow string
-    column. Docs with no trigram, or whose language has no LM (no finite
-    threshold, or an id past the artifact's languages), score (0.0,
-    False). The texts are scored in a stable argsort of their language
-    ids, so the pages of one LM run back to back; the results come back
-    in batch order."""
+    column, ``lang`` their ids or codes (langs.ids). Docs with no
+    trigram, or whose language has no LM (no finite threshold, or an id
+    past the artifact's languages), score (0.0, False). The texts are
+    scored in a stable argsort of their language ids, so the pages of
+    one LM run back to back; the results come back in batch order."""
     from cld2_ray import native
     m = models()
-    lid = pc.index_in(pa.array(lang_codes, type=pa.string()),
-                      value_set=_CODES).fill_null(langs.UNKNOWN).to_numpy()
+    lid = langs.ids(lang, len(texts))
     thr = m.thresholds[np.minimum(lid, len(m.thresholds) - 1)]
     thr = np.where((lid != langs.UNKNOWN) & (lid < len(m.thresholds))
                    & np.isfinite(thr), thr, np.inf)

@@ -30,6 +30,8 @@ from functools import lru_cache
 import numpy as np
 import pandas as pd
 
+from . import langs
+
 MIN_WORDS = 20
 MAX_WORDS = 100_000
 MIN_MEAN_WORD_LEN = 2.0
@@ -113,7 +115,12 @@ SPACELESS_LANGS = frozenset(["zh", "zh-Hant", "ja", "th", "km", "lo", "my"])
 STOPWORD_LANGS = frozenset(["en", "fr", "de", "es", "pt", "ru"])
 
 
-def rule_columns(texts, lang_codes=None) -> dict[str, np.ndarray]:
+# the two sets as bool[NUM_LANGS] masks over lang ids
+_SPACELESS, _STOPWORD_GATED = (np.isin(langs.CODES, sorted(s))
+                               for s in (SPACELESS_LANGS, STOPWORD_LANGS))
+
+
+def rule_columns(texts, lang=None) -> dict[str, np.ndarray]:
     """The quality rules on a batch: keep (bool), drop_reason (str, ''
     if kept) and the stats, one numpy array each, plus pii_candidate
     (bool: the text holds an ASCII digit or '@'), the mask
@@ -122,8 +129,9 @@ def rule_columns(texts, lang_codes=None) -> dict[str, np.ndarray]:
     ``texts`` is a sequence of str (None counts as "") or an Arrow
     string column, read in place. Rule order is the drop_reason
     priority order (first failure wins).
-    ``lang_codes`` (optional, aligned) marks spaceless-script documents,
-    whose word-shape rules are evaluated on characters instead.
+    ``lang`` (optional: ids or codes, as langs.ids reads them) marks
+    spaceless-script documents, whose word-shape rules are evaluated on
+    characters instead, and those the stopword rule applies to.
 
     Every stat comes from the single C scan, so the rule cascade runs on
     plain numpy arrays. Output equals apply_rules_arrow of
@@ -149,13 +157,9 @@ def rule_columns(texts, lang_codes=None) -> dict[str, np.ndarray]:
     mean_wl = np.where(n_words > 0, word_chars / nz_words, 0.0)
     alpha_ratio = np.where(n_words > 0, alpha_words / nz_words, 0.0)
 
-    if lang_codes is not None:
-        lc = np.asarray(lang_codes, dtype=object)
-        spaceless = np.isin(lc, list(SPACELESS_LANGS))
-        stopword_gated = np.isin(lc, list(STOPWORD_LANGS))
-    else:
-        spaceless = np.zeros(n, bool)
-        stopword_gated = np.zeros(n, bool)
+    lid = langs.ids(lang, n)
+    spaceless = _SPACELESS[lid]
+    stopword_gated = _STOPWORD_GATED[lid]
     eff_words = np.where(spaceless, (n_chars / 2.5).astype(np.int64),
                          n_words)
 

@@ -30,6 +30,7 @@ from cld2_ray.stages.core import (EMPTY_METRICS, METRIC_KEYS,
                                   combine_metrics, fused_batch,
                                   partial_metrics)
 
+# fused_batch's output columns, in its order (then ``chunks`` if asked)
 OUT_COLUMNS = [
     "url", "warc_ts", "lang", "extracted_text", "utf8_valid",
     "lang_summary", "lang1", "lang2", "lang3", "pct1", "pct2", "pct3",
@@ -50,11 +51,9 @@ def build_fused(pages_ds, with_chunks: bool = False):
     column — per-page language ranges in RAW page byte offsets, the
     ResultChunkVector analogue (reference public/compact_lang_det.h:
     146-153 via ExtDetectLanguageSummary's vector output)."""
-    ds = pages_ds.map_batches(fused_batch, batch_format="pyarrow",
-                              batch_size=BATCH_SIZE,
-                              fn_kwargs={"with_chunks": with_chunks})
-    cols = OUT_COLUMNS + (["chunks"] if with_chunks else [])
-    return ds.select_columns(cols)
+    return pages_ds.map_batches(fused_batch, batch_format="pyarrow",
+                                batch_size=BATCH_SIZE,
+                                fn_kwargs={"with_chunks": with_chunks})
 
 
 def metrics(annotated_ds):

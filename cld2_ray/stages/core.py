@@ -12,10 +12,11 @@ columns langid takes as they are. The quality rules, scrub, fastlangid
 and perplexity read the text column's buffer in place: the two aux
 models each lower it in one C pass (native.lower_docs, Python's
 str.lower exactly) and score its pages grouped by langid's summary
-language. Langid alone takes Python strings (one ``to_pylist``) and
-encodes its list once for all its steps. Langid, fastlangid and
-perplexity hand back numpy and Arrow columns (score.DetectColumns)
-that land in the output as they are.
+language. The rules and both aux models take langid's summary ids, and
+langs.codes names ids only for the output. Langid alone takes Python
+strings (one ``to_pylist``) and encodes its list once for all its
+steps. Langid, fastlangid and perplexity hand back numpy and Arrow
+columns (score.DetectColumns) that land in the output as they are.
 All per-row logic calls the same functions the single-process oracle
 uses, so pipeline == oracle per url.
 """
@@ -52,7 +53,7 @@ def _chunks(rng, ok, valid, text_offsets, src) -> pa.Array:
             for p in (rng.start, rng.end))
     offsets = np.searchsorted(page, np.arange(len(ok) + 1))
     items = pa.StructArray.from_arrays(
-        [pa.array(a), pa.array(b - a), _CODE_OF.take(rng.lid[keep])],
+        [pa.array(a), pa.array(b - a), langs.codes(rng.lid[keep])],
         fields=list(CHUNKS_TYPE.value_type))
     return pa.LargeListArray.from_arrays(pa.array(offsets), items,
                                          type=CHUNKS_TYPE)
@@ -61,10 +62,6 @@ def _chunks(rng, ok, valid, text_offsets, src) -> pa.Array:
 # keep/drop: a page whose top language covers less than this percent
 # of its text is dropped as lang_filter
 MIN_PCT1 = 50
-
-
-# lang id -> code (langs.lang_code of every id as one Arrow take)
-_CODE_OF = pa.array(langs.CODES)
 
 
 # html bytes per kernel call: fused_batch cuts a larger batch into
@@ -169,16 +166,14 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
     summary = np.where((results.summary == langs.UNKNOWN) & ~reliable,
                        np.where(fb != 0, fb, langs.ENGLISH),
                        results.summary)
-    summary_col = _CODE_OF.take(summary)
-    summary_codes = summary_col.to_numpy(zero_copy_only=False)
 
     # 3. quality + scrub + aux models on the SAME text
-    q = rule_columns(text_col, summary_codes)
+    q = rule_columns(text_col, summary)
     scrubbed, n_pii, toxic = scrub_arrow(text_col, q["pii_candidate"])
     # both aux models read the text column and score its pages grouped
     # by summary language
     aux_lang, aux_conf = fastlangid.classify_batch(text_col, summary)
-    ppl, gibberish = perplexity.score_batch(text_col, summary_codes)
+    ppl, gibberish = perplexity.score_batch(text_col, summary)
 
     # drop_reason: utf8_invalid overrides the quality rule's reason;
     # the later gates only name pages no earlier one dropped
@@ -195,10 +190,10 @@ def _fused(batch: pa.Table, with_chunks: bool) -> pa.Table:
         "lang": batch["lang"],
         "extracted_text": text_col,
         "utf8_valid": pa.array(ok),
-        "lang_summary": summary_col,
-        "lang1": _CODE_OF.take(results.lang3[:, 0]),
-        "lang2": _CODE_OF.take(results.lang3[:, 1]),
-        "lang3": _CODE_OF.take(results.lang3[:, 2]),
+        "lang_summary": langs.codes(summary),
+        "lang1": langs.codes(results.lang3[:, 0]),
+        "lang2": langs.codes(results.lang3[:, 1]),
+        "lang3": langs.codes(results.lang3[:, 2]),
         "pct1": pa.array(pct[:, 0]), "pct2": pa.array(pct[:, 1]),
         "pct3": pa.array(pct[:, 2]),
         "nscore1": pa.array(results.nscore3[:, 0].astype(np.float32)),

@@ -51,7 +51,7 @@ from collections import Counter
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from cld2_ray.pipelines.flagship import BATCH_SIZE, OUT_COLUMNS
+from cld2_ray.pipelines.flagship import BATCH_SIZE
 from cld2_ray.stages import core
 
 # _score_files' output: one row per input file
@@ -93,8 +93,7 @@ def _score_file(src: str, dst: str) -> dict:
     try:
         with pq.ParquetFile(src) as f:
             for batch in f.iter_batches(BATCH_SIZE):
-                out = core.fused_batch(pa.Table.from_batches([batch])) \
-                    .select(OUT_COLUMNS)
+                out = core.fused_batch(pa.Table.from_batches([batch]))
                 if writer is None:
                     writer = pq.ParquetWriter(dst, out.schema)
                 writer.write_table(out)

@@ -4,11 +4,12 @@ import hashlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cld2_ray.data.seeds import HELDOUT
-from cld2_ray.functions import fastlangid, perplexity, uscript
+from cld2_ray.functions import fastlangid, langs, perplexity, quality, uscript
 from cld2_ray.functions.quality import apply_rules
 from cld2_ray.functions.scrub import scrub_series
 from cld2_ray.state import model
@@ -236,6 +237,98 @@ class TestPerplexity:
         """An empty or null text scores (0.0, False)."""
         ppl, flag = perplexity.score_batch(["", None], ["en", "en"])
         assert ppl.tolist() == [0.0, 0.0] and flag.tolist() == [False, False]
+
+
+class TestLanguageIds:
+    """langs.ids is the one reader of a language column: the rules and
+    perplexity give the same outputs for ids as for the same languages
+    as codes, in a list, a Series (NaN) or an Arrow column (nulls), and
+    reject a column of the wrong length."""
+
+    # spaceless, stopword-gated, other, UNKNOWN and unregistered codes
+    CODES = ["en", "fr", "ru", "zh", "ja", "th", "zh-Hant", "km", "tr",
+             "un", "xx", None]
+
+    def _batch(self):
+        # each language's own text and two others' under its code, so
+        # the word-shape and stopword rules see every pairing
+        src = ["en", "zh", "tr", "ja", "ru", "th", "fr"]
+        texts, codes = [], []
+        for i, c in enumerate(self.CODES):
+            for k in range(3):
+                lang = c if k == 0 and c in HELDOUT else \
+                    src[(i + k) % len(src)]
+                texts.append((HELDOUT[lang] + " ") * (1 + i % 3))
+                codes.append(c)
+        ids = np.array([langs.lang_id(c) for c in codes], dtype=np.int64)
+        return texts, codes, ids
+
+    def _forms(self, codes):
+        return [codes, np.array(codes, dtype=object),
+                pd.Series(codes, dtype=object).fillna(np.nan),
+                pa.array(codes), pa.array(codes, type=pa.large_string()),
+                pa.chunked_array([codes[:5], codes[5:]])]
+
+    def test_ids_of_every_form(self):
+        _, codes, ids = self._batch()
+        assert np.array_equal(langs.ids(ids, len(ids)), ids)
+        for form in self._forms(codes):
+            got = langs.ids(form, len(codes))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ids), type(form)
+        assert np.array_equal(langs.ids(None, 4), np.zeros(4))
+        assert langs.codes(ids).to_pylist() == [
+            c if c in langs.CODE_TO_ID else "un" for c in codes]
+
+    def test_rule_columns_ids_equal_codes(self):
+        texts, codes, ids = self._batch()
+        want = quality.rule_columns(texts, ids)
+        plain = quality.rule_columns(texts)
+        # the languages change some verdicts, so the comparison bites
+        assert (want["drop_reason"] != plain["drop_reason"]).any()
+        assert (want["drop_reason"] == "too_few_stopwords").any()
+        for form in self._forms(codes):
+            got = quality.rule_columns(texts, form)
+            for k in want:
+                assert np.array_equal(got[k], want[k]), (type(form), k)
+        frame = apply_rules(pd.Series(texts), pd.Series(codes))
+        for k in frame.columns:
+            assert frame[k].tolist() == want[k].tolist(), k
+
+    def test_score_batch_ids_equal_codes(self):
+        texts, codes, ids = self._batch()
+        want = perplexity.score_batch(texts, ids)
+        assert (want[0] > 0).any() and (want[0] == 0).any()
+        for form in self._forms(codes):
+            got = perplexity.score_batch(texts, form)
+            assert np.array_equal(got[0], want[0]), type(form)
+            assert np.array_equal(got[1], want[1]), type(form)
+
+    def test_rule_languages_are_registered(self):
+        """Every code of the rules' language sets has an id (an
+        unregistered one could never match)."""
+        assert quality.SPACELESS_LANGS | quality.STOPWORD_LANGS <= \
+            langs.CODE_TO_ID.keys()
+
+    def test_length_mismatch_raises(self):
+        texts = [GOOD] * 3
+        with pytest.raises(ValueError, match="1 languages for 3 texts"):
+            quality.rule_columns(texts, ["zh"])
+        with pytest.raises(ValueError, match="1 languages for 3 texts"):
+            perplexity.score_batch(texts, ["en"])
+        with pytest.raises(ValueError, match="4 languages for 3 texts"):
+            langs.ids(np.zeros(4, dtype=np.int64), 3)
+
+    def test_id_out_of_range_raises(self):
+        texts = [GOOD] * 2
+        for bad in ([0, -1], [langs.NUM_LANGS, 0]):
+            lid = np.array(bad, dtype=np.int64)
+            with pytest.raises(ValueError, match="outside"):
+                langs.ids(lid, 2)
+            with pytest.raises(ValueError, match="outside"):
+                quality.rule_columns(texts, lid)
+            with pytest.raises(ValueError, match="outside"):
+                perplexity.score_batch(texts, lid)
 
 
 class TestRepeats:

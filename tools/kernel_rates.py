@@ -330,6 +330,8 @@ def main(argv=None) -> None:
     ap.add_argument("--profile", action="store_true",
                     help="print the cProfile list of one fused_batch "
                          "call instead")
+    ap.add_argument("--top", type=int, default=30,
+                    help="functions in the --profile list")
     a = ap.parse_args(argv)
 
     from cld2_ray import native
@@ -341,7 +343,7 @@ def main(argv=None) -> None:
     if a.profile:
         print(f"# {a.workload} seed {a.seed}: {n} pages, cProfile of one "
               "fused_batch call")
-        print(profile(batch, a.with_chunks))
+        print(profile(batch, a.with_chunks, a.top))
         return
     if a.layers:
         print(f"# {a.workload} seed {a.seed}: {n} pages, layers, best of "

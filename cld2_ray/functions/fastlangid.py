@@ -108,22 +108,22 @@ def _top_two(sc: np.ndarray):
     return top, s_top, s_sec
 
 
-def classify_batch(texts, group=None) -> tuple[pa.Array, np.ndarray]:
+def classify_batch(texts, lang=None) -> tuple[pa.Array, np.ndarray]:
     """(lang codes, float64 confidences) of a batch, in one C pass
     (native.fastlangid_score) over the texts capped to CAP_BYTES and
     lowered (uscript.lowered): whitespace-only texts give ("un", 0.0); a
     text whose dominant script implies one language gives that language
     at 0.95; the C pass scores the rest, and the top two scores give the
     language and the confidence. ``texts`` is a list of str or an Arrow
-    string column. The texts are scored in a stable argsort of the keys
-    ``group`` when given (stages.core passes the langid summary ids, so
-    pages of one language share weight rows in cache); each text's
-    result is its own, in batch order, whatever the keys.
-    tests/oracles/fastlangid.py is its oracle."""
+    string column. The texts are scored in a stable argsort of ``lang``,
+    their ids or codes as langs.ids reads them (stages.core passes the
+    langid summary ids, so pages of one language share weight rows in
+    cache; None keeps batch order); each text's result is its own, in
+    batch order, whatever the languages. tests/oracles/fastlangid.py is
+    its oracle."""
     from cld2_ray import native
     w = weights()
-    order = np.arange(len(texts)) if group is None else \
-        np.argsort(group, kind="stable")
+    order = np.argsort(langs.ids(lang, len(texts)), kind="stable")
     route, scores, nf, n_rows = native.fastlangid_score(
         *us.lowered(texts, order, CAP_BYTES), w.bucket_index, w.table,
         us.script_lut(), _ONE_SCRIPT)

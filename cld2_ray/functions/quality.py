@@ -11,7 +11,11 @@ Every document statistic comes from one C pass per batch
 (native.quality_scan, which strips each document's ends as
 ``str.strip()`` does) and the rules run on numpy arrays. Handed an Arrow
 string column (the flagship kernel's extracted column), the pass reads
-its UTF-8 buffer in place, so nothing is re-encoded. Each rule has a
+its UTF-8 buffer in place, so nothing is re-encoded. The scan's
+letters (alpha words) are RE2's ``\\pL`` and its stopword case folds
+RE2's ``(?i)`` orbits, both probed from RE2 at first use
+(``_scan_luts``), so the scan counts what the Arrow oracle and the
+DuckDB mirror count on every code point. Each rule has a
 stable name used as ``drop_reason`` (first failing rule wins, in the
 declared order). The same function is both the Ray `map_batches` kernel
 body and the single-process oracle. The Arrow/pandas form in
@@ -56,41 +60,45 @@ _STOP_WORDS_ALT = "|".join(
 
 
 @lru_cache(maxsize=1)
-def _letter_lut():
-    """uint8[0x30000]: 1 where unicodedata category is L* — the \\pL
-    analogue for the C quality scan (RE2's letter table agrees on every
-    codepoint the corpora exercise; equality with the Arrow path is
-    pinned by tests)."""
-    import unicodedata
-    lut = np.zeros(0x30000, dtype=np.uint8)
-    for cp in range(0x30000):
-        if unicodedata.category(chr(cp)).startswith("L"):
-            lut[cp] = 1
-    return lut
-
-
-@lru_cache(maxsize=1)
-def _fold_lut():
-    """uint32[0x30000]: fold each codepoint onto its stopword-alphabet
-    representative, derived FROM RE2 itself (one anchored `(?i)` match
-    per alphabet letter over all codepoints), so the C scan and the
-    Arrow/RE2 reference agree by construction on the whole fold domain
-    — including orbits outside Latin-1/Cyrillic-proper (ſ→s U+017F,
-    ᲀ→в U+1C80, ᲂ→о, ᲃ→с, ᲄ/ᲅ→т in Cyrillic Extended-C). Codepoints
-    whose orbit has no alphabet member keep identity; they can never
-    be part of a stopword match, so identity is exact."""
+def _scan_luts():
+    """(is_letter uint8[], fold uint32[]): quality_scan's two code-point
+    tables, classified by RE2 itself (the engine of the Arrow oracle and
+    the DuckDB mirror) over one column of every code point of planes
+    0-3, surrogates blanked to NUL. is_letter[cp] is 1 where ``^\\pL$``
+    matches. fold[cp] is the stopword-alphabet letter whose ``(?i)``
+    orbit holds cp (ſ U+017F -> s, ᲀ U+1C80 -> в, ᲂ -> о, ᲃ -> с,
+    ᲄ/ᲅ -> т), and cp elsewhere: one match against the whole
+    alphabet finds the candidates, and one match per letter over them
+    assigns each its letter. A code point whose orbit holds no alphabet
+    letter can never be part of a stopword match, so identity is exact.
+    The letter table ends after the last letter and the fold table after
+    the last candidate; the kernel reads a code point past a table's end
+    as no letter and as itself. No code point above plane 3 is a
+    letter (tests/test_native.py probes all of them)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    lim = 0x30000
-    lut = np.arange(lim, dtype=np.uint32)
-    chars = pa.array([chr(cp) if not 0xD800 <= cp < 0xE000 else "\x00"
-                      for cp in range(lim)])
+    from cld2_ray import native
+
+    def match(col, pattern):
+        return pc.match_substring_regex(col, pattern) \
+            .to_numpy(zero_copy_only=False)
+
+    cps = np.arange(0x40000, dtype="<u4")
+    cps[0xD800:0xE000] = 0
+    offsets = np.zeros(len(cps) + 1, dtype=np.int64)
+    np.cumsum(1 + (cps >= 0x80) + (cps >= 0x800) + (cps >= 0x10000),
+              out=offsets[1:])
+    col = native.utf8_array(np.frombuffer(
+        cps.tobytes().decode("utf-32-le").encode(), dtype=np.uint8), offsets)
+    letter = match(col, r"^\pL$")
     alphabet = sorted(set("".join(_STOP_WORDS_ALT.split("|"))))
+    cand = np.flatnonzero(match(
+        col, "(?i)^[" + "".join(map(re.escape, alphabet)) + "]$"))
+    fold = np.arange(cand[-1] + 1, dtype=np.uint32)
+    sub = col.take(pa.array(cand))
     for ch in alphabet:
-        m = pc.match_substring_regex(
-            chars, "^" + re.escape(ch) + "$", ignore_case=True)
-        lut[np.nonzero(m.to_numpy(zero_copy_only=False))[0]] = ord(ch)
-    return lut
+        fold[cand[match(sub, "(?i)^" + re.escape(ch) + "$")]] = ord(ch)
+    return letter[:np.flatnonzero(letter)[-1] + 1].astype(np.uint8), fold
 
 
 @lru_cache(maxsize=1)
@@ -137,8 +145,8 @@ def rule_columns(texts, lang=None) -> dict[str, np.ndarray]:
     plain numpy arrays. Output equals apply_rules_arrow of
     tests/oracles/quality.py, pinned by tests/test_native.py."""
     from cld2_ray import native
-    scan = native.quality_scan(*native.utf8_cat(texts), _letter_lut(),
-                               _fold_lut(), _stop_table())
+    scan = native.quality_scan(*native.utf8_cat(texts), *_scan_luts(),
+                               _stop_table())
     n = len(scan)
     n_words = scan[:, 0]
     n_chars = scan[:, 1]

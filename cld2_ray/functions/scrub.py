@@ -1,14 +1,14 @@
 """PII / toxicity scrubbing — regex redaction stage (north rule).
 
-New code (not in the reference). Patterns are compiled once per process
-(module import) and applied per batch with Arrow's RE2 kernels on the
-text column (``scrub_arrow``; ``scrub_series`` is its pandas form).
-Replacement tokens are stable strings so scrubbed output is
-deterministic and SQL-reproducible (``regexp_replace(..., 'g')`` in the
-DuckDB oracle). The flagship kernel gates the PII prescreen with the
-quality scan's pii_candidate flag (``scrub_arrow(..., candidates)``),
-so only documents holding an ASCII digit or '@' pay for it; that is
-exact because no pattern matches without one.
+New code (not in the reference). The patterns are pattern strings that
+Arrow's RE2 kernels apply per batch to the text column (``scrub_arrow``;
+``scrub_series`` is its pandas form). Replacement tokens are stable
+strings so scrubbed output is deterministic and SQL-reproducible
+(``regexp_replace(..., 'g')`` in the DuckDB oracle). The flagship
+kernel gates the PII prescreen with the quality scan's pii_candidate
+flag (``scrub_arrow(..., candidates)``), so only documents holding an
+ASCII digit or '@' pay for it; that is exact because no pattern matches
+without one.
 
 Order matters and is fixed: EMAIL -> IPV4 -> SSN -> CREDIT_CARD ->
 PHONE (phone last: its pattern is the loosest).
@@ -30,14 +30,11 @@ PII_PATTERNS: list[tuple[str, str]] = [
     ("<PHONE>", r"\+?\d{1,3}[ .-]?\(?\d{2,4}\)?[ .-]?\d{3,4}[ .-]?\d{3,4}\b"),
 ]
 
-_COMPILED = [(tok, re.compile(pat)) for tok, pat in PII_PATTERNS]
-
 # deliberately mild wordlist for the toxicity flag (a stand-in for a
 # real blocklist; the mechanism — broadcast wordlist + vectorized scan —
-# is the deliverable)
+# is the deliverable); RE2 matches their alternation case-insensitively
 TOXICITY_WORDS = ["badword1", "badword2", "slurword"]
-_TOX = re.compile("|".join(re.escape(w) for w in TOXICITY_WORDS),
-                  re.IGNORECASE)
+_TOX = "|".join(re.escape(w) for w in TOXICITY_WORDS)
 
 # prescreen: one alternation pass selects the docs where ANY pattern
 # can match; the others skip the 10 count/replace passes. Sound
@@ -85,7 +82,7 @@ def scrub_arrow(arr, candidates=None):
                                              replacement=token)
         n_pii[hit_idx] = n_sub
         arr = pc.replace_with_mask(arr, pa.array(hit), sub)
-    has_tox = pc.match_substring_regex(arr, _TOX.pattern, ignore_case=True) \
+    has_tox = pc.match_substring_regex(arr, _TOX, ignore_case=True) \
         .to_numpy(zero_copy_only=False)
     return arr, n_pii, has_tox
 

@@ -315,19 +315,3 @@ def lowered(texts, order: np.ndarray, cap: int = -1, frame: bool = False):
     from cld2_ray import native
     return native.lower_docs(*native.utf8_cat(texts), order,
                              str_lower_tables(), cap, frame)
-
-
-def codepoints(text: str) -> np.ndarray:
-    """Vectorized str -> int32 codepoint array (UTF-32 view)."""
-    if not text:
-        return np.empty(0, dtype=np.uint32)
-    return np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
-
-
-def scripts_of(cps: np.ndarray) -> np.ndarray:
-    """Map codepoint array -> script-id array via the LUT (0 beyond range)."""
-    lut = script_lut()
-    out = np.zeros(cps.shape, dtype=np.uint8)
-    in_range = cps < LUT_SIZE
-    out[in_range] = lut[cps[in_range]]
-    return out

@@ -732,12 +732,13 @@ def utf8_array(data: np.ndarray, offsets: np.ndarray):
 
 
 def md5_batch(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """(n, 16) uint8 MD5 digests of data[offsets[i]:offsets[i+1]]."""
+    """(n, 16) uint8 MD5 digests of data[offsets[i]:offsets[i+1]] (the
+    layout of ``utf8_cat``, checked by ``_docs``)."""
+    data, offsets = _docs(data, offsets)
     n = len(offsets) - 1
     out = np.empty((n, 16), dtype=np.uint8)
     if n:
-        _MD5(np.ascontiguousarray(data, dtype=np.uint8),
-             np.ascontiguousarray(offsets, dtype=np.int64), n, out)
+        _MD5(data, offsets, n, out)
     return out
 
 
@@ -762,13 +763,14 @@ def md5_windows(word_data: np.ndarray, word_offsets: np.ndarray,
 
 def blake2b_batch(data: np.ndarray, offsets: np.ndarray,
                   digest_size: int = 16) -> np.ndarray:
-    """(n, digest_size) uint8 keyless BLAKE2b digests."""
+    """(n, digest_size) uint8 keyless BLAKE2b digests of
+    data[offsets[i]:offsets[i+1]] (checked by ``_docs``). Raises
+    ValueError unless 1 <= digest_size <= 64."""
+    data, offsets = _docs(data, offsets)
     n = len(offsets) - 1
-    out = np.empty((n, digest_size), dtype=np.uint8)
-    if n:
-        _B2B(np.ascontiguousarray(data, dtype=np.uint8),
-             np.ascontiguousarray(offsets, dtype=np.int64), n,
-             digest_size, out)
+    out = np.empty((n, max(digest_size, 0)), dtype=np.uint8)
+    _checked(_B2B(data, offsets, n, digest_size, out), "blake2b_batch",
+             f"digest_size {digest_size} outside 1..64")
     return out
 
 

@@ -1028,11 +1028,11 @@ static void scan_one_span(const uint8_t *sp, int64_t len,
  *   - \s = [\t\n\f\r ] exactly (ASCII; NOT \v, NOT NBSP) — verified
  *     against pyarrow.compute
  *   - words = maximal \S+ runs; alpha word = contains >=1 cp with
- *     is_letter[cp] (unicodedata L*, the \pL analogue)
+ *     is_letter[cp] (RE2's \pL, probed from RE2: quality._scan_luts)
  *   - stopword token match = ^['"(]*(?:STOP)[.,;:!?'")]*$ ignore_case:
  *     strip leading {'"(}, strip trailing {.,;:!?'")}, simple-fold
  *     (fold[] = RE2-derived orbit map onto the stopword alphabet,
- *     identity elsewhere; see quality._fold_lut), and probe the
+ *     identity elsewhere; see quality._scan_luts), and probe the
  *     stopword table (table_lookup; key = the folded UTF-8 bytes,
  *     <= 8, little-endian)
  *   - sentences = cps {. ! ? 0x3002 0xFF01 0xFF1F}; symbols =
@@ -3356,10 +3356,11 @@ static void b2b_one(const uint8_t *msg, int64_t len, int64_t nn,
         out[j] = (uint8_t)(h[j >> 3] >> (8 * (j & 7)));
 }
 
-/* nn-byte digests of data[offsets[i]:offsets[i+1]] -> out + nn*i */
+/* nn-byte digests of data[offsets[i]:offsets[i+1]] -> out + nn*i;
+ * returns 0, or -2 for a digest size outside 1..64 */
 int blake2b_batch(const uint8_t *data, const int64_t *offsets,
                   int64_t n, int64_t nn, uint8_t *out) {
-    if (nn < 1 || nn > 64) return -1;
+    if (nn < 1 || nn > 64) return -2;
     for (int64_t i = 0; i < n; i++)
         b2b_one(data + offsets[i], offsets[i + 1] - offsets[i], nn,
                 out + nn * i);

@@ -118,9 +118,12 @@ def debug_page(url: str, text: str,
 
 
 def write_debug_sample(pages_ds, out_dir: str, n: int = 20) -> int:
-    """Sampling debug sink: extract + Detector.detect_ranges over the
-    first ``n`` pages, one HTML file per page under ``out_dir``. The
-    ranges come from the same kernel ranges pass as the flagship
+    """Sampling debug sink: the first ``n`` pages, one HTML file per page
+    under ``out_dir``, through the flagship's batch kernels: one
+    extract.extract_batch call over their html column (the C UTF-8 gate
+    and extractor; a null html reads as empty) and one
+    Detector.detect_batch(..., with_ranges=True) call over the texts.
+    The ranges come from the same kernel ranges pass as the flagship
     ``chunks`` column, run without the page's hints. Offsets in the
     dump are EXTRACTED-TEXT byte offsets (the buffer the chunks are
     rendered from, like the reference's src pointer); the ``chunks``
@@ -130,17 +133,18 @@ def write_debug_sample(pages_ds, out_dir: str, n: int = 20) -> int:
     unless asked for."""
     import os
 
-    from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
+    import pyarrow as pa
+
+    from cld2_ray.functions.extract import extract_batch
     from cld2_ray.functions.langid import default_detector
 
     os.makedirs(out_dir, exist_ok=True)
-    det = default_detector()
     rows = pages_ds.limit(n).take(n)
+    texts = extract_batch(pa.array([row["html"] for row in rows],
+                                   type=pa.binary()))[0].to_pylist()
+    ranges = default_detector().detect_batch(texts, with_ranges=True)[1]
     for i, row in enumerate(rows):
-        html_bytes = row["html"]
-        text = extract_text(html_bytes[:valid_utf8_prefix(html_bytes)])
-        chunks = det.detect_ranges(text)
-        page = debug_page(row.get("url", f"row{i}"), text, chunks)
+        page = debug_page(row.get("url") or f"row{i}", texts[i], ranges[i])
         with open(os.path.join(out_dir, f"debug_{i:04d}.html"), "w",
                   encoding="utf-8") as f:
             f.write(page)

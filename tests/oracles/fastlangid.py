@@ -1,5 +1,5 @@
 """The oracle of ``fastlangid.classify_batch``: the routing in Python
-(the script counts of ``uscript.codepoints`` / ``scripts_of``, and
+(the script counts of ``spans._codepoints`` / ``_scripts_of``, and
 ``str.strip`` for blank texts) and the scoring in numpy (the hashed
 n-gram features of ``features_batch``, rows added in first-seen
 order), independent of ``native.fastlangid_score``.
@@ -12,6 +12,7 @@ import numpy as np
 
 from cld2_ray.functions import langs, uscript as us
 from cld2_ray.functions.fastlangid import CAP_BYTES, _GOLD, weights
+from tests.oracles.spans import _codepoints, _scripts_of
 
 
 def cap_text(t: str, cap: int = CAP_BYTES) -> str:
@@ -88,8 +89,8 @@ def classify_oracle(texts) -> tuple[list[str], list[float]]:
     lowered = [t.lower() for t in texts]
     bounds = np.cumsum(np.array([len(t) for t in lowered],
                                 dtype=np.int64))
-    cps = us.codepoints("".join(lowered))
-    sc = us.scripts_of(cps)
+    cps = _codepoints("".join(lowered))
+    sc = _scripts_of(cps)
     doc_of = np.searchsorted(bounds, np.arange(len(cps), dtype=np.int64),
                              side="right")
     nz = sc > 0

@@ -19,6 +19,7 @@ import numpy as np
 
 from cld2_ray.functions import langs, score, spans, uscript as us
 from tests.oracles.docstage import DocTote, _tote_range_lang, _hint_payloads
+from tests.oracles.spans import _codepoints
 from tools import hits
 from tools.langmodel import bucket_lookup, unpack_langprobs
 
@@ -237,7 +238,7 @@ def detect_ranges_numpy(det, text: str,
     sharpen_boundaries, other spans through _score_span.
     ``hint_langs`` (detect_batch's per-document hints) add their
     priors to the chunk scores, as in detect_batch(with_ranges=True)."""
-    if us.codepoints(text).size == 0:
+    if _codepoints(text).size == 0:
         return []
     hl = _hint_payloads(hint_langs)
 

@@ -3,10 +3,13 @@
 
 Word statistics come from Arrow compute kernels (C++/RE2 — also what
 DuckDB uses), line statistics from pandas, and the rule cascade from
-pandas masks.
+pandas masks. ``fold_lut_probe`` is the oracle of the scan's stopword
+fold table (``quality._scan_luts``).
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pandas as pd
@@ -23,6 +26,26 @@ from cld2_ray.functions.quality import (
 # before and punctuation after; matched case-insensitively
 _STOP_TOKEN_PATTERN = \
     r"^['\"(]*(?:" + _STOP_WORDS_ALT + r")[.,;:!?'\")]*$"
+
+
+def codepoint_column(lo: int, hi: int) -> pa.Array:
+    """Every code point of [lo, hi) as a one-character string, the
+    surrogates (which UTF-8 cannot hold) blanked to NUL."""
+    return pa.array([chr(cp) if not 0xD800 <= cp < 0xE000 else "\x00"
+                     for cp in range(lo, hi)])
+
+
+def fold_lut_probe() -> np.ndarray:
+    """uint32[0x110000]: each code point folded onto the stopword-alphabet
+    letter whose RE2 ``(?i)`` orbit holds it, identity elsewhere, from one
+    anchored match per alphabet letter over every code point."""
+    chars = codepoint_column(0, 0x110000)
+    lut = np.arange(0x110000, dtype=np.uint32)
+    for ch in sorted(set("".join(_STOP_WORDS_ALT.split("|")))):
+        m = pc.match_substring_regex(chars, "^" + re.escape(ch) + "$",
+                                     ignore_case=True)
+        lut[m.to_numpy(zero_copy_only=False)] = ord(ch)
+    return lut
 
 
 def _stopword_counts_arrow(arr) -> np.ndarray:

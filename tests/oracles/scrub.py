@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from cld2_ray.functions.scrub import _COMPILED
+import re
+
+from cld2_ray.functions.scrub import PII_PATTERNS
+
+_COMPILED = [(tok, re.compile(pat)) for tok, pat in PII_PATTERNS]
 
 
 def scrub_text(text: str) -> str:

@@ -16,6 +16,22 @@ from cld2_ray.functions import uscript as us
 from cld2_ray.functions.spans import MAX_SCRIPT_BYTES, TEXT_LIMIT, ScriptSpan
 
 
+def _codepoints(text: str) -> np.ndarray:
+    """Vectorized str -> uint32 codepoint array (UTF-32 view)."""
+    if not text:
+        return np.empty(0, dtype=np.uint32)
+    return np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+
+
+def _scripts_of(cps: np.ndarray) -> np.ndarray:
+    """Map codepoint array -> script-id array via the LUT (0 beyond range)."""
+    lut = us.script_lut()
+    out = np.zeros(cps.shape, dtype=np.uint8)
+    in_range = cps < us.LUT_SIZE
+    out[in_range] = lut[cps[in_range]]
+    return out
+
+
 def _lower_cps(cps: np.ndarray) -> np.ndarray:
     """Vectorized pinned lowercase over a codepoint array (1:1)."""
     lut = us.lower_lut()
@@ -72,10 +88,10 @@ def _absorb_single_foreign(letter_sc: np.ndarray,
 def script_spans_numpy(text: str,
                        text_limit: int = TEXT_LIMIT) -> list[ScriptSpan]:
     """script_spans by numpy, one document at a time."""
-    cps = us.codepoints(text)
+    cps = _codepoints(text)
     if cps.size == 0:
         return []
-    sc = us.scripts_of(cps)
+    sc = _scripts_of(cps)
     letter_idx = np.flatnonzero(sc)
     if letter_idx.size == 0:
         return []

@@ -61,3 +61,53 @@ class TestDebugSink:
         body = open(os.path.join(tmp_path, files[0])).read()
         assert body.startswith("<html>")
         assert "DumpResultChunkVector[" in body
+
+    @staticmethod
+    def _pages():
+        import pyarrow as pa
+        from cld2_ray.sources.pages import edge_pages, page_batch
+        return pa.concat_tables([edge_pages(), page_batch(0, 6, seed=7)])
+
+    def test_batch_kernels_equal_per_page_path(self, tmp_path, ray_session):
+        """Each file is debug_page(url, text, ranges) of the per-page
+        path (valid_utf8_prefix, extract_text, detect_ranges), for the
+        edge pages (null and invalid UTF-8 html among them) and normal
+        pages; the null page reads as empty and gets an empty vector."""
+        import os
+        import ray.data as rd
+        from cld2_ray.functions.extract import extract_text, valid_utf8_prefix
+        from cld2_ray.functions.langid import default_detector
+        from cld2_ray.pipelines.debughtml import debug_page, write_debug_sample
+        pages = self._pages()
+        rows = pages.to_pylist()
+        assert rows[0]["html"] is None
+        n = write_debug_sample(rd.from_arrow(pages), str(tmp_path),
+                               n=len(rows))
+        assert n == len(rows)
+        det = default_detector()
+        for i, row in enumerate(rows):
+            h = row["html"] or b""
+            text = extract_text(h[:valid_utf8_prefix(h)])
+            with open(os.path.join(tmp_path, f"debug_{i:04d}.html"),
+                      encoding="utf-8") as f:
+                got = f.read()
+            assert got == debug_page(row["url"], text,
+                                     det.detect_ranges(text)), i
+        with open(os.path.join(tmp_path, "debug_0000.html")) as f:
+            assert "DumpResultChunkVector[0]" in f.read()
+
+    def test_run_cli_debug_html_on_edge_pages(self, tmp_path, ray_session):
+        """cld2_ray.run --debug-html over a parquet file of those pages
+        exits 0 and writes one debug page per sampled page."""
+        import json
+        import os
+        import pyarrow.parquet as pq
+        from cld2_ray.run import main
+        os.makedirs(tmp_path / "in")
+        pq.write_table(self._pages(), str(tmp_path / "in" / "a.parquet"))
+        out = str(tmp_path / "o")
+        assert main(["--input", str(tmp_path / "in"), "--output", out,
+                     "--partitions", "1", "--debug-html", "8"]) == 0
+        assert len(os.listdir(os.path.join(out, "debug"))) == 8
+        m = json.load(open(os.path.join(out, "part=00000", "MANIFEST.json")))
+        assert m["rows"] == 12

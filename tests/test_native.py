@@ -439,8 +439,8 @@ for sp in (b" " + hz2 + b" ", hz2):
 lines = "\n".join(chr(0x4E00 + k) for k in range(6000)).encode()
 docs = [lines, b"same line\n" * 3000, b"", b"x", b"y\n" * 23,
         b"\n".join([b"a", b"b"] * 40)]
-s = same("quality_scan", *cat_of(docs), quality._letter_lut(),
-         quality._fold_lut(), quality._stop_table())[0]
+s = same("quality_scan", *cat_of(docs), *quality._scan_luts(),
+         quality._stop_table())[0]
 assert s[0, 9] == 6000 and s[0, 12] == 0
 assert s[1, 9] == 3000 and s[1, 12] == 2999
 
@@ -449,7 +449,7 @@ assert s[1, 9] == 3000 and s[1, 12] == 2999
 qdocs = [b"the \x00 x", b"(\x00)", "a \U0001F600".encode(), b"la\x00",
          "the\U0001F600".encode() * 3, b"\x00", b"x \xf0\x9f\x98",
          b"of \xf0"]
-qluts = quality._letter_lut(), quality._fold_lut(), quality._stop_table()
+qluts = *quality._scan_luts(), quality._stop_table()
 assert same("quality_scan", *cat_of(qdocs), *qluts)[0][:, 4].tolist() == \
     [1, 0, 1, 0, 0, 0, 0, 1]
 for d in qdocs:
@@ -762,13 +762,14 @@ class TestLowerDocs:
 
 
 class TestBatchOrder:
-    """fastlangid.classify_batch scores in the order of any grouping
-    key, and perplexity.score_batch grouped by its own language ids;
-    both give each text of a shuffled batch its own result."""
+    """fastlangid.classify_batch and perplexity.score_batch score in the
+    order of the language ids they are given, and both give each text
+    of a shuffled batch its own result."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False),
-           st.lists(st.integers(-3, 3), min_size=60, max_size=60))
+           st.lists(st.integers(0, langs.NUM_LANGS - 1), min_size=60,
+                    max_size=60))
     def test_shuffled_and_grouped(self, rnd, keys):
         import pyarrow as pa
         from cld2_ray.functions import fastlangid, perplexity
@@ -782,13 +783,26 @@ class TestBatchOrder:
         sh = [texts[i] for i in perm]
         sh_codes = [codes[i] for i in perm]
         for docs in (sh, pa.array(sh, type=pa.large_string())):
-            for group in (None, np.array(keys)):
-                lang, conf = fastlangid.classify_batch(docs, group)
+            for ids in (None, np.array(keys)):
+                lang, conf = fastlangid.classify_batch(docs, ids)
                 assert lang.to_pylist() == [base_l[i].as_py() for i in perm]
                 assert np.array_equal(conf, base_c[perm])
             ppl, gib = perplexity.score_batch(docs, sh_codes)
             assert np.array_equal(ppl, base_p[perm])
             assert np.array_equal(gib, base_g[perm])
+
+
+    def test_classify_batch_checks_its_languages(self):
+        """classify_batch reads its languages through langs.ids: one
+        language for three texts, or an id outside [0, NUM_LANGS),
+        raises ValueError."""
+        from cld2_ray.functions import fastlangid
+        texts = ["the cat", "le chat", "die Katze"]
+        for lang in ([1], np.array([0, 1, langs.NUM_LANGS])):
+            with pytest.raises(ValueError):
+                fastlangid.classify_batch(texts, lang)
+        assert fastlangid.classify_batch(texts, ["en", "fr", "de"])[0] \
+            .to_pylist() == fastlangid.classify_batch(texts)[0].to_pylist()
 
 
 def _lists(arrays) -> tuple[list, ...]:
@@ -1244,8 +1258,8 @@ class TestScratchFailure:
                 *native.utf8_cat(["ab"]), us.script_lut(), us.lower_lut(),
                 100, 100),
             "_QS": lambda: native.quality_scan(
-                *native.utf8_cat(["a b"]), quality._letter_lut(),
-                quality._fold_lut(), quality._stop_table()),
+                *native.utf8_cat(["a b"]), *quality._scan_luts(),
+                quality._stop_table()),
             "_PP": lambda: native.ppl_score(
                 b" ab ", np.array([0, 4]), np.array([0]), pm.table, pm.uni),
             "_ACC": lambda: native.fastlangid_score(
@@ -1308,6 +1322,51 @@ class TestQualityScan:
         q_c = quality.apply_rules(tser, lang)
         assert list(q_a.columns) == list(q_c.columns)
         self._eq(q_a, q_c)
+
+    def test_letters_are_re2_pL(self):
+        """For every code point of planes 0-3, a one-character word is an
+        alpha word exactly when RE2's \\pL matches it (Kawi U+11F04 and
+        CJK Extension G U+30000 among them), and no code point above
+        plane 3 matches \\pL."""
+        import pyarrow.compute as pc
+        from cld2_ray.functions import quality
+        col = quality_oracle.codepoint_column(0, 0x40000)
+        want = pc.match_substring_regex(col, r"^\pL$") \
+            .to_numpy(zero_copy_only=False)
+        got = native.quality_scan(*native.utf8_cat(col),
+                                  *quality._scan_luts(),
+                                  quality._stop_table())[:, 3]
+        assert np.array_equal(got == 1, want)
+        assert want[0x11F04] and want[0x30000]
+        above = quality_oracle.codepoint_column(0x40000, 0x110000)
+        assert not pc.any(pc.match_substring_regex(above, r"\pL")).as_py()
+
+    def test_letters_past_unicode_14(self):
+        """Words of Kawi and of CJK Extension G letters (which Python's
+        Unicode 14.0 does not know) are alpha words, as in the oracle."""
+        import pandas as pd
+        from cld2_ray.functions import quality
+        tail = ". the and of"
+        texts = [" ".join(["\U00011F04\U00011F05"] * 30) + tail,
+                 " ".join(chr(0x30000 + k) + chr(0x31350 + k)
+                          for k in range(30)) + tail]
+        want = quality_oracle.apply_rules_arrow(pd.Series(texts))
+        got = quality.rule_columns(texts)
+        for col in want.columns:
+            assert list(got[col]) == list(want[col]), col
+        assert list(got["alpha_ratio"]) == [1.0, 1.0]
+        assert list(got["drop_reason"]) == ["", ""]
+
+    def test_fold_table_is_the_full_probe(self):
+        """The fold table built from the candidates equals the per-letter
+        probe over every code point; past its end the probe is identity."""
+        from cld2_ray.functions import quality
+        fold = quality._scan_luts()[1]
+        full = quality_oracle.fold_lut_probe()
+        assert np.array_equal(full[:len(fold)], fold)
+        assert np.array_equal(full[len(fold):],
+                              np.arange(len(fold), len(full)))
+        assert fold[0x17F] == ord("s") and fold[0x1C80] == ord("в")
 
     # a token of NUL characters packs to the stopword table's key 0, the
     # value that marks an empty slot: it is no stopword
@@ -1435,7 +1494,7 @@ class TestQualityScan:
         fold_lut directly (one byte per char), which needs fold_lut to
         map ASCII to non-NUL ASCII (NUL to itself)."""
         from cld2_ray.functions import quality
-        fold = quality._fold_lut()[:128]
+        fold = quality._scan_luts()[1][:128]
         assert fold[0] == 0
         assert ((fold[1:] >= 1) & (fold[1:] < 128)).all()
 
@@ -1472,8 +1531,7 @@ class TestStripInScan:
             part = cps[k:k + (1 << 16)]
             stats = native.quality_scan(
                 *native.utf8_cat([chr(c) for c in part]),
-                quality._letter_lut(), quality._fold_lut(),
-                quality._stop_table())
+                *quality._scan_luts(), quality._stop_table())
             blank += [c for c, n in zip(part, stats[:, 1].tolist())
                       if n == 0]
         assert blank == [c for c in cps if chr(c).isspace()]
@@ -1848,6 +1906,22 @@ class TestHashKernels:
         assert [bytes(r) for r in native.blake2b_batch(data, offs, 16)] \
             == [hashlib.blake2b(s.encode(), digest_size=16).digest()
                 for s in strs]
+
+    @pytest.mark.parametrize("kernel", ["md5_batch", "blake2b_batch"])
+    def test_offsets_are_checked(self, kernel):
+        """Offsets past the buffer (which the kernel would hash from
+        beyond its end), descending, negative or empty raise ValueError,
+        as in every binding that reads the layout of ``utf8_cat``."""
+        for bad in ([0, 20], [0, 3, 2], [-1, 4], []):
+            with pytest.raises(ValueError, match="offsets"):
+                getattr(native, kernel)(b"abcd", bad)
+
+    @pytest.mark.parametrize("nn", [0, 65, -1])
+    def test_blake2b_digest_size_is_checked(self, nn):
+        """A digest size outside 1..64 is the kernel's -2, raised as
+        ValueError, not an array of uninitialised bytes."""
+        with pytest.raises(ValueError, match="1..64"):
+            native.blake2b_batch(b"abcd", [0, 4], nn)
 
     @given(st.lists(st.lists(st.text(
         alphabet=st.characters(blacklist_characters=" ",
